@@ -1,7 +1,8 @@
 """Scaling experiments on the blended force-based operator.
 
 Threshold sweeps locate the smallest blending width K* that restores
-coercivity and regress its growth against the mesh parameter; sharpness
+coercivity, by an inertia scan of the whole window with pencil solves only
+at K*-1 and K*, and regress its growth against the mesh parameter; sharpness
 probes evaluate the constructed instability witnesses; trace_check verifies
 the annulus trace inequality by quadrature. run() drives any of these from
 a flat key=value config and writes rows.csv / fit.json / summary.txt /
@@ -30,13 +31,14 @@ from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
                         project_zero_mean_2d, random_zero_mean_2d, ring_number)
 from .ops1d import (Op1D, _rst_terms, _sharpness_parts, divergence_form,
                     quad_form, sharpness_test_function)
-from .ops2d import (_bond_apply_a, _bond_apply_c, _bond_name, assemble_ltilde,
-                    divergence_form_2d, poincare_discrete)
+from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, _bond_name,
+                    assemble_ltilde, divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
-from .spectral import assemble, coercivity, gram_D
+from .spectral import assemble, coercivity, gram_D, is_coercive
 
 __all__ = [
-    "SweepRow", "ThresholdFit", "ProbeResult", "TraceSample",
+    "SweepRow", "ScanProbe", "ThresholdFit", "ProbeResult", "TraceSample",
+    "ModelRangeError",
     "sweep_threshold_1d", "sharpness_probe_1d", "sweep_threshold_2d",
     "construct_layer_sets", "sharpness_probe_2d", "trace_check",
     "sample_constant", "sample_log", "sample_poly", "unstable_toy_model",
@@ -64,12 +66,28 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
+class ScanProbe:
+    """Inertia verdict at one K of a threshold scan: the negative pivot
+    count (-1 after an exactly zero pivot), the smallest pivot magnitude,
+    and whether the pivots were too close to zero to decide, so that a
+    pencil solve answered instead."""
+
+    eps: float
+    K: int
+    negative: int
+    min_pivot: float
+    fallback: bool
+
+
+@dataclass(frozen=True)
 class ThresholdFit:
     """Regression of the located thresholds K*(eps) against a growth rate.
 
     pairs holds (eps, Kstar) for every size where a sign change was found;
-    rows records every coercivity evaluation; flags collects data-quality
-    notes (degenerate fit, missing sign change, monotonicity violation).
+    rows records every gamma evaluation, the pencil solves at K*-1 and K*;
+    scan holds the inertia verdict at every K of every scanned window;
+    flags collects data-quality notes (degenerate fit, missing or extra
+    sign changes, monotonicity violation).
     """
 
     pairs: tuple
@@ -78,6 +96,11 @@ class ThresholdFit:
     r2: float
     rows: tuple = ()
     flags: tuple = ()
+    scan: tuple = ()
+
+
+class ModelRangeError(ValueError):
+    """The model lies outside the range a threshold sweep is defined on."""
 
 
 @dataclass(frozen=True)
@@ -139,31 +162,76 @@ def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
             f"bond {bond}: split {split.total:.12e} vs direct {direct:.12e}")
 
 
-def _locate_kstar(gamma: Callable[[int], float], k_floor: int, k_cap: int,
-                  tol: float):
-    """Smallest K in [k_floor, k_cap] with gamma(K) > tol, by doubling scan
-    and integer bisection. Returns None when the window has no sign change.
-    The bisection leaves gamma(K*-1) <= tol < gamma(K*) evaluated whenever
-    K* > k_floor, which is the monotone-window certificate."""
-    if gamma(k_floor) > tol:
-        return k_floor
-    lo, hi = k_floor, None
-    k = k_floor
-    while k < k_cap:
-        k = min(2 * k, k_cap)
-        if gamma(k) > tol:
-            hi = k
-            break
-        lo = k
-    if hi is None:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gamma(mid) > tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _threshold_at_size(build: Callable[[int], object], G, eps: float,
+                       k_floor: int, k_cap: int, tol: float,
+                       dense_threshold: int, seed: int):
+    """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
+    then pencil solves at K*-1 and K* only.
+
+    build(K) returns the operator at blend width K. K* is the smallest K the
+    scan finds coercive (gamma > tol); every later change of verdict is
+    flagged, so gamma need not be monotone in K. The solves at K*-1 and K*
+    must agree with the scan's verdicts there, otherwise this raises.
+    Returns (kstar, {K: (gamma, solve seconds)}, scan probes, flags).
+    """
+    where = f"eps=1/{round(1 / eps)}"
+    scan, flags, boundary = [], [], {}
+    kstar = last = verdict = None
+    for K in range(k_floor, k_cap + 1):
+        op = build(K)
+        # assembled matrices are dropped after each probe; only the light
+        # operators at K*-1 and K* are kept, and assembled again below
+        rep = is_coercive(assemble(op), G, tol, dense_threshold=dense_threshold,
+                          seed=seed)
+        scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
+                              min_pivot=rep.min_pivot, fallback=rep.fallback))
+        if kstar is None and rep.coercive:
+            kstar = K
+            boundary = {K - 1: last, K: op} if last is not None else {K: op}
+        elif kstar is not None and rep.coercive != verdict:
+            flags.append(f"sign-change:{where},K={K}")
+        verdict, last = rep.coercive, op
+    if kstar is None:
+        return None, {}, scan, [f"no-sign-change:{where}"]
+
+    gammas, x0 = {}, None
+    for K, op in boundary.items():                  # K*-1 first
+        t0 = time.perf_counter()
+        rep = coercivity(assemble(op), G, dense_threshold=dense_threshold, x0=x0,
+                         seed=seed)
+        if (rep.gamma > tol) != (K == kstar):
+            raise RuntimeError(
+                f"pencil solve contradicts the inertia scan at {where}, K={K}: "
+                f"gamma = {rep.gamma:.6e} against tol {tol:g}, K* = {kstar}")
+        x0 = rep.minimizer
+        gammas[K] = (rep.gamma, time.perf_counter() - t0)
+    return kstar, gammas, scan, flags
+
+
+def _collect_fit(results, x_of: Callable[[float], float],
+                 y_of: Callable[[int], float]) -> ThresholdFit:
+    """Merge per-size (N, kstar, rows, scan, flags) into a ThresholdFit,
+    regressing y_of(K*) against x_of(eps)."""
+    results = sorted(results, key=lambda r: -r[0])      # eps ascending
+    rows = tuple(sorted((r for res in results for r in res[2]),
+                        key=lambda r: (r.eps, r.K)))
+    scan = tuple(p for res in results for p in res[3])
+    flags = [f for res in results for f in res[4]]
+    pairs = tuple((1.0 / N, ks) for N, ks, *_ in results if ks is not None)
+
+    kstars = [ks for _, ks in pairs]
+    if len(set(kstars)) == 1 and len(kstars) > 1:
+        flags.append("degenerate")
+    # K* may not grow as the lattice coarsens
+    by_eps = sorted(pairs)                              # eps ascending
+    for (e1, k1), (e2, k2) in zip(by_eps, by_eps[1:]):
+        if k2 > k1:
+            flags.append(f"monotonicity:eps=1/{round(1 / e2)}")
+    xs = np.array([x_of(e) for e, _ in pairs])
+    ys = np.array([y_of(k) for _, k in pairs])
+    slope, intercept, r2 = _fit_against(xs, ys)
+    return ThresholdFit(pairs=pairs, slope=slope, intercept=intercept, r2=r2,
+                        rows=rows, flags=tuple(flags), scan=scan)
 
 
 def _parallel_map(fn, items, threads: int):
@@ -180,12 +248,14 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
     """Locate K*(eps) for the blended operator and fit log K* vs log(1/eps).
 
     K* is the smallest admissible K (floor 6) whose coercivity constant
-    exceeds tol. Sizes with no sign change in the scanned window are
-    flagged and excluded from the fit; every evaluation re-checks the
-    divergence identity on one random displacement as a canary.
+    exceeds tol, found by an inertia scan of the window [6, min(K_max, N-1)]
+    with pencil solves at K*-1 and K*. Sizes with no sign change in the
+    window are flagged and excluded from the fit; every scanned K re-checks
+    the divergence identity on one random displacement as a canary.
     """
     if c0(model) <= 0:
-        raise ValueError(f"model is not stable to begin with: c0 = {c0(model):.6e}")
+        raise ModelRangeError(
+            f"model is not stable to begin with: c0 = {c0(model):.6e}")
     sizes = []
     for eps in eps_list:
         N = round(1.0 / eps)
@@ -196,56 +266,26 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
     def work(N: int):
         eps = 1.0 / N
         chain = Chain1D(N)
-        G = gram_D(chain)
         rng = np.random.default_rng([seed, N])
-        rows: list[SweepRow] = []
-        cache: dict[int, float] = {}
-        warm = {"x0": None}
+        k_cap = min(K_max, N - 1)   # blending window must fit the period
+        if k_cap < 6:
+            return N, None, [], [], [f"window-too-small:eps=1/{N}"]
 
-        def gamma(K: int) -> float:
-            if K in cache:
-                return cache[K]
-            t0 = time.perf_counter()
+        def build(K: int) -> Op1D:
             blend = build_blend_1d(chain, K, profile=profile)
             if canary:
                 _canary_1d(chain, model, blend, rng)
-            op = Op1D(kind="bqcf", chain=chain, model=model, blend=blend)
-            rep = coercivity(assemble(op), G, dense_threshold=dense_threshold,
-                             x0=warm["x0"])
-            warm["x0"] = rep.minimizer
-            rows.append(SweepRow(eps=eps, K=K, Ra=None, Rb=None, gamma=rep.gamma,
-                                 c0_or_gammatilde=c0(model),
-                                 wallclock_seconds=time.perf_counter() - t0))
-            cache[K] = rep.gamma
-            return rep.gamma
+            return Op1D(kind="bqcf", chain=chain, model=model, blend=blend)
 
-        k_cap = min(K_max, N - 1)   # blending window must fit the period
-        if k_cap < 6:
-            return N, None, rows, [f"window-too-small:eps=1/{N}"]
-        kstar = _locate_kstar(gamma, 6, k_cap, tol)
-        flags = [] if kstar is not None else [f"no-sign-change:eps=1/{N}"]
-        return N, kstar, rows, flags
+        kstar, gammas, scan, flags = _threshold_at_size(
+            build, gram_D(chain), eps, 6, k_cap, tol, dense_threshold, seed)
+        rows = [SweepRow(eps=eps, K=K, Ra=None, Rb=None, gamma=g,
+                         c0_or_gammatilde=c0(model), wallclock_seconds=dt)
+                for K, (g, dt) in gammas.items()]
+        return N, kstar, rows, scan, flags
 
-    results = _parallel_map(work, sizes, threads)
-    results.sort(key=lambda r: -r[0])           # eps ascending
-    rows = tuple(sorted((r for _, _, rs, _ in results for r in rs),
-                        key=lambda r: (r.eps, r.K)))
-    flags = [f for _, _, _, fs in results for f in fs]
-    pairs = tuple((1.0 / N, ks) for N, ks, _, _ in results if ks is not None)
-
-    kstars = [ks for _, ks in pairs]
-    if len(set(kstars)) == 1 and len(kstars) > 1:
-        flags.append("degenerate")
-    # K* may not grow as the lattice coarsens
-    by_eps = sorted(pairs)                      # eps ascending
-    for (e1, k1), (e2, k2) in zip(by_eps, by_eps[1:]):
-        if k2 > k1:
-            flags.append(f"monotonicity:eps=1/{round(1 / e2)}")
-    xs = np.log([1.0 / e for e, _ in pairs])
-    ys = np.log([float(k) for _, k in pairs])
-    slope, intercept, r2 = _fit_against(xs, ys)
-    return ThresholdFit(pairs=pairs, slope=slope, intercept=intercept, r2=r2,
-                        rows=rows, flags=tuple(flags))
+    return _collect_fit(_parallel_map(work, sizes, threads),
+                        lambda e: np.log(1.0 / e), np.log)
 
 
 def sharpness_probe_1d(model: PairModel1D, chain: Chain1D,
@@ -334,62 +374,32 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
         Ra = ra_of(N)
         k_cap = min(K_max, N - Ra)
         if k_cap < K_min:
-            return N, None, [], [f"window-too-small:eps=1/{N}"], float("nan")
+            return N, None, [], [], [f"window-too-small:eps=1/{N}"]
 
         blend_top = _blend_2d_sharp(lattice, Ra, Ra + k_cap, profile=profile)
         gt = coercivity(assemble_ltilde(lattice, model, blend_top), G,
-                        dense_threshold=dense_threshold).gamma
+                        dense_threshold=dense_threshold, seed=seed).gamma
         if gt <= 0:
-            raise ValueError(
+            raise ModelRangeError(
                 f"auxiliary operator not positive definite at the widest "
                 f"blend (eps=1/{N}, K={k_cap}, gamma_tilde={gt:.6e})")
 
-        rows: list[SweepRow] = []
-        cache: dict[int, float] = {}
-        warm = {"x0": None}
         count = {"n": 0}
 
-        def gamma(K: int) -> float:
-            if K in cache:
-                return cache[K]
-            t0 = time.perf_counter()
+        def build(K: int) -> Op2D:
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
             _canary_2d(lattice, model, blend, rng, _BONDS[count["n"] % 3])
             count["n"] += 1
-            from .ops2d import Op2D
-            op = Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
-            rep = coercivity(assemble(op), G, dense_threshold=dense_threshold,
-                             x0=warm["x0"])
-            warm["x0"] = rep.minimizer
-            rows.append(SweepRow(eps=eps, K=K, Ra=Ra, Rb=Ra + K, gamma=rep.gamma,
-                                 c0_or_gammatilde=gt,
-                                 wallclock_seconds=time.perf_counter() - t0))
-            cache[K] = rep.gamma
-            return rep.gamma
+            return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
 
-        kstar = _locate_kstar(gamma, K_min, k_cap, tol)
-        flags = [] if kstar is not None else [f"no-sign-change:eps=1/{N}"]
-        return N, kstar, rows, flags, gt
+        kstar, gammas, scan, flags = _threshold_at_size(
+            build, G, eps, K_min, k_cap, tol, dense_threshold, seed)
+        rows = [SweepRow(eps=eps, K=K, Ra=Ra, Rb=Ra + K, gamma=g,
+                         c0_or_gammatilde=gt, wallclock_seconds=dt)
+                for K, (g, dt) in gammas.items()]
+        return N, kstar, rows, scan, flags
 
-    results = _parallel_map(work, sizes, threads)
-    results.sort(key=lambda r: -r[0])
-    rows = tuple(sorted((r for _, _, rs, _, _ in results for r in rs),
-                        key=lambda r: (r.eps, r.Ra, r.K)))
-    flags = [f for _, _, _, fs, _ in results for f in fs]
-    pairs = tuple((1.0 / N, ks) for N, ks, _, _, _ in results if ks is not None)
-
-    kstars = [ks for _, ks in pairs]
-    if len(set(kstars)) == 1 and len(kstars) > 1:
-        flags.append("degenerate")
-    by_eps = sorted(pairs)
-    for (e1, k1), (e2, k2) in zip(by_eps, by_eps[1:]):
-        if k2 > k1:
-            flags.append(f"monotonicity:eps=1/{round(1 / e2)}")
-    xs = np.array([rate(e) for e, _ in pairs])
-    ys = np.array([float(k) for _, k in pairs])
-    slope, intercept, r2 = _fit_against(xs, ys)
-    return ThresholdFit(pairs=pairs, slope=slope, intercept=intercept, r2=r2,
-                        rows=rows, flags=tuple(flags))
+    return _collect_fit(_parallel_map(work, sizes, threads), rate, float)
 
 
 def construct_layer_sets(lattice: TriLattice2D, blend: Blend2D):
@@ -445,7 +455,6 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     if leak > 1e-12:
         raise ValueError(f"blend varies along a3 on the layer set ({leak:.3e})")
 
-    from .ops2d import Op2D
     A = assemble(Op2D(kind="bqcf", lattice=lattice, model=model,
                       blend=blend)).sym_matrix
     G = gram_D(lattice).matrix
@@ -684,7 +693,17 @@ def _rows_from_sweep(fit: ThresholdFit):
 
 def _fit_json(fit: ThresholdFit) -> dict:
     return {"pairs": [[e, k] for e, k in fit.pairs], "slope": fit.slope,
-            "intercept": fit.intercept, "r2": fit.r2, "flags": list(fit.flags)}
+            "intercept": fit.intercept, "r2": fit.r2, "flags": list(fit.flags),
+            "scan": [{"eps": p.eps, "K": p.K, "negative": p.negative,
+                      "min_pivot": p.min_pivot, "fallback": p.fallback}
+                     for p in fit.scan]}
+
+
+def _sweep_checks(fit: ThresholdFit) -> list:
+    fallbacks = sum(p.fallback for p in fit.scan)
+    return [("fit-computed", len(fit.pairs) >= 1,
+             f"{len(fit.pairs)} thresholds from {len(fit.scan)} inertia probes "
+             f"({fallbacks} decided by a pencil solve), flags {list(fit.flags)}")]
 
 
 def _plot_sweep(fit: ThresholdFit, xlabel: str) -> str:
@@ -711,14 +730,16 @@ def _plot_generic(title: str) -> str:
 def _run_sweep1d(cfg):
     model = _need_model_1d(cfg)
     eps = _aslist(cfg.get("eps", [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048]))
-    fit = sweep_threshold_1d(
-        model, eps, int(cfg.get("kmax", 64)),
-        profile=cfg.get("profile", "poly7"),
-        tol=float(cfg.get("tol", 1e-10)),
-        dense_threshold=int(cfg.get("dense_threshold", 4200)),
-        threads=int(cfg.get("threads", 1)), seed=int(cfg.get("seed", 7)))
-    checks = [("fit-computed", len(fit.pairs) >= 1,
-               f"{len(fit.pairs)} thresholds, flags {list(fit.flags)}")]
+    try:
+        fit = sweep_threshold_1d(
+            model, eps, int(cfg.get("kmax", 64)),
+            profile=cfg.get("profile", "poly7"),
+            tol=float(cfg.get("tol", 1e-10)),
+            dense_threshold=int(cfg.get("dense_threshold", 4200)),
+            threads=int(cfg.get("threads", 1)), seed=int(cfg.get("seed", 7)))
+    except ModelRangeError as err:
+        raise ConfigError(str(err)) from err
+    checks = _sweep_checks(fit)
     if len(fit.pairs) >= 3 and "degenerate" not in fit.flags:
         lo, hi = _aslist(cfg.get("slope_window", [0.15, 0.25]))
         checks.append(("slope-window", lo <= fit.slope <= hi,
@@ -746,9 +767,11 @@ def _run_sweep2d(cfg):
         params["alpha"] = float(cfg.get("alpha", 0.5))
     else:
         params["c"] = float(cfg.get("c", 0.125))
-    fit = sweep_threshold_2d(model, case, params)
-    checks = [("fit-computed", len(fit.pairs) >= 1,
-               f"{len(fit.pairs)} thresholds, flags {list(fit.flags)}")]
+    try:
+        fit = sweep_threshold_2d(model, case, params)
+    except ModelRangeError as err:
+        raise ConfigError(str(err)) from err
+    checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
         resid = max(abs(k - (fit.slope * _rate_for(case, cfg, e) + fit.intercept))
                     for e, k in fit.pairs)
@@ -884,7 +907,6 @@ def _run_stability(cfg):
         G = gram_D(chain)
         base = c0(model)
     elif space == "2d":
-        from .ops2d import Op2D
         model = _need_model_2d(cfg)
         lattice = TriLattice2D(int(cfg.get("n", 8)))
         kind = cfg.get("kind", "bqcf")

@@ -7,10 +7,15 @@ weights baked in) and G the Gram matrix of ||Du||^2. <L u, u> = <sym(L) u, u>
 identically, so the nonsymmetric force-based operator needs no special
 treatment beyond symmetrizing.
 
-Two paths: a dense generalized symmetric solve after an explicit QR
-deflation of the kernel, and a single-vector locally-optimal preconditioned
-conjugate-gradient iteration (Rayleigh-Ritz on span{x, w, p}) for larger
-problems, preconditioned by a CG solve of the Gram matrix.
+Two value paths: a dense generalized symmetric solve after deflating the
+kernel with its one or two Householder reflectors, and a single-vector
+locally-optimal preconditioned conjugate-gradient iteration (Rayleigh-Ritz on
+span{x, w, p}) for larger problems, preconditioned by a CG solve of the Gram
+matrix.
+
+The sign question "is gamma > tau?" needs no eigenvalue: by Sylvester's law
+of inertia it is answered by the signs of the pivots of an LDL^T factor of
+sym(A) - tau G restricted to the zero-mean space (is_coercive).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .lattice1d import Chain1D
 from .lattice2d import DIR_OFFSETS, TriLattice2D
 
 __all__ = [
+    "InertiaReport",
     "SparseOp",
     "StabilityReport",
     "assemble",
@@ -37,6 +43,7 @@ __all__ = [
     "coercivity",
     "export_matrixmarket",
     "gram_D",
+    "is_coercive",
 ]
 
 
@@ -79,6 +86,29 @@ class StabilityReport:
     method: str
     residual: float
     iterations: int
+
+
+@dataclass(frozen=True)
+class InertiaReport:
+    """Answer to the sign question gamma > tau, with the evidence behind it.
+
+    negative counts the negative pivots of the congruent LDL^T factor and
+    min_pivot is the smallest pivot magnitude; margin is the backward-error
+    bound the smallest pivot must clear for the signs to be trusted. method
+    is "inertia" when the pivots decided and the value path ("dense" or
+    "iterative") when they could not; negative is -1 when the factorization
+    hit an exactly zero pivot. No eigenvalue is reported.
+    """
+
+    coercive: bool
+    negative: int
+    min_pivot: float
+    margin: float
+    method: str
+
+    @property
+    def fallback(self) -> bool:
+        return self.method != "inertia"
 
 
 def assemble(op) -> SparseOp:
@@ -175,13 +205,55 @@ def _project_out(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - kernel @ (kernel.T @ v)
 
 
-def _dense_gamma(Asym: np.ndarray, G: np.ndarray, kernel: np.ndarray):
-    Q, _ = scipy.linalg.qr(kernel, mode="full")
-    Q2 = Q[:, kernel.shape[1]:]
-    Ar = Q2.T @ Asym @ Q2
-    Gr = Q2.T @ G @ Q2
-    w, v = scipy.linalg.eigh(Ar, Gr, subset_by_index=[0, 0], driver="gvx")
-    return float(w[0]), Q2 @ v[:, 0]
+def _kernel_reflectors(kernel: np.ndarray) -> list:
+    """Householder pairs (v_j, tau_j), H_j = I - tau_j v_j v_j^T, with
+    Q = H_1 ... H_m orthogonal and its first m columns spanning the kernel;
+    the remaining columns are the deflated basis Q2."""
+    (qr, tau), _ = scipy.linalg.qr(kernel, mode="raw")
+    out = []
+    for j in range(kernel.shape[1]):
+        v = np.zeros(kernel.shape[0])
+        v[j] = 1.0
+        v[j + 1:] = qr[j + 1:, j]
+        out.append((v, float(tau[j])))
+    return out
+
+
+def _deflate(M: sp.csr_matrix, reflectors: list) -> np.ndarray:
+    """Q2^T M Q2 for symmetric sparse M, dense in Fortran order; only its
+    upper triangle is valid.
+
+    Each reflector acts as the rank-2 update H M H = M - v p^T - p v^T with
+    p = tau w - (tau^2 v^T w / 2) v and w = M v, so the trailing block is
+    M[m:, m:] minus m rank-2 updates, applied in place in O(n^2); w comes
+    from matvecs with M and the earlier updates, never from dense products.
+    """
+    m = len(reflectors)
+    updates = []
+    for v, tau in reflectors:
+        w = M @ v
+        for vi, pi in updates:
+            w -= vi * (pi @ v) + pi * (vi @ v)
+        updates.append((v, tau * w - (0.5 * tau * tau * (v @ w)) * v))
+    B = M[m:, m:].toarray(order="F")
+    for v, p in updates:
+        B = scipy.linalg.blas.dsyr2(-1.0, v[m:], p[m:], lower=0, a=B, overwrite_a=1)
+    return B
+
+
+def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
+    refl = _kernel_reflectors(kernel)
+    m = len(refl)
+    # LAPACK's upper-triangle reduction runs faster here than the lower one
+    w, y = scipy.linalg.eigh(_deflate(Asym, refl), _deflate(G, refl), lower=False,
+                             subset_by_index=[0, 0], driver="gvx",
+                             overwrite_a=True, overwrite_b=True)
+    # x = Q2 y = H_1 ... H_m [0; y]
+    x = np.zeros(kernel.shape[0])
+    x[m:] = y[:, 0]
+    for v, tau in reversed(refl):
+        x -= (tau * (v @ x)) * v
+    return float(w[0]), x
 
 
 def _gram_precond(G: sp.csr_matrix, kernel: np.ndarray):
@@ -282,13 +354,7 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     The iterative path raises on non-convergence instead of returning a
     silent partial answer.
     """
-    if opMatrix.dim != G.dim:
-        raise ValueError(f"dimension mismatch: {opMatrix.dim} vs {G.dim}")
-    if G.kernel is None:
-        raise ValueError("Gram operator lacks its kernel basis")
-    kernel = G.kernel
-    if kernel.shape[0] != G.dim or kernel.shape[1] >= G.dim:
-        raise ValueError("kernel dimension mismatch")
+    kernel = _pencil_kernel(opMatrix, G)
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -297,10 +363,89 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     Asym = opMatrix.sym_matrix
     Gm = G.matrix
     if method == "dense":
-        gamma, x = _dense_gamma(Asym.toarray(), Gm.toarray(), kernel)
+        gamma, x = _dense_gamma(Asym, Gm, kernel)
         _, res, _ = _rayleigh_residual(Asym, Gm, kernel, x)
         return StabilityReport(gamma=gamma, minimizer=x, method="dense",
                                residual=res, iterations=0)
     gamma, x, res, its = _iterative_gamma(Asym, Gm, kernel, tol, maxiter, x0, seed)
     return StabilityReport(gamma=gamma, minimizer=x, method="iterative",
                            residual=res, iterations=its)
+
+
+def _pencil_kernel(opMatrix: SparseOp, G: SparseOp) -> np.ndarray:
+    if opMatrix.dim != G.dim:
+        raise ValueError(f"dimension mismatch: {opMatrix.dim} vs {G.dim}")
+    if G.kernel is None:
+        raise ValueError("Gram operator lacks its kernel basis")
+    kernel = G.kernel
+    if kernel.shape[0] != G.dim or kernel.shape[1] >= G.dim:
+        raise ValueError("kernel dimension mismatch")
+    return kernel
+
+
+def _difference_basis(kernel: np.ndarray) -> sp.csc_matrix:
+    """Sparse basis of the zero-mean space: columns e_i - e_{i+m}, with m
+    the number of displacement components (the kernel's column count)."""
+    n, m = kernel.shape
+    i = np.arange(n - m)
+    P = sp.csc_matrix((np.concatenate([np.ones(n - m), -np.ones(n - m)]),
+                       (np.concatenate([i, i + m]), np.concatenate([i, i]))),
+                      shape=(n, n - m))
+    leak = float(np.abs(P.T @ kernel).max())
+    if leak > 1e-12 * float(np.abs(kernel).max()):
+        raise ValueError(f"difference basis is not orthogonal to the kernel "
+                         f"(max |kernel^T P| = {leak:.3e})")
+    return P
+
+
+def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
+                dense_threshold: int = 3000, seed: int = 7) -> InertiaReport:
+    """Decide gamma > tau from the inertia of P^T (sym(A) - tau G) P.
+
+    P is the sparse difference basis of the zero-mean space, so P^T G P is
+    positive definite and gamma > tau exactly when the congruent matrix has
+    no negative or zero eigenvalue. The matrix is factored by splu under a
+    symmetric fill-reducing ordering with diagonal pivots only: L D L^T is
+    then a congruence and the negative pivots count the negative
+    eigenvalues (Sylvester). A factorization that left the diagonal raises.
+
+    The pivot signs are trusted when the smallest pivot exceeds the LDL^T
+    backward-error bound gamma_w * max_k (|L| |D| |L^T|)_kk, with w the
+    longest row of L, u the unit roundoff and gamma_w = w u / (1 - w u).
+    When it does not, or a pivot is exactly zero, the pencil is solved by
+    coercivity (same dense_threshold and seed) and the report says so in
+    its method. A tau within rounding of gamma can still get a pivot above
+    the bound; the sign there is whatever rounding made it.
+    """
+    kernel = _pencil_kernel(opMatrix, G)
+    P = _difference_basis(kernel)
+    M = (P.T @ (opMatrix.sym_matrix - tau * G.matrix) @ P).tocsc()
+    try:
+        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        # SuperLU stops on an exactly singular factor: a zero pivot
+        negative, min_pivot, margin = -1, 0.0, float("nan")
+    else:
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise RuntimeError("LU pivoted off the diagonal; the factorization "
+                               "is not a congruence and its inertia is void")
+        d = lu.U.diagonal()
+        L = lu.L                                    # CSC, unit diagonal
+        # (|L| |D| |L^T|)_kk = sum_j L_kj^2 |d_j|, summed over column entries
+        col = np.repeat(np.arange(L.shape[1]), np.diff(L.indptr))
+        size = np.bincount(L.indices, weights=L.data ** 2 * np.abs(d)[col],
+                           minlength=L.shape[0])
+        w = int(np.bincount(L.indices).max())       # longest row of L
+        unit = w * 2.0 ** -53                       # w u
+        margin = unit / (1.0 - unit) * float(size.max())
+        negative = int(np.count_nonzero(d < 0.0))
+        min_pivot = float(np.abs(d).min())
+        del lu, L, col, size                        # before any value solve
+        if min_pivot > margin:
+            return InertiaReport(coercive=negative == 0, negative=negative,
+                                 min_pivot=min_pivot, margin=margin,
+                                 method="inertia")
+    rep = coercivity(opMatrix, G, dense_threshold=dense_threshold, seed=seed)
+    return InertiaReport(coercive=rep.gamma > tau, negative=negative,
+                         min_pivot=min_pivot, margin=margin, method=rep.method)

@@ -1,6 +1,7 @@
 """Command line entry point: flags, config files, exit codes, outputs."""
 
 import importlib
+import json
 import os
 import shutil
 import subprocess
@@ -36,6 +37,11 @@ def test_sweep1d_writes_fit(tmp_path):
     assert '"slope"' in fit and '"pairs"' in fit
     header = (out / "rows.csv").read_text().splitlines()[0]
     assert header.startswith("eps,K")
+    # rows.csv holds the pencil solves at K*-1 and K*; fit.json the scan
+    data = json.loads(fit)
+    assert len((out / "rows.csv").read_text().splitlines()) == 1 + 2 * len(data["pairs"])
+    assert [p["K"] for p in data["scan"] if p["eps"] == 1 / 16] == list(range(6, 16))
+    assert set(data["scan"][0]) == {"eps", "K", "negative", "min_pivot", "fallback"}
 
 
 def test_flags_override_config_file(tmp_path):
@@ -55,6 +61,22 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code = main(["sweep1d", "--config", str(cfg)])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_unstable_1d_model_exits_2(tmp_path, capsys):
+    # c0 < 0: the homogeneous chain is unstable before any blending
+    code = main(["sweep1d", "--phi2F", "-0.3", "--eps", "1/128",
+                 "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "config error: model is not stable" in capsys.readouterr().err
+
+
+def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
+    # eta far past the long-wave stability edge kappa0/2
+    code = main(["sweep2d", "--kappa0", "1.0", "--eta", "3.0", "--n", "12",
+                 "--ra", "2", "--kmax", "8", "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "config error: auxiliary operator not positive" in capsys.readouterr().err
 
 
 def test_bad_flag_raises_usage_error():

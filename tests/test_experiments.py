@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from bqcf import experiments
 from bqcf.blend import _blend_2d_sharp, build_blend_1d
 from bqcf.config import ConfigError
 from bqcf.experiments import (
+    _threshold_at_size,
     construct_layer_sets,
     run,
     sample_constant,
@@ -23,7 +25,7 @@ from bqcf.lattice2d import TriLattice2D, ring_number
 from bqcf.ops1d import Op1D
 from bqcf.ops2d import Op2D, assemble_ltilde
 from bqcf.potentials import PairModel1D, c0, harmonic, hessians_from_radial
-from bqcf.spectral import assemble, coercivity, gram_D
+from bqcf.spectral import InertiaReport, StabilityReport, assemble, coercivity, gram_D
 
 
 def test_unstable_toy_model_structure():
@@ -54,6 +56,60 @@ def test_sweep1d_small_grid():
     assert fit.r2 > 0.9
     assert all(r.wallclock_seconds >= 0 for r in fit.rows)
     assert {r.eps for r in fit.rows} == {1 / 32, 1 / 64, 1 / 128}
+
+
+def test_sweeps_pass_their_seed_to_every_pencil_solve(monkeypatch):
+    seeds = []
+
+    def recording(A, G, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return coercivity(A, G, **kwargs)
+
+    monkeypatch.setattr(experiments, "coercivity", recording)
+    sweep_threshold_1d(PairModel1D(1.0, -0.24), [1 / 32], 32, seed=11)
+    assert len(seeds) == 2 and set(seeds) == {11}      # K*-1 and K*
+    seeds.clear()
+    # auxiliary-operator solve, then K*-1 and K*
+    fit = sweep_threshold_2d(unstable_toy_model(2.04, 1.0), 1,
+                             {"N": [8], "Ra": 2, "seed": 11})
+    assert fit.pairs == ((1 / 8, 6),)
+    assert len(seeds) == 3 and set(seeds) == {11}
+
+
+def _fake_scan(monkeypatch, verdicts, gamma_at):
+    """Drive the scan helper with made-up inertia verdicts and gammas."""
+    monkeypatch.setattr(experiments, "assemble", lambda K: K)
+    monkeypatch.setattr(
+        experiments, "is_coercive",
+        lambda K, G, tol, **kw: InertiaReport(
+            coercive=verdicts[K], negative=0 if verdicts[K] else 1,
+            min_pivot=1.0, margin=0.0, method="inertia"))
+    monkeypatch.setattr(
+        experiments, "coercivity",
+        lambda K, G, **kw: StabilityReport(gamma=gamma_at[K], minimizer=None,
+                                           method="dense", residual=0.0,
+                                           iterations=0))
+    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 3000, 7)
+
+
+def test_scan_flags_every_later_sign_change(monkeypatch):
+    verdicts = {3: False, 4: False, 5: True, 6: False, 7: True, 8: True, 9: False}
+    kstar, gammas, scan, flags = _fake_scan(monkeypatch, verdicts,
+                                            {4: -1e-3, 5: 2e-3})
+    assert kstar == 5
+    assert sorted(gammas) == [4, 5]                     # solves at K*-1, K*
+    assert [p.K for p in scan] == list(range(3, 10))
+    assert flags == ["sign-change:eps=1/64,K=6", "sign-change:eps=1/64,K=7",
+                     "sign-change:eps=1/64,K=9"]
+
+
+def test_scan_raises_when_the_solve_contradicts_inertia(monkeypatch):
+    verdicts = {K: K >= 5 for K in range(3, 10)}
+    with pytest.raises(RuntimeError, match="contradicts the inertia scan"):
+        _fake_scan(monkeypatch, verdicts, {4: 1e-3, 5: 2e-3})
+    kstar, gammas, _, flags = _fake_scan(monkeypatch, verdicts,
+                                         {4: -1e-3, 5: 2e-3})
+    assert (kstar, flags) == (5, [])
 
 
 def test_sweep1d_flat_model_is_degenerate():

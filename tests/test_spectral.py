@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 
-from bqcf.blend import Blend2D, build_blend_1d, build_blend_2d
+from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_1d, build_blend_2d
+from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D, diff
 from bqcf.lattice2d import TriLattice2D, grad_norm_sq_2d
 from bqcf.ops1d import Op1D
@@ -12,11 +14,15 @@ from bqcf.ops2d import Op2D
 from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
     SparseOp,
+    _deflate,
+    _dense_gamma,
+    _kernel_reflectors,
     assemble,
     check_assembly,
     coercivity,
     export_matrixmarket,
     gram_D,
+    is_coercive,
 )
 
 MODEL2D = hessians_from_radial(morse(), np.eye(2))
@@ -242,3 +248,106 @@ def test_matrixmarket_round_trip(tmp_path):
     export_matrixmarket(sop, str(path))
     back = scipy.io.mmread(str(path)).tocsr()
     assert abs(back - sop.matrix).max() <= 1e-15
+
+
+# K* of the blended chain at phi2F = -0.24, tol 1e-10 (criterion 4's sizes)
+KSTAR_1D = {128: 16, 256: 18, 512: 20, 1024: 22}
+
+
+@pytest.mark.parametrize("N", sorted(KSTAR_1D))
+def test_inertia_sign_matches_dense_gamma_1d(N):
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    ch = Chain1D(N)
+    G = gram_D(ch)
+    for K in range(KSTAR_1D[N] - 1, KSTAR_1D[N] + 2):
+        sop = assemble(Op1D(kind="bqcf", chain=ch, model=model,
+                            blend=build_blend_1d(ch, K)))
+        gamma = coercivity(sop, G, method="dense").gamma
+        rep = is_coercive(sop, G, 1e-10)
+        assert rep.coercive == (gamma > 1e-10), (N, K, gamma, rep)
+        assert rep.method == "inertia" and rep.min_pivot > rep.margin
+        assert (rep.negative == 0) == rep.coercive
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_inertia_sign_matches_dense_gamma_2d(N):
+    model = unstable_toy_model(2.04, 1.0)
+    lat = TriLattice2D(N)
+    G = gram_D(lat)
+    verdicts = []
+    for K in range(1, 9):
+        sop = assemble(Op2D(kind="bqcf", lattice=lat, model=model,
+                            blend=_blend_2d_sharp(lat, 4, 4 + K)))
+        gamma = coercivity(sop, G, method="dense").gamma
+        rep = is_coercive(sop, G, 1e-10)
+        assert rep.coercive == (gamma > 1e-10), (N, K, gamma, rep)
+        verdicts.append(rep.coercive)
+    assert verdicts[0] is False and verdicts[-1] is True   # a sign change
+
+
+def test_inertia_at_tau_equal_gamma_falls_back():
+    # at tau = gamma the shifted pencil is singular up to rounding: the
+    # smallest pivot cannot clear the backward-error margin
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    for N, K in ((128, 16), (512, 19)):
+        ch = Chain1D(N)
+        G = gram_D(ch)
+        sop = assemble(Op1D(kind="bqcf", chain=ch, model=model,
+                            blend=build_blend_1d(ch, K)))
+        gamma = coercivity(sop, G).gamma
+        rep = is_coercive(sop, G, gamma)
+        assert rep.fallback and rep.method == "dense"
+        assert rep.min_pivot <= rep.margin
+        assert rep.coercive is False               # gamma > gamma is false
+        assert is_coercive(sop, G, 1e-10).method == "inertia"
+
+
+def test_inertia_rejects_foreign_kernel():
+    ch = Chain1D(8)
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    sop = assemble(Op1D(kind="atomistic", chain=ch, model=model))
+    G = gram_D(ch)
+    tilted = np.linspace(1.0, 2.0, 16)[:, None]
+    G_bad = SparseOp(dim=16, triplets=G.triplets, symmetric=True,
+                     kernel=tilted / np.linalg.norm(tilted))
+    with pytest.raises(ValueError, match="not orthogonal to the kernel"):
+        is_coercive(sop, G_bad, 1e-10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        is_coercive(sop, gram_D(Chain1D(4)), 1e-10)
+
+
+def _full_qr_reference(M, kernel):
+    Q2 = scipy.linalg.qr(kernel, mode="full")[0][:, kernel.shape[1]:]
+    return Q2, Q2.T @ M.toarray() @ Q2
+
+
+@pytest.mark.parametrize("space", ["1d", "2d"])
+def test_householder_deflation_matches_full_qr(space):
+    if space == "1d":
+        ch = Chain1D(96)
+        op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(phiF=1.0, phi2F=-0.24),
+                  blend=build_blend_1d(ch, 14))
+        G = gram_D(ch)
+    else:
+        lat = TriLattice2D(6)
+        op = Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+                  blend=_blend_2d_sharp(lat, 1, 4))
+        G = gram_D(lat)
+    A = assemble(op).sym_matrix
+    refl = _kernel_reflectors(G.kernel)
+    assert len(refl) == G.kernel.shape[1]
+    for M in (A, G.matrix):
+        _, ref = _full_qr_reference(M, G.kernel)
+        got = np.triu(_deflate(M, refl))
+        assert np.abs(got - np.triu(ref)).max() <= 1e-10 * np.abs(ref).max()
+
+    Q2, Ar = _full_qr_reference(A, G.kernel)
+    _, Gr = _full_qr_reference(G.matrix, G.kernel)
+    w, y = scipy.linalg.eigh(Ar, Gr, subset_by_index=[0, 0])
+    gamma, x = _dense_gamma(A, G.matrix, G.kernel)
+    assert gamma == pytest.approx(w[0], rel=1e-10, abs=1e-12)
+    assert np.abs(G.kernel.T @ x).max() <= 1e-12 * np.linalg.norm(x)
+    # same eigenvector up to sign and the B-normalization
+    ref_x = Q2 @ y[:, 0]
+    cos = abs(x @ ref_x) / (np.linalg.norm(x) * np.linalg.norm(ref_x))
+    assert cos == pytest.approx(1.0, abs=1e-8)
