@@ -11,25 +11,7 @@ import argparse
 import sys
 
 from .config import ConfigError, _value, load_config
-from .experiments import run
-
-_GLOBAL = ("config", "out", "threads", "seed")
-
-# per-subcommand flags, all parsed through the config value grammar so
-# ranges like 1/128..1/2048 and lists like 8,16,32 work from the shell
-_FLAGS = {
-    "verify": ("suite", "draws", "n1d", "n2d", "phiF", "phi2F", "kappa0", "eta"),
-    "sweep1d": ("phiF", "phi2F", "eps", "kmax", "profile", "tol",
-                "dense_threshold", "slope_window", "r2_min"),
-    "sweep2d": ("case", "n", "ra", "alpha", "c", "kmax", "kmin", "kappa0",
-                "eta", "profile", "tol", "dense_threshold", "growth_slack"),
-    "sharp1d": ("phiF", "phi2F", "n", "k", "profile"),
-    "sharp2d": ("n", "ra", "k", "kappa0", "eta", "profile"),
-    "poincare": ("n", "ra_frac", "rb_frac", "window"),
-    "trace": ("psi", "r0", "r1", "quad_n", "npoly"),
-    "stability": ("space", "kind", "n", "k", "ra", "phiF", "phi2F",
-                  "kappa0", "eta", "method"),
-}
+from .experiments import CONFIG_KEYS, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,12 +19,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bqcf",
         description="blended force-based coupling: stability experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, keys in _FLAGS.items():
+    # one flag per config key the experiment reads, parsed through the config
+    # value grammar so ranges like 1/128..1/2048 and lists like 8,16,32 work
+    for name, keys in CONFIG_KEYS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", help="parallel grid points")
-        p.add_argument("--seed", help="base RNG seed")
         for key in keys:
             p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
@@ -52,9 +34,7 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
-    for key in _GLOBAL + _FLAGS[args.experiment]:
-        if key == "config":
-            continue
+    for key in ("out",) + CONFIG_KEYS[args.experiment]:
         raw = getattr(args, key, None)
         if raw is not None:
             cfg[key] = _value(raw, key)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,11 +27,11 @@ from .blend import Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples, build_
 from .config import ConfigError, format_value, load_config
 from .lattice1d import Chain1D, diff, norms, random_zero_mean
 from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
-                        project_zero_mean_2d, random_zero_mean_2d, ring_number)
+                        random_zero_mean_2d, ring_number)
 from .ops1d import (Op1D, _rst_terms, _sharpness_parts, divergence_form,
                     quad_form, sharpness_test_function)
-from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, _bond_name,
-                    assemble_ltilde, divergence_form_2d, poincare_discrete)
+from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
+                    divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
 from .spectral import assemble, coercivity, gram_D, is_coercive
 
@@ -135,31 +134,45 @@ def _fit_against(xs: np.ndarray, ys: np.ndarray):
     return float(slope), float(intercept), r2
 
 
-def _canary_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
-               rng: np.random.Generator) -> None:
+def _divergence_residual_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
+                            rng: np.random.Generator) -> float:
+    """Relative defect of the split of <L2 u, u> against the direct form,
+    at one zero-mean u drawn from rng."""
     u = random_zero_mean(chain, rng)
-    split = divergence_form(chain, model, blend, u)
+    split = divergence_form(chain, blend, u)
     direct = quad_form(Op1D(kind="bqcf2", chain=chain, model=model, blend=blend), u)
-    if abs(split.total - direct) > 1e-10 * max(1.0, abs(direct)):
-        raise RuntimeError(
-            f"divergence canary failed at eps=1/{chain.N}, K={blend.K}: "
-            f"split {split.total:.12e} vs direct {direct:.12e}")
+    return abs(split.total - direct) / max(1.0, abs(direct))
 
 
-def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
-               rng: np.random.Generator, bond) -> None:
-    bond = _bond_name(bond)
-    u = project_zero_mean_2d(random_zero_mean_2d(lattice, rng))
+def _divergence_residual_2d(lattice: TriLattice2D, model: PairModel2D,
+                            blend: Blend2D, rng: np.random.Generator,
+                            bond: str) -> float:
+    """Relative defect of the split of one b-bond's blended form against the
+    direct form, at one zero-mean u drawn from rng."""
+    u = random_zero_mean_2d(lattice, rng)
     split = divergence_form_2d(lattice, model, blend, u, bond)
     H = model.Hb[_BONDS.index(bond)]
     b = blend.beta[..., None]
     field = b * _bond_apply_a(lattice, u, H, bond) \
         + (1.0 - b) * _bond_apply_c(lattice, u, H, bond)
     direct = inner2d(lattice, field, u)
-    if abs(split.total - direct) > 1e-10 * max(1.0, abs(direct)):
-        raise RuntimeError(
-            f"divergence canary failed at eps=1/{lattice.N}, K={blend.K}, "
-            f"bond {bond}: split {split.total:.12e} vs direct {direct:.12e}")
+    return abs(split.total - direct) / max(1.0, abs(direct))
+
+
+def _canary_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
+               rng: np.random.Generator) -> None:
+    res = _divergence_residual_1d(chain, model, blend, rng)
+    if res > 1e-10:
+        raise RuntimeError(f"divergence canary failed at eps=1/{chain.N}, "
+                           f"K={blend.K}: relative residual {res:.3e}")
+
+
+def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
+               rng: np.random.Generator, bond: str) -> None:
+    res = _divergence_residual_2d(lattice, model, blend, rng, bond)
+    if res > 1e-10:
+        raise RuntimeError(f"divergence canary failed at eps=1/{lattice.N}, "
+                           f"K={blend.K}, bond {bond}: relative residual {res:.3e}")
 
 
 def _threshold_at_size(build: Callable[[int], object], G, eps: float,
@@ -234,17 +247,10 @@ def _collect_fit(results, x_of: Callable[[float], float],
                         rows=rows, flags=tuple(flags), scan=scan)
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int,
                        *, profile: str = "poly7", tol: float = 1e-10,
-                       dense_threshold: int = 3000, threads: int = 1,
-                       seed: int = 7, canary: bool = True) -> ThresholdFit:
+                       dense_threshold: int = 3000, seed: int = 7,
+                       canary: bool = True) -> ThresholdFit:
     """Locate K*(eps) for the blended operator and fit log K* vs log(1/eps).
 
     K* is the smallest admissible K (floor 6) whose coercivity constant
@@ -284,8 +290,7 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
                 for K, (g, dt) in gammas.items()]
         return N, kstar, rows, scan, flags
 
-    return _collect_fit(_parallel_map(work, sizes, threads),
-                        lambda e: np.log(1.0 / e), np.log)
+    return _collect_fit([work(N) for N in sizes], lambda e: np.log(1.0 / e), np.log)
 
 
 def sharpness_probe_1d(model: PairModel1D, chain: Chain1D,
@@ -328,16 +333,27 @@ def unstable_toy_model(kappa0: float = 1.0, eta: float = 0.3,
     return PairModel2D(B=I2, Ha=(kappa0 * I2,) * 3, Hb=(Hb, Z, Z.copy()))
 
 
+def _growth_rate(case: int, alpha: Optional[float], eps: float) -> float:
+    """Predicted growth of K* in each regime of sweep_threshold_2d; alpha is
+    case 2's exponent and is not read otherwise."""
+    L = abs(math.log(eps))
+    if case == 1:
+        return L ** 0.25
+    if case == 2:
+        return L ** 0.2 * eps ** (-float(alpha) / 5.0)
+    return eps ** -0.2
+
+
 def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     """K*(eps) sweep over hexagonal blending annuli, one of three regimes.
 
     case 1 keeps the defect radius Ra fixed, case 2 grows it as
     round(eps^-alpha), case 3 as round(c/eps). params is a mapping with keys
     N (list of lattice sizes, required), K_max, K_min, Ra / alpha / c,
-    profile, tol, dense_threshold, threads, seed. The fit regresses K*
-    against the regime's predicted growth rate. The auxiliary operator is
-    required to be positive definite at the widest tested blend; its
-    measured constant is recorded on each row.
+    profile, tol, dense_threshold, seed. The fit regresses K* against the
+    regime's predicted growth rate. The auxiliary operator is required to
+    be positive definite at the widest tested blend; its measured constant
+    is recorded on each row.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2 or 3, got {case!r}")
@@ -348,7 +364,6 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     profile = p.get("profile", "poly7")
     tol = float(p.get("tol", 1e-10))
     dense_threshold = int(p.get("dense_threshold", 3000))
-    threads = int(p.get("threads", 1))
     seed = int(p.get("seed", 7))
 
     def ra_of(N: int) -> int:
@@ -357,14 +372,6 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
         if case == 2:
             return max(1, round(N ** float(p["alpha"])))
         return max(1, round(float(p["c"]) * N))
-
-    def rate(eps: float) -> float:
-        L = abs(math.log(eps))
-        if case == 1:
-            return L ** 0.25
-        if case == 2:
-            return L ** 0.2 * eps ** (-float(p["alpha"]) / 5.0)
-        return eps ** -0.2
 
     def work(N: int):
         eps = 1.0 / N
@@ -399,7 +406,8 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
                 for K, (g, dt) in gammas.items()]
         return N, kstar, rows, scan, flags
 
-    return _collect_fit(_parallel_map(work, sizes, threads), rate, float)
+    return _collect_fit([work(N) for N in sizes],
+                        lambda e: _growth_rate(case, p.get("alpha"), e), float)
 
 
 def construct_layer_sets(lattice: TriLattice2D, blend: Blend2D):
@@ -648,11 +656,7 @@ def _run_verify(cfg):
                     blend = build_blend_1d(chain, K)
                 else:
                     blend = blend_from_samples(chain, rng.uniform(size=2 * chain.N))
-                u = random_zero_mean(chain, rng)
-                split = divergence_form(chain, model, blend, u)
-                direct = quad_form(Op1D(kind="bqcf2", chain=chain, model=model,
-                                        blend=blend), u)
-                worst = max(worst, abs(split.total - direct) / max(1.0, abs(direct)))
+                worst = max(worst, _divergence_residual_1d(chain, model, blend, rng))
             rows.append({"suite": "identities-1d", "N": int(N), "draws": draws,
                          "max_residual": worst})
         checks.append(("identities-1d", worst <= 1e-10, f"max residual {worst:.3e}"))
@@ -668,15 +672,8 @@ def _run_verify(cfg):
                 blend = Blend2D(lattice=lattice, beta=beta, Ra=0, Rb=lattice.N,
                                 K=lattice.N, Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0),
                                 profile="custom", margined=False)
-                u = random_zero_mean_2d(lattice, rng)
-                bond = _BONDS[k % 3]
-                split = divergence_form_2d(lattice, model, blend, u, bond)
-                H = model.Hb[k % 3]
-                b = beta[..., None]
-                fld = b * _bond_apply_a(lattice, u, H, bond) \
-                    + (1.0 - b) * _bond_apply_c(lattice, u, H, bond)
-                direct = inner2d(lattice, fld, u)
-                worst = max(worst, abs(split.total - direct) / max(1.0, abs(direct)))
+                worst = max(worst, _divergence_residual_2d(lattice, model, blend,
+                                                           rng, _BONDS[k % 3]))
             rows.append({"suite": "identities-2d", "N": int(N), "draws": draws,
                          "max_residual": worst})
         checks.append(("identities-2d", worst <= 1e-10, f"max residual {worst:.3e}"))
@@ -736,7 +733,7 @@ def _run_sweep1d(cfg):
             profile=cfg.get("profile", "poly7"),
             tol=float(cfg.get("tol", 1e-10)),
             dense_threshold=int(cfg.get("dense_threshold", 4200)),
-            threads=int(cfg.get("threads", 1)), seed=int(cfg.get("seed", 7)))
+            seed=int(cfg.get("seed", 7)))
     except ModelRangeError as err:
         raise ConfigError(str(err)) from err
     checks = _sweep_checks(fit)
@@ -759,7 +756,6 @@ def _run_sweep2d(cfg):
               "profile": cfg.get("profile", "poly7"),
               "tol": float(cfg.get("tol", 1e-10)),
               "dense_threshold": int(cfg.get("dense_threshold", 3000)),
-              "threads": int(cfg.get("threads", 1)),
               "seed": int(cfg.get("seed", 7))}
     if case == 1:
         params["Ra"] = int(cfg.get("ra", 4))
@@ -773,22 +769,13 @@ def _run_sweep2d(cfg):
         raise ConfigError(str(err)) from err
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
-        resid = max(abs(k - (fit.slope * _rate_for(case, cfg, e) + fit.intercept))
-                    for e, k in fit.pairs)
+        resid = max(abs(k - (fit.slope * _growth_rate(case, params.get("alpha"), e)
+                             + fit.intercept)) for e, k in fit.pairs)
         slack = float(cfg.get("growth_slack", 2.0))
         checks.append(("bounded-growth", resid <= slack,
                        f"max |K* - fit| = {resid:.3f} <= {slack}"))
     return (_rows_from_sweep(fit), _fit_json(fit), checks,
             _plot_sweep(fit, "1/eps"))
-
-
-def _rate_for(case: int, cfg, eps: float) -> float:
-    L = abs(math.log(eps))
-    if case == 1:
-        return L ** 0.25
-    if case == 2:
-        return L ** 0.2 * eps ** (-float(cfg.get("alpha", 0.5)) / 5.0)
-    return eps ** -0.2
 
 
 def _run_sharp1d(cfg):
@@ -935,6 +922,23 @@ _RUNNERS = {"verify": _run_verify, "sweep1d": _run_sweep1d,
             "sharp2d": _run_sharp2d, "poincare": _run_poincare,
             "trace": _run_trace, "stability": _run_stability}
 
+# the config keys each runner reads, besides experiment and out; the command
+# line offers each one as a flag, and run() rejects any other key
+CONFIG_KEYS = {
+    "verify": ("suite", "draws", "n1d", "n2d", "phiF", "phi2F", "kappa0", "eta",
+               "seed"),
+    "sweep1d": ("phiF", "phi2F", "eps", "kmax", "profile", "tol",
+                "dense_threshold", "slope_window", "r2_min", "seed"),
+    "sweep2d": ("case", "n", "ra", "alpha", "c", "kmax", "kmin", "kappa0",
+                "eta", "profile", "tol", "dense_threshold", "growth_slack", "seed"),
+    "sharp1d": ("phiF", "phi2F", "n", "k", "profile"),
+    "sharp2d": ("n", "ra", "k", "kappa0", "eta", "profile"),
+    "poincare": ("n", "ra_frac", "rb_frac", "window"),
+    "trace": ("psi", "r0", "r1", "quad_n", "npoly", "seed"),
+    "stability": ("space", "kind", "n", "k", "ra", "phiF", "phi2F",
+                  "kappa0", "eta", "method", "profile", "seed"),
+}
+
 
 def _write_rows(path: str, rows: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -955,13 +959,17 @@ def run(config, out_dir: Optional[str] = None) -> int:
 
     Writes rows.csv, fit.json, summary.txt and plot.gp into the output
     directory and returns the exit code: 0 when every check passed, 1 when
-    a check failed. Malformed configs raise ConfigError (exit code 2 at the
-    command line)."""
+    a check failed. Malformed configs, and keys the experiment does not
+    read, raise ConfigError (exit code 2 at the command line)."""
     cfg = load_config(config) if isinstance(config, str) else dict(config)
     name = cfg.get("experiment")
     if name not in _RUNNERS:
         raise ConfigError(f"unknown or missing experiment {name!r}; "
                           f"expected one of {sorted(_RUNNERS)}")
+    unread = sorted(set(cfg) - {"experiment", "out"} - set(CONFIG_KEYS[name]))
+    if unread:
+        raise ConfigError(f"{name} does not read {', '.join(unread)}; its keys "
+                          f"are {', '.join(CONFIG_KEYS[name])}")
     out = out_dir or cfg.get("out") or "bqcf_out"
     os.makedirs(out, exist_ok=True)
 

@@ -169,14 +169,10 @@ def norms2d(lattice: TriLattice2D, u: np.ndarray) -> dict:
     """l2eps = (eps^2 sum |u|^2)^(1/2); linf over components; Dl2eps sums
     |D_{a_i} u|^2 over the three positive directions only."""
     u = np.asarray(u, dtype=float)
-    d2 = 0.0
-    for name in ("a1", "a2", "a3"):
-        d = diff2d(lattice, u, name)
-        d2 += float(np.sum(d * d))
     return {
         "l2eps": float(np.sqrt(lattice.eps**2 * np.sum(u * u))),
         "linf": float(np.max(np.abs(u))) if u.size else 0.0,
-        "Dl2eps": float(np.sqrt(lattice.eps**2 * d2)),
+        "Dl2eps": float(np.sqrt(grad_norm_sq_2d(lattice, u))),
     }
 
 

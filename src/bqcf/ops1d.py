@@ -135,15 +135,13 @@ def _rst_terms(chain: Chain1D, blend: Blend1D, u: np.ndarray) -> DivForm1D:
     return DivForm1D(main=main, R=R, S=S, T=T)
 
 
-def divergence_form(chain: Chain1D, model: PairModel1D, blend: Blend1D,
-                    u: np.ndarray) -> DivForm1D:
+def divergence_form(chain: Chain1D, blend: Blend1D, u: np.ndarray) -> DivForm1D:
     """Split <L2 u, u> into main + R + S + T at the zero-mean representative.
 
-    The second-neighbor split is coefficient-free, so the model enters only
-    as a consistency handle; T involves u itself (not just differences),
-    which is why u is projected to zero mean first.
+    The second-neighbor split is coefficient-free, so it takes no model;
+    T involves u itself (not just differences), which is why u is projected
+    to zero mean first.
     """
-    del model
     u = project_zero_mean(np.asarray(u, dtype=float))
     return _rst_terms(chain, blend, u)
 

@@ -30,6 +30,8 @@ from .lattice2d import (
     TriLattice2D,
     Regions2D,
     diff2d,
+    diff2d2,
+    grad_norm_sq_2d,
     inner2d,
     project_zero_mean_2d,
     resolve_direction,
@@ -56,6 +58,7 @@ _BLENDED = ("bqcf", "ltilde")
 
 # defining nearest-neighbor pair (p, q) of each b-bond: b = p + q
 BOND_PAIRS = {"b1": ("a1", "a2"), "b2": ("a2", "a3"), "b3": ("a3", "-a1")}
+_NN = ("a1", "a2", "a3")
 _BONDS = ("b1", "b2", "b3")
 
 
@@ -102,14 +105,9 @@ def _pair_H(v: np.ndarray, w: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.einsum("xyc,cd,xyd->xy", v, H, w)
 
 
-def _diff2(lattice, u, r, s):
-    d = diff2d(lattice, u, s)
-    return (shift_field(d, r) - d) / lattice.eps
-
-
 def _nn_part(lattice: TriLattice2D, model: PairModel2D, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
-    for name, H in zip(("a1", "a2", "a3"), model.Ha):
+    for name, H in zip(_NN, model.Ha):
         w = 2.0 * u - shift_field(u, name) - shift_field(u, _neg(name))
         out += _apply_H(H, w) / lattice.eps**2
     return out
@@ -117,17 +115,17 @@ def _nn_part(lattice: TriLattice2D, model: PairModel2D, u: np.ndarray) -> np.nda
 
 def _bond_apply_a(lattice, u, H, bond: str) -> np.ndarray:
     """-H D_b D_b u(x - b), the atomistic contribution of one b-bond."""
-    w = shift_field(_diff2(lattice, u, bond, bond), _neg(bond))
+    w = shift_field(diff2d2(lattice, u, bond, bond), _neg(bond))
     return -_apply_H(H, w)
 
 
 def _bond_apply_c(lattice, u, H, bond: str) -> np.ndarray:
     """Continuum replacement of one b-bond via its defining pair (p, q)."""
     p, q = BOND_PAIRS[bond]
-    w = (shift_field(_diff2(lattice, u, p, p), _neg(p))
-         + shift_field(_diff2(lattice, u, q, q), _neg(q))
-         + shift_field(_diff2(lattice, u, p, q), _neg(p))
-         + shift_field(_diff2(lattice, u, p, q), _neg(q)))
+    w = (shift_field(diff2d2(lattice, u, p, p), _neg(p))
+         + shift_field(diff2d2(lattice, u, q, q), _neg(q))
+         + shift_field(diff2d2(lattice, u, p, q), _neg(p))
+         + shift_field(diff2d2(lattice, u, p, q), _neg(q)))
     return -_apply_H(H, w)
 
 
@@ -213,8 +211,8 @@ def divergence_form_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D
     mp, mq = _neg(p), _neg(q)
     m2p = _add(mp, mp)
     mpq = _add(mp, mq)
-    DpDqu_s = shift_field(_diff2(lattice, u, p, q), mpq)   # D_p D_q u(x-p-q)
-    DqDqu_s = shift_field(_diff2(lattice, u, q, q), mpq)   # D_q D_q u(x-p-q)
+    DpDqu_s = shift_field(diff2d2(lattice, u, p, q), mpq)  # D_p D_q u(x-p-q)
+    DqDqu_s = shift_field(diff2d2(lattice, u, q, q), mpq)  # D_q D_q u(x-p-q)
     cross = -eps**4 * float(np.sum(shift_field(beta, mq) * _quad_H(DpDqu_s, H)))
 
     Dpb_2p = shift_field(diff2d(lattice, beta, p), m2p)    # D_p beta(x-2p)
@@ -225,18 +223,10 @@ def divergence_form_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D
         np.sum(Dpb_2p * _pair_H(Dpu_2p, DqDqu_s, H))
         + np.sum(Dqb_q * _pair_H(Dpu_p, DpDqu_s, H)))
 
-    DpDpb_2p = shift_field(_diff2(lattice, beta, p, p), m2p)
+    DpDpb_2p = shift_field(diff2d2(lattice, beta, p, p), m2p)
     S = -eps**4 * float(np.sum(DpDpb_2p * _pair_H(shift_field(u, mp), DqDqu_s, H)))
 
     return BondForm(bond=bond, value_c=value_c, cross=cross, Rb_term=R, Sb_term=S)
-
-
-def _grad_sq(lattice, u) -> float:
-    total = 0.0
-    for name in ("a1", "a2", "a3"):
-        d = diff2d(lattice, u, name)
-        total += float(np.sum(d * d))
-    return lattice.eps**2 * total
 
 
 def _spectral_norm(H: np.ndarray) -> float:
@@ -249,7 +239,7 @@ def _check_support(lattice: TriLattice2D, blend: Blend2D) -> None:
         raise ValueError("supp_beta violation: blend built without support margins")
     ring = ring_number(lattice)
     outside = (ring <= blend.Ra) | (ring > blend.Rb)
-    d3 = _diff2(lattice, diff2d(lattice, blend.beta, "a3"), "a1", "a2")
+    d3 = diff2d2(lattice, diff2d(lattice, blend.beta, "a3"), "a1", "a2")
     if float(np.max(np.abs(d3[outside]))) > 1e-13:
         raise ValueError("supp_beta violation: third differences leak outside")
 
@@ -269,7 +259,7 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     _check_support(lattice, blend)
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     eps = lattice.eps
-    gnorm2 = _grad_sq(lattice, u)
+    gnorm2 = grad_norm_sq_2d(lattice, u)
     dbounds = derivative_bounds(blend)
     cp = float(np.sqrt(eps * blend.K * eps * blend.Rb
                        * abs(np.log(eps * blend.Rb))))
@@ -309,7 +299,7 @@ def apply_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
         p, q = BOND_PAIRS[bond]
         H = model.Hb[j] if per_bond else model.Hb[0]
         wshift = p if per_bond else "a1"
-        w = _diff2(lattice, u, p, q)
+        w = diff2d2(lattice, u, p, q)
         total -= eps**4 * float(np.sum(shift_field(blend.beta, wshift)
                                        * _quad_H(w, H)))
     return total
@@ -346,36 +336,11 @@ def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
     return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
-def _blocks_atomistic(model: PairModel2D, eps: float):
+def _blocks_shell(bonds, hessians, eps: float):
+    """Blocks of one bond shell: sum_d H_d (2u(x) - u(x+d) - u(x-d)) / eps^2."""
     blocks = []
     center = np.zeros((2, 2))
-    for name, H in zip(("a1", "a2", "a3"), model.Ha):
-        center = center + 2.0 * H
-        blocks.append((name, -H / eps**2))
-        blocks.append((_neg(name), -H / eps**2))
-    for bond, H in zip(_BONDS, model.Hb):
-        center = center + 2.0 * H
-        blocks.append((bond, -H / eps**2))
-        blocks.append((_neg(bond), -H / eps**2))
-    blocks.append(((0, 0), center / eps**2))
-    return blocks
-
-
-def _blocks_nn(model: PairModel2D, eps: float):
-    blocks = []
-    center = np.zeros((2, 2))
-    for name, H in zip(("a1", "a2", "a3"), model.Ha):
-        center = center + 2.0 * H
-        blocks.append((name, -H / eps**2))
-        blocks.append((_neg(name), -H / eps**2))
-    blocks.append(((0, 0), center / eps**2))
-    return blocks
-
-
-def _blocks_nnn_a(model: PairModel2D, eps: float):
-    blocks = []
-    center = np.zeros((2, 2))
-    for bond, H in zip(_BONDS, model.Hb):
+    for bond, H in zip(bonds, hessians):
         center = center + 2.0 * H
         blocks.append((bond, -H / eps**2))
         blocks.append((_neg(bond), -H / eps**2))
@@ -431,7 +396,7 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     eps = lattice.eps
     n = 2 * lattice.N
     dim = 2 * n * n
-    rows, cols, vals = _block_triplets(lattice, _blocks_nn(model, eps)
+    rows, cols, vals = _block_triplets(lattice, _blocks_shell(_NN, model.Ha, eps)
                                        + _blocks_nnn_c(model, eps))
     C = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     A = (eps**2 * 0.5) * (C + C.T)
@@ -443,30 +408,32 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
         bshift = shift_field(blend.beta, wshift).ravel()
         W = sp.kron(sp.diags(bshift), H, format="csr")
         A = A - eps**4 * (M.T @ W @ M)
-    A = A.tocoo()
-    return SparseOp(dim=dim, triplets=(A.row, A.col, A.data), symmetric=True)
+    return SparseOp(A, symmetric=True)
 
 
 def assemble_triplets(op: Op2D):
-    """(dim, rows, cols, values, symmetric) with the eps^2 weight baked in."""
+    """(dim, rows, cols, values, symmetric) with the eps^2 weight baked in.
+
+    L-tilde has no stencil: it is assembled from its form by assemble_ltilde.
+    """
     lattice = op.lattice
     eps = lattice.eps
     n = 2 * lattice.N
     dim = 2 * n * n
     if op.kind == "ltilde":
-        sop = assemble_ltilde(lattice, op.model, op.blend)
-        rows, cols, vals = sop.triplets
-        return dim, rows, cols, vals, True
+        raise ValueError("kind 'ltilde' has no stencil triplets; use assemble_ltilde")
+    nn = _blocks_shell(_NN, op.model.Ha, eps)
     if op.kind == "atomistic":
-        rows, cols, vals = _block_triplets(lattice, _blocks_atomistic(op.model, eps))
+        rows, cols, vals = _block_triplets(lattice,
+                                           nn + _blocks_shell(_BONDS, op.model.Hb, eps))
         return dim, rows, cols, eps**2 * vals, True
     if op.kind == "cauchy_born":
-        rows, cols, vals = _block_triplets(lattice, _blocks_nn(op.model, eps)
-                                           + _blocks_nnn_c(op.model, eps))
+        rows, cols, vals = _block_triplets(lattice, nn + _blocks_nnn_c(op.model, eps))
         return dim, rows, cols, eps**2 * vals, True
     parts = [
-        _block_triplets(lattice, _blocks_nn(op.model, eps)),
-        _block_triplets(lattice, _blocks_nnn_a(op.model, eps), row_scale=op.blend.beta),
+        _block_triplets(lattice, nn),
+        _block_triplets(lattice, _blocks_shell(_BONDS, op.model.Hb, eps),
+                        row_scale=op.blend.beta),
         _block_triplets(lattice, _blocks_nnn_c(op.model, eps),
                         row_scale=1.0 - op.blend.beta),
     ]
@@ -490,9 +457,10 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     if not mask.any():
         return 0.0
     n = 2 * lattice.N
+    dim = 2 * n * n
     sites = np.flatnonzero(mask.ravel())
     idx = np.concatenate([2 * sites, 2 * sites + 1])
     vals = np.full(idx.size, -lattice.eps**2)
-    M = SparseOp(dim=2 * n * n, triplets=(idx, idx, vals), symmetric=True)
+    M = SparseOp(sp.csr_matrix((vals, (idx, idx)), shape=(dim, dim)), symmetric=True)
     report = coercivity(M, gram_D(lattice), **solver)
     return -report.gamma

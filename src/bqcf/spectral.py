@@ -49,27 +49,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SparseOp:
-    """Assembled operator in triplet form (duplicates sum on conversion).
+    """Assembled operator: a square CSR matrix with duplicates summed.
 
-    kernel, when present, holds an orthonormal dense basis of the nullspace
-    of the represented form (used for pencil deflation).
+    A set symmetric flag is checked at construction. kernel, when present,
+    holds an orthonormal dense basis of the nullspace of the represented
+    form (used for pencil deflation).
     """
 
-    dim: int
-    triplets: tuple = field(repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
     symmetric: bool = False
     kernel: Optional[np.ndarray] = field(default=None, repr=False)
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        rows, cols, vals = self.triplets
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
+    def __post_init__(self) -> None:
+        m = self.matrix
         if self.symmetric:
             skew = float(abs(m - m.T).max()) if m.nnz else 0.0
             scale = float(abs(m).max()) if m.nnz else 1.0
             if skew > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"symmetric flag set but max |A - A^T| = {skew:g}")
-        return m
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -119,13 +120,17 @@ def assemble(op) -> SparseOp:
     """
     from . import ops1d, ops2d
 
+    if isinstance(op, ops2d.Op2D) and op.kind == "ltilde":
+        # L-tilde is defined by its quadratic form and has no stencil
+        return ops2d.assemble_ltilde(op.lattice, op.model, op.blend)
     if isinstance(op, ops1d.Op1D):
         dim, rows, cols, vals, symmetric = ops1d.assemble_triplets(op)
     elif isinstance(op, ops2d.Op2D):
         dim, rows, cols, vals, symmetric = ops2d.assemble_triplets(op)
     else:
         raise TypeError(f"cannot assemble {type(op).__name__}")
-    return SparseOp(dim=dim, triplets=(rows, cols, vals), symmetric=symmetric)
+    return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)),
+                    symmetric=symmetric)
 
 
 def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float:
@@ -170,7 +175,7 @@ def gram_D(domain) -> SparseOp:
         rows = np.concatenate([idx, idx, idx])
         cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
         vals = np.concatenate([np.full(n, 2.0), np.full(n, -1.0), np.full(n, -1.0)])
-        return SparseOp(dim=n, triplets=(rows, cols, vals / domain.eps),
+        return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
                         symmetric=True, kernel=_kernel_1d(n))
     if isinstance(domain, TriLattice2D):
         # eps^2 weight and the 1/eps^2 of the difference quotients cancel
@@ -189,10 +194,10 @@ def gram_D(domain) -> SparseOp:
             cols += [base, nb_base, nb_base, base]
             vals += [np.ones(2 * nsites), -np.ones(2 * nsites),
                      np.ones(2 * nsites), -np.ones(2 * nsites)]
-        return SparseOp(dim=2 * nsites,
-                        triplets=(np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(vals)),
-                        symmetric=True, kernel=_kernel_2d(nsites))
+        G = sp.csr_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(2 * nsites, 2 * nsites))
+        return SparseOp(G, symmetric=True, kernel=_kernel_2d(nsites))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
 

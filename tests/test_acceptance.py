@@ -78,7 +78,7 @@ def test_criterion_01_divergence_identities():
             else:
                 blend = blend_from_samples(chain, rng.uniform(size=2 * chain.N))
             u = random_zero_mean(chain, rng)
-            split = divergence_form(chain, model, blend, u)
+            split = divergence_form(chain, blend, u)
             direct = quad_form(Op1D(kind="bqcf2", chain=chain, model=model,
                                     blend=blend), u)
             worst = max(worst, abs(split.total - direct) / max(1.0, abs(direct)))

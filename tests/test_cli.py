@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import bqcf
+from bqcf.blend import build_blend_1d
 from bqcf.cli import main
+from bqcf.lattice1d import Chain1D
+from bqcf.ops1d import Op1D
+from bqcf.potentials import PairModel1D
+from bqcf.spectral import assemble, coercivity, gram_D
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -79,9 +84,24 @@ def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
     assert "config error: auxiliary operator not positive" in capsys.readouterr().err
 
 
+def test_stability_profile_flag(tmp_path):
+    out = tmp_path / "stab"
+    assert main(["stability", "--profile", "cosine", "--n", "16", "--k", "8",
+                 "--out", str(out)]) == 0
+    gamma = json.loads((out / "fit.json").read_text())["gamma"]
+    chain = Chain1D(16)
+    for profile, same in (("cosine", True), ("poly7", False)):
+        op = Op1D(kind="bqcf", chain=chain, model=PairModel1D(1.0, -0.24),
+                  blend=build_blend_1d(chain, 8, profile=profile))
+        assert (coercivity(assemble(op), gram_D(chain)).gamma == gamma) is same
+
+
 def test_bad_flag_raises_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["sweep1d", "--no-such-flag", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep1d", "--threads", "2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["not-an-experiment"])

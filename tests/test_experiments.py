@@ -315,3 +315,15 @@ def test_run_rejects_unknown_experiment(tmp_path):
         run({"experiment": "nope"}, out_dir=str(tmp_path / "x"))
     with pytest.raises(ConfigError, match="unknown or missing experiment"):
         run({}, out_dir=str(tmp_path / "y"))
+
+
+def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
+    with pytest.raises(ConfigError, match="trace does not read threads"):
+        run({"experiment": "trace", "threads": 2}, out_dir=str(tmp_path / "t"))
+    with pytest.raises(ConfigError, match="sweep1d does not read kmaz"):
+        run({"experiment": "sweep1d", "kmaz": 8}, out_dir=str(tmp_path / "s"))
+    # the config grammar accepts hyphens in keys; the trace runner reads quad_n
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text("experiment = trace\nquad-n = 8\n")
+    with pytest.raises(ConfigError, match="trace does not read quad-n"):
+        run(str(cfg), out_dir=str(tmp_path / "q"))

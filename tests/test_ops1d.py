@@ -117,7 +117,7 @@ def test_divergence_constant_blend_terms_vanish(rng):
     u = project_zero_mean(rng.normal(size=16))
     for level in (0.0, 1.0):
         bl = blend_from_samples(ch, np.full(16, level))
-        form = divergence_form(ch, MODEL, bl, u)
+        form = divergence_form(ch, bl, u)
         assert form.R == 0.0 and form.S == 0.0 and form.T == 0.0
 
 
@@ -129,7 +129,7 @@ def test_divergence_identity_random(rng):
     bl = blend_from_samples(ch, 0.5 + 0.5 * np.sin(x))
     for _ in range(25):
         u = project_zero_mean(rng.normal(size=16))
-        form = divergence_form(ch, MODEL, bl, u)
+        form = divergence_form(ch, bl, u)
         q = quad_form(Op1D(kind="bqcf2", chain=ch, model=MODEL, blend=bl), u)
         assert abs(form.main + form.R + form.S + form.T - q) <= 1e-11 * max(abs(q), 1.0)
 
@@ -140,7 +140,7 @@ def test_divergence_alternating_mode_cancels():
     ell = np.arange(16) - ch.N + 1
     u = project_zero_mean((ch.eps / 2) * (-1.0) ** ell)
     bl = blend_from_samples(ch, np.ones(16))
-    form = divergence_form(ch, MODEL, bl, u)
+    form = divergence_form(ch, bl, u)
     assert form.main == pytest.approx(0.0, abs=1e-12)
     q = quad_form(Op1D(kind="bqcf2", chain=ch, model=MODEL, blend=bl), u)
     assert q == pytest.approx(0.0, abs=1e-12)

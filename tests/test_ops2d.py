@@ -29,6 +29,7 @@ from bqcf.ops2d import (
     rs_bounds_2d,
 )
 from bqcf.potentials import harmonic, hessians_from_radial, lennard_jones, morse
+from bqcf.spectral import assemble
 
 MODEL = hessians_from_radial(morse(), np.eye(2))
 
@@ -74,7 +75,8 @@ def test_flat_blend_reproduces_pure_kinds(rng):
 
 
 def test_fourier_symbol(rng):
-    """Both pure kinds act on a lattice cosine mode by their stencil symbol."""
+    """Both pure kinds act on a lattice cosine mode by their stencil symbol,
+    through the apply and through the assembled matrix."""
     lat = TriLattice2D(8)
     n, eps = 16, lat.eps
     p, q = 3, 5
@@ -102,6 +104,9 @@ def test_fourier_symbol(rng):
         op = Op2D(kind=kind, lattice=lat, model=MODEL)
         want = np.cos(phase)[..., None] * (M @ c)
         got = apply2d(op, u)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # the assembled matrix the solvers use: A u = eps^2 L u
+        got = (assemble(op).matrix @ u.ravel()).reshape(u.shape) / eps**2
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
@@ -263,7 +268,8 @@ def test_ltilde_matrix_matches_quadratic_form(rng):
     bl = _blend_2d_sharp(lat, 1, 4)
     for per_bond in (False, True):
         sop = assemble_ltilde(lat, MODEL, bl, per_bond=per_bond)
-        rows, cols, vals = sop.triplets
+        coo = sop.matrix.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
         A = np.zeros((sop.dim, sop.dim))
         np.add.at(A, (rows, cols), vals)
         assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
@@ -317,6 +323,9 @@ def test_assembly_symmetry_flags(rng):
         Op2D(kind="bqcf", lattice=lat, model=MODEL, blend=bl)))
     assert not symmetric
     assert np.max(np.abs(A - A.T)) > 1e-6
+    # L-tilde is assembled from its quadratic form, never from a stencil
+    with pytest.raises(ValueError, match="no stencil triplets"):
+        assemble_triplets(Op2D(kind="ltilde", lattice=lat, model=MODEL, blend=bl))
 
 
 def test_poincare_degenerate_region_is_zero():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse
 
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_1d, build_blend_2d
 from bqcf.experiments import unstable_toy_model
@@ -174,14 +175,15 @@ def test_gamma_gauge_invariance():
     ch = Chain1D(8)
     op = Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, 6))
     sop = assemble(op)
-    rows, cols, vals = sop.triplets
+    coo = sop.matrix.tocoo()
+    rows, cols, vals = coo.row, coo.col, coo.data
     # shifting A by a rank-one piece on ker(G) leaves the pencil untouched
     n = sop.dim
     gi, gj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    shifted = SparseOp(dim=n, triplets=(
-        np.concatenate([rows, gi.ravel()]),
-        np.concatenate([cols, gj.ravel()]),
-        np.concatenate([vals, np.full(n * n, 5.0)])), symmetric=False)
+    shifted = SparseOp(scipy.sparse.csr_matrix((
+        np.concatenate([vals, np.full(n * n, 5.0)]),
+        (np.concatenate([rows, gi.ravel()]), np.concatenate([cols, gj.ravel()]))),
+        shape=(n, n)), symmetric=False)
     again = coercivity(shifted, gram_D(ch)).gamma
     assert again == pytest.approx(base, rel=1e-8)
 
@@ -221,10 +223,10 @@ def test_iterative_nonconvergence_raises():
 
 
 def test_symmetric_flag_is_checked():
-    bad = SparseOp(dim=2, triplets=(np.array([0]), np.array([1]),
-                                    np.array([1.0])), symmetric=True)
+    bad = scipy.sparse.csr_matrix((np.array([1.0]), (np.array([0]), np.array([1]))),
+                                  shape=(2, 2))
     with pytest.raises(ValueError, match="symmetric flag set"):
-        bad.matrix
+        SparseOp(bad, symmetric=True)
 
 
 def test_coercivity_validation():
@@ -235,7 +237,7 @@ def test_coercivity_validation():
     with pytest.raises(ValueError, match="dimension mismatch"):
         coercivity(sop, gram_D(Chain1D(4)))
     with pytest.raises(ValueError, match="kernel basis"):
-        coercivity(sop, SparseOp(dim=16, triplets=G.triplets, symmetric=True))
+        coercivity(sop, SparseOp(G.matrix, symmetric=True))
     with pytest.raises(ValueError, match="unknown method"):
         coercivity(sop, G, method="magic")
 
@@ -308,8 +310,7 @@ def test_inertia_rejects_foreign_kernel():
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=model))
     G = gram_D(ch)
     tilted = np.linspace(1.0, 2.0, 16)[:, None]
-    G_bad = SparseOp(dim=16, triplets=G.triplets, symmetric=True,
-                     kernel=tilted / np.linalg.norm(tilted))
+    G_bad = SparseOp(G.matrix, symmetric=True, kernel=tilted / np.linalg.norm(tilted))
     with pytest.raises(ValueError, match="not orthogonal to the kernel"):
         is_coercive(sop, G_bad, 1e-10)
     with pytest.raises(ValueError, match="dimension mismatch"):
