@@ -8,14 +8,14 @@ identically, so the nonsymmetric force-based operator needs no special
 treatment beyond symmetrizing.
 
 Two value paths: a dense generalized symmetric solve after deflating the
-kernel with its one or two Householder reflectors, and a single-vector
-locally-optimal preconditioned conjugate-gradient iteration (Rayleigh-Ritz on
-span{x, w, p}) for larger problems, preconditioned by a CG solve of the Gram
-matrix.
+kernel with its one or two Householder reflectors, and block LOBPCG for
+larger problems, preconditioned by an exact solve of G: one sparse LDL^T of
+G with one site pinned, which removes exactly ker(G).
 
 The sign question "is gamma > tau?" needs no eigenvalue: by Sylvester's law
 of inertia it is answered by the signs of the pivots of an LDL^T factor of
-sym(A) - tau G restricted to the zero-mean space (is_coercive).
+sym(A) - tau G restricted to the zero-mean space (is_coercive). All paths
+check that ker(G) is the shift kernel and share one LDL^T helper.
 """
 
 from __future__ import annotations
@@ -155,20 +155,9 @@ def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float
     return worst
 
 
-def _kernel_1d(n: int) -> np.ndarray:
-    k = np.ones((n, 1))
-    return k / np.linalg.norm(k)
-
-
-def _kernel_2d(nsites: int) -> np.ndarray:
-    k = np.zeros((2 * nsites, 2))
-    k[0::2, 0] = 1.0
-    k[1::2, 1] = 1.0
-    return k / np.sqrt(nsites)
-
-
 def gram_D(domain) -> SparseOp:
-    """Gram matrix of ||Du||^2 (symmetric PSD; kernel = constant shifts)."""
+    """Gram matrix of ||Du||^2 (symmetric PSD), with the orthonormal basis
+    of its kernel: the constant shifts, one unit block per site."""
     if isinstance(domain, Chain1D):
         n = domain.nsites
         idx = np.arange(n)
@@ -176,7 +165,7 @@ def gram_D(domain) -> SparseOp:
         cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
         vals = np.concatenate([np.full(n, 2.0), np.full(n, -1.0), np.full(n, -1.0)])
         return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
-                        symmetric=True, kernel=_kernel_1d(n))
+                        symmetric=True, kernel=np.ones((n, 1)) / np.sqrt(n))
     if isinstance(domain, TriLattice2D):
         # eps^2 weight and the 1/eps^2 of the difference quotients cancel
         n = 2 * domain.N
@@ -197,7 +186,8 @@ def gram_D(domain) -> SparseOp:
         G = sp.csr_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(2 * nsites, 2 * nsites))
-        return SparseOp(G, symmetric=True, kernel=_kernel_2d(nsites))
+        return SparseOp(G, symmetric=True,
+                        kernel=np.kron(np.ones((nsites, 1)), np.eye(2)) / np.sqrt(nsites))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
 
@@ -261,17 +251,16 @@ def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
     return float(w[0]), x
 
 
-def _gram_precond(G: sp.csr_matrix, kernel: np.ndarray):
-    dinv = 1.0 / G.diagonal()
-    M = spla.LinearOperator(G.shape, matvec=lambda v: dinv * v)
+def _gram_solver(G: sp.csr_matrix, kernel: np.ndarray):
+    """Exact zero-mean solve of G z = r, for a vector or a block r. Pinning
+    the first m = kernel.shape[1] coordinates (one site) removes exactly the
+    shift kernel, so G[m:, m:] is positive definite and is factored once."""
+    m = kernel.shape[1]
+    lu = _ldlt(G[m:, m:].tocsc())
 
     def solve(r: np.ndarray) -> np.ndarray:
-        b = _project_out(kernel, r)
-        z, info = spla.cg(G, b, rtol=1e-10, atol=0.0, M=M, maxiter=G.shape[0])
-        if info != 0:
-            # CG stagnated on the singular but consistent system; the partial
-            # solve is still a serviceable preconditioner direction
-            pass
+        z = np.zeros_like(r)
+        z[m:] = lu.solve(_project_out(kernel, r)[m:])
         return _project_out(kernel, z)
 
     return solve
@@ -305,8 +294,8 @@ def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
     if res <= tol:
         return rho, X[:, 0], res, 0
 
-    solve = _gram_precond(G, kernel)
-    Mop = spla.LinearOperator((n, n), matvec=solve)
+    solve = _gram_solver(G, kernel)
+    Mop = spla.LinearOperator((n, n), matvec=solve, matmat=solve, dtype=float)
     # both-sided projection keeps roundoff kernel drift out of the Ritz spaces
     Aop = spla.LinearOperator(
         (n, n), matvec=lambda v: _project_out(kernel, Asym @ _project_out(kernel, v)))
@@ -354,10 +343,10 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
                seed: int = 7) -> StabilityReport:
     """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G.
 
-    method "auto" takes the dense path for dim <= dense_threshold and the
-    preconditioned iteration above it; "dense" / "iterative" force a path.
-    The iterative path raises on non-convergence instead of returning a
-    silent partial answer.
+    method "auto" takes the dense path for dim <= dense_threshold and
+    LOBPCG, preconditioned by an exact pinned Gram solve, above it; "dense"
+    / "iterative" force a path. The iterative path raises on non-convergence
+    instead of returning a silent partial answer.
     """
     kernel = _pencil_kernel(opMatrix, G)
     if method not in ("auto", "dense", "iterative"):
@@ -378,29 +367,34 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
 
 
 def _pencil_kernel(opMatrix: SparseOp, G: SparseOp) -> np.ndarray:
+    """G's kernel basis, checked to be the shift kernel: its rows repeat with
+    period m, so it is orthogonal to every difference e_i - e_{i+m}."""
     if opMatrix.dim != G.dim:
         raise ValueError(f"dimension mismatch: {opMatrix.dim} vs {G.dim}")
     if G.kernel is None:
         raise ValueError("Gram operator lacks its kernel basis")
     kernel = G.kernel
-    if kernel.shape[0] != G.dim or kernel.shape[1] >= G.dim:
+    m = kernel.shape[1]
+    if kernel.shape[0] != G.dim or m >= G.dim:
         raise ValueError("kernel dimension mismatch")
-    return kernel
-
-
-def _difference_basis(kernel: np.ndarray) -> sp.csc_matrix:
-    """Sparse basis of the zero-mean space: columns e_i - e_{i+m}, with m
-    the number of displacement components (the kernel's column count)."""
-    n, m = kernel.shape
-    i = np.arange(n - m)
-    P = sp.csc_matrix((np.concatenate([np.ones(n - m), -np.ones(n - m)]),
-                       (np.concatenate([i, i + m]), np.concatenate([i, i]))),
-                      shape=(n, n - m))
-    leak = float(np.abs(P.T @ kernel).max())
+    leak = float(np.abs(kernel[m:] - kernel[:-m]).max())
     if leak > 1e-12 * float(np.abs(kernel).max()):
         raise ValueError(f"difference basis is not orthogonal to the kernel "
                          f"(max |kernel^T P| = {leak:.3e})")
-    return P
+    return kernel
+
+
+def _ldlt(M: sp.csc_matrix):
+    """splu of symmetric M under a symmetric fill-reducing ordering with
+    diagonal pivots only, so that L diag(U) L^T is a congruence of M.
+    SuperLU raises RuntimeError on an exactly zero pivot; a factorization
+    that left the diagonal raises LinAlgError."""
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise np.linalg.LinAlgError("LU pivoted off the diagonal; the factorization"
+                                    " is not a congruence and its inertia is void")
+    return lu
 
 
 def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
@@ -409,10 +403,9 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
 
     P is the sparse difference basis of the zero-mean space, so P^T G P is
     positive definite and gamma > tau exactly when the congruent matrix has
-    no negative or zero eigenvalue. The matrix is factored by splu under a
-    symmetric fill-reducing ordering with diagonal pivots only: L D L^T is
-    then a congruence and the negative pivots count the negative
-    eigenvalues (Sylvester). A factorization that left the diagonal raises.
+    no negative or zero eigenvalue. The matrix is factored with diagonal
+    pivots only (_ldlt): L D L^T is then a congruence and the negative
+    pivots count the negative eigenvalues (Sylvester).
 
     The pivot signs are trusted when the smallest pivot exceeds the LDL^T
     backward-error bound gamma_w * max_k (|L| |D| |L^T|)_kk, with w the
@@ -422,19 +415,18 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     its method. A tau within rounding of gamma can still get a pivot above
     the bound; the sign there is whatever rounding made it.
     """
-    kernel = _pencil_kernel(opMatrix, G)
-    P = _difference_basis(kernel)
-    M = (P.T @ (opMatrix.sym_matrix - tau * G.matrix) @ P).tocsc()
+    n, m = _pencil_kernel(opMatrix, G).shape
+    # sparse basis of the zero-mean space: columns e_i - e_{i+m}
+    i = np.arange(n - m)
+    P = sp.csc_matrix((np.concatenate([np.ones(n - m), -np.ones(n - m)]),
+                       (np.concatenate([i, i + m]), np.concatenate([i, i]))),
+                      shape=(n, n - m))
     try:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = _ldlt((P.T @ (opMatrix.sym_matrix - tau * G.matrix) @ P).tocsc())
     except RuntimeError:
         # SuperLU stops on an exactly singular factor: a zero pivot
         negative, min_pivot, margin = -1, 0.0, float("nan")
     else:
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise RuntimeError("LU pivoted off the diagonal; the factorization "
-                               "is not a congruence and its inertia is void")
         d = lu.U.diagonal()
         L = lu.L                                    # CSC, unit diagonal
         # (|L| |D| |L^T|)_kk = sum_j L_kj^2 |d_j|, summed over column entries

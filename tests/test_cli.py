@@ -33,6 +33,23 @@ def test_verify_suite_prints_residual(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_verify_rows_hold_the_maximum_of_their_own_size(tmp_path):
+    def residuals(n1d):
+        out = tmp_path / n1d.replace(",", "_")
+        assert main(["verify", "--suite", "identities-1d", "--n1d", n1d,
+                     "--out", str(out)]) == 0
+        lines = (out / "rows.csv").read_text().splitlines()[1:]
+        fit = json.loads((out / "fit.json").read_text())
+        return {int(ln.split(",")[1]): ln.split(",")[3] for ln in lines}, fit
+
+    both, fit = residuals("8,64")
+    alone, _ = residuals("64")
+    assert both[64] == alone[64]
+    # N = 8 has the larger residual here, so a running maximum would show
+    assert float(both[8]) > float(both[64])
+    assert fit["max_residual"] == max(float(v) for v in both.values())
+
+
 def test_sweep1d_writes_fit(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep1d", "--eps", "1/16,1/32", "--kmax", "16",

@@ -230,6 +230,21 @@ def test_sweep2d_rejects_bad_case():
         sweep_threshold_2d(unstable_toy_model(), 4, {"N": [8]})
 
 
+def test_sweep2d_rejects_keys_the_case_does_not_read():
+    model = unstable_toy_model(2.04, 1.0)
+    with pytest.raises(ValueError, match="case 1 does not read Kmax; its keys are N, "):
+        sweep_threshold_2d(model, 1, {"N": [8], "Kmax": 8})
+    with pytest.raises(ValueError, match="case 1 does not read alpha"):
+        sweep_threshold_2d(model, 1, {"N": [8], "alpha": 0.5})
+    with pytest.raises(ValueError, match="case 2 does not read Ra, c"):
+        sweep_threshold_2d(model, 2, {"N": [8], "Ra": 2, "c": 0.1, "alpha": 0.5})
+    # the keys a case-1 sweep reads are all accepted
+    fit = sweep_threshold_2d(model, 1, {"N": [8], "Ra": 2, "K_max": 8, "K_min": 1,
+                                        "profile": "poly7", "tol": 1e-10,
+                                        "dense_threshold": 1000, "seed": 7})
+    assert fit.pairs == ((1 / 8, 6),)
+
+
 def test_sweep2d_requires_positive_auxiliary():
     # eta far past the long-wave stability edge kappa0/2
     model = unstable_toy_model(1.0, 3.0)

@@ -17,6 +17,7 @@ from bqcf.spectral import (
     SparseOp,
     _deflate,
     _dense_gamma,
+    _gram_solver,
     _kernel_reflectors,
     assemble,
     check_assembly,
@@ -216,6 +217,32 @@ def test_report_minimizer_attains_gamma():
     assert rep.residual <= 1e-6
 
 
+def test_dense_and_iterative_paths_agree_at_criterion_4_size():
+    # criterion 4 solves at dim 4096 on the dense path
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    dense = _gamma_1d(model, 2048, kind="bqcf", K=25, method="dense")
+    iterative = _gamma_1d(model, 2048, kind="bqcf", K=25, method="iterative")
+    assert iterative.method == "iterative"
+    assert iterative.gamma == pytest.approx(dense.gamma, abs=1e-7 * (1 + abs(dense.gamma)))
+
+
+@pytest.mark.parametrize("domain", [Chain1D(300), Chain1D(2048),
+                                    TriLattice2D(16), TriLattice2D(64)],
+                         ids=["1d-300", "1d-2048", "2d-16", "2d-64"])
+def test_pinned_gram_solve_is_exact(domain, rng):
+    G = gram_D(domain)
+    solve = _gram_solver(G.matrix, G.kernel)
+    r = rng.standard_normal(G.dim)
+    r -= G.kernel @ (G.kernel.T @ r)
+    z = solve(r)
+    assert np.linalg.norm(G.matrix @ z - r) <= 1e-10 * np.linalg.norm(r)
+    assert np.abs(G.kernel.T @ z).max() <= 1e-12 * np.linalg.norm(z)
+    # a block of right-hand sides solves column by column
+    R = np.stack([r, 2.0 * r], axis=1)
+    Z = solve(R)
+    assert np.abs(Z - np.stack([z, 2.0 * z], axis=1)).max() <= 1e-12 * np.linalg.norm(z)
+
+
 def test_iterative_nonconvergence_raises():
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -313,6 +340,9 @@ def test_inertia_rejects_foreign_kernel():
     G_bad = SparseOp(G.matrix, symmetric=True, kernel=tilted / np.linalg.norm(tilted))
     with pytest.raises(ValueError, match="not orthogonal to the kernel"):
         is_coercive(sop, G_bad, 1e-10)
+    for method in ("dense", "iterative"):
+        with pytest.raises(ValueError, match="not orthogonal to the kernel"):
+            coercivity(sop, G_bad, method=method)
     with pytest.raises(ValueError, match="dimension mismatch"):
         is_coercive(sop, gram_D(Chain1D(4)), 1e-10)
 
