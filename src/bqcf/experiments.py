@@ -65,10 +65,10 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class ScanProbe:
-    """Inertia verdict at one K of a threshold scan: the negative pivot
-    count (-1 after an exactly zero pivot), the smallest pivot magnitude,
-    and whether the pivots were too close to zero to decide, so that a
-    pencil solve answered instead."""
+    """Inertia verdict at one K of a threshold scan: the negative eigenvalue
+    count (-1 after an exactly zero pivot), the pivot or capacitance
+    eigenvalue closest to its rounding bound, and whether the signs were
+    too close to zero to decide, so that a pencil solve answered instead."""
 
     eps: float
     K: int
@@ -176,7 +176,7 @@ def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 def _threshold_at_size(build: Callable[[int], object], G, eps: float,
                        k_floor: int, k_cap: int, tol: float,
-                       dense_threshold: int, seed: int):
+                       dense_threshold: Optional[int], seed: int):
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
     then pencil solves at K*-1 and K* only.
 
@@ -248,7 +248,7 @@ def _collect_fit(results, x_of: Callable[[float], float],
 
 def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int,
                        *, profile: str = "poly7", tol: float = 1e-10,
-                       dense_threshold: int = 3000, seed: int = 7) -> ThresholdFit:
+                       dense_threshold: Optional[int] = None, seed: int = 7) -> ThresholdFit:
     """Locate K*(eps) for the blended operator and fit log K* vs log(1/eps).
 
     K* is the smallest admissible K (floor 6) whose coercivity constant
@@ -366,7 +366,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     K_min = int(p.get("K_min", 1))
     profile = p.get("profile", "poly7")
     tol = float(p.get("tol", 1e-10))
-    dense_threshold = int(p.get("dense_threshold", 3000))
+    dense_threshold = p.get("dense_threshold")
     seed = int(p.get("seed", 7))
 
     def ra_of(N: int) -> int:
@@ -736,7 +736,7 @@ def _run_sweep1d(cfg):
             model, eps, int(cfg.get("kmax", 64)),
             profile=cfg.get("profile", "poly7"),
             tol=float(cfg.get("tol", 1e-10)),
-            dense_threshold=int(cfg.get("dense_threshold", 4200)),
+            dense_threshold=cfg.get("dense_threshold"),
             seed=int(cfg.get("seed", 7)))
     except ModelRangeError as err:
         raise ConfigError(str(err)) from err
@@ -759,7 +759,7 @@ def _run_sweep2d(cfg):
               "K_min": int(cfg.get("kmin", 1)),
               "profile": cfg.get("profile", "poly7"),
               "tol": float(cfg.get("tol", 1e-10)),
-              "dense_threshold": int(cfg.get("dense_threshold", 3000)),
+              "dense_threshold": cfg.get("dense_threshold"),
               "seed": int(cfg.get("seed", 7))}
     if case == 1:
         params["Ra"] = int(cfg.get("ra", 4))

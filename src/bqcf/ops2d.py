@@ -462,5 +462,11 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     idx = np.concatenate([2 * sites, 2 * sites + 1])
     vals = np.full(idx.size, -lattice.eps**2)
     M = SparseOp(sp.csr_matrix((vals, (idx, idx)), shape=(dim, dim)), symmetric=True)
+    # start from a radial cosine bump about the annulus center: its ratio is
+    # about 3/4 of the supremum, which places the first shift below it
+    reach = min(3 * regions.Rb, lattice.N)
+    bump = np.zeros((n, n, 2))
+    bump[..., 0] = np.cos(np.pi * np.minimum(ring_number(lattice), reach) / reach)
+    solver.setdefault("x0", bump.ravel())
     report = coercivity(M, gram_D(lattice), **solver)
     return -report.gamma

@@ -7,20 +7,18 @@ weights baked in) and G the Gram matrix of ||Du||^2. <L u, u> = <sym(L) u, u>
 identically, so the nonsymmetric force-based operator needs no special
 treatment beyond symmetrizing.
 
-Two value paths: a dense generalized symmetric solve after deflating the
-kernel with its one or two Householder reflectors, and block LOBPCG for
-larger problems, preconditioned by an exact solve of G: one sparse LDL^T of
-G with one site pinned, which removes exactly ker(G).
-
-The sign question "is gamma > tau?" needs no eigenvalue: by Sylvester's law
-of inertia it is answered by the signs of the pivots of an LDL^T factor of
-sym(A) - tau G restricted to the zero-mean space (is_coercive). All paths
-check that ker(G) is the shift kernel and share one LDL^T helper.
+One sparse factorization answers both questions (_Shift): sym(A) - sigma G
+on the zero-mean space, one site pinned, as an LDL^T plus a small
+capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
+(Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
+it, with sigma certified below gamma by a count of zero (Ericsson and
+Ruhe's spectral transformation). A dense solve after deflating the kernel
+with its Householder reflectors serves small problems and cross-checks the
+sparse one. All paths check that ker(G) is the shift kernel.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -45,6 +43,10 @@ __all__ = [
     "gram_D",
     "is_coercive",
 ]
+
+# dims up to this take the dense path under method "auto": on 1D and 2D
+# operators the dense and shift-invert solves cost the same near dim 400
+_DENSE_THRESHOLD = 400
 
 
 @dataclass(frozen=True)
@@ -80,23 +82,28 @@ class SparseOp:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Result of a pencil solve: gamma and its certified minimizer."""
+    """Result of a pencil solve: gamma and its certified minimizer. shift,
+    factorizations and nnz describe the iterative path's sparse factor."""
 
     gamma: float
     minimizer: np.ndarray = field(repr=False)
     method: str
     residual: float
     iterations: int
+    shift: float = float("nan")
+    factorizations: int = 0
+    nnz: int = 0
 
 
 @dataclass(frozen=True)
 class InertiaReport:
     """Answer to the sign question gamma > tau, with the evidence behind it.
 
-    negative counts the negative pivots of the congruent LDL^T factor and
-    min_pivot is the smallest pivot magnitude; margin is the backward-error
-    bound the smallest pivot must clear for the signs to be trusted. method
-    is "inertia" when the pivots decided and the value path ("dense" or
+    negative counts the negative eigenvalues of sym(A) - tau G on the
+    zero-mean space, read off the pivots and the capacitance of _Shift;
+    min_pivot is the pivot or capacitance eigenvalue magnitude that came
+    closest to its rounding bound, and margin is that bound. method
+    is "inertia" when the signs decided and the value path ("dense" or
     "iterative") when they could not; negative is -1 when the factorization
     hit an exactly zero pivot. No eigenvalue is reported.
     """
@@ -251,19 +258,74 @@ def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
     return float(w[0]), x
 
 
-def _gram_solver(G: sp.csr_matrix, kernel: np.ndarray):
-    """Exact zero-mean solve of G z = r, for a vector or a block r. Pinning
-    the first m = kernel.shape[1] coordinates (one site) removes exactly the
-    shift kernel, so G[m:, m:] is positive definite and is factored once."""
-    m = kernel.shape[1]
-    lu = _ldlt(G[m:, m:].tocsc())
+def _shifted_block(Asym, G, sigma: float, m: int) -> sp.csc_matrix:
+    # summed from triplets, so G's pattern stays at sigma = 0 and the
+    # fill-reducing order does not depend on sigma
+    a, g = Asym.tocoo(), G.tocoo()
+    return sp.csc_matrix((np.concatenate([a.data, -sigma * g.data]),
+                          (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
+                         shape=a.shape)[m:, m:]
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        z = np.zeros_like(r)
-        z[m:] = lu.solve(_project_out(kernel, r)[m:])
-        return _project_out(kernel, z)
 
-    return solve
+class _Shift:
+    """LDL^T of sym(A) - sigma G on the zero-mean space, in pinned coordinates.
+
+    With the first site's m coordinates pinned, x = Pi W z (Pi projects off
+    ker G) and the restricted matrix is S = M_pp + U C U^T: M_pp = (sym A -
+    sigma G)[m:, m:] = L D L^T, U = [k_p, s_p], s = sym(A) k, C = [[k^T s,
+    -I], [-I, 0]]. With X = M_pp^-1 and Q = -C^-1 - U^T X U, S has neg(D) +
+    neg(Q) - m negative eigenvalues (Haynsworth) and S^-1 = X + X U Q^-1 U^T
+    X (Woodbury), with Q block-diagonalized: T^T Q T = diag(Q11, Z), T =
+    [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A sign is trusted when it clears a
+    rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
+    |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z gamma_3w
+    || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves included.
+    min_pivot and margin report the test that came closest.
+    """
+
+    def __init__(self, Asym, G, kernel: np.ndarray, sigma: float):
+        m = kernel.shape[1]
+        self.lu = _ldlt(_shifted_block(Asym, G, sigma, m))
+        self.nnz = int(self.lu.nnz)
+        s = Asym @ kernel
+        U = np.hstack([kernel[m:], s[m:]])
+        XU = self.lu.solve(U)
+        eye = np.eye(m)
+        Q = np.block([[np.zeros((m, m)), eye], [eye, kernel.T @ s]]) - U.T @ XU
+        Q = 0.5 * (Q + Q.T)
+        F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
+        blocks = (Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F)
+        self.Y = np.hstack([XU[:, :m], XU[:, m:] - XU[:, :m] @ F])
+        self.Cinv = scipy.linalg.block_diag(*map(np.linalg.inv, blocks))
+
+        # R = |U_f|^T |D|^-1 |U_f| from U_f = D L^T; the factor keeps the
+        # copy lu.U makes, and nothing reads it after this, so it is reused
+        Uf = self.lu.U
+        d = Uf.diagonal()
+        np.abs(Uf.data, out=Uf.data)
+        Yp = np.abs(self.Y)
+        RY = Uf.T @ ((Uf @ Yp) / np.abs(d)[:, None])
+        Uf.data **= 2
+        unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
+        tests = [(np.abs(d).min(), unit / (1 - unit) * (Uf.T @ (1.0 / np.abs(d))).max())]
+        unit *= 3
+        q = [np.linalg.eigvalsh(B) for B in blocks]
+        for j in range(2):
+            cols = slice(j * m, (j + 1) * m)
+            tests.append((np.abs(q[j]).min(), unit / (1 - unit)
+                          * np.linalg.norm(Yp[:, cols].T @ RY[:, cols], 2)))
+        self.negative = int(np.sum(d < 0) + np.sum(q[0] < 0) + np.sum(q[1] < 0)) - m
+        self.min_pivot, self.margin = map(float, min(tests, key=lambda t: t[0] / t[1]))
+        self.trusted = all(p > b for p, b in tests)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """S^-1 r in pinned coordinates."""
+        return self.lu.solve(r) + self.Y @ (self.Cinv @ (self.Y.T @ r))
+
+
+def _lift(kernel: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x = Pi W z."""
+    return _project_out(kernel, np.concatenate([np.zeros(kernel.shape[1]), z]))
 
 
 def _rayleigh_residual(Asym, G, kernel: np.ndarray, x: np.ndarray):
@@ -273,97 +335,87 @@ def _rayleigh_residual(Asym, G, kernel: np.ndarray, x: np.ndarray):
     Gx = G @ x
     rho = float(x @ Ax) / float(x @ Gx)
     denom = np.linalg.norm(Ax) + abs(rho) * np.linalg.norm(Gx)
-    res = float(np.linalg.norm(Ax - rho * Gx)) / max(denom, 1e-300)
-    return rho, res, denom
+    return rho, float(np.linalg.norm(Ax - rho * Gx)) / max(denom, 1e-300)
 
 
 def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
                      tol: float, maxiter: int, x0: Optional[np.ndarray], seed: int):
-    n = Asym.shape[0]
+    """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
+
+    The start vector's Rayleigh quotient rho bounds gamma from above; sigma
+    starts at min(2 rho, 0) and steps down until _Shift counts no eigenvalue
+    below it. ARPACK's tolerance tightens until the lifted vector meets tol;
+    maxiter caps the number of shifted solves.
+    """
+    n, m = kernel.shape
     rng = np.random.default_rng(seed)
-    # symmetric geometry gives double eigenvalues; an even block that does not
-    # straddle a degenerate pair keeps the leading Ritz vector converging
-    m = 4 if n >= 12 * (kernel.shape[1] + 4) else 1
-    X = rng.standard_normal((n, m))
-    if x0 is not None:
-        X[:, 0] = np.asarray(x0, dtype=float)
-    X = _project_out(kernel, X)
-    X /= np.linalg.norm(X, axis=0)
-
-    rho, res, denom = _rayleigh_residual(Asym, G, kernel, X[:, 0])
-    if res <= tol:
-        return rho, X[:, 0], res, 0
-
-    solve = _gram_solver(G, kernel)
-    Mop = spla.LinearOperator((n, n), matvec=solve, matmat=solve, dtype=float)
-    # both-sided projection keeps roundoff kernel drift out of the Ritz spaces
-    Aop = spla.LinearOperator(
-        (n, n), matvec=lambda v: _project_out(kernel, Asym @ _project_out(kernel, v)))
-
-    total = 0
-    chunk = 250
-    while total < maxiter:
-        budget = min(chunk, maxiter - total)
+    x = rng.standard_normal(n) if x0 is None else np.asarray(x0, dtype=float)
+    x = _project_out(kernel, x)
+    x /= np.linalg.norm(x)
+    rho, res = _rayleigh_residual(Asym, G, kernel, x)
+    report = dict(method="iterative", iterations=0, factorizations=0)
+    sigma, step, shift = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0, None
+    while not res <= tol and shift is None:        # a NaN residual enters too
         try:
-            with warnings.catch_warnings():
-                # convergence is judged below, not by the inner driver
-                warnings.simplefilter("ignore")
-                # the driver normalizes in the B-inner product, this metric in
-                # the Euclidean one; 0.05 covers the scale gap with margin
-                w, V, hist = spla.lobpcg(
-                    Aop, X, B=G, M=Mop, tol=0.05 * tol * denom, maxiter=budget,
-                    largest=False, retResidualNormsHistory=True)
-            total += max(len(hist) - 1, 1)
-        except (np.linalg.LinAlgError, ValueError):
-            # degenerate trial block; restart from fresh random directions
-            total += budget
-            X = _project_out(kernel, rng.standard_normal((n, m)))
-            X /= np.linalg.norm(X, axis=0)
-            continue
-        order = np.argsort(w)
-        V = _project_out(kernel, V[:, order])
-        x = V[:, 0] / np.linalg.norm(V[:, 0])
-        rho, res, denom = _rayleigh_residual(Asym, G, kernel, x)
-        if res <= tol:
-            return rho, x, res, total
-        norms = np.linalg.norm(V, axis=0)
-        bad = norms <= 1e-12
-        if bad.any():
-            V[:, bad] = _project_out(kernel, rng.standard_normal((n, int(bad.sum()))))
-            norms = np.linalg.norm(V, axis=0)
-        X = V / norms
-    raise RuntimeError(
-        f"pencil iteration did not converge in {maxiter} steps "
-        f"(last relative residual {res:.3e}, rho {rho:.6e})")
+            shift = _Shift(Asym, G, kernel, sigma)
+        except (RuntimeError, np.linalg.LinAlgError):   # a zero pivot
+            pass
+        report["factorizations"] += 1
+        if shift is None or not shift.trusted or shift.negative:
+            shift, sigma, step = None, sigma - step, 4.0 * step
+            if not np.isfinite(sigma):
+                raise RuntimeError("no shift below the spectrum: the pencil is not finite")
+
+    def opinv(r):
+        report["iterations"] += 1
+        if report["iterations"] > maxiter:
+            raise RuntimeError(f"pencil iteration did not converge in {maxiter} steps "
+                               f"(relative residual {res:.3e}, rho {rho:.6e})")
+        return shift.solve(r)
+
+    Gpp, arpack_tol = G[m:, m:], tol
+    OPinv = spla.LinearOperator(Gpp.shape, matvec=opinv, dtype=float)
+    while not res <= tol:
+        # shift-invert mode reads only the shape of its first argument; v0
+        # holds x in pinned coordinates, each site relative to the first
+        _, Z = spla.eigsh(Gpp, k=1, M=Gpp, sigma=sigma, which="LM", OPinv=OPinv,
+                          v0=(x[m:].reshape(-1, m) - x[:m]).ravel(), tol=arpack_tol)
+        x, arpack_tol = _lift(kernel, Z[:, 0]), 1e-2 * arpack_tol
+        x /= np.linalg.norm(x)
+        rho, res = _rayleigh_residual(Asym, G, kernel, x)
+    if shift is not None:
+        report.update(shift=sigma, nnz=shift.nnz)
+    return StabilityReport(gamma=rho, minimizer=x, residual=res, **report)
 
 
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
-               dense_threshold: int = 3000, tol: float = 1e-8,
+               dense_threshold: Optional[int] = None, tol: float = 1e-8,
                maxiter: int = 5000, x0: Optional[np.ndarray] = None,
                seed: int = 7) -> StabilityReport:
     """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G.
 
-    method "auto" takes the dense path for dim <= dense_threshold and
-    LOBPCG, preconditioned by an exact pinned Gram solve, above it; "dense"
-    / "iterative" force a path. The iterative path raises on non-convergence
-    instead of returning a silent partial answer.
+    method "auto" takes the dense path for dim <= dense_threshold (default
+    _DENSE_THRESHOLD) and shift-invert Lanczos (_iterative_gamma) above it;
+    "dense" / "iterative" force a path. gamma is the Rayleigh quotient of
+    the minimizer. The iterative path raises on non-convergence; its report
+    gives the shift, the factorizations, the factor's nonzeros and, as
+    iterations, the shifted solves.
     """
     kernel = _pencil_kernel(opMatrix, G)
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if opMatrix.dim <= dense_threshold else "iterative"
+        limit = _DENSE_THRESHOLD if dense_threshold is None else dense_threshold
+        method = "dense" if opMatrix.dim <= limit else "iterative"
 
     Asym = opMatrix.sym_matrix
     Gm = G.matrix
-    if method == "dense":
-        gamma, x = _dense_gamma(Asym, Gm, kernel)
-        _, res, _ = _rayleigh_residual(Asym, Gm, kernel, x)
-        return StabilityReport(gamma=gamma, minimizer=x, method="dense",
-                               residual=res, iterations=0)
-    gamma, x, res, its = _iterative_gamma(Asym, Gm, kernel, tol, maxiter, x0, seed)
-    return StabilityReport(gamma=gamma, minimizer=x, method="iterative",
-                           residual=res, iterations=its)
+    if method == "iterative":
+        return _iterative_gamma(Asym, Gm, kernel, tol, maxiter, x0, seed)
+    _, x = _dense_gamma(Asym, Gm, kernel)
+    gamma, res = _rayleigh_residual(Asym, Gm, kernel, x)
+    return StabilityReport(gamma=gamma, minimizer=x, method="dense",
+                           residual=res, iterations=0)
 
 
 def _pencil_kernel(opMatrix: SparseOp, G: SparseOp) -> np.ndarray:
@@ -398,48 +450,27 @@ def _ldlt(M: sp.csc_matrix):
 
 
 def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
-                dense_threshold: int = 3000, seed: int = 7) -> InertiaReport:
-    """Decide gamma > tau from the inertia of P^T (sym(A) - tau G) P.
+                dense_threshold: Optional[int] = None, seed: int = 7) -> InertiaReport:
+    """Decide gamma > tau: sym(A) - tau G has no negative or zero eigenvalue
+    on the zero-mean space, counted by _Shift (Sylvester, Haynsworth).
 
-    P is the sparse difference basis of the zero-mean space, so P^T G P is
-    positive definite and gamma > tau exactly when the congruent matrix has
-    no negative or zero eigenvalue. The matrix is factored with diagonal
-    pivots only (_ldlt): L D L^T is then a congruence and the negative
-    pivots count the negative eigenvalues (Sylvester).
-
-    The pivot signs are trusted when the smallest pivot exceeds the LDL^T
-    backward-error bound gamma_w * max_k (|L| |D| |L^T|)_kk, with w the
-    longest row of L, u the unit roundoff and gamma_w = w u / (1 - w u).
-    When it does not, or a pivot is exactly zero, the pencil is solved by
-    coercivity (same dense_threshold and seed) and the report says so in
-    its method. A tau within rounding of gamma can still get a pivot above
-    the bound; the sign there is whatever rounding made it.
+    When a pivot or capacitance eigenvalue misses its rounding bound, or a
+    pivot is exactly zero, the pencil is solved by coercivity (same
+    dense_threshold and seed) and the report says so in its method. A tau
+    within rounding of gamma can still clear the bounds; the sign there is
+    whatever rounding made it.
     """
-    n, m = _pencil_kernel(opMatrix, G).shape
-    # sparse basis of the zero-mean space: columns e_i - e_{i+m}
-    i = np.arange(n - m)
-    P = sp.csc_matrix((np.concatenate([np.ones(n - m), -np.ones(n - m)]),
-                       (np.concatenate([i, i + m]), np.concatenate([i, i]))),
-                      shape=(n, n - m))
+    kernel = _pencil_kernel(opMatrix, G)
     try:
-        lu = _ldlt((P.T @ (opMatrix.sym_matrix - tau * G.matrix) @ P).tocsc())
+        shift = _Shift(opMatrix.sym_matrix, G.matrix, kernel, tau)
     except RuntimeError:
         # SuperLU stops on an exactly singular factor: a zero pivot
         negative, min_pivot, margin = -1, 0.0, float("nan")
     else:
-        d = lu.U.diagonal()
-        L = lu.L                                    # CSC, unit diagonal
-        # (|L| |D| |L^T|)_kk = sum_j L_kj^2 |d_j|, summed over column entries
-        col = np.repeat(np.arange(L.shape[1]), np.diff(L.indptr))
-        size = np.bincount(L.indices, weights=L.data ** 2 * np.abs(d)[col],
-                           minlength=L.shape[0])
-        w = int(np.bincount(L.indices).max())       # longest row of L
-        unit = w * 2.0 ** -53                       # w u
-        margin = unit / (1.0 - unit) * float(size.max())
-        negative = int(np.count_nonzero(d < 0.0))
-        min_pivot = float(np.abs(d).min())
-        del lu, L, col, size                        # before any value solve
-        if min_pivot > margin:
+        negative, min_pivot, margin = shift.negative, shift.min_pivot, shift.margin
+        trusted = shift.trusted
+        del shift                                   # before any value solve
+        if trusted:
             return InertiaReport(coercive=negative == 0, negative=negative,
                                  min_pivot=min_pivot, margin=margin,
                                  method="inertia")

@@ -173,7 +173,7 @@ def test_criterion_04_threshold_exponent_1d():
     eps = 1/128 .. 1/2048: slope in [0.15, 0.25] with r^2 >= 0.9."""
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     eps = [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048]
-    fit = sweep_threshold_1d(model, eps, 64, dense_threshold=4200)
+    fit = sweep_threshold_1d(model, eps, 64)
     assert fit.flags == ()
     ks = [k for _, k in sorted(fit.pairs)]
     assert all(a >= b for a, b in zip(ks, ks[1:]))  # K* grows as eps shrinks

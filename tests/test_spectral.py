@@ -9,16 +9,17 @@ import scipy.sparse
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_1d, build_blend_2d
 from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D, diff
-from bqcf.lattice2d import TriLattice2D, grad_norm_sq_2d
+from bqcf.lattice2d import TriLattice2D, grad_norm_sq_2d, make_regions
 from bqcf.ops1d import Op1D
 from bqcf.ops2d import Op2D
 from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
     SparseOp,
     _deflate,
+    _Shift,
     _dense_gamma,
-    _gram_solver,
     _kernel_reflectors,
+    _lift,
     assemble,
     check_assembly,
     coercivity,
@@ -218,35 +219,76 @@ def test_report_minimizer_attains_gamma():
 
 
 def test_dense_and_iterative_paths_agree_at_criterion_4_size():
-    # criterion 4 solves at dim 4096 on the dense path
+    # criterion 4's largest size, dim 4096; both paths report the Rayleigh
+    # quotient of their own minimizer
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     dense = _gamma_1d(model, 2048, kind="bqcf", K=25, method="dense")
     iterative = _gamma_1d(model, 2048, kind="bqcf", K=25, method="iterative")
     assert iterative.method == "iterative"
-    assert iterative.gamma == pytest.approx(dense.gamma, abs=1e-7 * (1 + abs(dense.gamma)))
+    assert iterative.gamma == pytest.approx(dense.gamma, rel=1e-9)
+    assert iterative.factorizations >= 1 and iterative.nnz > 0
+    assert iterative.shift < iterative.gamma
+
+
+def _shifted_forms(domain):
+    """An energy-based operator, a force-based operator and a mask form,
+    assembled on domain."""
+    if isinstance(domain, Chain1D):
+        model = PairModel1D(phiF=1.0, phi2F=-0.24)
+        energy = Op1D(kind="atomistic", chain=domain, model=model)
+        force = Op1D(kind="bqcf", chain=domain, model=model,
+                     blend=build_blend_1d(domain, 12))
+        sites = np.flatnonzero(np.arange(domain.nsites) < domain.nsites // 4)
+        idx, weight = sites, domain.eps
+    else:
+        model = unstable_toy_model(2.04, 1.0)
+        energy = Op2D(kind="atomistic", lattice=domain, model=MODEL2D)
+        Ra = domain.N // 8
+        force = Op2D(kind="bqcf", lattice=domain, model=model,
+                     blend=_blend_2d_sharp(domain, Ra, Ra + domain.N // 8))
+        # the Poincare ratio's mask on the annulus, as poincare_discrete builds it
+        sites = np.flatnonzero(make_regions(domain, Ra, domain.N // 4).mask(1).ravel())
+        idx, weight = np.concatenate([2 * sites, 2 * sites + 1]), domain.eps ** 2
+    dim = assemble(energy).dim
+    mask = SparseOp(scipy.sparse.csr_matrix((np.full(idx.size, -weight), (idx, idx)),
+                                            shape=(dim, dim)), symmetric=True)
+    return assemble(energy), assemble(force), mask
 
 
 @pytest.mark.parametrize("domain", [Chain1D(300), Chain1D(2048),
                                     TriLattice2D(16), TriLattice2D(64)],
                          ids=["1d-300", "1d-2048", "2d-16", "2d-64"])
-def test_pinned_gram_solve_is_exact(domain, rng):
+def test_shifted_solve_is_exact(domain, rng):
+    # pinned LDL^T plus the Woodbury capacitance solves (sym A - sigma G) y = b
+    # on the zero-mean space, for an energy-based and a force-based operator
+    # and the Poincare mask
     G = gram_D(domain)
-    solve = _gram_solver(G.matrix, G.kernel)
-    r = rng.standard_normal(G.dim)
-    r -= G.kernel @ (G.kernel.T @ r)
-    z = solve(r)
-    assert np.linalg.norm(G.matrix @ z - r) <= 1e-10 * np.linalg.norm(r)
-    assert np.abs(G.kernel.T @ z).max() <= 1e-12 * np.linalg.norm(z)
-    # a block of right-hand sides solves column by column
-    R = np.stack([r, 2.0 * r], axis=1)
-    Z = solve(R)
-    assert np.abs(Z - np.stack([z, 2.0 * z], axis=1)).max() <= 1e-12 * np.linalg.norm(z)
+    k = G.kernel
+    m = k.shape[1]
+    sigma = -0.25
+    for sop in _shifted_forms(domain):
+        Asym = sop.sym_matrix
+        M = Asym - sigma * G.matrix
+        b = rng.standard_normal(G.dim)
+        b -= k @ (k.T @ b)
+        y = _lift(k, _Shift(Asym, G.matrix, k, sigma).solve(b[m:]))
+        r = M @ y - b
+        assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
+        assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
 
 
 def test_iterative_nonconvergence_raises():
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     with pytest.raises(RuntimeError, match="did not converge"):
         _gamma_1d(model, 64, kind="bqcf", K=12, method="iterative", maxiter=1)
+
+
+def test_iterative_path_rejects_a_non_finite_pencil():
+    ch = Chain1D(64)
+    A = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(phiF=1.0, phi2F=-0.24)))
+    A.matrix.data[0] = np.nan
+    with pytest.raises(RuntimeError, match="not finite"):
+        coercivity(A, gram_D(ch), method="iterative")
 
 
 def test_symmetric_flag_is_checked():
@@ -318,17 +360,43 @@ def test_inertia_at_tau_equal_gamma_falls_back():
     # at tau = gamma the shifted pencil is singular up to rounding: the
     # smallest pivot cannot clear the backward-error margin
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
-    for N, K in ((128, 16), (512, 19)):
+    for N, K, path in ((128, 16, "dense"), (512, 19, "iterative")):
         ch = Chain1D(N)
         G = gram_D(ch)
         sop = assemble(Op1D(kind="bqcf", chain=ch, model=model,
                             blend=build_blend_1d(ch, K)))
         gamma = coercivity(sop, G).gamma
         rep = is_coercive(sop, G, gamma)
-        assert rep.fallback and rep.method == "dense"
+        assert rep.fallback and rep.method == path
         assert rep.min_pivot <= rep.margin
         assert rep.coercive is False               # gamma > gamma is false
         assert is_coercive(sop, G, 1e-10).method == "inertia"
+
+
+def test_inertia_margin_on_criterion_4_largest_window():
+    # every probe of criterion 4's N = 2048 scan clears its rounding bounds
+    # by three orders of magnitude
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    ch = Chain1D(2048)
+    G = gram_D(ch)
+    for K in range(6, 65):
+        sop = assemble(Op1D(kind="bqcf", chain=ch, model=model,
+                            blend=build_blend_1d(ch, K)))
+        rep = is_coercive(sop, G, 1e-10)
+        assert rep.method == "inertia"
+        assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
+
+
+@pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
+                                                  ("bqcf", 100.0, -24.0, 6)])
+def test_iterative_path_below_minus_one(kind, phiF, phi2F, K):
+    # the shift must be placed below gamma < -1, not at a fixed sigma = -1
+    model = PairModel1D(phiF=phiF, phi2F=phi2F)
+    dense = _gamma_1d(model, 300, kind=kind, K=K, method="dense")
+    iterative = _gamma_1d(model, 300, kind=kind, K=K, method="iterative")
+    assert dense.gamma < -1.0
+    assert iterative.gamma == pytest.approx(dense.gamma, rel=1e-9)
+    assert iterative.shift < dense.gamma
 
 
 def test_inertia_rejects_foreign_kernel():
