@@ -22,7 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .blend import Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples, build_blend_1d
+from . import ops1d, ops2d
+from .blend import (PROFILES, Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples,
+                    build_blend_1d)
 from .config import ConfigError, format_value, load_config
 from .lattice1d import Chain1D, diff, norms, random_zero_mean
 from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
@@ -32,7 +34,7 @@ from .ops1d import (Op1D, _rst_terms, _sharpness_parts, divergence_form,
 from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
                     divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
-from .spectral import SparseOp, assemble, coercivity, gram_D, is_coercive
+from .spectral import METHODS, SparseOp, assemble, coercivity, gram_D, is_coercive
 
 __all__ = [
     "SweepRow", "ScanProbe", "ThresholdFit", "ProbeResult", "TraceSample",
@@ -175,8 +177,8 @@ def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 
 def _threshold_at_size(build: Callable[[int], object], G, eps: float,
-                       k_floor: int, k_cap: int, tol: float,
-                       dense_threshold: Optional[int], seed: int):
+                       k_floor: int, k_cap: int, tol: float, seed: int,
+                       dense_threshold: Optional[int] = None):
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
     then pencil solves at K*-1 and K* only.
 
@@ -248,7 +250,7 @@ def _collect_fit(results, x_of: Callable[[float], float],
 
 def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int,
                        *, profile: str = "poly7", tol: float = 1e-10,
-                       dense_threshold: Optional[int] = None, seed: int = 7) -> ThresholdFit:
+                       seed: int = 7) -> ThresholdFit:
     """Locate K*(eps) for the blended operator and fit log K* vs log(1/eps).
 
     K* is the smallest admissible K (floor 6) whose coercivity constant
@@ -281,7 +283,7 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
             return Op1D(kind="bqcf", chain=chain, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
-            build, gram_D(chain), eps, 6, k_cap, tol, dense_threshold, seed)
+            build, gram_D(chain), eps, 6, k_cap, tol, seed)
         rows = [SweepRow(eps=eps, K=K, Ra=None, Rb=None, gamma=g,
                          c0_or_gammatilde=c0(model), wallclock_seconds=dt)
                 for K, (g, dt) in gammas.items()]
@@ -403,7 +405,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
             return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
-            build, G, eps, K_min, k_cap, tol, dense_threshold, seed)
+            build, G, eps, K_min, k_cap, tol, seed, dense_threshold)
         rows = [SweepRow(eps=eps, K=K, Ra=Ra, Rb=Ra + K, gamma=g,
                          c0_or_gammatilde=gt, wallclock_seconds=dt)
                 for K, (g, dt) in gammas.items()]
@@ -630,6 +632,14 @@ def _need_model_2d(cfg) -> PairModel2D:
                               float(cfg.get("eta", 0.3)))
 
 
+def _choice(cfg, key: str, default: str, table) -> str:
+    """cfg[key], or default when absent; a value outside table is a ConfigError."""
+    value = cfg.get(key, default)
+    if value not in table:
+        raise ConfigError(f"unknown {key} {value!r}; expected one of {', '.join(table)}")
+    return value
+
+
 def _aslist(v) -> list:
     if isinstance(v, (list, tuple)):
         return list(v)
@@ -734,9 +744,8 @@ def _run_sweep1d(cfg):
     try:
         fit = sweep_threshold_1d(
             model, eps, int(cfg.get("kmax", 64)),
-            profile=cfg.get("profile", "poly7"),
+            profile=_choice(cfg, "profile", "poly7", PROFILES),
             tol=float(cfg.get("tol", 1e-10)),
-            dense_threshold=cfg.get("dense_threshold"),
             seed=int(cfg.get("seed", 7)))
     except ModelRangeError as err:
         raise ConfigError(str(err)) from err
@@ -757,9 +766,8 @@ def _run_sweep2d(cfg):
     params = {"N": _aslist(cfg.get("n", [8, 12, 16, 24])),
               "K_max": int(cfg.get("kmax", 16)),
               "K_min": int(cfg.get("kmin", 1)),
-              "profile": cfg.get("profile", "poly7"),
+              "profile": _choice(cfg, "profile", "poly7", PROFILES),
               "tol": float(cfg.get("tol", 1e-10)),
-              "dense_threshold": cfg.get("dense_threshold"),
               "seed": int(cfg.get("seed", 7))}
     if case == 1:
         params["Ra"] = int(cfg.get("ra", 4))
@@ -785,11 +793,11 @@ def _run_sweep2d(cfg):
 def _run_sharp1d(cfg):
     model = _need_model_1d(cfg)
     chain = Chain1D(int(cfg.get("n", 512)))
+    profile = _choice(cfg, "profile", "poly7", PROFILES)
     rows, checks = [], []
     best = None
     for k in _aslist(cfg.get("k", [6])):
-        blend = build_blend_1d(chain, int(k),
-                               profile=cfg.get("profile", "poly7"))
+        blend = build_blend_1d(chain, int(k), profile=profile)
         res = sharpness_probe_1d(model, chain, blend)
         verdict = "indefinite" if res.conclusive else "inconclusive"
         rows.append({"eps": chain.eps, "K": blend.K, "rayleigh": res.rayleigh,
@@ -808,12 +816,12 @@ def _run_sharp2d(cfg):
     model = _need_model_2d(cfg)
     lattice = TriLattice2D(int(cfg.get("n", 24)))
     Ra = int(cfg.get("ra", 4))
+    profile = _choice(cfg, "profile", "poly7", PROFILES)
     rows, checks = [], []
     worst = None
     for k in _aslist(cfg.get("k", [3])):
         K = int(k)
-        blend = _blend_2d_sharp(lattice, Ra, Ra + K,
-                                profile=cfg.get("profile", "poly7"))
+        blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
         _, jprime = construct_layer_sets(lattice, blend)
         value = sharpness_probe_2d(lattice, model, blend, jprime)
         verdict = "indefinite" if value < 0 else "inconclusive"
@@ -884,29 +892,28 @@ def _run_trace(cfg):
 
 def _run_stability(cfg):
     space = cfg.get("space", "1d")
-    method = cfg.get("method", "auto")
+    method = _choice(cfg, "method", "auto", METHODS)
+    profile = _choice(cfg, "profile", "poly7", PROFILES)
     seed = int(cfg.get("seed", 7))
     if space == "1d":
         model = _need_model_1d(cfg)
         chain = Chain1D(int(cfg.get("n", 64)))
-        kind = cfg.get("kind", "bqcf")
+        kind = _choice(cfg, "kind", "bqcf", ops1d._KINDS)
         blend = None
-        if kind in ("bqcf", "bqcf2"):
-            blend = build_blend_1d(chain, int(cfg.get("k", 8)),
-                                   profile=cfg.get("profile", "poly7"))
+        if kind in ops1d._BLENDED:
+            blend = build_blend_1d(chain, int(cfg.get("k", 8)), profile=profile)
         op = Op1D(kind=kind, chain=chain, model=model, blend=blend)
         G = gram_D(chain)
         base = c0(model)
     elif space == "2d":
         model = _need_model_2d(cfg)
         lattice = TriLattice2D(int(cfg.get("n", 8)))
-        kind = cfg.get("kind", "bqcf")
+        kind = _choice(cfg, "kind", "bqcf", ops2d._KINDS)
         blend = None
-        if kind in ("bqcf", "ltilde"):
+        if kind in ops2d._BLENDED:
             Ra = int(cfg.get("ra", lattice.N // 4))
             K = int(cfg.get("k", lattice.N // 4))
-            blend = _blend_2d_sharp(lattice, Ra, Ra + K,
-                                    profile=cfg.get("profile", "poly7"))
+            blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
         op = Op2D(kind=kind, lattice=lattice, model=model, blend=blend)
         G = gram_D(lattice)
         base = float("nan")
@@ -931,10 +938,10 @@ _RUNNERS = {"verify": _run_verify, "sweep1d": _run_sweep1d,
 CONFIG_KEYS = {
     "verify": ("suite", "draws", "n1d", "n2d", "phiF", "phi2F", "kappa0", "eta",
                "seed"),
-    "sweep1d": ("phiF", "phi2F", "eps", "kmax", "profile", "tol",
-                "dense_threshold", "slope_window", "r2_min", "seed"),
+    "sweep1d": ("phiF", "phi2F", "eps", "kmax", "profile", "tol", "slope_window",
+                "r2_min", "seed"),
     "sweep2d": ("case", "n", "ra", "alpha", "c", "kmax", "kmin", "kappa0",
-                "eta", "profile", "tol", "dense_threshold", "growth_slack", "seed"),
+                "eta", "profile", "tol", "growth_slack", "seed"),
     "sharp1d": ("phiF", "phi2F", "n", "k", "profile"),
     "sharp2d": ("n", "ra", "k", "kappa0", "eta", "profile"),
     "poincare": ("n", "ra_frac", "rb_frac", "window"),

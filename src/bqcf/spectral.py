@@ -7,14 +7,16 @@ weights baked in) and G the Gram matrix of ||Du||^2. <L u, u> = <sym(L) u, u>
 identically, so the nonsymmetric force-based operator needs no special
 treatment beyond symmetrizing.
 
-One sparse factorization answers both questions (_Shift): sym(A) - sigma G
-on the zero-mean space, one site pinned, as an LDL^T plus a small
+The zero-mean space has one coordinate system: the first site's m
+coordinates pinned, x = Pi W z, where sym(A) - sigma G restricts to its
+trailing block plus a rank-2m term (_pinned_update). One sparse
+factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 (Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
 it, with sigma certified below gamma by a count of zero (Ericsson and
-Ruhe's spectral transformation). A dense solve after deflating the kernel
-with its Householder reflectors serves small problems and cross-checks the
-sparse one. All paths check that ker(G) is the shift kernel.
+Ruhe's spectral transformation). A dense eigh of the same pinned pencil
+serves small problems and cross-checks the sparse one. All paths check
+that ker(G) is the shift kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .lattice1d import Chain1D
 from .lattice2d import DIR_OFFSETS, TriLattice2D
 
 __all__ = [
+    "METHODS",
     "InertiaReport",
     "SparseOp",
     "StabilityReport",
@@ -43,6 +46,8 @@ __all__ = [
     "gram_D",
     "is_coercive",
 ]
+
+METHODS = ("auto", "dense", "iterative")
 
 # dims up to this take the dense path under method "auto": on 1D and 2D
 # operators the dense and shift-invert solves cost the same near dim 400
@@ -55,7 +60,7 @@ class SparseOp:
 
     A set symmetric flag is checked at construction. kernel, when present,
     holds an orthonormal dense basis of the nullspace of the represented
-    form (used for pencil deflation).
+    form (it defines the zero-mean space of the pencil).
     """
 
     matrix: sp.csr_matrix = field(repr=False)
@@ -105,7 +110,7 @@ class InertiaReport:
     closest to its rounding bound, and margin is that bound. method
     is "inertia" when the signs decided and the value path ("dense" or
     "iterative") when they could not; negative is -1 when the factorization
-    hit an exactly zero pivot. No eigenvalue is reported.
+    hit an exactly zero pivot or left the diagonal. No eigenvalue is reported.
     """
 
     coercive: bool
@@ -207,55 +212,32 @@ def _project_out(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - kernel @ (kernel.T @ v)
 
 
-def _kernel_reflectors(kernel: np.ndarray) -> list:
-    """Householder pairs (v_j, tau_j), H_j = I - tau_j v_j v_j^T, with
-    Q = H_1 ... H_m orthogonal and its first m columns spanning the kernel;
-    the remaining columns are the deflated basis Q2."""
-    (qr, tau), _ = scipy.linalg.qr(kernel, mode="raw")
-    out = []
-    for j in range(kernel.shape[1]):
-        v = np.zeros(kernel.shape[0])
-        v[j] = 1.0
-        v[j + 1:] = qr[j + 1:, j]
-        out.append((v, float(tau[j])))
-    return out
-
-
-def _deflate(M: sp.csr_matrix, reflectors: list) -> np.ndarray:
-    """Q2^T M Q2 for symmetric sparse M, dense in Fortran order; only its
-    upper triangle is valid.
-
-    Each reflector acts as the rank-2 update H M H = M - v p^T - p v^T with
-    p = tau w - (tau^2 v^T w / 2) v and w = M v, so the trailing block is
-    M[m:, m:] minus m rank-2 updates, applied in place in O(n^2); w comes
-    from matvecs with M and the earlier updates, never from dense products.
-    """
-    m = len(reflectors)
-    updates = []
-    for v, tau in reflectors:
-        w = M @ v
-        for vi, pi in updates:
-            w -= vi * (pi @ v) + pi * (vi @ v)
-        updates.append((v, tau * w - (0.5 * tau * tau * (v @ w)) * v))
-    B = M[m:, m:].toarray(order="F")
-    for v, p in updates:
-        B = scipy.linalg.blas.dsyr2(-1.0, v[m:], p[m:], lower=0, a=B, overwrite_a=1)
-    return B
+def _pinned_update(Asym: sp.csr_matrix, kernel: np.ndarray):
+    """U = [k_p, s_p] and k^T s, s = sym(A) k: with the first site's m
+    coordinates pinned, x = Pi W z and W^T Pi (sym A - sigma G) Pi W =
+    (sym A - sigma G)[m:, m:] + U C U^T, C = [[k^T s, -I], [-I, 0]]."""
+    m = kernel.shape[1]
+    s = Asym @ kernel
+    return np.hstack([kernel[m:], s[m:]]), kernel.T @ s
 
 
 def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
-    refl = _kernel_reflectors(kernel)
-    m = len(refl)
+    """Dense eigh of the pinned pencil (S, G[m:, m:]) at sigma = 0, lifted.
+
+    k^T s is symmetric, so U C U^T = k_p P^T + P k_p^T with P = k_p (k^T s)
+    / 2 - s_p: m rank-2 updates of the upper triangle, in place."""
+    m = kernel.shape[1]
+    U, kts = _pinned_update(Asym, kernel)
+    kp = U[:, :m]
+    P = 0.5 * (kp @ kts) - U[:, m:]
+    S = Asym[m:, m:].toarray(order="F")
+    for j in range(m):
+        S = scipy.linalg.blas.dsyr2(1.0, kp[:, j], P[:, j], lower=0, a=S, overwrite_a=1)
     # LAPACK's upper-triangle reduction runs faster here than the lower one
-    w, y = scipy.linalg.eigh(_deflate(Asym, refl), _deflate(G, refl), lower=False,
+    w, y = scipy.linalg.eigh(S, G[m:, m:].toarray(order="F"), lower=False,
                              subset_by_index=[0, 0], driver="gvx",
                              overwrite_a=True, overwrite_b=True)
-    # x = Q2 y = H_1 ... H_m [0; y]
-    x = np.zeros(kernel.shape[0])
-    x[m:] = y[:, 0]
-    for v, tau in reversed(refl):
-        x -= (tau * (v @ x)) * v
-    return float(w[0]), x
+    return float(w[0]), _lift(kernel, y[:, 0])
 
 
 def _shifted_block(Asym, G, sigma: float, m: int) -> sp.csc_matrix:
@@ -272,8 +254,8 @@ class _Shift:
 
     With the first site's m coordinates pinned, x = Pi W z (Pi projects off
     ker G) and the restricted matrix is S = M_pp + U C U^T: M_pp = (sym A -
-    sigma G)[m:, m:] = L D L^T, U = [k_p, s_p], s = sym(A) k, C = [[k^T s,
-    -I], [-I, 0]]. With X = M_pp^-1 and Q = -C^-1 - U^T X U, S has neg(D) +
+    sigma G)[m:, m:] = L D L^T, with U and k^T s in C = [[k^T s, -I], [-I,
+    0]] from _pinned_update. With X = M_pp^-1 and Q = -C^-1 - U^T X U, S has neg(D) +
     neg(Q) - m negative eigenvalues (Haynsworth) and S^-1 = X + X U Q^-1 U^T
     X (Woodbury), with Q block-diagonalized: T^T Q T = diag(Q11, Z), T =
     [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A sign is trusted when it clears a
@@ -287,11 +269,10 @@ class _Shift:
         m = kernel.shape[1]
         self.lu = _ldlt(_shifted_block(Asym, G, sigma, m))
         self.nnz = int(self.lu.nnz)
-        s = Asym @ kernel
-        U = np.hstack([kernel[m:], s[m:]])
+        U, kts = _pinned_update(Asym, kernel)
         XU = self.lu.solve(U)
         eye = np.eye(m)
-        Q = np.block([[np.zeros((m, m)), eye], [eye, kernel.T @ s]]) - U.T @ XU
+        Q = np.block([[np.zeros((m, m)), eye], [eye, kts]]) - U.T @ XU
         Q = 0.5 * (Q + Q.T)
         F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
         blocks = (Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F)
@@ -402,7 +383,7 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     iterations, the shifted solves.
     """
     kernel = _pencil_kernel(opMatrix, G)
-    if method not in ("auto", "dense", "iterative"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         limit = _DENSE_THRESHOLD if dense_threshold is None else dense_threshold
@@ -420,7 +401,8 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
 
 def _pencil_kernel(opMatrix: SparseOp, G: SparseOp) -> np.ndarray:
     """G's kernel basis, checked to be the shift kernel: its rows repeat with
-    period m, so it is orthogonal to every difference e_i - e_{i+m}."""
+    period m, so pinning the first site's m coordinates leaves a basis of
+    the zero-mean space."""
     if opMatrix.dim != G.dim:
         raise ValueError(f"dimension mismatch: {opMatrix.dim} vs {G.dim}")
     if G.kernel is None:
@@ -454,8 +436,8 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     """Decide gamma > tau: sym(A) - tau G has no negative or zero eigenvalue
     on the zero-mean space, counted by _Shift (Sylvester, Haynsworth).
 
-    When a pivot or capacitance eigenvalue misses its rounding bound, or a
-    pivot is exactly zero, the pencil is solved by coercivity (same
+    When a pivot or capacitance eigenvalue misses its rounding bound, or the
+    factorization fails (_ldlt), the pencil is solved by coercivity (same
     dense_threshold and seed) and the report says so in its method. A tau
     within rounding of gamma can still clear the bounds; the sign there is
     whatever rounding made it.
@@ -463,8 +445,8 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     kernel = _pencil_kernel(opMatrix, G)
     try:
         shift = _Shift(opMatrix.sym_matrix, G.matrix, kernel, tau)
-    except RuntimeError:
-        # SuperLU stops on an exactly singular factor: a zero pivot
+    except (RuntimeError, np.linalg.LinAlgError):
+        # a zero pivot, or pivots off the diagonal: no inertia to read
         negative, min_pivot, margin = -1, 0.0, float("nan")
     else:
         negative, min_pivot, margin = shift.negative, shift.min_pivot, shift.margin

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bqcf
+from bqcf import ops1d, ops2d
 from bqcf.blend import build_blend_1d
 from bqcf.cli import main
 from bqcf.lattice1d import Chain1D
@@ -99,6 +100,27 @@ def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
                  "--ra", "2", "--kmax", "8", "--out", str(tmp_path / "s")])
     assert code == 2
     assert "config error: auxiliary operator not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["stability", "--method", "magic"],
+                                  ["stability", "--kind", "foo"],
+                                  ["stability", "--space", "2d", "--kind", "qcl"],
+                                  ["sweep1d", "--profile", "foo"],
+                                  ["sharp1d", "--profile", "foo"]])
+def test_unknown_enumerated_value_exits_2(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    key, value = argv[-2][2:], argv[-1]
+    assert f"config error: unknown {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, kinds, n", [("1d", ops1d._KINDS, "16"),
+                                             ("2d", ops2d._KINDS, "6")])
+def test_stability_runs_every_kind(tmp_path, space, kinds, n):
+    # a blended kind gets its blend, an unblended one none
+    for kind in kinds:
+        assert main(["stability", "--space", space, "--kind", kind, "--n", n,
+                     "--out", str(tmp_path / kind)]) == 0
 
 
 def test_stability_profile_flag(tmp_path):

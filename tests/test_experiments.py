@@ -89,7 +89,7 @@ def _fake_scan(monkeypatch, verdicts, gamma_at):
         lambda K, G, **kw: StabilityReport(gamma=gamma_at[K], minimizer=None,
                                            method="dense", residual=0.0,
                                            iterations=0))
-    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 3000, 7)
+    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 7, 3000)
 
 
 def test_scan_flags_every_later_sign_change(monkeypatch):
@@ -337,6 +337,10 @@ def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
         run({"experiment": "trace", "threads": 2}, out_dir=str(tmp_path / "t"))
     with pytest.raises(ConfigError, match="sweep1d does not read kmaz"):
         run({"experiment": "sweep1d", "kmaz": 8}, out_dir=str(tmp_path / "s"))
+    # the dense/iterative crossover is the solver's, not the experiment's
+    for name in ("sweep1d", "sweep2d"):
+        with pytest.raises(ConfigError, match=f"{name} does not read dense_threshold"):
+            run({"experiment": name, "dense_threshold": 1000}, out_dir=str(tmp_path / name))
     # the config grammar accepts hyphens in keys; the trace runner reads quad_n
     cfg = tmp_path / "trace.cfg"
     cfg.write_text("experiment = trace\nquad-n = 8\n")

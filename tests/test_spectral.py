@@ -15,10 +15,8 @@ from bqcf.ops2d import Op2D
 from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
     SparseOp,
-    _deflate,
     _Shift,
     _dense_gamma,
-    _kernel_reflectors,
     _lift,
     assemble,
     check_assembly,
@@ -415,38 +413,51 @@ def test_inertia_rejects_foreign_kernel():
         is_coercive(sop, gram_D(Chain1D(4)), 1e-10)
 
 
+def test_inertia_falls_back_when_the_factor_leaves_the_diagonal():
+    # at tau = phiF + phi2F every diagonal entry of sym(A) - tau G is zero,
+    # so SuperLU pivots off the diagonal and no inertia can be read
+    ch = Chain1D(64)
+    sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
+    rep = is_coercive(sop, gram_D(ch), 0.76)
+    assert rep.method == "dense" and rep.negative == -1
+    assert rep.coercive is False
+
+
 def _full_qr_reference(M, kernel):
     Q2 = scipy.linalg.qr(kernel, mode="full")[0][:, kernel.shape[1]:]
     return Q2, Q2.T @ M.toarray() @ Q2
 
 
-@pytest.mark.parametrize("space", ["1d", "2d"])
-def test_householder_deflation_matches_full_qr(space):
-    if space == "1d":
+@pytest.mark.parametrize("problem", ["1d", "1d-below-minus-one", "2d", "poincare"])
+def test_dense_path_matches_full_qr(problem):
+    if problem.startswith("1d"):
         ch = Chain1D(96)
-        op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(phiF=1.0, phi2F=-0.24),
-                  blend=build_blend_1d(ch, 14))
+        model, K = ((PairModel1D(phiF=1.0, phi2F=-0.24), 14) if problem == "1d"
+                    else (PairModel1D(phiF=100.0, phi2F=-24.0), 6))
+        A = assemble(Op1D(kind="bqcf", chain=ch, model=model,
+                          blend=build_blend_1d(ch, K))).sym_matrix
         G = gram_D(ch)
-    else:
+    elif problem == "2d":
         lat = TriLattice2D(6)
-        op = Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
-                  blend=_blend_2d_sharp(lat, 1, 4))
+        A = assemble(Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+                          blend=_blend_2d_sharp(lat, 1, 4))).sym_matrix
         G = gram_D(lat)
-    A = assemble(op).sym_matrix
-    refl = _kernel_reflectors(G.kernel)
-    assert len(refl) == G.kernel.shape[1]
-    for M in (A, G.matrix):
-        _, ref = _full_qr_reference(M, G.kernel)
-        got = np.triu(_deflate(M, refl))
-        assert np.abs(got - np.triu(ref)).max() <= 1e-10 * np.abs(ref).max()
-
+    else:
+        # the negated blending-region mass form poincare_discrete solves
+        lat = TriLattice2D(8)
+        sites = np.flatnonzero(make_regions(lat, 1, 3).mask(1).ravel())
+        idx = np.concatenate([2 * sites, 2 * sites + 1])
+        A = scipy.sparse.csr_matrix((np.full(idx.size, -lat.eps**2), (idx, idx)),
+                                    shape=(2 * (2 * lat.N) ** 2,) * 2)
+        G = gram_D(lat)
     Q2, Ar = _full_qr_reference(A, G.kernel)
     _, Gr = _full_qr_reference(G.matrix, G.kernel)
-    w, y = scipy.linalg.eigh(Ar, Gr, subset_by_index=[0, 0])
+    w, y = scipy.linalg.eigh(Ar, Gr, subset_by_index=[0, 3])
     gamma, x = _dense_gamma(A, G.matrix, G.kernel)
     assert gamma == pytest.approx(w[0], rel=1e-10, abs=1e-12)
     assert np.abs(G.kernel.T @ x).max() <= 1e-12 * np.linalg.norm(x)
-    # same eigenvector up to sign and the B-normalization
-    ref_x = Q2 @ y[:, 0]
-    cos = abs(x @ ref_x) / (np.linalg.norm(x) * np.linalg.norm(ref_x))
+    # x lies in the eigenspace of w[0]; the mask form's two displacement
+    # components decouple, so there it is at least two-dimensional
+    ref = np.linalg.qr(Q2 @ y[:, np.isclose(w, w[0], rtol=1e-8, atol=0.0)])[0]
+    cos = np.linalg.norm(ref.T @ x) / np.linalg.norm(x)
     assert cos == pytest.approx(1.0, abs=1e-8)
