@@ -1,8 +1,8 @@
 """Command line front end: every experiment runner as a subcommand.
 
-Flags mirror the config-file keys; a --config file is read first and
-explicit flags override it. Exit codes: 0 all checks passed, 1 a check
-failed, 2 malformed config or arguments.
+Flags mirror the config keys of experiments.EXPERIMENTS; a --config file is
+read first and explicit flags override it. Exit codes: 0 all checks passed,
+1 a check failed, 2 malformed config or arguments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,18 @@ import argparse
 import sys
 
 from .config import ConfigError, _value, load_config
-from .experiments import CONFIG_KEYS, run
+from .experiments import EXPERIMENTS, run
+
+
+def _help(spec) -> str:
+    """A flag's type, choices and default, from its EXPERIMENTS entry."""
+    if isinstance(spec, tuple):
+        return f"one of {', '.join(map(str, spec))}; default {spec[0]}"
+    if isinstance(spec, type):
+        return f"{spec.__name__}; the default depends on the other keys"
+    if isinstance(spec, list):
+        return f"{type(spec[0]).__name__} list; default {','.join(map(repr, spec))}"
+    return f"{type(spec).__name__}; default {spec!r}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -21,12 +32,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
     # one flag per config key the experiment reads, parsed through the config
     # value grammar so ranges like 1/128..1/2048 and lists like 8,16,32 work
-    for name, keys in CONFIG_KEYS.items():
+    for name, keys in EXPERIMENTS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--out", help="output directory")
-        for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), dest=key)
+        for key, spec in keys.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_help(spec))
     return parser
 
 
@@ -34,7 +45,7 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
-    for key in ("out",) + CONFIG_KEYS[args.experiment]:
+    for key in ("out", *EXPERIMENTS[args.experiment]):
         raw = getattr(args, key, None)
         if raw is not None:
             cfg[key] = _value(raw, key)

@@ -100,7 +100,7 @@ class ThresholdFit:
 
 
 class ModelRangeError(ValueError):
-    """The model lies outside the range a threshold sweep is defined on."""
+    """An input lies outside the range a threshold sweep is defined on."""
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
     for eps in eps_list:
         N = round(1.0 / eps)
         if N < 2 or abs(N * eps - 1.0) > 1e-9:
-            raise ValueError(f"eps = {eps!r} is not a reciprocal lattice size")
+            raise ModelRangeError(f"eps = {eps!r} is not a reciprocal lattice size")
         sizes.append(N)
 
     def work(N: int):
@@ -622,43 +622,18 @@ def trace_check(psi: str, r0: float, r1: float, u: TraceSample,
 
 
 # --- config-driven experiment drivers -----------------------------------
-
-def _need_model_1d(cfg) -> PairModel1D:
-    return PairModel1D(float(cfg.get("phiF", 1.0)), float(cfg.get("phi2F", -0.24)))
-
-
-def _need_model_2d(cfg) -> PairModel2D:
-    return unstable_toy_model(float(cfg.get("kappa0", 1.0)),
-                              float(cfg.get("eta", 0.3)))
-
-
-def _choice(cfg, key: str, default: str, table) -> str:
-    """cfg[key], or default when absent; a value outside table is a ConfigError."""
-    value = cfg.get(key, default)
-    if value not in table:
-        raise ConfigError(f"unknown {key} {value!r}; expected one of {', '.join(table)}")
-    return value
-
-
-def _aslist(v) -> list:
-    if isinstance(v, (list, tuple)):
-        return list(v)
-    return [v]
-
+# each runner reads the config run() resolved: every key of its EXPERIMENTS
+# entry, checked, and at its default when unset
 
 def _run_verify(cfg):
-    suite = cfg.get("suite", "all")
-    draws = int(cfg.get("draws", 100))
-    seed = int(cfg.get("seed", 7))
+    suite, draws, seed = cfg["suite"], cfg["draws"], cfg["seed"]
     rows, checks = [], []
-    if suite not in ("identities-1d", "identities-2d", "all"):
-        raise ConfigError(f"unknown suite {suite!r}")
 
     if suite in ("identities-1d", "all"):
-        model = _need_model_1d(cfg)
-        for N in _aslist(cfg.get("n1d", [8, 64, 512])):
-            chain = Chain1D(int(N))
-            rng = np.random.default_rng([seed, int(N)])
+        model = PairModel1D(cfg["phiF"], cfg["phi2F"])
+        for N in cfg["n1d"]:
+            chain = Chain1D(N)
+            rng = np.random.default_rng([seed, N])
             worst = 0.0
             for k in range(draws):
                 if k % 2 == 0 and chain.N >= 8:
@@ -667,14 +642,14 @@ def _run_verify(cfg):
                 else:
                     blend = blend_from_samples(chain, rng.uniform(size=2 * chain.N))
                 worst = max(worst, _divergence_residual_1d(chain, model, blend, rng))
-            rows.append({"suite": "identities-1d", "N": int(N), "draws": draws,
+            rows.append({"suite": "identities-1d", "N": N, "draws": draws,
                          "max_residual": worst})
 
     if suite in ("identities-2d", "all"):
-        model = _need_model_2d(cfg)
-        for N in _aslist(cfg.get("n2d", [4, 8, 16])):
-            lattice = TriLattice2D(int(N))
-            rng = np.random.default_rng([seed, 2, int(N)])
+        model = unstable_toy_model(cfg["kappa0"], cfg["eta"])
+        for N in cfg["n2d"]:
+            lattice = TriLattice2D(N)
+            rng = np.random.default_rng([seed, 2, N])
             worst = 0.0
             for k in range(draws):
                 beta = rng.uniform(size=(2 * lattice.N, 2 * lattice.N))
@@ -683,7 +658,7 @@ def _run_verify(cfg):
                                 profile="custom", margined=False)
                 worst = max(worst, _divergence_residual_2d(lattice, model, blend,
                                                            rng, _BONDS[k % 3]))
-            rows.append({"suite": "identities-2d", "N": int(N), "draws": draws,
+            rows.append({"suite": "identities-2d", "N": N, "draws": draws,
                          "max_residual": worst})
     # each row holds the maximum at its own size; a suite's verdict, all sizes
     for name in ("identities-1d", "identities-2d"):
@@ -692,7 +667,7 @@ def _run_verify(cfg):
                         default=0.0)
             checks.append((name, worst <= 1e-10, f"max residual {worst:.3e}"))
     fit = {"max_residual": max(r["max_residual"] for r in rows)}
-    return rows, fit, checks, _plot_generic("max_residual vs N")
+    return rows, fit, checks, _plot_generic("max_residual vs N", rows, "max_residual")
 
 
 def _rows_from_sweep(fit: ThresholdFit):
@@ -731,73 +706,62 @@ def _plot_sweep(fit: ThresholdFit, xlabel: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plot_generic(title: str) -> str:
+def _plot_generic(title: str, rows: list, column: str) -> str:
+    """gnuplot script drawing the result column of rows.csv against row number."""
     return ("set datafile separator ','\n"
             "set key autotitle columnhead\n"
             f"set title '{title}'\n"
-            "plot 'rows.csv' using 0:2 with linespoints\n")
+            f"plot 'rows.csv' using 0:{list(rows[0]).index(column) + 1} "
+            "with linespoints\n")
 
 
 def _run_sweep1d(cfg):
-    model = _need_model_1d(cfg)
-    eps = _aslist(cfg.get("eps", [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048]))
     try:
-        fit = sweep_threshold_1d(
-            model, eps, int(cfg.get("kmax", 64)),
-            profile=_choice(cfg, "profile", "poly7", PROFILES),
-            tol=float(cfg.get("tol", 1e-10)),
-            seed=int(cfg.get("seed", 7)))
+        fit = sweep_threshold_1d(PairModel1D(cfg["phiF"], cfg["phi2F"]), cfg["eps"],
+                                 cfg["kmax"], profile=cfg["profile"], tol=cfg["tol"],
+                                 seed=cfg["seed"])
     except ModelRangeError as err:
         raise ConfigError(str(err)) from err
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 3 and "degenerate" not in fit.flags:
-        lo, hi = _aslist(cfg.get("slope_window", [0.15, 0.25]))
+        lo, hi = 0.15, 0.25             # around the paper's threshold exponent 1/5
         checks.append(("slope-window", lo <= fit.slope <= hi,
                        f"slope {fit.slope:.4f} in [{lo}, {hi}]"))
-        r2min = float(cfg.get("r2_min", 0.9))
-        checks.append(("fit-quality", fit.r2 >= r2min,
-                       f"r2 {fit.r2:.4f} >= {r2min}"))
+        checks.append(("fit-quality", fit.r2 >= 0.9, f"r2 {fit.r2:.4f} >= 0.9"))
     return _rows_from_sweep(fit), _fit_json(fit), checks, _plot_sweep(fit, "1/eps")
 
 
+# (params key of sweep_threshold_2d, config key) that case 1, 2, 3 reads
+_CASE_KEYS = (("Ra", "ra"), ("alpha", "alpha"), ("c", "c"))
+
+
 def _run_sweep2d(cfg):
-    model = _need_model_2d(cfg)
-    case = int(cfg.get("case", 1))
-    params = {"N": _aslist(cfg.get("n", [8, 12, 16, 24])),
-              "K_max": int(cfg.get("kmax", 16)),
-              "K_min": int(cfg.get("kmin", 1)),
-              "profile": _choice(cfg, "profile", "poly7", PROFILES),
-              "tol": float(cfg.get("tol", 1e-10)),
-              "seed": int(cfg.get("seed", 7))}
-    if case == 1:
-        params["Ra"] = int(cfg.get("ra", 4))
-    elif case == 2:
-        params["alpha"] = float(cfg.get("alpha", 0.5))
-    else:
-        params["c"] = float(cfg.get("c", 0.125))
+    case = cfg["case"]
+    param, key = _CASE_KEYS[case - 1]
+    params = {"N": cfg["n"], "K_max": cfg["kmax"], "K_min": cfg["kmin"],
+              "profile": cfg["profile"], "tol": cfg["tol"], "seed": cfg["seed"],
+              param: cfg[key]}
     try:
-        fit = sweep_threshold_2d(model, case, params)
+        fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]),
+                                 case, params)
     except ModelRangeError as err:
         raise ConfigError(str(err)) from err
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
-        resid = max(abs(k - (fit.slope * _growth_rate(case, params.get("alpha"), e)
+        resid = max(abs(k - (fit.slope * _growth_rate(case, cfg["alpha"], e)
                              + fit.intercept)) for e, k in fit.pairs)
-        slack = float(cfg.get("growth_slack", 2.0))
-        checks.append(("bounded-growth", resid <= slack,
-                       f"max |K* - fit| = {resid:.3f} <= {slack}"))
+        checks.append(("bounded-growth", resid <= 2.0,      # in blend widths
+                       f"max |K* - fit| = {resid:.3f} <= 2.0"))
     return (_rows_from_sweep(fit), _fit_json(fit), checks,
             _plot_sweep(fit, "1/eps"))
 
 
 def _run_sharp1d(cfg):
-    model = _need_model_1d(cfg)
-    chain = Chain1D(int(cfg.get("n", 512)))
-    profile = _choice(cfg, "profile", "poly7", PROFILES)
-    rows, checks = [], []
-    best = None
-    for k in _aslist(cfg.get("k", [6])):
-        blend = build_blend_1d(chain, int(k), profile=profile)
+    model = PairModel1D(cfg["phiF"], cfg["phi2F"])
+    chain = Chain1D(cfg["n"])
+    rows, checks, probes = [], [], []
+    for k in cfg["k"]:
+        blend = build_blend_1d(chain, k, profile=cfg["profile"])
         res = sharpness_probe_1d(model, chain, blend)
         verdict = "indefinite" if res.conclusive else "inconclusive"
         rows.append({"eps": chain.eps, "K": blend.K, "rayleigh": res.rayleigh,
@@ -805,46 +769,37 @@ def _run_sharp1d(cfg):
                      "alpha": res.alpha, "verdict": verdict})
         checks.append((f"interface-term-K{blend.K}", True,
                        f"T {res.t_term:.4e} <= bound {res.t_bound:.4e}"))
-        if best is None or res.rayleigh < best.rayleigh:
-            best = res
+        probes.append(res)
+    best = min(probes, key=float)                       # the lowest Rayleigh quotient
     verdict = "indefinite" if best.conclusive else "inconclusive"
     fit = {"rayleigh": best.rayleigh, "c0": c0(model), "verdict": verdict}
-    return rows, fit, checks, _plot_generic("1d sharpness probe")
+    return rows, fit, checks, _plot_generic("1d sharpness probe", rows, "rayleigh")
 
 
 def _run_sharp2d(cfg):
-    model = _need_model_2d(cfg)
-    lattice = TriLattice2D(int(cfg.get("n", 24)))
-    Ra = int(cfg.get("ra", 4))
-    profile = _choice(cfg, "profile", "poly7", PROFILES)
+    model = unstable_toy_model(cfg["kappa0"], cfg["eta"])
+    lattice = TriLattice2D(cfg["n"])
+    Ra = cfg["ra"]
     rows, checks = [], []
-    worst = None
-    for k in _aslist(cfg.get("k", [3])):
-        K = int(k)
-        blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
+    for K in cfg["k"]:
+        blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=cfg["profile"])
         _, jprime = construct_layer_sets(lattice, blend)
         value = sharpness_probe_2d(lattice, model, blend, jprime)
         verdict = "indefinite" if value < 0 else "inconclusive"
         rows.append({"eps": lattice.eps, "K": K, "Ra": Ra, "Rb": Ra + K,
                      "form_value": value, "verdict": verdict})
         checks.append((f"probe-ran-K{K}", True, f"form {value:.4e}"))
-        if worst is None or value < worst:
-            worst = value
+    worst = min(r["form_value"] for r in rows)
     fit = {"form_value": worst,
            "verdict": "indefinite" if worst < 0 else "inconclusive"}
-    return rows, fit, checks, _plot_generic("2d sharpness probe")
+    return rows, fit, checks, _plot_generic("2d sharpness probe", rows, "form_value")
 
 
 def _run_poincare(cfg):
-    sizes = [int(n) for n in _aslist(cfg.get("n", [8, 16, 32, 64]))]
-    ra_frac = float(cfg.get("ra_frac", 0.125))
-    rb_frac = float(cfg.get("rb_frac", 0.25))
-    window = float(cfg.get("window", 50.0))
-    rows = []
-    normd = []
-    for N in sizes:
+    rows, normd = [], []
+    for N in cfg["n"]:
         lattice = TriLattice2D(N)
-        Ra, Rb = round(ra_frac * N), round(rb_frac * N)
+        Ra, Rb = round(cfg["ra_frac"] * N), round(cfg["rb_frac"] * N)
         t0 = time.perf_counter()
         ratio = poincare_discrete(lattice, make_regions(lattice, Ra, Rb))
         dt = time.perf_counter() - t0
@@ -854,30 +809,25 @@ def _run_poincare(cfg):
         rows.append({"N": N, "Ra": Ra, "Rb": Rb, "ratio": ratio, "cp2": cp2,
                      "normalized": ratio / cp2, "wallclock_seconds": dt})
         normd.append(ratio / cp2)
+    window = 50.0       # the ratio follows its scaling up to a constant factor
     spread = max(normd) / min(normd) if min(normd) > 0 else float("inf")
     ok = spread <= window and all(1 / window <= v <= window for v in normd)
     checks = [("poincare-window", ok,
                f"normalized ratios {', '.join(f'{v:.4f}' for v in normd)}, "
                f"spread {spread:.3f} <= {window}")]
     fit = {"normalized": normd, "spread": spread}
-    return rows, fit, checks, _plot_generic("poincare ratio")
+    return rows, fit, checks, _plot_generic("poincare ratio", rows, "normalized")
 
 
 def _run_trace(cfg):
-    psi = cfg.get("psi", "hexagon")
-    r1 = float(cfg.get("r1", 1.0))
-    r0s = [float(r) for r in _aslist(cfg.get("r0", [1e-2, 1e-3, 1e-4]))]
-    quad_n = int(cfg.get("quad_n", 8))
-    npoly = int(cfg.get("npoly", 20))
-    rng = np.random.default_rng(int(cfg.get("seed", 7)))
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
-    ok_dir = True
-    ok_log = True
-    for r0 in r0s:
+    ok_dir = ok_log = True
+    for r0 in cfg["r0"]:
         samples = [sample_constant(), sample_log()]
-        samples += [sample_poly(rng) for _ in range(npoly)]
+        samples += [sample_poly(rng) for _ in range(cfg["npoly"])]
         for s in samples:
-            out = trace_check(psi, r0, r1, s, quad_n)
+            out = trace_check(cfg["psi"], r0, cfg["r1"], s, cfg["quad_n"])
             rows.append({"sample": s.name, "r0": r0, "lhs": out["lhs"],
                          "rhs": out["rhs"], "ratio": out["ratio"]})
             if out["ratio"] > 1.0 + 1e-3:
@@ -887,45 +837,41 @@ def _run_trace(cfg):
     worst = max(r["ratio"] for r in rows)
     checks = [("trace-direction", ok_dir, f"max ratio {worst:.6f} <= 1.001"),
               ("log-sharpness", ok_log, "log witness ratio >= 0.01")]
-    return rows, {"max_ratio": worst}, checks, _plot_generic("trace ratios")
+    return (rows, {"max_ratio": worst}, checks,
+            _plot_generic("trace ratios", rows, "ratio"))
 
 
 def _run_stability(cfg):
-    space = cfg.get("space", "1d")
-    method = _choice(cfg, "method", "auto", METHODS)
-    profile = _choice(cfg, "profile", "poly7", PROFILES)
-    seed = int(cfg.get("seed", 7))
+    space, kind, profile = cfg["space"], cfg["kind"], cfg["profile"]
+    # n, k and ra are None when unset: their defaults follow from space and n
+    n, k, ra = cfg["n"], cfg["k"], cfg["ra"]
+    _checked("kind", kind, (ops1d if space == "1d" else ops2d)._KINDS)
+    blend = None
     if space == "1d":
-        model = _need_model_1d(cfg)
-        chain = Chain1D(int(cfg.get("n", 64)))
-        kind = _choice(cfg, "kind", "bqcf", ops1d._KINDS)
-        blend = None
+        model = PairModel1D(cfg["phiF"], cfg["phi2F"])
+        chain = Chain1D(64 if n is None else n)
         if kind in ops1d._BLENDED:
-            blend = build_blend_1d(chain, int(cfg.get("k", 8)), profile=profile)
+            blend = build_blend_1d(chain, 8 if k is None else k, profile=profile)
         op = Op1D(kind=kind, chain=chain, model=model, blend=blend)
         G = gram_D(chain)
         base = c0(model)
-    elif space == "2d":
-        model = _need_model_2d(cfg)
-        lattice = TriLattice2D(int(cfg.get("n", 8)))
-        kind = _choice(cfg, "kind", "bqcf", ops2d._KINDS)
-        blend = None
+    else:
+        model = unstable_toy_model(cfg["kappa0"], cfg["eta"])
+        lattice = TriLattice2D(8 if n is None else n)
         if kind in ops2d._BLENDED:
-            Ra = int(cfg.get("ra", lattice.N // 4))
-            K = int(cfg.get("k", lattice.N // 4))
+            Ra = lattice.N // 4 if ra is None else ra
+            K = lattice.N // 4 if k is None else k
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
         op = Op2D(kind=kind, lattice=lattice, model=model, blend=blend)
         G = gram_D(lattice)
         base = float("nan")
-    else:
-        raise ConfigError(f"unknown space {space!r}")
-    rep = coercivity(assemble(op), G, method=method, seed=seed)
+    rep = coercivity(assemble(op), G, method=cfg["method"], seed=cfg["seed"])
     rows = [{"space": space, "kind": kind, "gamma": rep.gamma,
              "method": rep.method, "residual": rep.residual,
              "iterations": rep.iterations, "c0": base}]
     fit = {"gamma": rep.gamma, "method": rep.method}
     return rows, fit, [("solved", True, f"gamma {rep.gamma:.6e}")], \
-        _plot_generic("stability")
+        _plot_generic("stability", rows, "gamma")
 
 
 _RUNNERS = {"verify": _run_verify, "sweep1d": _run_sweep1d,
@@ -933,36 +879,81 @@ _RUNNERS = {"verify": _run_verify, "sweep1d": _run_sweep1d,
             "sharp2d": _run_sharp2d, "poincare": _run_poincare,
             "trace": _run_trace, "stability": _run_stability}
 
-# the config keys each runner reads, besides experiment and out; the command
-# line offers each one as a flag, and run() rejects any other key
-CONFIG_KEYS = {
-    "verify": ("suite", "draws", "n1d", "n2d", "phiF", "phi2F", "kappa0", "eta",
-               "seed"),
-    "sweep1d": ("phiF", "phi2F", "eps", "kmax", "profile", "tol", "slope_window",
-                "r2_min", "seed"),
-    "sweep2d": ("case", "n", "ra", "alpha", "c", "kmax", "kmin", "kappa0",
-                "eta", "profile", "tol", "growth_slack", "seed"),
-    "sharp1d": ("phiF", "phi2F", "n", "k", "profile"),
-    "sharp2d": ("n", "ra", "k", "kappa0", "eta", "profile"),
-    "poincare": ("n", "ra_frac", "rb_frac", "window"),
-    "trace": ("psi", "r0", "r1", "quad_n", "npoly", "seed"),
-    "stability": ("space", "kind", "n", "k", "ra", "phiF", "phi2F",
-                  "kappa0", "eta", "method", "profile", "seed"),
+# The config keys each experiment reads besides experiment and out, each at
+# its default; a value set must have the default's type (an int passes as a
+# float, one value as a one-item list). A tuple holds the choices, the first
+# the default; a bare type leaves the key None for its runner to derive.
+EXPERIMENTS = {
+    "verify": {"suite": ("all", "identities-1d", "identities-2d"), "draws": 100,
+               "n1d": [8, 64, 512], "n2d": [4, 8, 16], "phiF": 1.0,
+               "phi2F": -0.24, "kappa0": 1.0, "eta": 0.3, "seed": 7},
+    "sweep1d": {"phiF": 1.0, "phi2F": -0.24,
+                "eps": [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048],
+                "kmax": 64, "profile": PROFILES, "tol": 1e-10, "seed": 7},
+    "sweep2d": {"case": (1, 2, 3), "n": [8, 12, 16, 24], "ra": 4, "alpha": 0.5,
+                "c": 0.125, "kmax": 16, "kmin": 1, "kappa0": 1.0, "eta": 0.3,
+                "profile": PROFILES, "tol": 1e-10, "seed": 7},
+    "sharp1d": {"phiF": 1.0, "phi2F": -0.24, "n": 512, "k": [6],
+                "profile": PROFILES},
+    "sharp2d": {"n": 24, "ra": 4, "k": [3], "kappa0": 1.0, "eta": 0.3,
+                "profile": PROFILES},
+    "poincare": {"n": [8, 16, 32, 64], "ra_frac": 0.125, "rb_frac": 0.25},
+    "trace": {"psi": ("hexagon", "hex", "circle"), "r0": [1e-2, 1e-3, 1e-4],
+              "r1": 1.0, "quad_n": 8, "npoly": 20, "seed": 7},
+    "stability": {"space": ("1d", "2d"),
+                  "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + ops2d._KINDS)),
+                  "n": int, "k": int, "ra": int, "phiF": 1.0, "phi2F": -0.24,
+                  "kappa0": 1.0, "eta": 0.3, "method": METHODS,
+                  "profile": PROFILES, "seed": 7},
 }
+
+
+def _checked(key: str, value, spec):
+    """value, set for key, checked against its EXPERIMENTS entry spec."""
+    if isinstance(spec, tuple):
+        if value not in spec or type(value) is not type(spec[0]):
+            raise ConfigError(f"unknown {key} {value!r}; expected one of "
+                              f"{', '.join(map(str, spec))}")
+        return value
+    if isinstance(spec, list):
+        items = value if isinstance(value, list) else [value]
+        return [_checked(key, v, spec[0]) for v in items]
+    want = spec if isinstance(spec, type) else type(spec)
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want:
+        raise ConfigError(f"{key} must be {want.__name__}, got {value!r}")
+    return value
+
+
+def _resolve(name: str, cfg: dict) -> dict:
+    """The config the runner of experiment name reads: every key of its
+    EXPERIMENTS entry, checked, or at its default when cfg does not set it."""
+    table = EXPERIMENTS[name]
+    unread = sorted(set(cfg) - {"experiment", "out"} - set(table))
+    if unread:
+        raise ConfigError(f"{name} does not read {', '.join(unread)}; its keys "
+                          f"are {', '.join(table)}")
+    out = {key: _checked(key, cfg[key], spec) if key in cfg
+           else spec[0] if isinstance(spec, tuple)
+           else None if isinstance(spec, type) else spec
+           for key, spec in table.items()}
+    if name == "sweep2d":
+        read = _CASE_KEYS[out["case"] - 1][1]
+        unread = [key for _, key in _CASE_KEYS if key in cfg and key != read]
+        if unread:
+            raise ConfigError(f"sweep2d case {out['case']} does not read "
+                              f"{', '.join(unread)}; it reads {read}")
+    return out
 
 
 def _write_rows(path: str, rows: list) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if not rows:
-            fh.write("")
             return
-        cols = list(rows[0].keys())
-        w = csv.DictWriter(fh, fieldnames=cols, quoting=csv.QUOTE_MINIMAL)
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        key_cols = [c for c in ("eps", "Ra", "Rb", "K", "N", "r0", "sample")
-                    if c in cols]
-        for row in sorted(rows, key=lambda r: tuple(str(r[c]) for c in key_cols)):
-            w.writerow({k: format_value(v) for k, v in row.items()})
+        w.writerows({k: format_value(v) for k, v in row.items()} for row in rows)
 
 
 def run(config, out_dir: Optional[str] = None) -> int:
@@ -970,20 +961,17 @@ def run(config, out_dir: Optional[str] = None) -> int:
 
     Writes rows.csv, fit.json, summary.txt and plot.gp into the output
     directory and returns the exit code: 0 when every check passed, 1 when
-    a check failed. Malformed configs, and keys the experiment does not
-    read, raise ConfigError (exit code 2 at the command line)."""
+    a check failed. Malformed configs, keys the experiment does not read,
+    and values of the wrong type or outside their choices raise ConfigError
+    (exit code 2 at the command line) before the experiment starts."""
     cfg = load_config(config) if isinstance(config, str) else dict(config)
     name = cfg.get("experiment")
     if name not in _RUNNERS:
         raise ConfigError(f"unknown or missing experiment {name!r}; "
                           f"expected one of {sorted(_RUNNERS)}")
-    unread = sorted(set(cfg) - {"experiment", "out"} - set(CONFIG_KEYS[name]))
-    if unread:
-        raise ConfigError(f"{name} does not read {', '.join(unread)}; its keys "
-                          f"are {', '.join(CONFIG_KEYS[name])}")
     out = out_dir or cfg.get("out") or "bqcf_out"
+    cfg = _resolve(name, cfg)                   # before the output directory exists
     os.makedirs(out, exist_ok=True)
-
     rows, fit, checks, plot = _RUNNERS[name](cfg)
 
     _write_rows(os.path.join(out, "rows.csv"), rows)

@@ -51,6 +51,30 @@ def test_verify_rows_hold_the_maximum_of_their_own_size(tmp_path):
     assert fit["max_residual"] == max(float(v) for v in both.values())
 
 
+def test_verify_rows_follow_the_configured_sizes(tmp_path):
+    out = tmp_path / "verify"
+    assert main(["verify", "--draws", "2", "--n1d", "8,16", "--n2d", "4",
+                 "--out", str(out)]) == 0
+    lines = (out / "rows.csv").read_text().splitlines()[1:]
+    assert [tuple(ln.split(",")[:2]) for ln in lines] == [
+        ("identities-1d", "8"), ("identities-1d", "16"), ("identities-2d", "4")]
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["verify", "--draws", "2", "--n1d", "8", "--n2d", "4"], "max_residual"),
+    (["sharp1d", "--n", "64", "--k", "6"], "rayleigh"),
+    (["poincare", "--n", "8"], "normalized"),
+    (["trace", "--r0", "1e-2", "--npoly", "1"], "ratio"),
+    (["stability", "--n", "16"], "gamma")])
+def test_plot_draws_the_result_column(tmp_path, argv, column):
+    out = tmp_path / argv[0]
+    assert main(argv + ["--out", str(out)]) == 0
+    header = (out / "rows.csv").read_text().splitlines()[0].split(",")
+    # gnuplot is not needed: the script names the column by its index
+    plot = (out / "plot.gp").read_text()
+    assert f"using 0:{header.index(column) + 1} " in plot
+
+
 def test_sweep1d_writes_fit(tmp_path):
     out = tmp_path / "sweep"
     code = main(["sweep1d", "--eps", "1/16,1/32", "--kmax", "16",
@@ -112,6 +136,41 @@ def test_unknown_enumerated_value_exits_2(tmp_path, capsys, argv):
     assert code == 2
     key, value = argv[-2][2:], argv[-1]
     assert f"config error: unknown {key} {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep1d", "--kmax", "foo"],
+    ["sweep1d", "--tol", "abc"],
+    ["stability", "--n", "8,16"],
+    ["sweep2d", "--case", "4"],
+    ["trace", "--psi", "foo"],
+    ["sweep2d", "--case", "2", "--alpha", "x"],
+    ["stability", "--seed", "abc"],
+    ["sweep1d", "--eps", "1/16", "--kmax", "8", "--seed", "1.5"],
+    ["sharp1d", "--n", "64", "--k", "6.5"],
+    ["sweep1d", "--eps", "0.3"],
+    ["sweep2d", "--case", "2", "--n", "8", "--kmax", "4", "--ra", "5"]])
+def test_malformed_value_exits_2(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_help_shows_each_default_and_choices(capsys):
+    def help_text(name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    text = help_text("stability")
+    assert "--space SPACE one of 1d, 2d; default 1d" in text
+    assert "--method METHOD one of auto, dense, iterative; default auto" in text
+    assert "--phi2F PHI2F float; default -0.24" in text
+    assert "--n N int; the default depends on the other keys" in text
+    text = help_text("sweep1d")
+    assert "--eps EPS float list; default 0.0078125,0.00390625," in text
+    assert "--seed SEED int; default 7" in text
 
 
 @pytest.mark.parametrize("space, kinds, n", [("1d", ops1d._KINDS, "16"),

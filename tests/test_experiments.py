@@ -318,11 +318,11 @@ def test_run_from_config_file(tmp_path):
 
 
 def test_run_reports_failed_checks(tmp_path):
-    # a spread window of 1 cannot hold two distinct normalized ratios
-    code = run({"experiment": "poincare", "n": [8, 16], "window": 1.0},
-               out_dir=str(tmp_path / "poi"))
+    # a window of K = 6 alone holds no sign change at eps = 1/16: no threshold
+    code = run({"experiment": "sweep1d", "eps": [1 / 16], "kmax": 6},
+               out_dir=str(tmp_path / "s"))
     assert code == 1
-    assert "overall: FAIL" in (tmp_path / "poi" / "summary.txt").read_text()
+    assert "overall: FAIL" in (tmp_path / "s" / "summary.txt").read_text()
 
 
 def test_run_rejects_unknown_experiment(tmp_path):
@@ -346,3 +346,32 @@ def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
     cfg.write_text("experiment = trace\nquad-n = 8\n")
     with pytest.raises(ConfigError, match="trace does not read quad-n"):
         run(str(cfg), out_dir=str(tmp_path / "q"))
+    # the verdict windows are constants of their checks, not config keys
+    for name, key in (("sweep1d", "slope_window"), ("sweep1d", "r2_min"),
+                      ("sweep2d", "growth_slack"), ("poincare", "window")):
+        with pytest.raises(ConfigError, match=f"{name} does not read {key}"):
+            run({"experiment": name, key: 1.0}, out_dir=str(tmp_path / key))
+    # each sweep2d case reads one defect-radius key of ra, alpha and c
+    with pytest.raises(ConfigError, match="sweep2d case 2 does not read ra; it reads alpha"):
+        run({"experiment": "sweep2d", "case": 2, "ra": 5}, out_dir=str(tmp_path / "c"))
+    with pytest.raises(ConfigError, match="sweep2d case 1 does not read alpha, c"):
+        run({"experiment": "sweep2d", "alpha": 0.5, "c": 0.1}, out_dir=str(tmp_path / "c"))
+    assert not (tmp_path / "c").exists()
+
+
+def test_resolved_config_has_every_key_at_its_type():
+    cfg = experiments._resolve("trace", {"experiment": "trace", "r1": 1, "r0": 0.01})
+    assert list(cfg) == list(experiments.EXPERIMENTS["trace"])
+    # an int passes as a float, one value as a one-item list
+    assert cfg["r1"] == 1.0 and type(cfg["r1"]) is float
+    assert cfg["r0"] == [0.01]
+    assert cfg["psi"] == "hexagon" and cfg["npoly"] == 20 and cfg["seed"] == 7
+    # defaults that follow from other keys stay unset for the runner
+    stab = experiments._resolve("stability", {"space": "2d"})
+    assert (stab["n"], stab["k"], stab["ra"]) == (None, None, None)
+    assert (stab["method"], stab["profile"], stab["kind"]) == ("auto", "poly7", "bqcf")
+    for value in (True, 8.0, "8"):
+        with pytest.raises(ConfigError, match="n must be int"):
+            experiments._resolve("stability", {"n": value})
+    with pytest.raises(ConfigError, match="unknown case 2.0"):
+        experiments._resolve("sweep2d", {"case": 2.0})
