@@ -20,6 +20,7 @@ from itertools import product
 
 import numpy as np
 
+from .config import ModelRangeError
 from .lattice1d import Chain1D, diff
 from .lattice2d import TriLattice2D, diff2d, ring_number
 
@@ -120,9 +121,9 @@ def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly
     """
     n = chain.nsites
     if K < 6:
-        raise ValueError("blending window too narrow: need K >= 6 for the margins")
+        raise ModelRangeError("blending window too narrow: need K >= 6 for the margins")
     if 2 * K + 2 > n:
-        raise ValueError(f"blending windows exceed the period: 2*{K}+2 > {n}")
+        raise ModelRangeError(f"blending windows exceed the period: 2*{K}+2 > {n}")
     m = np.arange(K)
     vals_up = profile_value(profile, (m - 1.5) / (K - 4))
     vals_down = profile_value(profile, (K - 2.5 - m) / (K - 4))
@@ -227,11 +228,11 @@ def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly
     differences supported inside the blending annulus (stencil reach 3).
     """
     if Ra < 0:
-        raise ValueError("Ra must be nonnegative")
+        raise ModelRangeError("Ra must be nonnegative")
     if not Ra + 3 < Rb - 3:
-        raise ValueError("margin violation: need Ra + 3 < Rb - 3")
+        raise ModelRangeError("margin violation: need Ra + 3 < Rb - 3")
     if 2 * Rb > lattice.N:
-        raise ValueError(f"Rb = {Rb} exceeds N/2 = {lattice.N / 2:g}")
+        raise ModelRangeError(f"Rb = {Rb} exceeds N/2 = {lattice.N / 2:g}")
     ring = ring_number(lattice)
     t = (ring - (Ra + 3)) / (Rb - Ra - 6)
     beta = 1.0 - profile_value(profile, t)
@@ -251,9 +252,9 @@ def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "pol
     the bound suites reject these (margined=False).
     """
     if not 0 <= Ra < Rb:
-        raise ValueError("need 0 <= Ra < Rb")
+        raise ModelRangeError("need 0 <= Ra < Rb")
     if Rb > lattice.N:
-        raise ValueError("Rb exceeds the periodic cell")
+        raise ModelRangeError("Rb exceeds the periodic cell")
     ring = ring_number(lattice)
     t = (ring - Ra) / (Rb - Ra)
     beta = 1.0 - profile_value(profile, t)

@@ -11,11 +11,15 @@ import argparse
 import sys
 
 from .config import ConfigError, _value, load_config
-from .experiments import EXPERIMENTS, run
+from .experiments import EXPERIMENTS, _When, run
 
 
 def _help(spec) -> str:
     """A flag's type, choices and default, from its EXPERIMENTS entry."""
+    if isinstance(spec, _When):
+        when = " and ".join(f"{key} {' or '.join(map(str, values))}"
+                            for key, values in spec.when.items())
+        return f"{_help(spec.spec)}; read only with {when}"
     if isinstance(spec, tuple):
         return f"one of {', '.join(map(str, spec))}; default {spec[0]}"
     if isinstance(spec, type):

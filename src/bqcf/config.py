@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["ConfigError", "parse_config", "load_config", "format_value"]
+__all__ = ["ConfigError", "ModelRangeError", "parse_config", "load_config", "format_value"]
 
 
 class ConfigError(ValueError):
     """Malformed configuration; message carries the offending line."""
+
+
+class ModelRangeError(ValueError):
+    """An input lies outside the range a library function is defined on:
+    a lattice size, a blend width or radius, a model constant. experiments.run
+    reports it as a ConfigError."""
 
 
 _FRACTION = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")

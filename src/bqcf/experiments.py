@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import ops1d, ops2d
 from .blend import (PROFILES, Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples,
                     build_blend_1d)
-from .config import ConfigError, format_value, load_config
+from .config import ConfigError, ModelRangeError, format_value, load_config
 from .lattice1d import Chain1D, diff, norms, random_zero_mean
 from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
                         random_zero_mean_2d, ring_number)
@@ -34,7 +34,7 @@ from .ops1d import (Op1D, _rst_terms, _sharpness_parts, divergence_form,
 from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
                     divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
-from .spectral import METHODS, SparseOp, assemble, coercivity, gram_D, is_coercive
+from .spectral import METHODS, BlendPattern, SparseOp, assemble, coercivity, gram_D
 
 __all__ = [
     "SweepRow", "ScanProbe", "ThresholdFit", "ProbeResult", "TraceSample",
@@ -97,10 +97,6 @@ class ThresholdFit:
     rows: tuple = ()
     flags: tuple = ()
     scan: tuple = ()
-
-
-class ModelRangeError(ValueError):
-    """An input lies outside the range a threshold sweep is defined on."""
 
 
 @dataclass(frozen=True)
@@ -182,7 +178,9 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
     then pencil solves at K*-1 and K* only.
 
-    build(K) returns the operator at blend width K. K* is the smallest K the
+    build(K) returns the operator at blend width K. The scan assembles once:
+    one BlendPattern, built from the first operator, answers every probe by
+    refilling its values at that K's blend. K* is the smallest K the
     scan finds coercive (gamma > tol); every later change of verdict is
     flagged, so gamma need not be monotone in K. The solves at K*-1 and K*
     must agree with the scan's verdicts there, otherwise this raises.
@@ -190,13 +188,12 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     """
     where = f"eps=1/{round(1 / eps)}"
     scan, flags, boundary = [], [], {}
-    kstar = last = verdict = None
+    kstar = last = verdict = pattern = None
     for K in range(k_floor, k_cap + 1):
         op = build(K)
-        # assembled matrices are dropped after each probe; only the light
-        # operators at K*-1 and K* are kept, and assembled again below
-        rep = is_coercive(assemble(op), G, tol, dense_threshold=dense_threshold,
-                          seed=seed)
+        if pattern is None:
+            pattern = BlendPattern(op, G)
+        rep = pattern.is_coercive(op, tol, dense_threshold=dense_threshold, seed=seed)
         scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
                               min_pivot=rep.min_pivot, fallback=rep.fallback))
         if kstar is None and rep.coercive:
@@ -205,6 +202,9 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
         elif kstar is not None and rep.coercive != verdict:
             flags.append(f"sign-change:{where},K={K}")
         verdict, last = rep.coercive, op
+    # the pattern lives for this scan only; the light operators at K*-1 and
+    # K* are kept and assembled below, for their value solves
+    del pattern
     if kstar is None:
         return None, {}, scan, [f"no-sign-change:{where}"]
 
@@ -600,7 +600,7 @@ def trace_check(psi: str, r0: float, r1: float, u: TraceSample,
     elif psi != "circle":
         raise ValueError(f"unknown gauge {psi!r}: expected hexagon or circle")
     if not 0.0 < r0 < r1 <= 1.0:
-        raise ValueError(f"need 0 < r0 < r1 <= 1, got r0={r0!r}, r1={r1!r}")
+        raise ModelRangeError(f"need 0 < r0 < r1 <= 1, got r0={r0!r}, r1={r1!r}")
     if not isinstance(u, TraceSample):
         raise TypeError("u must be a TraceSample")
 
@@ -716,12 +716,9 @@ def _plot_generic(title: str, rows: list, column: str) -> str:
 
 
 def _run_sweep1d(cfg):
-    try:
-        fit = sweep_threshold_1d(PairModel1D(cfg["phiF"], cfg["phi2F"]), cfg["eps"],
-                                 cfg["kmax"], profile=cfg["profile"], tol=cfg["tol"],
-                                 seed=cfg["seed"])
-    except ModelRangeError as err:
-        raise ConfigError(str(err)) from err
+    fit = sweep_threshold_1d(PairModel1D(cfg["phiF"], cfg["phi2F"]), cfg["eps"],
+                             cfg["kmax"], profile=cfg["profile"], tol=cfg["tol"],
+                             seed=cfg["seed"])
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 3 and "degenerate" not in fit.flags:
         lo, hi = 0.15, 0.25             # around the paper's threshold exponent 1/5
@@ -741,11 +738,7 @@ def _run_sweep2d(cfg):
     params = {"N": cfg["n"], "K_max": cfg["kmax"], "K_min": cfg["kmin"],
               "profile": cfg["profile"], "tol": cfg["tol"], "seed": cfg["seed"],
               param: cfg[key]}
-    try:
-        fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]),
-                                 case, params)
-    except ModelRangeError as err:
-        raise ConfigError(str(err)) from err
+    fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]), case, params)
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
         resid = max(abs(k - (fit.slope * _growth_rate(case, cfg["alpha"], e)
@@ -879,19 +872,44 @@ _RUNNERS = {"verify": _run_verify, "sweep1d": _run_sweep1d,
             "sharp2d": _run_sharp2d, "poincare": _run_poincare,
             "trace": _run_trace, "stability": _run_stability}
 
+
+@dataclass(frozen=True)
+class _When:
+    """An EXPERIMENTS entry read only when every key of when holds one of
+    its values; set otherwise, it is a config error."""
+
+    spec: object
+    when: dict
+
+    def holds(self, cfg: dict) -> bool:
+        return all(cfg[key] in values for key, values in self.when.items())
+
+
+def _only(spec, **when) -> _When:
+    return _When(spec, when)
+
+
+_IDS_1D, _IDS_2D = ("all", "identities-1d"), ("all", "identities-2d")
+_BLENDED_KINDS = tuple(dict.fromkeys(ops1d._BLENDED + ops2d._BLENDED))
+
 # The config keys each experiment reads besides experiment and out, each at
 # its default; a value set must have the default's type (an int passes as a
 # float, one value as a one-item list). A tuple holds the choices, the first
-# the default; a bare type leaves the key None for its runner to derive.
+# the default; a bare type leaves the key None for its runner to derive; _only
+# marks a key read only under some values of other keys.
 EXPERIMENTS = {
     "verify": {"suite": ("all", "identities-1d", "identities-2d"), "draws": 100,
-               "n1d": [8, 64, 512], "n2d": [4, 8, 16], "phiF": 1.0,
-               "phi2F": -0.24, "kappa0": 1.0, "eta": 0.3, "seed": 7},
+               "n1d": _only([8, 64, 512], suite=_IDS_1D),
+               "n2d": _only([4, 8, 16], suite=_IDS_2D),
+               "phiF": _only(1.0, suite=_IDS_1D), "phi2F": _only(-0.24, suite=_IDS_1D),
+               "kappa0": _only(1.0, suite=_IDS_2D), "eta": _only(0.3, suite=_IDS_2D),
+               "seed": 7},
     "sweep1d": {"phiF": 1.0, "phi2F": -0.24,
                 "eps": [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048],
                 "kmax": 64, "profile": PROFILES, "tol": 1e-10, "seed": 7},
-    "sweep2d": {"case": (1, 2, 3), "n": [8, 12, 16, 24], "ra": 4, "alpha": 0.5,
-                "c": 0.125, "kmax": 16, "kmin": 1, "kappa0": 1.0, "eta": 0.3,
+    "sweep2d": {"case": (1, 2, 3), "n": [8, 12, 16, 24], "ra": _only(4, case=(1,)),
+                "alpha": _only(0.5, case=(2,)), "c": _only(0.125, case=(3,)),
+                "kmax": 16, "kmin": 1, "kappa0": 1.0, "eta": 0.3,
                 "profile": PROFILES, "tol": 1e-10, "seed": 7},
     "sharp1d": {"phiF": 1.0, "phi2F": -0.24, "n": 512, "k": [6],
                 "profile": PROFILES},
@@ -902,14 +920,19 @@ EXPERIMENTS = {
               "r1": 1.0, "quad_n": 8, "npoly": 20, "seed": 7},
     "stability": {"space": ("1d", "2d"),
                   "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + ops2d._KINDS)),
-                  "n": int, "k": int, "ra": int, "phiF": 1.0, "phi2F": -0.24,
-                  "kappa0": 1.0, "eta": 0.3, "method": METHODS,
-                  "profile": PROFILES, "seed": 7},
+                  "n": int, "k": _only(int, kind=_BLENDED_KINDS),
+                  "ra": _only(int, space=("2d",), kind=ops2d._BLENDED),
+                  "phiF": _only(1.0, space=("1d",)), "phi2F": _only(-0.24, space=("1d",)),
+                  "kappa0": _only(1.0, space=("2d",)), "eta": _only(0.3, space=("2d",)),
+                  "method": METHODS, "profile": _only(PROFILES, kind=_BLENDED_KINDS),
+                  "seed": 7},
 }
 
 
 def _checked(key: str, value, spec):
     """value, set for key, checked against its EXPERIMENTS entry spec."""
+    if isinstance(spec, _When):
+        return _checked(key, value, spec.spec)
     if isinstance(spec, tuple):
         if value not in spec or type(value) is not type(spec[0]):
             raise ConfigError(f"unknown {key} {value!r}; expected one of "
@@ -926,24 +949,33 @@ def _checked(key: str, value, spec):
     return value
 
 
+def _default(spec):
+    if isinstance(spec, _When):
+        return _default(spec.spec)
+    return spec[0] if isinstance(spec, tuple) else None if isinstance(spec, type) else spec
+
+
 def _resolve(name: str, cfg: dict) -> dict:
     """The config the runner of experiment name reads: every key of its
-    EXPERIMENTS entry, checked, or at its default when cfg does not set it."""
+    EXPERIMENTS entry, checked, or at its default when cfg does not set it.
+    A key set where the values of other keys leave it unread is an error."""
     table = EXPERIMENTS[name]
     unread = sorted(set(cfg) - {"experiment", "out"} - set(table))
     if unread:
         raise ConfigError(f"{name} does not read {', '.join(unread)}; its keys "
                           f"are {', '.join(table)}")
-    out = {key: _checked(key, cfg[key], spec) if key in cfg
-           else spec[0] if isinstance(spec, tuple)
-           else None if isinstance(spec, type) else spec
+    out = {key: _checked(key, cfg[key], spec) if key in cfg else _default(spec)
            for key, spec in table.items()}
-    if name == "sweep2d":
-        read = _CASE_KEYS[out["case"] - 1][1]
-        unread = [key for _, key in _CASE_KEYS if key in cfg and key != read]
-        if unread:
-            raise ConfigError(f"sweep2d case {out['case']} does not read "
-                              f"{', '.join(unread)}; it reads {read}")
+    when = {key: spec for key, spec in table.items() if isinstance(spec, _When)}
+    unread = {}                     # by the first key whose value leaves them unread
+    for key, spec in when.items():
+        if key in cfg and not spec.holds(out):
+            other = next(k for k, values in spec.when.items() if out[k] not in values)
+            unread.setdefault(other, []).append(key)
+    for other, keys in unread.items():
+        read = [key for key, spec in when.items() if other in spec.when and spec.holds(out)]
+        raise ConfigError(f"{name} {other} {out[other]} does not read {', '.join(keys)}"
+                          + (f"; it reads {', '.join(read)}" if read else ""))
     return out
 
 
@@ -972,7 +1004,10 @@ def run(config, out_dir: Optional[str] = None) -> int:
     out = out_dir or cfg.get("out") or "bqcf_out"
     cfg = _resolve(name, cfg)                   # before the output directory exists
     os.makedirs(out, exist_ok=True)
-    rows, fit, checks, plot = _RUNNERS[name](cfg)
+    try:
+        rows, fit, checks, plot = _RUNNERS[name](cfg)
+    except ModelRangeError as err:              # a value the library rejects
+        raise ConfigError(str(err)) from err
 
     _write_rows(os.path.join(out, "rows.csv"), rows)
     with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ModelRangeError
+
 __all__ = ["Chain1D", "diff", "inner", "norms", "project_zero_mean", "random_zero_mean"]
 
 
@@ -25,7 +27,7 @@ class Chain1D:
 
     def __post_init__(self) -> None:
         if self.N < 1:
-            raise ValueError("N must be a positive integer")
+            raise ModelRangeError("N must be a positive integer")
 
     @property
     def eps(self) -> float:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ModelRangeError
+
 __all__ = [
     "TriLattice2D",
     "Regions2D",
@@ -83,7 +85,7 @@ class TriLattice2D:
 
     def __post_init__(self) -> None:
         if self.N < 1:
-            raise ValueError("N must be a positive integer")
+            raise ModelRangeError("N must be a positive integer")
 
     @property
     def eps(self) -> float:
@@ -238,7 +240,7 @@ class Regions2D:
 def make_regions(lattice: TriLattice2D, Ra: int, Rb: int) -> Regions2D:
     # Ra == Rb leaves the blending annulus empty; callers treat it as degenerate
     if not 0 <= Ra <= Rb:
-        raise ValueError("need 0 <= Ra <= Rb")
+        raise ModelRangeError("need 0 <= Ra <= Rb")
     ring = ring_number(lattice)
     labels = np.full(ring.shape, 2, dtype=np.int8)
     labels[ring <= Rb] = 1

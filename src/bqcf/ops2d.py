@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .blend import Blend2D
+from .config import ModelRangeError
 from .lattice2d import (
     TriLattice2D,
     Regions2D,
@@ -315,7 +316,7 @@ def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
     """
     n = 2 * lattice.N
     nsites = n * n
-    site = np.arange(nsites)
+    site = np.arange(nsites, dtype=np.int32)
     si, sj = np.divmod(site, n)
     scale = None if row_scale is None else np.asarray(row_scale, dtype=float).ravel()
     rows, cols, vals = [], [], []
@@ -452,7 +453,7 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     from .spectral import SparseOp, coercivity, gram_D
 
     if 2 * regions.Rb > lattice.N:
-        raise ValueError(f"Rb = {regions.Rb} exceeds N/2 = {lattice.N / 2:g}")
+        raise ModelRangeError(f"Rb = {regions.Rb} exceeds N/2 = {lattice.N / 2:g}")
     mask = regions.mask(1)
     if not mask.any():
         return 0.0

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import ModelRangeError
 from .lattice2d import UNIT_A, UNIT_B
 
 __all__ = [
@@ -46,7 +47,7 @@ class PairModel1D:
 
     def __post_init__(self) -> None:
         if not self.phiF > 0:
-            raise ValueError("nearest-neighbor stiffness phi''(F) must be positive")
+            raise ModelRangeError("nearest-neighbor stiffness phi''(F) must be positive")
         if not self.F > 0:
             raise ValueError("strain F must be positive")
 

@@ -14,14 +14,18 @@ factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 (Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
 it, with sigma certified below gamma by a count of zero (Ericsson and
-Ruhe's spectral transformation). A dense eigh of the same pinned pencil
-serves small problems and cross-checks the sparse one. All paths check
-that ker(G) is the shift kernel.
+Ruhe's spectral transformation). Both build the factored block the same
+way (_Pinned): values refilled on one pattern, the union of sym(A)'s and
+G's, fixed for every sigma. A blended operator is affine in its weight, so
+a threshold scan refills that pattern at each blend (BlendPattern) and
+assembles nothing per probe. A dense eigh of the same pinned pencil serves
+small problems and cross-checks the sparse one. All paths check that
+ker(G) is the shift kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -36,6 +40,7 @@ from .lattice2d import DIR_OFFSETS, TriLattice2D
 
 __all__ = [
     "METHODS",
+    "BlendPattern",
     "InertiaReport",
     "SparseOp",
     "StabilityReport",
@@ -69,6 +74,7 @@ class SparseOp:
 
     def __post_init__(self) -> None:
         m = self.matrix
+        m.sum_duplicates()
         if self.symmetric:
             skew = float(abs(m - m.T).max()) if m.nnz else 0.0
             scale = float(abs(m).max()) if m.nnz else 1.0
@@ -130,19 +136,25 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic.
     """
-    from . import ops1d, ops2d
+    from . import ops2d
 
     if isinstance(op, ops2d.Op2D) and op.kind == "ltilde":
         # L-tilde is defined by its quadratic form and has no stencil
         return ops2d.assemble_ltilde(op.lattice, op.model, op.blend)
+    return SparseOp(*_stencil(op))
+
+
+def _stencil(op):
+    """(CSR matrix, symmetric flag) of op's stencil triplets, duplicates summed."""
+    from . import ops1d, ops2d
+
     if isinstance(op, ops1d.Op1D):
         dim, rows, cols, vals, symmetric = ops1d.assemble_triplets(op)
     elif isinstance(op, ops2d.Op2D):
         dim, rows, cols, vals, symmetric = ops2d.assemble_triplets(op)
     else:
         raise TypeError(f"cannot assemble {type(op).__name__}")
-    return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)),
-                    symmetric=symmetric)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), symmetric
 
 
 def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float:
@@ -240,13 +252,91 @@ def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
     return float(w[0]), _lift(kernel, y[:, 0])
 
 
-def _shifted_block(Asym, G, sigma: float, m: int) -> sp.csc_matrix:
-    # summed from triplets, so G's pattern stays at sigma = 0 and the
-    # fill-reducing order does not depend on sigma
-    a, g = Asym.tocoo(), G.tocoo()
-    return sp.csc_matrix((np.concatenate([a.data, -sigma * g.data]),
-                          (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
-                         shape=a.shape)[m:, m:]
+def _keys(M: sp.csr_matrix) -> np.ndarray:
+    """row * n + col of each stored entry of a CSR matrix, in storage order."""
+    n = M.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr)) + M.indices
+
+
+def _numbered(M: sp.csr_matrix) -> sp.csr_matrix:
+    """M's pattern, each stored entry's position plus one as its value."""
+    return sp.csr_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr), shape=M.shape)
+
+
+def _scatter(key: np.ndarray, M: sp.csr_matrix) -> Optional[np.ndarray]:
+    """Where each stored entry of M sits in the pattern with sorted keys key;
+    None when M fills the pattern."""
+    if M.nnz == key.size:
+        return None
+    return np.searchsorted(key, _keys(M)).astype(np.int32)
+
+
+def _spread(values: np.ndarray, at: Optional[np.ndarray], size: int) -> np.ndarray:
+    """values scattered to the positions at of a pattern of size entries."""
+    if at is None:
+        return values
+    out = np.zeros(size, dtype=values.dtype)
+    out[at] = values
+    return out
+
+
+class _Pinned:
+    """sym(A) - sigma G on the zero-mean space in pinned coordinates, on one
+    sparsity pattern for every value of A's entries and every sigma.
+
+    The pattern is the union of A's, A^T's and G's. Scatter maps place A's
+    and G's stored entries in it (_scatter); the transpose map sends each
+    of its entries to its mirror entry, and is None when A is symmetric.
+    block(a, sigma), a the values on A's canonical CSR pattern, sums sym(A)
+    - sigma G on the pattern and keeps the block past the first site's m
+    rows and columns, less its exact zeros off G's pattern: the nonzero set
+    of sym(A) summed with G's pattern, so that SuperLU orders and fills it
+    as it would the summed matrices, whatever sigma.
+    """
+
+    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
+                 symmetric: bool):
+        self.kernel, self.g = kernel, G.data
+        a, g = _numbered(A), _numbered(G)
+        # positive sums: nothing cancels
+        P = a + g if symmetric else a + a.T + g + g.T
+        P.sort_indices()
+        key = _keys(P)
+        self.at_a, self.at_g = _scatter(key, A), _scatter(key, G)
+        # where A or G fills the pattern, its arrays serve
+        P = A if self.at_a is None else G if self.at_g is None else P
+        self.indptr = P.indptr.astype(np.int32, copy=False)
+        self.indices = P.indices.astype(np.int32, copy=False)
+        # P is structurally symmetric: numbered P^T holds each mirror's number
+        self.transpose = None if symmetric else (
+            _numbered(P).T.tocsr().data - 1).astype(np.int32)
+
+    def block(self, a: np.ndarray, sigma: float):
+        """(M_pp, U, k^T s) of _Shift for the values a on A's pattern."""
+        n, m = self.kernel.shape
+        size = self.indices.size
+        x = _spread(a, self.at_a, size)
+        if self.transpose is None:
+            s = x
+        else:                                       # sym(A)
+            s = x[self.transpose]
+            s += x
+            s *= 0.5
+        U, kts = _pinned_update(sp.csr_matrix((s, self.indices, self.indptr), shape=(n, n)),
+                                self.kernel)
+        # rows past the first m, less the first m columns and the zeros off G
+        start = self.indptr[m]
+        s, cols = s[start:], self.indices[start:]
+        keep = cols >= m
+        if self.at_g is not None:
+            on_g = _spread(np.ones(self.g.size, dtype=bool), self.at_g, size)
+            keep &= (s != 0.0) | on_g[start:]
+        values = s[keep]
+        values -= sigma * _spread(self.g, self.at_g, size)[start:][keep]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr[m:] - start]
+        # sym(A) - sigma G is symmetric: its CSR arrays are its CSC arrays
+        return (sp.csc_matrix((values, cols[keep] - m, indptr), shape=(n - m, n - m)),
+                U, kts)
 
 
 class _Shift:
@@ -254,22 +344,23 @@ class _Shift:
 
     With the first site's m coordinates pinned, x = Pi W z (Pi projects off
     ker G) and the restricted matrix is S = M_pp + U C U^T: M_pp = (sym A -
-    sigma G)[m:, m:] = L D L^T, with U and k^T s in C = [[k^T s, -I], [-I,
-    0]] from _pinned_update. With X = M_pp^-1 and Q = -C^-1 - U^T X U, S has neg(D) +
-    neg(Q) - m negative eigenvalues (Haynsworth) and S^-1 = X + X U Q^-1 U^T
-    X (Woodbury), with Q block-diagonalized: T^T Q T = diag(Q11, Z), T =
-    [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A sign is trusted when it clears a
-    rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
+    sigma G)[m:, m:] = L D L^T, as _Pinned builds it, with U and k^T s in
+    C = [[k^T s, -I], [-I, 0]] from _pinned_update. With X = M_pp^-1 and
+    Q = -C^-1 - U^T X U, S has neg(D) + neg(Q) - m negative eigenvalues
+    (Haynsworth) and S^-1 = X + X U Q^-1 U^T X (Woodbury), with Q
+    block-diagonalized: T^T Q T = diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0,
+    I]], Y = X U T. A sign is trusted when it clears a rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
     |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z gamma_3w
     || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves included.
     min_pivot and margin report the test that came closest.
     """
 
-    def __init__(self, Asym, G, kernel: np.ndarray, sigma: float):
-        m = kernel.shape[1]
-        self.lu = _ldlt(_shifted_block(Asym, G, sigma, m))
+    def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
+        M_pp, U, kts = pinned.block(a, sigma)
+        m = kts.shape[0]
+        self.lu = _ldlt(M_pp)
+        del M_pp                                    # before lu.U copies the factor
         self.nnz = int(self.lu.nnz)
-        U, kts = _pinned_update(Asym, kernel)
         XU = self.lu.solve(U)
         eye = np.eye(m)
         Q = np.block([[np.zeros((m, m)), eye], [eye, kts]]) - U.T @ XU
@@ -336,9 +427,10 @@ def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
     rho, res = _rayleigh_residual(Asym, G, kernel, x)
     report = dict(method="iterative", iterations=0, factorizations=0)
     sigma, step, shift = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0, None
+    pinned = _Pinned(Asym, G, kernel, symmetric=True)
     while not res <= tol and shift is None:        # a NaN residual enters too
         try:
-            shift = _Shift(Asym, G, kernel, sigma)
+            shift = _Shift(pinned, Asym.data, sigma)
         except (RuntimeError, np.linalg.LinAlgError):   # a zero pivot
             pass
         report["factorizations"] += 1
@@ -382,7 +474,7 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     gives the shift, the factorizations, the factor's nonzeros and, as
     iterations, the shifted solves.
     """
-    kernel = _pencil_kernel(opMatrix, G)
+    kernel = _pencil_kernel(opMatrix.dim, G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -399,12 +491,12 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
                            residual=res, iterations=0)
 
 
-def _pencil_kernel(opMatrix: SparseOp, G: SparseOp) -> np.ndarray:
+def _pencil_kernel(dim: int, G: SparseOp) -> np.ndarray:
     """G's kernel basis, checked to be the shift kernel: its rows repeat with
     period m, so pinning the first site's m coordinates leaves a basis of
     the zero-mean space."""
-    if opMatrix.dim != G.dim:
-        raise ValueError(f"dimension mismatch: {opMatrix.dim} vs {G.dim}")
+    if dim != G.dim:
+        raise ValueError(f"dimension mismatch: {dim} vs {G.dim}")
     if G.kernel is None:
         raise ValueError("Gram operator lacks its kernel basis")
     kernel = G.kernel
@@ -442,9 +534,17 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     within rounding of gamma can still clear the bounds; the sign there is
     whatever rounding made it.
     """
-    kernel = _pencil_kernel(opMatrix, G)
+    pinned = _Pinned(opMatrix.matrix, G.matrix, _pencil_kernel(opMatrix.dim, G),
+                     opMatrix.symmetric)
+    return _sign(pinned, opMatrix, G, tau, dense_threshold, seed)
+
+
+def _sign(pinned: _Pinned, opMatrix: SparseOp, G: SparseOp, tau: float,
+          dense_threshold: Optional[int], seed: int) -> InertiaReport:
+    """is_coercive(opMatrix, G, tau), its block refilled on pinned, a
+    pattern built for opMatrix's."""
     try:
-        shift = _Shift(opMatrix.sym_matrix, G.matrix, kernel, tau)
+        shift = _Shift(pinned, opMatrix.matrix.data, tau)
     except (RuntimeError, np.linalg.LinAlgError):
         # a zero pivot, or pivots off the diagonal: no inertia to read
         negative, min_pivot, margin = -1, 0.0, float("nan")
@@ -459,3 +559,49 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     rep = coercivity(opMatrix, G, dense_threshold=dense_threshold, seed=seed)
     return InertiaReport(coercive=rep.gamma > tau, negative=negative,
                          min_pivot=min_pivot, margin=margin, method=rep.method)
+
+
+class BlendPattern:
+    """is_coercive for a blended operator at every blend of its lattice, from
+    one assembly: a threshold scan builds it once per lattice size.
+
+    A blended stencil is affine in the weight, row by row: A(beta) = A_0 +
+    diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
+    at beta = 0 and beta = 1 on one CSR pattern (a scaled row stores its
+    zeros). is_coercive(op) refills the values at op's blend and factors
+    them on a _Pinned pattern, with no assembly, symmetrization or format
+    conversion; op must share the kind, lattice and model object of the
+    operator the pattern was built from.
+    """
+
+    def __init__(self, op, G: SparseOp):
+        if op.blend is None:
+            raise ValueError(f"kind {op.kind!r} has no blend to refill")
+        beta = op.blend.beta
+        A0, A1 = (_stencil(replace(op, blend=replace(op.blend, beta=np.full_like(beta, b))))[0]
+                  for b in (0.0, 1.0))
+        if not (np.array_equal(A0.indptr, A1.indptr)
+                and np.array_equal(A0.indices, A1.indices)):
+            raise ValueError(f"the stencil of kind {op.kind!r} changes its pattern with beta")
+        self.source, self.model, self.G = (type(op), op.kind, beta.shape), op.model, G
+        kernel = _pencil_kernel(A0.shape[0], G)
+        self.indices, self.indptr = A0.indices, A0.indptr
+        self.a0, self.slope = A0.data, A1.data - A0.data
+        del A1
+        rows = np.repeat(np.arange(A0.shape[0], dtype=np.int32), np.diff(A0.indptr))
+        self.site = rows // kernel.shape[1]
+        self.pinned = _Pinned(A0, G.matrix, kernel, symmetric=False)
+
+    def matrix(self, op) -> SparseOp:
+        """A(beta) at op's blend, on the pattern."""
+        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model is not self.model:
+            raise ValueError("operator differs in kind, lattice or model from the pattern's")
+        a = op.blend.beta.ravel()[self.site]
+        a *= self.slope
+        a += self.a0
+        return SparseOp(sp.csr_matrix((a, self.indices, self.indptr), shape=(self.G.dim,) * 2))
+
+    def is_coercive(self, op, tau: float, *, dense_threshold: Optional[int] = None,
+                    seed: int = 7) -> InertiaReport:
+        """spectral.is_coercive(assemble(op), G, tau) on the pattern."""
+        return _sign(self.pinned, self.matrix(op), self.G, tau, dense_threshold, seed)

@@ -126,6 +126,28 @@ def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
     assert "config error: auxiliary operator not positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sharp1d", "--k", "3", "--n", "64"], "blending window too narrow"),
+    (["poincare", "--rb-frac", "0.9", "--n", "8"], "Rb = 7 exceeds N/2 = 4"),
+    (["trace", "--r0", "2"], "need 0 < r0 < r1 <= 1"),
+    (["sweep1d", "--phiF", "-1", "--eps", "1/16"],
+     "nearest-neighbor stiffness phi''(F) must be positive")])
+def test_value_out_of_the_library_range_exits_2(tmp_path, capsys, argv, message):
+    # the library raises ModelRangeError, which run() reports as a config error
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--space", "1d", "--ra", "5", "--n", "16"],
+    ["verify", "--suite", "identities-1d", "--n2d", "4", "--n1d", "8", "--draws", "2"]])
+def test_key_unread_under_the_other_values_exits_2(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "does not read" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["stability", "--method", "magic"],
                                   ["stability", "--kind", "foo"],
                                   ["stability", "--space", "2d", "--kind", "qcl"],
@@ -168,6 +190,7 @@ def test_help_shows_each_default_and_choices(capsys):
     assert "--method METHOD one of auto, dense, iterative; default auto" in text
     assert "--phi2F PHI2F float; default -0.24" in text
     assert "--n N int; the default depends on the other keys" in text
+    assert "--kappa0 KAPPA0 float; default 1.0; read only with space 2d" in text
     text = help_text("sweep1d")
     assert "--eps EPS float list; default 0.0078125,0.00390625," in text
     assert "--seed SEED int; default 7" in text

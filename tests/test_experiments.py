@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bqcf import experiments
+from bqcf import experiments, ops1d, ops2d
 from bqcf.blend import _blend_2d_sharp, build_blend_1d
 from bqcf.config import ConfigError
 from bqcf.experiments import (
@@ -78,12 +78,16 @@ def test_sweeps_pass_their_seed_to_every_pencil_solve(monkeypatch):
 
 def _fake_scan(monkeypatch, verdicts, gamma_at):
     """Drive the scan helper with made-up inertia verdicts and gammas."""
+    class FakePattern:
+        def __init__(self, K, G):
+            pass
+
+        def is_coercive(self, K, tol, **kw):
+            return InertiaReport(coercive=verdicts[K], negative=0 if verdicts[K] else 1,
+                                 min_pivot=1.0, margin=0.0, method="inertia")
+
     monkeypatch.setattr(experiments, "assemble", lambda K: K)
-    monkeypatch.setattr(
-        experiments, "is_coercive",
-        lambda K, G, tol, **kw: InertiaReport(
-            coercive=verdicts[K], negative=0 if verdicts[K] else 1,
-            min_pivot=1.0, margin=0.0, method="inertia"))
+    monkeypatch.setattr(experiments, "BlendPattern", FakePattern)
     monkeypatch.setattr(
         experiments, "coercivity",
         lambda K, G, **kw: StabilityReport(gamma=gamma_at[K], minimizer=None,
@@ -110,6 +114,38 @@ def test_scan_raises_when_the_solve_contradicts_inertia(monkeypatch):
     kstar, gammas, _, flags = _fake_scan(monkeypatch, verdicts,
                                          {4: -1e-3, 5: 2e-3})
     assert (kstar, flags) == (5, [])
+
+
+@pytest.mark.parametrize("space", ["1d", "2d"])
+def test_scan_assembles_once_per_size(monkeypatch, space):
+    # the scan refills one BlendPattern per size: the stencil runs twice for
+    # the pattern and once for each of the K*-1 and K* value solves, however
+    # wide the window, and assemble() is called for those solves only
+    stencil = ops1d if space == "1d" else ops2d
+    calls = {"assemble": 0, "triplets": 0, "pattern": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Pattern(experiments.BlendPattern):
+        def __init__(self, op, G):
+            calls["pattern"] += 1
+            super().__init__(op, G)
+
+    monkeypatch.setattr(experiments, "assemble", counted("assemble", assemble))
+    monkeypatch.setattr(stencil, "assemble_triplets",
+                        counted("triplets", stencil.assemble_triplets))
+    monkeypatch.setattr(experiments, "BlendPattern", Pattern)
+    if space == "1d":
+        fit = sweep_threshold_1d(PairModel1D(1.0, -0.24), [1 / 128], 24)
+    else:
+        fit = sweep_threshold_2d(unstable_toy_model(2.04, 1.0), 1,
+                                 {"N": [12], "Ra": 4, "K_max": 16})
+    assert len(fit.scan) >= 8 and len(fit.pairs) == 1
+    assert calls == {"assemble": 2, "triplets": 4, "pattern": 1}
 
 
 def test_sweep1d_flat_model_is_degenerate():
@@ -357,6 +393,34 @@ def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
     with pytest.raises(ConfigError, match="sweep2d case 1 does not read alpha, c"):
         run({"experiment": "sweep2d", "alpha": 0.5, "c": 0.1}, out_dir=str(tmp_path / "c"))
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("name, cfg, message", [
+    ("stability", {"space": "1d", "ra": 5, "n": 16},
+     "stability space 1d does not read ra; it reads phiF, phi2F"),
+    ("stability", {"space": "2d", "phiF": 2.0}, "stability space 2d does not read phiF"),
+    ("stability", {"kind": "atomistic", "k": 3, "profile": "cosine"},
+     "stability kind atomistic does not read k, profile"),
+    ("stability", {"space": "2d", "kind": "cauchy_born", "ra": 2},
+     "stability kind cauchy_born does not read ra"),
+    ("verify", {"suite": "identities-1d", "n2d": 4, "n1d": 8, "draws": 2},
+     "verify suite identities-1d does not read n2d; it reads n1d, phiF, phi2F"),
+    ("verify", {"suite": "identities-2d", "phi2F": -0.1},
+     "verify suite identities-2d does not read phi2F; it reads n2d, kappa0, eta")])
+def test_run_rejects_keys_unread_under_the_other_values(tmp_path, name, cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        run({"experiment": name, **cfg}, out_dir=str(tmp_path / "o"))
+    assert not (tmp_path / "o").exists()
+
+
+def test_keys_read_under_the_other_values_are_accepted():
+    # each key is read where its condition holds: suite all reads both lattices,
+    # a blended 2D kind reads k and ra
+    cfg = experiments._resolve("verify", {"n1d": 8, "n2d": 4, "eta": 0.2})
+    assert (cfg["n1d"], cfg["n2d"], cfg["eta"]) == ([8], [4], 0.2)
+    cfg = experiments._resolve("stability", {"space": "2d", "kind": "ltilde", "k": 2,
+                                             "ra": 1, "kappa0": 2.0})
+    assert (cfg["k"], cfg["ra"], cfg["kappa0"], cfg["phiF"]) == (2, 1, 2.0, 1.0)
 
 
 def test_resolved_config_has_every_key_at_its_type():

@@ -14,9 +14,12 @@ from bqcf.ops1d import Op1D
 from bqcf.ops2d import Op2D
 from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
+    BlendPattern,
     SparseOp,
+    _Pinned,
     _Shift,
     _dense_gamma,
+    _ldlt,
     _lift,
     assemble,
     check_assembly,
@@ -269,7 +272,8 @@ def test_shifted_solve_is_exact(domain, rng):
         M = Asym - sigma * G.matrix
         b = rng.standard_normal(G.dim)
         b -= k @ (k.T @ b)
-        y = _lift(k, _Shift(Asym, G.matrix, k, sigma).solve(b[m:]))
+        shift = _Shift(_Pinned(Asym, G.matrix, k, symmetric=True), Asym.data, sigma)
+        y = _lift(k, shift.solve(b[m:]))
         r = M @ y - b
         assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
         assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
@@ -383,6 +387,69 @@ def test_inertia_margin_on_criterion_4_largest_window():
         rep = is_coercive(sop, G, 1e-10)
         assert rep.method == "inertia"
         assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
+
+
+def _summed_block(Asym, G, tau, m):
+    # sym(A) - tau G summed from triplets, then sliced: G's pattern is kept
+    # at any tau, exact zeros of sym(A) are not stored
+    a, g = Asym.tocoo(), G.tocoo()
+    return scipy.sparse.csc_matrix(
+        (np.concatenate([a.data, -tau * g.data]),
+         (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
+        shape=a.shape)[m:, m:]
+
+
+@pytest.mark.parametrize("space, N", [("1d", 128), ("1d", 256), ("2d", 12), ("2d", 16)])
+def test_refilled_block_matches_the_assembled_one(space, N):
+    # a scan's probes refill one pattern per size; each pinned block must be
+    # the assembled operator's: the same nonzero set, values within a few
+    # ulps of max |A|, the same fill, and the same inertia verdict
+    tau = 1e-10
+    if space == "1d":
+        ch = Chain1D(N)
+        G = gram_D(ch)
+        model = PairModel1D(1.0, -0.24)
+        ops = [Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
+               for K in range(6, 65)]
+    else:
+        lat = TriLattice2D(N)
+        G = gram_D(lat)
+        model = unstable_toy_model(2.04, 1.0)
+        ops = [Op2D(kind="bqcf", lattice=lat, model=model,
+                    blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, min(13, N - 3))]
+    pattern = BlendPattern(ops[0], G)
+    m = G.kernel.shape[1]
+    verdicts = set()
+    for op in ops:
+        A = assemble(op)
+        ref = _summed_block(A.sym_matrix, G.matrix, tau, m)
+        got, _, _ = pattern.pinned.block(pattern.matrix(op).matrix.data, tau)
+        assert np.array_equal(got.indptr, ref.indptr), op.blend.K
+        assert np.array_equal(got.indices, ref.indices), op.blend.K
+        ulp = np.spacing(abs(A.matrix).max())
+        assert np.abs(got.data - ref.data).max() <= 4 * ulp, op.blend.K
+        lu_got, lu_ref = _ldlt(got), _ldlt(ref)
+        assert lu_got.nnz == lu_ref.nnz
+        assert np.sum(lu_got.U.diagonal() < 0) == np.sum(lu_ref.U.diagonal() < 0)
+        want, rep = is_coercive(A, G, tau), pattern.is_coercive(op, tau)
+        assert (rep.negative, rep.coercive, rep.fallback) == \
+            (want.negative, want.coercive, want.fallback), op.blend.K
+        verdicts.add(rep.coercive)
+    assert verdicts == {False, True}                # the window holds a sign change
+
+
+def test_blend_pattern_refuses_a_foreign_operator():
+    ch = Chain1D(32)
+    model = PairModel1D(1.0, -0.24)
+    pattern = BlendPattern(Op1D(kind="bqcf", chain=ch, model=model,
+                                blend=build_blend_1d(ch, 8)), gram_D(ch))
+    for op in (Op1D(kind="bqcf2", chain=ch, model=model, blend=build_blend_1d(ch, 8)),
+               Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.2),
+                    blend=build_blend_1d(ch, 8))):
+        with pytest.raises(ValueError, match="differs in kind, lattice or model"):
+            pattern.is_coercive(op, 1e-10)
+    with pytest.raises(ValueError, match="has no blend"):
+        BlendPattern(Op1D(kind="atomistic", chain=ch, model=model), gram_D(ch))
 
 
 @pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
