@@ -11,12 +11,17 @@ sit at t = (m - 1.5)/(K - 4) across the window.
 The 2D construction ramps radially in the hexagonal gauge between rings
 Ra + 3 and Rb - 3; the 3-ring margins guarantee that every third-difference
 direction triple is supported strictly inside the blending annulus.
+
+A blend holds only its weight and geometry. The interface set, K and the
+constants ||D^(j) beta||_inf (K eps)^j are derived from them, the constants
+through derivative_bounds on first read, so a blend built by replacing its
+weight never carries another weight's data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 
 import numpy as np
 
@@ -57,41 +62,66 @@ def profile_value(profile: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown profile {profile!r}; available: {PROFILES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Blend1D:
-    """Blending weight on the chain with interface bookkeeping.
+    """Blending weight on the chain: only the chain, weight and profile are held.
 
-    interface holds the array positions of I = {l : 0 < beta_{l+j} < 1 for
-    some j in {+-1, +-2}} and K = #I. Cbeta is the largest measured
-    constant ||D^(j) beta||_inf (K eps)^j over j = 1, 2, 3.
+    Everything else derives from beta. interface holds the array positions
+    of I = {l : 0 < beta_{l+j} < 1 for some j in {+-1, +-2}} and K = #I.
+    Cbeta_j holds the constants ||D^(j) beta||_inf (K eps)^j, j = 1, 2, 3,
+    measured by derivative_bounds on first read, and Cbeta their maximum.
     """
 
     chain: Chain1D
     beta: np.ndarray = field(repr=False)
-    interface: np.ndarray = field(repr=False)
-    K: int
-    Cbeta: float
-    Cbeta_j: tuple
     profile: str
 
+    @cached_property
+    def interface(self) -> np.ndarray:
+        return _interface_1d(self.beta)
 
-@dataclass(frozen=True)
+    @property
+    def K(self) -> int:
+        return int(self.interface.size)
+
+    @cached_property
+    def Cbeta_j(self) -> tuple:
+        return _constants(self, self.chain.eps)
+
+    @property
+    def Cbeta(self) -> float:
+        return max(self.Cbeta_j)
+
+
+@dataclass(frozen=True, eq=False)
 class Blend2D:
-    """Radial blending weight on the triangular lattice (1 inside, 0 outside).
+    """Radial blending weight on the triangular lattice (1 inside, 0 outside):
+    only the weight and its geometry are held.
 
-    margined is False only for the sharp probe construction, whose third
-    differences deliberately spill outside the blending annulus.
+    The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Cbeta_j and
+    Cbeta are measured from beta on first read, as in 1D. margined is False
+    only for the sharp probe construction, whose third differences
+    deliberately spill outside the blending annulus.
     """
 
     lattice: TriLattice2D
     beta: np.ndarray = field(repr=False)
     Ra: int
     Rb: int
-    K: int
-    Cbeta: float
-    Cbeta_j: tuple
     profile: str
     margined: bool = True
+
+    @property
+    def K(self) -> int:
+        return self.Rb - self.Ra
+
+    @cached_property
+    def Cbeta_j(self) -> tuple:
+        return _constants(self, self.lattice.eps)
+
+    @property
+    def Cbeta(self) -> float:
+        return max(self.Cbeta_j)
 
 
 def _interface_1d(beta: np.ndarray) -> np.ndarray:
@@ -102,12 +132,12 @@ def _interface_1d(beta: np.ndarray) -> np.ndarray:
     return np.flatnonzero(in_I)
 
 
-def _measure_1d(chain: Chain1D, beta: np.ndarray, K: int) -> tuple:
-    bounds = {j: float(np.max(np.abs(diff(chain, beta, j)))) for j in (1, 2, 3)}
-    if K == 0:
-        return bounds, (0.0, 0.0, 0.0), 0.0
-    cb = tuple(bounds[j] * (K * chain.eps) ** j for j in (1, 2, 3))
-    return bounds, cb, max(cb)
+def _constants(blend, eps: float) -> tuple:
+    """(||D^(j) beta||_inf (K eps)^j for j = 1, 2, 3), zero when K = 0."""
+    if blend.K == 0:
+        return (0.0, 0.0, 0.0)
+    bounds = derivative_bounds(blend)
+    return tuple(bounds[j] * (blend.K * eps) ** j for j in (1, 2, 3))
 
 
 def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly7") -> Blend1D:
@@ -136,15 +166,14 @@ def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly
     beta[(q + np.arange(P)) % n] = 1.0
     beta[(q + P + m) % n] = vals_down
 
-    interface = _interface_1d(beta)
-    KI = interface.size
-    if KI != 2 * K:
-        raise RuntimeError(f"interface bookkeeping broke: #I = {KI}, expected {2 * K}")
-    bounds, cb, cbeta = _measure_1d(chain, beta, KI)
+    blend = Blend1D(chain=chain, beta=beta, profile=profile)
+    if blend.K != 2 * K:
+        raise RuntimeError(f"interface bookkeeping broke: #I = {blend.K}, expected {2 * K}")
 
     # constructed blends must sit inside the lemma window on every order
     caps = _PROFILE_DERIV_MAX[profile]
     margin = 2.0 * K / (K - 4)
+    cb = blend.Cbeta_j
     for j, (c, cap) in enumerate(zip(cb, caps), start=1):
         if c < 1.0 - 1e-12:
             raise RuntimeError(f"derivative lower bound violated at order {j}: {c}")
@@ -152,13 +181,11 @@ def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly
             raise RuntimeError(f"derivative cap violated at order {j}: {c}")
     if cb[0] > 40.0:
         raise RuntimeError(f"first-difference constant {cb[0]:.3f} exceeds 40")
-
-    return Blend1D(chain=chain, beta=beta, interface=interface, K=KI,
-                   Cbeta=cbeta, Cbeta_j=cb, profile=profile)
+    return blend
 
 
 def blend_from_samples(chain: Chain1D, beta: np.ndarray, profile: str = "custom") -> Blend1D:
-    """Wrap raw per-site weights as a Blend1D, measuring its constants.
+    """Wrap raw per-site weights as a Blend1D.
 
     No construction caps are enforced; intended for synthetic and random
     weights in identity tests.
@@ -168,10 +195,7 @@ def blend_from_samples(chain: Chain1D, beta: np.ndarray, profile: str = "custom"
         raise ValueError("beta length mismatch")
     if beta.min() < -1e-12 or beta.max() > 1 + 1e-12:
         raise ValueError("beta values must lie in [0, 1]")
-    interface = _interface_1d(beta)
-    bounds, cb, cbeta = _measure_1d(chain, beta, interface.size)
-    return Blend1D(chain=chain, beta=beta, interface=interface, K=int(interface.size),
-                   Cbeta=cbeta, Cbeta_j=cb, profile=profile)
+    return Blend1D(chain=chain, beta=beta, profile=profile)
 
 
 def third_diff_level_set(blend: Blend1D) -> np.ndarray:
@@ -193,33 +217,6 @@ def third_diff_level_set(blend: Blend1D) -> np.ndarray:
     return jset
 
 
-_TUPLE_DIRS = ("a1", "a2", "a3")
-
-
-def _measure_2d(lattice: TriLattice2D, beta: np.ndarray, K: int) -> tuple:
-    """Exact maxima of |D^(j) beta| over all direction tuples from a1..a3.
-
-    Opposite directions give the same value sets (D_{-r} f(x) = -D_r f(x-r)),
-    so the three positive directions cover all twelve.
-    """
-    firsts = {d: diff2d(lattice, beta, d) for d in _TUPLE_DIRS}
-    b1 = max(float(np.max(np.abs(f))) for f in firsts.values())
-    seconds = {}
-    b2 = 0.0
-    for r, s in product(_TUPLE_DIRS, repeat=2):
-        d2 = diff2d(lattice, firsts[s], r)
-        seconds[(r, s)] = d2
-        b2 = max(b2, float(np.max(np.abs(d2))))
-    b3 = 0.0
-    for r, (s, t) in product(_TUPLE_DIRS, seconds.keys()):
-        b3 = max(b3, float(np.max(np.abs(diff2d(lattice, seconds[(s, t)], r)))))
-    bounds = {1: b1, 2: b2, 3: b3}
-    if K == 0:
-        return bounds, (0.0, 0.0, 0.0), 0.0
-    cb = tuple(bounds[j] * (K * lattice.eps) ** j for j in (1, 2, 3))
-    return bounds, cb, max(cb)
-
-
 def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly7") -> Blend2D:
     """Radial blend: 1 on Hex(eps(Ra+3)), 0 outside Hex(eps(Rb-3)).
 
@@ -236,20 +233,19 @@ def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly
     ring = ring_number(lattice)
     t = (ring - (Ra + 3)) / (Rb - Ra - 6)
     beta = 1.0 - profile_value(profile, t)
-    K = Rb - Ra
-    bounds, cb, cbeta = _measure_2d(lattice, beta, K)
-    for j, c in enumerate(cb, start=1):
+    blend = Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, profile=profile)
+    for j, c in enumerate(blend.Cbeta_j, start=1):
         if c < 1.0 - 1e-12:
             raise RuntimeError(f"derivative lower bound violated at order {j}: {c}")
-    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, K=K,
-                   Cbeta=cbeta, Cbeta_j=cb, profile=profile, margined=True)
+    return blend
 
 
 def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly7") -> Blend2D:
     """Margin-less radial blend for the narrow-band instability probes.
 
     Third differences spill outside the blending annulus by construction;
-    the bound suites reject these (margined=False).
+    the bound suites reject these (margined=False). Nothing is measured
+    until Cbeta_j is read: the sweeps never read it.
     """
     if not 0 <= Ra < Rb:
         raise ModelRangeError("need 0 <= Ra < Rb")
@@ -258,21 +254,27 @@ def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "pol
     ring = ring_number(lattice)
     t = (ring - Ra) / (Rb - Ra)
     beta = 1.0 - profile_value(profile, t)
-    K = Rb - Ra
-    bounds, cb, cbeta = _measure_2d(lattice, beta, K)
-    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, K=K,
-                   Cbeta=cbeta, Cbeta_j=cb, profile=profile, margined=False)
+    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, profile=profile,
+                   margined=False)
+
+
+_TUPLE_DIRS = ("a1", "a2", "a3")
 
 
 def derivative_bounds(blend) -> dict:
     """Exact maxima {j: max |D^(j) beta|} for j = 1, 2, 3.
 
     1D scans all sites; 2D additionally scans all direction tuples drawn
-    from the positive nearest-neighbor directions.
+    from the positive nearest-neighbor directions. Opposite directions give
+    the same value sets (D_{-r} f(x) = -D_r f(x-r)), so the three positive
+    directions cover all twelve.
     """
     if isinstance(blend, Blend1D):
         return {j: float(np.max(np.abs(diff(blend.chain, blend.beta, j)))) for j in (1, 2, 3)}
     if isinstance(blend, Blend2D):
-        bounds, _, _ = _measure_2d(blend.lattice, blend.beta, blend.K)
+        level, bounds = [blend.beta], {}
+        for j in (1, 2, 3):
+            level = [diff2d(blend.lattice, f, d) for f in level for d in _TUPLE_DIRS]
+            bounds[j] = max(float(np.max(np.abs(f))) for f in level)
         return bounds
     raise TypeError(f"not a blend: {type(blend).__name__}")

@@ -654,7 +654,6 @@ def _run_verify(cfg):
             for k in range(draws):
                 beta = rng.uniform(size=(2 * lattice.N, 2 * lattice.N))
                 blend = Blend2D(lattice=lattice, beta=beta, Ra=0, Rb=lattice.N,
-                                K=lattice.N, Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0),
                                 profile="custom", margined=False)
                 worst = max(worst, _divergence_residual_2d(lattice, model, blend,
                                                            rng, _BONDS[k % 3]))

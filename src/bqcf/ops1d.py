@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blend import Blend1D, third_diff_level_set
+from .blend import Blend1D, derivative_bounds, third_diff_level_set
 from .lattice1d import Chain1D, diff, inner, project_zero_mean
 from .potentials import PairModel1D
 
@@ -160,8 +160,8 @@ def rst_bounds(blend: Blend1D, u: np.ndarray) -> dict:
     form = _rst_terms(chain, blend, u)
     Du = diff(chain, u, 1)
     gnorm2 = eps * float(np.sum(Du * Du))
-    b2 = float(np.max(np.abs(diff(chain, blend.beta, 2))))
-    b3 = float(np.max(np.abs(diff(chain, blend.beta, 3))))
+    db = derivative_bounds(blend)
+    b2, b3 = db[2], db[3]
     boundR = eps**2 * b2 * gnorm2
     boundS = 2.0 * eps**2 * b2 * gnorm2
     boundT = np.sqrt(2.0) * eps**2 * np.sqrt(blend.K * eps) * b3 * gnorm2

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blend import Blend2D
+from .blend import Blend2D, derivative_bounds
 from .config import ModelRangeError
 from .lattice2d import (
     TriLattice2D,
@@ -255,8 +255,6 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     with C_P = [(eps K)(eps Rb)|log(eps Rb)|]^(1/2) the blending-region
     Poincare constant and chat a calibrated generic constant.
     """
-    from .blend import derivative_bounds
-
     _check_support(lattice, blend)
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     eps = lattice.eps
@@ -367,22 +365,12 @@ def _blocks_nnn_c(model: PairModel2D, eps: float):
 
 
 def _mixed_diff_matrix(lattice: TriLattice2D, p, q) -> sp.csr_matrix:
-    """Scalar-site matrix of D_p D_q, promoted to fields by kron with I2."""
-    n = 2 * lattice.N
-    nsites = n * n
-    site = np.arange(nsites)
-    si, sj = np.divmod(site, n)
-    rows, cols, vals = [], [], []
-    for off, w in ((_add(p, q), 1.0), (p, -1.0), (q, -1.0), ((0, 0), 1.0)):
-        di, dj = resolve_direction(off)
-        nb = ((si + di) % n) * n + (sj + dj) % n
-        rows.append(site)
-        cols.append(nb)
-        vals.append(np.full(nsites, w / lattice.eps**2))
-    S = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nsites, nsites)).tocsr()
-    return sp.kron(S, sp.eye(2), format="csr")
+    """Field matrix of D_p D_q, acting on each component alike."""
+    eye = np.eye(2) / lattice.eps**2
+    rows, cols, vals = _block_triplets(
+        lattice, ((_add(p, q), eye), (p, -eye), (q, -eye), ((0, 0), eye)))
+    dim = 2 * (2 * lattice.N) ** 2
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,

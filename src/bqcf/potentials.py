@@ -57,12 +57,13 @@ def c0(model: PairModel1D) -> float:
     return min(model.phiF, model.phiF + 4.0 * model.phi2F)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairModel2D:
     """2D linearization data: one 2x2 Hessian per bond direction.
 
     Ha holds phi''(B a_i) for the three positive nearest-neighbor
     directions, Hb the next-nearest phi''(B b_i). All must be symmetric.
+    Two models are equal when B, Ha and Hb are equal entry by entry.
     """
 
     B: np.ndarray
@@ -87,6 +88,12 @@ class PairModel2D:
                 if float(np.abs(H - H.T).max()) > _SYM_TOL * scale:
                     raise ValueError(f"{name} Hessians must be symmetric")
             object.__setattr__(self, name, mats)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairModel2D):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("B", "Ha", "Hb"))
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice1d import Chain1D
-from .lattice2d import DIR_OFFSETS, TriLattice2D
+from . import ops1d, ops2d
+from .lattice1d import Chain1D, inner
+from .lattice2d import TriLattice2D, inner2d
 
 __all__ = [
     "METHODS",
@@ -136,8 +137,6 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic.
     """
-    from . import ops2d
-
     if isinstance(op, ops2d.Op2D) and op.kind == "ltilde":
         # L-tilde is defined by its quadratic form and has no stencil
         return ops2d.assemble_ltilde(op.lattice, op.model, op.blend)
@@ -146,8 +145,6 @@ def assemble(op) -> SparseOp:
 
 def _stencil(op):
     """(CSR matrix, symmetric flag) of op's stencil triplets, duplicates summed."""
-    from . import ops1d, ops2d
-
     if isinstance(op, ops1d.Op1D):
         dim, rows, cols, vals, symmetric = ops1d.assemble_triplets(op)
     elif isinstance(op, ops2d.Op2D):
@@ -158,11 +155,10 @@ def _stencil(op):
 
 
 def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float:
-    """Max relative defect of u^T A u against the weighted form, random u."""
-    from . import ops1d, ops2d
-    from .lattice1d import inner
-    from .lattice2d import inner2d
+    """Max relative defect of u^T A u against the weighted form, random u.
 
+    L-tilde is checked against its defining form, ops2d.apply_ltilde.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     A = sop.matrix
@@ -173,7 +169,10 @@ def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float
         else:
             n = 2 * op.lattice.N
             u = x.reshape(n, n, 2)
-            ref = inner2d(op.lattice, ops2d.apply2d(op, u), u)
+            if op.kind == "ltilde":
+                ref = ops2d.apply_ltilde(op.lattice, op.model, op.blend, u)
+            else:
+                ref = inner2d(op.lattice, ops2d.apply2d(op, u), u)
         got = float(x @ (A @ x))
         worst = max(worst, abs(got - ref) / (abs(ref) + 1.0))
     return worst
@@ -181,35 +180,22 @@ def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float
 
 def gram_D(domain) -> SparseOp:
     """Gram matrix of ||Du||^2 (symmetric PSD), with the orthonormal basis
-    of its kernel: the constant shifts, one unit block per site."""
+    of its kernel: the constant shifts, one unit block per site.
+
+    It is the nearest-neighbor stencil with unit stiffness: the 1D circulant
+    (2, -1, -1) / eps, and in 2D the nearest bond shell with identity
+    Hessians (the eps^2 weight and the 1/eps^2 of the quotients cancel).
+    """
     if isinstance(domain, Chain1D):
         n = domain.nsites
-        idx = np.arange(n)
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-        vals = np.concatenate([np.full(n, 2.0), np.full(n, -1.0), np.full(n, -1.0)])
+        rows, cols, vals = ops1d._circulant_triplets(n, (0, 1, -1), (2.0, -1.0, -1.0))
         return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
                         symmetric=True, kernel=np.ones((n, 1)) / np.sqrt(n))
     if isinstance(domain, TriLattice2D):
-        # eps^2 weight and the 1/eps^2 of the difference quotients cancel
-        n = 2 * domain.N
-        nsites = n * n
-        site = np.arange(nsites)
-        rows, cols, vals = [], [], []
-        comp = np.tile([0, 1], nsites)
-        base = np.repeat(2 * site, 2) + comp
-        si, sj = np.divmod(site, n)
-        for name in ("a1", "a2", "a3"):
-            di, dj = DIR_OFFSETS[name]
-            nb = ((si + di) % n) * n + (sj + dj) % n
-            nb_base = np.repeat(2 * nb, 2) + comp
-            rows += [base, base, nb_base, nb_base]
-            cols += [base, nb_base, nb_base, base]
-            vals += [np.ones(2 * nsites), -np.ones(2 * nsites),
-                     np.ones(2 * nsites), -np.ones(2 * nsites)]
-        G = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(2 * nsites, 2 * nsites))
+        nsites = (2 * domain.N) ** 2
+        rows, cols, vals = ops2d._block_triplets(
+            domain, ops2d._blocks_shell(ops2d._NN, (np.eye(2),) * 3, 1.0))
+        G = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nsites, 2 * nsites))
         return SparseOp(G, symmetric=True,
                         kernel=np.kron(np.ones((nsites, 1)), np.eye(2)) / np.sqrt(nsites))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
@@ -570,8 +556,8 @@ class BlendPattern:
     at beta = 0 and beta = 1 on one CSR pattern (a scaled row stores its
     zeros). is_coercive(op) refills the values at op's blend and factors
     them on a _Pinned pattern, with no assembly, symmetrization or format
-    conversion; op must share the kind, lattice and model object of the
-    operator the pattern was built from.
+    conversion; op must share the kind, lattice and model (equal by value)
+    of the operator the pattern was built from.
     """
 
     def __init__(self, op, G: SparseOp):
@@ -594,7 +580,7 @@ class BlendPattern:
 
     def matrix(self, op) -> SparseOp:
         """A(beta) at op's blend, on the pattern."""
-        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model is not self.model:
+        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
         a = op.blend.beta.ravel()[self.site]
         a *= self.slope

@@ -58,8 +58,7 @@ def _gamma_1d(model, N, kind, K=None):
 
 def _raw_blend_2d(lat, beta):
     # wrap an arbitrary weight array; identities do not need builder caps
-    return Blend2D(lattice=lat, beta=beta, Ra=0, Rb=lat.N, K=lat.N,
-                   Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0), profile="custom",
+    return Blend2D(lattice=lat, beta=beta, Ra=0, Rb=lat.N, profile="custom",
                    margined=False)
 
 

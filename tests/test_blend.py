@@ -1,5 +1,7 @@
 """Blending function construction and derivative-bound measurement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,27 @@ def test_blend2d_measured_bounds():
 def test_blend2d_direct_construction_is_legal():
     # raw in-memory blends skip the builder checks; bound suites gate on margined
     lat = TriLattice2D(4)
-    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, K=4,
-                 Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0), profile="custom",
+    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, profile="custom",
                  margined=False)
     assert not bl.margined
+
+
+def test_replaced_weight_carries_its_own_derived_data():
+    # a blend holds only its weight and geometry: nothing measured from an
+    # old weight survives a replace
+    ch = Chain1D(64)
+    old, new = build_blend_1d(ch, 8), build_blend_1d(ch, 12)
+    swapped = replace(old, beta=new.beta)
+    assert swapped.K == new.K == 24
+    assert np.array_equal(swapped.interface, new.interface)
+    assert swapped.Cbeta_j == new.Cbeta_j and swapped.Cbeta == new.Cbeta
+
+    lat = TriLattice2D(32)
+    bl = build_blend_2d(lat, 2, 12)
+    flat = replace(bl, beta=np.ones_like(bl.beta))
+    assert flat.K == bl.K == 10
+    assert flat.Cbeta_j == (0.0, 0.0, 0.0) and flat.Cbeta == 0.0
+    wider = replace(bl, Ra=0)
+    assert wider.K == 12
+    assert wider.Cbeta_j == pytest.approx([c * 1.2 ** j for j, c in enumerate(bl.Cbeta_j, 1)],
+                                          rel=1e-12)

@@ -21,7 +21,7 @@ from bqcf.experiments import (
     unstable_toy_model,
 )
 from bqcf.lattice1d import Chain1D
-from bqcf.lattice2d import TriLattice2D, ring_number
+from bqcf.lattice2d import TriLattice2D, diff2d, ring_number
 from bqcf.ops1d import Op1D
 from bqcf.ops2d import Op2D, assemble_ltilde
 from bqcf.potentials import PairModel1D, c0, harmonic, hessians_from_radial
@@ -148,6 +148,21 @@ def test_scan_assembles_once_per_size(monkeypatch, space):
     assert calls == {"assemble": 2, "triplets": 4, "pattern": 1}
 
 
+def test_sweep2d_measures_no_blend_constants(monkeypatch):
+    # the scan reads a blend's weight only: nothing takes the derivative
+    # maxima of the sharp blends it builds
+    calls = {"diff2d": 0}
+
+    def counted(*args, **kwargs):
+        calls["diff2d"] += 1
+        return diff2d(*args, **kwargs)
+
+    monkeypatch.setattr("bqcf.blend.diff2d", counted)
+    fit = sweep_threshold_2d(unstable_toy_model(2.04, 1.0), 1, {"N": [8], "Ra": 2})
+    assert fit.pairs == ((1 / 8, 6),)
+    assert calls == {"diff2d": 0}
+
+
 def test_sweep1d_flat_model_is_degenerate():
     # phi2F = 0 leaves nothing to blend; the floor K wins at every size
     fit = sweep_threshold_1d(PairModel1D(1.5, 0.0), [1 / 16, 1 / 32], 16)
@@ -231,8 +246,7 @@ def test_sharpness_probe_2d_validations():
         sharpness_probe_2d(lat, model, blend, np.ones((4, 4), dtype=bool))
     rng = np.random.default_rng(0)
     noisy = type(blend)(lattice=lat, beta=rng.uniform(size=(48, 48)), Ra=4,
-                        Rb=7, K=3, Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0),
-                        profile="custom", margined=False)
+                        Rb=7, profile="custom", margined=False)
     with pytest.raises(ValueError, match="varies along a3"):
         sharpness_probe_2d(lat, model, noisy, jprime)
 

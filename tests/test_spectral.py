@@ -80,8 +80,7 @@ def test_bqcf_matrix_is_row_blend_of_pure_kinds():
 def test_flat_blend_assembles_to_atomistic_2d():
     lat = TriLattice2D(8)
     n = 2 * lat.N
-    ones = Blend2D(lattice=lat, beta=np.ones((n, n)), Ra=0, Rb=1, K=1,
-                   Cbeta=0.0, Cbeta_j=(0.0, 0.0, 0.0), profile="custom",
+    ones = Blend2D(lattice=lat, beta=np.ones((n, n)), Ra=0, Rb=1, profile="custom",
                    margined=False)
     A_b = assemble(Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=ones)).matrix
     A_a = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)).matrix
@@ -436,6 +435,24 @@ def test_refilled_block_matches_the_assembled_one(space, N):
             (want.negative, want.coercive, want.fallback), op.blend.K
         verdicts.add(rep.coercive)
     assert verdicts == {False, True}                # the window holds a sign change
+
+
+def test_models_compare_by_value_and_blends_by_identity():
+    # an equal model built twice is one model to the pattern; blends hold
+    # arrays, so == is identity rather than an elementwise truth value
+    lat = TriLattice2D(8)
+    model, again = unstable_toy_model(2.04, 1.0), unstable_toy_model(2.04, 1.0)
+    assert model == again and model != unstable_toy_model(2.04, 0.5)
+    blend = _blend_2d_sharp(lat, 1, 3)
+    assert blend == blend and blend != _blend_2d_sharp(lat, 1, 3)
+    ch = Chain1D(16)
+    assert build_blend_1d(ch, 6) != build_blend_1d(ch, 6)
+    op = Op2D(kind="bqcf", lattice=lat, model=model, blend=blend)
+    pattern = BlendPattern(op, gram_D(lat))
+    twin = Op2D(kind="bqcf", lattice=lat, model=again, blend=_blend_2d_sharp(lat, 1, 4))
+    got, want = pattern.is_coercive(twin, 1e-10), is_coercive(assemble(twin), gram_D(lat), 1e-10)
+    assert (got.negative, got.coercive, got.fallback) == (want.negative, want.coercive,
+                                                          want.fallback)
 
 
 def test_blend_pattern_refuses_a_foreign_operator():
