@@ -12,10 +12,11 @@ The 2D construction ramps radially in the hexagonal gauge between rings
 Ra + 3 and Rb - 3; the 3-ring margins guarantee that every third-difference
 direction triple is supported strictly inside the blending annulus.
 
-A blend holds only its weight and geometry. The interface set, K and the
-constants ||D^(j) beta||_inf (K eps)^j are derived from them, the constants
-through derivative_bounds on first read, so a blend built by replacing its
-weight never carries another weight's data.
+A blend holds only its weight and geometry. The interface set, K, the
+maxima max |D^(j) beta| and the constants ||D^(j) beta||_inf (K eps)^j are
+derived from them, the maxima measured once by derivative_bounds on first
+read, so a blend built by replacing its weight never carries another
+weight's data.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class Blend1D:
 
     Everything else derives from beta. interface holds the array positions
     of I = {l : 0 < beta_{l+j} < 1 for some j in {+-1, +-2}} and K = #I.
-    Cbeta_j holds the constants ||D^(j) beta||_inf (K eps)^j, j = 1, 2, 3,
-    measured by derivative_bounds on first read, and Cbeta their maximum.
+    Dbeta_max holds the maxima max |D^(j) beta|, j = 1, 2, 3, measured by
+    derivative_bounds on first read; Cbeta_j holds the constants
+    ||D^(j) beta||_inf (K eps)^j and Cbeta their maximum.
     """
 
     chain: Chain1D
@@ -85,6 +87,10 @@ class Blend1D:
         return int(self.interface.size)
 
     @cached_property
+    def Dbeta_max(self) -> tuple:
+        return tuple(derivative_bounds(self).values())
+
+    @cached_property
     def Cbeta_j(self) -> tuple:
         return _constants(self, self.chain.eps)
 
@@ -98,9 +104,9 @@ class Blend2D:
     """Radial blending weight on the triangular lattice (1 inside, 0 outside):
     only the weight and its geometry are held.
 
-    The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Cbeta_j and
-    Cbeta are measured from beta on first read, as in 1D. margined is False
-    only for the sharp probe construction, whose third differences
+    The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Dbeta_max,
+    Cbeta_j and Cbeta derive from beta on first read, as in 1D. margined is
+    False only for the sharp probe construction, whose third differences
     deliberately spill outside the blending annulus.
     """
 
@@ -114,6 +120,10 @@ class Blend2D:
     @property
     def K(self) -> int:
         return self.Rb - self.Ra
+
+    @cached_property
+    def Dbeta_max(self) -> tuple:
+        return tuple(derivative_bounds(self).values())
 
     @cached_property
     def Cbeta_j(self) -> tuple:
@@ -136,8 +146,7 @@ def _constants(blend, eps: float) -> tuple:
     """(||D^(j) beta||_inf (K eps)^j for j = 1, 2, 3), zero when K = 0."""
     if blend.K == 0:
         return (0.0, 0.0, 0.0)
-    bounds = derivative_bounds(blend)
-    return tuple(bounds[j] * (blend.K * eps) ** j for j in (1, 2, 3))
+    return tuple(d * (blend.K * eps) ** j for j, d in enumerate(blend.Dbeta_max, start=1))
 
 
 def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly7") -> Blend1D:

@@ -477,9 +477,10 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     sel = sp.kron(sp.eye(nsites, format="csr"), sp.csr_matrix(uhat[:, None]))
     a_mu = sel.T @ (A @ sel)
     g_mu = sel.T @ (G @ sel)
-    # constant mu is a rigid shift along uhat: the Gram kernel to deflate
-    mu = coercivity(SparseOp((0.5 * (a_mu + a_mu.T)).tocsr(), symmetric=True),
-                    SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(), symmetric=True,
+    # constant mu is a rigid shift along uhat: the Gram kernel to deflate;
+    # coercivity symmetrizes the operator, but reads the Gram matrix as given
+    mu = coercivity(SparseOp(a_mu.tocsr()),
+                    SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(),
                              kernel=np.ones((nsites, 1)) / np.sqrt(nsites)),
                     method="dense").minimizer
     u = sel @ mu
@@ -837,27 +838,29 @@ def _run_stability(cfg):
     space, kind, profile = cfg["space"], cfg["kind"], cfg["profile"]
     # n, k and ra are None when unset: their defaults follow from space and n
     n, k, ra = cfg["n"], cfg["k"], cfg["ra"]
-    _checked("kind", kind, (ops1d if space == "1d" else ops2d)._KINDS)
+    _checked("kind", kind, ops1d._KINDS if space == "1d" else _KINDS_2D)
     blend = None
     if space == "1d":
         model = PairModel1D(cfg["phiF"], cfg["phi2F"])
         chain = Chain1D(64 if n is None else n)
         if kind in ops1d._BLENDED:
             blend = build_blend_1d(chain, 8 if k is None else k, profile=profile)
-        op = Op1D(kind=kind, chain=chain, model=model, blend=blend)
+        A = assemble(Op1D(kind=kind, chain=chain, model=model, blend=blend))
         G = gram_D(chain)
         base = c0(model)
     else:
         model = unstable_toy_model(cfg["kappa0"], cfg["eta"])
         lattice = TriLattice2D(8 if n is None else n)
-        if kind in ops2d._BLENDED:
+        if kind in _BLENDED_2D:
             Ra = lattice.N // 4 if ra is None else ra
             K = lattice.N // 4 if k is None else k
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
-        op = Op2D(kind=kind, lattice=lattice, model=model, blend=blend)
+        # L-tilde is a form on the blend, not an operator kind
+        A = (assemble_ltilde(lattice, model, blend) if kind == "ltilde"
+             else assemble(Op2D(kind=kind, lattice=lattice, model=model, blend=blend)))
         G = gram_D(lattice)
         base = float("nan")
-    rep = coercivity(assemble(op), G, method=cfg["method"], seed=cfg["seed"])
+    rep = coercivity(A, G, method=cfg["method"], seed=cfg["seed"])
     rows = [{"space": space, "kind": kind, "gamma": rep.gamma,
              "method": rep.method, "residual": rep.residual,
              "iterations": rep.iterations, "c0": base}]
@@ -889,7 +892,9 @@ def _only(spec, **when) -> _When:
 
 
 _IDS_1D, _IDS_2D = ("all", "identities-1d"), ("all", "identities-2d")
-_BLENDED_KINDS = tuple(dict.fromkeys(ops1d._BLENDED + ops2d._BLENDED))
+# stability also solves the auxiliary form L-tilde, on the 2D kinds' blend
+_KINDS_2D, _BLENDED_2D = ops2d._KINDS + ("ltilde",), ops2d._BLENDED + ("ltilde",)
+_BLENDED_KINDS = tuple(dict.fromkeys(ops1d._BLENDED + _BLENDED_2D))
 
 # The config keys each experiment reads besides experiment and out, each at
 # its default; a value set must have the default's type (an int passes as a
@@ -918,9 +923,9 @@ EXPERIMENTS = {
     "trace": {"psi": ("hexagon", "hex", "circle"), "r0": [1e-2, 1e-3, 1e-4],
               "r1": 1.0, "quad_n": 8, "npoly": 20, "seed": 7},
     "stability": {"space": ("1d", "2d"),
-                  "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + ops2d._KINDS)),
+                  "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + _KINDS_2D)),
                   "n": int, "k": _only(int, kind=_BLENDED_KINDS),
-                  "ra": _only(int, space=("2d",), kind=ops2d._BLENDED),
+                  "ra": _only(int, space=("2d",), kind=_BLENDED_2D),
                   "phiF": _only(1.0, space=("1d",)), "phi2F": _only(-0.24, space=("1d",)),
                   "kappa0": _only(1.0, space=("2d",)), "eta": _only(0.3, space=("2d",)),
                   "method": METHODS, "profile": _only(PROFILES, kind=_BLENDED_KINDS),

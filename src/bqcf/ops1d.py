@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blend import Blend1D, derivative_bounds, third_diff_level_set
+from .blend import Blend1D, third_diff_level_set
 from .lattice1d import Chain1D, diff, inner, project_zero_mean
 from .potentials import PairModel1D
 
@@ -160,8 +160,7 @@ def rst_bounds(blend: Blend1D, u: np.ndarray) -> dict:
     form = _rst_terms(chain, blend, u)
     Du = diff(chain, u, 1)
     gnorm2 = eps * float(np.sum(Du * Du))
-    db = derivative_bounds(blend)
-    b2, b3 = db[2], db[3]
+    _, b2, b3 = blend.Dbeta_max
     boundR = eps**2 * b2 * gnorm2
     boundS = 2.0 * eps**2 * b2 * gnorm2
     boundT = np.sqrt(2.0) * eps**2 * np.sqrt(blend.K * eps) * b3 * gnorm2
@@ -227,7 +226,7 @@ def _circulant_triplets(n: int, offsets, weights):
 
 
 def assemble_triplets(op: Op1D):
-    """(dim, rows, cols, values, symmetric) with the eps weight baked in.
+    """(dim, rows, cols, values) with the eps weight baked in.
 
     The returned matrix A satisfies u^T A u = <apply(op, u), u> in plain
     Euclidean arithmetic.
@@ -248,15 +247,12 @@ def assemble_triplets(op: Op1D):
     if kind == "atomistic":
         offs = off1 + off2
         weights = [m.phiF * w for w in w1] + [m.phi2F * w for w in w2]
-        symmetric = True
     elif kind == "qcl":
         offs = off1
         weights = [(m.phiF + 4.0 * m.phi2F) * w for w in w1]
-        symmetric = True
     elif kind == "bqcf1":
         offs = off1
         weights = list(w1)
-        symmetric = True
     else:
         beta = op.blend.beta
         o2, w2s = row_scaled(off2, w2, beta)
@@ -269,6 +265,5 @@ def assemble_triplets(op: Op1D):
             weights = ([m.phiF * w for w in w1]
                        + [m.phi2F * w for w in w1s]
                        + [m.phi2F * w for w in w2s])
-        symmetric = False
     rows, cols, vals = _circulant_triplets(n, offs, weights)
-    return n, rows, cols, eps * vals, symmetric
+    return n, rows, cols, eps * vals

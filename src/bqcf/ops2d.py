@@ -12,9 +12,12 @@ Per b-bond, the blended quadratic form splits as
     <L^bqcf_b u, u> = <L^c_b u, u> + cross + R_b + S_b
 
 with cross the beta-weighted negative square of the mixed difference and
-R_b, S_b the terms driven by first and second differences of beta. The
-auxiliary operator L-tilde subtracts the cross-type squares from L^c and
-is symmetric; it is exposed as a quadratic form and an assembled matrix.
+R_b, S_b the terms driven by first and second differences of beta.
+
+L-tilde is not an operator kind: it is the auxiliary quadratic form that
+bounds the blended form from below, the continuum form minus the
+cross-type squares. It is defined by apply_ltilde and assembled, as a
+matrix with the same form, by assemble_ltilde.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blend import Blend2D, derivative_bounds
+from .blend import Blend2D
 from .config import ModelRangeError
 from .lattice2d import (
     TriLattice2D,
@@ -54,8 +57,8 @@ __all__ = [
     "rs_bounds_2d",
 ]
 
-_KINDS = ("atomistic", "cauchy_born", "bqcf", "ltilde")
-_BLENDED = ("bqcf", "ltilde")
+_KINDS = ("atomistic", "cauchy_born", "bqcf")
+_BLENDED = ("bqcf",)
 
 # defining nearest-neighbor pair (p, q) of each b-bond: b = p + q
 BOND_PAIRS = {"b1": ("a1", "a2"), "b2": ("a2", "a3"), "b3": ("a3", "-a1")}
@@ -155,11 +158,6 @@ def apply2d(op: Op2D, u: np.ndarray) -> np.ndarray:
     n = 2 * lattice.N
     if u.shape != (n, n, 2):
         raise ValueError(f"expected field of shape {(n, n, 2)}, got {u.shape}")
-    if op.kind == "ltilde":
-        # matrix-backed: L-tilde is defined through its quadratic form
-        A = assemble_ltilde(lattice, op.model, op.blend).matrix
-        flat = A @ u.ravel() / lattice.eps**2
-        return flat.reshape(u.shape)
     nn = _nn_part(lattice, op.model, u)
     if op.kind == "atomistic":
         return nn + _nnn_atomistic(lattice, op.model, u)
@@ -259,7 +257,7 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     eps = lattice.eps
     gnorm2 = grad_norm_sq_2d(lattice, u)
-    dbounds = derivative_bounds(blend)
+    d1, d2, d3 = blend.Dbeta_max
     cp = float(np.sqrt(eps * blend.K * eps * blend.Rb
                        * abs(np.log(eps * blend.Rb))))
     slack = 1e-12 * (1.0 + gnorm2)
@@ -267,8 +265,8 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     for j, bond in enumerate(_BONDS):
         norm_h = _spectral_norm(model.Hb[j])
         form = divergence_form_2d(lattice, model, blend, u, bond)
-        boundR = 4.0 * eps**2 * norm_h * dbounds[1] * gnorm2
-        boundS = chat * eps**2 * norm_h * (dbounds[2] + dbounds[3] * cp) * gnorm2
+        boundR = 4.0 * eps**2 * norm_h * d1 * gnorm2
+        boundS = chat * eps**2 * norm_h * (d2 + d3 * cp) * gnorm2
         if abs(form.Rb_term) > boundR + slack:
             raise RuntimeError(
                 f"|R_{bond}| = {abs(form.Rb_term):.6e} exceeds bound {boundR:.6e}")
@@ -375,7 +373,7 @@ def _mixed_diff_matrix(lattice: TriLattice2D, p, q) -> sp.csr_matrix:
 
 def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                     per_bond: bool = False):
-    """Assembled symmetric matrix of the L-tilde quadratic form.
+    """Assembled matrix of the L-tilde quadratic form.
 
     Euclidean u^T A u equals apply_ltilde(lattice, model, blend, u) on
     zero-mean u (and for all u, both being shift-invariant forms).
@@ -397,28 +395,23 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
         bshift = shift_field(blend.beta, wshift).ravel()
         W = sp.kron(sp.diags(bshift), H, format="csr")
         A = A - eps**4 * (M.T @ W @ M)
-    return SparseOp(A, symmetric=True)
+    return SparseOp(A)
 
 
 def assemble_triplets(op: Op2D):
-    """(dim, rows, cols, values, symmetric) with the eps^2 weight baked in.
-
-    L-tilde has no stencil: it is assembled from its form by assemble_ltilde.
-    """
+    """(dim, rows, cols, values) with the eps^2 weight baked in."""
     lattice = op.lattice
     eps = lattice.eps
     n = 2 * lattice.N
     dim = 2 * n * n
-    if op.kind == "ltilde":
-        raise ValueError("kind 'ltilde' has no stencil triplets; use assemble_ltilde")
     nn = _blocks_shell(_NN, op.model.Ha, eps)
     if op.kind == "atomistic":
         rows, cols, vals = _block_triplets(lattice,
                                            nn + _blocks_shell(_BONDS, op.model.Hb, eps))
-        return dim, rows, cols, eps**2 * vals, True
+        return dim, rows, cols, eps**2 * vals
     if op.kind == "cauchy_born":
         rows, cols, vals = _block_triplets(lattice, nn + _blocks_nnn_c(op.model, eps))
-        return dim, rows, cols, eps**2 * vals, True
+        return dim, rows, cols, eps**2 * vals
     parts = [
         _block_triplets(lattice, nn),
         _block_triplets(lattice, _blocks_shell(_BONDS, op.model.Hb, eps),
@@ -429,7 +422,7 @@ def assemble_triplets(op: Op2D):
     rows = np.concatenate([p[0] for p in parts])
     cols = np.concatenate([p[1] for p in parts])
     vals = np.concatenate([p[2] for p in parts])
-    return dim, rows, cols, eps**2 * vals, False
+    return dim, rows, cols, eps**2 * vals
 
 
 def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> float:
@@ -450,7 +443,7 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     sites = np.flatnonzero(mask.ravel())
     idx = np.concatenate([2 * sites, 2 * sites + 1])
     vals = np.full(idx.size, -lattice.eps**2)
-    M = SparseOp(sp.csr_matrix((vals, (idx, idx)), shape=(dim, dim)), symmetric=True)
+    M = SparseOp(sp.csr_matrix((vals, (idx, idx)), shape=(dim, dim)))
     # start from a radial cosine bump about the annulus center: its ratio is
     # about 3/4 of the supremum, which places the first shift below it
     reach = min(3 * regions.Rb, lattice.N)

@@ -5,7 +5,9 @@ the minimum eigenvalue of the pencil (sym(A), G) on the orthogonal
 complement of ker(G), where A is the assembled operator (inner-product
 weights baked in) and G the Gram matrix of ||Du||^2. <L u, u> = <sym(L) u, u>
 identically, so the nonsymmetric force-based operator needs no special
-treatment beyond symmetrizing.
+treatment beyond symmetrizing. No matrix declares itself symmetric: every
+path computes sym(A) = (A + A^T) / 2, so all solvers see the same one, even
+where an energy-based matrix differs from its transpose by rounding.
 
 The zero-mean space has one coordinate system: the first site's m
 coordinates pinned, x = Pi W z, where sym(A) - sigma G restricts to its
@@ -15,7 +17,7 @@ capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 (Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
 it, with sigma certified below gamma by a count of zero (Ericsson and
 Ruhe's spectral transformation). Both build the factored block the same
-way (_Pinned): values refilled on one pattern, the union of sym(A)'s and
+way (_Pinned): values refilled on one pattern, the union of A's, A^T's and
 G's, fixed for every sigma. A blended operator is affine in its weight, so
 a threshold scan refills that pattern at each blend (BlendPattern) and
 assembles nothing per probe. A dense eigh of the same pinned pencil serves
@@ -30,7 +32,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -48,7 +49,6 @@ __all__ = [
     "assemble",
     "check_assembly",
     "coercivity",
-    "export_matrixmarket",
     "gram_D",
     "is_coercive",
 ]
@@ -64,23 +64,17 @@ _DENSE_THRESHOLD = 400
 class SparseOp:
     """Assembled operator: a square CSR matrix with duplicates summed.
 
-    A set symmetric flag is checked at construction. kernel, when present,
-    holds an orthonormal dense basis of the nullspace of the represented
-    form (it defines the zero-mean space of the pencil).
+    No symmetry is declared: sym_matrix is computed, and for an exactly
+    symmetric matrix it holds the same values. kernel, when present, holds
+    an orthonormal dense basis of the nullspace of the represented form (it
+    defines the zero-mean space of the pencil).
     """
 
     matrix: sp.csr_matrix = field(repr=False)
-    symmetric: bool = False
     kernel: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        m.sum_duplicates()
-        if self.symmetric:
-            skew = float(abs(m - m.T).max()) if m.nnz else 0.0
-            scale = float(abs(m).max()) if m.nnz else 1.0
-            if skew > 1e-12 * max(scale, 1.0):
-                raise ValueError(f"symmetric flag set but max |A - A^T| = {skew:g}")
+        self.matrix.sum_duplicates()
 
     @property
     def dim(self) -> int:
@@ -88,8 +82,9 @@ class SparseOp:
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
+        """(A + A^T) / 2; _Pinned forms the same values on its pattern."""
         m = self.matrix
-        return m if self.symmetric else ((m + m.T) * 0.5).tocsr()
+        return ((m + m.T) * 0.5).tocsr()
 
 
 @dataclass(frozen=True)
@@ -137,28 +132,22 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic.
     """
-    if isinstance(op, ops2d.Op2D) and op.kind == "ltilde":
-        # L-tilde is defined by its quadratic form and has no stencil
-        return ops2d.assemble_ltilde(op.lattice, op.model, op.blend)
-    return SparseOp(*_stencil(op))
+    return SparseOp(_stencil(op))
 
 
-def _stencil(op):
-    """(CSR matrix, symmetric flag) of op's stencil triplets, duplicates summed."""
+def _stencil(op) -> sp.csr_matrix:
+    """CSR matrix of op's stencil triplets, duplicates summed."""
     if isinstance(op, ops1d.Op1D):
-        dim, rows, cols, vals, symmetric = ops1d.assemble_triplets(op)
+        dim, rows, cols, vals = ops1d.assemble_triplets(op)
     elif isinstance(op, ops2d.Op2D):
-        dim, rows, cols, vals, symmetric = ops2d.assemble_triplets(op)
+        dim, rows, cols, vals = ops2d.assemble_triplets(op)
     else:
         raise TypeError(f"cannot assemble {type(op).__name__}")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), symmetric
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float:
-    """Max relative defect of u^T A u against the weighted form, random u.
-
-    L-tilde is checked against its defining form, ops2d.apply_ltilde.
-    """
+    """Max relative defect of u^T A u against the weighted form, random u."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     A = sop.matrix
@@ -169,10 +158,7 @@ def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float
         else:
             n = 2 * op.lattice.N
             u = x.reshape(n, n, 2)
-            if op.kind == "ltilde":
-                ref = ops2d.apply_ltilde(op.lattice, op.model, op.blend, u)
-            else:
-                ref = inner2d(op.lattice, ops2d.apply2d(op, u), u)
+            ref = inner2d(op.lattice, ops2d.apply2d(op, u), u)
         got = float(x @ (A @ x))
         worst = max(worst, abs(got - ref) / (abs(ref) + 1.0))
     return worst
@@ -190,20 +176,14 @@ def gram_D(domain) -> SparseOp:
         n = domain.nsites
         rows, cols, vals = ops1d._circulant_triplets(n, (0, 1, -1), (2.0, -1.0, -1.0))
         return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
-                        symmetric=True, kernel=np.ones((n, 1)) / np.sqrt(n))
+                        kernel=np.ones((n, 1)) / np.sqrt(n))
     if isinstance(domain, TriLattice2D):
         nsites = (2 * domain.N) ** 2
         rows, cols, vals = ops2d._block_triplets(
             domain, ops2d._blocks_shell(ops2d._NN, (np.eye(2),) * 3, 1.0))
         G = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nsites, 2 * nsites))
-        return SparseOp(G, symmetric=True,
-                        kernel=np.kron(np.ones((nsites, 1)), np.eye(2)) / np.sqrt(nsites))
+        return SparseOp(G, kernel=np.kron(np.ones((nsites, 1)), np.eye(2)) / np.sqrt(nsites))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
-
-
-def export_matrixmarket(sop: SparseOp, path: str) -> None:
-    """Write the assembled matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(path, sop.matrix.tocoo())
 
 
 def _project_out(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -272,20 +252,20 @@ class _Pinned:
 
     The pattern is the union of A's, A^T's and G's. Scatter maps place A's
     and G's stored entries in it (_scatter); the transpose map sends each
-    of its entries to its mirror entry, and is None when A is symmetric.
-    block(a, sigma), a the values on A's canonical CSR pattern, sums sym(A)
-    - sigma G on the pattern and keeps the block past the first site's m
-    rows and columns, less its exact zeros off G's pattern: the nonzero set
-    of sym(A) summed with G's pattern, so that SuperLU orders and fills it
-    as it would the summed matrices, whatever sigma.
+    of its entries to its mirror entry. block(a, sigma), a the values on
+    A's canonical CSR pattern, sums sym(A) - sigma G on the pattern, sym(A)
+    = (A + A^T) / 2 whether or not A is symmetric, and keeps the block past
+    the first site's m rows and columns, less its exact zeros off G's
+    pattern: the nonzero set of sym(A) summed with G's pattern, so that
+    SuperLU orders and fills it as it would the summed matrices, whatever
+    sigma. G must be symmetric.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
-                 symmetric: bool):
+    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
         self.kernel, self.g = kernel, G.data
-        a, g = _numbered(A), _numbered(G)
+        a = _numbered(A)
         # positive sums: nothing cancels
-        P = a + g if symmetric else a + a.T + g + g.T
+        P = a + a.T + _numbered(G)
         P.sort_indices()
         key = _keys(P)
         self.at_a, self.at_g = _scatter(key, A), _scatter(key, G)
@@ -294,20 +274,16 @@ class _Pinned:
         self.indptr = P.indptr.astype(np.int32, copy=False)
         self.indices = P.indices.astype(np.int32, copy=False)
         # P is structurally symmetric: numbered P^T holds each mirror's number
-        self.transpose = None if symmetric else (
-            _numbered(P).T.tocsr().data - 1).astype(np.int32)
+        self.transpose = (_numbered(P).T.tocsr().data - 1).astype(np.int32)
 
     def block(self, a: np.ndarray, sigma: float):
         """(M_pp, U, k^T s) of _Shift for the values a on A's pattern."""
         n, m = self.kernel.shape
         size = self.indices.size
         x = _spread(a, self.at_a, size)
-        if self.transpose is None:
-            s = x
-        else:                                       # sym(A)
-            s = x[self.transpose]
-            s += x
-            s *= 0.5
+        s = x[self.transpose]                       # sym(A)
+        s += x
+        s *= 0.5
         U, kts = _pinned_update(sp.csr_matrix((s, self.indices, self.indptr), shape=(n, n)),
                                 self.kernel)
         # rows past the first m, less the first m columns and the zeros off G
@@ -413,7 +389,7 @@ def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
     rho, res = _rayleigh_residual(Asym, G, kernel, x)
     report = dict(method="iterative", iterations=0, factorizations=0)
     sigma, step, shift = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0, None
-    pinned = _Pinned(Asym, G, kernel, symmetric=True)
+    pinned = _Pinned(Asym, G, kernel)
     while not res <= tol and shift is None:        # a NaN residual enters too
         try:
             shift = _Shift(pinned, Asym.data, sigma)
@@ -520,8 +496,7 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     within rounding of gamma can still clear the bounds; the sign there is
     whatever rounding made it.
     """
-    pinned = _Pinned(opMatrix.matrix, G.matrix, _pencil_kernel(opMatrix.dim, G),
-                     opMatrix.symmetric)
+    pinned = _Pinned(opMatrix.matrix, G.matrix, _pencil_kernel(opMatrix.dim, G))
     return _sign(pinned, opMatrix, G, tau, dense_threshold, seed)
 
 
@@ -564,7 +539,7 @@ class BlendPattern:
         if op.blend is None:
             raise ValueError(f"kind {op.kind!r} has no blend to refill")
         beta = op.blend.beta
-        A0, A1 = (_stencil(replace(op, blend=replace(op.blend, beta=np.full_like(beta, b))))[0]
+        A0, A1 = (_stencil(replace(op, blend=replace(op.blend, beta=np.full_like(beta, b))))
                   for b in (0.0, 1.0))
         if not (np.array_equal(A0.indptr, A1.indptr)
                 and np.array_equal(A0.indices, A1.indices)):
@@ -576,7 +551,7 @@ class BlendPattern:
         del A1
         rows = np.repeat(np.arange(A0.shape[0], dtype=np.int32), np.diff(A0.indptr))
         self.site = rows // kernel.shape[1]
-        self.pinned = _Pinned(A0, G.matrix, kernel, symmetric=False)
+        self.pinned = _Pinned(A0, G.matrix, kernel)
 
     def matrix(self, op) -> SparseOp:
         """A(beta) at op's blend, on the pattern."""

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bqcf import blend as blend_module
+from bqcf import ops1d, ops2d
 from bqcf.blend import (
     Blend2D,
     blend_from_samples,
@@ -14,7 +16,8 @@ from bqcf.blend import (
     third_diff_level_set,
 )
 from bqcf.lattice1d import Chain1D, diff
-from bqcf.lattice2d import TriLattice2D, diff2d, ring_number
+from bqcf.lattice2d import TriLattice2D, diff2d, random_zero_mean_2d, ring_number
+from bqcf.potentials import hessians_from_radial, morse
 
 
 def test_builder_rejects_degenerate_sizes():
@@ -234,6 +237,7 @@ def test_replaced_weight_carries_its_own_derived_data():
     swapped = replace(old, beta=new.beta)
     assert swapped.K == new.K == 24
     assert np.array_equal(swapped.interface, new.interface)
+    assert swapped.Dbeta_max == new.Dbeta_max
     assert swapped.Cbeta_j == new.Cbeta_j and swapped.Cbeta == new.Cbeta
 
     lat = TriLattice2D(32)
@@ -245,3 +249,24 @@ def test_replaced_weight_carries_its_own_derived_data():
     assert wider.K == 12
     assert wider.Cbeta_j == pytest.approx([c * 1.2 ** j for j, c in enumerate(bl.Cbeta_j, 1)],
                                           rel=1e-12)
+
+
+def test_bound_functions_measure_a_blend_once(monkeypatch, rng):
+    # rs_bounds_2d and rst_bounds read the maxima a blend caches; the spy
+    # stands in for derivative_bounds under every name it is imported by
+    measured = []
+
+    def spy(blend):
+        measured.append(blend)
+        return derivative_bounds(blend)
+
+    lat, ch = TriLattice2D(32), Chain1D(64)
+    # copies of built blends: the builders' own checks measured the originals
+    bl2, bl1 = replace(build_blend_2d(lat, 4, 12)), replace(build_blend_1d(ch, 16))
+    model = hessians_from_radial(morse(), np.eye(2))
+    for module in (blend_module, ops1d, ops2d):
+        monkeypatch.setattr(module, "derivative_bounds", spy, raising=False)
+    for _ in range(3):
+        ops2d.rs_bounds_2d(lat, model, bl2, random_zero_mean_2d(lat, rng))
+        ops1d.rst_bounds(bl1, rng.standard_normal(ch.nsites))
+    assert measured == [bl2, bl1]

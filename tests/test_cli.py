@@ -11,15 +11,19 @@ from pathlib import Path
 import pytest
 
 import bqcf
-from bqcf import ops1d, ops2d
-from bqcf.blend import build_blend_1d
-from bqcf.cli import main
+from bqcf import experiments, ops1d
+from bqcf.blend import _blend_2d_sharp, build_blend_1d
+from bqcf.cli import _assemble_config, _build_parser, main
+from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D
+from bqcf.lattice2d import TriLattice2D
 from bqcf.ops1d import Op1D
+from bqcf.ops2d import assemble_ltilde
 from bqcf.potentials import PairModel1D
 from bqcf.spectral import assemble, coercivity, gram_D
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_verify_suite_prints_residual(tmp_path, capsys):
@@ -197,12 +201,37 @@ def test_help_shows_each_default_and_choices(capsys):
 
 
 @pytest.mark.parametrize("space, kinds, n", [("1d", ops1d._KINDS, "16"),
-                                             ("2d", ops2d._KINDS, "6")])
+                                             ("2d", experiments._KINDS_2D, "6")])
 def test_stability_runs_every_kind(tmp_path, space, kinds, n):
-    # a blended kind gets its blend, an unblended one none
+    # a blended kind gets its blend, an unblended one none; the 2D kinds are
+    # the stability experiment's own, the auxiliary form ltilde among them
+    assert set(kinds) <= set(experiments.EXPERIMENTS["stability"]["kind"])
     for kind in kinds:
         assert main(["stability", "--space", space, "--kind", kind, "--n", n,
                      "--out", str(tmp_path / kind)]) == 0
+
+
+def test_stability_solves_ltilde_through_its_form(tmp_path):
+    out = tmp_path / "ltilde"
+    assert main(["stability", "--space", "2d", "--kind", "ltilde", "--out", str(out)]) == 0
+    gamma = json.loads((out / "fit.json").read_text())["gamma"]
+    # the defaults: N = 8, Ra = K = N // 4, the toy model at kappa0 1, eta 0.3
+    lat = TriLattice2D(8)
+    form = assemble_ltilde(lat, unstable_toy_model(1.0, 0.3), _blend_2d_sharp(lat, 2, 4))
+    assert gamma == coercivity(form, gram_D(lat)).gamma
+
+
+def test_readme_cli_examples_resolve():
+    # every bqcf line of README's command line block parses and resolves to
+    # a checked config, so that a renamed key cannot leave the docs stale
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines()
+                if line.startswith("bqcf ")]
+    assert examples
+    parser = _build_parser()
+    for argv in examples:
+        cfg = _assemble_config(parser.parse_args(argv[1:]))
+        experiments._resolve(cfg["experiment"], cfg)
 
 
 def test_stability_profile_flag(tmp_path):

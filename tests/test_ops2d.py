@@ -42,10 +42,10 @@ def _flat_blend(lat, value):
 
 
 def _dense(triplets_out):
-    dim, rows, cols, vals, symmetric = triplets_out
+    dim, rows, cols, vals = triplets_out
     A = np.zeros((dim, dim))
     np.add.at(A, (rows, cols), vals)
-    return A, symmetric
+    return A
 
 
 def test_apply_constant_is_zero():
@@ -56,9 +56,9 @@ def test_apply_constant_is_zero():
         op = Op2D(kind=kind, lattice=lat, model=MODEL,
                   blend=bl if kind == "bqcf" else None)
         assert np.array_equal(apply2d(op, u), np.zeros_like(u))
-    # matrix-backed path cancels the center block only up to rounding
-    out = apply2d(Op2D(kind="ltilde", lattice=lat, model=MODEL, blend=bl), u)
-    assert np.max(np.abs(out)) <= 1e-9
+    # the L-tilde matrix cancels the center block only up to rounding
+    out = assemble_ltilde(lat, MODEL, bl).matrix @ u.ravel()
+    assert np.max(np.abs(out)) <= 1e-9 * lat.eps**2
 
 
 def test_flat_blend_reproduces_pure_kinds(rng):
@@ -123,8 +123,9 @@ def test_op_validation():
         Op2D(kind="qcl", lattice=lat, model=MODEL)
     with pytest.raises(ValueError, match="requires a blend"):
         Op2D(kind="bqcf", lattice=lat, model=MODEL)
-    with pytest.raises(ValueError, match="requires a blend"):
-        Op2D(kind="ltilde", lattice=lat, model=MODEL)
+    # L-tilde is a form (apply_ltilde, assemble_ltilde), not an operator kind
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        Op2D(kind="ltilde", lattice=lat, model=MODEL, blend=bl)
     with pytest.raises(ValueError, match="does not take a blend"):
         Op2D(kind="atomistic", lattice=lat, model=MODEL, blend=bl)
     with pytest.raises(ValueError, match="different lattice"):
@@ -272,15 +273,11 @@ def test_ltilde_matrix_matches_quadratic_form(rng):
         A = np.zeros((sop.dim, sop.dim))
         np.add.at(A, (rows, cols), vals)
         assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
-        op = Op2D(kind="ltilde", lattice=lat, model=MODEL, blend=bl)
         for _ in range(10):
             u = random_zero_mean_2d(lat, rng)
             want = apply_ltilde(lat, MODEL, bl, u, per_bond=per_bond)
             quad = float(u.ravel() @ (A @ u.ravel()))
             assert quad == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
-            if not per_bond:
-                via_op = inner2d(lat, apply2d(op, u), u)
-                assert via_op == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
 def test_blended_form_dominates_ltilde(rng):
@@ -310,21 +307,15 @@ def test_blended_form_dominates_ltilde(rng):
                 assert lhs >= tilde - bracket - 1e-9 * (1 + abs(tilde))
 
 
-def test_assembly_symmetry_flags(rng):
+def test_assembly_symmetry():
+    # the energy-based kinds are symmetric to rounding, the force-based not
     lat = TriLattice2D(16)
     bl = build_blend_2d(lat, 1, 8)
     for kind in ("atomistic", "cauchy_born"):
-        A, symmetric = _dense(assemble_triplets(
-            Op2D(kind=kind, lattice=lat, model=MODEL)))
-        assert symmetric
+        A = _dense(assemble_triplets(Op2D(kind=kind, lattice=lat, model=MODEL)))
         assert np.max(np.abs(A - A.T)) <= 1e-14 * np.max(np.abs(A))
-    A, symmetric = _dense(assemble_triplets(
-        Op2D(kind="bqcf", lattice=lat, model=MODEL, blend=bl)))
-    assert not symmetric
+    A = _dense(assemble_triplets(Op2D(kind="bqcf", lattice=lat, model=MODEL, blend=bl)))
     assert np.max(np.abs(A - A.T)) > 1e-6
-    # L-tilde is assembled from its quadratic form, never from a stencil
-    with pytest.raises(ValueError, match="no stencil triplets"):
-        assemble_triplets(Op2D(kind="ltilde", lattice=lat, model=MODEL, blend=bl))
 
 
 def test_poincare_degenerate_region_is_zero():

@@ -2,16 +2,16 @@
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg
 import scipy.sparse
 
+from bqcf import ops1d, ops2d
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_1d, build_blend_2d
 from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D, diff
 from bqcf.lattice2d import TriLattice2D, grad_norm_sq_2d, make_regions
 from bqcf.ops1d import Op1D
-from bqcf.ops2d import Op2D
+from bqcf.ops2d import Op2D, assemble_ltilde
 from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
     BlendPattern,
@@ -24,7 +24,6 @@ from bqcf.spectral import (
     assemble,
     check_assembly,
     coercivity,
-    export_matrixmarket,
     gram_D,
     is_coercive,
 )
@@ -56,9 +55,30 @@ def test_assembly_matches_apply_2d():
     for kind in ("atomistic", "cauchy_born"):
         op = Op2D(kind=kind, lattice=lat, model=MODEL2D)
         assert check_assembly(op, assemble(op)) <= 1e-11
-    for kind in ("bqcf", "ltilde"):
-        op = Op2D(kind=kind, lattice=lat16, model=MODEL2D, blend=bl)
-        assert check_assembly(op, assemble(op)) <= 1e-11
+    op = Op2D(kind="bqcf", lattice=lat16, model=MODEL2D, blend=bl)
+    assert check_assembly(op, assemble(op)) <= 1e-11
+
+
+def test_sym_matrix_is_exactly_symmetric():
+    # sym(A) is computed, never declared: the Morse Cauchy-Born matrix sums
+    # its duplicate triplets in another order on each side of the diagonal,
+    # so it differs from its transpose by rounding, but its sym(A) does not
+    ch = Chain1D(16)
+    bl = build_blend_1d(ch, 6)
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    sops = [assemble(Op1D(kind=kind, chain=ch, model=model,
+                          blend=bl if kind in ops1d._BLENDED else None))
+            for kind in ops1d._KINDS]
+    lat = TriLattice2D(4)
+    bl2 = _blend_2d_sharp(lat, 1, 2)
+    for model2 in (MODEL2D, unstable_toy_model(2.04, 1.0)):
+        sops += [assemble(Op2D(kind=kind, lattice=lat, model=model2,
+                               blend=bl2 if kind in ops2d._BLENDED else None))
+                 for kind in ops2d._KINDS]
+        sops.append(assemble_ltilde(lat, model2, bl2))
+    for sop in sops:
+        S = sop.sym_matrix
+        assert (S != S.T).nnz == 0
 
 
 def test_assemble_rejects_unknown_object():
@@ -185,7 +205,7 @@ def test_gamma_gauge_invariance():
     shifted = SparseOp(scipy.sparse.csr_matrix((
         np.concatenate([vals, np.full(n * n, 5.0)]),
         (np.concatenate([rows, gi.ravel()]), np.concatenate([cols, gj.ravel()]))),
-        shape=(n, n)), symmetric=False)
+        shape=(n, n)))
     again = coercivity(shifted, gram_D(ch)).gamma
     assert again == pytest.approx(base, rel=1e-8)
 
@@ -251,7 +271,7 @@ def _shifted_forms(domain):
         idx, weight = np.concatenate([2 * sites, 2 * sites + 1]), domain.eps ** 2
     dim = assemble(energy).dim
     mask = SparseOp(scipy.sparse.csr_matrix((np.full(idx.size, -weight), (idx, idx)),
-                                            shape=(dim, dim)), symmetric=True)
+                                            shape=(dim, dim)))
     return assemble(energy), assemble(force), mask
 
 
@@ -271,7 +291,7 @@ def test_shifted_solve_is_exact(domain, rng):
         M = Asym - sigma * G.matrix
         b = rng.standard_normal(G.dim)
         b -= k @ (k.T @ b)
-        shift = _Shift(_Pinned(Asym, G.matrix, k, symmetric=True), Asym.data, sigma)
+        shift = _Shift(_Pinned(Asym, G.matrix, k), Asym.data, sigma)
         y = _lift(k, shift.solve(b[m:]))
         r = M @ y - b
         assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
@@ -292,13 +312,6 @@ def test_iterative_path_rejects_a_non_finite_pencil():
         coercivity(A, gram_D(ch), method="iterative")
 
 
-def test_symmetric_flag_is_checked():
-    bad = scipy.sparse.csr_matrix((np.array([1.0]), (np.array([0]), np.array([1]))),
-                                  shape=(2, 2))
-    with pytest.raises(ValueError, match="symmetric flag set"):
-        SparseOp(bad, symmetric=True)
-
-
 def test_coercivity_validation():
     ch = Chain1D(8)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
@@ -307,19 +320,9 @@ def test_coercivity_validation():
     with pytest.raises(ValueError, match="dimension mismatch"):
         coercivity(sop, gram_D(Chain1D(4)))
     with pytest.raises(ValueError, match="kernel basis"):
-        coercivity(sop, SparseOp(G.matrix, symmetric=True))
+        coercivity(sop, SparseOp(G.matrix))
     with pytest.raises(ValueError, match="unknown method"):
         coercivity(sop, G, method="magic")
-
-
-def test_matrixmarket_round_trip(tmp_path):
-    ch = Chain1D(8)
-    model = PairModel1D(phiF=1.0, phi2F=-0.24)
-    sop = assemble(Op1D(kind="atomistic", chain=ch, model=model))
-    path = tmp_path / "op.mtx"
-    export_matrixmarket(sop, str(path))
-    back = scipy.io.mmread(str(path)).tocsr()
-    assert abs(back - sop.matrix).max() <= 1e-15
 
 
 # K* of the blended chain at phi2F = -0.24, tol 1e-10 (criterion 4's sizes)
@@ -487,7 +490,7 @@ def test_inertia_rejects_foreign_kernel():
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=model))
     G = gram_D(ch)
     tilted = np.linspace(1.0, 2.0, 16)[:, None]
-    G_bad = SparseOp(G.matrix, symmetric=True, kernel=tilted / np.linalg.norm(tilted))
+    G_bad = SparseOp(G.matrix, kernel=tilted / np.linalg.norm(tilted))
     with pytest.raises(ValueError, match="not orthogonal to the kernel"):
         is_coercive(sop, G_bad, 1e-10)
     for method in ("dense", "iterative"):
