@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import ModelRangeError
-from .lattice1d import Chain1D, diff
+from .lattice1d import Chain1D, diff, diffs, roll
 from .lattice2d import TriLattice2D, diff2d, ring_number
 
 __all__ = [
@@ -138,7 +138,7 @@ def _interface_1d(beta: np.ndarray) -> np.ndarray:
     strict = (beta > 0.0) & (beta < 1.0)
     in_I = np.zeros_like(strict)
     for j in (-2, -1, 1, 2):
-        in_I |= np.roll(strict, -j)
+        in_I |= roll(strict, -j)
     return np.flatnonzero(in_I)
 
 
@@ -279,7 +279,8 @@ def derivative_bounds(blend) -> dict:
     directions cover all twelve.
     """
     if isinstance(blend, Blend1D):
-        return {j: float(np.max(np.abs(diff(blend.chain, blend.beta, j)))) for j in (1, 2, 3)}
+        return {j: float(np.max(np.abs(d)))
+                for j, d in enumerate(diffs(blend.chain, blend.beta, 3), start=1)}
     if isinstance(blend, Blend2D):
         level, bounds = [blend.beta], {}
         for j in (1, 2, 3):

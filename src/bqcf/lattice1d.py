@@ -16,7 +16,8 @@ import numpy as np
 
 from .config import ModelRangeError
 
-__all__ = ["Chain1D", "diff", "inner", "norms", "project_zero_mean", "random_zero_mean"]
+__all__ = ["Chain1D", "diff", "diffs", "inner", "norms", "project_zero_mean",
+           "random_zero_mean", "roll"]
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,37 @@ class Chain1D:
         return pos % (2 * self.N) - self.N + 1
 
 
+def roll(v: np.ndarray, k: int) -> np.ndarray:
+    """np.roll(v, k) of a nonempty 1D array, by slicing: roll(v, k)_l =
+    v_{l-k} with periodic wrapping. np.roll's generic axis handling costs
+    several times the copy at the sizes the chain uses."""
+    cut = v.size - k % v.size
+    return np.concatenate((v[cut:], v[:cut]))
+
+
 def diff(chain: Chain1D, u: np.ndarray, order: int = 1) -> np.ndarray:
     """Backward difference ladder.
 
     (Du)_l = (u_l - u_{l-1})/eps, D2u_l = (Du_{l+1} - Du_l)/eps,
     D3u_l = (D2u_l - D2u_{l-1})/eps, all with periodic wrapping.
     """
+    return diffs(chain, u, order)[-1]
+
+
+def diffs(chain: Chain1D, u: np.ndarray, order: int = 3) -> tuple:
+    """(Du, ..., D^order u) of diff's ladder, each rung built once."""
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2, or 3")
     u = np.asarray(u, dtype=float)
     if u.shape != (chain.nsites,):
         raise ValueError(f"expected {chain.nsites} values, got shape {u.shape}")
-    d = (u - np.roll(u, 1)) / chain.eps
-    if order == 1:
-        return d
-    d2 = (np.roll(d, -1) - d) / chain.eps
-    if order == 2:
-        return d2
-    if order == 3:
-        return (d2 - np.roll(d2, 1)) / chain.eps
-    raise ValueError("order must be 1, 2, or 3")
+    d = (u - roll(u, 1)) / chain.eps
+    ladder = [d]
+    if order >= 2:
+        ladder.append((roll(d, -1) - d) / chain.eps)
+    if order >= 3:
+        ladder.append((ladder[1] - roll(ladder[1], 1)) / chain.eps)
+    return tuple(ladder)
 
 
 def norms(chain: Chain1D, v: np.ndarray) -> dict:

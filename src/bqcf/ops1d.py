@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .blend import Blend1D, third_diff_level_set
-from .lattice1d import Chain1D, diff, inner, project_zero_mean
+from .lattice1d import Chain1D, diff, diffs, inner, project_zero_mean, roll
 from .potentials import PairModel1D
 
 __all__ = [
@@ -63,11 +63,11 @@ class Op1D:
 
 
 def _lap1(chain: Chain1D, v: np.ndarray) -> np.ndarray:
-    return -(np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / chain.eps**2
+    return -(roll(v, -1) - 2.0 * v + roll(v, 1)) / chain.eps**2
 
 
 def _lap2(chain: Chain1D, v: np.ndarray) -> np.ndarray:
-    return -(np.roll(v, -2) - 2.0 * v + np.roll(v, 2)) / chain.eps**2
+    return -(roll(v, -2) - 2.0 * v + roll(v, 2)) / chain.eps**2
 
 
 def apply_op(op: Op1D, u: np.ndarray) -> np.ndarray:
@@ -124,14 +124,12 @@ def _rst_terms(chain: Chain1D, blend: Blend1D, u: np.ndarray) -> DivForm1D:
     """The split evaluated literally at u, with no mean projection."""
     eps = chain.eps
     beta = blend.beta
-    Du = diff(chain, u, 1)
-    D2u = diff(chain, u, 2)
-    D2b = diff(chain, blend.beta, 2)
-    D3b = diff(chain, blend.beta, 3)
+    Du, D2u = diffs(chain, u, 2)
+    _, D2b, D3b = diffs(chain, beta, 3)
     main = 4.0 * eps * float(np.sum(Du * Du)) - eps**3 * float(np.sum(beta * D2u * D2u))
     R = 2.0 * eps**3 * float(np.sum(D2b * Du * Du))
     S = eps**4 * float(np.sum(D2b * D2u * Du))
-    T = eps**3 * float(np.sum(np.roll(D3b, -1) * u * np.roll(Du, -1)))
+    T = eps**3 * float(np.sum(roll(D3b, -1) * u * roll(Du, -1)))
     return DivForm1D(main=main, R=R, S=S, T=T)
 
 

@@ -190,12 +190,11 @@ def _project_out(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - kernel @ (kernel.T @ v)
 
 
-def _pinned_update(Asym: sp.csr_matrix, kernel: np.ndarray):
-    """U = [k_p, s_p] and k^T s, s = sym(A) k: with the first site's m
+def _pinned_update(s: np.ndarray, kernel: np.ndarray):
+    """U = [k_p, s_p] and k^T s, for s = sym(A) k: with the first site's m
     coordinates pinned, x = Pi W z and W^T Pi (sym A - sigma G) Pi W =
     (sym A - sigma G)[m:, m:] + U C U^T, C = [[k^T s, -I], [-I, 0]]."""
     m = kernel.shape[1]
-    s = Asym @ kernel
     return np.hstack([kernel[m:], s[m:]]), kernel.T @ s
 
 
@@ -205,7 +204,7 @@ def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
     k^T s is symmetric, so U C U^T = k_p P^T + P k_p^T with P = k_p (k^T s)
     / 2 - s_p: m rank-2 updates of the upper triangle, in place."""
     m = kernel.shape[1]
-    U, kts = _pinned_update(Asym, kernel)
+    U, kts = _pinned_update(Asym @ kernel, kernel)
     kp = U[:, :m]
     P = 0.5 * (kp @ kts) - U[:, m:]
     S = Asym[m:, m:].toarray(order="F")
@@ -252,16 +251,22 @@ class _Pinned:
 
     The pattern is the union of A's, A^T's and G's. Scatter maps place A's
     and G's stored entries in it (_scatter); the transpose map sends each
-    of its entries to its mirror entry. block(a, sigma), a the values on
-    A's canonical CSR pattern, sums sym(A) - sigma G on the pattern, sym(A)
-    = (A + A^T) / 2 whether or not A is symmetric, and keeps the block past
-    the first site's m rows and columns, less its exact zeros off G's
-    pattern: the nonzero set of sym(A) summed with G's pattern, so that
-    SuperLU orders and fills it as it would the summed matrices, whatever
-    sigma. G must be symmetric.
+    of its entries to its mirror entry. Each term of s = sym(A) k, one per
+    entry and nonzero kernel value in its column, keeps its entry, its
+    kernel weight and its slot in s, and the block keeps its columns and
+    row pointers: O(nnz) arrays, built once. block(a, sigma), a
+    the values on A's canonical CSR pattern, sums sym(A) - sigma G on the
+    pattern, sym(A) = (A + A^T) / 2 whether or not A is symmetric, forms
+    the rank-2m update from s with one weighted bincount, and keeps the
+    block past the first site's m rows and columns, less its exact zeros
+    off G's pattern: the nonzero set of sym(A) summed with G's pattern, so
+    that SuperLU orders and fills it as it would the summed matrices,
+    whatever sigma. A probe is O(nnz) array work and one sparse matrix,
+    the block. G must be symmetric.
     """
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
+        n, m = kernel.shape
         self.kernel, self.g = kernel, G.data
         a = _numbered(A)
         # positive sums: nothing cancels
@@ -271,33 +276,44 @@ class _Pinned:
         self.at_a, self.at_g = _scatter(key, A), _scatter(key, G)
         # where A or G fills the pattern, its arrays serve
         P = A if self.at_a is None else G if self.at_g is None else P
-        self.indptr = P.indptr.astype(np.int32, copy=False)
-        self.indices = P.indices.astype(np.int32, copy=False)
+        self.size = P.nnz
         # P is structurally symmetric: numbered P^T holds each mirror's number
         self.transpose = (_numbered(P).T.tocsr().data - 1).astype(np.int32)
+        # (sym(A) k)[row, c] sums sym(A)_e k[col, c] over the entries e of a
+        # row in CSR order, as a CSR product does, less the kernel's zeros:
+        # term i weights entry at_k[i] by k_at[i] into slot[i]
+        e, c = np.nonzero(kernel[P.indices])
+        self.slot = (np.repeat(np.arange(n) * m, np.diff(P.indptr))[e] + c).astype(np.int32)
+        self.at_k, self.k_at = e.astype(np.int32), kernel[P.indices[e], c]
+        # the block: the entries from start on (rows past the first m), their
+        # columns shifted by m, negative for the first m columns
+        self.start = P.indptr[m]
+        self.cols = (P.indices[self.start:] - m).astype(np.int32)
+        self.indptr = (P.indptr[m:] - self.start).astype(np.int32)
 
     def block(self, a: np.ndarray, sigma: float):
         """(M_pp, U, k^T s) of _Shift for the values a on A's pattern."""
         n, m = self.kernel.shape
-        size = self.indices.size
-        x = _spread(a, self.at_a, size)
+        x = _spread(a, self.at_a, self.size)
         s = x[self.transpose]                       # sym(A)
         s += x
         s *= 0.5
-        U, kts = _pinned_update(sp.csr_matrix((s, self.indices, self.indptr), shape=(n, n)),
-                                self.kernel)
-        # rows past the first m, less the first m columns and the zeros off G
-        start = self.indptr[m]
-        s, cols = s[start:], self.indices[start:]
-        keep = cols >= m
+        w = s[self.at_k]
+        w *= self.k_at
+        sk = np.bincount(self.slot, weights=w, minlength=n * m)
+        U, kts = _pinned_update(sk.reshape(n, m), self.kernel)
+        s, g = s[self.start:], _spread(self.g, self.at_g, self.size)[self.start:]
+        keep = self.cols >= 0
         if self.at_g is not None:
-            on_g = _spread(np.ones(self.g.size, dtype=bool), self.at_g, size)
-            keep &= (s != 0.0) | on_g[start:]
+            keep &= (s != 0.0) | (_spread(np.ones(self.g.size, dtype=bool), self.at_g,
+                                          self.size)[self.start:])
+        keep = np.flatnonzero(keep)
         values = s[keep]
-        values -= sigma * _spread(self.g, self.at_g, size)[start:][keep]
-        indptr = np.concatenate([[0], np.cumsum(keep)])[self.indptr[m:] - start]
+        values -= sigma * g[keep]
+        # int32 like the columns, so that scipy casts neither
+        indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
         # sym(A) - sigma G is symmetric: its CSR arrays are its CSC arrays
-        return (sp.csc_matrix((values, cols[keep] - m, indptr), shape=(n - m, n - m)),
+        return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(n - m, n - m)),
                 U, kts)
 
 
@@ -311,10 +327,20 @@ class _Shift:
     Q = -C^-1 - U^T X U, S has neg(D) + neg(Q) - m negative eigenvalues
     (Haynsworth) and S^-1 = X + X U Q^-1 U^T X (Woodbury), with Q
     block-diagonalized: T^T Q T = diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0,
-    I]], Y = X U T. A sign is trusted when it clears a rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
-    |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z gamma_3w
-    || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves included.
-    min_pivot and margin report the test that came closest.
+    I]], Y = X U T. A sign is trusted when it clears a rounding bound: a
+    pivot gamma_w max_k R_kk (LDL^T backward error, R = |L||D||L^T|, w the
+    longest row of L); an eigenvalue of Q11 or Z gamma_3w || |Y_j|^T R
+    |Y_j| ||, that error's first-order effect, solves included. tests holds
+    the three (smallest magnitude, bound) pairs, in that order; min_pivot
+    and margin report the one that came closest.
+
+    A sign probe costs the factorization, one solve with 2m right-hand
+    sides, O(nnz) work on the factor and a few m x m dense calls: with U =
+    D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
+    (|U| |Y|), three compiled products with the factor's own copies of L
+    and U, overwritten in place, so no temporary is the factor's size. The
+    Woodbury operator Cinv is built on the first solve(), so a sign probe
+    never builds it.
     """
 
     def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
@@ -324,33 +350,40 @@ class _Shift:
         del M_pp                                    # before lu.U copies the factor
         self.nnz = int(self.lu.nnz)
         XU = self.lu.solve(U)
-        eye = np.eye(m)
-        Q = np.block([[np.zeros((m, m)), eye], [eye, kts]]) - U.T @ XU
+        Q = np.zeros((2 * m, 2 * m))                # -C^-1
+        Q[:m, m:] = Q[m:, :m] = np.eye(m)
+        Q[m:, m:] = kts
+        Q -= U.T @ XU
         Q = 0.5 * (Q + Q.T)
         F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
-        blocks = (Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F)
+        self.blocks = np.stack([Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F])
         self.Y = np.hstack([XU[:, :m], XU[:, m:] - XU[:, :m] @ F])
-        self.Cinv = scipy.linalg.block_diag(*map(np.linalg.inv, blocks))
 
-        # R = |U_f|^T |D|^-1 |U_f| from U_f = D L^T; the factor keeps the
-        # copy lu.U makes, and nothing reads it after this, so it is reused
-        Uf = self.lu.U
+        # lu.U makes the copies of L and U together; the factor keeps them
+        # and nothing reads them after this, so they are overwritten in place
+        Lf, Uf = self.lu.L, self.lu.U
         d = Uf.diagonal()
+        ad = np.abs(d)
+        np.abs(Lf.data, out=Lf.data)
         np.abs(Uf.data, out=Uf.data)
         Yp = np.abs(self.Y)
-        RY = Uf.T @ ((Uf @ Yp) / np.abs(d)[:, None])
-        Uf.data **= 2
+        RY = Lf @ (Uf @ Yp)                         # R |Y| = |L| (|U| |Y|)
+        Lf.data **= 2
         unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        tests = [(np.abs(d).min(), unit / (1 - unit) * (Uf.T @ (1.0 / np.abs(d))).max())]
+        self.tests = tests = [(ad.min(), unit / (1 - unit) * (Lf @ ad).max())]
         unit *= 3
-        q = [np.linalg.eigvalsh(B) for B in blocks]
-        for j in range(2):
-            cols = slice(j * m, (j + 1) * m)
-            tests.append((np.abs(q[j]).min(), unit / (1 - unit)
-                          * np.linalg.norm(Yp[:, cols].T @ RY[:, cols], 2)))
-        self.negative = int(np.sum(d < 0) + np.sum(q[0] < 0) + np.sum(q[1] < 0)) - m
+        q = np.linalg.eigvalsh(self.blocks)
+        YRY = np.stack([Yp[:, j].T @ RY[:, j] for j in (slice(0, m), slice(m, None))])
+        # the 2-norm of each block is its largest singular value
+        tests += zip(np.abs(q).min(axis=1),
+                     unit / (1 - unit) * np.linalg.svd(YRY, compute_uv=False)[:, 0])
+        self.negative = int(np.sum(d < 0) + np.sum(q < 0)) - m
         self.min_pivot, self.margin = map(float, min(tests, key=lambda t: t[0] / t[1]))
         self.trusted = all(p > b for p, b in tests)
+
+    @cached_property
+    def Cinv(self) -> np.ndarray:
+        return scipy.linalg.block_diag(*np.linalg.inv(self.blocks))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """S^-1 r in pinned coordinates."""
@@ -372,7 +405,7 @@ def _rayleigh_residual(Asym, G, kernel: np.ndarray, x: np.ndarray):
     return rho, float(np.linalg.norm(Ax - rho * Gx)) / max(denom, 1e-300)
 
 
-def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
+def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
                      tol: float, maxiter: int, x0: Optional[np.ndarray], seed: int):
     """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
 
@@ -382,6 +415,7 @@ def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
     maxiter caps the number of shifted solves.
     """
     n, m = kernel.shape
+    A, Asym = opMatrix.matrix, opMatrix.sym_matrix
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) if x0 is None else np.asarray(x0, dtype=float)
     x = _project_out(kernel, x)
@@ -389,10 +423,10 @@ def _iterative_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray,
     rho, res = _rayleigh_residual(Asym, G, kernel, x)
     report = dict(method="iterative", iterations=0, factorizations=0)
     sigma, step, shift = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0, None
-    pinned = _Pinned(Asym, G, kernel)
+    pinned = _Pinned(A, G, kernel)
     while not res <= tol and shift is None:        # a NaN residual enters too
         try:
-            shift = _Shift(pinned, Asym.data, sigma)
+            shift = _Shift(pinned, A.data, sigma)
         except (RuntimeError, np.linalg.LinAlgError):   # a zero pivot
             pass
         report["factorizations"] += 1
@@ -443,10 +477,10 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
         limit = _DENSE_THRESHOLD if dense_threshold is None else dense_threshold
         method = "dense" if opMatrix.dim <= limit else "iterative"
 
-    Asym = opMatrix.sym_matrix
     Gm = G.matrix
     if method == "iterative":
-        return _iterative_gamma(Asym, Gm, kernel, tol, maxiter, x0, seed)
+        return _iterative_gamma(opMatrix, Gm, kernel, tol, maxiter, x0, seed)
+    Asym = opMatrix.sym_matrix
     _, x = _dense_gamma(Asym, Gm, kernel)
     gamma, res = _rayleigh_residual(Asym, Gm, kernel, x)
     return StabilityReport(gamma=gamma, minimizer=x, method="dense",
@@ -497,15 +531,16 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     whatever rounding made it.
     """
     pinned = _Pinned(opMatrix.matrix, G.matrix, _pencil_kernel(opMatrix.dim, G))
-    return _sign(pinned, opMatrix, G, tau, dense_threshold, seed)
+    return _sign(pinned, opMatrix.matrix.data, tau,
+                 lambda: coercivity(opMatrix, G, dense_threshold=dense_threshold, seed=seed))
 
 
-def _sign(pinned: _Pinned, opMatrix: SparseOp, G: SparseOp, tau: float,
-          dense_threshold: Optional[int], seed: int) -> InertiaReport:
-    """is_coercive(opMatrix, G, tau), its block refilled on pinned, a
-    pattern built for opMatrix's."""
+def _sign(pinned: _Pinned, a: np.ndarray, tau: float, solve) -> InertiaReport:
+    """gamma > tau for the values a on pinned's pattern, read off _Shift's
+    inertia; solve() gives the pencil solve's StabilityReport, asked for
+    only when the signs cannot decide."""
     try:
-        shift = _Shift(pinned, opMatrix.matrix.data, tau)
+        shift = _Shift(pinned, a, tau)
     except (RuntimeError, np.linalg.LinAlgError):
         # a zero pivot, or pivots off the diagonal: no inertia to read
         negative, min_pivot, margin = -1, 0.0, float("nan")
@@ -517,7 +552,7 @@ def _sign(pinned: _Pinned, opMatrix: SparseOp, G: SparseOp, tau: float,
             return InertiaReport(coercive=negative == 0, negative=negative,
                                  min_pivot=min_pivot, margin=margin,
                                  method="inertia")
-    rep = coercivity(opMatrix, G, dense_threshold=dense_threshold, seed=seed)
+    rep = solve()
     return InertiaReport(coercive=rep.gamma > tau, negative=negative,
                          min_pivot=min_pivot, margin=margin, method=rep.method)
 
@@ -529,10 +564,12 @@ class BlendPattern:
     A blended stencil is affine in the weight, row by row: A(beta) = A_0 +
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
     at beta = 0 and beta = 1 on one CSR pattern (a scaled row stores its
-    zeros). is_coercive(op) refills the values at op's blend and factors
-    them on a _Pinned pattern, with no assembly, symmetrization or format
-    conversion; op must share the kind, lattice and model (equal by value)
-    of the operator the pattern was built from.
+    zeros). is_coercive(op) refills the values at op's blend (values) and
+    hands them to _Shift on a _Pinned pattern, with no assembly,
+    symmetrization or format conversion: the probe builds one sparse matrix,
+    the block it factors, and a SparseOp of A(beta) only when it falls back
+    to a value solve. op must share the kind, lattice and model (equal by
+    value) of the operator the pattern was built from.
     """
 
     def __init__(self, op, G: SparseOp):
@@ -553,16 +590,24 @@ class BlendPattern:
         self.site = rows // kernel.shape[1]
         self.pinned = _Pinned(A0, G.matrix, kernel)
 
-    def matrix(self, op) -> SparseOp:
-        """A(beta) at op's blend, on the pattern."""
+    def values(self, op) -> np.ndarray:
+        """A(beta)'s stored values at op's blend, on the pattern."""
         if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
         a = op.blend.beta.ravel()[self.site]
         a *= self.slope
         a += self.a0
-        return SparseOp(sp.csr_matrix((a, self.indices, self.indptr), shape=(self.G.dim,) * 2))
+        return a
+
+    def matrix(self, op) -> SparseOp:
+        """A(beta) at op's blend, on the pattern."""
+        return SparseOp(sp.csr_matrix((self.values(op), self.indices, self.indptr),
+                                      shape=(self.G.dim,) * 2))
 
     def is_coercive(self, op, tau: float, *, dense_threshold: Optional[int] = None,
                     seed: int = 7) -> InertiaReport:
-        """spectral.is_coercive(assemble(op), G, tau) on the pattern."""
-        return _sign(self.pinned, self.matrix(op), self.G, tau, dense_threshold, seed)
+        """spectral.is_coercive(assemble(op), G, tau) on the pattern; A(beta)
+        is built as a matrix only when the probe falls back to a value solve."""
+        return _sign(self.pinned, self.values(op), tau,
+                     lambda: coercivity(self.matrix(op), self.G,
+                                        dense_threshold=dense_threshold, seed=seed))

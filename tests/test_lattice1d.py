@@ -1,9 +1,12 @@
 """Periodic chain geometry, difference ladder, norms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from bqcf.lattice1d import Chain1D, diff, inner, norms, project_zero_mean
+from bqcf import blend, ops1d
+from bqcf.lattice1d import Chain1D, diff, diffs, inner, norms, project_zero_mean
 
 
 def test_chain_basic():
@@ -128,3 +131,45 @@ def test_project_zero_mean(rng):
     p = project_zero_mean(u)
     assert abs(p.sum()) <= 1e-12 * (1 + np.abs(p).max()) * 32
     assert np.allclose(project_zero_mean(p), p, atol=1e-15)
+
+
+def _diff_by_np_roll(chain, u, order):
+    d = (u - np.roll(u, 1)) / chain.eps
+    d2 = (np.roll(d, -1) - d) / chain.eps
+    return (d, d2, (d2 - np.roll(d2, 1)) / chain.eps)[order - 1]
+
+
+def _rst_by_np_roll(chain, beta, u):
+    eps = chain.eps
+    Du, D2u = (_diff_by_np_roll(chain, u, j) for j in (1, 2))
+    D2b, D3b = (_diff_by_np_roll(chain, beta, j) for j in (2, 3))
+    return (4.0 * eps * float(np.sum(Du * Du)) - eps**3 * float(np.sum(beta * D2u * D2u)),
+            2.0 * eps**3 * float(np.sum(D2b * Du * Du)),
+            eps**4 * float(np.sum(D2b * D2u * Du)),
+            eps**3 * float(np.sum(np.roll(D3b, -1) * u * np.roll(Du, -1))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 256])
+def test_periodic_stencils_match_np_roll_bitwise(n, rng):
+    # the difference ladder, the Laplacians, the R/S/T split and the
+    # interface set wrap by slicing; each must equal its np.roll form bit
+    # for bit, including at n = 2 and 3, where the +-2 neighbors wrap
+    chain = SimpleNamespace(nsites=n, eps=2.0 / n)
+    u, beta = rng.standard_normal(n), rng.uniform(size=n)
+    beta[rng.uniform(size=n) < 0.5] = 1.0
+    for order in (1, 2, 3):
+        assert np.array_equal(diff(chain, u, order), _diff_by_np_roll(chain, u, order))
+    assert all(np.array_equal(d, _diff_by_np_roll(chain, u, j))
+               for j, d in enumerate(diffs(chain, u), start=1))
+    eps2 = chain.eps**2
+    assert np.array_equal(ops1d._lap1(chain, u),
+                          -(np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / eps2)
+    assert np.array_equal(ops1d._lap2(chain, u),
+                          -(np.roll(u, -2) - 2.0 * u + np.roll(u, 2)) / eps2)
+    form = ops1d._rst_terms(chain, SimpleNamespace(beta=beta), u)
+    assert (form.main, form.R, form.S, form.T) == _rst_by_np_roll(chain, beta, u)
+    strict = (beta > 0.0) & (beta < 1.0)
+    in_I = np.zeros_like(strict)
+    for j in (-2, -1, 1, 2):
+        in_I |= np.roll(strict, -j)
+    assert np.array_equal(blend._interface_1d(beta), np.flatnonzero(in_I))

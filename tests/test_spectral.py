@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from bqcf import ops1d, ops2d
+from bqcf import ops1d, ops2d, spectral
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_1d, build_blend_2d
 from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D, diff
@@ -298,6 +298,32 @@ def test_shifted_solve_is_exact(domain, rng):
         assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
 
 
+def test_pinned_update_with_a_rotated_kernel(rng):
+    # a kernel basis whose rows hold two nonzeros each weights every entry
+    # of sym(A) twice: the block's update is still sym(A) k, and the shifted
+    # solve is still exact on the zero-mean space
+    lat = TriLattice2D(8)
+    G = gram_D(lat)
+    c, s = np.cos(0.3), np.sin(0.3)
+    k = np.kron(np.ones((lat.nsites, 1)), np.array([[c, -s], [s, c]])) / np.sqrt(lat.nsites)
+    m = k.shape[1]
+    sigma = -0.25
+    for sop in _shifted_forms(lat):
+        A, Asym = sop.matrix, sop.sym_matrix
+        pinned = _Pinned(A, G.matrix, k)
+        _, U, kts = pinned.block(A.data, sigma)
+        U_ref, kts_ref = spectral._pinned_update(Asym @ k, k)
+        scale = abs(Asym).max()
+        assert np.abs(U - U_ref).max() <= 1e-14 * scale
+        assert np.abs(kts - kts_ref).max() <= 1e-13 * scale
+        b = rng.standard_normal(G.dim)
+        b -= k @ (k.T @ b)
+        y = _lift(k, _Shift(pinned, A.data, sigma).solve(b[m:]))
+        r = (Asym - sigma * G.matrix) @ y - b
+        assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
+        assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
+
+
 def test_iterative_nonconvergence_raises():
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -389,6 +415,87 @@ def test_inertia_margin_on_criterion_4_largest_window():
         rep = is_coercive(sop, G, 1e-10)
         assert rep.method == "inertia"
         assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
+
+
+def _rounding_tests(shift, M_pp):
+    # _Shift's three tests as its docstring states them, from dense L and D
+    # of M_pp's factor and R = |L||D||L^T|: pivots against gamma_w max_k
+    # R_kk, the eigenvalues of Q11 and Z against gamma_3w || |Y_j|^T R |Y_j| ||
+    lu = _ldlt(M_pp)
+    L, D = lu.L.toarray(), np.diag(lu.U.toarray())
+    R = np.abs(L) @ np.diag(np.abs(D)) @ np.abs(L).T
+    wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
+    m = shift.blocks.shape[1]
+    q = [np.linalg.eigvalsh(B) for B in shift.blocks]
+    tests = [(np.abs(D).min(), wu / (1 - wu) * np.diag(R).max())]
+    for j in range(2):
+        Yj = np.abs(shift.Y[:, j * m:(j + 1) * m])
+        tests.append((np.abs(q[j]).min(),
+                      3 * wu / (1 - 3 * wu) * np.linalg.norm(Yj.T @ R @ Yj, 2)))
+    negative = int(np.sum(D < 0) + sum(np.sum(qj < 0) for qj in q)) - m
+    return negative, tests
+
+
+def _small_pencils():
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    for N, K in ((8, 6), (16, 7)):
+        ch = Chain1D(N)
+        for blend in (None, build_blend_1d(ch, K)):
+            kind = "atomistic" if blend is None else "bqcf"
+            yield assemble(Op1D(kind=kind, chain=ch, model=model, blend=blend)), gram_D(ch)
+    lat = TriLattice2D(4)
+    for blend in (None, _blend_2d_sharp(lat, 1, 3)):
+        kind = "atomistic" if blend is None else "bqcf"
+        yield assemble(Op2D(kind=kind, lattice=lat, model=MODEL2D, blend=blend)), gram_D(lat)
+
+
+def test_rounding_tests_match_a_dense_evaluation():
+    # the inertia and the three rounding tests _Shift reads off the sparse
+    # factor's arrays equal their dense evaluation, far from gamma and
+    # within 1e-6 of it, where a capacitance eigenvalue nearly vanishes.
+    # Two tests can tie in their ratio there, so min_pivot and margin are
+    # compared as the closest ratio, and every test is compared in full
+    for sop, G in _small_pencils():
+        gamma = coercivity(sop, G, method="dense").gamma
+        pinned = _Pinned(sop.matrix, G.matrix, G.kernel)
+        for tau in (1e-10, gamma - 1e-7):
+            shift = _Shift(pinned, sop.matrix.data, tau)
+            negative, tests = _rounding_tests(shift, pinned.block(sop.matrix.data, tau)[0])
+            assert shift.negative == negative, (sop.dim, tau)
+            assert shift.trusted == all(p > b for p, b in tests), (sop.dim, tau)
+            assert np.allclose(shift.tests, tests, rtol=1e-13, atol=0.0), (sop.dim, tau)
+            assert shift.min_pivot / shift.margin == pytest.approx(
+                min(p / b for p, b in tests), rel=1e-13, abs=0.0)
+
+
+def _counting(cls, made):
+    # a subclass that logs each construction, so isinstance checks still hold
+    def __init__(self, *args, **kwargs):
+        made.append(cls.__name__)
+        cls.__init__(self, *args, **kwargs)
+    return type(cls.__name__, (cls,), {"__init__": __init__})
+
+
+def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
+    # a trusted probe constructs one sparse matrix in spectral, the block
+    # handed to splu, and never the Woodbury operator a solve needs
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+              blend=build_blend_1d(ch, 20))
+    pattern = BlendPattern(op, G)
+    made = []
+    for name in dir(spectral.sp):
+        cls = getattr(spectral.sp, name)
+        if name.endswith(("_matrix", "_array")) and isinstance(cls, type):
+            monkeypatch.setattr(spectral.sp, name, _counting(cls, made))
+    assert pattern.is_coercive(op, 1e-10).method == "inertia"
+    assert made == ["csc_matrix"]
+    monkeypatch.undo()
+    shift = _Shift(pattern.pinned, pattern.values(op), 1e-10)
+    assert shift.trusted and "Cinv" not in vars(shift)
+    shift.solve(np.ones(G.dim - 1))
+    assert "Cinv" in vars(shift)
 
 
 def _summed_block(Asym, G, tau, m):
