@@ -26,11 +26,10 @@ from . import ops1d, ops2d
 from .blend import (PROFILES, Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples,
                     build_blend_1d)
 from .config import ConfigError, ModelRangeError, format_value, load_config
-from .lattice1d import Chain1D, diff, norms, random_zero_mean
+from .lattice1d import Chain1D, diff, norms, project_zero_mean, random_zero_mean
 from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
                         random_zero_mean_2d, ring_number)
-from .ops1d import (Op1D, _rst_terms, _sharpness_parts, divergence_form,
-                    quad_form, sharpness_test_function)
+from .ops1d import Op1D, _rst_terms, _sharpness_parts, divergence_form, quad_form
 from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
                     divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
@@ -302,12 +301,12 @@ def sharpness_probe_1d(model: PairModel1D, chain: Chain1D,
     is reported as inconclusive: the witness only bounds the infimum from
     above, and indefiniteness is established when it goes negative.
     """
-    v = sharpness_test_function(chain, blend)
+    _, v_anch, jset, _ = _sharpness_parts(chain, blend)
+    v = project_zero_mean(v_anch)           # sharpness_test_function(chain, blend)
     op = Op1D(kind="bqcf", chain=chain, model=model, blend=blend)
     dv2 = norms(chain, diff(chain, v, 1))["l2eps"] ** 2
     ray = quad_form(op, v) / dv2
 
-    _, v_anch, jset, _ = _sharpness_parts(chain, blend)
     t_anch = _rst_terms(chain, blend, v_anch).T
     alpha = jset.size / blend.K
     bound = -(alpha ** 0.5 / 4.0) * blend.K ** -2.5 * chain.eps ** -0.5
@@ -363,6 +362,9 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     if unread:
         raise ValueError(f"case {case} does not read {', '.join(unread)}; its "
                          f"keys are {', '.join(keys)}")
+    for key in ("N", "alpha", "c"):
+        if key in keys and key not in p:
+            raise ValueError(f"case {case} requires the key {key}")
     sizes = [int(n) for n in np.atleast_1d(p["N"])]
     K_max = int(p.get("K_max", 16))
     K_min = int(p.get("K_min", 1))
@@ -793,6 +795,9 @@ def _run_poincare(cfg):
     for N in cfg["n"]:
         lattice = TriLattice2D(N)
         Ra, Rb = round(cfg["ra_frac"] * N), round(cfg["rb_frac"] * N)
+        if Rb <= Ra:
+            raise ModelRangeError(f"the blending annulus is empty at N = {N}: "
+                                  f"Ra = {Ra}, Rb = {Rb}")
         t0 = time.perf_counter()
         ratio = poincare_discrete(lattice, make_regions(lattice, Ra, Rb))
         dt = time.perf_counter() - t0

@@ -308,28 +308,28 @@ def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
     """Triplets of a block-circulant stencil, optionally row-scaled.
 
     blocks: iterable of (offset, 2x2 array); row_scale: per-site scalar
-    field multiplying every row block (the blending weight).
+    field multiplying every row block (the blending weight). A zero entry
+    of a block is never stored, so the pattern does not depend on
+    row_scale: a blend's stencils at any two weights share it.
     """
     n = 2 * lattice.N
     nsites = n * n
     site = np.arange(nsites, dtype=np.int32)
     si, sj = np.divmod(site, n)
-    scale = None if row_scale is None else np.asarray(row_scale, dtype=float).ravel()
-    rows, cols, vals = [], [], []
+    scale = np.ones(nsites) if row_scale is None else np.asarray(row_scale, dtype=float).ravel()
+    # a stencil whose blocks are all zero stores nothing
+    rows, cols, vals = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     for off, B in blocks:
         di, dj = resolve_direction(off)
         nb = ((si + di) % n) * n + (sj + dj) % n
         for cr in range(2):
             for cc in range(2):
                 b = B[cr, cc]
-                if b == 0.0 and scale is None:
+                if b == 0.0:
                     continue
                 rows.append(2 * site + cr)
                 cols.append(2 * nb + cc)
-                v = np.full(nsites, b)
-                if scale is not None:
-                    v = v * scale
-                vals.append(v)
+                vals.append(b * scale)
     return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
@@ -400,29 +400,17 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 def assemble_triplets(op: Op2D):
     """(dim, rows, cols, values) with the eps^2 weight baked in."""
-    lattice = op.lattice
+    lattice, model = op.lattice, op.model
     eps = lattice.eps
-    n = 2 * lattice.N
-    dim = 2 * n * n
-    nn = _blocks_shell(_NN, op.model.Ha, eps)
-    if op.kind == "atomistic":
-        rows, cols, vals = _block_triplets(lattice,
-                                           nn + _blocks_shell(_BONDS, op.model.Hb, eps))
-        return dim, rows, cols, eps**2 * vals
-    if op.kind == "cauchy_born":
-        rows, cols, vals = _block_triplets(lattice, nn + _blocks_nnn_c(op.model, eps))
-        return dim, rows, cols, eps**2 * vals
-    parts = [
-        _block_triplets(lattice, nn),
-        _block_triplets(lattice, _blocks_shell(_BONDS, op.model.Hb, eps),
-                        row_scale=op.blend.beta),
-        _block_triplets(lattice, _blocks_nnn_c(op.model, eps),
-                        row_scale=1.0 - op.blend.beta),
-    ]
-    rows = np.concatenate([p[0] for p in parts])
-    cols = np.concatenate([p[1] for p in parts])
-    vals = np.concatenate([p[2] for p in parts])
-    return dim, rows, cols, eps**2 * vals
+    atomistic, continuum = _blocks_shell(_BONDS, model.Hb, eps), _blocks_nnn_c(model, eps)
+    if op.kind == "bqcf":
+        nnn = [(atomistic, op.blend.beta), (continuum, 1.0 - op.blend.beta)]
+    else:
+        nnn = [(atomistic if op.kind == "atomistic" else continuum, None)]
+    parts = [_block_triplets(lattice, blocks, scale)
+             for blocks, scale in [(_blocks_shell(_NN, model.Ha, eps), None)] + nnn]
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return 2 * (2 * lattice.N) ** 2, rows, cols, eps**2 * vals
 
 
 def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> float:

@@ -130,9 +130,13 @@ def assemble(op) -> SparseOp:
     """Assemble any operator kind to a SparseOp with weights baked in.
 
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
-    Euclidean arithmetic.
+    Euclidean arithmetic. Entries that the stencil's sums leave zero are
+    not stored; BlendPattern keeps an entry that is zero at one weight and
+    not at another.
     """
-    return SparseOp(_stencil(op))
+    A = _stencil(op)
+    A.eliminate_zeros()
+    return SparseOp(A)
 
 
 def _stencil(op) -> sp.csr_matrix:
@@ -228,34 +232,18 @@ def _numbered(M: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr), shape=M.shape)
 
 
-def _scatter(key: np.ndarray, M: sp.csr_matrix) -> Optional[np.ndarray]:
-    """Where each stored entry of M sits in the pattern with sorted keys key;
-    None when M fills the pattern."""
-    if M.nnz == key.size:
-        return None
-    return np.searchsorted(key, _keys(M)).astype(np.int32)
-
-
-def _spread(values: np.ndarray, at: Optional[np.ndarray], size: int) -> np.ndarray:
-    """values scattered to the positions at of a pattern of size entries."""
-    if at is None:
-        return values
-    out = np.zeros(size, dtype=values.dtype)
-    out[at] = values
-    return out
-
-
 class _Pinned:
     """sym(A) - sigma G on the zero-mean space in pinned coordinates, on one
     sparsity pattern for every value of A's entries and every sigma.
 
-    The pattern is the union of A's, A^T's and G's. Scatter maps place A's
-    and G's stored entries in it (_scatter); the transpose map sends each
-    of its entries to its mirror entry. Each term of s = sym(A) k, one per
-    entry and nonzero kernel value in its column, keeps its entry, its
-    kernel weight and its slot in s, and the block keeps its columns and
-    row pointers: O(nnz) arrays, built once. block(a, sigma), a
-    the values on A's canonical CSR pattern, sums sym(A) - sigma G on the
+    The pattern is the union of A's, A^T's and G's. A scatter map places
+    A's stored entries in it and the transpose map sends each of its
+    entries to its mirror entry; G's values and G's pattern on the block
+    are scattered once. Each term of s = sym(A) k, one per entry and
+    nonzero kernel value in its column, keeps its entry, its kernel weight
+    and its slot in s, and the block keeps its columns and row pointers:
+    O(nnz) arrays, built once. block(a, sigma), a the values on A's
+    canonical CSR pattern, scatters them and sums sym(A) - sigma G on the
     pattern, sym(A) = (A + A^T) / 2 whether or not A is symmetric, forms
     the rank-2m update from s with one weighted bincount, and keeps the
     block past the first site's m rows and columns, less its exact zeros
@@ -267,15 +255,14 @@ class _Pinned:
 
     def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
         n, m = kernel.shape
-        self.kernel, self.g = kernel, G.data
+        self.kernel = kernel
         a = _numbered(A)
         # positive sums: nothing cancels
         P = a + a.T + _numbered(G)
         P.sort_indices()
         key = _keys(P)
-        self.at_a, self.at_g = _scatter(key, A), _scatter(key, G)
-        # where A or G fills the pattern, its arrays serve
-        P = A if self.at_a is None else G if self.at_g is None else P
+        # where each stored entry of A and of G sits in the pattern
+        self.at_a, at_g = (np.searchsorted(key, _keys(M)).astype(np.int32) for M in (A, G))
         self.size = P.nnz
         # P is structurally symmetric: numbered P^T holds each mirror's number
         self.transpose = (_numbered(P).T.tocsr().data - 1).astype(np.int32)
@@ -286,15 +273,20 @@ class _Pinned:
         self.slot = (np.repeat(np.arange(n) * m, np.diff(P.indptr))[e] + c).astype(np.int32)
         self.at_k, self.k_at = e.astype(np.int32), kernel[P.indices[e], c]
         # the block: the entries from start on (rows past the first m), their
-        # columns shifted by m, negative for the first m columns
+        # columns shifted by m, negative for the first m columns; G's values
+        # there, and G's pattern, whose entries the block keeps at any value
         self.start = P.indptr[m]
         self.cols = (P.indices[self.start:] - m).astype(np.int32)
         self.indptr = (P.indptr[m:] - self.start).astype(np.int32)
+        g, on_g = np.zeros(self.size), np.zeros(self.size, dtype=bool)
+        g[at_g], on_g[at_g] = G.data, True
+        self.g, self.on_g, self.in_block = g[self.start:], on_g[self.start:], self.cols >= 0
 
     def block(self, a: np.ndarray, sigma: float):
         """(M_pp, U, k^T s) of _Shift for the values a on A's pattern."""
         n, m = self.kernel.shape
-        x = _spread(a, self.at_a, self.size)
+        x = np.zeros(self.size)
+        x[self.at_a] = a
         s = x[self.transpose]                       # sym(A)
         s += x
         s *= 0.5
@@ -302,14 +294,13 @@ class _Pinned:
         w *= self.k_at
         sk = np.bincount(self.slot, weights=w, minlength=n * m)
         U, kts = _pinned_update(sk.reshape(n, m), self.kernel)
-        s, g = s[self.start:], _spread(self.g, self.at_g, self.size)[self.start:]
-        keep = self.cols >= 0
-        if self.at_g is not None:
-            keep &= (s != 0.0) | (_spread(np.ones(self.g.size, dtype=bool), self.at_g,
-                                          self.size)[self.start:])
+        s = s[self.start:]
+        keep = s != 0.0
+        keep |= self.on_g
+        keep &= self.in_block
         keep = np.flatnonzero(keep)
         values = s[keep]
-        values -= sigma * g[keep]
+        values -= sigma * self.g[keep]
         # int32 like the columns, so that scipy casts neither
         indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
         # sym(A) - sigma G is symmetric: its CSR arrays are its CSC arrays
@@ -434,6 +425,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
             shift, sigma, step = None, sigma - step, 4.0 * step
             if not np.isfinite(sigma):
                 raise RuntimeError("no shift below the spectrum: the pencil is not finite")
+    del pinned                                      # the Lanczos run needs only the shift
 
     def opinv(r):
         report["iterations"] += 1
@@ -563,13 +555,14 @@ class BlendPattern:
 
     A blended stencil is affine in the weight, row by row: A(beta) = A_0 +
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
-    at beta = 0 and beta = 1 on one CSR pattern (a scaled row stores its
-    zeros). is_coercive(op) refills the values at op's blend (values) and
-    hands them to _Shift on a _Pinned pattern, with no assembly,
-    symmetrization or format conversion: the probe builds one sparse matrix,
-    the block it factors, and a SparseOp of A(beta) only when it falls back
-    to a value solve. op must share the kind, lattice and model (equal by
-    value) of the operator the pattern was built from.
+    at beta = 0 and beta = 1 on one CSR pattern: the entries that some
+    weight makes nonzero, stored at every weight. is_coercive(op) refills
+    the values at op's blend (values) and hands them to _Shift on a _Pinned
+    pattern, with no assembly, symmetrization or format conversion: the
+    probe builds one sparse matrix, the block it factors, and a SparseOp of
+    A(beta) only when it falls back to a value solve. op must share the
+    kind, lattice and model (equal by value) of the operator the pattern was
+    built from.
     """
 
     def __init__(self, op, G: SparseOp):
@@ -583,11 +576,16 @@ class BlendPattern:
             raise ValueError(f"the stencil of kind {op.kind!r} changes its pattern with beta")
         self.source, self.model, self.G = (type(op), op.kind, beta.shape), op.model, G
         kernel = _pencil_kernel(A0.shape[0], G)
-        self.indices, self.indptr = A0.indices, A0.indptr
-        self.a0, self.slope = A0.data, A1.data - A0.data
+        # sums of stored entries can cancel at both weights, hence at every one
+        keep = (A0.data != 0.0) | (A1.data != 0.0)
+        n = A0.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A0.indptr))[keep]
+        self.indices = A0.indices[keep]
+        self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+        self.a0, self.slope = A0.data[keep], A1.data[keep] - A0.data[keep]
         del A1
-        rows = np.repeat(np.arange(A0.shape[0], dtype=np.int32), np.diff(A0.indptr))
         self.site = rows // kernel.shape[1]
+        A0 = sp.csr_matrix((self.a0, self.indices, self.indptr), shape=(n, n))
         self.pinned = _Pinned(A0, G.matrix, kernel)
 
     def values(self, op) -> np.ndarray:

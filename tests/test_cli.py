@@ -135,7 +135,9 @@ def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
     (["poincare", "--rb-frac", "0.9", "--n", "8"], "Rb = 7 exceeds N/2 = 4"),
     (["trace", "--r0", "2"], "need 0 < r0 < r1 <= 1"),
     (["sweep1d", "--phiF", "-1", "--eps", "1/16"],
-     "nearest-neighbor stiffness phi''(F) must be positive")])
+     "nearest-neighbor stiffness phi''(F) must be positive"),
+    (["poincare", "--n", "8", "--ra-frac", "0.1", "--rb-frac", "0.15"],
+     "the blending annulus is empty at N = 8: Ra = 1, Rb = 1")])
 def test_value_out_of_the_library_range_exits_2(tmp_path, capsys, argv, message):
     # the library raises ModelRangeError, which run() reports as a config error
     code = main(argv + ["--out", str(tmp_path / "o")])

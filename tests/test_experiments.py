@@ -288,6 +288,11 @@ def test_sweep2d_rejects_keys_the_case_does_not_read():
         sweep_threshold_2d(model, 1, {"N": [8], "alpha": 0.5})
     with pytest.raises(ValueError, match="case 2 does not read Ra, c"):
         sweep_threshold_2d(model, 2, {"N": [8], "Ra": 2, "c": 0.1, "alpha": 0.5})
+    # the keys a case cannot run without are named, not met inside its loop
+    for case, params, key in ((1, {"Ra": 2}, "N"), (2, {"N": [8]}, "alpha"),
+                              (3, {"N": [8]}, "c")):
+        with pytest.raises(ValueError, match=f"case {case} requires the key {key}$"):
+            sweep_threshold_2d(model, case, params)
     # the keys a case-1 sweep reads are all accepted
     fit = sweep_threshold_2d(model, 1, {"N": [8], "Ra": 2, "K_max": 8, "K_min": 1,
                                         "profile": "poly7", "tol": 1e-10,

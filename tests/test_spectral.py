@@ -437,15 +437,17 @@ def _rounding_tests(shift, M_pp):
 
 
 def _small_pencils():
+    # the union pattern of A, A^T and G is A's and G's (1D qcl), A's alone
+    # (1D atomistic, 2D cauchy_born) or neither (2D atomistic, both bqcf)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     for N, K in ((8, 6), (16, 7)):
         ch = Chain1D(N)
-        for blend in (None, build_blend_1d(ch, K)):
-            kind = "atomistic" if blend is None else "bqcf"
+        for kind, blend in (("atomistic", None), ("qcl", None),
+                            ("bqcf", build_blend_1d(ch, K))):
             yield assemble(Op1D(kind=kind, chain=ch, model=model, blend=blend)), gram_D(ch)
     lat = TriLattice2D(4)
-    for blend in (None, _blend_2d_sharp(lat, 1, 3)):
-        kind = "atomistic" if blend is None else "bqcf"
+    for kind, blend in (("atomistic", None), ("cauchy_born", None),
+                        ("bqcf", _blend_2d_sharp(lat, 1, 3))):
         yield assemble(Op2D(kind=kind, lattice=lat, model=MODEL2D, blend=blend)), gram_D(lat)
 
 
@@ -545,6 +547,33 @@ def test_refilled_block_matches_the_assembled_one(space, N):
             (want.negative, want.coercive, want.fallback), op.blend.K
         verdicts.add(rep.coercive)
     assert verdicts == {False, True}                # the window holds a sign change
+
+
+def test_no_stored_entry_is_zero_at_every_weight():
+    # a blend's pattern holds the entries that some weight makes nonzero, and
+    # an assembled matrix the entries that its stencil's sums leave nonzero
+    ch = Chain1D(64)
+    models1 = (PairModel1D(1.0, -0.24), PairModel1D(1.0, -1.0))   # the second: zero diagonal
+    toy = unstable_toy_model(2.04, 1.0)
+    patterns = [BlendPattern(Op1D(kind="bqcf", chain=ch, model=models1[0],
+                                  blend=build_blend_1d(ch, 8)), gram_D(ch))]
+    ops = [Op1D(kind=kind, chain=ch, model=model,
+                blend=build_blend_1d(ch, 8) if kind in ops1d._BLENDED else None)
+           for kind in ops1d._KINDS for model in models1]
+    for N in (8, 12):
+        lat = TriLattice2D(N)
+        for model in (toy, MODEL2D):
+            op = Op2D(kind="bqcf", lattice=lat, model=model, blend=_blend_2d_sharp(lat, 2, 5))
+            patterns.append(BlendPattern(op, gram_D(lat)))
+            ops += [op] + [Op2D(kind=kind, lattice=lat, model=model)
+                           for kind in ("atomistic", "cauchy_born")]
+    for pattern in patterns:
+        assert np.all((pattern.a0 != 0.0) | (pattern.slope != 0.0))
+    for op in ops:
+        assert np.all(assemble(op).matrix.data != 0.0), (type(op).__name__, op.kind)
+    # the toy at N = 12: 7 nearest-shell entries in each of the 1,152 rows and
+    # the 2 soft-bond neighbors in each x row
+    assert patterns[3].a0.size == 9 * 576 + 7 * 576
 
 
 def test_models_compare_by_value_and_blends_by_identity():
