@@ -16,7 +16,11 @@ factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 (Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
 it, with sigma certified below gamma by a count of zero (Ericsson and
-Ruhe's spectral transformation). Both build the factored block the same
+Ruhe's spectral transformation). The Lanczos (_Lanczos) checks its top
+Ritz pair after every shifted solve and stops once the stopping test
+passes; when its Ritz values forecast slow convergence it re-shifts once,
+next to gamma, certified the same way (Grimes, Lewis and Simon's
+inertia-certified shifts). Both build the factored block the same
 way (_Pinned): values refilled on one pattern, the union of A's, A^T's and
 G's, fixed for every sigma. A blended operator is affine in its weight, so
 a threshold scan refills that pattern at each blend (BlendPattern) and
@@ -33,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -58,6 +63,14 @@ METHODS = ("auto", "dense", "iterative")
 # dims up to this take the dense path under method "auto": on 1D and 2D
 # operators the dense and shift-invert solves cost the same near dim 400
 _DENSE_THRESHOLD = 400
+
+# a Lanczos basis restarts after this many vectors, keeping its top Ritz vectors
+_BASIS, _KEEP = 50, 20
+# the step at the first shift that forecasts the rest of the solve, and the
+# forecast in steps beyond which it re-shifts
+_FORECAST, _SLOW = 20, 40
+# certification tries at the second shift, each halving its step from the first
+_HALVINGS = 4
 
 
 @dataclass(frozen=True)
@@ -89,8 +102,11 @@ class SparseOp:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Result of a pencil solve: gamma and its certified minimizer. shift,
-    factorizations and nnz describe the iterative path's sparse factor."""
+    """Result of a pencil solve: gamma and its certified minimizer. On the
+    iterative path, iterations counts the shifted solves, factorizations
+    every factorization (the search for a certified shift and the
+    re-shift), shift is the last certified shift, the one the solve ended
+    at, and nnz its factor's nonzeros."""
 
     gamma: float
     minimizer: np.ndarray = field(repr=False)
@@ -329,18 +345,19 @@ class _Shift:
     sides, O(nnz) work on the factor and a few m x m dense calls: with U =
     D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
     (|U| |Y|), three compiled products with the factor's own copies of L
-    and U, overwritten in place, so no temporary is the factor's size. The
-    Woodbury operator Cinv is built on the first solve(), so a sign probe
-    never builds it.
+    and U, overwritten in place, so no temporary is the factor's size. Of
+    the factor it keeps only its solve and nnz, so nothing later can read
+    those copies as L and U. The Woodbury operator Cinv is built on the
+    first solve(), so a sign probe never builds it.
     """
 
     def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
         M_pp, U, kts = pinned.block(a, sigma)
         m = kts.shape[0]
-        self.lu = _ldlt(M_pp)
+        lu = _ldlt(M_pp)
         del M_pp                                    # before lu.U copies the factor
-        self.nnz = int(self.lu.nnz)
-        XU = self.lu.solve(U)
+        self.nnz, self._solve = int(lu.nnz), lu.solve
+        XU = lu.solve(U)
         Q = np.zeros((2 * m, 2 * m))                # -C^-1
         Q[:m, m:] = Q[m:, :m] = np.eye(m)
         Q[m:, m:] = kts
@@ -352,7 +369,7 @@ class _Shift:
 
         # lu.U makes the copies of L and U together; the factor keeps them
         # and nothing reads them after this, so they are overwritten in place
-        Lf, Uf = self.lu.L, self.lu.U
+        Lf, Uf = lu.L, lu.U
         d = Uf.diagonal()
         ad = np.abs(d)
         np.abs(Lf.data, out=Lf.data)
@@ -378,7 +395,7 @@ class _Shift:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """S^-1 r in pinned coordinates."""
-        return self.lu.solve(r) + self.Y @ (self.Cinv @ (self.Y.T @ r))
+        return self._solve(r) + self.Y @ (self.Cinv @ (self.Y.T @ r))
 
 
 def _lift(kernel: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -396,14 +413,111 @@ def _rayleigh_residual(Asym, G, kernel: np.ndarray, x: np.ndarray):
     return rho, float(np.linalg.norm(Ax - rho * Gx)) / max(denom, 1e-300)
 
 
+class _Lanczos:
+    """Lanczos on T = S_sigma^-1 G_pp from z, solve(r) = S_sigma^-1 r.
+
+    T is self-adjoint in the G_pp inner product, and its largest eigenvalue
+    is 1 / (gamma - sigma). The basis Q is G_pp-orthonormal, kept so by full
+    reorthogonalization (classical Gram-Schmidt twice, against Q and P =
+    G_pp Q), and H = Q^T G_pp T Q holds the coefficients that step computes:
+    T Q = Q H + beta q e_j^T. A full basis, _BASIS vectors, restarts thick:
+    it keeps the top _KEEP Ritz vectors and the last Lanczos vector, with H
+    their Ritz values and the couplings the next step computes (Wu and
+    Simon's thick restart), so Q and P hold at most _BASIS + 1 vectors each:
+    O(_BASIS n) memory however long the solve.
+    """
+
+    def __init__(self, solve, Gpp: sp.csr_matrix, z: np.ndarray):
+        self.solve, self.Gpp = solve, Gpp
+        # filled row by row as the basis grows
+        self.Q, self.P = np.empty((2, _BASIS + 1, z.size))
+        self.H = np.zeros((_BASIS, _BASIS))
+        self.steps = 0
+        Gz = Gpp @ z
+        norm = np.sqrt(z @ Gz)
+        self.Q[0], self.P[0] = z / norm, Gz / norm
+
+    def step(self) -> float:
+        """One shifted solve; returns the top Ritz pair's residual estimate
+        ||T y - theta_1 y||_G / theta_1 = beta |s_j| / theta_1, ||y||_G = 1."""
+        if self.steps == _BASIS:
+            self._restart()
+        j = self.steps
+        Q, P = self.Q[:j + 1], self.P[:j + 1]
+        w = self.solve(P[j])
+        h = P @ w
+        w -= h @ Q
+        c = P @ w
+        w -= c @ Q
+        h += c
+        self.H[:j + 1, j] = self.H[j, :j + 1] = h
+        Gw = self.Gpp @ w
+        beta = np.sqrt(w @ Gw)
+        self.Q[j + 1], self.P[j + 1] = w / beta, Gw / beta
+        self.steps = j + 1
+        theta, s, _, _, info = scipy.linalg.lapack.dsyevr(
+            self.H[:j + 1, :j + 1], range="I", il=j + 1, iu=j + 1)
+        if info:
+            raise np.linalg.LinAlgError(f"Ritz eigensolver failed (info {info})")
+        self.s = s[:, 0]
+        return float(beta * abs(self.s[-1]) / theta[0])
+
+    def _restart(self):
+        theta, S = np.linalg.eigh(self.H)
+        S = S[:, -_KEEP:]
+        self.Q[:_KEEP], self.P[:_KEEP] = S.T @ self.Q[:_BASIS], S.T @ self.P[:_BASIS]
+        self.Q[_KEEP], self.P[_KEEP] = self.Q[_BASIS], self.P[_BASIS]
+        self.H[:] = 0.0
+        self.H[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
+        self.steps = _KEEP
+
+    def ritz_vector(self) -> np.ndarray:
+        """The top Ritz vector y = Q s, G_pp-normalized."""
+        return self.s @ self.Q[:self.steps]
+
+    def ritz_values(self) -> np.ndarray:
+        """Every Ritz value theta of T, ascending."""
+        return np.linalg.eigvalsh(self.H[:self.steps, :self.steps])
+
+
+def _reshift(theta: np.ndarray, sigma: float, excess: float) -> Optional[float]:
+    """The second shift, when T's Ritz values theta (ascending) forecast
+    more than _SLOW steps to divide the residual by excess, else None.
+
+    Lanczos divides it by about exp(2 sqrt(g)) per step, g = (theta_1 -
+    theta_2) / (theta_2 - theta_min). The shift goes half the gap below the
+    top Ritz value of the pencil, l_1 = sigma + 1 / theta_1, toward the
+    second, l_2."""
+    t1, t2 = theta[-1], theta[-2]
+    g = (t1 - t2) / (t2 - theta[0])
+    if not np.log(excess) > 2.0 * _SLOW * np.sqrt(g):
+        return None
+    l1, l2 = sigma + 1.0 / t1, sigma + 1.0 / t2
+    return float(l1 - 0.5 * (l2 - l1))
+
+
 def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
                      tol: float, maxiter: int, x0: Optional[np.ndarray], seed: int):
     """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
 
     The start vector's Rayleigh quotient rho bounds gamma from above; sigma
     starts at min(2 rho, 0) and steps down until _Shift counts no eigenvalue
-    below it. ARPACK's tolerance tightens until the lifted vector meets tol;
-    maxiter caps the number of shifted solves.
+    below it and trusts the count. _Lanczos on T = S_sigma^-1 G_pp then
+    reads its top Ritz pair after every shifted solve. The stopping test,
+    the lifted Ritz vector's relative residual <= tol, runs as soon as the
+    Ritz residual times the ratio the previous test measured says it can
+    pass, on a run's first step, and at the last step maxiter allows.
+
+    After _FORECAST steps at the first shift, the top Ritz values theta_1 >
+    theta_2 > ... > theta_min of T forecast ln(residual / tol) / (2 sqrt(g))
+    more steps, g = (theta_1 - theta_2) / (theta_2 - theta_min) (Lanczos
+    converges like a Chebyshev polynomial). Beyond _SLOW, the solve
+    re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
+    Ritz values l_1 < l_2 of the pencil, certified like sigma; each count
+    that fails halves the step from sigma toward sigma_1. The old factor
+    is freed first, and a new Lanczos run starts from the Ritz vector.
+    _Pinned is dropped once the decision is made. maxiter caps the shifted
+    solves over both shifts.
     """
     n, m = kernel.shape
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
@@ -413,40 +527,56 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
     x /= np.linalg.norm(x)
     rho, res = _rayleigh_residual(Asym, G, kernel, x)
     report = dict(method="iterative", iterations=0, factorizations=0)
-    sigma, step, shift = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0, None
-    pinned = _Pinned(A, G, kernel)
-    while not res <= tol and shift is None:        # a NaN residual enters too
+    if res <= tol:                                  # a NaN residual goes on
+        return StabilityReport(gamma=rho, minimizer=x, residual=res, **report)
+
+    def certified(sigma: float) -> Optional[_Shift]:
+        report["factorizations"] += 1
         try:
             shift = _Shift(pinned, A.data, sigma)
         except (RuntimeError, np.linalg.LinAlgError):   # a zero pivot
-            pass
-        report["factorizations"] += 1
-        if shift is None or not shift.trusted or shift.negative:
-            shift, sigma, step = None, sigma - step, 4.0 * step
-            if not np.isfinite(sigma):
-                raise RuntimeError("no shift below the spectrum: the pencil is not finite")
-    del pinned                                      # the Lanczos run needs only the shift
+            return None
+        return shift if shift.trusted and not shift.negative else None
 
-    def opinv(r):
-        report["iterations"] += 1
-        if report["iterations"] > maxiter:
+    pinned = _Pinned(A, G, kernel)
+    sigma, step = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0
+    while (shift := certified(sigma)) is None:
+        sigma, step = sigma - step, 4.0 * step
+        if not np.isfinite(sigma):
+            raise RuntimeError("no shift below the spectrum: the pencil is not finite")
+
+    Gpp = G[m:, m:]
+    z = (x[m:].reshape(-1, m) - x[:m]).ravel()      # x in pinned coordinates
+    lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
+    while True:
+        if report["iterations"] >= maxiter:
             raise RuntimeError(f"pencil iteration did not converge in {maxiter} steps "
                                f"(relative residual {res:.3e}, rho {rho:.6e})")
-        return shift.solve(r)
-
-    Gpp, arpack_tol = G[m:, m:], tol
-    OPinv = spla.LinearOperator(Gpp.shape, matvec=opinv, dtype=float)
-    while not res <= tol:
-        # shift-invert mode reads only the shape of its first argument; v0
-        # holds x in pinned coordinates, each site relative to the first
-        _, Z = spla.eigsh(Gpp, k=1, M=Gpp, sigma=sigma, which="LM", OPinv=OPinv,
-                          v0=(x[m:].reshape(-1, m) - x[:m]).ravel(), tol=arpack_tol)
-        x, arpack_tol = _lift(kernel, Z[:, 0]), 1e-2 * arpack_tol
-        x /= np.linalg.norm(x)
-        rho, res = _rayleigh_residual(Asym, G, kernel, x)
-    if shift is not None:
-        report.update(shift=sigma, nnz=shift.nnz)
-    return StabilityReport(gamma=rho, minimizer=x, residual=res, **report)
+        report["iterations"] += 1
+        estimate = lanczos.step()
+        forecast = report["iterations"] == _FORECAST
+        if ratio is None or ratio * estimate <= tol or forecast or report["iterations"] == maxiter:
+            z = lanczos.ritz_vector()
+            x = _lift(kernel, z)
+            x /= np.linalg.norm(x)
+            rho, res = _rayleigh_residual(Asym, G, kernel, x)
+            if res <= tol:
+                return StabilityReport(gamma=rho, minimizer=x, residual=res,
+                                       shift=sigma, nnz=shift.nnz, **report)
+            ratio = res / estimate if estimate > 0 else None
+        if forecast:
+            target = _reshift(lanczos.ritz_values(), sigma, res / tol)
+            if target is not None:
+                del lanczos, shift                  # free the factor first
+                for k in range(_HALVINGS):
+                    trial = sigma + (target - sigma) / 2 ** k
+                    if (shift := certified(trial)) is not None:
+                        sigma = trial
+                        break
+                else:                               # sigma itself, certified before
+                    shift = certified(sigma)
+                lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
+            pinned = None
 
 
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
@@ -458,8 +588,9 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     method "auto" takes the dense path for dim <= dense_threshold (default
     _DENSE_THRESHOLD) and shift-invert Lanczos (_iterative_gamma) above it;
     "dense" / "iterative" force a path. gamma is the Rayleigh quotient of
-    the minimizer. The iterative path raises on non-convergence; its report
-    gives the shift, the factorizations, the factor's nonzeros and, as
+    the minimizer. The iterative path raises when its maxiter shifted solves
+    do not meet tol; its report gives the final certified shift, the
+    factorizations (the re-shift included), the factor's nonzeros and, as
     iterations, the shifted solves.
     """
     kernel = _pencil_kernel(opMatrix.dim, G)

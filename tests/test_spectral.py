@@ -325,9 +325,73 @@ def test_pinned_update_with_a_rotated_kernel(rng):
 
 
 def test_iterative_nonconvergence_raises():
+    # tol = 1e-17 is below the residual's rounding floor: the solve runs its
+    # maxiter steps on a bounded, restarting basis and reports where it stopped
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _gamma_1d(model, 64, kind="bqcf", K=12, method="iterative", maxiter=1)
+    for N, tol, maxiter in ((64, 1e-8, 1), (256, 1e-17, 400)):
+        with pytest.raises(RuntimeError, match=rf"did not converge in {maxiter} steps "
+                                               r"\(relative residual \d\.\d{3}e[-+]\d+"):
+            _gamma_1d(model, N, kind="bqcf", K=12, method="iterative", tol=tol,
+                      maxiter=maxiter)
+
+
+def test_iterative_path_converges_on_a_tight_cluster():
+    # the phi2F = -phiF chain: gamma = -3 at the bottom of a cluster with
+    # gaps near 1e-6, far below the first certified shift; the solve
+    # re-shifts next to gamma and stays below it (eigsh's passes ran out of
+    # their 5000 solves at this seed)
+    N, phi2F = 1024, -1.0
+    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=phi2F), N, method="iterative", seed=1)
+    exact = 1.0 + 2.0 * phi2F * (1.0 + np.cos(np.pi / N))
+    assert rep.gamma == pytest.approx(exact, rel=1e-9)
+    assert rep.shift < rep.gamma
+    assert rep.factorizations >= 2
+
+
+def _certified_shift(A, G, rep):
+    # the final shift is certified: a trusted inertia count of zero
+    sign = is_coercive(A, G, rep.shift)
+    assert sign.coercive and sign.method == "inertia"
+
+
+def test_iterative_solve_counts_1d_cluster():
+    # shifted solves at a fixed seed; eigsh with 20-vector passes took 672
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    ch = Chain1D(1024)
+    A, G = assemble(Op1D(kind="atomistic", chain=ch, model=model)), gram_D(ch)
+    rep = coercivity(A, G, seed=1)
+    assert rep.method == "iterative" and rep.iterations <= 168
+    assert rep.gamma == pytest.approx(1.0 - 0.48 * (1.0 + np.cos(np.pi / 1024)), rel=1e-9)
+    _certified_shift(A, G, rep)
+
+
+def test_iterative_solve_counts_poincare(monkeypatch):
+    # shifted solves of the Poincare ratio at N = 32; eigsh took 21
+    reports = []
+
+    def recording(A, G, **kw):
+        rep = coercivity(A, G, **kw)
+        reports.append((A, G, rep))
+        return rep
+
+    monkeypatch.setattr(spectral, "coercivity", recording)
+    lat = TriLattice2D(32)
+    ops2d.poincare_discrete(lat, make_regions(lat, 4, 8), seed=1)
+    (A, G, rep), = reports
+    assert rep.method == "iterative" and rep.iterations <= 12
+    _certified_shift(A, G, rep)
+
+
+def test_thick_restart_keeps_converging(monkeypatch):
+    # a basis of 8 vectors restarts every few steps and still reaches the
+    # dense gamma, with the same stopping test
+    monkeypatch.setattr(spectral, "_BASIS", 8)
+    monkeypatch.setattr(spectral, "_KEEP", 3)
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    dense = _gamma_1d(model, 256, kind="bqcf", K=14, method="dense")
+    rep = _gamma_1d(model, 256, kind="bqcf", K=14, method="iterative")
+    assert rep.iterations > 8 and rep.residual <= 1e-8
+    assert rep.gamma == pytest.approx(dense.gamma, rel=1e-9)
 
 
 def test_iterative_path_rejects_a_non_finite_pencil():
