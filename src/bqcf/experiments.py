@@ -519,71 +519,47 @@ def sample_log() -> TraceSample:
 
 
 def sample_poly(rng: np.random.Generator) -> TraceSample:
-    """Random polynomial of total degree <= 3 with its exact gradient."""
-    terms = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
-    coef = rng.standard_normal(len(terms))
-
-    def value(x):
-        xs, ys = x[..., 0], x[..., 1]
-        out = np.zeros(x.shape[:-1])
-        for c, (a, b) in zip(coef, terms):
-            out += c * xs ** a * ys ** b
-        return out
-
-    def grad(x):
-        xs, ys = x[..., 0], x[..., 1]
-        gx = np.zeros(x.shape[:-1])
-        gy = np.zeros(x.shape[:-1])
-        for c, (a, b) in zip(coef, terms):
-            if a > 0:
-                gx += c * a * xs ** (a - 1) * ys ** b
-            if b > 0:
-                gy += c * b * xs ** a * ys ** (b - 1)
-        return np.stack([gx, gy], axis=-1)
-
-    return TraceSample(name="poly", value=value, grad=grad)
-
-
-_HEX_VERTS = [(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
-              for k in range(6)]
+    """Random polynomial of total degree <= 3 with its exact gradient: ten
+    standard normal coefficients c_ab of x^a y^b, drawn for a = 0..3 and,
+    within each a, b = 0..3 - a."""
+    a, b = np.array([(a, b) for a in range(4) for b in range(4) if a + b <= 3]).T
+    coef = np.zeros((4, 4))
+    coef[a, b] = rng.standard_normal(a.size)
+    poly = np.polynomial.polynomial
+    dx, dy = poly.polyder(coef, axis=0), poly.polyder(coef, axis=1)
+    return TraceSample(
+        name="poly",
+        value=lambda x: poly.polyval2d(x[..., 0], x[..., 1], coef),
+        grad=lambda x: np.stack([poly.polyval2d(x[..., 0], x[..., 1], d)
+                                 for d in (dx, dy)], axis=-1))
 
 
 def _trace_quadrature(psi: str, r0: float, r1: float, u: TraceSample, n: int):
     """(lhs, l2, h1) at one quadrature level: boundary integral of |u|^2 on
     the inner gauge sphere, and the L2 / gradient integrals on the annulus.
-    Radial panels are geometric toward r0 where the witness concentrates."""
+    Radial panels are geometric toward r0 where the witness concentrates.
+    The gauge only picks the points v of the unit gauge sphere, n per sixth,
+    and their weights in length and area |v x dv|, in units of the Gauss
+    weights ws: ws and (sqrt(3)/2) ws on the hexagon, (pi/3) ws on the circle."""
     xg, wg = np.polynomial.legendre.leggauss(n)
     edges = r0 * (r1 / r0) ** (np.arange(n + 1) / n)
     rn = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b)
                          for a, b in zip(edges, edges[1:])])
     rw = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges, edges[1:])])
 
+    s, ws = 0.5 * (xg + 1.0), 0.5 * wg
     if psi == "hexagon":
-        lhs = 0.0
-        l2 = 0.0
-        h1 = 0.0
-        s = 0.5 * (xg + 1.0)
-        ws = 0.5 * wg
-        for k in range(6):
-            V1 = np.array(_HEX_VERTS[k])
-            V2 = np.array(_HEX_VERTS[(k + 1) % 6])
-            vs = V1[None, :] + s[:, None] * (V2 - V1)[None, :]   # unit boundary
-            side = float(np.linalg.norm(V2 - V1))                # = 1
-            jac = abs(V1[0] * V2[1] - V1[1] * V2[0])             # = sqrt(3)/2
-            lhs += float(np.sum(u.value(r0 * vs) ** 2 * ws)) * r0 * side
-            pts = rn[:, None, None] * vs[None, :, :]
-            wt = jac * (rn * rw)[:, None] * ws[None, :]
-            l2 += float(np.sum(u.value(pts) ** 2 * wt))
-            h1 += float(np.sum(np.sum(u.grad(pts) ** 2, axis=-1) * wt))
-        return lhs, l2, h1
-
-    theta = np.concatenate([(k + 0.5 * (xg + 1.0)) * (math.pi / 3)
-                            for k in range(6)])
-    wt_t = np.tile(0.5 * wg * (math.pi / 3), 6)
-    ring = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    lhs = float(np.sum(u.value(r0 * ring) ** 2 * wt_t)) * r0
-    pts = rn[:, None, None] * ring[None, :, :]
-    wt = (rn * rw)[:, None] * wt_t[None, :]
+        t = np.arange(7) * math.pi / 3
+        verts = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        v = verts[:-1, None] + s[:, None] * (verts[1:] - verts[:-1])[:, None]
+        dl, da = ws, 0.5 * math.sqrt(3.0) * ws
+    else:
+        t = (np.arange(6)[:, None] + s) * (math.pi / 3)
+        v = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        dl = da = ws * (math.pi / 3)
+    lhs = float(np.sum(u.value(r0 * v) ** 2 * dl)) * r0
+    pts = rn[:, None, None, None] * v
+    wt = (rn * rw)[:, None, None] * da
     l2 = float(np.sum(u.value(pts) ** 2 * wt))
     h1 = float(np.sum(np.sum(u.grad(pts) ** 2, axis=-1) * wt))
     return lhs, l2, h1
@@ -593,14 +569,12 @@ def trace_check(psi: str, r0: float, r1: float, u: TraceSample,
                 quad_n: int = 8) -> dict:
     """Verify the annulus trace inequality by refined Gauss quadrature.
 
-    lhs is the |u|^2 integral over the inner gauge sphere of radius r0;
+    lhs is the |u|^2 integral over the sphere of radius r0 of the gauge psi;
     rhs = C0 ||u||^2_{L2(A)} + C1 ||grad u||^2_{L2(A)} over the annulus
     A = {r0 <= psi(x) <= r1}, with C0 = (2d/(r1-r0))(r0/r1)^(d-1) and
     C1 = 2 r0 |log r0| at d = 2. Refines the rule until the ratio settles
     to 1e-6 relative and raises if three doublings do not."""
-    if psi in ("hex", "hexagon"):
-        psi = "hexagon"
-    elif psi != "circle":
+    if psi not in ("hexagon", "circle"):
         raise ValueError(f"unknown gauge {psi!r}: expected hexagon or circle")
     if not 0.0 < r0 < r1 <= 1.0:
         raise ModelRangeError(f"need 0 < r0 < r1 <= 1, got r0={r0!r}, r1={r1!r}")
@@ -925,7 +899,7 @@ EXPERIMENTS = {
     "sharp2d": {"n": 24, "ra": 4, "k": [3], "kappa0": 1.0, "eta": 0.3,
                 "profile": PROFILES},
     "poincare": {"n": [8, 16, 32, 64], "ra_frac": 0.125, "rb_frac": 0.25},
-    "trace": {"psi": ("hexagon", "hex", "circle"), "r0": [1e-2, 1e-3, 1e-4],
+    "trace": {"psi": ("hexagon", "circle"), "r0": [1e-2, 1e-3, 1e-4],
               "r1": 1.0, "quad_n": 8, "npoly": 20, "seed": 7},
     "stability": {"space": ("1d", "2d"),
                   "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + _KINDS_2D)),

@@ -42,10 +42,6 @@ class Chain1D:
         """Array position of site index l (wraps modulo 2N)."""
         return (ell + self.N - 1) % (2 * self.N)
 
-    def site(self, pos: int) -> int:
-        """Site index of array position, reduced to (-N, N]."""
-        return pos % (2 * self.N) - self.N + 1
-
 
 def roll(v: np.ndarray, k: int) -> np.ndarray:
     """np.roll(v, k) of a nonempty 1D array, by slicing: roll(v, k)_l =

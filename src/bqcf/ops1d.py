@@ -1,13 +1,14 @@
 """1D linearized force operators and their summation-by-parts structure.
 
-All operators act on length-2N periodic displacement arrays. The
-second-neighbor blended part carries the interesting structure: its
-quadratic form splits into a sign-controlled main part plus three
-lower-order terms R, S, T driven by differences of the blending weight.
-The split is coefficient-free, so the bqcf1/bqcf2 kinds apply the
-nearest- and second-neighbor parts with unit stiffness; the full blended
-operator is phiF * bqcf1 + phi2F * bqcf2, assembled from the same stencil
-evaluations so the split is exact in floating point.
+All operators act on length-2N periodic displacement arrays. Each kind is
+a sum of negative Laplacians of reach 1 and 2, coefficients varying by
+row: apply_op evaluates it, assembly reads one table of (reach,
+coefficient) terms. The second-neighbor blended part carries the
+interesting structure: its quadratic form splits into a sign-controlled
+main part plus three lower-order terms R, S, T driven by differences of
+the blending weight. The split is coefficient-free, so the bqcf1/bqcf2
+kinds apply the nearest- and second-neighbor parts with unit stiffness;
+the full blended operator is phiF * bqcf1 + phi2F * bqcf2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,17 @@ __all__ = [
     "sharpness_test_function",
 ]
 
-_KINDS = ("atomistic", "qcl", "bqcf", "bqcf1", "bqcf2")
+# each kind as apply_op's sum of negative Laplacians, given the model and
+# the blend: (reach, coefficient) terms, a blended coefficient one per row
+_TERMS = {
+    "atomistic": lambda m, b: [(1, m.phiF), (2, m.phi2F)],
+    "qcl": lambda m, b: [(1, m.phiF + 4.0 * m.phi2F)],
+    "bqcf": lambda m, b: [(1, m.phiF), (1, 4.0 * m.phi2F * (1.0 - b.beta)),
+                          (2, m.phi2F * b.beta)],
+    "bqcf1": lambda m, b: [(1, 1.0)],
+    "bqcf2": lambda m, b: [(1, 4.0 * (1.0 - b.beta)), (2, b.beta)],
+}
+_KINDS = tuple(_TERMS)
 _BLENDED = ("bqcf", "bqcf1", "bqcf2")
 
 
@@ -210,58 +221,23 @@ def sharpness_test_function(chain: Chain1D, blend: Blend1D) -> np.ndarray:
 
 # sparse assembly ----------------------------------------------------------
 
-def _circulant_triplets(n: int, offsets, weights):
-    rows = []
-    cols = []
-    vals = []
+def _term_triplets(n: int, reach: int, coef):
+    """(rows, cols, values) of coef times 2 u_l - u_{l+reach} - u_{l-reach}
+    on n periodic sites, coef a scalar or one value per row: the three
+    circulant diagonals in that order, each entry stored whatever its value."""
     idx = np.arange(n)
-    for off, w in zip(offsets, weights):
-        rows.append(idx)
-        cols.append((idx + off) % n)
-        w = np.broadcast_to(np.asarray(w, dtype=float), (n,))
-        vals.append(w)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    c = np.broadcast_to(np.asarray(coef, dtype=float), (n,))
+    return (np.tile(idx, 3), np.concatenate([idx, (idx + reach) % n, (idx - reach) % n]),
+            np.concatenate([2.0 * c, -c, -c]))
 
 
 def assemble_triplets(op: Op1D):
-    """(dim, rows, cols, values) with the eps weight baked in.
-
-    The returned matrix A satisfies u^T A u = <apply(op, u), u> in plain
-    Euclidean arithmetic.
-    """
+    """(dim, rows, cols, values) with the eps weight baked in: op's terms
+    one after another, each times N (1 / eps^2 of the differences, eps of
+    the weight). u^T A u = <apply(op, u), u> in plain Euclidean arithmetic.
+    A blended term stores its entries at every beta, so the stencil keeps
+    one pattern across blends (BlendPattern)."""
     chain = op.chain
-    n = chain.nsites
-    eps = chain.eps
-    m = op.model
-    w1 = np.array([2.0, -1.0, -1.0]) / eps**2
-    off1 = (0, 1, -1)
-    w2 = np.array([2.0, -1.0, -1.0]) / eps**2
-    off2 = (0, 2, -2)
-
-    def row_scaled(offs, base, scale):
-        return offs, [scale * b for b in base]
-
-    kind = op.kind
-    if kind == "atomistic":
-        offs = off1 + off2
-        weights = [m.phiF * w for w in w1] + [m.phi2F * w for w in w2]
-    elif kind == "qcl":
-        offs = off1
-        weights = [(m.phiF + 4.0 * m.phi2F) * w for w in w1]
-    elif kind == "bqcf1":
-        offs = off1
-        weights = list(w1)
-    else:
-        beta = op.blend.beta
-        o2, w2s = row_scaled(off2, w2, beta)
-        o1, w1s = row_scaled(off1, w1, 4.0 * (1.0 - beta))
-        if kind == "bqcf2":
-            offs = o1 + o2
-            weights = w1s + w2s
-        else:  # bqcf
-            offs = off1 + o1 + o2
-            weights = ([m.phiF * w for w in w1]
-                       + [m.phi2F * w for w in w1s]
-                       + [m.phi2F * w for w in w2s])
-    rows, cols, vals = _circulant_triplets(n, offs, weights)
-    return n, rows, cols, eps * vals
+    rows, cols, vals = map(np.concatenate, zip(*(
+        _term_triplets(chain.nsites, r, c) for r, c in _TERMS[op.kind](op.model, op.blend))))
+    return chain.nsites, rows, cols, vals * chain.N

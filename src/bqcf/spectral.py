@@ -60,8 +60,10 @@ __all__ = [
 
 METHODS = ("auto", "dense", "iterative")
 
-# dims up to this take the dense path under method "auto": on 1D and 2D
-# operators the dense and shift-invert solves cost the same near dim 400
+# dims up to this take the dense path under method "auto". Dense against
+# iterative, ms, medians of 7 on 2 shared cores: 1D atomistic dim 128 2.1 / 3.4;
+# 1D bqcf dim 256 5.7 / 4.4, 400 16.4 / 4.5; 2D toy bqcf dim 288 6.1 / 8.8, 512
+# 26.7 / 6.3; 2D Morse atomistic dim 288 7.0 / 15.3, 512 27.2 / 21.2
 _DENSE_THRESHOLD = 400
 
 # a Lanczos basis restarts after this many vectors, keeping its top Ritz vectors
@@ -127,8 +129,8 @@ class InertiaReport:
     min_pivot is the pivot or capacitance eigenvalue magnitude that came
     closest to its rounding bound, and margin is that bound. method
     is "inertia" when the signs decided and the value path ("dense" or
-    "iterative") when they could not; negative is -1 when the factorization
-    hit an exactly zero pivot or left the diagonal. No eigenvalue is reported.
+    "iterative") when they could not; negative is -1, _Shift's untrusted
+    count, when the factorization yields no inertia. No eigenvalue is reported.
     """
 
     coercive: bool
@@ -194,7 +196,7 @@ def gram_D(domain) -> SparseOp:
     """
     if isinstance(domain, Chain1D):
         n = domain.nsites
-        rows, cols, vals = ops1d._circulant_triplets(n, (0, 1, -1), (2.0, -1.0, -1.0))
+        rows, cols, vals = ops1d._term_triplets(n, 1, 1.0)
         return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
                         kernel=np.ones((n, 1)) / np.sqrt(n))
     if isinstance(domain, TriLattice2D):
@@ -339,7 +341,9 @@ class _Shift:
     longest row of L); an eigenvalue of Q11 or Z gamma_3w || |Y_j|^T R
     |Y_j| ||, that error's first-order effect, solves included. tests holds
     the three (smallest magnitude, bound) pairs, in that order; min_pivot
-    and margin report the one that came closest.
+    and margin report the one that came closest. Where the factorization
+    yields no inertia (a zero pivot, pivots off the diagonal, a singular
+    Q11) construction does not raise: negative -1, min_pivot 0, margin nan.
 
     A sign probe costs the factorization, one solve with 2m right-hand
     sides, O(nnz) work on the factor and a few m x m dense calls: with U =
@@ -352,6 +356,12 @@ class _Shift:
     """
 
     def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
+        try:
+            self._factor(pinned, a, sigma)
+        except (RuntimeError, np.linalg.LinAlgError):      # no inertia to read
+            self.negative, self.min_pivot, self.margin, self.trusted = -1, 0.0, np.nan, False
+
+    def _factor(self, pinned: _Pinned, a: np.ndarray, sigma: float):
         M_pp, U, kts = pinned.block(a, sigma)
         m = kts.shape[0]
         lu = _ldlt(M_pp)
@@ -500,22 +510,25 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
                      tol: float, maxiter: int, x0: Optional[np.ndarray], seed: int):
     """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
 
-    The start vector's Rayleigh quotient rho bounds gamma from above; sigma
-    starts at min(2 rho, 0) and steps down until _Shift counts no eigenvalue
-    below it and trusts the count. _Lanczos on T = S_sigma^-1 G_pp then
-    reads its top Ritz pair after every shifted solve. The stopping test,
-    the lifted Ritz vector's relative residual <= tol, runs as soon as the
-    Ritz residual times the ratio the previous test measured says it can
-    pass, on a run's first step, and at the last step maxiter allows.
+    One search (certified) gives both shifts: the first trial sigma at which
+    _Shift trusts a count of no eigenvalue below it, each refused factor
+    freed before the next. The start vector's Rayleigh quotient rho bounds
+    gamma from above; the first shift's trials descend from min(2 rho, 0),
+    each step 4 times the last, and raise once sigma is not finite. _Lanczos
+    on T = S_sigma^-1 G_pp reads its top Ritz pair after every shifted
+    solve. The stopping test, the lifted Ritz vector's relative residual <=
+    tol, runs as soon as the Ritz residual times the ratio the previous test
+    measured says it can pass, on a run's first step, and at the last step
+    maxiter allows.
 
     After _FORECAST steps at the first shift, the top Ritz values theta_1 >
     theta_2 > ... > theta_min of T forecast ln(residual / tol) / (2 sqrt(g))
     more steps, g = (theta_1 - theta_2) / (theta_2 - theta_min) (Lanczos
     converges like a Chebyshev polynomial). Beyond _SLOW, the solve
     re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
-    Ritz values l_1 < l_2 of the pencil, certified like sigma; each count
-    that fails halves the step from sigma toward sigma_1. The old factor
-    is freed first, and a new Lanczos run starts from the Ritz vector.
+    Ritz values l_1 < l_2 of the pencil; its trials halve the step from
+    sigma toward sigma_1 _HALVINGS times, then retry sigma itself. The old
+    factor is freed first, and a new Lanczos run starts from the Ritz vector.
     _Pinned is dropped once the decision is made. maxiter caps the shifted
     solves over both shifts.
     """
@@ -530,20 +543,22 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
     if res <= tol:                                  # a NaN residual goes on
         return StabilityReport(gamma=rho, minimizer=x, residual=res, **report)
 
-    def certified(sigma: float) -> Optional[_Shift]:
-        report["factorizations"] += 1
-        try:
+    def certified(trials):
+        for sigma in trials:
+            report["factorizations"] += 1
             shift = _Shift(pinned, A.data, sigma)
-        except (RuntimeError, np.linalg.LinAlgError):   # a zero pivot
-            return None
-        return shift if shift.trusted and not shift.negative else None
+            if shift.trusted and not shift.negative:
+                return sigma, shift
+            del shift                               # before the next factorization
+        raise RuntimeError("no shift below the spectrum: the pencil is not finite")
+
+    def descent(sigma: float, step: float):
+        while np.isfinite(sigma):
+            yield sigma
+            sigma, step = sigma - step, 4.0 * step
 
     pinned = _Pinned(A, G, kernel)
-    sigma, step = min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0
-    while (shift := certified(sigma)) is None:
-        sigma, step = sigma - step, 4.0 * step
-        if not np.isfinite(sigma):
-            raise RuntimeError("no shift below the spectrum: the pencil is not finite")
+    sigma, shift = certified(descent(min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0))
 
     Gpp = G[m:, m:]
     z = (x[m:].reshape(-1, m) - x[:m]).ravel()      # x in pinned coordinates
@@ -568,13 +583,8 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
             target = _reshift(lanczos.ritz_values(), sigma, res / tol)
             if target is not None:
                 del lanczos, shift                  # free the factor first
-                for k in range(_HALVINGS):
-                    trial = sigma + (target - sigma) / 2 ** k
-                    if (shift := certified(trial)) is not None:
-                        sigma = trial
-                        break
-                else:                               # sigma itself, certified before
-                    shift = certified(sigma)
+                sigma, shift = certified([sigma + (target - sigma) / 2 ** k
+                                          for k in range(_HALVINGS)] + [sigma])
                 lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
             pinned = None
 
@@ -633,7 +643,8 @@ def _ldlt(M: sp.csc_matrix):
     """splu of symmetric M under a symmetric fill-reducing ordering with
     diagonal pivots only, so that L diag(U) L^T is a congruence of M.
     SuperLU raises RuntimeError on an exactly zero pivot; a factorization
-    that left the diagonal raises LinAlgError."""
+    that left the diagonal raises LinAlgError. _Shift reads either as no
+    inertia."""
     lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -648,7 +659,7 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
     on the zero-mean space, counted by _Shift (Sylvester, Haynsworth).
 
     When a pivot or capacitance eigenvalue misses its rounding bound, or the
-    factorization fails (_ldlt), the pencil is solved by coercivity (same
+    factorization yields no inertia, the pencil is solved by coercivity (same
     dense_threshold and seed) and the report says so in its method. A tau
     within rounding of gamma can still clear the bounds; the sign there is
     whatever rounding made it.
@@ -660,24 +671,16 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
 
 def _sign(pinned: _Pinned, a: np.ndarray, tau: float, solve) -> InertiaReport:
     """gamma > tau for the values a on pinned's pattern, read off _Shift's
-    inertia; solve() gives the pencil solve's StabilityReport, asked for
-    only when the signs cannot decide."""
-    try:
-        shift = _Shift(pinned, a, tau)
-    except (RuntimeError, np.linalg.LinAlgError):
-        # a zero pivot, or pivots off the diagonal: no inertia to read
-        negative, min_pivot, margin = -1, 0.0, float("nan")
-    else:
-        negative, min_pivot, margin = shift.negative, shift.min_pivot, shift.margin
-        trusted = shift.trusted
-        del shift                                   # before any value solve
-        if trusted:
-            return InertiaReport(coercive=negative == 0, negative=negative,
-                                 min_pivot=min_pivot, margin=margin,
-                                 method="inertia")
+    count with its evidence; solve() gives the pencil solve's
+    StabilityReport, asked for only when the count is untrusted."""
+    shift = _Shift(pinned, a, tau)
+    report = InertiaReport(coercive=shift.negative == 0, negative=shift.negative,
+                           min_pivot=shift.min_pivot, margin=shift.margin, method="inertia")
+    if shift.trusted:
+        return report
+    del shift                                       # before the value solve
     rep = solve()
-    return InertiaReport(coercive=rep.gamma > tau, negative=negative,
-                         min_pivot=min_pivot, margin=margin, method=rep.method)
+    return replace(report, coercive=rep.gamma > tau, method=rep.method)
 
 
 class BlendPattern:

@@ -316,6 +316,13 @@ def test_trace_constant_on_circle():
     assert out["C1"] == pytest.approx(2 * 0.1 * abs(np.log(0.1)), rel=1e-12)
 
 
+def test_trace_constant_on_hexagon():
+    # the perimeter 6 r0, and C0 times the annulus area (3 sqrt(3) / 2) (r1^2 - r0^2)
+    out = trace_check("hexagon", 0.1, 1.0, sample_constant())
+    assert out["lhs"] == pytest.approx(6 * 0.1, rel=1e-12)
+    assert out["rhs"] == pytest.approx(out["C0"] * 1.5 * np.sqrt(3) * (1 - 0.1**2), rel=1e-12)
+
+
 def test_trace_log_witness_saturation():
     # the log witness keeps a constant fraction of the bound as r0 shrinks
     pins = {1e-2: 0.488429, 1e-3: 0.494811, 1e-4: 0.497070}
@@ -352,6 +359,20 @@ def test_sample_poly_gradient_consistency(rng):
         e[axis] = h
         fd = (s.value(pts + e) - s.value(pts - e)) / (2 * h)
         assert np.allclose(fd, g[..., axis], atol=1e-5)
+
+
+def test_sample_poly_draws_are_pinned():
+    # c_ab of x^a y^b in draw order: the same twenty polynomials per seed
+    terms = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
+    coef = np.random.default_rng(3).standard_normal(len(terms))
+    s = sample_poly(np.random.default_rng(3))
+    x, y = np.random.default_rng(4).uniform(-1, 1, size=(2, 7))
+    value = sum(c * x**a * y**b for c, (a, b) in zip(coef, terms))
+    gx = sum(c * a * x ** (a - 1) * y**b for c, (a, b) in zip(coef, terms) if a)
+    gy = sum(c * b * x**a * y ** (b - 1) for c, (a, b) in zip(coef, terms) if b)
+    pts = np.stack([x, y], axis=-1)
+    assert np.allclose(s.value(pts), value, rtol=1e-12, atol=1e-12)
+    assert np.allclose(s.grad(pts), np.stack([gx, gy], axis=-1), rtol=1e-12, atol=1e-12)
 
 
 def test_run_writes_outputs(tmp_path):

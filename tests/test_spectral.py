@@ -1,5 +1,7 @@
 """Sparse assembly identities and coercivity pencil solves."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -346,6 +348,22 @@ def test_iterative_path_converges_on_a_tight_cluster():
     assert rep.gamma == pytest.approx(exact, rel=1e-9)
     assert rep.shift < rep.gamma
     assert rep.factorizations >= 2
+
+
+def test_refused_shifts_are_freed_before_the_next_factorization(monkeypatch):
+    # the phi2F = -1 cluster refuses shifts and re-shifts: no factor may
+    # outlive its turn, or the solve holds two factors at once
+    alive = []
+
+    class Tracked(_Shift):
+        def __init__(self, *args):
+            assert all(ref() is None for ref in alive), "an earlier _Shift is alive"
+            super().__init__(*args)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(spectral, "_Shift", Tracked)
+    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=-1.0), 1024, method="iterative", seed=1)
+    assert len(alive) == rep.factorizations == 8
 
 
 def _certified_shift(A, G, rep):
@@ -708,6 +726,16 @@ def test_inertia_falls_back_when_the_factor_leaves_the_diagonal():
     rep = is_coercive(sop, gram_D(ch), 0.76)
     assert rep.method == "dense" and rep.negative == -1
     assert rep.coercive is False
+
+
+def test_shift_reports_an_untrusted_count_when_the_factor_fails():
+    # the case above, at _Shift itself: no inertia is an untrusted count
+    ch = Chain1D(64)
+    sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
+    G = gram_D(ch)
+    shift = _Shift(_Pinned(sop.matrix, G.matrix, G.kernel), sop.matrix.data, 0.76)
+    assert shift.trusted is False and shift.negative == -1
+    assert shift.min_pivot == 0.0 and np.isnan(shift.margin)
 
 
 def _full_qr_reference(M, kernel):
