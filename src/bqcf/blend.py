@@ -149,10 +149,10 @@ def _constants(blend, eps: float) -> tuple:
     return tuple(d * (blend.K * eps) ** j for j, d in enumerate(blend.Dbeta_max, start=1))
 
 
-def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly7") -> Blend1D:
+def build_blend_1d(chain: Chain1D, K: int, profile: str = "poly7") -> Blend1D:
     """Periodic trapezoid blend with two K-site transition windows.
 
-    The 1-plateau is centered at site index `center`. Each window carries
+    The 1-plateau is centered at site index 0. Each window carries
     2 margin sites at either end, so the interface set I has exactly 2K
     sites and D^(j) beta = 0 outside I for j = 1, 2, 3. The measured
     constants satisfy ||D beta||_inf (2K eps) <= 40 and per-order caps
@@ -168,7 +168,7 @@ def build_blend_1d(chain: Chain1D, K: int, center: int = 0, profile: str = "poly
     vals_down = profile_value(profile, (K - 2.5 - m) / (K - 4))
 
     P = (n - 2 * K) // 2
-    pc = chain.pos(center)
+    pc = chain.pos(0)
     q = (pc - (P - 1) // 2) % n
     beta = np.zeros(n)
     beta[(q - K + m) % n] = vals_up

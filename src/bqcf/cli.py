@@ -49,10 +49,12 @@ def _assemble_config(args: argparse.Namespace) -> dict:
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
-    for key in ("out", *EXPERIMENTS[args.experiment]):
+    for key in EXPERIMENTS[args.experiment]:
         raw = getattr(args, key, None)
         if raw is not None:
             cfg[key] = _value(raw, key)
+    if args.out is not None:                    # a path, not a config value
+        cfg["out"] = args.out
     cfg["experiment"] = args.experiment
     return cfg
 

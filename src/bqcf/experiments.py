@@ -481,9 +481,7 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     g_mu = sel.T @ (G @ sel)
     # constant mu is a rigid shift along uhat: the Gram kernel to deflate;
     # coercivity symmetrizes the operator, but reads the Gram matrix as given
-    mu = coercivity(SparseOp(a_mu.tocsr()),
-                    SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(),
-                             kernel=np.ones((nsites, 1)) / np.sqrt(nsites)),
+    mu = coercivity(SparseOp(a_mu.tocsr()), SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(), ncomp=1),
                     method="dense").minimizer
     u = sel @ mu
     u = u / math.sqrt(float(u @ (G @ u)))
@@ -984,6 +982,8 @@ def run(config, out_dir: Optional[str] = None) -> int:
     if name not in _RUNNERS:
         raise ConfigError(f"unknown or missing experiment {name!r}; "
                           f"expected one of {sorted(_RUNNERS)}")
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError(f"out {cfg['out']!r} is not a path")
     out = out_dir or cfg.get("out") or "bqcf_out"
     cfg = _resolve(name, cfg)                   # before the output directory exists
     os.makedirs(out, exist_ok=True)

@@ -386,7 +386,7 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     rows, cols, vals = _block_triplets(lattice, _blocks_shell(_NN, model.Ha, eps)
                                        + _blocks_nnn_c(model, eps))
     C = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    A = (eps**2 * 0.5) * (C + C.T)
+    A = eps**2 * C
     for j, bond in enumerate(_BONDS):
         p, q = BOND_PAIRS[bond]
         H = model.Hb[j] if per_bond else model.Hb[0]
@@ -416,8 +416,9 @@ def assemble_triplets(op: Op2D):
 def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> float:
     """Extremal ratio sup ||u||^2_(blending region) / ||Du||^2 over zero-mean u.
 
-    Computed as the maximum eigenvalue of the (mask, Gram) pencil via the
-    coercivity solver on the negated mask form.
+    Computed as the maximum eigenvalue of the (mask, Gram) pencil by
+    coercivity(**solver) on the negated mask form. x0 defaults to a radial
+    bump, so no start vector is drawn and a seed changes nothing.
     """
     from .spectral import SparseOp, coercivity, gram_D
 

@@ -9,8 +9,10 @@ treatment beyond symmetrizing. No matrix declares itself symmetric: every
 path computes sym(A) = (A + A^T) / 2, so all solvers see the same one, even
 where an energy-based matrix differs from its transpose by rounding.
 
-The zero-mean space has one coordinate system: the first site's m
-coordinates pinned, x = Pi W z, where sym(A) - sigma G restricts to its
+The zero-mean space belongs to the Gram form: ker(G) is the constant
+shifts of its m = ncomp coordinates per site (SparseOp.kernel), and no
+other basis can be given. Its one coordinate system pins the first site's
+m coordinates, x = Pi W z, where sym(A) - sigma G restricts to its
 trailing block plus a rank-2m term (_pinned_update). One sparse
 factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
@@ -25,8 +27,7 @@ way (_Pinned): values refilled on one pattern, the union of A's, A^T's and
 G's, fixed for every sigma. A blended operator is affine in its weight, so
 a threshold scan refills that pattern at each blend (BlendPattern) and
 assembles nothing per probe. A dense eigh of the same pinned pencil serves
-small problems and cross-checks the sparse one. All paths check that
-ker(G) is the shift kernel.
+small problems and cross-checks the sparse one.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ _BASIS, _KEEP = 50, 20
 _FORECAST, _SLOW = 20, 40
 # certification tries at the second shift, each halving its step from the first
 _HALVINGS = 4
+# a value solve's relative residual target, and its cap on shifted solves
+_RTOL, _MAXITER = 1e-8, 5000
 
 
 @dataclass(frozen=True)
@@ -80,20 +83,31 @@ class SparseOp:
     """Assembled operator: a square CSR matrix with duplicates summed.
 
     No symmetry is declared: sym_matrix is computed, and for an exactly
-    symmetric matrix it holds the same values. kernel, when present, holds
-    an orthonormal dense basis of the nullspace of the represented form (it
-    defines the zero-mean space of the pencil).
+    symmetric matrix it holds the same values. A Gram form sets ncomp, its
+    coordinates per site: its nullspace is the constant shifts, whose
+    orthonormal basis is kernel, and the zero-mean space of the pencil is
+    their orthogonal complement.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
-    kernel: Optional[np.ndarray] = field(default=None, repr=False)
+    ncomp: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
+        if self.ncomp is not None and self.dim % self.ncomp:
+            raise ValueError(f"dimension {self.dim} is not a multiple of ncomp {self.ncomp}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def kernel(self) -> Optional[np.ndarray]:
+        """The constant shifts, one orthonormal unit block per site; None without ncomp."""
+        if self.ncomp is None:
+            return None
+        nsites = self.dim // self.ncomp
+        return np.kron(np.ones((nsites, 1)), np.eye(self.ncomp)) / np.sqrt(nsites)
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -168,12 +182,12 @@ def _stencil(op) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float:
-    """Max relative defect of u^T A u against the weighted form, random u."""
-    rng = np.random.default_rng(seed)
+def check_assembly(op, sop: SparseOp) -> float:
+    """Max relative defect of u^T A u against the weighted form, 20 random u."""
+    rng = np.random.default_rng(0)
     worst = 0.0
     A = sop.matrix
-    for _ in range(ntrials):
+    for _ in range(20):
         x = rng.standard_normal(sop.dim)
         if isinstance(op, ops1d.Op1D):
             ref = inner(op.chain, ops1d.apply_op(op, x), x)
@@ -187,8 +201,8 @@ def check_assembly(op, sop: SparseOp, ntrials: int = 20, seed: int = 0) -> float
 
 
 def gram_D(domain) -> SparseOp:
-    """Gram matrix of ||Du||^2 (symmetric PSD), with the orthonormal basis
-    of its kernel: the constant shifts, one unit block per site.
+    """Gram matrix of ||Du||^2 (symmetric PSD), with its coordinates per
+    site: its kernel is the constant shifts (SparseOp.kernel).
 
     It is the nearest-neighbor stencil with unit stiffness: the 1D circulant
     (2, -1, -1) / eps, and in 2D the nearest bond shell with identity
@@ -197,14 +211,12 @@ def gram_D(domain) -> SparseOp:
     if isinstance(domain, Chain1D):
         n = domain.nsites
         rows, cols, vals = ops1d._term_triplets(n, 1, 1.0)
-        return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
-                        kernel=np.ones((n, 1)) / np.sqrt(n))
+        return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)), ncomp=1)
     if isinstance(domain, TriLattice2D):
-        nsites = (2 * domain.N) ** 2
+        dim = 2 * (2 * domain.N) ** 2
         rows, cols, vals = ops2d._block_triplets(
             domain, ops2d._blocks_shell(ops2d._NN, (np.eye(2),) * 3, 1.0))
-        G = sp.csr_matrix((vals, (rows, cols)), shape=(2 * nsites, 2 * nsites))
-        return SparseOp(G, kernel=np.kron(np.ones((nsites, 1)), np.eye(2)) / np.sqrt(nsites))
+        return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), ncomp=2)
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
 
@@ -220,12 +232,12 @@ def _pinned_update(s: np.ndarray, kernel: np.ndarray):
     return np.hstack([kernel[m:], s[m:]]), kernel.T @ s
 
 
-def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
+def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
     """Dense eigh of the pinned pencil (S, G[m:, m:]) at sigma = 0, lifted.
 
     k^T s is symmetric, so U C U^T = k_p P^T + P k_p^T with P = k_p (k^T s)
     / 2 - s_p: m rank-2 updates of the upper triangle, in place."""
-    m = kernel.shape[1]
+    m, kernel = G.ncomp, G.kernel
     U, kts = _pinned_update(Asym @ kernel, kernel)
     kp = U[:, :m]
     P = 0.5 * (kp @ kts) - U[:, m:]
@@ -233,7 +245,7 @@ def _dense_gamma(Asym: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
     for j in range(m):
         S = scipy.linalg.blas.dsyr2(1.0, kp[:, j], P[:, j], lower=0, a=S, overwrite_a=1)
     # LAPACK's upper-triangle reduction runs faster here than the lower one
-    w, y = scipy.linalg.eigh(S, G[m:, m:].toarray(order="F"), lower=False,
+    w, y = scipy.linalg.eigh(S, G.matrix[m:, m:].toarray(order="F"), lower=False,
                              subset_by_index=[0, 0], driver="gvx",
                              overwrite_a=True, overwrite_b=True)
     return float(w[0]), _lift(kernel, y[:, 0])
@@ -257,23 +269,25 @@ class _Pinned:
     The pattern is the union of A's, A^T's and G's. A scatter map places
     A's stored entries in it and the transpose map sends each of its
     entries to its mirror entry; G's values and G's pattern on the block
-    are scattered once. Each term of s = sym(A) k, one per entry and
-    nonzero kernel value in its column, keeps its entry, its kernel weight
-    and its slot in s, and the block keeps its columns and row pointers:
-    O(nnz) arrays, built once. block(a, sigma), a the values on A's
-    canonical CSR pattern, scatters them and sums sym(A) - sigma G on the
-    pattern, sym(A) = (A + A^T) / 2 whether or not A is symmetric, forms
-    the rank-2m update from s with one weighted bincount, and keeps the
-    block past the first site's m rows and columns, less its exact zeros
-    off G's pattern: the nonzero set of sym(A) summed with G's pattern, so
-    that SuperLU orders and fills it as it would the summed matrices,
-    whatever sigma. A probe is O(nnz) array work and one sparse matrix,
-    the block. G must be symmetric.
+    are scattered once. The kernel k is the constant shifts, one value
+    k[0, 0] per row, so each entry adds k[0, 0] times its value to one slot
+    of s = sym(A) k, its row's at its column's coordinate; the slots and
+    the block's columns and row pointers are O(nnz) arrays, built once.
+    block(a, sigma), a the values on A's canonical CSR pattern, scatters
+    them and sums sym(A) - sigma G on the pattern, sym(A) = (A + A^T) / 2
+    whether or not A is symmetric, forms the rank-2m update from s with one
+    weighted bincount, and keeps the block past the first site's m rows and
+    columns, less its exact zeros off G's pattern: the nonzero set of
+    sym(A) summed with G's pattern, so that SuperLU orders and fills it as
+    it would the summed matrices, whatever sigma. A probe is O(nnz) array
+    work and one sparse matrix, the block. G, the Gram form, must be
+    symmetric.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: sp.csr_matrix, kernel: np.ndarray):
-        n, m = kernel.shape
-        self.kernel = kernel
+    def __init__(self, A: sp.csr_matrix, G: SparseOp):
+        self.kernel = G.kernel
+        n, m = self.kernel.shape
+        G = G.matrix
         a = _numbered(A)
         # positive sums: nothing cancels
         P = a + a.T + _numbered(G)
@@ -284,12 +298,11 @@ class _Pinned:
         self.size = P.nnz
         # P is structurally symmetric: numbered P^T holds each mirror's number
         self.transpose = (_numbered(P).T.tocsr().data - 1).astype(np.int32)
-        # (sym(A) k)[row, c] sums sym(A)_e k[col, c] over the entries e of a
-        # row in CSR order, as a CSR product does, less the kernel's zeros:
-        # term i weights entry at_k[i] by k_at[i] into slot[i]
-        e, c = np.nonzero(kernel[P.indices])
-        self.slot = (np.repeat(np.arange(n) * m, np.diff(P.indptr))[e] + c).astype(np.int32)
-        self.at_k, self.k_at = e.astype(np.int32), kernel[P.indices[e], c]
+        # (sym(A) k)[row, col mod m] sums k[0, 0] sym(A)_e over the entries e
+        # of a row in CSR order, as a CSR product does
+        self.slot = (np.repeat(np.arange(n) * m, np.diff(P.indptr))
+                     + P.indices % m).astype(np.int32)
+        self.k = self.kernel[0, 0]
         # the block: the entries from start on (rows past the first m), their
         # columns shifted by m, negative for the first m columns; G's values
         # there, and G's pattern, whose entries the block keeps at any value
@@ -308,9 +321,7 @@ class _Pinned:
         s = x[self.transpose]                       # sym(A)
         s += x
         s *= 0.5
-        w = s[self.at_k]
-        w *= self.k_at
-        sk = np.bincount(self.slot, weights=w, minlength=n * m)
+        sk = np.bincount(self.slot, weights=s * self.k, minlength=n * m)
         U, kts = _pinned_update(sk.reshape(n, m), self.kernel)
         s = s[self.start:]
         keep = s != 0.0
@@ -413,11 +424,11 @@ def _lift(kernel: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _project_out(kernel, np.concatenate([np.zeros(kernel.shape[1]), z]))
 
 
-def _rayleigh_residual(Asym, G, kernel: np.ndarray, x: np.ndarray):
+def _rayleigh_residual(Asym, G: SparseOp, x: np.ndarray):
     # sym(A) of the force-based operator does not annihilate constants, so
     # the residual lives on the deflated pencil: project it off ker(G)
-    Ax = _project_out(kernel, Asym @ x)
-    Gx = G @ x
+    Ax = _project_out(G.kernel, Asym @ x)
+    Gx = G.matrix @ x
     rho = float(x @ Ax) / float(x @ Gx)
     denom = np.linalg.norm(Ax) + abs(rho) * np.linalg.norm(Gx)
     return rho, float(np.linalg.norm(Ax - rho * Gx)) / max(denom, 1e-300)
@@ -506,8 +517,7 @@ def _reshift(theta: np.ndarray, sigma: float, excess: float) -> Optional[float]:
     return float(l1 - 0.5 * (l2 - l1))
 
 
-def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
-                     tol: float, maxiter: int, x0: Optional[np.ndarray], seed: int):
+def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], seed: int):
     """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
 
     One search (certified) gives both shifts: the first trial sigma at which
@@ -517,28 +527,28 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
     each step 4 times the last, and raise once sigma is not finite. _Lanczos
     on T = S_sigma^-1 G_pp reads its top Ritz pair after every shifted
     solve. The stopping test, the lifted Ritz vector's relative residual <=
-    tol, runs as soon as the Ritz residual times the ratio the previous test
-    measured says it can pass, on a run's first step, and at the last step
-    maxiter allows.
+    _RTOL, runs as soon as the Ritz residual times the ratio the previous
+    test measured says it can pass, on a run's first step, and at the last
+    step _MAXITER allows.
 
     After _FORECAST steps at the first shift, the top Ritz values theta_1 >
-    theta_2 > ... > theta_min of T forecast ln(residual / tol) / (2 sqrt(g))
+    theta_2 > ... > theta_min of T forecast ln(residual / _RTOL) / (2 sqrt(g))
     more steps, g = (theta_1 - theta_2) / (theta_2 - theta_min) (Lanczos
     converges like a Chebyshev polynomial). Beyond _SLOW, the solve
     re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
     Ritz values l_1 < l_2 of the pencil; its trials halve the step from
     sigma toward sigma_1 _HALVINGS times, then retry sigma itself. The old
     factor is freed first, and a new Lanczos run starts from the Ritz vector.
-    _Pinned is dropped once the decision is made. maxiter caps the shifted
+    _Pinned is dropped once the decision is made. _MAXITER caps the shifted
     solves over both shifts.
     """
-    n, m = kernel.shape
+    tol, maxiter, m = _RTOL, _MAXITER, G.ncomp
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) if x0 is None else np.asarray(x0, dtype=float)
-    x = _project_out(kernel, x)
+    x = rng.standard_normal(G.dim) if x0 is None else np.asarray(x0, dtype=float)
+    x = _project_out(G.kernel, x)
     x /= np.linalg.norm(x)
-    rho, res = _rayleigh_residual(Asym, G, kernel, x)
+    rho, res = _rayleigh_residual(Asym, G, x)
     report = dict(method="iterative", iterations=0, factorizations=0)
     if res <= tol:                                  # a NaN residual goes on
         return StabilityReport(gamma=rho, minimizer=x, residual=res, **report)
@@ -557,10 +567,10 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
             yield sigma
             sigma, step = sigma - step, 4.0 * step
 
-    pinned = _Pinned(A, G, kernel)
+    pinned = _Pinned(A, G)
     sigma, shift = certified(descent(min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0))
 
-    Gpp = G[m:, m:]
+    Gpp = G.matrix[m:, m:]
     z = (x[m:].reshape(-1, m) - x[:m]).ravel()      # x in pinned coordinates
     lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
     while True:
@@ -572,9 +582,9 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
         forecast = report["iterations"] == _FORECAST
         if ratio is None or ratio * estimate <= tol or forecast or report["iterations"] == maxiter:
             z = lanczos.ritz_vector()
-            x = _lift(kernel, z)
+            x = _lift(G.kernel, z)
             x /= np.linalg.norm(x)
-            rho, res = _rayleigh_residual(Asym, G, kernel, x)
+            rho, res = _rayleigh_residual(Asym, G, x)
             if res <= tol:
                 return StabilityReport(gamma=rho, minimizer=x, residual=res,
                                        shift=sigma, nnz=shift.nnz, **report)
@@ -590,53 +600,42 @@ def _iterative_gamma(opMatrix: SparseOp, G: sp.csr_matrix, kernel: np.ndarray,
 
 
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
-               dense_threshold: Optional[int] = None, tol: float = 1e-8,
-               maxiter: int = 5000, x0: Optional[np.ndarray] = None,
+               dense_threshold: Optional[int] = None, x0: Optional[np.ndarray] = None,
                seed: int = 7) -> StabilityReport:
-    """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G.
+    """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G, the
+    constant shifts of G's ncomp coordinates per site.
 
     method "auto" takes the dense path for dim <= dense_threshold (default
     _DENSE_THRESHOLD) and shift-invert Lanczos (_iterative_gamma) above it;
     "dense" / "iterative" force a path. gamma is the Rayleigh quotient of
-    the minimizer. The iterative path raises when its maxiter shifted solves
-    do not meet tol; its report gives the final certified shift, the
-    factorizations (the re-shift included), the factor's nonzeros and, as
-    iterations, the shifted solves.
+    the minimizer. The iterative path starts from x0, else from a draw of
+    default_rng(seed), and raises when _MAXITER shifted solves leave the
+    relative residual above _RTOL; its report gives the final certified
+    shift, the factorizations (the re-shift included), the factor's
+    nonzeros and, as iterations, the shifted solves.
     """
-    kernel = _pencil_kernel(opMatrix.dim, G)
+    _pencil_kernel(opMatrix.dim, G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         limit = _DENSE_THRESHOLD if dense_threshold is None else dense_threshold
         method = "dense" if opMatrix.dim <= limit else "iterative"
 
-    Gm = G.matrix
     if method == "iterative":
-        return _iterative_gamma(opMatrix, Gm, kernel, tol, maxiter, x0, seed)
+        return _iterative_gamma(opMatrix, G, x0, seed)
     Asym = opMatrix.sym_matrix
-    _, x = _dense_gamma(Asym, Gm, kernel)
-    gamma, res = _rayleigh_residual(Asym, Gm, kernel, x)
+    _, x = _dense_gamma(Asym, G)
+    gamma, res = _rayleigh_residual(Asym, G, x)
     return StabilityReport(gamma=gamma, minimizer=x, method="dense",
                            residual=res, iterations=0)
 
 
-def _pencil_kernel(dim: int, G: SparseOp) -> np.ndarray:
-    """G's kernel basis, checked to be the shift kernel: its rows repeat with
-    period m, so pinning the first site's m coordinates leaves a basis of
-    the zero-mean space."""
+def _pencil_kernel(dim: int, G: SparseOp) -> None:
+    """Check that G is a Gram form, with its kernel, on dim coordinates."""
     if dim != G.dim:
         raise ValueError(f"dimension mismatch: {dim} vs {G.dim}")
     if G.kernel is None:
         raise ValueError("Gram operator lacks its kernel basis")
-    kernel = G.kernel
-    m = kernel.shape[1]
-    if kernel.shape[0] != G.dim or m >= G.dim:
-        raise ValueError("kernel dimension mismatch")
-    leak = float(np.abs(kernel[m:] - kernel[:-m]).max())
-    if leak > 1e-12 * float(np.abs(kernel).max()):
-        raise ValueError(f"difference basis is not orthogonal to the kernel "
-                         f"(max |kernel^T P| = {leak:.3e})")
-    return kernel
 
 
 def _ldlt(M: sp.csc_matrix):
@@ -653,20 +652,18 @@ def _ldlt(M: sp.csc_matrix):
     return lu
 
 
-def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float, *,
-                dense_threshold: Optional[int] = None, seed: int = 7) -> InertiaReport:
+def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
     """Decide gamma > tau: sym(A) - tau G has no negative or zero eigenvalue
     on the zero-mean space, counted by _Shift (Sylvester, Haynsworth).
 
     When a pivot or capacitance eigenvalue misses its rounding bound, or the
-    factorization yields no inertia, the pencil is solved by coercivity (same
-    dense_threshold and seed) and the report says so in its method. A tau
-    within rounding of gamma can still clear the bounds; the sign there is
-    whatever rounding made it.
+    factorization yields no inertia, the pencil is solved by coercivity(A,
+    G) and the report says so in its method. A tau within rounding of gamma
+    can still clear the bounds; the sign there is whatever rounding made it.
     """
-    pinned = _Pinned(opMatrix.matrix, G.matrix, _pencil_kernel(opMatrix.dim, G))
-    return _sign(pinned, opMatrix.matrix.data, tau,
-                 lambda: coercivity(opMatrix, G, dense_threshold=dense_threshold, seed=seed))
+    _pencil_kernel(opMatrix.dim, G)
+    return _sign(_Pinned(opMatrix.matrix, G), opMatrix.matrix.data, tau,
+                 lambda: coercivity(opMatrix, G))
 
 
 def _sign(pinned: _Pinned, a: np.ndarray, tau: float, solve) -> InertiaReport:
@@ -709,7 +706,7 @@ class BlendPattern:
                 and np.array_equal(A0.indices, A1.indices)):
             raise ValueError(f"the stencil of kind {op.kind!r} changes its pattern with beta")
         self.source, self.model, self.G = (type(op), op.kind, beta.shape), op.model, G
-        kernel = _pencil_kernel(A0.shape[0], G)
+        _pencil_kernel(A0.shape[0], G)
         # sums of stored entries can cancel at both weights, hence at every one
         keep = (A0.data != 0.0) | (A1.data != 0.0)
         n = A0.shape[0]
@@ -718,9 +715,9 @@ class BlendPattern:
         self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
         self.a0, self.slope = A0.data[keep], A1.data[keep] - A0.data[keep]
         del A1
-        self.site = rows // kernel.shape[1]
+        self.site = rows // G.ncomp
         A0 = sp.csr_matrix((self.a0, self.indices, self.indptr), shape=(n, n))
-        self.pinned = _Pinned(A0, G.matrix, kernel)
+        self.pinned = _Pinned(A0, G)
 
     def values(self, op) -> np.ndarray:
         """A(beta)'s stored values at op's blend, on the pattern."""

@@ -14,6 +14,7 @@ import bqcf
 from bqcf import experiments, ops1d
 from bqcf.blend import _blend_2d_sharp, build_blend_1d
 from bqcf.cli import _assemble_config, _build_parser, main
+from bqcf.config import ConfigError
 from bqcf.experiments import unstable_toy_model
 from bqcf.lattice1d import Chain1D
 from bqcf.lattice2d import TriLattice2D
@@ -234,6 +235,28 @@ def test_readme_cli_examples_resolve():
     for argv in examples:
         cfg = _assemble_config(parser.parse_args(argv[1:]))
         experiments._resolve(cfg["experiment"], cfg)
+
+
+def test_readme_library_example_runs():
+    # README's single python block runs as written, with src on the path
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(bqcf.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", blocks[0].split("```", 1)[0]],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_out_is_a_path_not_a_config_value(tmp_path, monkeypatch):
+    # "2024" would read as an int through the config value grammar
+    monkeypatch.chdir(tmp_path)
+    assert main(["poincare", "--n", "8", "--out", "2024"]) == 0
+    assert (tmp_path / "2024" / "summary.txt").exists()
+    with pytest.raises(ConfigError, match="out 7 is not a path"):
+        experiments.run({"experiment": "poincare", "n": [8], "out": 7})
 
 
 def test_stability_profile_flag(tmp_path):

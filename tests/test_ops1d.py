@@ -195,9 +195,9 @@ def test_sharpness_function_requires_transition():
         sharpness_test_function(ch, blend_from_samples(ch, np.ones(32)))
 
 
-@pytest.mark.xfail(strict=True, reason="the eps^2 ||sqrt(beta) D2 v||^2 term dominates at "
-                   "desk scale; the witness Rayleigh quotient stays above c0 here "
-                   "(measured 0.142) and indefiniteness is certified by the eigensolver instead")
+@pytest.mark.xfail(strict=True, reason="the witness Rayleigh quotient stays above c0 and "
+                   "does not fall with N (K = 8: 0.142 at N = 256, 0.1429 at N = 65536), so "
+                   "no larger size flips it; indefiniteness is certified by the eigensolver")
 def test_sharpness_witness_dips_below_c0():
     ch = Chain1D(256)
     bl = build_blend_1d(ch, 8)

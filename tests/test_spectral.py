@@ -293,48 +293,24 @@ def test_shifted_solve_is_exact(domain, rng):
         M = Asym - sigma * G.matrix
         b = rng.standard_normal(G.dim)
         b -= k @ (k.T @ b)
-        shift = _Shift(_Pinned(Asym, G.matrix, k), Asym.data, sigma)
+        shift = _Shift(_Pinned(Asym, G), Asym.data, sigma)
         y = _lift(k, shift.solve(b[m:]))
         r = M @ y - b
         assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
         assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
 
 
-def test_pinned_update_with_a_rotated_kernel(rng):
-    # a kernel basis whose rows hold two nonzeros each weights every entry
-    # of sym(A) twice: the block's update is still sym(A) k, and the shifted
-    # solve is still exact on the zero-mean space
-    lat = TriLattice2D(8)
-    G = gram_D(lat)
-    c, s = np.cos(0.3), np.sin(0.3)
-    k = np.kron(np.ones((lat.nsites, 1)), np.array([[c, -s], [s, c]])) / np.sqrt(lat.nsites)
-    m = k.shape[1]
-    sigma = -0.25
-    for sop in _shifted_forms(lat):
-        A, Asym = sop.matrix, sop.sym_matrix
-        pinned = _Pinned(A, G.matrix, k)
-        _, U, kts = pinned.block(A.data, sigma)
-        U_ref, kts_ref = spectral._pinned_update(Asym @ k, k)
-        scale = abs(Asym).max()
-        assert np.abs(U - U_ref).max() <= 1e-14 * scale
-        assert np.abs(kts - kts_ref).max() <= 1e-13 * scale
-        b = rng.standard_normal(G.dim)
-        b -= k @ (k.T @ b)
-        y = _lift(k, _Shift(pinned, A.data, sigma).solve(b[m:]))
-        r = (Asym - sigma * G.matrix) @ y - b
-        assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
-        assert np.abs(k.T @ y).max() <= 1e-12 * np.linalg.norm(y)
-
-
-def test_iterative_nonconvergence_raises():
-    # tol = 1e-17 is below the residual's rounding floor: the solve runs its
-    # maxiter steps on a bounded, restarting basis and reports where it stopped
+def test_iterative_nonconvergence_raises(monkeypatch):
+    # a tolerance of 1e-17 is below the residual's rounding floor: the solve
+    # runs its _MAXITER steps on a bounded, restarting basis and reports
+    # where it stopped
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     for N, tol, maxiter in ((64, 1e-8, 1), (256, 1e-17, 400)):
+        monkeypatch.setattr(spectral, "_RTOL", tol)
+        monkeypatch.setattr(spectral, "_MAXITER", maxiter)
         with pytest.raises(RuntimeError, match=rf"did not converge in {maxiter} steps "
                                                r"\(relative residual \d\.\d{3}e[-+]\d+"):
-            _gamma_1d(model, N, kind="bqcf", K=12, method="iterative", tol=tol,
-                      maxiter=maxiter)
+            _gamma_1d(model, N, kind="bqcf", K=12, method="iterative")
 
 
 def test_iterative_path_converges_on_a_tight_cluster():
@@ -541,7 +517,7 @@ def test_rounding_tests_match_a_dense_evaluation():
     # compared as the closest ratio, and every test is compared in full
     for sop, G in _small_pencils():
         gamma = coercivity(sop, G, method="dense").gamma
-        pinned = _Pinned(sop.matrix, G.matrix, G.kernel)
+        pinned = _Pinned(sop.matrix, G)
         for tau in (1e-10, gamma - 1e-7):
             shift = _Shift(pinned, sop.matrix.data, tau)
             negative, tests = _rounding_tests(shift, pinned.block(sop.matrix.data, tau)[0])
@@ -703,19 +679,19 @@ def test_iterative_path_below_minus_one(kind, phiF, phi2F, K):
 
 
 def test_inertia_rejects_foreign_kernel():
+    # the kernel is the constant shifts of the Gram form's ncomp coordinates
+    # per site: no other basis can be given
     ch = Chain1D(8)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=model))
-    G = gram_D(ch)
-    tilted = np.linspace(1.0, 2.0, 16)[:, None]
-    G_bad = SparseOp(G.matrix, kernel=tilted / np.linalg.norm(tilted))
-    with pytest.raises(ValueError, match="not orthogonal to the kernel"):
-        is_coercive(sop, G_bad, 1e-10)
-    for method in ("dense", "iterative"):
-        with pytest.raises(ValueError, match="not orthogonal to the kernel"):
-            coercivity(sop, G_bad, method=method)
     with pytest.raises(ValueError, match="dimension mismatch"):
         is_coercive(sop, gram_D(Chain1D(4)), 1e-10)
+    with pytest.raises(ValueError, match="not a multiple of ncomp 3"):
+        SparseOp(gram_D(ch).matrix, ncomp=3)
+    assert np.array_equal(gram_D(ch).kernel, np.ones((16, 1)) / np.sqrt(16))
+    lat = TriLattice2D(3)
+    assert np.array_equal(gram_D(lat).kernel,
+                          np.kron(np.ones((36, 1)), np.eye(2)) / np.sqrt(36))
 
 
 def test_inertia_falls_back_when_the_factor_leaves_the_diagonal():
@@ -733,7 +709,7 @@ def test_shift_reports_an_untrusted_count_when_the_factor_fails():
     ch = Chain1D(64)
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
     G = gram_D(ch)
-    shift = _Shift(_Pinned(sop.matrix, G.matrix, G.kernel), sop.matrix.data, 0.76)
+    shift = _Shift(_Pinned(sop.matrix, G), sop.matrix.data, 0.76)
     assert shift.trusted is False and shift.negative == -1
     assert shift.min_pivot == 0.0 and np.isnan(shift.margin)
 
@@ -768,7 +744,7 @@ def test_dense_path_matches_full_qr(problem):
     Q2, Ar = _full_qr_reference(A, G.kernel)
     _, Gr = _full_qr_reference(G.matrix, G.kernel)
     w, y = scipy.linalg.eigh(Ar, Gr, subset_by_index=[0, 3])
-    gamma, x = _dense_gamma(A, G.matrix, G.kernel)
+    gamma, x = _dense_gamma(A, G)
     assert gamma == pytest.approx(w[0], rel=1e-10, abs=1e-12)
     assert np.abs(G.kernel.T @ x).max() <= 1e-12 * np.linalg.norm(x)
     # x lies in the eigenspace of w[0]; the mask form's two displacement
