@@ -193,8 +193,8 @@ def build_blend_1d(chain: Chain1D, K: int, profile: str = "poly7") -> Blend1D:
     return blend
 
 
-def blend_from_samples(chain: Chain1D, beta: np.ndarray, profile: str = "custom") -> Blend1D:
-    """Wrap raw per-site weights as a Blend1D.
+def blend_from_samples(chain: Chain1D, beta: np.ndarray) -> Blend1D:
+    """Wrap raw per-site weights as a Blend1D of profile "custom".
 
     No construction caps are enforced; intended for synthetic and random
     weights in identity tests.
@@ -204,7 +204,7 @@ def blend_from_samples(chain: Chain1D, beta: np.ndarray, profile: str = "custom"
         raise ValueError("beta length mismatch")
     if beta.min() < -1e-12 or beta.max() > 1 + 1e-12:
         raise ValueError("beta values must lie in [0, 1]")
-    return Blend1D(chain=chain, beta=beta, profile=profile)
+    return Blend1D(chain=chain, beta=beta, profile="custom")
 
 
 def third_diff_level_set(blend: Blend1D) -> np.ndarray:

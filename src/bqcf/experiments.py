@@ -173,9 +173,9 @@ def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 def _threshold_at_size(build: Callable[[int], object], G, eps: float,
                        k_floor: int, k_cap: int, tol: float, seed: int,
-                       dense_threshold: Optional[int] = None):
+                       method: str = "iterative"):
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
-    then pencil solves at K*-1 and K* only.
+    then pencil solves at K*-1 and K* only, each by coercivity's method.
 
     build(K) returns the operator at blend width K. The scan assembles once:
     one BlendPattern, built from the first operator, answers every probe by
@@ -192,7 +192,7 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
         op = build(K)
         if pattern is None:
             pattern = BlendPattern(op, G)
-        rep = pattern.is_coercive(op, tol, dense_threshold=dense_threshold, seed=seed)
+        rep = pattern.is_coercive(op, tol, method=method, seed=seed)
         scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
                               min_pivot=rep.min_pivot, fallback=rep.fallback))
         if kstar is None and rep.coercive:
@@ -210,8 +210,7 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     gammas, x0 = {}, None
     for K, op in boundary.items():                  # K*-1 first
         t0 = time.perf_counter()
-        rep = coercivity(assemble(op), G, dense_threshold=dense_threshold, x0=x0,
-                         seed=seed)
+        rep = coercivity(assemble(op), G, method=method, x0=x0, seed=seed)
         if (rep.gamma > tol) != (K == kstar):
             raise RuntimeError(
                 f"pencil solve contradicts the inertia scan at {where}, K={K}: "
@@ -349,9 +348,12 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     round(eps^-alpha), case 3 as round(c/eps). params is a mapping with keys
     N (list of lattice sizes, required), K_max, K_min, profile, tol,
     dense_threshold, seed, and the case's Ra / alpha / c; any other key
-    raises ValueError. The fit regresses K* against the regime's predicted
-    growth rate. The auxiliary operator is required to be positive definite
-    at the widest tested blend; its measured constant is recorded on each row.
+    raises ValueError. dense_threshold only opts sizes into the dense
+    reference: a size of dim <= dense_threshold solves its pencils by
+    coercivity's method "dense", and no default sets it. The fit regresses
+    K* against the regime's predicted growth rate. The auxiliary operator is
+    required to be positive definite at the widest tested blend; its
+    measured constant is recorded on each row.
     """
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2 or 3, got {case!r}")
@@ -384,6 +386,8 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
         eps = 1.0 / N
         lattice = TriLattice2D(N)
         G = gram_D(lattice)
+        method = ("dense" if dense_threshold is not None and G.dim <= dense_threshold
+                  else "iterative")
         rng = np.random.default_rng([seed, N])
         Ra = ra_of(N)
         k_cap = min(K_max, N - Ra)
@@ -392,7 +396,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
 
         blend_top = _blend_2d_sharp(lattice, Ra, Ra + k_cap, profile=profile)
         gt = coercivity(assemble_ltilde(lattice, model, blend_top), G,
-                        dense_threshold=dense_threshold, seed=seed).gamma
+                        method=method, seed=seed).gamma
         if gt <= 0:
             raise ModelRangeError(
                 f"auxiliary operator not positive definite at the widest "
@@ -407,7 +411,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
             return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
-            build, G, eps, K_min, k_cap, tol, seed, dense_threshold)
+            build, G, eps, K_min, k_cap, tol, seed, method)
         rows = [SweepRow(eps=eps, K=K, Ra=Ra, Rb=Ra + K, gamma=g,
                          c0_or_gammatilde=gt, wallclock_seconds=dt)
                 for K, (g, dt) in gammas.items()]
@@ -481,8 +485,8 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     g_mu = sel.T @ (G @ sel)
     # constant mu is a rigid shift along uhat: the Gram kernel to deflate;
     # coercivity symmetrizes the operator, but reads the Gram matrix as given
-    mu = coercivity(SparseOp(a_mu.tocsr()), SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(), ncomp=1),
-                    method="dense").minimizer
+    mu = coercivity(SparseOp(a_mu.tocsr()),
+                    SparseOp((0.5 * (g_mu + g_mu.T)).tocsr(), ncomp=1)).minimizer
     u = sel @ mu
     u = u / math.sqrt(float(u @ (G @ u)))
     return float(u @ (A @ u))
@@ -840,7 +844,9 @@ def _run_stability(cfg):
     rep = coercivity(A, G, method=cfg["method"], seed=cfg["seed"])
     rows = [{"space": space, "kind": kind, "gamma": rep.gamma,
              "method": rep.method, "residual": rep.residual,
-             "iterations": rep.iterations, "c0": base}]
+             "iterations": rep.iterations, "dim": A.dim,
+             "factorizations": rep.factorizations, "shift": rep.shift,
+             "nnz": rep.nnz, "c0": base}]
     fit = {"gamma": rep.gamma, "method": rep.method}
     return rows, fit, [("solved", True, f"gamma {rep.gamma:.6e}")], \
         _plot_generic("stability", rows, "gamma")

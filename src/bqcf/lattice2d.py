@@ -109,13 +109,6 @@ class TriLattice2D:
         c = self.axis_positions()
         return np.meshgrid(c, c, indexing="ij")
 
-    def positions(self) -> np.ndarray:
-        """(2N, 2N, 2) Cartesian site positions of the canonical representatives."""
-        ii, jj = self.coords()
-        x = self.eps * (ii + 0.5 * jj)
-        y = self.eps * (_SQ3 / 2) * jj
-        return np.stack([x, y], axis=-1)
-
     def site_index(self, i: int, j: int) -> int:
         """Flat index in 0..4N^2-1; wraps modulo 2N in each coordinate."""
         n = 2 * self.N

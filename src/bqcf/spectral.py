@@ -20,14 +20,15 @@ capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 it, with sigma certified below gamma by a count of zero (Ericsson and
 Ruhe's spectral transformation). The Lanczos (_Lanczos) checks its top
 Ritz pair after every shifted solve and stops once the stopping test
-passes; when its Ritz values forecast slow convergence it re-shifts once,
-next to gamma, certified the same way (Grimes, Lewis and Simon's
+passes; a solve still open after _RESHIFT_AT shifted solves re-shifts
+once, next to gamma, certified the same way (Grimes, Lewis and Simon's
 inertia-certified shifts). Both build the factored block the same
 way (_Pinned): values refilled on one pattern, the union of A's, A^T's and
 G's, fixed for every sigma. A blended operator is affine in its weight, so
 a threshold scan refills that pattern at each blend (BlendPattern) and
-assembles nothing per probe. A dense eigh of the same pinned pencil serves
-small problems and cross-checks the sparse one.
+assembles nothing per probe. Every value solve takes this path unless
+its caller asks for method "dense": a dense eigh of the same pinned
+pencil, the reference the sparse one is checked against.
 """
 
 from __future__ import annotations
@@ -59,19 +60,12 @@ __all__ = [
     "is_coercive",
 ]
 
-METHODS = ("auto", "dense", "iterative")
-
-# dims up to this take the dense path under method "auto". Dense against
-# iterative, ms, medians of 7 on 2 shared cores: 1D atomistic dim 128 2.1 / 3.4;
-# 1D bqcf dim 256 5.7 / 4.4, 400 16.4 / 4.5; 2D toy bqcf dim 288 6.1 / 8.8, 512
-# 26.7 / 6.3; 2D Morse atomistic dim 288 7.0 / 15.3, 512 27.2 / 21.2
-_DENSE_THRESHOLD = 400
+METHODS = ("iterative", "dense")
 
 # a Lanczos basis restarts after this many vectors, keeping its top Ritz vectors
 _BASIS, _KEEP = 50, 20
-# the step at the first shift that forecasts the rest of the solve, and the
-# forecast in steps beyond which it re-shifts
-_FORECAST, _SLOW = 20, 40
+# a value solve not converged after this many shifted solves re-shifts once
+_RESHIFT_AT = 20
 # certification tries at the second shift, each halving its step from the first
 _HALVINGS = 4
 # a value solve's relative residual target, and its cap on shifted solves
@@ -501,22 +495,6 @@ class _Lanczos:
         return np.linalg.eigvalsh(self.H[:self.steps, :self.steps])
 
 
-def _reshift(theta: np.ndarray, sigma: float, excess: float) -> Optional[float]:
-    """The second shift, when T's Ritz values theta (ascending) forecast
-    more than _SLOW steps to divide the residual by excess, else None.
-
-    Lanczos divides it by about exp(2 sqrt(g)) per step, g = (theta_1 -
-    theta_2) / (theta_2 - theta_min). The shift goes half the gap below the
-    top Ritz value of the pencil, l_1 = sigma + 1 / theta_1, toward the
-    second, l_2."""
-    t1, t2 = theta[-1], theta[-2]
-    g = (t1 - t2) / (t2 - theta[0])
-    if not np.log(excess) > 2.0 * _SLOW * np.sqrt(g):
-        return None
-    l1, l2 = sigma + 1.0 / t1, sigma + 1.0 / t2
-    return float(l1 - 0.5 * (l2 - l1))
-
-
 def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], seed: int):
     """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
 
@@ -531,16 +509,13 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     test measured says it can pass, on a run's first step, and at the last
     step _MAXITER allows.
 
-    After _FORECAST steps at the first shift, the top Ritz values theta_1 >
-    theta_2 > ... > theta_min of T forecast ln(residual / _RTOL) / (2 sqrt(g))
-    more steps, g = (theta_1 - theta_2) / (theta_2 - theta_min) (Lanczos
-    converges like a Chebyshev polynomial). Beyond _SLOW, the solve
+    A solve that the stopping test at its _RESHIFT_AT-th step does not end
     re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
-    Ritz values l_1 < l_2 of the pencil; its trials halve the step from
-    sigma toward sigma_1 _HALVINGS times, then retry sigma itself. The old
-    factor is freed first, and a new Lanczos run starts from the Ritz vector.
-    _Pinned is dropped once the decision is made. _MAXITER caps the shifted
-    solves over both shifts.
+    Ritz values l_1 < l_2 of the pencil, l_i = sigma + 1 / theta_i; its
+    trials halve the step from sigma toward sigma_1 _HALVINGS times, then
+    retry sigma itself. The old factor is freed first, a new Lanczos run
+    starts from that test's Ritz vector, and _Pinned is dropped. _MAXITER
+    caps the shifted solves over both shifts.
     """
     tol, maxiter, m = _RTOL, _MAXITER, G.ncomp
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
@@ -579,8 +554,8 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
                                f"(relative residual {res:.3e}, rho {rho:.6e})")
         report["iterations"] += 1
         estimate = lanczos.step()
-        forecast = report["iterations"] == _FORECAST
-        if ratio is None or ratio * estimate <= tol or forecast or report["iterations"] == maxiter:
+        reshift = report["iterations"] == _RESHIFT_AT
+        if ratio is None or ratio * estimate <= tol or reshift or report["iterations"] == maxiter:
             z = lanczos.ritz_vector()
             x = _lift(G.kernel, z)
             x /= np.linalg.norm(x)
@@ -589,27 +564,25 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
                 return StabilityReport(gamma=rho, minimizer=x, residual=res,
                                        shift=sigma, nnz=shift.nnz, **report)
             ratio = res / estimate if estimate > 0 else None
-        if forecast:
-            target = _reshift(lanczos.ritz_values(), sigma, res / tol)
-            if target is not None:
-                del lanczos, shift                  # free the factor first
-                sigma, shift = certified([sigma + (target - sigma) / 2 ** k
-                                          for k in range(_HALVINGS)] + [sigma])
-                lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
-            pinned = None
+        if reshift:
+            l2, l1 = sigma + 1.0 / lanczos.ritz_values()[-2:]
+            target = float(l1 - 0.5 * (l2 - l1))
+            del lanczos, shift                      # free the factor first
+            sigma, shift = certified([sigma + (target - sigma) / 2 ** k
+                                      for k in range(_HALVINGS)] + [sigma])
+            lanczos, ratio, pinned = _Lanczos(shift.solve, Gpp, z), None, None
 
 
-def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
-               dense_threshold: Optional[int] = None, x0: Optional[np.ndarray] = None,
-               seed: int = 7) -> StabilityReport:
+def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
+               x0: Optional[np.ndarray] = None, seed: int = 7) -> StabilityReport:
     """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G, the
     constant shifts of G's ncomp coordinates per site.
 
-    method "auto" takes the dense path for dim <= dense_threshold (default
-    _DENSE_THRESHOLD) and shift-invert Lanczos (_iterative_gamma) above it;
-    "dense" / "iterative" force a path. gamma is the Rayleigh quotient of
-    the minimizer. The iterative path starts from x0, else from a draw of
-    default_rng(seed), and raises when _MAXITER shifted solves leave the
+    method "iterative" is shift-invert Lanczos (_iterative_gamma) at every
+    size; "dense" is the dense eigh of the same pinned pencil, the reference
+    the iterative path is checked against. gamma is the Rayleigh quotient
+    of the minimizer. The iterative path starts from x0, else from a draw
+    of default_rng(seed), and raises when _MAXITER shifted solves leave the
     relative residual above _RTOL; its report gives the final certified
     shift, the factorizations (the re-shift included), the factor's
     nonzeros and, as iterations, the shifted solves.
@@ -617,9 +590,6 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "auto",
     _pencil_kernel(opMatrix.dim, G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        limit = _DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-        method = "dense" if opMatrix.dim <= limit else "iterative"
 
     if method == "iterative":
         return _iterative_gamma(opMatrix, G, x0, seed)
@@ -733,10 +703,10 @@ class BlendPattern:
         return SparseOp(sp.csr_matrix((self.values(op), self.indices, self.indptr),
                                       shape=(self.G.dim,) * 2))
 
-    def is_coercive(self, op, tau: float, *, dense_threshold: Optional[int] = None,
+    def is_coercive(self, op, tau: float, *, method: str = "iterative",
                     seed: int = 7) -> InertiaReport:
         """spectral.is_coercive(assemble(op), G, tau) on the pattern; A(beta)
-        is built as a matrix only when the probe falls back to a value solve."""
+        is built as a matrix only when the probe falls back to a value solve,
+        coercivity's with this method and seed."""
         return _sign(self.pinned, self.values(op), tau,
-                     lambda: coercivity(self.matrix(op), self.G,
-                                        dense_threshold=dense_threshold, seed=seed))
+                     lambda: coercivity(self.matrix(op), self.G, method=method, seed=seed))

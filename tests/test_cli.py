@@ -1,5 +1,6 @@
 """Command line entry point: flags, config files, exit codes, outputs."""
 
+import csv
 import importlib
 import json
 import os
@@ -185,6 +186,28 @@ def test_malformed_value_exits_2(tmp_path, capsys, argv):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_auto_method_is_gone(tmp_path, capsys):
+    # no size rule picks a path: a value solve is iterative unless asked for dense
+    assert main(["stability", "--method", "auto", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: unknown method 'auto'" in capsys.readouterr().err
+
+
+def test_stability_writes_its_solver_diagnostics(tmp_path):
+    def row(*argv):
+        out = tmp_path / "_".join(argv)
+        assert main(["stability", "--n", "16", *argv, "--out", str(out)]) == 0
+        with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+            (only,) = csv.DictReader(fh)
+        return only
+
+    iterative = row()
+    assert iterative["method"] == "iterative" and int(iterative["dim"]) == 32
+    assert int(iterative["factorizations"]) >= 1 and int(iterative["nnz"]) > 0
+    assert float(iterative["shift"]) < float(iterative["gamma"])
+    dense = row("--method", "dense")
+    assert (dense["factorizations"], dense["shift"], dense["nnz"]) == ("0", "nan", "0")
+
+
 def test_help_shows_each_default_and_choices(capsys):
     def help_text(name):
         with pytest.raises(SystemExit) as exc:
@@ -194,7 +217,7 @@ def test_help_shows_each_default_and_choices(capsys):
 
     text = help_text("stability")
     assert "--space SPACE one of 1d, 2d; default 1d" in text
-    assert "--method METHOD one of auto, dense, iterative; default auto" in text
+    assert "--method METHOD one of iterative, dense; default iterative" in text
     assert "--phi2F PHI2F float; default -0.24" in text
     assert "--n N int; the default depends on the other keys" in text
     assert "--kappa0 KAPPA0 float; default 1.0; read only with space 2d" in text

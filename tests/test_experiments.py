@@ -1,5 +1,8 @@
 """Threshold sweeps, sharpness probes, trace quadrature, and the run driver."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -93,7 +96,7 @@ def _fake_scan(monkeypatch, verdicts, gamma_at):
         lambda K, G, **kw: StabilityReport(gamma=gamma_at[K], minimizer=None,
                                            method="dense", residual=0.0,
                                            iterations=0))
-    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 7, 3000)
+    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 7)
 
 
 def test_scan_flags_every_later_sign_change(monkeypatch):
@@ -386,6 +389,50 @@ def test_run_writes_outputs(tmp_path):
     assert "overall: PASS" in (out / "summary.txt").read_text()
 
 
+def _run_outputs(out, cfg):
+    """run(cfg) into out, which must pass: rows.csv's rows, fit.json, summary.txt."""
+    assert run(cfg, out_dir=str(out)) == 0
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return rows, json.loads((out / "fit.json").read_text()), (out / "summary.txt").read_text()
+
+
+def test_run_sweep2d_case_3_checks_bounded_growth(tmp_path):
+    # Ra = round(c N) grows with N; equal K* at both sizes is degenerate
+    rows, fit, summary = _run_outputs(tmp_path / "c3", {
+        "experiment": "sweep2d", "case": 3, "c": 0.25, "n": [8, 16],
+        "kappa0": 2.04, "eta": 1.0, "kmax": 8})
+    assert fit["pairs"] == [[1 / 16, 6], [1 / 8, 6]]
+    assert "degenerate" in fit["flags"]
+    assert sorted({int(r["Ra"]) for r in rows}) == [2, 4]
+    assert "PASS bounded-growth" in summary
+
+
+def test_run_sweep2d_case_2_grows_the_defect_as_a_power(tmp_path):
+    # Ra = round(N^alpha): 4 at N = 16
+    rows, fit, _ = _run_outputs(tmp_path / "c2", {
+        "experiment": "sweep2d", "case": 2, "alpha": 0.5, "n": [16],
+        "kappa0": 2.04, "eta": 1.0, "kmax": 8})
+    assert fit["pairs"] == [[1 / 16, 6]]
+    assert {int(r["Ra"]) for r in rows} == {4}
+
+
+def test_run_sharp2d_writes_a_row_per_width(tmp_path):
+    rows, fit, _ = _run_outputs(tmp_path / "sharp2d",
+                                {"experiment": "sharp2d", "n": 16, "k": [3, 6]})
+    assert [(int(r["K"]), int(r["Rb"])) for r in rows] == [(3, 7), (6, 10)]
+    assert fit["form_value"] == min(float(r["form_value"]) for r in rows)
+
+
+def test_run_sweep1d_checks_slope_and_fit(tmp_path):
+    _, fit, summary = _run_outputs(tmp_path / "sweep1d", {
+        "experiment": "sweep1d", "eps": [1 / 64, 1 / 128, 1 / 256], "kmax": 32})
+    assert fit["pairs"] == [[1 / 256, 18], [1 / 128, 16], [1 / 64, 14]]
+    assert fit["slope"] == pytest.approx(0.1813, abs=1e-4)
+    assert fit["r2"] == pytest.approx(0.9987, abs=1e-4)
+    assert "PASS slope-window" in summary and "PASS fit-quality" in summary
+
+
 def test_run_from_config_file(tmp_path):
     cfg = tmp_path / "stability.cfg"
     cfg.write_text("experiment = stability\nspace = 1d\nn = 16\nk = 8\n")
@@ -474,7 +521,7 @@ def test_resolved_config_has_every_key_at_its_type():
     # defaults that follow from other keys stay unset for the runner
     stab = experiments._resolve("stability", {"space": "2d"})
     assert (stab["n"], stab["k"], stab["ra"]) == (None, None, None)
-    assert (stab["method"], stab["profile"], stab["kind"]) == ("auto", "poly7", "bqcf")
+    assert (stab["method"], stab["profile"], stab["kind"]) == ("iterative", "poly7", "bqcf")
     for value in (True, 8.0, "8"):
         with pytest.raises(ConfigError, match="n must be int"):
             experiments._resolve("stability", {"n": value})

@@ -409,6 +409,37 @@ def test_coercivity_validation():
         coercivity(sop, G, method="magic")
 
 
+@pytest.mark.parametrize("space, kind, N",
+                         [("1d", kind, N) for kind in ("atomistic", "qcl")
+                          for N in (1, 2, 3, 4, 7, 8, 64)]
+                         + [("2d", kind, N) for kind in ("atomistic", "cauchy_born")
+                            for N in (1, 2, 3)])
+def test_default_path_is_iterative_at_every_size(space, kind, N):
+    # no size rule: the smallest pencils take shift-invert Lanczos too, and
+    # it agrees with the dense reference
+    if space == "1d":
+        domain = Chain1D(N)
+        op = Op1D(kind=kind, chain=domain, model=PairModel1D(phiF=1.0, phi2F=-0.24))
+    else:
+        domain = TriLattice2D(N)
+        op = Op2D(kind=kind, lattice=domain, model=unstable_toy_model())
+    A, G = assemble(op), gram_D(domain)
+    rep = coercivity(A, G)
+    assert rep.method == "iterative"
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-13)
+
+
+def test_iterative_solve_reshifts_when_open_after_twenty_solves():
+    # the constants workload's 2D Morse cauchy_born pencil at N = 12: a
+    # re-shift next to gamma ends the solve in 28 shifted solves, where
+    # staying at the first shift took 50
+    lat = TriLattice2D(12)
+    A, G = assemble(Op2D(kind="cauchy_born", lattice=lat, model=MODEL2D)), gram_D(lat)
+    rep = coercivity(A, G, seed=1)
+    assert rep.factorizations >= 2 and rep.iterations <= 30
+    _certified_shift(A, G, rep)
+
+
 # K* of the blended chain at phi2F = -0.24, tol 1e-10 (criterion 4's sizes)
 KSTAR_1D = {128: 16, 256: 18, 512: 20, 1024: 22}
 
@@ -448,7 +479,7 @@ def test_inertia_at_tau_equal_gamma_falls_back():
     # at tau = gamma the shifted pencil is singular up to rounding: the
     # smallest pivot cannot clear the backward-error margin
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
-    for N, K, path in ((128, 16, "dense"), (512, 19, "iterative")):
+    for N, K, path in ((128, 16, "iterative"), (512, 19, "iterative")):
         ch = Chain1D(N)
         G = gram_D(ch)
         sop = assemble(Op1D(kind="bqcf", chain=ch, model=model,
@@ -700,7 +731,7 @@ def test_inertia_falls_back_when_the_factor_leaves_the_diagonal():
     ch = Chain1D(64)
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
     rep = is_coercive(sop, gram_D(ch), 0.76)
-    assert rep.method == "dense" and rep.negative == -1
+    assert rep.method == "iterative" and rep.negative == -1
     assert rep.coercive is False
 
 
