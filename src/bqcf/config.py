@@ -4,10 +4,10 @@ Grammar, one entry per line:
 
     key = value        # trailing comments stripped
 
-Values parse as bool ("true"/"false"), int, float, fraction ("1/128"),
-a doubling range of fractions ("1/128..1/2048" expands by doubling the
-denominator), an integer range ("4..8" expands by +1), a comma list of
-any scalar, or a bare string. Keys are dotted lowercase.
+Values parse as int, float, fraction ("1/128"), a doubling range of
+fractions ("1/128..1/2048" expands by doubling the denominator), an
+integer range ("4..8" expands by +1), a comma list of any scalar, or a
+bare string. Keys are dotted lowercase.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ _FRACTION = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 
 def _scalar(tok: str, where: str):
     tok = tok.strip()
-    low = tok.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     m = _FRACTION.match(tok)
     if m:
         den = int(m.group(2))
@@ -113,9 +108,10 @@ def load_config(path: str) -> dict:
 
 
 def format_value(v) -> str:
-    """Render a parsed value back to config/CSV text (17 significant digits)."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    """Render a parsed value back to config/CSV text (17 significant digits);
+    None, a field that does not apply, renders empty."""
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.17g}"
     if isinstance(v, (list, tuple)):

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .lattice1d import Chain1D, diff, norms, project_zero_mean, random_zero_mean
 from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
                         random_zero_mean_2d, ring_number)
 from .ops1d import Op1D, _rst_terms, _sharpness_parts, divergence_form, quad_form
-from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
+from .ops2d import (_BONDS, Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
                     divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
 from .spectral import METHODS, BlendPattern, SparseOp, assemble, coercivity, gram_D
@@ -44,7 +44,9 @@ __all__ = [
     "run",
 ]
 
-_BONDS = ("b1", "b2", "b3")
+# relative residual within which a divergence split must reproduce the direct
+# form: the sweeps' canaries and the verify suites judge by the same bound
+_IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ class SweepRow:
     """One evaluated grid point of a threshold sweep.
 
     Ra and Rb are None for 1D rows; c0_or_gammatilde carries c0(model) in
-    1D and the measured auxiliary-operator constant in 2D.
+    1D and the measured auxiliary-operator constant in 2D. The fields, in
+    order, are the columns of a sweep's rows.csv.
     """
 
     eps: float
@@ -113,9 +116,6 @@ class ProbeResult:
     alpha: float
     conclusive: bool
 
-    def __float__(self) -> float:
-        return self.rayleigh
-
 
 def _fit_against(xs: np.ndarray, ys: np.ndarray):
     """Least-squares line ys ~ slope*xs + intercept with its r^2."""
@@ -158,7 +158,7 @@ def _divergence_residual_2d(lattice: TriLattice2D, model: PairModel2D,
 def _canary_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
                rng: np.random.Generator) -> None:
     res = _divergence_residual_1d(chain, model, blend, rng)
-    if res > 1e-10:
+    if res > _IDENTITY_TOL:
         raise RuntimeError(f"divergence canary failed at eps=1/{chain.N}, "
                            f"K={blend.K}: relative residual {res:.3e}")
 
@@ -166,7 +166,7 @@ def _canary_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
 def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                rng: np.random.Generator, bond: str) -> None:
     res = _divergence_residual_2d(lattice, model, blend, rng, bond)
-    if res > 1e-10:
+    if res > _IDENTITY_TOL:
         raise RuntimeError(f"divergence canary failed at eps=1/{lattice.N}, "
                            f"K={blend.K}, bond {bond}: relative residual {res:.3e}")
 
@@ -317,14 +317,13 @@ def sharpness_probe_1d(model: PairModel1D, chain: Chain1D,
                        conclusive=bool(ray < 0.0))
 
 
-def unstable_toy_model(kappa0: float = 1.0, eta: float = 0.3,
-                       direction=(1.0, 0.0)) -> PairModel2D:
+def unstable_toy_model(kappa0: float = 1.0, eta: float = 0.3) -> PairModel2D:
     """Stable nearest-neighbor springs plus one soft second-neighbor bond:
-    phi''(Bb_1) = -eta u u^T has the negative eigenvalue -eta, the other two
-    second-neighbor bonds are inert. Long-wave stable for eta < kappa0/2."""
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    Hb = -eta * np.outer(u, u)
+    phi''(Bb_1) = -eta e1 e1^T is soft along a1, with the negative
+    eigenvalue -eta; the other two second-neighbor bonds are inert.
+    Long-wave stable for eta < kappa0/2."""
+    Hb = np.zeros((2, 2))
+    Hb[0, 0] = -eta
     Z = np.zeros((2, 2))
     I2 = np.eye(2)
     return PairModel2D(B=I2, Ha=(kappa0 * I2,) * 3, Hb=(Hb, Z, Z.copy()))
@@ -567,15 +566,15 @@ def _trace_quadrature(psi: str, r0: float, r1: float, u: TraceSample, n: int):
     return lhs, l2, h1
 
 
-def trace_check(psi: str, r0: float, r1: float, u: TraceSample,
-                quad_n: int = 8) -> dict:
+def trace_check(psi: str, r0: float, r1: float, u: TraceSample) -> dict:
     """Verify the annulus trace inequality by refined Gauss quadrature.
 
     lhs is the |u|^2 integral over the sphere of radius r0 of the gauge psi;
     rhs = C0 ||u||^2_{L2(A)} + C1 ||grad u||^2_{L2(A)} over the annulus
     A = {r0 <= psi(x) <= r1}, with C0 = (2d/(r1-r0))(r0/r1)^(d-1) and
-    C1 = 2 r0 |log r0| at d = 2. Refines the rule until the ratio settles
-    to 1e-6 relative and raises if three doublings do not."""
+    C1 = 2 r0 |log r0| at d = 2. Starts from 8 Gauss points per panel and
+    doubles them until the ratio settles to 1e-6 relative; raises if three
+    doublings do not."""
     if psi not in ("hexagon", "circle"):
         raise ValueError(f"unknown gauge {psi!r}: expected hexagon or circle")
     if not 0.0 < r0 < r1 <= 1.0:
@@ -588,7 +587,7 @@ def trace_check(psi: str, r0: float, r1: float, u: TraceSample,
 
     prev = None
     for level in range(4):
-        n = quad_n * 2 ** level
+        n = 8 * 2 ** level
         lhs, l2, h1 = _trace_quadrature(psi, r0, r1, u, n)
         rhs = C0 * l2 + C1 * h1
         ratio = lhs / rhs
@@ -643,24 +642,16 @@ def _run_verify(cfg):
         if suite in (name, "all"):
             worst = max((r["max_residual"] for r in rows if r["suite"] == name),
                         default=0.0)
-            checks.append((name, worst <= 1e-10, f"max residual {worst:.3e}"))
+            checks.append((name, worst <= _IDENTITY_TOL, f"max residual {worst:.3e}"))
     fit = {"max_residual": max(r["max_residual"] for r in rows)}
     return rows, fit, checks, _plot_generic("max_residual vs N", rows, "max_residual")
 
 
-def _rows_from_sweep(fit: ThresholdFit):
-    return [{"eps": r.eps, "K": r.K, "Ra": "" if r.Ra is None else r.Ra,
-             "Rb": "" if r.Rb is None else r.Rb, "gamma": r.gamma,
-             "c0_or_gammatilde": r.c0_or_gammatilde,
-             "wallclock_seconds": r.wallclock_seconds} for r in fit.rows]
-
-
 def _fit_json(fit: ThresholdFit) -> dict:
-    return {"pairs": [[e, k] for e, k in fit.pairs], "slope": fit.slope,
-            "intercept": fit.intercept, "r2": fit.r2, "flags": list(fit.flags),
-            "scan": [{"eps": p.eps, "K": p.K, "negative": p.negative,
-                      "min_pivot": p.min_pivot, "fallback": p.fallback}
-                     for p in fit.scan]}
+    """fit.json of a sweep: the fit's fields except rows, which go to rows.csv."""
+    out = asdict(fit)
+    del out["rows"]
+    return out
 
 
 def _sweep_checks(fit: ThresholdFit) -> list:
@@ -703,7 +694,7 @@ def _run_sweep1d(cfg):
         checks.append(("slope-window", lo <= fit.slope <= hi,
                        f"slope {fit.slope:.4f} in [{lo}, {hi}]"))
         checks.append(("fit-quality", fit.r2 >= 0.9, f"r2 {fit.r2:.4f} >= 0.9"))
-    return _rows_from_sweep(fit), _fit_json(fit), checks, _plot_sweep(fit, "1/eps")
+    return [asdict(r) for r in fit.rows], _fit_json(fit), checks, _plot_sweep(fit, "1/eps")
 
 
 # (params key of sweep_threshold_2d, config key) that case 1, 2, 3 reads
@@ -713,9 +704,8 @@ _CASE_KEYS = (("Ra", "ra"), ("alpha", "alpha"), ("c", "c"))
 def _run_sweep2d(cfg):
     case = cfg["case"]
     param, key = _CASE_KEYS[case - 1]
-    params = {"N": cfg["n"], "K_max": cfg["kmax"], "K_min": cfg["kmin"],
-              "profile": cfg["profile"], "tol": cfg["tol"], "seed": cfg["seed"],
-              param: cfg[key]}
+    params = {"N": cfg["n"], "K_max": cfg["kmax"], "profile": cfg["profile"],
+              "tol": cfg["tol"], "seed": cfg["seed"], param: cfg[key]}
     fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]), case, params)
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
@@ -723,7 +713,7 @@ def _run_sweep2d(cfg):
                              + fit.intercept)) for e, k in fit.pairs)
         checks.append(("bounded-growth", resid <= 2.0,      # in blend widths
                        f"max |K* - fit| = {resid:.3f} <= 2.0"))
-    return (_rows_from_sweep(fit), _fit_json(fit), checks,
+    return ([asdict(r) for r in fit.rows], _fit_json(fit), checks,
             _plot_sweep(fit, "1/eps"))
 
 
@@ -741,7 +731,7 @@ def _run_sharp1d(cfg):
         checks.append((f"interface-term-K{blend.K}", True,
                        f"T {res.t_term:.4e} <= bound {res.t_bound:.4e}"))
         probes.append(res)
-    best = min(probes, key=float)                       # the lowest Rayleigh quotient
+    best = min(probes, key=lambda r: r.rayleigh)
     verdict = "indefinite" if best.conclusive else "inconclusive"
     fit = {"rayleigh": best.rayleigh, "c0": c0(model), "verdict": verdict}
     return rows, fit, checks, _plot_generic("1d sharpness probe", rows, "rayleigh")
@@ -801,7 +791,7 @@ def _run_trace(cfg):
         samples = [sample_constant(), sample_log()]
         samples += [sample_poly(rng) for _ in range(cfg["npoly"])]
         for s in samples:
-            out = trace_check(cfg["psi"], r0, cfg["r1"], s, cfg["quad_n"])
+            out = trace_check(cfg["psi"], r0, cfg["r1"], s)
             rows.append({"sample": s.name, "r0": r0, "lhs": out["lhs"],
                          "rhs": out["rhs"], "ratio": out["ratio"]})
             if out["ratio"] > 1.0 + 1e-3:
@@ -896,7 +886,7 @@ EXPERIMENTS = {
                 "kmax": 64, "profile": PROFILES, "tol": 1e-10, "seed": 7},
     "sweep2d": {"case": (1, 2, 3), "n": [8, 12, 16, 24], "ra": _only(4, case=(1,)),
                 "alpha": _only(0.5, case=(2,)), "c": _only(0.125, case=(3,)),
-                "kmax": 16, "kmin": 1, "kappa0": 1.0, "eta": 0.3,
+                "kmax": 16, "kappa0": 1.0, "eta": 0.3,
                 "profile": PROFILES, "tol": 1e-10, "seed": 7},
     "sharp1d": {"phiF": 1.0, "phi2F": -0.24, "n": 512, "k": [6],
                 "profile": PROFILES},
@@ -904,7 +894,7 @@ EXPERIMENTS = {
                 "profile": PROFILES},
     "poincare": {"n": [8, 16, 32, 64], "ra_frac": 0.125, "rb_frac": 0.25},
     "trace": {"psi": ("hexagon", "circle"), "r0": [1e-2, 1e-3, 1e-4],
-              "r1": 1.0, "quad_n": 8, "npoly": 20, "seed": 7},
+              "r1": 1.0, "npoly": 20, "seed": 7},
     "stability": {"space": ("1d", "2d"),
                   "kind": tuple(dict.fromkeys(("bqcf",) + ops1d._KINDS + _KINDS_2D)),
                   "n": int, "k": _only(int, kind=_BLENDED_KINDS),

@@ -1,7 +1,7 @@
 """Periodic triangular lattice: geometry, hexagonal regions, 2D differences.
 
-Sites are A6 @ (i, j) for lattice coordinates (i, j) in (-N, N]^2, giving
-4N^2 sites with spacing eps = 1/N. Scalar fields are (2N, 2N) arrays and
+Sites are eps * (i + j/2, sqrt(3) j/2) for lattice coordinates (i, j) in
+(-N, N]^2, giving 4N^2 sites with spacing eps = 1/N. Scalar fields are (2N, 2N) arrays and
 displacements (2N, 2N, 2) arrays, both indexed by array positions
 p = (coord + N - 1) mod 2N per axis (same convention as the 1D chain).
 
@@ -27,9 +27,7 @@ __all__ = [
     "UNIT_B",
     "diff2d",
     "diff2d2",
-    "hex_gauge",
     "make_regions",
-    "norms2d",
     "ring_number",
     "shift_field",
     "sum_by_parts_2d_check",
@@ -54,13 +52,6 @@ UNIT_B = (
     np.array([1.5, _SQ3 / 2]),
     np.array([0.0, _SQ3]),
     np.array([-1.5, _SQ3 / 2]),
-)
-
-# unit normals to the a1, a2, a3 directions; the hexagon gauge maxes over them
-_HEX_NORMALS = (
-    np.array([0.0, 1.0]),
-    np.array([-_SQ3 / 2, 0.5]),
-    np.array([_SQ3 / 2, 0.5]),
 )
 
 
@@ -95,11 +86,6 @@ class TriLattice2D:
     def nsites(self) -> int:
         return 4 * self.N * self.N
 
-    @property
-    def A6(self) -> np.ndarray:
-        """Lattice basis matrix eps * [[1, 1/2], [0, sqrt(3)/2]]."""
-        return self.eps * np.array([[1.0, 0.5], [0.0, _SQ3 / 2]])
-
     def axis_positions(self) -> np.ndarray:
         """Reduced coordinates (in (-N, N]) along one axis, by array position."""
         return np.arange(2 * self.N) - self.N + 1
@@ -108,17 +94,6 @@ class TriLattice2D:
         """Meshgrid of reduced lattice coordinates (i, j), array-indexed."""
         c = self.axis_positions()
         return np.meshgrid(c, c, indexing="ij")
-
-    def site_index(self, i: int, j: int) -> int:
-        """Flat index in 0..4N^2-1; wraps modulo 2N in each coordinate."""
-        n = 2 * self.N
-        return ((i + self.N - 1) % n) * n + (j + self.N - 1) % n
-
-    def index_coords(self, idx: int) -> tuple[int, int]:
-        """Inverse of site_index, reduced to (-N, N]^2."""
-        n = 2 * self.N
-        pi, pj = divmod(idx % (n * n), n)
-        return pi - self.N + 1, pj - self.N + 1
 
 
 def shift_field(u: np.ndarray, d) -> np.ndarray:
@@ -146,29 +121,6 @@ def ring_number(lattice: TriLattice2D) -> np.ndarray:
     """
     ii, jj = lattice.coords()
     return (np.abs(ii) + np.abs(jj) + np.abs(ii + jj)) // 2
-
-
-def hex_gauge(lattice: TriLattice2D, x: np.ndarray) -> np.ndarray:
-    """Minkowski gauge of the hexagon with sides aligned to a1, a2, a3.
-
-    g(x) = max_i |n_i . x| / (sqrt(3)/2); x lies in Hex(r) iff g(x) <= r,
-    where Hex(r) has circumradius r (vertex-to-vertex diameter 2r).
-    Accepts a single point (2,) or a stack (..., 2).
-    """
-    x = np.asarray(x, dtype=float)
-    vals = [np.abs(x @ n) for n in _HEX_NORMALS]
-    return np.max(vals, axis=0) / (_SQ3 / 2)
-
-
-def norms2d(lattice: TriLattice2D, u: np.ndarray) -> dict:
-    """l2eps = (eps^2 sum |u|^2)^(1/2); linf over components; Dl2eps sums
-    |D_{a_i} u|^2 over the three positive directions only."""
-    u = np.asarray(u, dtype=float)
-    return {
-        "l2eps": float(np.sqrt(lattice.eps**2 * np.sum(u * u))),
-        "linf": float(np.max(np.abs(u))) if u.size else 0.0,
-        "Dl2eps": float(np.sqrt(grad_norm_sq_2d(lattice, u))),
-    }
 
 
 def grad_norm_sq_2d(lattice: TriLattice2D, u: np.ndarray) -> float:
@@ -215,16 +167,12 @@ class Regions2D:
     """Atomistic / blending / continuum partition by hexagonal rings.
 
     labels: 0 = atomistic (ring <= Ra, closed hexagon), 1 = blending
-    (Ra < ring <= Rb), 2 = continuum. K = Rb - Ra.
+    (Ra < ring <= Rb), 2 = continuum.
     """
 
     Ra: int
     Rb: int
     labels: np.ndarray = field(repr=False)
-
-    @property
-    def K(self) -> int:
-        return self.Rb - self.Ra
 
     def mask(self, label: int) -> np.ndarray:
         return self.labels == label

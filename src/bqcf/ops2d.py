@@ -187,18 +187,12 @@ class BondForm:
         return self.value_c + self.cross + self.Rb_term + self.Sb_term
 
 
-def _bond_name(bond) -> str:
-    if isinstance(bond, int):
-        bond = f"b{bond}"
+def divergence_form_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
+                       u: np.ndarray, bond: str) -> BondForm:
+    """Literal evaluation of the divergence split of the b-bond named bond
+    ("b1", "b2" or "b3") at zero-mean u."""
     if bond not in _BONDS:
         raise ValueError(f"unknown b-bond {bond!r}")
-    return bond
-
-
-def divergence_form_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
-                       u: np.ndarray, bond) -> BondForm:
-    """Literal evaluation of the per-bond divergence split at zero-mean u."""
-    bond = _bond_name(bond)
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     H = model.Hb[_BONDS.index(bond)]
     p, q = BOND_PAIRS[bond]
@@ -281,24 +275,20 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 
 def apply_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
-                 u: np.ndarray, per_bond: bool = False) -> float:
+                 u: np.ndarray) -> float:
     """<L-tilde u, u>: the continuum form minus beta-weighted mixed squares.
 
-    The written form weighs every mixed square by the b1 Hessian and the
-    b1-pattern beta shift; per_bond=True switches each term to its own
-    bond's Hessian and shift, matching the divergence-split cross terms.
+    As written, every b-bond's mixed square |D_p D_q u|^2 is weighed by the
+    b1 Hessian and by beta shifted along a1.
     """
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     eps = lattice.eps
     op_c = Op2D(kind="cauchy_born", lattice=lattice, model=model)
     total = inner2d(lattice, apply2d(op_c, u), u)
-    for j, bond in enumerate(_BONDS):
-        p, q = BOND_PAIRS[bond]
-        H = model.Hb[j] if per_bond else model.Hb[0]
-        wshift = p if per_bond else "a1"
+    weight = shift_field(blend.beta, "a1")
+    for p, q in BOND_PAIRS.values():
         w = diff2d2(lattice, u, p, q)
-        total -= eps**4 * float(np.sum(shift_field(blend.beta, wshift)
-                                       * _quad_H(w, H)))
+        total -= eps**4 * float(np.sum(weight * _quad_H(w, model.Hb[0])))
     return total
 
 
@@ -371,12 +361,13 @@ def _mixed_diff_matrix(lattice: TriLattice2D, p, q) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
-                    per_bond: bool = False):
+def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D):
     """Assembled matrix of the L-tilde quadratic form.
 
     Euclidean u^T A u equals apply_ltilde(lattice, model, blend, u) on
-    zero-mean u (and for all u, both being shift-invariant forms).
+    zero-mean u (and for all u, both being shift-invariant forms). The
+    weight, beta shifted along a1 times the b1 Hessian, is built once and
+    shared by the three mixed squares.
     """
     from .spectral import SparseOp
 
@@ -387,13 +378,10 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                                        + _blocks_nnn_c(model, eps))
     C = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     A = eps**2 * C
-    for j, bond in enumerate(_BONDS):
-        p, q = BOND_PAIRS[bond]
-        H = model.Hb[j] if per_bond else model.Hb[0]
-        wshift = p if per_bond else "a1"
+    W = sp.kron(sp.diags(shift_field(blend.beta, "a1").ravel()), model.Hb[0],
+                format="csr")
+    for p, q in BOND_PAIRS.values():
         M = _mixed_diff_matrix(lattice, p, q)
-        bshift = shift_field(blend.beta, wshift).ravel()
-        W = sp.kron(sp.diags(bshift), H, format="csr")
         A = A - eps**4 * (M.T @ W @ M)
     return SparseOp(A)
 

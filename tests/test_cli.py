@@ -306,6 +306,30 @@ def test_bad_flag_raises_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["trace", "--quad-n", "16"],
+                                  ["sweep2d", "--kmin", "2"]])
+def test_constant_settings_are_not_flags(argv):
+    # the quadrature starts at 8 points and a sweep2d scan at K = 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_boolean_words_are_not_values(tmp_path, capsys):
+    assert main(["verify", "--draws", "true", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: draws must be int, got 'true'" in capsys.readouterr().err
+
+
+def test_sweep1d_without_a_threshold_fails_fit_computed(tmp_path):
+    out = tmp_path / "s"
+    assert main(["sweep1d", "--eps", "1/4,1/64", "--kmax", "7", "--out", str(out)]) == 1
+    summary = (out / "summary.txt").read_text()
+    assert "FAIL fit-computed: 0 thresholds from 2 inertia probes" in summary
+    assert "no-sign-change:eps=1/64" in summary and "window-too-small:eps=1/4" in summary
+    assert (out / "rows.csv").read_text() == ""
+    assert json.loads((out / "fit.json").read_text())["pairs"] == []
+
+
 def test_console_script_smoke(tmp_path):
     # the installed launcher if there is one, else python -m bqcf; either
     # way the child imports bqcf from where this process did

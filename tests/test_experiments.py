@@ -38,9 +38,6 @@ def test_unstable_toy_model_structure():
     assert np.array_equal(model.Hb[0], [[-1.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(model.Hb[1], np.zeros((2, 2)))
     assert np.array_equal(model.Hb[2], np.zeros((2, 2)))
-    skew = unstable_toy_model(1.0, 0.5, direction=(3.0, 4.0))
-    want = -0.5 * np.outer([0.6, 0.8], [0.6, 0.8])
-    assert np.allclose(skew.Hb[0], want, atol=1e-15)
 
 
 def test_sweep1d_rejects_bad_inputs():
@@ -48,6 +45,31 @@ def test_sweep1d_rejects_bad_inputs():
         sweep_threshold_1d(PairModel1D(1.0, -0.3), [1 / 32], 16)
     with pytest.raises(ValueError, match="not a reciprocal lattice size"):
         sweep_threshold_1d(PairModel1D(1.0, -0.24), [0.3], 16)
+
+
+def test_sweep1d_flags_a_small_window_and_a_missing_sign_change():
+    # at N = 4 the window caps below the floor K = 6; at N = 64 no width of
+    # 6..7 is coercive
+    fit = sweep_threshold_1d(PairModel1D(1.0, -0.24), [1 / 4, 1 / 64], 7)
+    assert fit.pairs == () and fit.rows == ()
+    assert fit.flags == ("no-sign-change:eps=1/64", "window-too-small:eps=1/4")
+    assert [p.K for p in fit.scan] == [6, 7]
+
+
+def test_sweep2d_flags_a_window_below_k_min():
+    # N = 8 with Ra = 4 leaves widths up to 4, below K_min = 5
+    fit = sweep_threshold_2d(unstable_toy_model(2.04, 1.0), 1,
+                             {"N": [8], "Ra": 4, "K_min": 5})
+    assert fit.pairs == () and fit.scan == ()
+    assert fit.flags == ("window-too-small:eps=1/8",)
+
+
+def test_collect_fit_flags_a_threshold_that_grows_as_the_lattice_coarsens():
+    # K* is 12 at eps = 1/128 and 14 at the coarser eps = 1/64
+    fit = experiments._collect_fit([(64, 14, [], [], []), (128, 12, [], [], [])],
+                                   np.log, np.log)
+    assert fit.pairs == ((1 / 128, 12), (1 / 64, 14))
+    assert fit.flags == ("monotonicity:eps=1/64",)
 
 
 def test_sweep1d_small_grid():
@@ -193,7 +215,6 @@ def test_sharpness_probe_1d_bound_and_values():
         assert 0 < pr.alpha <= 1
         assert pr.rayleigh == pytest.approx(ray, abs=1e-4)
         assert not pr.conclusive
-        assert float(pr) == pr.rayleigh
 
 
 @pytest.mark.xfail(strict=True, reason="the witness controls the infimum "
@@ -433,6 +454,17 @@ def test_run_sweep1d_checks_slope_and_fit(tmp_path):
     assert "PASS slope-window" in summary and "PASS fit-quality" in summary
 
 
+def test_sweep_outputs_are_its_records(tmp_path):
+    rows, fit, _ = _run_outputs(tmp_path / "s", {
+        "experiment": "sweep1d", "eps": [1 / 64], "kmax": 16})
+    assert list(rows[0]) == list(experiments.SweepRow.__dataclass_fields__)
+    assert [(r["K"], r["Ra"], r["Rb"]) for r in rows] == [("13", "", ""), ("14", "", "")]
+    assert sorted(fit) == ["flags", "intercept", "pairs", "r2", "scan", "slope"]
+    assert fit["pairs"] == [[1 / 64, 14]]
+    assert sorted(fit["scan"][0]) == ["K", "eps", "fallback", "min_pivot", "negative"]
+    assert [p["K"] for p in fit["scan"]] == list(range(6, 17))
+
+
 def test_run_from_config_file(tmp_path):
     cfg = tmp_path / "stability.cfg"
     cfg.write_text("experiment = stability\nspace = 1d\nn = 16\nk = 8\n")
@@ -465,10 +497,10 @@ def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
     for name in ("sweep1d", "sweep2d"):
         with pytest.raises(ConfigError, match=f"{name} does not read dense_threshold"):
             run({"experiment": name, "dense_threshold": 1000}, out_dir=str(tmp_path / name))
-    # the config grammar accepts hyphens in keys; the trace runner reads quad_n
-    cfg = tmp_path / "trace.cfg"
-    cfg.write_text("experiment = trace\nquad-n = 8\n")
-    with pytest.raises(ConfigError, match="trace does not read quad-n"):
+    # the config grammar accepts hyphens in keys; the poincare runner reads rb_frac
+    cfg = tmp_path / "poincare.cfg"
+    cfg.write_text("experiment = poincare\nrb-frac = 0.25\n")
+    with pytest.raises(ConfigError, match="poincare does not read rb-frac"):
         run(str(cfg), out_dir=str(tmp_path / "q"))
     # the verdict windows are constants of their checks, not config keys
     for name, key in (("sweep1d", "slope_window"), ("sweep1d", "r2_min"),

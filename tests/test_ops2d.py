@@ -177,9 +177,6 @@ def test_divergence_split_bond_aliases(rng):
     lat = TriLattice2D(16)
     bl = build_blend_2d(lat, 1, 8)
     u = random_zero_mean_2d(lat, rng)
-    by_int = divergence_form_2d(lat, MODEL, bl, u, 2)
-    by_name = divergence_form_2d(lat, MODEL, bl, u, "b2")
-    assert by_int == by_name
     with pytest.raises(ValueError, match="unknown b-bond"):
         divergence_form_2d(lat, MODEL, bl, u, "b4")
 
@@ -244,8 +241,6 @@ def test_ltilde_beta_zero_is_continuum_form(rng):
         u = random_zero_mean_2d(lat, rng)
         want = inner2d(lat, apply2d(op_c, u), u)
         assert apply_ltilde(lat, MODEL, bl, u) == pytest.approx(want, rel=1e-12)
-        assert apply_ltilde(lat, MODEL, bl, u, per_bond=True) == \
-            pytest.approx(want, rel=1e-12)
 
 
 def test_ltilde_below_continuum_form_for_psd_bonds(rng):
@@ -259,25 +254,23 @@ def test_ltilde_below_continuum_form_for_psd_bonds(rng):
         cont = inner2d(lat, apply2d(op_c, u), u)
         slack = 1e-12 * (1 + abs(cont))
         assert apply_ltilde(lat, model, bl, u) <= cont + slack
-        assert apply_ltilde(lat, model, bl, u, per_bond=True) <= cont + slack
 
 
 def test_ltilde_matrix_matches_quadratic_form(rng):
     lat = TriLattice2D(8)
     # N = 8 cannot host a margined blend; use the sharp builder's weight
     bl = _blend_2d_sharp(lat, 1, 4)
-    for per_bond in (False, True):
-        sop = assemble_ltilde(lat, MODEL, bl, per_bond=per_bond)
-        coo = sop.matrix.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-        A = np.zeros((sop.dim, sop.dim))
-        np.add.at(A, (rows, cols), vals)
-        assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
-        for _ in range(10):
-            u = random_zero_mean_2d(lat, rng)
-            want = apply_ltilde(lat, MODEL, bl, u, per_bond=per_bond)
-            quad = float(u.ravel() @ (A @ u.ravel()))
-            assert quad == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
+    sop = assemble_ltilde(lat, MODEL, bl)
+    coo = sop.matrix.tocoo()
+    rows, cols, vals = coo.row, coo.col, coo.data
+    A = np.zeros((sop.dim, sop.dim))
+    np.add.at(A, (rows, cols), vals)
+    assert np.max(np.abs(A - A.T)) <= 1e-12 * np.max(np.abs(A))
+    for _ in range(10):
+        u = random_zero_mean_2d(lat, rng)
+        want = apply_ltilde(lat, MODEL, bl, u)
+        quad = float(u.ravel() @ (A @ u.ravel()))
+        assert quad == pytest.approx(want, abs=1e-10 * (1 + abs(want)))
 
 
 def test_blended_form_dominates_ltilde(rng):
