@@ -65,7 +65,7 @@ def profile_value(profile: str, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Blend1D:
-    """Blending weight on the chain: only the chain, weight and profile are held.
+    """Blending weight on the chain: only the chain and weight are held.
 
     Everything else derives from beta. interface holds the array positions
     of I = {l : 0 < beta_{l+j} < 1 for some j in {+-1, +-2}} and K = #I.
@@ -76,7 +76,6 @@ class Blend1D:
 
     chain: Chain1D
     beta: np.ndarray = field(repr=False)
-    profile: str
 
     @cached_property
     def interface(self) -> np.ndarray:
@@ -114,7 +113,6 @@ class Blend2D:
     beta: np.ndarray = field(repr=False)
     Ra: int
     Rb: int
-    profile: str
     margined: bool = True
 
     @property
@@ -175,7 +173,7 @@ def build_blend_1d(chain: Chain1D, K: int, profile: str = "poly7") -> Blend1D:
     beta[(q + np.arange(P)) % n] = 1.0
     beta[(q + P + m) % n] = vals_down
 
-    blend = Blend1D(chain=chain, beta=beta, profile=profile)
+    blend = Blend1D(chain=chain, beta=beta)
     if blend.K != 2 * K:
         raise RuntimeError(f"interface bookkeeping broke: #I = {blend.K}, expected {2 * K}")
 
@@ -194,7 +192,7 @@ def build_blend_1d(chain: Chain1D, K: int, profile: str = "poly7") -> Blend1D:
 
 
 def blend_from_samples(chain: Chain1D, beta: np.ndarray) -> Blend1D:
-    """Wrap raw per-site weights as a Blend1D of profile "custom".
+    """Wrap raw per-site weights as a Blend1D.
 
     No construction caps are enforced; intended for synthetic and random
     weights in identity tests.
@@ -204,7 +202,7 @@ def blend_from_samples(chain: Chain1D, beta: np.ndarray) -> Blend1D:
         raise ValueError("beta length mismatch")
     if beta.min() < -1e-12 or beta.max() > 1 + 1e-12:
         raise ValueError("beta values must lie in [0, 1]")
-    return Blend1D(chain=chain, beta=beta, profile="custom")
+    return Blend1D(chain=chain, beta=beta)
 
 
 def third_diff_level_set(blend: Blend1D) -> np.ndarray:
@@ -242,7 +240,7 @@ def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly
     ring = ring_number(lattice)
     t = (ring - (Ra + 3)) / (Rb - Ra - 6)
     beta = 1.0 - profile_value(profile, t)
-    blend = Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, profile=profile)
+    blend = Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb)
     for j, c in enumerate(blend.Cbeta_j, start=1):
         if c < 1.0 - 1e-12:
             raise RuntimeError(f"derivative lower bound violated at order {j}: {c}")
@@ -263,8 +261,7 @@ def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "pol
     ring = ring_number(lattice)
     t = (ring - Ra) / (Rb - Ra)
     beta = 1.0 - profile_value(profile, t)
-    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, profile=profile,
-                   margined=False)
+    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, margined=False)
 
 
 _TUPLE_DIRS = ("a1", "a2", "a3")

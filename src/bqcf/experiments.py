@@ -47,6 +47,9 @@ __all__ = [
 # relative residual within which a divergence split must reproduce the direct
 # form: the sweeps' canaries and the verify suites judge by the same bound
 _IDENTITY_TOL = 1e-10
+# K* is the narrowest blend with gamma > _TOL: the scan's shift and the sign
+# test on its pencil solves
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 
 
 def _threshold_at_size(build: Callable[[int], object], G, eps: float,
-                       k_floor: int, k_cap: int, tol: float, seed: int,
+                       k_floor: int, k_cap: int, *, seed: int,
                        method: str = "iterative"):
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
     then pencil solves at K*-1 and K* only, each by coercivity's method.
@@ -180,7 +183,7 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     build(K) returns the operator at blend width K. The scan assembles once:
     one BlendPattern, built from the first operator, answers every probe by
     refilling its values at that K's blend. K* is the smallest K the
-    scan finds coercive (gamma > tol); every later change of verdict is
+    scan finds coercive (gamma > _TOL); every later change of verdict is
     flagged, so gamma need not be monotone in K. The solves at K*-1 and K*
     must agree with the scan's verdicts there, otherwise this raises.
     Returns (kstar, {K: (gamma, solve seconds)}, scan probes, flags).
@@ -192,7 +195,7 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
         op = build(K)
         if pattern is None:
             pattern = BlendPattern(op, G)
-        rep = pattern.is_coercive(op, tol, method=method, seed=seed)
+        rep = pattern.is_coercive(op, _TOL, method=method, seed=seed)
         scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
                               min_pivot=rep.min_pivot, fallback=rep.fallback))
         if kstar is None and rep.coercive:
@@ -211,10 +214,10 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     for K, op in boundary.items():                  # K*-1 first
         t0 = time.perf_counter()
         rep = coercivity(assemble(op), G, method=method, x0=x0, seed=seed)
-        if (rep.gamma > tol) != (K == kstar):
+        if (rep.gamma > _TOL) != (K == kstar):
             raise RuntimeError(
                 f"pencil solve contradicts the inertia scan at {where}, K={K}: "
-                f"gamma = {rep.gamma:.6e} against tol {tol:g}, K* = {kstar}")
+                f"gamma = {rep.gamma:.6e} against tol {_TOL:g}, K* = {kstar}")
         x0 = rep.minimizer
         gammas[K] = (rep.gamma, time.perf_counter() - t0)
     return kstar, gammas, scan, flags
@@ -247,12 +250,11 @@ def _collect_fit(results, x_of: Callable[[float], float],
 
 
 def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int,
-                       *, profile: str = "poly7", tol: float = 1e-10,
-                       seed: int = 7) -> ThresholdFit:
+                       *, profile: str = "poly7", seed: int = 7) -> ThresholdFit:
     """Locate K*(eps) for the blended operator and fit log K* vs log(1/eps).
 
     K* is the smallest admissible K (floor 6) whose coercivity constant
-    exceeds tol, found by an inertia scan of the window [6, min(K_max, N-1)]
+    exceeds _TOL, found by an inertia scan of the window [6, min(K_max, N-1)]
     with pencil solves at K*-1 and K*. Sizes with no sign change in the
     window are flagged and excluded from the fit; every scanned K re-checks
     the divergence identity on one random displacement as a canary.
@@ -281,7 +283,7 @@ def sweep_threshold_1d(model: PairModel1D, eps_list: Sequence[float], K_max: int
             return Op1D(kind="bqcf", chain=chain, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
-            build, gram_D(chain), eps, 6, k_cap, tol, seed)
+            build, gram_D(chain), eps, 6, k_cap, seed=seed)
         rows = [SweepRow(eps=eps, K=K, Ra=None, Rb=None, gamma=g,
                          c0_or_gammatilde=c0(model), wallclock_seconds=dt)
                 for K, (g, dt) in gammas.items()]
@@ -345,11 +347,12 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
 
     case 1 keeps the defect radius Ra fixed, case 2 grows it as
     round(eps^-alpha), case 3 as round(c/eps). params is a mapping with keys
-    N (list of lattice sizes, required), K_max, K_min, profile, tol,
+    N (list of lattice sizes, required), K_max, K_min, profile,
     dense_threshold, seed, and the case's Ra / alpha / c; any other key
-    raises ValueError. dense_threshold only opts sizes into the dense
-    reference: a size of dim <= dense_threshold solves its pencils by
-    coercivity's method "dense", and no default sets it. The fit regresses
+    raises ValueError. K* is the narrowest blend with gamma > _TOL.
+    dense_threshold only opts sizes into the dense reference: a size of dim
+    <= dense_threshold solves its pencils by coercivity's method "dense",
+    and no default sets it. The fit regresses
     K* against the regime's predicted growth rate. The auxiliary operator is
     required to be positive definite at the widest tested blend; its
     measured constant is recorded on each row.
@@ -357,7 +360,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     if case not in (1, 2, 3):
         raise ValueError(f"case must be 1, 2 or 3, got {case!r}")
     p = dict(params)
-    keys = ("N", "K_max", "K_min", "profile", "tol", "dense_threshold", "seed",
+    keys = ("N", "K_max", "K_min", "profile", "dense_threshold", "seed",
             ("Ra", "alpha", "c")[case - 1])
     unread = sorted(set(p) - set(keys))
     if unread:
@@ -370,7 +373,6 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
     K_max = int(p.get("K_max", 16))
     K_min = int(p.get("K_min", 1))
     profile = p.get("profile", "poly7")
-    tol = float(p.get("tol", 1e-10))
     dense_threshold = p.get("dense_threshold")
     seed = int(p.get("seed", 7))
 
@@ -401,16 +403,13 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
                 f"auxiliary operator not positive definite at the widest "
                 f"blend (eps=1/{N}, K={k_cap}, gamma_tilde={gt:.6e})")
 
-        count = {"n": 0}
-
-        def build(K: int) -> Op2D:
+        def build(K: int) -> Op2D:       # called once per K, from K_min up
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
-            _canary_2d(lattice, model, blend, rng, _BONDS[count["n"] % 3])
-            count["n"] += 1
+            _canary_2d(lattice, model, blend, rng, _BONDS[(K - K_min) % 3])
             return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
-            build, G, eps, K_min, k_cap, tol, seed, method)
+            build, G, eps, K_min, k_cap, seed=seed, method=method)
         rows = [SweepRow(eps=eps, K=K, Ra=Ra, Rb=Ra + K, gamma=g,
                          c0_or_gammatilde=gt, wallclock_seconds=dt)
                 for K, (g, dt) in gammas.items()]
@@ -450,7 +449,7 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     H1 = model.Hb[0]
     evals, evecs = np.linalg.eigh(0.5 * (H1 + H1.T))
     if evals[0] >= -1e-12:
-        raise ValueError("no unstable bond direction")
+        raise ModelRangeError("no unstable bond direction")
     uhat = evecs[:, 0]
 
     jp = np.asarray(jprime, dtype=bool)
@@ -458,7 +457,7 @@ def sharpness_probe_2d(lattice: TriLattice2D, model: PairModel2D,
     if jp.shape != (n, n):
         raise ValueError(f"J' mask must have shape {(n, n)}, got {jp.shape}")
     if not jp.any():
-        raise ValueError("empty J'")
+        raise ModelRangeError("empty J'")
 
     ring = ring_number(lattice)
     ii, jj = lattice.coords()
@@ -632,7 +631,7 @@ def _run_verify(cfg):
             for k in range(draws):
                 beta = rng.uniform(size=(2 * lattice.N, 2 * lattice.N))
                 blend = Blend2D(lattice=lattice, beta=beta, Ra=0, Rb=lattice.N,
-                                profile="custom", margined=False)
+                                margined=False)
                 worst = max(worst, _divergence_residual_2d(lattice, model, blend,
                                                            rng, _BONDS[k % 3]))
             rows.append({"suite": "identities-2d", "N": N, "draws": draws,
@@ -686,8 +685,7 @@ def _plot_generic(title: str, rows: list, column: str) -> str:
 
 def _run_sweep1d(cfg):
     fit = sweep_threshold_1d(PairModel1D(cfg["phiF"], cfg["phi2F"]), cfg["eps"],
-                             cfg["kmax"], profile=cfg["profile"], tol=cfg["tol"],
-                             seed=cfg["seed"])
+                             cfg["kmax"], profile=cfg["profile"], seed=cfg["seed"])
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 3 and "degenerate" not in fit.flags:
         lo, hi = 0.15, 0.25             # around the paper's threshold exponent 1/5
@@ -705,7 +703,7 @@ def _run_sweep2d(cfg):
     case = cfg["case"]
     param, key = _CASE_KEYS[case - 1]
     params = {"N": cfg["n"], "K_max": cfg["kmax"], "profile": cfg["profile"],
-              "tol": cfg["tol"], "seed": cfg["seed"], param: cfg[key]}
+              "seed": cfg["seed"], param: cfg[key]}
     fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]), case, params)
     checks = _sweep_checks(fit)
     if len(fit.pairs) >= 2:
@@ -725,10 +723,10 @@ def _run_sharp1d(cfg):
         blend = build_blend_1d(chain, k, profile=cfg["profile"])
         res = sharpness_probe_1d(model, chain, blend)
         verdict = "indefinite" if res.conclusive else "inconclusive"
-        rows.append({"eps": chain.eps, "K": blend.K, "rayleigh": res.rayleigh,
+        rows.append({"eps": chain.eps, "K": k, "rayleigh": res.rayleigh,
                      "t_term": res.t_term, "t_bound": res.t_bound,
                      "alpha": res.alpha, "verdict": verdict})
-        checks.append((f"interface-term-K{blend.K}", True,
+        checks.append((f"interface-term-K{k}", True,
                        f"T {res.t_term:.4e} <= bound {res.t_bound:.4e}"))
         probes.append(res)
     best = min(probes, key=lambda r: r.rayleigh)
@@ -757,7 +755,7 @@ def _run_sharp2d(cfg):
 
 
 def _run_poincare(cfg):
-    rows, normd = [], []
+    rows = []
     for N in cfg["n"]:
         lattice = TriLattice2D(N)
         Ra, Rb = round(cfg["ra_frac"] * N), round(cfg["rb_frac"] * N)
@@ -772,7 +770,7 @@ def _run_poincare(cfg):
         cp2 = epsK * epsRb * abs(math.log(epsRb))
         rows.append({"N": N, "Ra": Ra, "Rb": Rb, "ratio": ratio, "cp2": cp2,
                      "normalized": ratio / cp2, "wallclock_seconds": dt})
-        normd.append(ratio / cp2)
+    normd = [r["normalized"] for r in rows]
     window = 50.0       # the ratio follows its scaling up to a constant factor
     spread = max(normd) / min(normd) if min(normd) > 0 else float("inf")
     ok = spread <= window and all(1 / window <= v <= window for v in normd)
@@ -786,7 +784,6 @@ def _run_poincare(cfg):
 def _run_trace(cfg):
     rng = np.random.default_rng(cfg["seed"])
     rows = []
-    ok_dir = ok_log = True
     for r0 in cfg["r0"]:
         samples = [sample_constant(), sample_log()]
         samples += [sample_poly(rng) for _ in range(cfg["npoly"])]
@@ -794,13 +791,10 @@ def _run_trace(cfg):
             out = trace_check(cfg["psi"], r0, cfg["r1"], s)
             rows.append({"sample": s.name, "r0": r0, "lhs": out["lhs"],
                          "rhs": out["rhs"], "ratio": out["ratio"]})
-            if out["ratio"] > 1.0 + 1e-3:
-                ok_dir = False
-            if s.name == "log" and out["ratio"] < 0.01:
-                ok_log = False
     worst = max(r["ratio"] for r in rows)
-    checks = [("trace-direction", ok_dir, f"max ratio {worst:.6f} <= 1.001"),
-              ("log-sharpness", ok_log, "log witness ratio >= 0.01")]
+    log_worst = min(r["ratio"] for r in rows if r["sample"] == "log")
+    checks = [("trace-direction", worst <= 1.0 + 1e-3, f"max ratio {worst:.6f} <= 1.001"),
+              ("log-sharpness", log_worst >= 0.01, "log witness ratio >= 0.01")]
     return (rows, {"max_ratio": worst}, checks,
             _plot_generic("trace ratios", rows, "ratio"))
 
@@ -883,11 +877,11 @@ EXPERIMENTS = {
                "seed": 7},
     "sweep1d": {"phiF": 1.0, "phi2F": -0.24,
                 "eps": [1 / 128, 1 / 256, 1 / 512, 1 / 1024, 1 / 2048],
-                "kmax": 64, "profile": PROFILES, "tol": 1e-10, "seed": 7},
+                "kmax": 64, "profile": PROFILES, "seed": 7},
     "sweep2d": {"case": (1, 2, 3), "n": [8, 12, 16, 24], "ra": _only(4, case=(1,)),
                 "alpha": _only(0.5, case=(2,)), "c": _only(0.125, case=(3,)),
                 "kmax": 16, "kappa0": 1.0, "eta": 0.3,
-                "profile": PROFILES, "tol": 1e-10, "seed": 7},
+                "profile": PROFILES, "seed": 7},
     "sharp1d": {"phiF": 1.0, "phi2F": -0.24, "n": 512, "k": [6],
                 "profile": PROFILES},
     "sharp2d": {"n": 24, "ra": 4, "k": [3], "kappa0": 1.0, "eta": 0.3,

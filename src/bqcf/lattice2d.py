@@ -86,13 +86,10 @@ class TriLattice2D:
     def nsites(self) -> int:
         return 4 * self.N * self.N
 
-    def axis_positions(self) -> np.ndarray:
-        """Reduced coordinates (in (-N, N]) along one axis, by array position."""
-        return np.arange(2 * self.N) - self.N + 1
-
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of reduced lattice coordinates (i, j), array-indexed."""
-        c = self.axis_positions()
+        """Meshgrid of reduced lattice coordinates (i, j), array-indexed: array
+        position p along either axis holds the coordinate p - N + 1 in (-N, N]."""
+        c = np.arange(2 * self.N) - self.N + 1
         return np.meshgrid(c, c, indexing="ij")
 
 

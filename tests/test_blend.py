@@ -98,7 +98,6 @@ def test_diffs_vanish_outside_interface():
 def test_cosine_profile():
     ch = Chain1D(64)
     bl = build_blend_1d(ch, 16, profile="cosine")
-    assert bl.profile == "cosine"
     b = derivative_bounds(bl)
     for j in (1, 2, 3):
         assert b[j] >= (bl.K * ch.eps) ** (-j)
@@ -224,8 +223,7 @@ def test_blend2d_measured_bounds():
 def test_blend2d_direct_construction_is_legal():
     # raw in-memory blends skip the builder checks; bound suites gate on margined
     lat = TriLattice2D(4)
-    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, profile="custom",
-                 margined=False)
+    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, margined=False)
     assert not bl.margined
 
 

@@ -97,6 +97,17 @@ def test_sweep1d_writes_fit(tmp_path):
     assert set(data["scan"][0]) == {"eps", "K", "negative", "min_pivot", "fallback"}
 
 
+def test_sharp1d_reports_the_window_width_passed(tmp_path):
+    # K is the per-window k of --k, as in sweep1d and stability, not the
+    # interface size 2k
+    out = tmp_path / "sharp1d"
+    assert main(["sharp1d", "--n", "64", "--k", "6,8", "--out", str(out)]) == 0
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        assert [row["K"] for row in csv.DictReader(fh)] == ["6", "8"]
+    summary = (out / "summary.txt").read_text()
+    assert "PASS interface-term-K6:" in summary and "PASS interface-term-K8:" in summary
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("experiment = verify\ndraws = 2\nn1d = 8\nn2d = 4\n")
@@ -139,7 +150,9 @@ def test_indefinite_auxiliary_operator_exits_2(tmp_path, capsys):
     (["sweep1d", "--phiF", "-1", "--eps", "1/16"],
      "nearest-neighbor stiffness phi''(F) must be positive"),
     (["poincare", "--n", "8", "--ra-frac", "0.1", "--rb-frac", "0.15"],
-     "the blending annulus is empty at N = 8: Ra = 1, Rb = 1")])
+     "the blending annulus is empty at N = 8: Ra = 1, Rb = 1"),
+    (["sharp2d", "--eta", "0"], "no unstable bond direction"),
+    (["sharp2d", "--n", "8", "--ra", "1", "--k", "1"], "empty J'")])
 def test_value_out_of_the_library_range_exits_2(tmp_path, capsys, argv, message):
     # the library raises ModelRangeError, which run() reports as a config error
     code = main(argv + ["--out", str(tmp_path / "o")])
@@ -170,7 +183,6 @@ def test_unknown_enumerated_value_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["sweep1d", "--kmax", "foo"],
-    ["sweep1d", "--tol", "abc"],
     ["stability", "--n", "8,16"],
     ["sweep2d", "--case", "4"],
     ["trace", "--psi", "foo"],
@@ -307,9 +319,12 @@ def test_bad_flag_raises_usage_error():
 
 
 @pytest.mark.parametrize("argv", [["trace", "--quad-n", "16"],
-                                  ["sweep2d", "--kmin", "2"]])
+                                  ["sweep2d", "--kmin", "2"],
+                                  ["sweep1d", "--tol", "1e-9"],
+                                  ["sweep2d", "--tol", "1e-9"]])
 def test_constant_settings_are_not_flags(argv):
-    # the quadrature starts at 8 points and a sweep2d scan at K = 1
+    # the quadrature starts at 8 points, a sweep2d scan at K = 1, and K* is
+    # the narrowest blend with gamma > experiments._TOL
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

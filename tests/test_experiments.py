@@ -118,7 +118,7 @@ def _fake_scan(monkeypatch, verdicts, gamma_at):
         lambda K, G, **kw: StabilityReport(gamma=gamma_at[K], minimizer=None,
                                            method="dense", residual=0.0,
                                            iterations=0))
-    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, 1e-10, 7)
+    return _threshold_at_size(lambda K: K, None, 1 / 64, 3, 9, seed=7)
 
 
 def test_scan_flags_every_later_sign_change(monkeypatch):
@@ -271,7 +271,7 @@ def test_sharpness_probe_2d_validations():
         sharpness_probe_2d(lat, model, blend, np.ones((4, 4), dtype=bool))
     rng = np.random.default_rng(0)
     noisy = type(blend)(lattice=lat, beta=rng.uniform(size=(48, 48)), Ra=4,
-                        Rb=7, profile="custom", margined=False)
+                        Rb=7, margined=False)
     with pytest.raises(ValueError, match="varies along a3"):
         sharpness_probe_2d(lat, model, noisy, jprime)
 
@@ -320,7 +320,7 @@ def test_sweep2d_rejects_keys_the_case_does_not_read():
             sweep_threshold_2d(model, case, params)
     # the keys a case-1 sweep reads are all accepted
     fit = sweep_threshold_2d(model, 1, {"N": [8], "Ra": 2, "K_max": 8, "K_min": 1,
-                                        "profile": "poly7", "tol": 1e-10,
+                                        "profile": "poly7",
                                         "dense_threshold": 1000, "seed": 7})
     assert fit.pairs == ((1 / 8, 6),)
 

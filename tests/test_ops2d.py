@@ -38,7 +38,7 @@ def _flat_blend(lat, value):
     # constant-weight Blend2D for identities that only read beta
     n = 2 * lat.N
     return Blend2D(lattice=lat, beta=np.full((n, n), float(value)), Ra=0,
-                   Rb=1, profile="custom", margined=False)
+                   Rb=1, margined=False)
 
 
 def _dense(triplets_out):
