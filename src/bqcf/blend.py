@@ -8,9 +8,9 @@ periodic layout. Each window keeps 2 constant sites on either end so that
 all third differences vanish outside the interface set; the proper samples
 sit at t = (m - 1.5)/(K - 4) across the window.
 
-The 2D construction ramps radially in the hexagonal gauge between rings
-Ra + 3 and Rb - 3; the 3-ring margins guarantee that every third-difference
-direction triple is supported strictly inside the blending annulus.
+The 2D construction ramps radially in the hexagonal gauge; the bounded
+blend ramps between rings Ra + 3 and Rb - 3, and the 2D bound suite
+measures that its third differences vanish outside the blending annulus.
 
 A blend holds only its weight and geometry. The interface set, K, the
 maxima max |D^(j) beta| and the constants ||D^(j) beta||_inf (K eps)^j are
@@ -21,14 +21,14 @@ weight's data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .config import ModelRangeError
 from .lattice1d import Chain1D, diff, diffs, roll
-from .lattice2d import TriLattice2D, diff2d, ring_number
+from .lattice2d import NN, TriLattice2D, diff2d, ring_number
 
 __all__ = [
     "Blend1D",
@@ -38,6 +38,7 @@ __all__ = [
     "build_blend_1d",
     "build_blend_2d",
     "derivative_bounds",
+    "profile_value",
     "third_diff_level_set",
 ]
 
@@ -63,15 +64,30 @@ def profile_value(profile: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown profile {profile!r}; available: {PROFILES}")
 
 
+class _BlendConstants:
+    """Dbeta_max: the maxima max |D^(j) beta|, j = 1, 2, 3, measured by
+    derivative_bounds on first read; Cbeta_j: the constants
+    ||D^(j) beta||_inf (K eps)^j, zero when K = 0; Cbeta: their maximum."""
+
+    @cached_property
+    def Dbeta_max(self) -> tuple:
+        return tuple(derivative_bounds(self).values())
+
+    @cached_property
+    def Cbeta_j(self) -> tuple:
+        return tuple(d * (self.K * self.eps) ** j for j, d in enumerate(self.Dbeta_max, start=1))
+
+    @property
+    def Cbeta(self) -> float:
+        return max(self.Cbeta_j)
+
+
 @dataclass(frozen=True, eq=False)
-class Blend1D:
+class Blend1D(_BlendConstants):
     """Blending weight on the chain: only the chain and weight are held.
 
     Everything else derives from beta. interface holds the array positions
     of I = {l : 0 < beta_{l+j} < 1 for some j in {+-1, +-2}} and K = #I.
-    Dbeta_max holds the maxima max |D^(j) beta|, j = 1, 2, 3, measured by
-    derivative_bounds on first read; Cbeta_j holds the constants
-    ||D^(j) beta||_inf (K eps)^j and Cbeta their maximum.
     """
 
     chain: Chain1D
@@ -85,51 +101,29 @@ class Blend1D:
     def K(self) -> int:
         return int(self.interface.size)
 
-    @cached_property
-    def Dbeta_max(self) -> tuple:
-        return tuple(derivative_bounds(self).values())
-
-    @cached_property
-    def Cbeta_j(self) -> tuple:
-        return _constants(self, self.chain.eps)
-
-    @property
-    def Cbeta(self) -> float:
-        return max(self.Cbeta_j)
+    eps = property(lambda self: self.chain.eps)
 
 
 @dataclass(frozen=True, eq=False)
-class Blend2D:
+class Blend2D(_BlendConstants):
     """Radial blending weight on the triangular lattice (1 inside, 0 outside):
     only the weight and its geometry are held.
 
-    The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Dbeta_max,
-    Cbeta_j and Cbeta derive from beta on first read, as in 1D. margined is
-    False only for the sharp probe construction, whose third differences
-    deliberately spill outside the blending annulus.
+    The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Whether the
+    third differences of beta vanish outside the annulus is not recorded:
+    the bound suites measure it.
     """
 
     lattice: TriLattice2D
     beta: np.ndarray = field(repr=False)
     Ra: int
     Rb: int
-    margined: bool = True
 
     @property
     def K(self) -> int:
         return self.Rb - self.Ra
 
-    @cached_property
-    def Dbeta_max(self) -> tuple:
-        return tuple(derivative_bounds(self).values())
-
-    @cached_property
-    def Cbeta_j(self) -> tuple:
-        return _constants(self, self.lattice.eps)
-
-    @property
-    def Cbeta(self) -> float:
-        return max(self.Cbeta_j)
+    eps = property(lambda self: self.lattice.eps)
 
 
 def _interface_1d(beta: np.ndarray) -> np.ndarray:
@@ -138,13 +132,6 @@ def _interface_1d(beta: np.ndarray) -> np.ndarray:
     for j in (-2, -1, 1, 2):
         in_I |= roll(strict, -j)
     return np.flatnonzero(in_I)
-
-
-def _constants(blend, eps: float) -> tuple:
-    """(||D^(j) beta||_inf (K eps)^j for j = 1, 2, 3), zero when K = 0."""
-    if blend.K == 0:
-        return (0.0, 0.0, 0.0)
-    return tuple(d * (blend.K * eps) ** j for j, d in enumerate(blend.Dbeta_max, start=1))
 
 
 def build_blend_1d(chain: Chain1D, K: int, profile: str = "poly7") -> Blend1D:
@@ -227,9 +214,9 @@ def third_diff_level_set(blend: Blend1D) -> np.ndarray:
 def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly7") -> Blend2D:
     """Radial blend: 1 on Hex(eps(Ra+3)), 0 outside Hex(eps(Rb-3)).
 
-    beta(x) = 1 - B((g(x) - eps(Ra+3)) / (eps(Rb-Ra-6))) with g the
-    hexagonal gauge; constant on rings. The 3-ring margins keep all third
-    differences supported inside the blending annulus (stencil reach 3).
+    The sharp ramp between rings Ra + 3 and Rb - 3, given the blending
+    annulus Ra < ring <= Rb. The 3-ring margins (stencil reach 3) keep every
+    third difference inside the annulus, which rs_bounds_2d measures.
     """
     if Ra < 0:
         raise ModelRangeError("Ra must be nonnegative")
@@ -237,10 +224,7 @@ def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly
         raise ModelRangeError("margin violation: need Ra + 3 < Rb - 3")
     if 2 * Rb > lattice.N:
         raise ModelRangeError(f"Rb = {Rb} exceeds N/2 = {lattice.N / 2:g}")
-    ring = ring_number(lattice)
-    t = (ring - (Ra + 3)) / (Rb - Ra - 6)
-    beta = 1.0 - profile_value(profile, t)
-    blend = Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb)
+    blend = replace(_blend_2d_sharp(lattice, Ra + 3, Rb - 3, profile), Ra=Ra, Rb=Rb)
     for j, c in enumerate(blend.Cbeta_j, start=1):
         if c < 1.0 - 1e-12:
             raise RuntimeError(f"derivative lower bound violated at order {j}: {c}")
@@ -250,9 +234,9 @@ def build_blend_2d(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly
 def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "poly7") -> Blend2D:
     """Margin-less radial blend for the narrow-band instability probes.
 
-    Third differences spill outside the blending annulus by construction;
-    the bound suites reject these (margined=False). Nothing is measured
-    until Cbeta_j is read: the sweeps never read it.
+    beta(x) = 1 - B((g(x) - eps Ra) / (eps (Rb - Ra))) with g the hexagonal
+    gauge. Third differences spill outside the annulus, and the 2D bound
+    suite rejects them by measurement. Cbeta_j is measured on first read.
     """
     if not 0 <= Ra < Rb:
         raise ModelRangeError("need 0 <= Ra < Rb")
@@ -261,27 +245,30 @@ def _blend_2d_sharp(lattice: TriLattice2D, Ra: int, Rb: int, profile: str = "pol
     ring = ring_number(lattice)
     t = (ring - Ra) / (Rb - Ra)
     beta = 1.0 - profile_value(profile, t)
-    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb, margined=False)
+    return Blend2D(lattice=lattice, beta=beta, Ra=Ra, Rb=Rb)
 
 
-_TUPLE_DIRS = ("a1", "a2", "a3")
+def _difference_ladder(blend: Blend2D):
+    """For j = 1, 2, 3, the 3^j fields D_{d_1} ... D_{d_j} beta over every
+    tuple of directions d_i drawn from a1, a2, a3."""
+    level = [blend.beta]
+    for _ in range(3):
+        level = [diff2d(blend.lattice, f, d) for f in level for d in NN]
+        yield level
 
 
 def derivative_bounds(blend) -> dict:
     """Exact maxima {j: max |D^(j) beta|} for j = 1, 2, 3.
 
-    1D scans all sites; 2D additionally scans all direction tuples drawn
-    from the positive nearest-neighbor directions. Opposite directions give
-    the same value sets (D_{-r} f(x) = -D_r f(x-r)), so the three positive
-    directions cover all twelve.
+    1D scans all sites; 2D scans the difference ladder, one field per tuple
+    of positive nearest-neighbor directions. Opposite directions give the
+    same value sets (D_{-r} f(x) = -D_r f(x-r)), so the three positive
+    directions cover all six.
     """
     if isinstance(blend, Blend1D):
         return {j: float(np.max(np.abs(d)))
                 for j, d in enumerate(diffs(blend.chain, blend.beta, 3), start=1)}
     if isinstance(blend, Blend2D):
-        level, bounds = [blend.beta], {}
-        for j in (1, 2, 3):
-            level = [diff2d(blend.lattice, f, d) for f in level for d in _TUPLE_DIRS]
-            bounds[j] = max(float(np.max(np.abs(f))) for f in level)
-        return bounds
+        return {j: max(float(np.max(np.abs(f))) for f in level)
+                for j, level in enumerate(_difference_ladder(blend), start=1)}
     raise TypeError(f"not a blend: {type(blend).__name__}")

@@ -13,6 +13,8 @@ import sys
 from .config import ConfigError, _value, load_config
 from .experiments import EXPERIMENTS, _When, run
 
+__all__ = ["main"]
+
 
 def _help(spec) -> str:
     """A flag's type, choices and default, from its EXPERIMENTS entry."""

@@ -27,10 +27,10 @@ from .blend import (PROFILES, Blend1D, Blend2D, _blend_2d_sharp, blend_from_samp
                     build_blend_1d)
 from .config import ConfigError, ModelRangeError, format_value, load_config
 from .lattice1d import Chain1D, diff, norms, project_zero_mean, random_zero_mean
-from .lattice2d import (TriLattice2D, diff2d, inner2d, make_regions,
+from .lattice2d import (BONDS, TriLattice2D, diff2d, inner2d, make_regions,
                         random_zero_mean_2d, ring_number)
 from .ops1d import Op1D, _rst_terms, _sharpness_parts, divergence_form, quad_form
-from .ops2d import (_BONDS, Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
+from .ops2d import (Op2D, _bond_apply_a, _bond_apply_c, assemble_ltilde,
                     divergence_form_2d, poincare_discrete)
 from .potentials import PairModel1D, PairModel2D, c0
 from .spectral import METHODS, BlendPattern, SparseOp, assemble, coercivity, gram_D
@@ -92,13 +92,14 @@ class ThresholdFit:
     rows records every gamma evaluation, the pencil solves at K*-1 and K*;
     scan holds the inertia verdict at every K of every scanned window;
     flags collects data-quality notes (degenerate fit, missing or extra
-    sign changes, monotonicity violation).
+    sign changes, monotonicity violation). slope, intercept and r2 are None
+    when fewer than two thresholds were found: no line is fitted to one.
     """
 
     pairs: tuple
-    slope: float
-    intercept: float
-    r2: float
+    slope: Optional[float]
+    intercept: Optional[float]
+    r2: Optional[float]
     rows: tuple = ()
     flags: tuple = ()
     scan: tuple = ()
@@ -121,10 +122,9 @@ class ProbeResult:
 
 
 def _fit_against(xs: np.ndarray, ys: np.ndarray):
-    """Least-squares line ys ~ slope*xs + intercept with its r^2."""
+    """Least-squares line ys ~ slope*xs + intercept with its r^2; None below two points."""
     if xs.size < 2:
-        y0 = float(ys[0]) if ys.size else float("nan")
-        return 0.0, y0, 1.0
+        return None, None, None
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     ss_res = float(resid @ resid)
@@ -150,7 +150,7 @@ def _divergence_residual_2d(lattice: TriLattice2D, model: PairModel2D,
     direct form, at one zero-mean u drawn from rng."""
     u = random_zero_mean_2d(lattice, rng)
     split = divergence_form_2d(lattice, model, blend, u, bond)
-    H = model.Hb[_BONDS.index(bond)]
+    H = model.Hb[BONDS.index(bond)]
     b = blend.beta[..., None]
     field = b * _bond_apply_a(lattice, u, H, bond) \
         + (1.0 - b) * _bond_apply_c(lattice, u, H, bond)
@@ -163,7 +163,7 @@ def _canary_1d(chain: Chain1D, model: PairModel1D, blend: Blend1D,
     res = _divergence_residual_1d(chain, model, blend, rng)
     if res > _IDENTITY_TOL:
         raise RuntimeError(f"divergence canary failed at eps=1/{chain.N}, "
-                           f"K={blend.K}: relative residual {res:.3e}")
+                           f"K={blend.K // 2}: relative residual {res:.3e}")
 
 
 def _canary_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
@@ -405,7 +405,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
 
         def build(K: int) -> Op2D:       # called once per K, from K_min up
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
-            _canary_2d(lattice, model, blend, rng, _BONDS[(K - K_min) % 3])
+            _canary_2d(lattice, model, blend, rng, BONDS[(K - K_min) % 3])
             return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)
 
         kstar, gammas, scan, flags = _threshold_at_size(
@@ -630,10 +630,9 @@ def _run_verify(cfg):
             worst = 0.0
             for k in range(draws):
                 beta = rng.uniform(size=(2 * lattice.N, 2 * lattice.N))
-                blend = Blend2D(lattice=lattice, beta=beta, Ra=0, Rb=lattice.N,
-                                margined=False)
+                blend = Blend2D(lattice=lattice, beta=beta, Ra=0, Rb=lattice.N)
                 worst = max(worst, _divergence_residual_2d(lattice, model, blend,
-                                                           rng, _BONDS[k % 3]))
+                                                           rng, BONDS[k % 3]))
             rows.append({"suite": "identities-2d", "N": N, "draws": draws,
                          "max_residual": worst})
     # each row holds the maximum at its own size; a suite's verdict, all sizes
@@ -660,17 +659,22 @@ def _sweep_checks(fit: ThresholdFit) -> list:
              f"({fallbacks} decided by a pencil solve), flags {list(fit.flags)}")]
 
 
-def _plot_sweep(fit: ThresholdFit, xlabel: str) -> str:
+def _plot_sweep(fit: ThresholdFit, kstar_of: Callable[[float], float]) -> str:
+    """gnuplot script of the thresholds against 1/eps and, when a line was
+    fitted, the fitted K*, kstar_of(eps), at each threshold's 1/eps."""
     lines = ["set datafile separator ','",
              "set logscale xy",
-             f"set xlabel '{xlabel}'",
+             "set xlabel '1/eps'",
              "set ylabel 'K*'",
              "$thresholds << EOD"]
     lines += [f"{1.0 / e:.17g},{k}" for e, k in fit.pairs]
-    lines += ["EOD",
-              f"fitline(x) = exp({fit.intercept:.17g}) * x**{fit.slope:.17g}",
-              "plot $thresholds using 1:2 with points pt 7 title 'K*', \\",
-              "     fitline(x) with lines title 'fit'"]
+    lines += ["EOD"]
+    points = "plot $thresholds using 1:2 with points pt 7 title 'K*'"
+    if fit.slope is None:
+        return "\n".join(lines + [points]) + "\n"
+    lines += ["$fit << EOD"]
+    lines += [f"{1.0 / e:.17g},{kstar_of(e):.17g}" for e, _ in fit.pairs]
+    lines += ["EOD", points + ", \\", "     $fit using 1:2 with lines title 'fit'"]
     return "\n".join(lines) + "\n"
 
 
@@ -692,7 +696,8 @@ def _run_sweep1d(cfg):
         checks.append(("slope-window", lo <= fit.slope <= hi,
                        f"slope {fit.slope:.4f} in [{lo}, {hi}]"))
         checks.append(("fit-quality", fit.r2 >= 0.9, f"r2 {fit.r2:.4f} >= 0.9"))
-    return [asdict(r) for r in fit.rows], _fit_json(fit), checks, _plot_sweep(fit, "1/eps")
+    plot = _plot_sweep(fit, lambda e: math.exp(fit.intercept) * (1.0 / e) ** fit.slope)
+    return [asdict(r) for r in fit.rows], _fit_json(fit), checks, plot
 
 
 # (params key of sweep_threshold_2d, config key) that case 1, 2, 3 reads
@@ -706,13 +711,15 @@ def _run_sweep2d(cfg):
               "seed": cfg["seed"], param: cfg[key]}
     fit = sweep_threshold_2d(unstable_toy_model(cfg["kappa0"], cfg["eta"]), case, params)
     checks = _sweep_checks(fit)
+
+    def fitted(eps: float) -> float:
+        return fit.slope * _growth_rate(case, cfg["alpha"], eps) + fit.intercept
+
     if len(fit.pairs) >= 2:
-        resid = max(abs(k - (fit.slope * _growth_rate(case, cfg["alpha"], e)
-                             + fit.intercept)) for e, k in fit.pairs)
+        resid = max(abs(k - fitted(e)) for e, k in fit.pairs)
         checks.append(("bounded-growth", resid <= 2.0,      # in blend widths
                        f"max |K* - fit| = {resid:.3f} <= 2.0"))
-    return ([asdict(r) for r in fit.rows], _fit_json(fit), checks,
-            _plot_sweep(fit, "1/eps"))
+    return [asdict(r) for r in fit.rows], _fit_json(fit), checks, _plot_sweep(fit, fitted)
 
 
 def _run_sharp1d(cfg):
@@ -983,9 +990,10 @@ def run(config, out_dir: Optional[str] = None) -> int:
         raise ConfigError(str(err)) from err
 
     _write_rows(os.path.join(out, "rows.csv"), rows)
+    # strict JSON: a NaN or infinity raises here instead of being written
+    text = json.dumps(fit, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
-        json.dump(fit, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     with open(os.path.join(out, "plot.gp"), "w", encoding="utf-8") as fh:
         fh.write(plot)
     ok = all(passed for _, passed, _ in checks)

@@ -5,10 +5,10 @@ Sites are eps * (i + j/2, sqrt(3) j/2) for lattice coordinates (i, j) in
 displacements (2N, 2N, 2) arrays, both indexed by array positions
 p = (coord + N - 1) mod 2N per axis (same convention as the 1D chain).
 
-Directions are named a1..a6 for the nearest-neighbor shell and b1..b3 for
+Directions are named a1..a3 for the nearest-neighbor shell and b1..b3 for
 the next-nearest shell (b1 = a1 + a2, b2 = a2 + a3, b3 = a3 - a1); a
-leading '-' negates. Index offsets and unit-cell-scale Cartesian vectors
-are exposed for the operator and potential modules.
+leading '-' negates, so -a1..-a3 complete the nearest shell. Index offsets
+and unit-cell-scale Cartesian vectors serve the operator and potential modules.
 """
 
 from __future__ import annotations
@@ -22,12 +22,19 @@ from .config import ModelRangeError
 __all__ = [
     "TriLattice2D",
     "Regions2D",
+    "BONDS",
     "DIR_OFFSETS",
+    "NN",
     "UNIT_A",
     "UNIT_B",
     "diff2d",
     "diff2d2",
+    "grad_norm_sq_2d",
+    "inner2d",
     "make_regions",
+    "project_zero_mean_2d",
+    "random_zero_mean_2d",
+    "resolve_direction",
     "ring_number",
     "shift_field",
     "sum_by_parts_2d_check",
@@ -35,24 +42,18 @@ __all__ = [
 
 _SQ3 = np.sqrt(3.0)
 
-# index offsets of the twelve neighbor directions
+# index offsets of the positive neighbor directions; '-' names the others
 DIR_OFFSETS = {
     "a1": (1, 0), "a2": (0, 1), "a3": (-1, 1),
-    "a4": (-1, 0), "a5": (0, -1), "a6": (1, -1),
     "b1": (1, 1), "b2": (-1, 2), "b3": (-2, 1),
 }
+NN = ("a1", "a2", "a3")
+BONDS = ("b1", "b2", "b3")
 
-# Cartesian directions on the unit-cell scale (a_i / eps, b_i / eps)
-UNIT_A = (
-    np.array([1.0, 0.0]),
-    np.array([0.5, _SQ3 / 2]),
-    np.array([-0.5, _SQ3 / 2]),
-)
-UNIT_B = (
-    np.array([1.5, _SQ3 / 2]),
-    np.array([0.0, _SQ3]),
-    np.array([-1.5, _SQ3 / 2]),
-)
+# Cartesian directions on the unit-cell scale (a_i / eps, b_i / eps): the
+# offset (i, j) lies at (i + j/2, sqrt(3) j/2)
+UNIT_A, UNIT_B = (tuple(np.array([i + j / 2, _SQ3 * j / 2]) for i, j in map(DIR_OFFSETS.get, names))
+                  for names in (NN, BONDS))
 
 
 def resolve_direction(r) -> tuple[int, int]:
@@ -123,7 +124,7 @@ def ring_number(lattice: TriLattice2D) -> np.ndarray:
 def grad_norm_sq_2d(lattice: TriLattice2D, u: np.ndarray) -> float:
     """||Du||^2 = eps^2 sum_x sum_{i=1..3} |D_{a_i} u(x)|^2."""
     total = 0.0
-    for name in ("a1", "a2", "a3"):
+    for name in NN:
         d = diff2d(lattice, u, name)
         total += float(np.sum(d * d))
     return lattice.eps**2 * total

@@ -28,9 +28,11 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blend import Blend2D
+from .blend import Blend2D, _difference_ladder
 from .config import ModelRangeError
 from .lattice2d import (
+    BONDS,
+    NN,
     TriLattice2D,
     Regions2D,
     diff2d,
@@ -62,8 +64,6 @@ _BLENDED = ("bqcf",)
 
 # defining nearest-neighbor pair (p, q) of each b-bond: b = p + q
 BOND_PAIRS = {"b1": ("a1", "a2"), "b2": ("a2", "a3"), "b3": ("a3", "-a1")}
-_NN = ("a1", "a2", "a3")
-_BONDS = ("b1", "b2", "b3")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _pair_H(v: np.ndarray, w: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def _nn_part(lattice: TriLattice2D, model: PairModel2D, u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
-    for name, H in zip(_NN, model.Ha):
+    for name, H in zip(NN, model.Ha):
         w = 2.0 * u - shift_field(u, name) - shift_field(u, _neg(name))
         out += _apply_H(H, w) / lattice.eps**2
     return out
@@ -133,17 +133,11 @@ def _bond_apply_c(lattice, u, H, bond: str) -> np.ndarray:
     return -_apply_H(H, w)
 
 
-def _nnn_atomistic(lattice, model, u) -> np.ndarray:
+def _nnn(lattice, model, u, bond_apply) -> np.ndarray:
+    """The b-bond shell, each bond applied by bond_apply (_bond_apply_a or _c)."""
     out = np.zeros_like(u)
-    for bond, H in zip(_BONDS, model.Hb):
-        out += _bond_apply_a(lattice, u, H, bond)
-    return out
-
-
-def _nnn_cb(lattice, model, u) -> np.ndarray:
-    out = np.zeros_like(u)
-    for bond, H in zip(_BONDS, model.Hb):
-        out += _bond_apply_c(lattice, u, H, bond)
+    for bond, H in zip(BONDS, model.Hb):
+        out += bond_apply(lattice, u, H, bond)
     return out
 
 
@@ -160,12 +154,12 @@ def apply2d(op: Op2D, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected field of shape {(n, n, 2)}, got {u.shape}")
     nn = _nn_part(lattice, op.model, u)
     if op.kind == "atomistic":
-        return nn + _nnn_atomistic(lattice, op.model, u)
+        return nn + _nnn(lattice, op.model, u, _bond_apply_a)
     if op.kind == "cauchy_born":
-        return nn + _nnn_cb(lattice, op.model, u)
+        return nn + _nnn(lattice, op.model, u, _bond_apply_c)
     beta = op.blend.beta[..., None]
-    return nn + beta * _nnn_atomistic(lattice, op.model, u) \
-        + (1.0 - beta) * _nnn_cb(lattice, op.model, u)
+    return nn + beta * _nnn(lattice, op.model, u, _bond_apply_a) \
+        + (1.0 - beta) * _nnn(lattice, op.model, u, _bond_apply_c)
 
 
 @dataclass(frozen=True)
@@ -191,10 +185,10 @@ def divergence_form_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D
                        u: np.ndarray, bond: str) -> BondForm:
     """Literal evaluation of the divergence split of the b-bond named bond
     ("b1", "b2" or "b3") at zero-mean u."""
-    if bond not in _BONDS:
+    if bond not in BONDS:
         raise ValueError(f"unknown b-bond {bond!r}")
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
-    H = model.Hb[_BONDS.index(bond)]
+    H = model.Hb[BONDS.index(bond)]
     p, q = BOND_PAIRS[bond]
     beta = blend.beta
     eps = lattice.eps
@@ -227,14 +221,14 @@ def _spectral_norm(H: np.ndarray) -> float:
 
 
 def _check_support(lattice: TriLattice2D, blend: Blend2D) -> None:
-    """Third differences of beta must vanish outside the blending annulus."""
-    if not blend.margined:
-        raise ValueError("supp_beta violation: blend built without support margins")
+    """Every third difference of beta, along each of the 27 triples of a1,
+    a2, a3, must vanish outside the blending annulus Ra < ring <= Rb."""
     ring = ring_number(lattice)
     outside = (ring <= blend.Ra) | (ring > blend.Rb)
-    d3 = diff2d2(lattice, diff2d(lattice, blend.beta, "a3"), "a1", "a2")
-    if float(np.max(np.abs(d3[outside]))) > 1e-13:
-        raise ValueError("supp_beta violation: third differences leak outside")
+    *_, third = _difference_ladder(blend)
+    leak = max(float(np.max(np.abs(d3[outside]))) for d3 in third)
+    if leak > 1e-13:
+        raise ValueError(f"supp_beta violation: third differences leak outside ({leak:.3e})")
 
 
 def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
@@ -245,7 +239,9 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     boundS_b = chat eps^2 |phi''(Bb)| (||D^2 beta||_inf
                + ||D^3 beta||_inf C_P) ||Du||^2,
     with C_P = [(eps K)(eps Rb)|log(eps Rb)|]^(1/2) the blending-region
-    Poincare constant and chat a calibrated generic constant.
+    Poincare constant and chat a calibrated generic constant. They hold for
+    a weight whose third differences vanish outside the blending annulus,
+    which _check_support measures first.
     """
     _check_support(lattice, blend)
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
@@ -256,7 +252,7 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                        * abs(np.log(eps * blend.Rb))))
     slack = 1e-12 * (1.0 + gnorm2)
     per_bond = {}
-    for j, bond in enumerate(_BONDS):
+    for j, bond in enumerate(BONDS):
         norm_h = _spectral_norm(model.Hb[j])
         form = divergence_form_2d(lattice, model, blend, u, bond)
         boundR = 4.0 * eps**2 * norm_h * d1 * gnorm2
@@ -269,9 +265,7 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                 f"|S_{bond}| = {abs(form.Sb_term):.6e} exceeds bound {boundS:.6e}")
         per_bond[bond] = {"boundR": boundR, "boundS": boundS,
                           "R": form.Rb_term, "S": form.Sb_term}
-    first = per_bond["b1"]
-    return {"boundR": first["boundR"], "boundS": first["boundS"],
-            "C_P": cp, "chat": chat, "per_bond": per_bond}
+    return {"C_P": cp, "chat": chat, "per_bond": per_bond}
 
 
 def apply_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
@@ -338,7 +332,7 @@ def _blocks_shell(bonds, hessians, eps: float):
 def _blocks_nnn_c(model: PairModel2D, eps: float):
     blocks = []
     center = np.zeros((2, 2))
-    for bond, H in zip(_BONDS, model.Hb):
+    for bond, H in zip(BONDS, model.Hb):
         p, q = BOND_PAIRS[bond]
         corner = _add(p, _neg(q))
         center = center + 6.0 * H
@@ -374,7 +368,7 @@ def assemble_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D):
     eps = lattice.eps
     n = 2 * lattice.N
     dim = 2 * n * n
-    rows, cols, vals = _block_triplets(lattice, _blocks_shell(_NN, model.Ha, eps)
+    rows, cols, vals = _block_triplets(lattice, _blocks_shell(NN, model.Ha, eps)
                                        + _blocks_nnn_c(model, eps))
     C = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     A = eps**2 * C
@@ -390,13 +384,13 @@ def assemble_triplets(op: Op2D):
     """(dim, rows, cols, values) with the eps^2 weight baked in."""
     lattice, model = op.lattice, op.model
     eps = lattice.eps
-    atomistic, continuum = _blocks_shell(_BONDS, model.Hb, eps), _blocks_nnn_c(model, eps)
+    atomistic, continuum = _blocks_shell(BONDS, model.Hb, eps), _blocks_nnn_c(model, eps)
     if op.kind == "bqcf":
         nnn = [(atomistic, op.blend.beta), (continuum, 1.0 - op.blend.beta)]
     else:
         nnn = [(atomistic if op.kind == "atomistic" else continuum, None)]
     parts = [_block_triplets(lattice, blocks, scale)
-             for blocks, scale in [(_blocks_shell(_NN, model.Ha, eps), None)] + nnn]
+             for blocks, scale in [(_blocks_shell(NN, model.Ha, eps), None)] + nnn]
     rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
     return 2 * (2 * lattice.N) ** 2, rows, cols, eps**2 * vals
 

@@ -45,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from . import ops1d, ops2d
 from .lattice1d import Chain1D, inner
-from .lattice2d import TriLattice2D, inner2d
+from .lattice2d import NN, TriLattice2D, inner2d
 
 __all__ = [
     "METHODS",
@@ -209,7 +209,7 @@ def gram_D(domain) -> SparseOp:
     if isinstance(domain, TriLattice2D):
         dim = 2 * (2 * domain.N) ** 2
         rows, cols, vals = ops2d._block_triplets(
-            domain, ops2d._blocks_shell(ops2d._NN, (np.eye(2),) * 3, 1.0))
+            domain, ops2d._blocks_shell(NN, (np.eye(2),) * 3, 1.0))
         return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), ncomp=2)
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
@@ -656,14 +656,14 @@ class BlendPattern:
 
     A blended stencil is affine in the weight, row by row: A(beta) = A_0 +
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
-    at beta = 0 and beta = 1 on one CSR pattern: the entries that some
-    weight makes nonzero, stored at every weight. is_coercive(op) refills
-    the values at op's blend (values) and hands them to _Shift on a _Pinned
-    pattern, with no assembly, symmetrization or format conversion: the
-    probe builds one sparse matrix, the block it factors, and a SparseOp of
-    A(beta) only when it falls back to a value solve. op must share the
-    kind, lattice and model (equal by value) of the operator the pattern was
-    built from.
+    at beta = 0 and beta = 1 on one CSR pattern: the entries some weight
+    makes nonzero, stored at every weight (the 2D toy model's bqcf pattern
+    holds 9,216 at N = 12, 8 per row). is_coercive(op) refills the values
+    at op's blend (values) and hands them to _Shift on a _Pinned pattern,
+    with no assembly, symmetrization or format conversion: the probe builds
+    one sparse matrix, the block it factors, and a SparseOp of A(beta) only
+    when it falls back to a value solve. op must share the kind, lattice and
+    model (equal by value) of the operator the pattern was built from.
     """
 
     def __init__(self, op, G: SparseOp):

@@ -58,7 +58,7 @@ def _gamma_1d(model, N, kind, K=None):
 
 def _raw_blend_2d(lat, beta):
     # wrap an arbitrary weight array; identities do not need builder caps
-    return Blend2D(lattice=lat, beta=beta, Ra=0, Rb=lat.N, margined=False)
+    return Blend2D(lattice=lat, beta=beta, Ra=0, Rb=lat.N)
 
 
 def test_criterion_01_divergence_identities():

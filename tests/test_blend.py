@@ -221,10 +221,15 @@ def test_blend2d_measured_bounds():
 
 
 def test_blend2d_direct_construction_is_legal():
-    # raw in-memory blends skip the builder checks; bound suites gate on margined
     lat = TriLattice2D(4)
-    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, margined=False)
-    assert not bl.margined
+    bl = Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4)
+
+
+def test_blend2d_holds_no_support_flag():
+    # the bound suites measure the support of the third differences
+    lat = TriLattice2D(4)
+    with pytest.raises(TypeError):
+        Blend2D(lattice=lat, beta=np.ones((8, 8)), Ra=0, Rb=4, margined=False)
 
 
 def test_replaced_weight_carries_its_own_derived_data():

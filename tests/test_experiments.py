@@ -271,7 +271,7 @@ def test_sharpness_probe_2d_validations():
         sharpness_probe_2d(lat, model, blend, np.ones((4, 4), dtype=bool))
     rng = np.random.default_rng(0)
     noisy = type(blend)(lattice=lat, beta=rng.uniform(size=(48, 48)), Ra=4,
-                        Rb=7, margined=False)
+                        Rb=7)
     with pytest.raises(ValueError, match="varies along a3"):
         sharpness_probe_2d(lat, model, noisy, jprime)
 
@@ -463,6 +463,58 @@ def test_sweep_outputs_are_its_records(tmp_path):
     assert fit["pairs"] == [[1 / 64, 14]]
     assert sorted(fit["scan"][0]) == ["K", "eps", "fallback", "min_pivot", "negative"]
     assert [p["K"] for p in fit["scan"]] == list(range(6, 17))
+
+
+def _data_block(plot: str, name: str) -> list:
+    """The (x, y) rows of the gnuplot data block name in plot."""
+    lines = plot.splitlines()
+    start = lines.index(f"${name} << EOD") + 1
+    rows = lines[start:lines.index("EOD", start)]
+    return [tuple(map(float, row.split(","))) for row in rows]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "sweep1d", "eps": [1 / 16, 1 / 32], "kmax": 16},
+    {"experiment": "sweep2d", "case": 3, "n": [8, 16], "kappa0": 2.04, "eta": 1.0},
+])
+def test_sweep_plot_draws_the_fitted_threshold(tmp_path, cfg):
+    # 1D fits log K* against log(1/eps), 2D fits K* against the growth rate
+    _, fit, _ = _run_outputs(tmp_path, cfg)
+    assert len(fit["pairs"]) == 2
+    if cfg["experiment"] == "sweep1d":
+        def kstar(eps):
+            return np.exp(fit["intercept"]) * (1 / eps) ** fit["slope"]
+    else:
+        def kstar(eps):
+            rate = experiments._growth_rate(3, None, eps)
+            return fit["slope"] * rate + fit["intercept"]
+    drawn = _data_block((tmp_path / "plot.gp").read_text(), "fit")
+    assert [x for x, _ in drawn] == [1 / e for e, _ in fit["pairs"]]
+    assert [y for _, y in drawn] == pytest.approx([kstar(e) for e, _ in fit["pairs"]],
+                                                  rel=1e-12)
+
+
+def _refuse(constant):
+    raise ValueError(f"fit.json holds {constant}")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "sweep1d", "eps": [1 / 4, 1 / 64], "kmax": 7},
+    {"experiment": "sweep2d", "case": 1, "n": [8, 12], "kappa0": 2.04, "eta": 1.0},
+])
+def test_sweep_fits_no_line_to_fewer_than_two_thresholds(tmp_path, cfg):
+    run(cfg, out_dir=str(tmp_path))
+    fit = json.loads((tmp_path / "fit.json").read_text(), parse_constant=_refuse)
+    assert len(fit["pairs"]) < 2
+    assert (fit["slope"], fit["intercept"], fit["r2"]) == (None, None, None)
+    assert "$fit" not in (tmp_path / "plot.gp").read_text()
+
+
+def test_canary_1d_names_the_window_width(monkeypatch):
+    # the interface of a 1D blend holds 2K sites; the canary reports K
+    monkeypatch.setattr(experiments, "_IDENTITY_TOL", -1.0)
+    with pytest.raises(RuntimeError, match=r"eps=1/64, K=6:"):
+        sweep_threshold_1d(PairModel1D(1.0, -0.24), [1 / 64], 10)
 
 
 def test_run_from_config_file(tmp_path):

@@ -15,7 +15,7 @@ from bqcf.lattice2d import (
     sum_by_parts_2d_check,
 )
 
-_DIRECTIONS = ("a1", "a2", "a3", "a4", "a5", "a6", "b1", "b2", "b3",
+_DIRECTIONS = ("a1", "a2", "a3", "-a1", "-a2", "-a3", "b1", "b2", "b3",
                (-1, -1), (1, -2), (2, -1))
 
 # hexagonal point group in lattice coordinates: 60-degree rotation and mirror

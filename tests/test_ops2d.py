@@ -38,7 +38,7 @@ def _flat_blend(lat, value):
     # constant-weight Blend2D for identities that only read beta
     n = 2 * lat.N
     return Blend2D(lattice=lat, beta=np.full((n, n), float(value)), Ra=0,
-                   Rb=1, margined=False)
+                   Rb=1)
 
 
 def _dense(triplets_out):
@@ -221,7 +221,25 @@ def test_rs_bounds_monte_carlo(rng):
 def test_rs_bounds_rejects_sharp_blend(rng):
     lat = TriLattice2D(32)
     bl = _blend_2d_sharp(lat, 4, 12)
-    with pytest.raises(ValueError, match="without support margins"):
+    with pytest.raises(ValueError, match="supp_beta violation"):
+        rs_bounds_2d(lat, MODEL, bl, random_zero_mean_2d(lat, rng))
+
+
+@pytest.mark.parametrize("N, Ra, Rb", [(16, 2, 5), (24, 4, 7), (32, 4, 5), (64, 10, 40)])
+def test_rs_bounds_rejects_sharp_blends_by_their_leak(rng, N, Ra, Rb):
+    lat = TriLattice2D(N)
+    with pytest.raises(ValueError, match="supp_beta violation"):
+        rs_bounds_2d(lat, MODEL, _blend_2d_sharp(lat, Ra, Rb), random_zero_mean_2d(lat, rng))
+
+
+def test_rs_bounds_measures_a_leak_along_a1_alone(rng):
+    # beta varies along a1 only, so D_a1 D_a2 D_a3 beta vanishes everywhere
+    # while D_a1^3 beta leaks out of the annulus on every ring
+    lat = TriLattice2D(32)
+    ii, _ = lat.coords()
+    beta = np.clip((ii + 8) / 16, 0.0, 1.0) ** 3
+    bl = Blend2D(lattice=lat, beta=beta, Ra=4, Rb=12)
+    with pytest.raises(ValueError, match="supp_beta violation"):
         rs_bounds_2d(lat, MODEL, bl, random_zero_mean_2d(lat, rng))
 
 

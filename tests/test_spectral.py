@@ -102,7 +102,7 @@ def test_bqcf_matrix_is_row_blend_of_pure_kinds():
 def test_flat_blend_assembles_to_atomistic_2d():
     lat = TriLattice2D(8)
     n = 2 * lat.N
-    ones = Blend2D(lattice=lat, beta=np.ones((n, n)), Ra=0, Rb=1, margined=False)
+    ones = Blend2D(lattice=lat, beta=np.ones((n, n)), Ra=0, Rb=1)
     A_b = assemble(Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=ones)).matrix
     A_a = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)).matrix
     # center blocks accumulate in different orders, so equality is to rounding
