@@ -50,7 +50,7 @@ from .ops2d import (
     rs_bounds_2d,
 )
 from .spectral import SparseOp, StabilityReport, assemble, coercivity, gram_D
-from .config import ConfigError, ModelRangeError, format_value, load_config, parse_config
+from .config import ConfigError, ModelRangeError, format_value
 from .experiments import (
     ProbeResult,
     SweepRow,

@@ -111,7 +111,7 @@ class Blend2D(_BlendConstants):
 
     The blending annulus is Ra < ring <= Rb, and K = Rb - Ra. Whether the
     third differences of beta vanish outside the annulus is not recorded:
-    the bound suites measure it.
+    support_leak measures it, with Dbeta_max, on first read of either.
     """
 
     lattice: TriLattice2D
@@ -122,6 +122,19 @@ class Blend2D(_BlendConstants):
     @property
     def K(self) -> int:
         return self.Rb - self.Ra
+
+    @cached_property
+    def _ladder(self) -> tuple:
+        """{j: max |D^(j) beta|} and the support leak, from one ladder walk."""
+        ring = ring_number(self.lattice)
+        outside = (ring <= self.Ra) | (ring > self.Rb)
+        maxima = {}
+        for j, level in enumerate(_difference_ladder(self), start=1):
+            maxima[j] = max(float(np.max(np.abs(f))) for f in level)
+        return maxima, max(float(np.max(np.abs(f[outside]))) for f in level)
+
+    # max |D_{d_1} D_{d_2} D_{d_3} beta| outside the annulus over the 27 triples
+    support_leak = property(lambda self: self._ladder[1])
 
     eps = property(lambda self: self.lattice.eps)
 
@@ -261,14 +274,13 @@ def derivative_bounds(blend) -> dict:
     """Exact maxima {j: max |D^(j) beta|} for j = 1, 2, 3.
 
     1D scans all sites; 2D scans the difference ladder, one field per tuple
-    of positive nearest-neighbor directions. Opposite directions give the
-    same value sets (D_{-r} f(x) = -D_r f(x-r)), so the three positive
-    directions cover all six.
+    of positive nearest-neighbor directions, with the support leak in the
+    same walk. Opposite directions give the same value sets
+    (D_{-r} f(x) = -D_r f(x-r)), so the three positive directions cover all six.
     """
     if isinstance(blend, Blend1D):
         return {j: float(np.max(np.abs(d)))
                 for j, d in enumerate(diffs(blend.chain, blend.beta, 3), start=1)}
     if isinstance(blend, Blend2D):
-        return {j: max(float(np.max(np.abs(f))) for f in level)
-                for j, level in enumerate(_difference_ladder(blend), start=1)}
+        return dict(blend._ladder[0])
     raise TypeError(f"not a blend: {type(blend).__name__}")

@@ -1,6 +1,7 @@
 """Command line front end: every experiment runner as a subcommand.
 
-Flags mirror the config keys of experiments.EXPERIMENTS; a --config file is
+Flags mirror the config keys of experiments.EXPERIMENTS. A --config file,
+a JSON object of the same keys such as the config.json a run writes, is
 read first and explicit flags override it. Exit codes: 0 all checks passed,
 1 a check failed, 2 malformed config or arguments.
 """
@@ -8,9 +9,10 @@ read first and explicit flags override it. Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .config import ConfigError, _value, load_config
+from .config import ConfigError, _value
 from .experiments import EXPERIMENTS, _When, run
 
 __all__ = ["main"]
@@ -40,33 +42,44 @@ def _build_parser() -> argparse.ArgumentParser:
     # value grammar so ranges like 1/128..1/2048 and lists like 8,16,32 work
     for name, keys in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--config", help="JSON object of config keys, such as a "
+                       "run's config.json; flags override it")
+        p.add_argument("--out", default="bqcf_out", help="output directory")
         for key, spec in keys.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=_help(spec))
     return parser
 
 
+def _read_config(path: str, experiment: str) -> dict:
+    """The config keys of a --config file: a JSON object, values as typed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:      # ValueError: not JSON
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path!r} holds a JSON {type(cfg).__name__}, "
+                          f"not an object of config keys")
+    if cfg.get("experiment", experiment) != experiment:
+        raise ConfigError(f"config {path!r} is for experiment {cfg['experiment']!r}, "
+                          f"not {experiment}")
+    return cfg
+
+
 def _assemble_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if args.config:
-        cfg.update(load_config(args.config))
+    cfg = _read_config(args.config, args.experiment) if args.config else {}
     for key in EXPERIMENTS[args.experiment]:
         raw = getattr(args, key, None)
         if raw is not None:
             cfg[key] = _value(raw, key)
-    if args.out is not None:                    # a path, not a config value
-        cfg["out"] = args.out
     cfg["experiment"] = args.experiment
     return cfg
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _assemble_config(args)
-        return run(cfg, cfg.get("out"))
+        return run(_assemble_config(args), args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,24 +1,22 @@
-"""Flat key=value experiment configuration.
+"""Config values: the grammar of command line flag values, and their
+rendering for rows.csv.
 
-Grammar, one entry per line:
-
-    key = value        # trailing comments stripped
-
-Values parse as int, float, fraction ("1/128"), a doubling range of
-fractions ("1/128..1/2048" expands by doubling the denominator), an
-integer range ("4..8" expands by +1), a comma list of any scalar, or a
-bare string. Keys are dotted lowercase.
+A flag value parses as an int, a float, a fraction ("1/128"), a doubling
+range of fractions ("1/128..1/2048" expands by doubling the denominator),
+an integer range ("4..8" expands by +1), a comma list of any scalar, or a
+bare string. A config file (--config) is JSON and its values are not
+parsed by this grammar.
 """
 
 from __future__ import annotations
 
 import re
 
-__all__ = ["ConfigError", "ModelRangeError", "parse_config", "load_config", "format_value"]
+__all__ = ["ConfigError", "ModelRangeError", "format_value"]
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; message carries the offending line."""
+    """Malformed configuration; the message names the key, value or file."""
 
 
 class ModelRangeError(ValueError):
@@ -81,35 +79,9 @@ def _value(tok: str, where: str):
     return _scalar(tok, where)
 
 
-def parse_config(text: str) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if not key or not re.fullmatch(r"[A-Za-z0-9_.\-]+", key):
-            raise ConfigError(f"line {lineno}: bad key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _value(val, f"line {lineno}")
-    return out
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
 def format_value(v) -> str:
-    """Render a parsed value back to config/CSV text (17 significant digits);
-    None, a field that does not apply, renders empty."""
+    """Render a value as flag/CSV text (17 significant digits); None, a field
+    that does not apply, renders empty."""
     if v is None:
         return ""
     if isinstance(v, float):

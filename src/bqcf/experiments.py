@@ -5,8 +5,8 @@ coercivity, by an inertia scan of the whole window with pencil solves only
 at K*-1 and K*, and regress its growth against the mesh parameter; sharpness
 probes evaluate the constructed instability witnesses; trace_check verifies
 the annulus trace inequality by quadrature. run() drives any of these from
-a flat key=value config and writes rows.csv / fit.json / summary.txt /
-plot.gp for reproduction.
+a config mapping and writes rows.csv / fit.json / summary.txt / plot.gp,
+and config.json, the config it read, from which the run replays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import ops1d, ops2d
 from .blend import (PROFILES, Blend1D, Blend2D, _blend_2d_sharp, blend_from_samples,
                     build_blend_1d)
-from .config import ConfigError, ModelRangeError, format_value, load_config
+from .config import ConfigError, ModelRangeError, format_value
 from .lattice1d import Chain1D, diff, norms, project_zero_mean, random_zero_mean
 from .lattice2d import (BONDS, TriLattice2D, diff2d, inner2d, make_regions,
                         random_zero_mean_2d, ring_number)
@@ -870,7 +870,7 @@ _IDS_1D, _IDS_2D = ("all", "identities-1d"), ("all", "identities-2d")
 _KINDS_2D, _BLENDED_2D = ops2d._KINDS + ("ltilde",), ops2d._BLENDED + ("ltilde",)
 _BLENDED_KINDS = tuple(dict.fromkeys(ops1d._BLENDED + _BLENDED_2D))
 
-# The config keys each experiment reads besides experiment and out, each at
+# The config keys each experiment reads besides experiment, each at
 # its default; a value set must have the default's type (an int passes as a
 # float, one value as a one-item list). A tuple holds the choices, the first
 # the default; a bare type leaves the key None for its runner to derive; _only
@@ -938,7 +938,7 @@ def _resolve(name: str, cfg: dict) -> dict:
     EXPERIMENTS entry, checked, or at its default when cfg does not set it.
     A key set where the values of other keys leave it unread is an error."""
     table = EXPERIMENTS[name]
-    unread = sorted(set(cfg) - {"experiment", "out"} - set(table))
+    unread = sorted(set(cfg) - {"experiment"} - set(table))
     if unread:
         raise ConfigError(f"{name} does not read {', '.join(unread)}; its keys "
                           f"are {', '.join(table)}")
@@ -966,42 +966,52 @@ def _write_rows(path: str, rows: list) -> None:
         w.writerows({k: format_value(v) for k, v in row.items()} for row in rows)
 
 
-def run(config, out_dir: Optional[str] = None) -> int:
-    """Execute one named experiment from a config mapping or file path.
+def _replay_config(name: str, cfg: dict) -> dict:
+    """experiment and the keys of cfg its runner read, less None (derived) ones."""
+    table = EXPERIMENTS[name]
+    keys = {key: value for key, value in cfg.items() if value is not None
+            and (not isinstance(table[key], _When) or table[key].holds(cfg))}
+    return {"experiment": name, **keys}
 
-    Writes rows.csv, fit.json, summary.txt and plot.gp into the output
-    directory and returns the exit code: 0 when every check passed, 1 when
-    a check failed. Malformed configs, keys the experiment does not read,
-    and values of the wrong type or outside their choices raise ConfigError
-    (exit code 2 at the command line) before the experiment starts."""
-    cfg = load_config(config) if isinstance(config, str) else dict(config)
-    name = cfg.get("experiment")
+
+def _write_json(path: str, obj) -> None:
+    # strict JSON: a NaN or infinity raises here instead of being written
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def run(config: dict, out_dir: str = "bqcf_out") -> int:
+    """Execute the experiment a config mapping names, into out_dir.
+
+    Writes rows.csv, fit.json, summary.txt, plot.gp and config.json, the
+    config to replay the run with, and returns the exit code: 0 when every
+    check passed, 1 when a check failed. Malformed configs, keys the
+    experiment does not read, and values of the wrong type or outside their
+    choices raise ConfigError (exit code 2 at the command line) before the
+    experiment starts."""
+    name = config.get("experiment")
     if name not in _RUNNERS:
         raise ConfigError(f"unknown or missing experiment {name!r}; "
                           f"expected one of {sorted(_RUNNERS)}")
-    if not isinstance(cfg.get("out", ""), str):
-        raise ConfigError(f"out {cfg['out']!r} is not a path")
-    out = out_dir or cfg.get("out") or "bqcf_out"
-    cfg = _resolve(name, cfg)                   # before the output directory exists
-    os.makedirs(out, exist_ok=True)
+    cfg = _resolve(name, config)                # before the output directory exists
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "config.json"), _replay_config(name, cfg))
     try:
         rows, fit, checks, plot = _RUNNERS[name](cfg)
     except ModelRangeError as err:              # a value the library rejects
         raise ConfigError(str(err)) from err
 
-    _write_rows(os.path.join(out, "rows.csv"), rows)
-    # strict JSON: a NaN or infinity raises here instead of being written
-    text = json.dumps(fit, indent=2, sort_keys=True, allow_nan=False)
-    with open(os.path.join(out, "fit.json"), "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    with open(os.path.join(out, "plot.gp"), "w", encoding="utf-8") as fh:
+    _write_rows(os.path.join(out_dir, "rows.csv"), rows)
+    _write_json(os.path.join(out_dir, "fit.json"), fit)
+    with open(os.path.join(out_dir, "plot.gp"), "w", encoding="utf-8") as fh:
         fh.write(plot)
     ok = all(passed for _, passed, _ in checks)
     lines = [f"experiment: {name}"]
     lines += [f"{'PASS' if passed else 'FAIL'} {cname}: {detail}"
               for cname, passed, detail in checks]
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     if not ok:

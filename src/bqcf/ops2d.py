@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .blend import Blend2D, _difference_ladder
+from .blend import Blend2D
 from .config import ModelRangeError
 from .lattice2d import (
     BONDS,
@@ -220,17 +220,6 @@ def _spectral_norm(H: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(H))))
 
 
-def _check_support(lattice: TriLattice2D, blend: Blend2D) -> None:
-    """Every third difference of beta, along each of the 27 triples of a1,
-    a2, a3, must vanish outside the blending annulus Ra < ring <= Rb."""
-    ring = ring_number(lattice)
-    outside = (ring <= blend.Ra) | (ring > blend.Rb)
-    *_, third = _difference_ladder(blend)
-    leak = max(float(np.max(np.abs(d3[outside]))) for d3 in third)
-    if leak > 1e-13:
-        raise ValueError(f"supp_beta violation: third differences leak outside ({leak:.3e})")
-
-
 def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
                  u: np.ndarray, chat: float = 8.0) -> dict:
     """Per-bond bounds for the R and S error terms, checked against measures.
@@ -241,9 +230,12 @@ def rs_bounds_2d(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
     with C_P = [(eps K)(eps Rb)|log(eps Rb)|]^(1/2) the blending-region
     Poincare constant and chat a calibrated generic constant. They hold for
     a weight whose third differences vanish outside the blending annulus,
-    which _check_support measures first.
+    along each of the 27 triples of a1, a2, a3: a blend whose support_leak
+    exceeds 1e-13 raises ValueError.
     """
-    _check_support(lattice, blend)
+    if blend.support_leak > 1e-13:
+        raise ValueError(f"supp_beta violation: third differences leak outside "
+                         f"({blend.support_leak:.3e})")
     u = project_zero_mean_2d(np.asarray(u, dtype=float))
     eps = lattice.eps
     gnorm2 = grad_norm_sq_2d(lattice, u)

@@ -273,3 +273,24 @@ def test_bound_functions_measure_a_blend_once(monkeypatch, rng):
         ops2d.rs_bounds_2d(lat, model, bl2, random_zero_mean_2d(lat, rng))
         ops1d.rst_bounds(bl1, rng.standard_normal(ch.nsites))
     assert measured == [bl2, bl1]
+
+
+def test_rs_bounds_walks_a_blends_difference_ladder_once(monkeypatch, rng):
+    # the support leak and the maxima come from one walk, kept on the blend;
+    # the spy stands in for the ladder under every name it is imported by
+    walks = []
+    ladder = blend_module._difference_ladder
+
+    def spy(blend):
+        walks.append(blend)
+        return ladder(blend)
+
+    lat = TriLattice2D(32)
+    bl = replace(build_blend_2d(lat, 4, 12))    # unmeasured: the builder measured its own
+    model = hessians_from_radial(morse(), np.eye(2))
+    for module in (blend_module, ops2d):
+        monkeypatch.setattr(module, "_difference_ladder", spy, raising=False)
+    for _ in range(2):
+        ops2d.rs_bounds_2d(lat, model, bl, random_zero_mean_2d(lat, rng))
+    assert walks == [bl]
+    assert bl.support_leak <= 1e-13

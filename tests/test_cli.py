@@ -109,8 +109,8 @@ def test_sharp1d_reports_the_window_width_passed(tmp_path):
 
 
 def test_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "verify.cfg"
-    cfg.write_text("experiment = verify\ndraws = 2\nn1d = 8\nn2d = 4\n")
+    cfg = tmp_path / "verify.json"
+    cfg.write_text('{"experiment": "verify", "draws": 2, "n1d": [8], "n2d": 4}')
     out = tmp_path / "o"
     code = main(["verify", "--config", str(cfg), "--draws", "3",
                  "--out", str(out)])
@@ -125,6 +125,35 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code = main(["sweep1d", "--config", str(cfg)])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),
+    ('{"eps": 1/128}', "Expecting ',' delimiter"),
+    ('[{"eps": 0.0078125}]', "holds a JSON list, not an object of config keys"),
+    ('{"experiment": "sweep2d"}', "is for experiment 'sweep2d', not sweep1d"),
+    # a file value is typed JSON, not parsed by the flag grammar
+    ('{"eps": "1/128"}', "eps must be float, got '1/128'")],
+    ids=["missing-file", "invalid-json", "json-array", "other-experiment", "string-eps"])
+def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["sweep1d", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_replayed_run_writes_the_same_files(tmp_path):
+    # config.json holds every key the run read, so --config replays it
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["stability", "--space", "2d", "--kind", "ltilde", "--out", str(first)]) == 0
+    assert main(["stability", "--config", str(first / "config.json"),
+                 "--out", str(again)]) == 0
+    for name in ("rows.csv", "fit.json", "summary.txt", "plot.gp", "config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_unstable_1d_model_exits_2(tmp_path, capsys):
@@ -285,13 +314,18 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_out_is_a_path_not_a_config_value(tmp_path, monkeypatch):
-    # "2024" would read as an int through the config value grammar
+def test_out_is_a_path_not_a_config_value(tmp_path, monkeypatch, capsys):
+    # "2024" would read as an int through the flag value grammar
     monkeypatch.chdir(tmp_path)
     assert main(["poincare", "--n", "8", "--out", "2024"]) == 0
     assert (tmp_path / "2024" / "summary.txt").exists()
-    with pytest.raises(ConfigError, match="out 7 is not a path"):
-        experiments.run({"experiment": "poincare", "n": [8], "out": 7})
+    with pytest.raises(ConfigError, match="poincare does not read out"):
+        experiments.run({"experiment": "poincare", "n": [8], "out": "o"})
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"experiment": "poincare", "n": [8], "out": "o"}')
+    assert main(["poincare", "--config", str(cfg)]) == 2
+    assert "config error: poincare does not read out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_stability_profile_flag(tmp_path):
@@ -363,8 +397,8 @@ def test_console_script_smoke(tmp_path):
     assert (out / "summary.txt").exists()
 
     # the exit code of main() reaches the caller, not a blanket 0
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("phiF 1.0\n")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"phiF": "one"}')
     proc = subprocess.run(
         cmd + ["sweep1d", "--config", str(cfg)],
         capture_output=True, text=True, timeout=300, env=env)

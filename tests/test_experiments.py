@@ -8,6 +8,7 @@ import pytest
 
 from bqcf import experiments, ops1d, ops2d
 from bqcf.blend import _blend_2d_sharp, build_blend_1d
+from bqcf.cli import main
 from bqcf.config import ConfigError
 from bqcf.experiments import (
     _threshold_at_size,
@@ -518,11 +519,14 @@ def test_canary_1d_names_the_window_width(monkeypatch):
 
 
 def test_run_from_config_file(tmp_path):
-    cfg = tmp_path / "stability.cfg"
-    cfg.write_text("experiment = stability\nspace = 1d\nn = 16\nk = 8\n")
+    # the command line reads a config file; run() takes the mapping
+    cfg = tmp_path / "stability.json"
+    cfg.write_text('{"experiment": "stability", "space": "1d", "n": 16, "k": 8}')
     out = tmp_path / "stab_out"
-    assert run(str(cfg), out_dir=str(out)) == 0
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
     assert "gamma" in (out / "fit.json").read_text()
+    assert run(json.loads(cfg.read_text()), out_dir=str(tmp_path / "again")) == 0
+    assert (tmp_path / "again" / "rows.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 def test_run_reports_failed_checks(tmp_path):
@@ -549,11 +553,9 @@ def test_run_rejects_keys_the_experiment_does_not_read(tmp_path):
     for name in ("sweep1d", "sweep2d"):
         with pytest.raises(ConfigError, match=f"{name} does not read dense_threshold"):
             run({"experiment": name, "dense_threshold": 1000}, out_dir=str(tmp_path / name))
-    # the config grammar accepts hyphens in keys; the poincare runner reads rb_frac
-    cfg = tmp_path / "poincare.cfg"
-    cfg.write_text("experiment = poincare\nrb-frac = 0.25\n")
+    # a JSON config may spell a key with a hyphen; the poincare runner reads rb_frac
     with pytest.raises(ConfigError, match="poincare does not read rb-frac"):
-        run(str(cfg), out_dir=str(tmp_path / "q"))
+        run({"experiment": "poincare", "rb-frac": 0.25}, out_dir=str(tmp_path / "q"))
     # the verdict windows are constants of their checks, not config keys
     for name, key in (("sweep1d", "slope_window"), ("sweep1d", "r2_min"),
                       ("sweep2d", "growth_slack"), ("poincare", "window")):
@@ -611,3 +613,31 @@ def test_resolved_config_has_every_key_at_its_type():
             experiments._resolve("stability", {"n": value})
     with pytest.raises(ConfigError, match="unknown case 2.0"):
         experiments._resolve("sweep2d", {"case": 2.0})
+
+
+def _replay_cases():
+    """One config per value of each experiment's selector keys: verify's
+    suite, sweep2d's case, and stability's space with each of its kinds."""
+    yield from ({"experiment": "verify", "suite": suite}
+                for suite in experiments.EXPERIMENTS["verify"]["suite"])
+    yield from ({"experiment": "sweep2d", "case": case} for case in (1, 2, 3))
+    for space, kinds in (("1d", ops1d._KINDS), ("2d", experiments._KINDS_2D)):
+        yield from ({"experiment": "stability", "space": space, "kind": kind}
+                    for kind in kinds)
+    yield {"experiment": "stability", "space": "2d", "kind": "bqcf", "n": 12, "k": 4,
+           "ra": 2, "profile": "cosine", "eta": 0.2}
+    for name in ("sweep1d", "sharp1d", "sharp2d", "poincare", "trace"):
+        yield {"experiment": name}
+
+
+@pytest.mark.parametrize("cfg", list(_replay_cases()),
+                         ids=lambda c: "-".join(map(str, c.values())))
+def test_written_config_resolves_to_the_run_config(tmp_path, monkeypatch, cfg):
+    # config.json holds experiment and the keys the runner read, resolved:
+    # no key a replay would reject as unread, none the runner derives (None)
+    name = cfg["experiment"]
+    monkeypatch.setitem(experiments._RUNNERS, name, lambda resolved: ([], {}, [], ""))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    written = json.loads((tmp_path / "config.json").read_text())
+    assert written["experiment"] == name and None not in written.values()
+    assert experiments._resolve(name, written) == experiments._resolve(name, cfg)
