@@ -50,11 +50,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members, rejecting a key given twice."""
+    cfg = {}
+    for key, value in pairs:
+        if key in cfg:
+            raise ConfigError(f"key {key!r} given twice")
+        cfg[key] = value
+    return cfg
+
+
 def _read_config(path: str, experiment: str) -> dict:
-    """The config keys of a --config file: a JSON object, values as typed."""
+    """The config keys of a --config file: a JSON object, values as typed,
+    each key once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:      # ValueError: not JSON
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -391,8 +391,12 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     """Extremal ratio sup ||u||^2_(blending region) / ||Du||^2 over zero-mean u.
 
     Computed as the maximum eigenvalue of the (mask, Gram) pencil by
-    coercivity(**solver) on the negated mask form. x0 defaults to a radial
-    bump, so no start vector is drawn and a seed changes nothing.
+    coercivity(**solver) on the negated mask form. Both forms act on each
+    displacement component alike (the mask weighs |u|^2 = u_1^2 + u_2^2 per
+    site, gram_D's 2D blocks are identities), so the vector pencil is two
+    copies of a scalar one with the same supremum: it is solved on one
+    component, (2N)^2 coordinates. x0 defaults to a radial bump, so no start
+    vector is drawn and a seed changes nothing.
     """
     from .spectral import SparseOp, coercivity, gram_D
 
@@ -401,17 +405,15 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     mask = regions.mask(1)
     if not mask.any():
         return 0.0
-    n = 2 * lattice.N
-    dim = 2 * n * n
+    dim = (2 * lattice.N) ** 2
     sites = np.flatnonzero(mask.ravel())
-    idx = np.concatenate([2 * sites, 2 * sites + 1])
-    vals = np.full(idx.size, -lattice.eps**2)
-    M = SparseOp(sp.csr_matrix((vals, (idx, idx)), shape=(dim, dim)))
+    vals = np.full(sites.size, -lattice.eps**2)
+    M = SparseOp(sp.csr_matrix((vals, (sites, sites)), shape=(dim, dim)))
+    G = SparseOp(gram_D(lattice).matrix[0::2, 0::2], ncomp=1)
     # start from a radial cosine bump about the annulus center: its ratio is
     # about 3/4 of the supremum, which places the first shift below it
     reach = min(3 * regions.Rb, lattice.N)
-    bump = np.zeros((n, n, 2))
-    bump[..., 0] = np.cos(np.pi * np.minimum(ring_number(lattice), reach) / reach)
+    bump = np.cos(np.pi * np.minimum(ring_number(lattice), reach) / reach)
     solver.setdefault("x0", bump.ravel())
-    report = coercivity(M, gram_D(lattice), **solver)
+    report = coercivity(M, G, **solver)
     return -report.gamma

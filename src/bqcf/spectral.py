@@ -201,6 +201,9 @@ def gram_D(domain) -> SparseOp:
     It is the nearest-neighbor stencil with unit stiffness: the 1D circulant
     (2, -1, -1) / eps, and in 2D the nearest bond shell with identity
     Hessians (the eps^2 weight and the 1/eps^2 of the quotients cancel).
+    Identity Hessians couple no two components, so the 2D form is one
+    scalar nearest-neighbor Laplacian on each: matrix[0::2, 0::2] on the
+    (2N)^2 sites, which poincare_discrete solves against.
     """
     if isinstance(domain, Chain1D):
         n = domain.nsites
@@ -355,9 +358,13 @@ class _Shift:
     D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
     (|U| |Y|), three compiled products with the factor's own copies of L
     and U, overwritten in place, so no temporary is the factor's size. Of
-    the factor it keeps only its solve and nnz, so nothing later can read
-    those copies as L and U. The Woodbury operator Cinv is built on the
-    first solve(), so a sign probe never builds it.
+    the factor it keeps only its solve and nnz, so nothing later reads
+    those copies as L and U. They are not freed with the rest: the bound
+    solve keeps the SuperLU object, on which scipy caches both copies, so
+    they stay allocated beside SuperLU's own factor while the shift or its
+    solve lives (at the 2D Morse atomistic N = 24 shift, tracemalloc sees
+    24.5 MB of copies and not SuperLU's factor). The Woodbury operator
+    Cinv is built on the first solve(), so a sign probe never builds it.
     """
 
     def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):

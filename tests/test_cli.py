@@ -133,8 +133,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ('[{"eps": 0.0078125}]', "holds a JSON list, not an object of config keys"),
     ('{"experiment": "sweep2d"}', "is for experiment 'sweep2d', not sweep1d"),
     # a file value is typed JSON, not parsed by the flag grammar
-    ('{"eps": "1/128"}', "eps must be float, got '1/128'")],
-    ids=["missing-file", "invalid-json", "json-array", "other-experiment", "string-eps"])
+    ('{"eps": "1/128"}', "eps must be float, got '1/128'"),
+    # json.load alone would keep the last value
+    ('{"eps": 0.0078125, "eps": 0.00390625}', "key 'eps' given twice")],
+    ids=["missing-file", "invalid-json", "json-array", "other-experiment", "string-eps",
+         "repeated-key"])
 def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "config.json"
     if text is not None:

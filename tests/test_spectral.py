@@ -150,6 +150,15 @@ def test_gram_2d(rng):
         assert float(x @ (M @ x)) == pytest.approx(want, rel=1e-11)
 
 
+@pytest.mark.parametrize("N", [4, 8])
+def test_gram_2d_components_decouple(N):
+    # poincare_discrete solves on one component: no entry couples the two,
+    # and each component carries the same scalar form
+    M = gram_D(TriLattice2D(N)).matrix
+    assert M[0::2, 1::2].nnz == 0
+    assert (M[0::2, 0::2] != M[1::2, 1::2]).nnz == 0
+
+
 def test_gram_rejects_unknown_domain():
     with pytest.raises(TypeError, match="no Gram form"):
         gram_D(3.0)
@@ -267,7 +276,7 @@ def _shifted_forms(domain):
         Ra = domain.N // 8
         force = Op2D(kind="bqcf", lattice=domain, model=model,
                      blend=_blend_2d_sharp(domain, Ra, Ra + domain.N // 8))
-        # the Poincare ratio's mask on the annulus, as poincare_discrete builds it
+        # the Poincare ratio's mask on the annulus, on both components
         sites = np.flatnonzero(make_regions(domain, Ra, domain.N // 4).mask(1).ravel())
         idx, weight = np.concatenate([2 * sites, 2 * sites + 1]), domain.eps ** 2
     dim = assemble(energy).dim
@@ -372,7 +381,25 @@ def test_iterative_solve_counts_poincare(monkeypatch):
     ops2d.poincare_discrete(lat, make_regions(lat, 4, 8), seed=1)
     (A, G, rep), = reports
     assert rep.method == "iterative" and rep.iterations <= 12
+    # the pencil is solved on one displacement component, with one factor
+    assert G.ncomp == 1 and G.dim == (2 * lat.N) ** 2
+    assert rep.factorizations == 1
     _certified_shift(A, G, rep)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_poincare_matches_the_two_component_pencil(N):
+    # the supremum over vector fields is the scalar one: the dense maximum of
+    # the mask on both coordinates against the two-component Gram form
+    lat = TriLattice2D(N)
+    regions = make_regions(lat, N // 8, N // 4)
+    sites = np.flatnonzero(regions.mask(1).ravel())
+    idx = np.concatenate([2 * sites, 2 * sites + 1])
+    G = gram_D(lat)
+    M = SparseOp(scipy.sparse.csr_matrix((np.full(idx.size, -lat.eps**2), (idx, idx)),
+                                         shape=(G.dim, G.dim)))
+    want = -coercivity(M, G, method="dense").gamma
+    assert ops2d.poincare_discrete(lat, regions) == pytest.approx(want, rel=1e-10)
 
 
 def test_thick_restart_keeps_converging(monkeypatch):
@@ -764,7 +791,7 @@ def test_dense_path_matches_full_qr(problem):
                           blend=_blend_2d_sharp(lat, 1, 4))).sym_matrix
         G = gram_D(lat)
     else:
-        # the negated blending-region mass form poincare_discrete solves
+        # the negated blending-region mass form, on both components
         lat = TriLattice2D(8)
         sites = np.flatnonzero(make_regions(lat, 1, 3).mask(1).ravel())
         idx = np.concatenate([2 * sites, 2 * sites + 1])
