@@ -93,6 +93,16 @@ class TriLattice2D:
         c = np.arange(2 * self.N) - self.N + 1
         return np.meshgrid(c, c, indexing="ij")
 
+    def inversion(self, ncomp: int = 1) -> np.ndarray:
+        """Inversion x -> -x through the origin as a coordinate permutation:
+        the flat index of -x's coordinates for each of x's, ncomp per site,
+        components kept. Array position p maps to (2N - 2 - p) mod 2N on
+        both axes; N = 1 fixes every site."""
+        n = 2 * self.N
+        p = (n - 2 - np.arange(n)) % n
+        sites = (p[:, None] * n + p).ravel()
+        return (ncomp * sites[:, None] + np.arange(ncomp)).ravel()
+
 
 def shift_field(u: np.ndarray, d) -> np.ndarray:
     """Field evaluated at x + d: periodic roll by the index offset d."""

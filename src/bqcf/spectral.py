@@ -29,6 +29,19 @@ a threshold scan refills that pattern at each blend (BlendPattern) and
 assembles nothing per probe. Every value solve takes this path unless
 its caller asks for method "dense": a dense eigh of the same pinned
 pencil, the reference the sparse one is checked against.
+
+A pencil that commutes with a coordinate involution splits in two
+(symmetry-adapted bases; Fassler and Stiefel, 1992). SparseOp.mirror
+declares one: inversion through the lattice origin, which assemble sets
+on a 2D operator whose blend, if any, maps to itself, and
+poincare_discrete on its annulus form. _Pinned builds the even block (u(-x)
+= u(x)), which holds the constant shifts and is pinned as above, and the
+odd block, which has no kernel: no pinning and no capacitance. Counts add
+over the blocks, a count is trusted when every block's is, and the
+Lanczos runs on their direct sum. The folded blocks fill far less under
+the fill-reducing ordering than the whole pencil on the torus. An
+operator with no mirror (1D, L-tilde, an asymmetric blend) is one block:
+the same code with the trivial involution.
 """
 
 from __future__ import annotations
@@ -80,11 +93,14 @@ class SparseOp:
     symmetric matrix it holds the same values. A Gram form sets ncomp, its
     coordinates per site: its nullspace is the constant shifts, whose
     orthonormal basis is kernel, and the zero-mean space of the pencil is
-    their orthogonal complement.
+    their orthogonal complement. mirror, when set, is a coordinate
+    involution that maps the operator to itself, A[mirror][:, mirror] = A;
+    the pencil solves split by it (_Pinned checks that it holds).
     """
 
     matrix: sp.csr_matrix = field(repr=False)
     ncomp: Optional[int] = None
+    mirror: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
@@ -114,9 +130,10 @@ class SparseOp:
 class StabilityReport:
     """Result of a pencil solve: gamma and its certified minimizer. On the
     iterative path, iterations counts the shifted solves, factorizations
-    every factorization (the search for a certified shift and the
-    re-shift), shift is the last certified shift, the one the solve ended
-    at, and nnz its factor's nonzeros."""
+    the shift trials (the search for a certified shift and the re-shift),
+    each of which factors every block of the pencil, shift is the last
+    certified shift, the one the solve ended at, and nnz its factors'
+    nonzeros, summed over the blocks."""
 
     gamma: float
     minimizer: np.ndarray = field(repr=False)
@@ -133,7 +150,8 @@ class InertiaReport:
     """Answer to the sign question gamma > tau, with the evidence behind it.
 
     negative counts the negative eigenvalues of sym(A) - tau G on the
-    zero-mean space, read off the pivots and the capacitance of _Shift;
+    zero-mean space, read off the pivots and the capacitance of _Shift and
+    summed over the pencil's blocks;
     min_pivot is the pivot or capacitance eigenvalue magnitude that came
     closest to its rounding bound, and margin is that bound. method
     is "inertia" when the signs decided and the value path ("dense" or
@@ -158,11 +176,24 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic. Entries that the stencil's sums leave zero are
     not stored; BlendPattern keeps an entry that is zero at one weight and
-    not at another.
+    not at another. A 2D operator declares its inversion as its mirror
+    when its blend, if it has one, maps to itself exactly.
     """
     A = _stencil(op)
     A.eliminate_zeros()
-    return SparseOp(A)
+    return SparseOp(A, mirror=_inversion(op))
+
+
+def _inversion(op) -> Optional[np.ndarray]:
+    """The coordinates of inversion through the lattice origin for a 2D
+    operator whose blend, if any, maps to itself exactly; None otherwise."""
+    if not isinstance(op, ops2d.Op2D):
+        return None
+    if op.blend is not None:
+        beta = op.blend.beta.ravel()
+        if not np.array_equal(beta[op.lattice.inversion()], beta):
+            return None
+    return op.lattice.inversion(2)
 
 
 def _stencil(op) -> sp.csr_matrix:
@@ -259,67 +290,158 @@ def _numbered(M: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr), shape=M.shape)
 
 
-class _Pinned:
-    """sym(A) - sigma G on the zero-mean space in pinned coordinates, on one
-    sparsity pattern for every value of A's entries and every sigma.
+def _image(key: np.ndarray, mirror: np.ndarray) -> Optional[np.ndarray]:
+    """The stored entry at each stored entry's image under the coordinate
+    permutation mirror, for a matrix's keys (_keys); None when its pattern
+    does not map onto itself exactly."""
+    n = mirror.size
+    image = mirror[key // n] * n + mirror[key % n]
+    order = np.argsort(key)
+    at = order[np.searchsorted(key, image, sorter=order).clip(max=key.size - 1)]
+    return at if np.array_equal(key[at], image) else None
 
-    The pattern is the union of A's, A^T's and G's. A scatter map places
-    A's stored entries in it and the transpose map sends each of its
-    entries to its mirror entry; G's values and G's pattern on the block
-    are scattered once. The kernel k is the constant shifts, one value
-    k[0, 0] per row, so each entry adds k[0, 0] times its value to one slot
-    of s = sym(A) k, its row's at its column's coordinate; the slots and
-    the block's columns and row pointers are O(nnz) arrays, built once.
+
+def _defect(data: np.ndarray, image: np.ndarray) -> float:
+    """The largest change of a matrix's stored values under its mirror."""
+    return float(np.abs(data[image] - data).max(initial=0.0))
+
+
+def _commutes(name: str, data: np.ndarray, image: Optional[np.ndarray]) -> float:
+    """_defect of the stored values data, whose images _image gave; raises
+    ValueError when the pattern does not map onto itself or the defect
+    exceeds 1e-13 of the largest value."""
+    defect = np.inf if image is None else _defect(data, image)
+    if not defect <= 1e-13 * np.abs(data).max(initial=0.0):
+        raise ValueError(f"the {name} does not commute with its mirror")
+    return defect
+
+
+def _bases(mirror: np.ndarray, kernel: np.ndarray):
+    """((pos, coef, rep), kernel) of the even and the odd block of an
+    involution. A block's basis B is given by the column pos[i] that holds
+    coordinate i (-1 for none) and its entry coef[i] there: e_i for a
+    fixed coordinate, (e_i +- e_mirror(i)) / sqrt(2) for a pair, the + sign
+    at the smaller coordinate, its representative (rep). Block coordinates
+    follow their representatives' order, so the first site's m coordinates
+    lead the even block, whose kernel is B^T kernel (sqrt(2) k on a pair, k
+    on a fixed coordinate). The odd block holds no constant shift; it is
+    left out when the involution fixes every coordinate."""
+    n = mirror.size
+    pair = mirror != np.arange(n)
+    rep = np.arange(n) <= mirror
+    coef = np.where(pair, np.sqrt(0.5), 1.0)
+    bases = []
+    for sign, held in ((1.0, rep), (-1.0, rep & pair)):
+        reps = np.flatnonzero(held)
+        if reps.size == 0:
+            continue
+        pos = np.full(n, -1, dtype=np.int32)
+        pos[reps] = pos[mirror[reps]] = np.arange(reps.size)
+        bases.append(((pos, np.where(rep, coef, sign * coef), rep),
+                      kernel[reps] / coef[reps, None] if sign > 0 else None))
+    return bases
+
+
+class _Block:
+    """One diagonal block B^T (sym(A) - sigma G) B of the pencil, on one
+    sparsity pattern for every value of A's entries and every sigma, in
+    pinned coordinates when it holds the constant shifts (kernel).
+
+    A and G commute with the involution, so a block entry (a, b) is
+    coef[r]^-1 sum_c coef[c] M[r, c] over the columns c of orbit b in the
+    row r that represents orbit a: each entry of the pencil's pattern (P,
+    the union of A's, A^T's and G's) in a representative row folds, with
+    its weight, into one entry of the block, and the block's pattern is
+    what they fold into. Scatter maps place A's weighted entries in it and
+    the transpose map sends each of its entries to its transposed one; G's
+    values and G's pattern on the block are scattered once. Each entry adds
+    its value times the kernel's value at its column to one slot of s =
+    sym(A) k, its row's at its column's component; the slots and the
+    block's columns and row pointers are O(nnz) arrays, built once.
     block(a, sigma), a the values on A's canonical CSR pattern, scatters
     them and sums sym(A) - sigma G on the pattern, sym(A) = (A + A^T) / 2
     whether or not A is symmetric, forms the rank-2m update from s with one
     weighted bincount, and keeps the block past the first site's m rows and
     columns, less its exact zeros off G's pattern: the nonzero set of
     sym(A) summed with G's pattern, so that SuperLU orders and fills it as
-    it would the summed matrices, whatever sigma. A probe is O(nnz) array
-    work and one sparse matrix, the block. G, the Gram form, must be
-    symmetric.
+    it would the summed matrices, whatever sigma. A block without a kernel
+    pins nothing. A probe is O(nnz) array work and one sparse matrix, the
+    block. With the trivial involution the block is the whole pencil.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: SparseOp):
-        self.kernel = G.kernel
-        n, m = self.kernel.shape
-        G = G.matrix
-        a = _numbered(A)
-        # positive sums: nothing cancels
-        P = a + a.T + _numbered(G)
-        P.sort_indices()
-        key = _keys(P)
-        # where each stored entry of A and of G sits in the pattern
-        self.at_a, at_g = (np.searchsorted(key, _keys(M)).astype(np.int32) for M in (A, G))
-        self.size = P.nnz
-        # P is structurally symmetric: numbered P^T holds each mirror's number
-        self.transpose = (_numbered(P).T.tocsr().data - 1).astype(np.int32)
-        # (sym(A) k)[row, col mod m] sums k[0, 0] sym(A)_e over the entries e
-        # of a row in CSR order, as a CSR product does
-        self.slot = (np.repeat(np.arange(n) * m, np.diff(P.indptr))
-                     + P.indices % m).astype(np.int32)
-        self.k = self.kernel[0, 0]
+    def __init__(self, P, at_a, at_g, g_data, basis, kernel):
+        m = 0 if kernel is None else kernel.shape[1]
+        pos, coef, rep = basis
+        nb = int(pos.max()) + 1
+        counts = np.diff(P.indptr)
+        # each entry's block row, -1 off the representative rows, and column
+        row, col = np.repeat(np.where(rep, pos, -1), counts), pos[P.indices]
+        fold = np.flatnonzero((row >= 0) & (col >= 0))
+        # the block entry each folded entry adds to, in CSR order
+        key = row[fold].astype(np.int64)
+        key *= nb
+        key += col[fold]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        into = np.full(P.nnz, -1, dtype=np.int32)   # the block entry of each entry of P
+        into[fold[order]] = np.cumsum(first, dtype=np.int32) - 1
+        weight = np.zeros(P.nnz)
+        weight[fold] = coef[P.indices[fold]] / np.repeat(coef, counts)[fold]
+        key = key[first]
+        B = sp.csr_matrix((np.ones(key.size), key % nb,
+                           np.searchsorted(key, np.arange(nb + 1) * nb)), shape=(nb, nb))
+        into_a = into[at_a]
+        src = np.flatnonzero(into_a >= 0)
+        self.src, self.at_a, self.w = src, into_a[src], weight[at_a[src]]
+        into_g = into[at_g]
+        src = np.flatnonzero(into_g >= 0)
+        g = np.bincount(into_g[src], weights=g_data[src] * weight[at_g[src]], minlength=B.nnz)
+        at_g = into_g[src]
+        self.size = B.nnz
+        # the pattern is symmetric: numbered B^T holds each transposed entry's number
+        self.transpose = (_numbered(B).T.tocsr().data - 1).astype(np.int32)
+        g += g[self.transpose]
+        g *= 0.5
+        rows, cols, indptr = np.repeat(np.arange(nb), np.diff(B.indptr)), B.indices, B.indptr
+        self.kernel, self.dim = kernel, nb - m
+        if kernel is not None:
+            # (sym(A) k)[row, comp(col)] sums k[col] sym(A)_e over the entries
+            # e of a row in CSR order, as a CSR product does
+            comp = np.argmax(kernel != 0.0, axis=1)
+            kcol = kernel[np.arange(nb), comp]
+            self.slot = (rows * m + comp[cols]).astype(np.int32)
+            self.kv = kcol[cols]
+            # pinned coordinates z = x[m:] - x[comp] k[m:] / k[comp]
+            self.comp, self.ratio = comp[m:], kcol[m:] / kcol[comp[m:]]
         # the block: the entries from start on (rows past the first m), their
         # columns shifted by m, negative for the first m columns; G's values
         # there, and G's pattern, whose entries the block keeps at any value
-        self.start = P.indptr[m]
-        self.cols = (P.indices[self.start:] - m).astype(np.int32)
-        self.indptr = (P.indptr[m:] - self.start).astype(np.int32)
-        g, on_g = np.zeros(self.size), np.zeros(self.size, dtype=bool)
-        g[at_g], on_g[at_g] = G.data, True
+        self.start = indptr[m]
+        self.cols = (cols[self.start:] - m).astype(np.int32)
+        self.indptr = (indptr[m:] - self.start).astype(np.int32)
+        on_g = np.zeros(self.size, dtype=bool)
+        on_g[at_g] = True
         self.g, self.on_g, self.in_block = g[self.start:], on_g[self.start:], self.cols >= 0
+        # the basis, to move vectors between full and block coordinates
+        self.coords = np.flatnonzero(pos >= 0)
+        self.at, self.coef = pos[self.coords], coef[self.coords]
 
     def block(self, a: np.ndarray, sigma: float):
-        """(M_pp, U, k^T s) of _Shift for the values a on A's pattern."""
-        n, m = self.kernel.shape
-        x = np.zeros(self.size)
-        x[self.at_a] = a
+        """(M_pp, U, k^T s) of _Factor for the values a on A's pattern; U
+        and k^T s are None without a kernel."""
+        x = a[self.src]
+        x *= self.w
+        x = np.bincount(self.at_a, weights=x, minlength=self.size)
         s = x[self.transpose]                       # sym(A)
         s += x
         s *= 0.5
-        sk = np.bincount(self.slot, weights=s * self.k, minlength=n * m)
-        U, kts = _pinned_update(sk.reshape(n, m), self.kernel)
+        U = kts = None
+        if self.kernel is not None:
+            nb, m = self.kernel.shape
+            sk = np.bincount(self.slot, weights=s * self.kv, minlength=nb * m)
+            U, kts = _pinned_update(sk.reshape(nb, m), self.kernel)
         s = s[self.start:]
         keep = s != 0.0
         keep |= self.on_g
@@ -330,64 +452,119 @@ class _Pinned:
         # int32 like the columns, so that scipy casts neither
         indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
         # sym(A) - sigma G is symmetric: its CSR arrays are its CSC arrays
-        return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(n - m, n - m)),
+        return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(self.dim,) * 2),
                 U, kts)
 
+    def gram(self) -> sp.csr_matrix:
+        """G's block in pinned coordinates."""
+        keep = np.flatnonzero(self.on_g & self.in_block)
+        return sp.csr_matrix((self.g[keep], self.cols[keep], np.searchsorted(keep, self.indptr)),
+                             shape=(self.dim,) * 2)
 
-class _Shift:
-    """LDL^T of sym(A) - sigma G on the zero-mean space, in pinned coordinates.
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """The block coordinates of a zero-mean x, pinned: lift's inverse."""
+        xb = np.bincount(self.at, weights=self.coef * x[self.coords])
+        if self.kernel is None:
+            return xb
+        m = self.kernel.shape[1]
+        return xb[m:] - self.ratio * xb[self.comp]
 
-    With the first site's m coordinates pinned, x = Pi W z (Pi projects off
-    ker G) and the restricted matrix is S = M_pp + U C U^T: M_pp = (sym A -
-    sigma G)[m:, m:] = L D L^T, as _Pinned builds it, with U and k^T s in
-    C = [[k^T s, -I], [-I, 0]] from _pinned_update. With X = M_pp^-1 and
-    Q = -C^-1 - U^T X U, S has neg(D) + neg(Q) - m negative eigenvalues
-    (Haynsworth) and S^-1 = X + X U Q^-1 U^T X (Woodbury), with Q
-    block-diagonalized: T^T Q T = diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0,
-    I]], Y = X U T. A sign is trusted when it clears a rounding bound: a
-    pivot gamma_w max_k R_kk (LDL^T backward error, R = |L||D||L^T|, w the
-    longest row of L); an eigenvalue of Q11 or Z gamma_3w || |Y_j|^T R
-    |Y_j| ||, that error's first-order effect, solves included. tests holds
-    the three (smallest magnitude, bound) pairs, in that order; min_pivot
-    and margin report the one that came closest. Where the factorization
-    yields no inertia (a zero pivot, pivots off the diagonal, a singular
-    Q11) construction does not raise: negative -1, min_pivot 0, margin nan.
+    def lift(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Add B Pi W z to out."""
+        y = z if self.kernel is None else _lift(self.kernel, z)
+        out[self.coords] += self.coef * y[self.at]
 
-    A sign probe costs the factorization, one solve with 2m right-hand
-    sides, O(nnz) work on the factor and a few m x m dense calls: with U =
-    D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
-    (|U| |Y|), three compiled products with the factor's own copies of L
-    and U, overwritten in place, so no temporary is the factor's size. Of
-    the factor it keeps only its solve and nnz, so nothing later reads
-    those copies as L and U. They are not freed with the rest: the bound
-    solve keeps the SuperLU object, on which scipy caches both copies, so
-    they stay allocated beside SuperLU's own factor while the shift or its
-    solve lives (at the 2D Morse atomistic N = 24 shift, tracemalloc sees
-    24.5 MB of copies and not SuperLU's factor). The Woodbury operator
-    Cinv is built on the first solve(), so a sign probe never builds it.
+
+class _Pinned:
+    """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of a
+    coordinate involution (_Block): the even and the odd block of mirror,
+    or, with none, the one block of the trivial involution. The blocks'
+    coordinates, concatenated, are the pencil's: gram, restrict and lift
+    act on their direct sum.
+
+    The pattern P is the union of A's, A^T's and G's, and a scatter map
+    places each stored entry of A and of G in it. A mirror is checked once:
+    it must map the coordinates onto themselves in pairs, and A and G to
+    themselves, their patterns exactly and their values to within 1e-13 of
+    their largest entry; otherwise this raises ValueError. What the values
+    leave of that defect enters each shift's rounding tests (perturbation).
+    G, the Gram form, must be symmetric.
     """
 
-    def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
-        try:
-            self._factor(pinned, a, sigma)
-        except (RuntimeError, np.linalg.LinAlgError):      # no inertia to read
-            self.negative, self.min_pivot, self.margin, self.trusted = -1, 0.0, np.nan, False
+    def __init__(self, A: sp.csr_matrix, G: SparseOp, mirror: Optional[np.ndarray] = None):
+        n = self.n = G.dim
+        a = _numbered(A)
+        # positive sums: nothing cancels
+        P = a + a.T + _numbered(G.matrix)
+        P.sort_indices()
+        key = _keys(P)
+        keys = [_keys(M) for M in (A, G.matrix)]
+        # where each stored entry of A and of G sits in the pattern
+        at_a, at_g = (np.searchsorted(key, k) for k in keys)
+        self.image = None                           # of A's entries, with a mirror
+        if mirror is None:
+            mirror = np.arange(n)                   # the trivial involution: one block
+        else:
+            if np.shape(mirror) != (n,) or not np.array_equal(mirror[mirror], np.arange(n)):
+                raise ValueError("mirror is not an involution of the pencil's coordinates")
+            self.image = _image(keys[0], mirror)
+            _commutes("operator", A.data, self.image)
+            self.g_defect = _commutes("Gram form", G.matrix.data, _image(keys[1], mirror))
+            self.width = int(np.diff(P.indptr).max())
+        self.blocks = [_Block(P, at_a, at_g, G.matrix.data, basis, kernel)
+                       for basis, kernel in _bases(mirror, G.kernel)]
+        ends = np.cumsum([b.dim for b in self.blocks])
+        # each block's coordinates in the direct sum
+        self.slices = [slice(e - b.dim, e) for b, e in zip(self.blocks, ends)]
 
-    def _factor(self, pinned: _Pinned, a: np.ndarray, sigma: float):
-        M_pp, U, kts = pinned.block(a, sigma)
-        m = kts.shape[0]
+    def perturbation(self, a: np.ndarray, sigma: float) -> float:
+        """A bound on the 2-norm of what the blocks change in sym(A) - sigma G,
+        for the values a on A's pattern; 0 without a mirror. Folded from
+        the representative rows, the blocks are exactly those of a pencil
+        that commutes with the mirror and differs from this one, entry by
+        entry of P, by at most defect_A + |sigma| defect_G (_defect); a
+        row of P holds at most width entries."""
+        if self.image is None:
+            return 0.0
+        return self.width * (_defect(a, self.image) + abs(sigma) * self.g_defect)
+
+    def gram(self) -> sp.csr_matrix:
+        """G on the direct sum of the blocks, G_pp."""
+        grams = [b.gram() for b in self.blocks]
+        return grams[0] if len(grams) == 1 else sp.block_diag(grams, format="csr")
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([b.restrict(x) for b in self.blocks])
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """x = sum over blocks of B Pi W z_b."""
+        x = np.zeros(self.n)
+        for b, part in zip(self.blocks, self.slices):
+            b.lift(z[part], x)
+        return x
+
+
+class _Factor:
+    """LDL^T of one block of _Shift, with its capacitance when the block
+    holds the constant shifts; a factorization that yields no inertia
+    raises (_ldlt). eps, _Pinned.perturbation, widens the rounding tests."""
+
+    def __init__(self, block: _Block, a: np.ndarray, sigma: float, eps: float):
+        M_pp, U, kts = block.block(a, sigma)
         lu = _ldlt(M_pp)
         del M_pp                                    # before lu.U copies the factor
-        self.nnz, self._solve = int(lu.nnz), lu.solve
-        XU = lu.solve(U)
-        Q = np.zeros((2 * m, 2 * m))                # -C^-1
-        Q[:m, m:] = Q[m:, :m] = np.eye(m)
-        Q[m:, m:] = kts
-        Q -= U.T @ XU
-        Q = 0.5 * (Q + Q.T)
-        F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
-        self.blocks = np.stack([Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F])
-        self.Y = np.hstack([XU[:, :m], XU[:, m:] - XU[:, :m] @ F])
+        self.nnz, self._solve, self.Y = int(lu.nnz), lu.solve, None
+        if U is not None:
+            m = kts.shape[0]
+            XU = lu.solve(U)
+            Q = np.zeros((2 * m, 2 * m))            # -C^-1
+            Q[:m, m:] = Q[m:, :m] = np.eye(m)
+            Q[m:, m:] = kts
+            Q -= U.T @ XU
+            Q = 0.5 * (Q + Q.T)
+            F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
+            self.capacitance = np.stack([Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F])
+            self.Y = np.hstack([XU[:, :m], XU[:, m:] - XU[:, :m] @ F])
 
         # lu.U makes the copies of L and U together; the factor keeps them
         # and nothing reads them after this, so they are overwritten in place
@@ -396,28 +573,100 @@ class _Shift:
         ad = np.abs(d)
         np.abs(Lf.data, out=Lf.data)
         np.abs(Uf.data, out=Uf.data)
-        Yp = np.abs(self.Y)
-        RY = Lf @ (Uf @ Yp)                         # R |Y| = |L| (|U| |Y|)
+        if self.Y is not None:
+            Yp = np.abs(self.Y)
+            RY = Lf @ (Uf @ Yp)                     # R |Y| = |L| (|U| |Y|)
         Lf.data **= 2
         unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        self.tests = tests = [(ad.min(), unit / (1 - unit) * (Lf @ ad).max())]
-        unit *= 3
-        q = np.linalg.eigvalsh(self.blocks)
-        YRY = np.stack([Yp[:, j].T @ RY[:, j] for j in (slice(0, m), slice(m, None))])
-        # the 2-norm of each block is its largest singular value
-        tests += zip(np.abs(q).min(axis=1),
-                     unit / (1 - unit) * np.linalg.svd(YRY, compute_uv=False)[:, 0])
-        self.negative = int(np.sum(d < 0) + np.sum(q < 0)) - m
-        self.min_pivot, self.margin = map(float, min(tests, key=lambda t: t[0] / t[1]))
-        self.trusted = all(p > b for p, b in tests)
+        self.tests = [(ad.min(), unit / (1 - unit) * (Lf @ ad).max() + eps)]
+        self.negative = int(np.sum(d < 0))
+        if self.Y is not None:
+            unit *= 3
+            q = np.linalg.eigvalsh(self.capacitance)
+            YRY = np.stack([Yp[:, j].T @ RY[:, j] for j in (slice(0, m), slice(m, None))])
+            # the 2-norm of each block is its largest singular value
+            bounds = unit / (1 - unit) * np.linalg.svd(YRY, compute_uv=False)[:, 0]
+            if eps:
+                bounds += eps * np.array([np.linalg.norm(self.Y[:, j], 2) ** 2
+                                          for j in (slice(0, m), slice(m, None))])
+            self.tests += zip(np.abs(q).min(axis=1), bounds)
+            self.negative += int(np.sum(q < 0)) - m
 
     @cached_property
     def Cinv(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*np.linalg.inv(self.blocks))
+        return scipy.linalg.block_diag(*np.linalg.inv(self.capacitance))
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """S^-1 r in pinned coordinates."""
-        return self._solve(r) + self.Y @ (self.Cinv @ (self.Y.T @ r))
+        x = self._solve(r)
+        if self.Y is not None:
+            x += self.Y @ (self.Cinv @ (self.Y.T @ r))
+        return x
+
+
+class _Shift:
+    """LDL^T of sym(A) - sigma G on the zero-mean space, block by block of
+    _Pinned (_Factor), in pinned coordinates.
+
+    In the block that holds the constant shifts, with the first site's m
+    coordinates pinned, x = Pi W z (Pi projects off ker G) and the
+    restricted matrix is S = M_pp + U C U^T: M_pp = (sym A - sigma G)[m:, m:]
+    = L D L^T, as _Block builds it, with U and k^T s in C = [[k^T s, -I],
+    [-I, 0]] from _pinned_update. With X = M_pp^-1 and Q = -C^-1 - U^T X U,
+    S has neg(D) + neg(Q) - m negative eigenvalues (Haynsworth) and S^-1 =
+    X + X U Q^-1 U^T X (Woodbury), with Q block-diagonalized: T^T Q T =
+    diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A block
+    without a kernel is its own LDL^T, with neg(D) negative eigenvalues.
+    The counts add over the blocks. A sign is trusted when it clears a
+    rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
+    |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z
+    gamma_3w || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves
+    included. A mirror's blocks are exactly those of a pencil within eps of
+    this one in 2-norm (_Pinned.perturbation), a perturbation F of each
+    block's M_pp: a pivot's bound adds eps, and a capacitance block's eps
+    ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
+    hold its (smallest magnitude, bound) pairs, in that order; the count is
+    trusted when every block's test passes, and min_pivot and margin report
+    the one that came closest.
+    Where a factorization yields no inertia (a zero pivot, pivots off the
+    diagonal, a singular Q11) construction does not raise: negative -1,
+    min_pivot 0, margin nan, and the blocks after it are not factored.
+
+    A sign probe costs the factorizations, one solve with 2m right-hand
+    sides, O(nnz) work on each factor and a few m x m dense calls: with U =
+    D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
+    (|U| |Y|), three compiled products with the factor's own copies of L
+    and U, overwritten in place, so no temporary is the factor's size. Of
+    each factor the shift keeps only its solve and nnz, so nothing later
+    reads those copies as L and U. They are not freed with the rest: the
+    bound solve keeps the SuperLU object, on which scipy caches both
+    copies, so each block's copies stay allocated beside SuperLU's own
+    factor while the shift or its solves live. At the 2D Morse atomistic
+    N = 24 shift (sigma = -0.25), split into its even and odd block,
+    tracemalloc sees 13.75 MB of copies and not SuperLU's factors (24.5 MB
+    as one block). The Woodbury operator Cinv is built on the first
+    solve(), so a sign probe never builds it.
+    """
+
+    def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
+        self.slices = pinned.slices
+        try:
+            eps = pinned.perturbation(a, sigma)
+            self.factors = [_Factor(block, a, sigma, eps) for block in pinned.blocks]
+        except (RuntimeError, np.linalg.LinAlgError):      # no inertia to read
+            self.negative, self.min_pivot, self.margin, self.trusted = -1, 0.0, np.nan, False
+            return
+        tests = [t for f in self.factors for t in f.tests]
+        self.negative = sum(f.negative for f in self.factors)
+        self.nnz = sum(f.nnz for f in self.factors)
+        self.min_pivot, self.margin = map(float, min(tests, key=lambda t: t[0] / t[1]))
+        self.trusted = all(p > b for p, b in tests)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """S^-1 r in pinned coordinates, block by block."""
+        x = np.empty_like(r)
+        for f, part in zip(self.factors, self.slices):
+            x[part] = f.solve(r[part])
+        return x
 
 
 def _lift(kernel: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -520,11 +769,16 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
     Ritz values l_1 < l_2 of the pencil, l_i = sigma + 1 / theta_i; its
     trials halve the step from sigma toward sigma_1 _HALVINGS times, then
-    retry sigma itself. The old factor is freed first, a new Lanczos run
-    starts from that test's Ritz vector, and _Pinned is dropped. _MAXITER
-    caps the shifted solves over both shifts.
+    retry sigma itself. The old factor is freed first, and a new Lanczos
+    run starts from that test's Ritz vector. _MAXITER caps the shifted
+    solves over both shifts. A pencil split by its mirror runs one Lanczos
+    on the direct sum of its blocks (_Pinned), with the same shifts,
+    re-shift and stopping test, the last on the full pencil. The block
+    solves never mix the blocks, so a block that the start vector leaves
+    exactly zero starts from a draw of default_rng(seed) instead, at the
+    start vector's mean square per coordinate.
     """
-    tol, maxiter, m = _RTOL, _MAXITER, G.ncomp
+    tol, maxiter = _RTOL, _MAXITER
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(G.dim) if x0 is None else np.asarray(x0, dtype=float)
@@ -549,11 +803,17 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
             yield sigma
             sigma, step = sigma - step, 4.0 * step
 
-    pinned = _Pinned(A, G)
+    pinned = _Pinned(A, G, opMatrix.mirror)
     sigma, shift = certified(descent(min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0))
 
-    Gpp = G.matrix[m:, m:]
-    z = (x[m:].reshape(-1, m) - x[:m]).ravel()      # x in pinned coordinates
+    Gpp = pinned.gram()
+    z = pinned.restrict(x)                          # x in pinned coordinates
+    # the Lanczos never reaches a block that x leaves exactly zero, as an
+    # even x0 leaves the odd one: such a block starts from the seed's draw
+    scale = np.sqrt(z @ z / z.size)
+    for part in pinned.slices:
+        if not z[part].any():
+            z[part] = scale * rng.standard_normal(part.stop - part.start)
     lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
     while True:
         if report["iterations"] >= maxiter:
@@ -564,7 +824,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
         reshift = report["iterations"] == _RESHIFT_AT
         if ratio is None or ratio * estimate <= tol or reshift or report["iterations"] == maxiter:
             z = lanczos.ritz_vector()
-            x = _lift(G.kernel, z)
+            x = pinned.lift(z)
             x /= np.linalg.norm(x)
             rho, res = _rayleigh_residual(Asym, G, x)
             if res <= tol:
@@ -577,7 +837,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
             del lanczos, shift                      # free the factor first
             sigma, shift = certified([sigma + (target - sigma) / 2 ** k
                                       for k in range(_HALVINGS)] + [sigma])
-            lanczos, ratio, pinned = _Lanczos(shift.solve, Gpp, z), None, None
+            lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
 
 
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
@@ -639,7 +899,7 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
     can still clear the bounds; the sign there is whatever rounding made it.
     """
     _pencil_kernel(opMatrix.dim, G)
-    return _sign(_Pinned(opMatrix.matrix, G), opMatrix.matrix.data, tau,
+    return _sign(_Pinned(opMatrix.matrix, G, opMatrix.mirror), opMatrix.matrix.data, tau,
                  lambda: coercivity(opMatrix, G))
 
 
@@ -668,9 +928,12 @@ class BlendPattern:
     holds 9,216 at N = 12, 8 per row). is_coercive(op) refills the values
     at op's blend (values) and hands them to _Shift on a _Pinned pattern,
     with no assembly, symmetrization or format conversion: the probe builds
-    one sparse matrix, the block it factors, and a SparseOp of A(beta) only
+    one sparse matrix per block it factors, and a SparseOp of A(beta) only
     when it falls back to a value solve. op must share the kind, lattice and
-    model (equal by value) of the operator the pattern was built from.
+    model (equal by value) of the operator the pattern was built from. The
+    pattern splits by the mirror that assemble would give that operator;
+    then A_0 and A_1 must both commute with it, else this raises
+    ValueError, and every op's blend must map to itself as well.
     """
 
     def __init__(self, op, G: SparseOp):
@@ -690,17 +953,27 @@ class BlendPattern:
         rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(A0.indptr))[keep]
         self.indices = A0.indices[keep]
         self.indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-        self.a0, self.slope = A0.data[keep], A1.data[keep] - A0.data[keep]
+        self.a0, a1 = A0.data[keep], A1.data[keep]
+        self.slope = a1 - self.a0
         del A1
         self.site = rows // G.ncomp
         A0 = sp.csr_matrix((self.a0, self.indices, self.indptr), shape=(n, n))
-        self.pinned = _Pinned(A0, G)
+        self.mirror = _inversion(op)
+        # the sites' inversion, against which each op's blend is checked
+        self.sites = None if self.mirror is None else op.lattice.inversion()
+        self.pinned = _Pinned(A0, G, self.mirror)
+        if self.mirror is not None:
+            # with beta mapped to itself, A(beta) commutes when A_0 and A_1 do
+            _commutes("operator", a1, self.pinned.image)
 
     def values(self, op) -> np.ndarray:
         """A(beta)'s stored values at op's blend, on the pattern."""
         if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
-        a = op.blend.beta.ravel()[self.site]
+        beta = op.blend.beta.ravel()
+        if self.sites is not None and not np.array_equal(beta[self.sites], beta):
+            raise ValueError("the blend does not map to itself under the pattern's inversion")
+        a = beta[self.site]
         a *= self.slope
         a += self.a0
         return a
@@ -708,7 +981,7 @@ class BlendPattern:
     def matrix(self, op) -> SparseOp:
         """A(beta) at op's blend, on the pattern."""
         return SparseOp(sp.csr_matrix((self.values(op), self.indices, self.indptr),
-                                      shape=(self.G.dim,) * 2))
+                                      shape=(self.G.dim,) * 2), mirror=self.mirror)
 
     def is_coercive(self, op, tau: float, *, method: str = "iterative",
                     seed: int = 7) -> InertiaReport:

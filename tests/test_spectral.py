@@ -404,7 +404,8 @@ def test_poincare_matches_the_two_component_pencil(N):
 
 def test_thick_restart_keeps_converging(monkeypatch):
     # a basis of 8 vectors restarts every few steps and still reaches the
-    # dense gamma, with the same stopping test
+    # dense gamma, with the same stopping test; in 2D the restart runs in
+    # the coordinates of the even and odd blocks
     monkeypatch.setattr(spectral, "_BASIS", 8)
     monkeypatch.setattr(spectral, "_KEEP", 3)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
@@ -412,6 +413,12 @@ def test_thick_restart_keeps_converging(monkeypatch):
     rep = _gamma_1d(model, 256, kind="bqcf", K=14, method="iterative")
     assert rep.iterations > 8 and rep.residual <= 1e-8
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-9)
+    lat = TriLattice2D(12)
+    A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
+    assert A.mirror is not None
+    rep = coercivity(A, G)
+    assert rep.iterations > 8 and rep.residual <= 1e-8
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
 
 
 def test_iterative_path_rejects_a_non_finite_pencil():
@@ -453,6 +460,21 @@ def test_default_path_is_iterative_at_every_size(space, kind, N):
     rep = coercivity(A, G)
     assert rep.method == "iterative"
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-13)
+
+
+def test_morse_value_solve_factors_the_folded_blocks():
+    # the constants workload's heaviest query: split by its inversion, the
+    # factors of the even and odd blocks hold about 1.14M nonzeros, against
+    # 2,139,132 for the one unsplit block
+    lat = TriLattice2D(24)
+    A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
+    rep = coercivity(A, G, seed=7)
+    assert rep.nnz <= 1_300_000
+    small = TriLattice2D(12)
+    want = coercivity(assemble(Op2D(kind="atomistic", lattice=small, model=MODEL2D)),
+                      gram_D(small), method="dense").gamma
+    # the atomistic constant of this model is the same at both sizes
+    assert rep.gamma == pytest.approx(want, rel=1e-10)
 
 
 def test_iterative_solve_reshifts_when_open_after_twenty_solves():
@@ -532,7 +554,7 @@ def test_inertia_margin_on_criterion_4_largest_window():
         assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
 
 
-def _rounding_tests(shift, M_pp):
+def _rounding_tests(factor, M_pp):
     # _Shift's three tests as its docstring states them, from dense L and D
     # of M_pp's factor and R = |L||D||L^T|: pivots against gamma_w max_k
     # R_kk, the eigenvalues of Q11 and Z against gamma_3w || |Y_j|^T R |Y_j| ||
@@ -540,11 +562,11 @@ def _rounding_tests(shift, M_pp):
     L, D = lu.L.toarray(), np.diag(lu.U.toarray())
     R = np.abs(L) @ np.diag(np.abs(D)) @ np.abs(L).T
     wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
-    m = shift.blocks.shape[1]
-    q = [np.linalg.eigvalsh(B) for B in shift.blocks]
+    m = factor.capacitance.shape[1]
+    q = [np.linalg.eigvalsh(B) for B in factor.capacitance]
     tests = [(np.abs(D).min(), wu / (1 - wu) * np.diag(R).max())]
     for j in range(2):
-        Yj = np.abs(shift.Y[:, j * m:(j + 1) * m])
+        Yj = np.abs(factor.Y[:, j * m:(j + 1) * m])
         tests.append((np.abs(q[j]).min(),
                       3 * wu / (1 - 3 * wu) * np.linalg.norm(Yj.T @ R @ Yj, 2)))
     negative = int(np.sum(D < 0) + sum(np.sum(qj < 0) for qj in q)) - m
@@ -577,10 +599,12 @@ def test_rounding_tests_match_a_dense_evaluation():
         pinned = _Pinned(sop.matrix, G)
         for tau in (1e-10, gamma - 1e-7):
             shift = _Shift(pinned, sop.matrix.data, tau)
-            negative, tests = _rounding_tests(shift, pinned.block(sop.matrix.data, tau)[0])
+            factor, = shift.factors
+            negative, tests = _rounding_tests(factor,
+                                              pinned.blocks[0].block(sop.matrix.data, tau)[0])
             assert shift.negative == negative, (sop.dim, tau)
             assert shift.trusted == all(p > b for p, b in tests), (sop.dim, tau)
-            assert np.allclose(shift.tests, tests, rtol=1e-13, atol=0.0), (sop.dim, tau)
+            assert np.allclose(factor.tests, tests, rtol=1e-13, atol=0.0), (sop.dim, tau)
             assert shift.min_pivot / shift.margin == pytest.approx(
                 min(p / b for p, b in tests), rel=1e-13, abs=0.0)
 
@@ -610,26 +634,48 @@ def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     assert made == ["csc_matrix"]
     monkeypatch.undo()
     shift = _Shift(pattern.pinned, pattern.values(op), 1e-10)
-    assert shift.trusted and "Cinv" not in vars(shift)
+    factor, = shift.factors
+    assert shift.trusted and "Cinv" not in vars(factor)
     shift.solve(np.ones(G.dim - 1))
-    assert "Cinv" in vars(shift)
+    assert "Cinv" in vars(factor)
 
 
-def _summed_block(Asym, G, tau, m):
+def _summed_blocks(Asym, G, tau, m, mirror=None):
     # sym(A) - tau G summed from triplets, then sliced: G's pattern is kept
-    # at any tau, exact zeros of sym(A) are not stored
+    # at any tau, exact zeros of sym(A) are not stored. With a mirror, its
+    # even block, sliced, and its odd block, by sparse products with the
+    # two bases written out as matrices
     a, g = Asym.tocoo(), G.tocoo()
-    return scipy.sparse.csc_matrix(
+    M = scipy.sparse.csc_matrix(
         (np.concatenate([a.data, -tau * g.data]),
          (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
-        shape=a.shape)[m:, m:]
+        shape=a.shape)
+    if mirror is None:
+        return [M[m:, m:]]
+    i = np.arange(M.shape[0])
+    h = np.sqrt(0.5)
+    even, odd = np.flatnonzero(i <= mirror), np.flatnonzero(i < mirror)
+    pair = mirror[even] != even
+    col = np.arange(even.size)
+    Be = scipy.sparse.csc_matrix((np.concatenate([np.where(pair, h, 1.0), np.full(pair.sum(), h)]),
+                                  (np.concatenate([even, mirror[even][pair]]),
+                                   np.concatenate([col, col[pair]]))), shape=(i.size, even.size))
+    col = np.arange(odd.size)
+    Bo = scipy.sparse.csc_matrix((np.concatenate([np.full(odd.size, h), np.full(odd.size, -h)]),
+                                  (np.concatenate([odd, mirror[odd]]), np.concatenate([col, col]))),
+                                 shape=(i.size, odd.size))
+    blocks = [(Be.T @ M @ Be).tocsc()[m:, m:], (Bo.T @ M @ Bo).tocsc()]
+    for b in blocks:
+        b.sort_indices()
+    return blocks
 
 
 @pytest.mark.parametrize("space, N", [("1d", 128), ("1d", 256), ("2d", 12), ("2d", 16)])
 def test_refilled_block_matches_the_assembled_one(space, N):
     # a scan's probes refill one pattern per size; each pinned block must be
     # the assembled operator's: the same nonzero set, values within a few
-    # ulps of max |A|, the same fill, and the same inertia verdict
+    # ulps of max |A|, the same fill, and the same inertia verdict. A 2D
+    # pattern splits into the even and odd blocks of its inversion
     tau = 1e-10
     if space == "1d":
         ch = Chain1D(N)
@@ -648,20 +694,176 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     verdicts = set()
     for op in ops:
         A = assemble(op)
-        ref = _summed_block(A.sym_matrix, G.matrix, tau, m)
-        got, _, _ = pattern.pinned.block(pattern.matrix(op).matrix.data, tau)
-        assert np.array_equal(got.indptr, ref.indptr), op.blend.K
-        assert np.array_equal(got.indices, ref.indices), op.blend.K
-        ulp = np.spacing(abs(A.matrix).max())
-        assert np.abs(got.data - ref.data).max() <= 4 * ulp, op.blend.K
-        lu_got, lu_ref = _ldlt(got), _ldlt(ref)
-        assert lu_got.nnz == lu_ref.nnz
-        assert np.sum(lu_got.U.diagonal() < 0) == np.sum(lu_ref.U.diagonal() < 0)
+        refs = _summed_blocks(A.sym_matrix, G.matrix, tau, m, A.mirror)
+        assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
+        for block, ref in zip(pattern.pinned.blocks, refs):
+            got, _, _ = block.block(pattern.matrix(op).matrix.data, tau)
+            assert np.array_equal(got.indptr, ref.indptr), op.blend.K
+            assert np.array_equal(got.indices, ref.indices), op.blend.K
+            ulp = np.spacing(abs(A.matrix).max())
+            assert np.abs(got.data - ref.data).max() <= 4 * ulp, op.blend.K
+            lu_got, lu_ref = _ldlt(got), _ldlt(ref)
+            assert lu_got.nnz == lu_ref.nnz
+            assert np.sum(lu_got.U.diagonal() < 0) == np.sum(lu_ref.U.diagonal() < 0)
         want, rep = is_coercive(A, G, tau), pattern.is_coercive(op, tau)
         assert (rep.negative, rep.coercive, rep.fallback) == \
             (want.negative, want.coercive, want.fallback), op.blend.K
         verdicts.add(rep.coercive)
     assert verdicts == {False, True}                # the window holds a sign change
+
+
+def _toy_ops(N):
+    # the threshold-2d scan's operators: toy model, Ra = 4, K = 1..8
+    lat = TriLattice2D(N)
+    return lat, [Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+                      blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, 9)]
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_split_probes_count_as_the_whole_pencil(N):
+    # the counts of the even and odd blocks add up to the count of the same
+    # operator with no mirror, probe by probe
+    lat, ops = _toy_ops(N)
+    G = gram_D(lat)
+    pattern = BlendPattern(ops[0], G)
+    assert len(pattern.pinned.blocks) == 2
+    for op in ops:
+        split = pattern.is_coercive(op, 1e-10)
+        whole = is_coercive(SparseOp(assemble(op).matrix), G, 1e-10)
+        assert (split.negative, split.coercive, split.fallback) == \
+            (whole.negative, whole.coercive, whole.fallback), op.blend.K
+
+
+def _shifted_inversion(lat):
+    # inversion through the midpoint of an a1 bond: an involution of the
+    # lattice, one site off the blend's centre
+    n = 2 * lat.N
+    p = (n - 2 - np.arange(n)) % n
+    sites = ((p + 1) % n)[:, None] * n + p
+    return (2 * sites.ravel()[:, None] + np.arange(2)).ravel()
+
+
+def test_a_mirror_that_does_not_commute_raises(monkeypatch):
+    lat, ops = _toy_ops(12)
+    G = gram_D(lat)
+    A = assemble(ops[3])
+    shifted = _shifted_inversion(lat)
+    assert np.array_equal(shifted[shifted], np.arange(G.dim))
+    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
+        is_coercive(SparseOp(A.matrix, mirror=shifted), G, 1e-10)
+    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
+        coercivity(SparseOp(A.matrix, mirror=shifted), G)
+    # an unblended operator commutes with it, as with every lattice inversion
+    atomistic = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
+    assert is_coercive(SparseOp(atomistic.matrix, mirror=shifted), G, 1e-10).coercive
+    with pytest.raises(ValueError, match="not an involution"):
+        is_coercive(SparseOp(A.matrix, mirror=np.roll(np.arange(G.dim), 2)), G, 1e-10)
+    # a pattern's probes fold A_0 + diag(beta) (A_1 - A_0): a stencil at
+    # beta = 1 that breaks the inversion, its pattern kept, is refused
+    # although the one at beta = 0 commutes
+    stencil = spectral._stencil
+
+    def broken(op):
+        A = stencil(op)
+        if op.blend is not None and (op.blend.beta == 1.0).all():
+            A.data[0] += 1e-6 * np.abs(A.data).max()
+        return A
+
+    monkeypatch.setattr(spectral, "_stencil", broken)
+    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
+        BlendPattern(ops[3], G)
+
+
+def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
+    # values that commute with the mirror only to within the tolerance fold
+    # into the blocks of a pencil within eps = width (defect_A + |sigma|
+    # defect_G) of the given one: each pivot's bound grows by eps, each
+    # capacitance block's by eps ||Y_j||^2
+    lat = TriLattice2D(4)
+    G = gram_D(lat)
+    A = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
+    a = A.matrix.data.copy()
+    defect = 1e-14 * np.abs(a).max()
+    a[0] += defect
+    pinned = spectral._Pinned(scipy.sparse.csr_matrix((a, A.matrix.indices, A.matrix.indptr),
+                                                      shape=A.matrix.shape), G, A.mirror)
+    sigma = -0.25
+    eps = pinned.perturbation(a, sigma)
+    assert pinned.g_defect == 0.0
+    assert eps == pytest.approx(pinned.width * defect, rel=1e-6)
+    assert spectral._Pinned(A.matrix, G, A.mirror).perturbation(A.matrix.data, sigma) == 0.0
+    widened = _Shift(pinned, a, sigma)
+    monkeypatch.setattr(pinned, "perturbation", lambda a, sigma: 0.0)
+    plain = _Shift(pinned, a, sigma)
+    for wide, bare in zip(widened.factors, plain.factors):
+        assert wide.tests[0][1] == pytest.approx(bare.tests[0][1] + eps, rel=1e-12)
+        extra = [eps] if bare.Y is None else \
+            [eps] + [eps * np.linalg.norm(bare.Y[:, j], 2) ** 2
+                     for j in (slice(0, G.ncomp), slice(G.ncomp, None))]
+        assert len(wide.tests) == len(extra)
+        for (p, b), (q, c), e in zip(wide.tests, bare.tests, extra):
+            assert p == q and b == pytest.approx(c + e, rel=1e-12)
+    assert widened.negative == plain.negative and widened.trusted
+
+
+def test_an_asymmetric_blend_declares_no_mirror():
+    # a hand-built blend moved one site off the origin: no mirror, one
+    # block, and the iterative path agrees with the dense one
+    lat, ops = _toy_ops(12)
+    G = gram_D(lat)
+    blend = ops[4].blend
+    moved = Blend2D(lattice=lat, beta=np.roll(blend.beta, 1, axis=0), Ra=blend.Ra, Rb=blend.Rb)
+    op = Op2D(kind="bqcf", lattice=lat, model=ops[4].model, blend=moved)
+    A = assemble(op)
+    assert A.mirror is None and assemble(ops[4]).mirror is not None
+    assert len(BlendPattern(op, G).pinned.blocks) == 1
+    rep = coercivity(A, G)
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
+    # a pattern split by its inversion refuses a blend that breaks it
+    with pytest.raises(ValueError, match="does not map to itself"):
+        BlendPattern(ops[4], G).is_coercive(op, 1e-10)
+
+
+def test_an_odd_extremal_mode_is_found_from_an_even_start():
+    # a mask on two sites that the inversion swaps: its extremal mode is
+    # odd, and an even x0 leaves the odd block zero; that block starts from
+    # the seed's draw, and the value solve reaches the dense gamma
+    lat = TriLattice2D(8)
+    dim = (2 * lat.N) ** 2
+    inverse = lat.inversion()
+    sites = np.array([3, inverse[3]])
+    M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -1.0), (sites, sites)), shape=(dim, dim)),
+                 mirror=inverse)
+    G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1)
+    dense = coercivity(M, G, method="dense")
+    x = dense.minimizer
+    assert np.linalg.norm(x + x[inverse]) <= 1e-12 * np.linalg.norm(x)      # odd
+    x0 = np.zeros(dim)
+    x0[sites] = 1.0
+    rep = coercivity(M, G, x0=x0)
+    assert rep.gamma == pytest.approx(dense.gamma, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_split_shifted_solve_is_exact(N, rng):
+    # the blocks' solves, lifted, solve (sym A - sigma G) x = G y on the
+    # zero-mean space, y = lift(z): S z' = G_pp z in block coordinates
+    lat = TriLattice2D(N)
+    G = gram_D(lat)
+    k = G.kernel
+    sigma = -0.25
+    for sop in _shifted_forms(lat):
+        mirror = lat.inversion(2)
+        pinned = spectral._Pinned(sop.matrix, G, mirror)
+        assert len(pinned.blocks) == 2
+        z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
+        shift = _Shift(pinned, sop.matrix.data, sigma)
+        x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
+        r = (sop.sym_matrix - sigma * G.matrix) @ x - G.matrix @ y
+        assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(G.matrix @ y)
+        assert np.abs(k.T @ x).max() <= 1e-12 * np.linalg.norm(x)
+        # restrict inverts lift on the zero-mean space
+        assert np.allclose(pinned.restrict(y), z, rtol=0.0, atol=1e-12 * np.abs(z).max())
 
 
 def test_no_stored_entry_is_zero_at_every_weight():
