@@ -159,9 +159,13 @@ def rst_bounds(blend: Blend1D, u: np.ndarray) -> dict:
     """Bounds for the R/S/T terms in units of ||Du||^2, checked against the
     measured terms at the zero-mean representative of u.
 
-    boundR = eps^2 ||D^2 beta||_inf ||Du||^2
+    boundR = 2 eps^2 ||D^2 beta||_inf ||Du||^2
     boundS = 2 eps^2 ||D^2 beta||_inf ||Du||^2
     boundT = sqrt(2) eps^2 (K eps)^(1/2) ||D^3 beta||_inf ||Du||^2
+
+    boundR follows from R's definition, R = 2 eps^3 sum D^2 beta (Du)^2,
+    and ||Du||^2 = eps sum (Du)^2: it is twice the paper's constant, which a
+    u whose Du is a spike at argmax |D^2 beta| (less its mean) exceeds.
     """
     chain = blend.chain
     eps = chain.eps
@@ -170,7 +174,7 @@ def rst_bounds(blend: Blend1D, u: np.ndarray) -> dict:
     Du = diff(chain, u, 1)
     gnorm2 = eps * float(np.sum(Du * Du))
     _, b2, b3 = blend.Dbeta_max
-    boundR = eps**2 * b2 * gnorm2
+    boundR = 2.0 * eps**2 * b2 * gnorm2
     boundS = 2.0 * eps**2 * b2 * gnorm2
     boundT = np.sqrt(2.0) * eps**2 * np.sqrt(blend.K * eps) * b3 * gnorm2
     slack = 1e-12 * (1.0 + gnorm2)

@@ -11,41 +11,50 @@ where an energy-based matrix differs from its transpose by rounding.
 
 The zero-mean space belongs to the Gram form: ker(G) is the constant
 shifts of its m = ncomp coordinates per site (SparseOp.kernel), and no
-other basis can be given. Its one coordinate system pins the first site's
-m coordinates, x = Pi W z, where sym(A) - sigma G restricts to its
-trailing block plus a rank-2m term (_pinned_update). One sparse
+other basis can be given. Its one coordinate system pins one site's m
+coordinates (the first site's, or with a mirror the origin's, which the
+lattice's symmetries fix), x = Pi W z, where sym(A) - sigma G restricts
+to its trailing block plus a rank-2m term (_pinned_update). One sparse
 factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
 (Sylvester; is_coercive); gamma itself comes from shift-invert Lanczos on
-it, with sigma certified below gamma by a count of zero (Ericsson and
-Ruhe's spectral transformation). The Lanczos (_Lanczos) checks its top
-Ritz pair after every shifted solve and stops once the stopping test
-passes; a solve still open after _RESHIFT_AT shifted solves re-shifts
-once, next to gamma, certified the same way (Grimes, Lewis and Simon's
-inertia-certified shifts). Both build the factored block the same
-way (_Pinned): values refilled on one pattern, the union of A's, A^T's and
-G's, fixed for every sigma. A blended operator is affine in its weight, so
-a threshold scan refills that pattern at each blend (BlendPattern) and
-assembles nothing per probe. Every value solve takes this path unless
-its caller asks for method "dense": a dense eigh of the same pinned
-pencil, the reference the sparse one is checked against.
+it, with sigma certified below gamma by a count of zero, or just above
+it by a count of one (Ericsson and Ruhe's spectral transformation). The
+Lanczos (_Lanczos) checks gamma's Ritz pair after every shifted solve and
+stops once the stopping test passes; a solve still open after
+_RESHIFT_AT shifted solves re-shifts once, next to gamma, certified the
+same way (Grimes, Lewis and Simon's inertia-certified shifts). Both build
+the factored block the same way (_Pinned): values refilled on one
+pattern, the union of A's, A^T's and G's, fixed for every sigma. A
+blended operator is affine in its weight, so a threshold scan refills
+that pattern at each blend (BlendPattern) and assembles nothing per
+probe. Every value solve takes this path unless its caller asks for
+method "dense": a dense eigh of the same pinned pencil, the reference
+the sparse one is checked against.
 
-A pencil that commutes with a coordinate involution splits in two
-(symmetry-adapted bases; Fassler and Stiefel, 1992). SparseOp.mirror
-declares one: inversion through the lattice origin, which assemble sets
-on a 2D operator whose blend, if any, maps to itself, and
-poincare_discrete on its annulus form. _Pinned builds the even block (u(-x)
-= u(x)), which holds the constant shifts and is pinned as above, and the
-odd block, which has no kernel: no pinning and no capacitance. Counts add
-over the blocks, a count is trusted when every block's is, and the
-Lanczos runs on their direct sum. The folded blocks fill far less under
-the fill-reducing ordering than the whole pencil on the torus. An
-operator with no mirror (1D, L-tilde, an asymmetric blend) is one block:
-the same code with the trivial involution.
+A pencil that commutes with a group of coordinate symmetries splits into
+blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). SparseOp.mirror
+declares the group by its generators, commuting signed involutions x ->
+sign * x[perm]. assemble declares the lattice inversion on a 2D operator
+whose blend, if any, maps to itself, and with it the reflection y -> -y,
+which flips the second displacement component, when the model's Hessians
+map onto each other under it as well (the Morse models; not the toy
+model, whose soft bond b1 maps to b3). poincare_discrete declares both,
+unsigned, on its annulus mask when the mask maps to itself. _Pinned builds
+one block per character of the group (_bases): two for the inversion alone,
+four with the reflection. The constant shift of each component lies in the
+block of its own character, (1, 0) in (+, +) and (0, 1) in (+, -) (the
+scalar one in (+, +)), which pins it as above; the other blocks have no
+kernel: no pinning and no capacitance. Counts add over the blocks, a count
+is trusted when every block's is, and the Lanczos runs on their direct
+sum. The folded blocks fill far less under the fill-reducing ordering than
+the whole pencil on the torus. An operator with no mirror (1D, L-tilde, an
+asymmetric blend) is one block: the same code with the trivial group.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -93,14 +102,16 @@ class SparseOp:
     symmetric matrix it holds the same values. A Gram form sets ncomp, its
     coordinates per site: its nullspace is the constant shifts, whose
     orthonormal basis is kernel, and the zero-mean space of the pencil is
-    their orthogonal complement. mirror, when set, is a coordinate
-    involution that maps the operator to itself, A[mirror][:, mirror] = A;
-    the pencil solves split by it (_Pinned checks that it holds).
+    their orthogonal complement. mirror is a tuple of commuting signed
+    involutions (perm, sign), x -> sign * x[perm], each of which maps the
+    operator to itself: sign_i sign_j A[perm_i, perm_j] = A[i, j]. The
+    pencil solves split by the group they generate (_Pinned checks that
+    each holds); the empty tuple is the trivial group, one block.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
     ncomp: Optional[int] = None
-    mirror: Optional[np.ndarray] = field(default=None, repr=False)
+    mirror: tuple = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
@@ -132,8 +143,9 @@ class StabilityReport:
     iterative path, iterations counts the shifted solves, factorizations
     the shift trials (the search for a certified shift and the re-shift),
     each of which factors every block of the pencil, shift is the last
-    certified shift, the one the solve ended at, and nnz its factors'
-    nonzeros, summed over the blocks."""
+    certified shift, the one the solve ended at: a trusted count puts no
+    eigenvalue below it, or exactly one, gamma, which lies below it. nnz
+    is its factors' nonzeros, summed over the blocks."""
 
     gamma: float
     minimizer: np.ndarray = field(repr=False)
@@ -176,24 +188,37 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic. Entries that the stencil's sums leave zero are
     not stored; BlendPattern keeps an entry that is zero at one weight and
-    not at another. A 2D operator declares its inversion as its mirror
-    when its blend, if it has one, maps to itself exactly.
+    not at another. A 2D operator declares its symmetries as its mirror
+    (_symmetries).
     """
     A = _stencil(op)
     A.eliminate_zeros()
-    return SparseOp(A, mirror=_inversion(op))
+    return SparseOp(A, mirror=_symmetries(op))
 
 
-def _inversion(op) -> Optional[np.ndarray]:
-    """The coordinates of inversion through the lattice origin for a 2D
-    operator whose blend, if any, maps to itself exactly; None otherwise."""
+# the reflection y -> -y on a displacement
+_FLIP = np.diag([1.0, -1.0])
+
+
+def _symmetries(op) -> tuple:
+    """The signed involutions a 2D operator declares: the inversion through
+    the lattice origin, and the reflection y -> -y when the model's Hessians
+    map onto each other under it, to within 1e-13 of the largest; each only
+    when the blend, if any, maps to itself exactly. () for any other op."""
     if not isinstance(op, ops2d.Op2D):
-        return None
+        return ()
+    lat, model = op.lattice, op.model
+    group = [(lat.inversion(2), np.ones(2 * lat.nsites))]
+    # the reflection maps a1 and b2 to themselves, a2 to a3 and b1 to b3
+    (a1, a2, a3), (b1, b2, b3) = model.Ha, model.Hb
+    scale = max(np.abs(H).max() for H in model.Ha + model.Hb)
+    if all(np.abs(_FLIP @ H @ _FLIP - K).max() <= 1e-13 * scale
+           for H, K in ((a1, a1), (a2, a3), (b1, b3), (b2, b2))):
+        group.append(lat.reflection(2))
     if op.blend is not None:
         beta = op.blend.beta.ravel()
-        if not np.array_equal(beta[op.lattice.inversion()], beta):
-            return None
-    return op.lattice.inversion(2)
+        group = [g for g in group if np.array_equal(beta[g[0][::2] // 2], beta)]
+    return tuple(group)
 
 
 def _stencil(op) -> sp.csr_matrix:
@@ -253,7 +278,7 @@ def _project_out(kernel: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _pinned_update(s: np.ndarray, kernel: np.ndarray):
-    """U = [k_p, s_p] and k^T s, for s = sym(A) k: with the first site's m
+    """U = [k_p, s_p] and k^T s, for s = sym(A) k: with the first m
     coordinates pinned, x = Pi W z and W^T Pi (sym A - sigma G) Pi W =
     (sym A - sigma G)[m:, m:] + U C U^T, C = [[k^T s, -I], [-I, 0]]."""
     m = kernel.shape[1]
@@ -290,121 +315,228 @@ def _numbered(M: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr), shape=M.shape)
 
 
-def _image(key: np.ndarray, mirror: np.ndarray) -> Optional[np.ndarray]:
-    """The stored entry at each stored entry's image under the coordinate
-    permutation mirror, for a matrix's keys (_keys); None when its pattern
-    does not map onto itself exactly."""
-    n = mirror.size
-    image = mirror[key // n] * n + mirror[key % n]
-    order = np.argsort(key)
-    at = order[np.searchsorted(key, image, sorter=order).clip(max=key.size - 1)]
-    return at if np.array_equal(key[at], image) else None
+def _group(mirror: tuple, n: int) -> list:
+    """Every element (perm, sign, word) of the group that the signed
+    involutions mirror generate, x -> sign * x[perm], word naming the
+    generators it is the product of; the identity first. Raises ValueError
+    unless each is a signed involution of n coordinates and they commute."""
+    ones = np.ones(n)
+    for perm, sign in mirror:
+        if not (np.shape(perm) == np.shape(sign) == (n,)
+                and np.array_equal(perm[perm], np.arange(n))
+                and np.array_equal(np.abs(sign), ones)
+                and np.array_equal(sign * sign[perm], ones)):
+            raise ValueError("mirror is not a signed involution of the pencil's coordinates")
+    for (p, s), (q, t) in itertools.combinations(mirror, 2):
+        if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
+            raise ValueError("the mirror's involutions do not commute")
+    elements = [(np.arange(n), ones, ())]
+    for k, (perm, sign) in enumerate(mirror):
+        elements += [(perm[p], s * sign[p], word + (k,)) for p, s, word in elements]
+    return elements
 
 
-def _defect(data: np.ndarray, image: np.ndarray) -> float:
-    """The largest change of a matrix's stored values under its mirror."""
-    return float(np.abs(data[image] - data).max(initial=0.0))
+def _images(M: sp.csr_matrix, rep: np.ndarray, elements: list):
+    """(src, images) of a canonical CSR matrix under a group: src lists its
+    stored entries in the representative rows (rep), and images holds, for
+    each element but the identity, (at, sign): the stored entry at the
+    image (perm[row], perm[col]) of each, and sign[row] sign[col]. images
+    is None when the pattern does not map onto itself: an image is not
+    stored, or a row holds more entries than its representative."""
+    n = rep.size
+    counts = np.diff(M.indptr)
+    src = np.flatnonzero(np.repeat(rep, counts))
+    row, col = np.repeat(np.arange(n), counts)[src], M.indices[src]
+    key = _keys(M)
+    images = []
+    for perm, sign, _ in elements[1:]:
+        image = perm[row] * n + perm[col]
+        at = np.searchsorted(key, image).clip(max=key.size - 1)
+        if not (np.array_equal(counts[perm], counts) and np.array_equal(key[at], image)):
+            return src, None
+        images.append((at, sign[row] * sign[col] if (sign < 0).any() else 1.0))
+    return src, images
 
 
-def _commutes(name: str, data: np.ndarray, image: Optional[np.ndarray]) -> float:
-    """_defect of the stored values data, whose images _image gave; raises
+def _defect(data: np.ndarray, images: tuple) -> float:
+    """The largest change of a matrix's stored values in the representative
+    rows under any element of the group, for their images (_images)."""
+    src, images = images
+    x = data[src]
+    return max((float(np.abs(sign * data[at] - x).max(initial=0.0)) for at, sign in images),
+               default=0.0)
+
+
+def _commutes(name: str, data: np.ndarray, images: tuple) -> float:
+    """_defect of the stored values data, whose images _images gave; raises
     ValueError when the pattern does not map onto itself or the defect
     exceeds 1e-13 of the largest value."""
-    defect = np.inf if image is None else _defect(data, image)
+    defect = np.inf if images[1] is None else _defect(data, images)
     if not defect <= 1e-13 * np.abs(data).max(initial=0.0):
         raise ValueError(f"the {name} does not commute with its mirror")
     return defect
 
 
-def _bases(mirror: np.ndarray, kernel: np.ndarray):
-    """((pos, coef, rep), kernel) of the even and the odd block of an
-    involution. A block's basis B is given by the column pos[i] that holds
-    coordinate i (-1 for none) and its entry coef[i] there: e_i for a
-    fixed coordinate, (e_i +- e_mirror(i)) / sqrt(2) for a pair, the + sign
-    at the smaller coordinate, its representative (rep). Block coordinates
-    follow their representatives' order, so the first site's m coordinates
-    lead the even block, whose kernel is B^T kernel (sqrt(2) k on a pair, k
-    on a fixed coordinate). The odd block holds no constant shift; it is
-    left out when the involution fixes every coordinate."""
-    n = mirror.size
-    pair = mirror != np.arange(n)
-    rep = np.arange(n) <= mirror
-    coef = np.where(pair, np.sqrt(0.5), 1.0)
+def _bases(mirror: tuple, elements: list, kernel: np.ndarray):
+    """(rep, orbit, bases) of the group that the signed involutions mirror
+    generate, whose elements _group gave. rep marks each orbit's
+    representative, its smallest coordinate, and orbit numbers each
+    coordinate's orbit: those with the larger stabilizers first, then by
+    representative. bases holds ((held, coef), kernel) of each block, one
+    per character chi (a sign per generator) that some orbit carries, (+,
+    ..., +) first.
+
+    An element h of the group maps e_r to s_h(r) e_h(r). The orbit of r
+    gives block chi the vector sum_h chi(h) s_h(r) e_h(r), normalized,
+    unless it is zero (an element fixing r cancels it): held marks the
+    orbits that give one, and coordinate i's entry in it is coef[i] =
+    +-1/sqrt(|orbit|) (0 off the block). A block's coordinates are its held
+    orbits, in their order. The constant shift of component c carries the
+    character of c's signs, and the block of that character holds it as B^T
+    k, pinned at the block's first coordinate where that column is
+    nonzero; this raises ValueError unless those coordinates lead the
+    block, in the kernel's column order. The lattice groups fix the
+    origin, whose coordinates come first, each in the block of its own
+    component's character. A block that holds no constant shift gets
+    kernel None. With no mirror this is the one block of the trivial
+    group, the identity basis.
+    """
+    n, m = kernel.shape
+    rep_of = np.minimum.reduce([p for p, _, _ in elements])
+    reps = np.flatnonzero(rep_of == np.arange(n))
+    stab = sum(p[reps] == reps for p, _, _ in elements)
+    number = np.empty(n, dtype=np.int32)
+    number[reps[np.lexsort((reps, -stab))]] = np.arange(reps.size, dtype=np.int32)
+    orbit = number[rep_of]
+    # 1/sqrt(|orbit|) = 1/sqrt(|group| / |stabilizer|)
+    norm = np.zeros(n)
+    norm[reps] = 1.0 / np.sqrt(len(elements) * stab)
+    norm = norm[rep_of]
+    carried = []                                    # each kernel column's character
+    for c in range(m):
+        chi = []
+        for perm, sign in mirror:
+            image = sign * kernel[perm, c]
+            chi.append(1.0 if np.array_equal(image, kernel[:, c])
+                       else -1.0 if np.array_equal(image, -kernel[:, c]) else 0.0)
+        if 0.0 in chi:
+            raise ValueError("the Gram form's kernel does not map to itself under its mirror")
+        carried.append(tuple(chi))
     bases = []
-    for sign, held in ((1.0, rep), (-1.0, rep & pair)):
-        reps = np.flatnonzero(held)
-        if reps.size == 0:
+    for chi in itertools.product((1.0, -1.0), repeat=len(mirror)):
+        acc = np.zeros(n)
+        for p, s, word in elements:
+            acc[p[reps]] += np.prod([chi[k] for k in word]) * s[reps]
+        held = np.zeros(reps.size, dtype=bool)
+        held[orbit[reps]] = acc[reps] != 0.0
+        if not held.any():
             continue
-        pos = np.full(n, -1, dtype=np.int32)
-        pos[reps] = pos[mirror[reps]] = np.arange(reps.size)
-        bases.append(((pos, np.where(rep, coef, sign * coef), rep),
-                      kernel[reps] / coef[reps, None] if sign > 0 else None))
-    return bases
+        coef = acc * norm
+        cols = [c for c in range(m) if carried[c] == chi]
+        kb = None
+        if cols:
+            coords = np.flatnonzero(coef)
+            at = (np.cumsum(held) - 1)[orbit[coords]]
+            kb = np.stack([np.bincount(at, weights=coef[coords] * kernel[coords, c])
+                           for c in cols], axis=1)
+            lead = np.arange(len(cols))
+            if not (np.array_equal(np.argmax(kb != 0.0, axis=0), lead) and kb[lead, lead].all()):
+                raise ValueError("the constant shifts do not lead their block")
+        bases.append(((held, coef), kb))
+    return rep_of == np.arange(n), orbit, bases
+
+
+class _Fold:
+    """The entries of the pencil's pattern P in the representative rows,
+    folded onto the pattern of orbit pairs, once for every block.
+
+    An entry (r, c) of a representative row folds into the orbit pair
+    (orbit(r), orbit(c)): into is its pair, and (orow, ocol) the pairs in
+    CSR order, whose pattern is symmetric, with transpose each pair's
+    transposed one. The entries' coordinates are (row, col). src_a and
+    src_g list A's and G's stored entries in those rows (_images), at_a and
+    at_g are their places among the folded entries, and g holds G's values
+    at them.
+    """
+
+    def __init__(self, P, rep, orbit, A, G, src_a, src_g):
+        n, no = P.shape[0], int(orbit.max()) + 1
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(P.indptr))
+        held = np.flatnonzero(rep[rows])
+        self.row, self.col = rows[held], P.indices[held]
+        key = orbit[self.row].astype(np.int64)
+        key *= no
+        key += orbit[self.col]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self.into = np.empty(key.size, dtype=np.int32)
+        self.into[order] = np.cumsum(first, dtype=np.int32) - 1
+        self.orow, self.ocol = (x.astype(np.int32) for x in np.divmod(key[first], no))
+        pairs = sp.csr_matrix((np.arange(1.0, self.orow.size + 1), self.ocol,
+                               np.searchsorted(self.orow, np.arange(no + 1))), shape=(no, no))
+        self.transpose = (pairs.T.tocsr().data - 1).astype(np.int32)
+        # A's and G's entries in the representative rows, by their place there
+        key = _keys(P)[held]
+        self.src_a, self.g = src_a, G.data[src_g]
+        self.at_a, self.at_g = (np.searchsorted(key, _keys(M)[src]) for M, src in
+                                ((A, src_a), (G, src_g)))
 
 
 class _Block:
     """One diagonal block B^T (sym(A) - sigma G) B of the pencil, on one
     sparsity pattern for every value of A's entries and every sigma, in
-    pinned coordinates when it holds the constant shifts (kernel).
+    pinned coordinates when it holds constant shifts (kernel).
 
-    A and G commute with the involution, so a block entry (a, b) is
-    coef[r]^-1 sum_c coef[c] M[r, c] over the columns c of orbit b in the
-    row r that represents orbit a: each entry of the pencil's pattern (P,
-    the union of A's, A^T's and G's) in a representative row folds, with
-    its weight, into one entry of the block, and the block's pattern is
-    what they fold into. Scatter maps place A's weighted entries in it and
-    the transpose map sends each of its entries to its transposed one; G's
-    values and G's pattern on the block are scattered once. Each entry adds
-    its value times the kernel's value at its column to one slot of s =
-    sym(A) k, its row's at its column's component; the slots and the
-    block's columns and row pointers are O(nnz) arrays, built once.
-    block(a, sigma), a the values on A's canonical CSR pattern, scatters
-    them and sums sym(A) - sigma G on the pattern, sym(A) = (A + A^T) / 2
-    whether or not A is symmetric, forms the rank-2m update from s with one
-    weighted bincount, and keeps the block past the first site's m rows and
-    columns, less its exact zeros off G's pattern: the nonzero set of
-    sym(A) summed with G's pattern, so that SuperLU orders and fills it as
-    it would the summed matrices, whatever sigma. A block without a kernel
-    pins nothing. A probe is O(nnz) array work and one sparse matrix, the
-    block. With the trivial involution the block is the whole pencil.
+    A and G commute with the group, so a block entry (a, b) is coef[r]^-1
+    sum_c coef[c] M[r, c] over the columns c of orbit b in the row r that
+    represents orbit a: each entry of the pencil's pattern (P, the union of
+    A's, A^T's and G's) in a representative row adds, with its signed
+    weight, into one entry of the block, that of its orbit pair (_Fold),
+    and the block's pattern is the orbit pairs it holds. Scatter maps place
+    A's weighted entries in it and the transpose map sends each of its
+    entries to its transposed one; G's values and G's pattern on the block
+    are scattered once. Each entry adds its value times the kernel's value
+    at its column to one slot of s = sym(A) k, its row's at its column's
+    component; the slots and the block's columns and row pointers are
+    O(nnz) arrays, built once with no sort. block(a, sigma), a the values
+    on A's canonical CSR pattern, scatters them and sums sym(A) - sigma G
+    on the pattern, sym(A) = (A + A^T) / 2 whether or not A is symmetric,
+    forms the rank-2m update from s with one weighted bincount, and keeps
+    the block past its m pinned rows and columns, less its exact zeros off
+    G's pattern: the nonzero set of sym(A) summed with G's pattern, so that
+    SuperLU orders and fills it as it would the summed matrices, whatever
+    sigma. A block without a kernel pins nothing. A probe is O(nnz) array
+    work and one sparse matrix, the block. With the trivial group the
+    block is the whole pencil.
     """
 
-    def __init__(self, P, at_a, at_g, g_data, basis, kernel):
+    def __init__(self, fold: _Fold, orbit: np.ndarray, basis, kernel):
         m = 0 if kernel is None else kernel.shape[1]
-        pos, coef, rep = basis
-        nb = int(pos.max()) + 1
-        counts = np.diff(P.indptr)
-        # each entry's block row, -1 off the representative rows, and column
-        row, col = np.repeat(np.where(rep, pos, -1), counts), pos[P.indices]
-        fold = np.flatnonzero((row >= 0) & (col >= 0))
-        # the block entry each folded entry adds to, in CSR order
-        key = row[fold].astype(np.int64)
-        key *= nb
-        key += col[fold]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        into = np.full(P.nnz, -1, dtype=np.int32)   # the block entry of each entry of P
-        into[fold[order]] = np.cumsum(first, dtype=np.int32) - 1
-        weight = np.zeros(P.nnz)
-        weight[fold] = coef[P.indices[fold]] / np.repeat(coef, counts)[fold]
-        key = key[first]
-        B = sp.csr_matrix((np.ones(key.size), key % nb,
-                           np.searchsorted(key, np.arange(nb + 1) * nb)), shape=(nb, nb))
-        into_a = into[at_a]
+        held, coef = basis
+        rank = np.cumsum(held, dtype=np.int32) - 1       # each held orbit's coordinate
+        nb = int(rank[-1]) + 1
+        keep = held[fold.orow] & held[fold.ocol]
+        entry = np.cumsum(keep, dtype=np.int32) - 1      # each held pair's block entry
+        entry[~keep] = -1
+        rows, cols = rank[fold.orow[keep]], rank[fold.ocol[keep]]
+        indptr = np.searchsorted(rows, np.arange(nb + 1))
+        self.size = rows.size
+        self.transpose = entry[fold.transpose[keep]]
+        into = entry[fold.into]                          # the block entry of each folded entry
+        on = np.flatnonzero(into >= 0)
+        weight = np.zeros(into.size)
+        weight[on] = coef[fold.col[on]] / coef[fold.row[on]]
+        into_a = into[fold.at_a]
         src = np.flatnonzero(into_a >= 0)
-        self.src, self.at_a, self.w = src, into_a[src], weight[at_a[src]]
-        into_g = into[at_g]
+        self.src, self.at_a, self.w = fold.src_a[src], into_a[src], weight[fold.at_a[src]]
+        into_g = into[fold.at_g]
         src = np.flatnonzero(into_g >= 0)
-        g = np.bincount(into_g[src], weights=g_data[src] * weight[at_g[src]], minlength=B.nnz)
         at_g = into_g[src]
-        self.size = B.nnz
-        # the pattern is symmetric: numbered B^T holds each transposed entry's number
-        self.transpose = (_numbered(B).T.tocsr().data - 1).astype(np.int32)
+        g = np.bincount(at_g, weights=fold.g[src] * weight[fold.at_g[src]], minlength=self.size)
         g += g[self.transpose]
         g *= 0.5
-        rows, cols, indptr = np.repeat(np.arange(nb), np.diff(B.indptr)), B.indices, B.indptr
         self.kernel, self.dim = kernel, nb - m
         if kernel is not None:
             # (sym(A) k)[row, comp(col)] sums k[col] sym(A)_e over the entries
@@ -425,8 +557,8 @@ class _Block:
         on_g[at_g] = True
         self.g, self.on_g, self.in_block = g[self.start:], on_g[self.start:], self.cols >= 0
         # the basis, to move vectors between full and block coordinates
-        self.coords = np.flatnonzero(pos >= 0)
-        self.at, self.coef = pos[self.coords], coef[self.coords]
+        self.coords = np.flatnonzero(coef)
+        self.at, self.coef = rank[orbit[self.coords]], coef[self.coords]
 
     def block(self, a: np.ndarray, sigma: float):
         """(M_pp, U, k^T s) of _Factor for the values a on A's pattern; U
@@ -455,12 +587,6 @@ class _Block:
         return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(self.dim,) * 2),
                 U, kts)
 
-    def gram(self) -> sp.csr_matrix:
-        """G's block in pinned coordinates."""
-        keep = np.flatnonzero(self.on_g & self.in_block)
-        return sp.csr_matrix((self.g[keep], self.cols[keep], np.searchsorted(keep, self.indptr)),
-                             shape=(self.dim,) * 2)
-
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """The block coordinates of a zero-mean x, pinned: lift's inverse."""
         xb = np.bincount(self.at, weights=self.coef * x[self.coords])
@@ -476,43 +602,43 @@ class _Block:
 
 
 class _Pinned:
-    """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of a
-    coordinate involution (_Block): the even and the odd block of mirror,
-    or, with none, the one block of the trivial involution. The blocks'
-    coordinates, concatenated, are the pencil's: gram, restrict and lift
-    act on their direct sum.
+    """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of the
+    group that mirror generates (_bases, _Block): the four blocks of the
+    inversion and the reflection, the two of the inversion alone, or, with
+    no mirror, the one block of the trivial group. The blocks' coordinates,
+    concatenated, are the pencil's: gram, restrict and lift act on their
+    direct sum.
 
-    The pattern P is the union of A's, A^T's and G's, and a scatter map
-    places each stored entry of A and of G in it. A mirror is checked once:
-    it must map the coordinates onto themselves in pairs, and A and G to
+    The pattern P is the union of A's, A^T's and G's; the blocks fold the
+    entries of its representative rows (_Fold), among which A's and G's
+    stored entries are placed. The mirror is checked once: each generator
+    must be a signed involution of the coordinates that commutes with the
+    others (_group), and every element of the group must map A and G to
     themselves, their patterns exactly and their values to within 1e-13 of
-    their largest entry; otherwise this raises ValueError. What the values
-    leave of that defect enters each shift's rounding tests (perturbation).
-    G, the Gram form, must be symmetric.
+    their largest entry, as read on the representative rows, whose images
+    are every row (_images); otherwise this raises ValueError. What the
+    values leave of that defect enters each shift's rounding tests
+    (perturbation). G, the Gram form, must be symmetric.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: SparseOp, mirror: Optional[np.ndarray] = None):
+    def __init__(self, A: sp.csr_matrix, G: SparseOp, mirror: tuple = ()):
         n = self.n = G.dim
         a = _numbered(A)
         # positive sums: nothing cancels
         P = a + a.T + _numbered(G.matrix)
         P.sort_indices()
-        key = _keys(P)
-        keys = [_keys(M) for M in (A, G.matrix)]
-        # where each stored entry of A and of G sits in the pattern
-        at_a, at_g = (np.searchsorted(key, k) for k in keys)
-        self.image = None                           # of A's entries, with a mirror
-        if mirror is None:
-            mirror = np.arange(n)                   # the trivial involution: one block
-        else:
-            if np.shape(mirror) != (n,) or not np.array_equal(mirror[mirror], np.arange(n)):
-                raise ValueError("mirror is not an involution of the pencil's coordinates")
-            self.image = _image(keys[0], mirror)
-            _commutes("operator", A.data, self.image)
-            self.g_defect = _commutes("Gram form", G.matrix.data, _image(keys[1], mirror))
-            self.width = int(np.diff(P.indptr).max())
-        self.blocks = [_Block(P, at_a, at_g, G.matrix.data, basis, kernel)
-                       for basis, kernel in _bases(mirror, G.kernel)]
+        self.width = int(np.diff(P.indptr).max())
+        elements = _group(mirror, n)
+        rep, orbit, bases = _bases(mirror, elements, G.kernel)
+        # A's and G's entries in the representative rows, and their images
+        self.images = _images(A, rep, elements)
+        g_images = _images(G.matrix, rep, elements)
+        self.g_defect = 0.0
+        if mirror:
+            _commutes("operator", A.data, self.images)
+            self.g_defect = _commutes("Gram form", G.matrix.data, g_images)
+        fold = _Fold(P, rep, orbit, A, G.matrix, self.images[0], g_images[0])
+        self.blocks = [_Block(fold, orbit, basis, kernel) for basis, kernel in bases]
         ends = np.cumsum([b.dim for b in self.blocks])
         # each block's coordinates in the direct sum
         self.slices = [slice(e - b.dim, e) for b, e in zip(self.blocks, ends)]
@@ -520,18 +646,29 @@ class _Pinned:
     def perturbation(self, a: np.ndarray, sigma: float) -> float:
         """A bound on the 2-norm of what the blocks change in sym(A) - sigma G,
         for the values a on A's pattern; 0 without a mirror. Folded from
-        the representative rows, the blocks are exactly those of a pencil
-        that commutes with the mirror and differs from this one, entry by
-        entry of P, by at most defect_A + |sigma| defect_G (_defect); a
-        row of P holds at most width entries."""
-        if self.image is None:
+        the representative rows, the blocks are exactly those of the pencil
+        that repeats those rows over each orbit by the group (averaged over
+        an element that fixes the row), which commutes with the group and
+        differs from this one, entry by entry of P, by at most defect_A +
+        |sigma| defect_G (_defect). A row of P holds at most width
+        entries."""
+        if not self.images[1]:
             return 0.0
-        return self.width * (_defect(a, self.image) + abs(sigma) * self.g_defect)
+        return self.width * (_defect(a, self.images) + abs(sigma) * self.g_defect)
 
     def gram(self) -> sp.csr_matrix:
-        """G on the direct sum of the blocks, G_pp."""
-        grams = [b.gram() for b in self.blocks]
-        return grams[0] if len(grams) == 1 else sp.block_diag(grams, format="csr")
+        """G on the direct sum of the blocks, G_pp, in pinned coordinates:
+        each block's entries on G's pattern, its columns and row pointers
+        offset by the blocks before it."""
+        data, cols, indptr, nnz = [], [], [np.zeros(1, dtype=np.int64)], 0
+        for b, part in zip(self.blocks, self.slices):
+            keep = np.flatnonzero(b.on_g & b.in_block)
+            data.append(b.g[keep])
+            cols.append(b.cols[keep] + part.start)
+            indptr.append(np.searchsorted(keep, b.indptr[1:]) + nnz)
+            nnz += keep.size
+        return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), np.concatenate(indptr)),
+                             shape=(self.slices[-1].stop,) * 2)
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([b.restrict(x) for b in self.blocks])
@@ -607,8 +744,11 @@ class _Shift:
     """LDL^T of sym(A) - sigma G on the zero-mean space, block by block of
     _Pinned (_Factor), in pinned coordinates.
 
-    In the block that holds the constant shifts, with the first site's m
-    coordinates pinned, x = Pi W z (Pi projects off ker G) and the
+    _Pinned gives the trivial group one block, the inversion two and the
+    inversion with the reflection four, of which the first two each hold
+    one component's constant shift (m = 1), each copy of what follows. In
+    a block that holds constant shifts, with its first m coordinates
+    pinned, x = Pi W z (Pi projects off ker G) and the
     restricted matrix is S = M_pp + U C U^T: M_pp = (sym A - sigma G)[m:, m:]
     = L D L^T, as _Block builds it, with U and k^T s in C = [[k^T s, -I],
     [-I, 0]] from _pinned_update. With X = M_pp^-1 and Q = -C^-1 - U^T X U,
@@ -641,9 +781,9 @@ class _Shift:
     bound solve keeps the SuperLU object, on which scipy caches both
     copies, so each block's copies stay allocated beside SuperLU's own
     factor while the shift or its solves live. At the 2D Morse atomistic
-    N = 24 shift (sigma = -0.25), split into its even and odd block,
-    tracemalloc sees 13.75 MB of copies and not SuperLU's factors (24.5 MB
-    as one block). The Woodbury operator Cinv is built on the first
+    N = 24 shift (sigma = -0.25), split into its four blocks, tracemalloc
+    sees 8.6 MiB of copies and not SuperLU's factors (13.2 MiB split by the
+    inversion alone, 24.5 MB as one block). The Woodbury operator Cinv is built on the first
     solve(), so a sign probe never builds it.
     """
 
@@ -687,19 +827,23 @@ def _rayleigh_residual(Asym, G: SparseOp, x: np.ndarray):
 class _Lanczos:
     """Lanczos on T = S_sigma^-1 G_pp from z, solve(r) = S_sigma^-1 r.
 
-    T is self-adjoint in the G_pp inner product, and its largest eigenvalue
-    is 1 / (gamma - sigma). The basis Q is G_pp-orthonormal, kept so by full
-    reorthogonalization (classical Gram-Schmidt twice, against Q and P =
-    G_pp Q), and H = Q^T G_pp T Q holds the coefficients that step computes:
-    T Q = Q H + beta q e_j^T. A full basis, _BASIS vectors, restarts thick:
-    it keeps the top _KEEP Ritz vectors and the last Lanczos vector, with H
-    their Ritz values and the couplings the next step computes (Wu and
-    Simon's thick restart), so Q and P hold at most _BASIS + 1 vectors each:
-    O(_BASIS n) memory however long the solve.
+    T is self-adjoint in the G_pp inner product. Below a shift with no
+    eigenvalue under it, gamma's eigenvalue 1 / (gamma - sigma) is T's
+    largest, and the Lanczos reads the top Ritz pair; above a shift with
+    exactly one under it (bottom), it is T's only negative one, and the
+    Lanczos reads the bottom pair. The basis Q is G_pp-orthonormal, kept so
+    by full reorthogonalization (classical Gram-Schmidt twice, against Q
+    and P = G_pp Q), and H = Q^T G_pp T Q holds the coefficients that step
+    computes: T Q = Q H + beta q e_j^T. A full basis, _BASIS vectors,
+    restarts thick: it keeps the top _KEEP Ritz vectors (the bottom one and
+    the top _KEEP - 1 when it reads the bottom) and the last Lanczos
+    vector, with H their Ritz values and the couplings the next step
+    computes (Wu and Simon's thick restart), so Q and P hold at most _BASIS
+    + 1 vectors each: O(_BASIS n) memory however long the solve.
     """
 
-    def __init__(self, solve, Gpp: sp.csr_matrix, z: np.ndarray):
-        self.solve, self.Gpp = solve, Gpp
+    def __init__(self, solve, Gpp: sp.csr_matrix, z: np.ndarray, bottom: bool = False):
+        self.solve, self.Gpp, self.bottom = solve, Gpp, bottom
         # filled row by row as the basis grows
         self.Q, self.P = np.empty((2, _BASIS + 1, z.size))
         self.H = np.zeros((_BASIS, _BASIS))
@@ -709,8 +853,8 @@ class _Lanczos:
         self.Q[0], self.P[0] = z / norm, Gz / norm
 
     def step(self) -> float:
-        """One shifted solve; returns the top Ritz pair's residual estimate
-        ||T y - theta_1 y||_G / theta_1 = beta |s_j| / theta_1, ||y||_G = 1."""
+        """One shifted solve; returns the Ritz pair's residual estimate
+        ||T y - theta y||_G / |theta| = beta |s_j| / |theta|, ||y||_G = 1."""
         if self.steps == _BASIS:
             self._restart()
         j = self.steps
@@ -726,24 +870,28 @@ class _Lanczos:
         beta = np.sqrt(w @ Gw)
         self.Q[j + 1], self.P[j + 1] = w / beta, Gw / beta
         self.steps = j + 1
+        k = 1 if self.bottom else j + 1
         theta, s, _, _, info = scipy.linalg.lapack.dsyevr(
-            self.H[:j + 1, :j + 1], range="I", il=j + 1, iu=j + 1)
+            self.H[:j + 1, :j + 1], range="I", il=k, iu=k)
         if info:
             raise np.linalg.LinAlgError(f"Ritz eigensolver failed (info {info})")
         self.s = s[:, 0]
-        return float(beta * abs(self.s[-1]) / theta[0])
+        return float(beta * abs(self.s[-1]) / abs(theta[0]))
 
     def _restart(self):
         theta, S = np.linalg.eigh(self.H)
-        S = S[:, -_KEEP:]
+        keep = np.arange(_BASIS - _KEEP, _BASIS)
+        if self.bottom:
+            keep[0] = 0
+        S = S[:, keep]
         self.Q[:_KEEP], self.P[:_KEEP] = S.T @ self.Q[:_BASIS], S.T @ self.P[:_BASIS]
         self.Q[_KEEP], self.P[_KEEP] = self.Q[_BASIS], self.P[_BASIS]
         self.H[:] = 0.0
-        self.H[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
+        self.H[:_KEEP, :_KEEP] = np.diag(theta[keep])
         self.steps = _KEEP
 
     def ritz_vector(self) -> np.ndarray:
-        """The top Ritz vector y = Q s, G_pp-normalized."""
+        """The Ritz vector y = Q s of the pair read, G_pp-normalized."""
         return self.s @ self.Q[:self.steps]
 
     def ritz_values(self) -> np.ndarray:
@@ -752,24 +900,30 @@ class _Lanczos:
 
 
 def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], seed: int):
-    """Shift-invert Lanczos on the pinned pencil (S, G_pp), sigma below gamma.
+    """Shift-invert Lanczos on the pinned pencil (S, G_pp), with a shift sigma
+    that a count certifies next to gamma (Ericsson and Ruhe, 1980).
 
     One search (certified) gives both shifts: the first trial sigma at which
-    _Shift trusts a count of no eigenvalue below it, each refused factor
-    freed before the next. The start vector's Rayleigh quotient rho bounds
-    gamma from above; the first shift's trials descend from min(2 rho, 0),
-    each step 4 times the last, and raise once sigma is not finite. _Lanczos
-    on T = S_sigma^-1 G_pp reads its top Ritz pair after every shifted
-    solve. The stopping test, the lifted Ritz vector's relative residual <=
-    _RTOL, runs as soon as the Ritz residual times the ratio the previous
-    test measured says it can pass, on a run's first step, and at the last
-    step _MAXITER allows.
+    _Shift trusts a count of 0 or 1 eigenvalues below it, each refused
+    factor freed before the next; a count of 2 or more goes on to the next
+    trial. The start vector's Rayleigh quotient rho bounds gamma from
+    above; the first shift's trials descend from min(2 rho, 0), each step 4
+    times the last, and raise once sigma is not finite. _Lanczos on T =
+    S_sigma^-1 G_pp reads, after every shifted solve, its top Ritz pair
+    below a count-zero shift, and its bottom one above a count-one shift,
+    where gamma's eigenvalue is T's only negative one. The stopping test,
+    the lifted Ritz vector's relative residual <= _RTOL, and at a count-one
+    shift its Rayleigh quotient below sigma, so that it is gamma's, runs as
+    soon as the Ritz residual times the ratio the previous test measured
+    says it can pass, on a run's first step, and at the last step _MAXITER
+    allows.
 
     A solve that the stopping test at its _RESHIFT_AT-th step does not end
-    re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the top two
-    Ritz values l_1 < l_2 of the pencil, l_i = sigma + 1 / theta_i; its
-    trials halve the step from sigma toward sigma_1 _HALVINGS times, then
-    retry sigma itself. The old factor is freed first, and a new Lanczos
+    re-shifts once, to sigma_1 = l_1 - (l_2 - l_1) / 2 below the pencil's
+    eigenvalue l_1 of the Ritz pair read, with l_2 that of the top Ritz
+    value (the next one above sigma), l_i = sigma + 1 / theta_i; its trials
+    halve the step from sigma toward sigma_1 _HALVINGS times, then retry
+    sigma itself. The old factor is freed first, and a new Lanczos
     run starts from that test's Ritz vector. _MAXITER caps the shifted
     solves over both shifts. A pencil split by its mirror runs one Lanczos
     on the direct sum of its blocks (_Pinned), with the same shifts,
@@ -781,7 +935,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     tol, maxiter = _RTOL, _MAXITER
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(G.dim) if x0 is None else np.asarray(x0, dtype=float)
+    x = rng.standard_normal(G.dim) if x0 is None else x0
     x = _project_out(G.kernel, x)
     x /= np.linalg.norm(x)
     rho, res = _rayleigh_residual(Asym, G, x)
@@ -793,7 +947,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
         for sigma in trials:
             report["factorizations"] += 1
             shift = _Shift(pinned, A.data, sigma)
-            if shift.trusted and not shift.negative:
+            if shift.trusted and shift.negative <= 1:
                 return sigma, shift
             del shift                               # before the next factorization
         raise RuntimeError("no shift below the spectrum: the pencil is not finite")
@@ -808,13 +962,14 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
 
     Gpp = pinned.gram()
     z = pinned.restrict(x)                          # x in pinned coordinates
-    # the Lanczos never reaches a block that x leaves exactly zero, as an
-    # even x0 leaves the odd one: such a block starts from the seed's draw
+    # the Lanczos never reaches a block that x leaves exactly zero, as a
+    # symmetric x0 leaves all but the first: such a block starts from the
+    # seed's draw
     scale = np.sqrt(z @ z / z.size)
     for part in pinned.slices:
         if not z[part].any():
             z[part] = scale * rng.standard_normal(part.stop - part.start)
-    lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
+    lanczos, ratio = _Lanczos(shift.solve, Gpp, z, shift.negative == 1), None
     while True:
         if report["iterations"] >= maxiter:
             raise RuntimeError(f"pencil iteration did not converge in {maxiter} steps "
@@ -827,17 +982,18 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
             x = pinned.lift(z)
             x /= np.linalg.norm(x)
             rho, res = _rayleigh_residual(Asym, G, x)
-            if res <= tol:
+            if res <= tol and (rho < sigma or not shift.negative):
                 return StabilityReport(gamma=rho, minimizer=x, residual=res,
                                        shift=sigma, nnz=shift.nnz, **report)
             ratio = res / estimate if estimate > 0 else None
         if reshift:
-            l2, l1 = sigma + 1.0 / lanczos.ritz_values()[-2:]
+            theta = lanczos.ritz_values()
+            l1, l2 = sigma + 1.0 / (theta[[0, -1]] if shift.negative else theta[[-1, -2]])
             target = float(l1 - 0.5 * (l2 - l1))
             del lanczos, shift                      # free the factor first
             sigma, shift = certified([sigma + (target - sigma) / 2 ** k
                                       for k in range(_HALVINGS)] + [sigma])
-            lanczos, ratio = _Lanczos(shift.solve, Gpp, z), None
+            lanczos, ratio = _Lanczos(shift.solve, Gpp, z, shift.negative == 1), None
 
 
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
@@ -851,12 +1007,21 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
     of the minimizer. The iterative path starts from x0, else from a draw
     of default_rng(seed), and raises when _MAXITER shifted solves leave the
     relative residual above _RTOL; its report gives the final certified
-    shift, the factorizations (the re-shift included), the factor's
-    nonzeros and, as iterations, the shifted solves.
+    shift (below gamma, or the one shift with gamma alone below it), the
+    factorizations (the re-shift included), the factor's nonzeros and, as
+    iterations, the shifted solves. An x0 of the wrong shape, or with no
+    zero-mean part above 1e-12 of its norm (a constant shift), raises
+    ValueError.
     """
     _pencil_kernel(opMatrix.dim, G)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (G.dim,):
+            raise ValueError(f"x0 has shape {x0.shape}, not ({G.dim},)")
+        if not np.linalg.norm(_project_out(G.kernel, x0)) > 1e-12 * np.linalg.norm(x0):
+            raise ValueError("x0 has no zero-mean part")
 
     if method == "iterative":
         return _iterative_gamma(opMatrix, G, x0, seed)
@@ -932,8 +1097,9 @@ class BlendPattern:
     when it falls back to a value solve. op must share the kind, lattice and
     model (equal by value) of the operator the pattern was built from. The
     pattern splits by the mirror that assemble would give that operator;
-    then A_0 and A_1 must both commute with it, else this raises
-    ValueError, and every op's blend must map to itself as well.
+    then A_0 and A_1 must both commute with each of its involutions, else
+    this raises ValueError, and every op's blend must map to itself under
+    each as well.
     """
 
     def __init__(self, op, G: SparseOp):
@@ -958,21 +1124,20 @@ class BlendPattern:
         del A1
         self.site = rows // G.ncomp
         A0 = sp.csr_matrix((self.a0, self.indices, self.indptr), shape=(n, n))
-        self.mirror = _inversion(op)
-        # the sites' inversion, against which each op's blend is checked
-        self.sites = None if self.mirror is None else op.lattice.inversion()
+        self.mirror = _symmetries(op)
+        # the sites' permutations, under which each op's blend is checked
+        self.sites = [perm[::G.ncomp] // G.ncomp for perm, _ in self.mirror]
         self.pinned = _Pinned(A0, G, self.mirror)
-        if self.mirror is not None:
-            # with beta mapped to itself, A(beta) commutes when A_0 and A_1 do
-            _commutes("operator", a1, self.pinned.image)
+        # with beta mapped to itself, A(beta) commutes when A_0 and A_1 do
+        _commutes("operator", a1, self.pinned.images)
 
     def values(self, op) -> np.ndarray:
         """A(beta)'s stored values at op's blend, on the pattern."""
         if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
         beta = op.blend.beta.ravel()
-        if self.sites is not None and not np.array_equal(beta[self.sites], beta):
-            raise ValueError("the blend does not map to itself under the pattern's inversion")
+        if not all(np.array_equal(beta[sites], beta) for sites in self.sites):
+            raise ValueError("the blend does not map to itself under the pattern's mirror")
         a = beta[self.site]
         a *= self.slope
         a += self.a0

@@ -163,6 +163,22 @@ def test_rst_bounds_monte_carlo(rng):
         rst_bounds(bl, u)
 
 
+@pytest.mark.parametrize("N, K", [(32, 10), (128, 20)])
+def test_r_bound_holds_at_its_witness(N, K):
+    # R = 2 eps^3 sum D^2 beta (Du)^2: a zero-mean u whose Du is a spike at
+    # argmax |D^2 beta|, less its mean, nearly attains 2 eps^2 ||D^2
+    # beta||_inf ||Du||^2, which is what boundR states (half of it raised)
+    ch = Chain1D(N)
+    bl = build_blend_1d(ch, K)
+    d2b = diff(ch, bl.beta, 2)
+    du = -np.full(ch.nsites, 1.0 / ch.nsites)
+    du[np.argmax(np.abs(d2b))] += 1.0
+    u = project_zero_mean(ch.eps * np.cumsum(du))
+    assert np.allclose(diff(ch, u, 1), du, rtol=0.0, atol=1e-12)
+    b = rst_bounds(bl, u)
+    assert 0.95 * b["boundR"] <= abs(b["R"]) <= b["boundR"]
+
+
 def test_t_bound_is_order_sharp():
     # T is not shift-invariant; the adversarial witness realizes its bound
     # through the anchored representative (anchor 1/2, before projection)

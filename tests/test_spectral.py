@@ -1,5 +1,6 @@
 """Sparse assembly identities and coercivity pencil solves."""
 
+import itertools
 import weakref
 
 import numpy as np
@@ -405,7 +406,7 @@ def test_poincare_matches_the_two_component_pencil(N):
 def test_thick_restart_keeps_converging(monkeypatch):
     # a basis of 8 vectors restarts every few steps and still reaches the
     # dense gamma, with the same stopping test; in 2D the restart runs in
-    # the coordinates of the even and odd blocks
+    # the coordinates of the four blocks of the inversion and the reflection
     monkeypatch.setattr(spectral, "_BASIS", 8)
     monkeypatch.setattr(spectral, "_KEEP", 3)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
@@ -415,7 +416,7 @@ def test_thick_restart_keeps_converging(monkeypatch):
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-9)
     lat = TriLattice2D(12)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
-    assert A.mirror is not None
+    assert len(A.mirror) == 2
     rep = coercivity(A, G)
     assert rep.iterations > 8 and rep.residual <= 1e-8
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
@@ -440,6 +441,12 @@ def test_coercivity_validation():
         coercivity(sop, SparseOp(G.matrix))
     with pytest.raises(ValueError, match="unknown method"):
         coercivity(sop, G, method="magic")
+    # a start vector of the wrong shape, or a constant shift with no
+    # zero-mean part, is refused by name
+    with pytest.raises(ValueError, match="x0 has shape"):
+        coercivity(sop, G, x0=np.ones(G.dim - 1))
+    with pytest.raises(ValueError, match="x0 has no zero-mean part"):
+        coercivity(sop, G, x0=np.full(G.dim, 3.0))
 
 
 @pytest.mark.parametrize("space, kind, N",
@@ -463,13 +470,15 @@ def test_default_path_is_iterative_at_every_size(space, kind, N):
 
 
 def test_morse_value_solve_factors_the_folded_blocks():
-    # the constants workload's heaviest query: split by its inversion, the
-    # factors of the even and odd blocks hold about 1.14M nonzeros, against
-    # 2,139,132 for the one unsplit block
+    # the constants workload's heaviest query: split by the inversion and
+    # the reflection, the factors of the four blocks hold about 0.75M
+    # nonzeros, against 1,141,996 for the even and odd blocks of the
+    # inversion alone and 2,139,132 for the one unsplit block
     lat = TriLattice2D(24)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
     rep = coercivity(A, G, seed=7)
-    assert rep.nnz <= 1_300_000
+    assert len(A.mirror) == 2
+    assert rep.nnz <= 900_000
     small = TriLattice2D(12)
     want = coercivity(assemble(Op2D(kind="atomistic", lattice=small, model=MODEL2D)),
                       gram_D(small), method="dense").gamma
@@ -490,6 +499,27 @@ def test_iterative_solve_reshifts_when_open_after_twenty_solves():
 
 # K* of the blended chain at phi2F = -0.24, tol 1e-10 (criterion 4's sizes)
 KSTAR_1D = {128: 16, 256: 18, 512: 20, 1024: 22}
+
+
+@pytest.mark.parametrize("space", ["1d", "2d"])
+def test_a_count_one_shift_gives_the_dense_gamma(space):
+    # at K*-1 of a sweep size (1D N = 128, 2D toy N = 12) gamma < 0, and the
+    # first trial shift, sigma = 0, has gamma alone below it: a trusted
+    # count of one, at which the solve stays, reading the bottom Ritz pair
+    if space == "1d":
+        ch = Chain1D(128)
+        op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                  blend=build_blend_1d(ch, KSTAR_1D[128] - 1))
+        G = gram_D(ch)
+    else:
+        lat, ops = _toy_ops(12)
+        op, G = ops[4], gram_D(lat)                 # K* = 6
+    A = assemble(op)
+    rep = coercivity(A, G, seed=7)
+    assert rep.factorizations == 1 and rep.gamma < 0.0 == rep.shift
+    sign = is_coercive(A, G, rep.shift)
+    assert sign.negative == 1 and sign.method == "inertia"
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
 
 
 @pytest.mark.parametrize("N", sorted(KSTAR_1D))
@@ -640,33 +670,58 @@ def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     assert "Cinv" in vars(factor)
 
 
-def _summed_blocks(Asym, G, tau, m, mirror=None):
-    # sym(A) - tau G summed from triplets, then sliced: G's pattern is kept
-    # at any tau, exact zeros of sym(A) are not stored. With a mirror, its
-    # even block, sliced, and its odd block, by sparse products with the
-    # two bases written out as matrices
-    a, g = Asym.tocoo(), G.tocoo()
+def _explicit_bases(mirror, kernel):
+    # each block of the group the involutions generate, written out: the
+    # projector P_chi = sum_h chi(h) S_h / |group| of each character, as a
+    # sparse matrix, with S_h x = sign * x[perm]; its columns at the orbits'
+    # smallest coordinates, where nonzero and normalized, are the block's
+    # basis B, the orbits with the larger stabilizers first. A block holds
+    # the constant shifts k that carry its character as B^T k, whose first
+    # m coordinates are the pinned ones. Returns (B, B^T k or None) per block
+    n = kernel.shape[0]
+    ident = scipy.sparse.identity(n, format="csr")
+    elements = [(ident, ())]
+    for g, (perm, sign) in enumerate(mirror):
+        S = scipy.sparse.csr_matrix((sign, (np.arange(n), perm)), shape=(n, n))
+        elements += [(S @ h, word + (g,)) for h, word in elements]
+    images = np.stack([h.indices for h, _ in elements])     # h e_r sits at row h.indices[r]
+    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    stab = (images[:, reps] == reps).sum(axis=0)
+    reps = reps[np.lexsort((reps, -stab))]
+    out = []
+    for chi in itertools.product((1.0, -1.0), repeat=len(mirror)):
+        proj = sum(np.prod([chi[g] for g in word]) * h for h, word in elements) / len(elements)
+        cols = proj.tocsc()[:, reps]
+        held = np.flatnonzero(np.diff(cols.indptr))
+        if held.size == 0:
+            continue
+        B = cols[:, held]
+        B = B @ scipy.sparse.diags(1.0 / np.sqrt(B.power(2).sum(axis=0)).A1)
+        kb = B.T @ kernel
+        kb = kb[:, np.abs(kb).max(axis=0) > 0.5 / np.sqrt(n)]
+        out.append((B.tocsc(), kb if kb.shape[1] else None))
+    return out
+
+
+def _summed_blocks(Asym, G, tau, mirror=()):
+    # sym(A) - tau G summed from triplets, then written in each block's
+    # basis (_explicit_bases) as the sparse product B^T (sym A - tau G) B,
+    # its m pinned rows and columns sliced off. G's pattern is kept at any
+    # tau, exact zeros of sym(A) are not stored
+    a, g = Asym.tocoo(), G.matrix.tocoo()
     M = scipy.sparse.csc_matrix(
         (np.concatenate([a.data, -tau * g.data]),
          (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
         shape=a.shape)
-    if mirror is None:
-        return [M[m:, m:]]
-    i = np.arange(M.shape[0])
-    h = np.sqrt(0.5)
-    even, odd = np.flatnonzero(i <= mirror), np.flatnonzero(i < mirror)
-    pair = mirror[even] != even
-    col = np.arange(even.size)
-    Be = scipy.sparse.csc_matrix((np.concatenate([np.where(pair, h, 1.0), np.full(pair.sum(), h)]),
-                                  (np.concatenate([even, mirror[even][pair]]),
-                                   np.concatenate([col, col[pair]]))), shape=(i.size, even.size))
-    col = np.arange(odd.size)
-    Bo = scipy.sparse.csc_matrix((np.concatenate([np.full(odd.size, h), np.full(odd.size, -h)]),
-                                  (np.concatenate([odd, mirror[odd]]), np.concatenate([col, col]))),
-                                 shape=(i.size, odd.size))
-    blocks = [(Be.T @ M @ Be).tocsc()[m:, m:], (Bo.T @ M @ Bo).tocsc()]
-    for b in blocks:
+    blocks = []
+    for B, kb in _explicit_bases(mirror, G.kernel):
+        m = 0 if kb is None else kb.shape[1]
+        if kb is not None:
+            # the pinned coordinates lead the block
+            assert [np.flatnonzero(k)[0] for k in kb.T] == list(range(m))
+        b = (B.T @ M @ B).tocsc()[m:, m:]
         b.sort_indices()
+        blocks.append(b)
     return blocks
 
 
@@ -690,11 +745,10 @@ def test_refilled_block_matches_the_assembled_one(space, N):
         ops = [Op2D(kind="bqcf", lattice=lat, model=model,
                     blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, min(13, N - 3))]
     pattern = BlendPattern(ops[0], G)
-    m = G.kernel.shape[1]
     verdicts = set()
     for op in ops:
         A = assemble(op)
-        refs = _summed_blocks(A.sym_matrix, G.matrix, tau, m, A.mirror)
+        refs = _summed_blocks(A.sym_matrix, G, tau, A.mirror)
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
         for block, ref in zip(pattern.pinned.blocks, refs):
             got, _, _ = block.block(pattern.matrix(op).matrix.data, tau)
@@ -736,11 +790,11 @@ def test_split_probes_count_as_the_whole_pencil(N):
 
 def _shifted_inversion(lat):
     # inversion through the midpoint of an a1 bond: an involution of the
-    # lattice, one site off the blend's centre
+    # lattice, one site off the blend's centre, as a mirror
     n = 2 * lat.N
     p = (n - 2 - np.arange(n)) % n
     sites = ((p + 1) % n)[:, None] * n + p
-    return (2 * sites.ravel()[:, None] + np.arange(2)).ravel()
+    return ((2 * sites.ravel()[:, None] + np.arange(2)).ravel(), np.ones(2 * n * n)),
 
 
 def test_a_mirror_that_does_not_commute_raises(monkeypatch):
@@ -748,7 +802,8 @@ def test_a_mirror_that_does_not_commute_raises(monkeypatch):
     G = gram_D(lat)
     A = assemble(ops[3])
     shifted = _shifted_inversion(lat)
-    assert np.array_equal(shifted[shifted], np.arange(G.dim))
+    perm, ones = shifted[0]
+    assert np.array_equal(perm[perm], np.arange(G.dim))
     with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
         is_coercive(SparseOp(A.matrix, mirror=shifted), G, 1e-10)
     with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
@@ -756,8 +811,8 @@ def test_a_mirror_that_does_not_commute_raises(monkeypatch):
     # an unblended operator commutes with it, as with every lattice inversion
     atomistic = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
     assert is_coercive(SparseOp(atomistic.matrix, mirror=shifted), G, 1e-10).coercive
-    with pytest.raises(ValueError, match="not an involution"):
-        is_coercive(SparseOp(A.matrix, mirror=np.roll(np.arange(G.dim), 2)), G, 1e-10)
+    with pytest.raises(ValueError, match="not a signed involution"):
+        is_coercive(SparseOp(A.matrix, mirror=((np.roll(np.arange(G.dim), 2), ones),)), G, 1e-10)
     # a pattern's probes fold A_0 + diag(beta) (A_1 - A_0): a stencil at
     # beta = 1 that breaks the inversion, its pattern kept, is refused
     # although the one at beta = 0 commutes
@@ -789,7 +844,7 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
                                                       shape=A.matrix.shape), G, A.mirror)
     sigma = -0.25
     eps = pinned.perturbation(a, sigma)
-    assert pinned.g_defect == 0.0
+    assert len(A.mirror) == 2 and pinned.g_defect == 0.0
     assert eps == pytest.approx(pinned.width * defect, rel=1e-6)
     assert spectral._Pinned(A.matrix, G, A.mirror).perturbation(A.matrix.data, sigma) == 0.0
     widened = _Shift(pinned, a, sigma)
@@ -797,9 +852,10 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
     plain = _Shift(pinned, a, sigma)
     for wide, bare in zip(widened.factors, plain.factors):
         assert wide.tests[0][1] == pytest.approx(bare.tests[0][1] + eps, rel=1e-12)
+        m = 0 if bare.Y is None else bare.Y.shape[1] // 2
         extra = [eps] if bare.Y is None else \
             [eps] + [eps * np.linalg.norm(bare.Y[:, j], 2) ** 2
-                     for j in (slice(0, G.ncomp), slice(G.ncomp, None))]
+                     for j in (slice(0, m), slice(m, None))]
         assert len(wide.tests) == len(extra)
         for (p, b), (q, c), e in zip(wide.tests, bare.tests, extra):
             assert p == q and b == pytest.approx(c + e, rel=1e-12)
@@ -808,14 +864,16 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
 
 def test_an_asymmetric_blend_declares_no_mirror():
     # a hand-built blend moved one site off the origin: no mirror, one
-    # block, and the iterative path agrees with the dense one
+    # block, and the iterative path agrees with the dense one. The toy
+    # model's own blend declares the inversion and not the reflection,
+    # which maps its soft bond b1 to b3
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
     blend = ops[4].blend
     moved = Blend2D(lattice=lat, beta=np.roll(blend.beta, 1, axis=0), Ra=blend.Ra, Rb=blend.Rb)
     op = Op2D(kind="bqcf", lattice=lat, model=ops[4].model, blend=moved)
     A = assemble(op)
-    assert A.mirror is None and assemble(ops[4]).mirror is not None
+    assert A.mirror == () and len(assemble(ops[4]).mirror) == 1
     assert len(BlendPattern(op, G).pinned.blocks) == 1
     rep = coercivity(A, G)
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
@@ -833,7 +891,7 @@ def test_an_odd_extremal_mode_is_found_from_an_even_start():
     inverse = lat.inversion()
     sites = np.array([3, inverse[3]])
     M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -1.0), (sites, sites)), shape=(dim, dim)),
-                 mirror=inverse)
+                 mirror=((inverse, np.ones(dim)),))
     G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1)
     dense = coercivity(M, G, method="dense")
     x = dense.minimizer
@@ -844,18 +902,31 @@ def test_an_odd_extremal_mode_is_found_from_an_even_start():
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-10)
 
 
+def _morse_forms(lat):
+    # Morse atomistic, cauchy_born and radially blended bqcf, and the
+    # Poincare mask on both components, each with the inversion and the
+    # signed reflection declared
+    ops = [Op2D(kind=kind, lattice=lat, model=MODEL2D) for kind in ("atomistic", "cauchy_born")]
+    ops.append(Op2D(kind="bqcf", lattice=lat, model=MODEL2D,
+                    blend=_blend_2d_sharp(lat, lat.N // 8, lat.N // 4)))
+    forms = [assemble(op) for op in ops]
+    mask = _shifted_forms(lat)[2]
+    forms.append(SparseOp(mask.matrix, mirror=((lat.inversion(2), np.ones(mask.dim)),
+                                               lat.reflection(2))))
+    return forms
+
+
 @pytest.mark.parametrize("N", [16, 32])
 def test_split_shifted_solve_is_exact(N, rng):
-    # the blocks' solves, lifted, solve (sym A - sigma G) x = G y on the
-    # zero-mean space, y = lift(z): S z' = G_pp z in block coordinates
+    # the four blocks' solves, lifted, solve (sym A - sigma G) x = G y on
+    # the zero-mean space, y = lift(z): S z' = G_pp z in block coordinates
     lat = TriLattice2D(N)
     G = gram_D(lat)
     k = G.kernel
     sigma = -0.25
-    for sop in _shifted_forms(lat):
-        mirror = lat.inversion(2)
-        pinned = spectral._Pinned(sop.matrix, G, mirror)
-        assert len(pinned.blocks) == 2
+    for sop in _morse_forms(lat):
+        pinned = spectral._Pinned(sop.matrix, G, sop.mirror)
+        assert len(sop.mirror) == 2 and len(pinned.blocks) == 4
         z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
         shift = _Shift(pinned, sop.matrix.data, sigma)
         x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
@@ -864,6 +935,87 @@ def test_split_shifted_solve_is_exact(N, rng):
         assert np.abs(k.T @ x).max() <= 1e-12 * np.linalg.norm(x)
         # restrict inverts lift on the zero-mean space
         assert np.allclose(pinned.restrict(y), z, rtol=0.0, atol=1e-12 * np.abs(z).max())
+
+
+@pytest.mark.parametrize("N", [12, 16])
+def test_four_block_counts_match_the_whole_pencil(N):
+    # Morse bqcf with the radial blend splits into the four blocks of the
+    # inversion and the reflection: each refilled block is its explicit
+    # basis product, and the blocks' counts add up to the unsplit pencil's,
+    # probe by probe, at shifts with hundreds of eigenvalues below
+    lat = TriLattice2D(N)
+    G = gram_D(lat)
+    ops = [Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 4, 4 + K))
+           for K in range(1, 9)]
+    pattern = BlendPattern(ops[0], G)
+    assert len(pattern.mirror) == 2 and len(pattern.pinned.blocks) == 4
+    counts = set()
+    for op in ops:
+        A = assemble(op)
+        assert len(A.mirror) == 2
+        for tau in (7.0, 7.5, 8.0, 9.0):
+            split, whole = pattern.is_coercive(op, tau), is_coercive(SparseOp(A.matrix), G, tau)
+            assert not split.fallback and not whole.fallback
+            assert split.negative == whole.negative, (op.blend.K, tau)
+            counts.add(split.negative)
+    assert len(counts) > 4
+    A, tau = assemble(ops[3]), 7.5
+    refs = _summed_blocks(A.sym_matrix, G, tau, A.mirror)
+    ulp = np.spacing(abs(A.matrix).max())
+    for block, ref in zip(pattern.pinned.blocks, refs, strict=True):
+        got, _, _ = block.block(pattern.values(ops[3]), tau)
+        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+        assert np.abs(got.data - ref.data).max() <= 8 * ulp
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_four_block_poincare_counts_match_the_whole_pencil(N, monkeypatch):
+    # the annulus mask maps to itself under the inversion and the
+    # reflection, unsigned on the scalar field: four blocks, the constant
+    # in the first, whose counts add up to the unsplit pencil's
+    forms = []
+
+    def recording(A, G, **kw):
+        forms.append((A, G))
+        return coercivity(A, G, **kw)
+
+    monkeypatch.setattr(spectral, "coercivity", recording)
+    lat = TriLattice2D(N)
+    ratio = ops2d.poincare_discrete(lat, make_regions(lat, N // 8, N // 4))
+    (M, G), = forms
+    assert len(M.mirror) == 2
+    pinned = _Pinned(M.matrix, G, M.mirror)
+    assert len(pinned.blocks) == 4
+    assert [b.kernel is not None for b in pinned.blocks] == [True, False, False, False]
+    counts = []
+    for tau in (-1.01 * ratio, -0.99 * ratio, -0.1 * ratio, -0.01 * ratio):
+        split, whole = is_coercive(M, G, tau), is_coercive(SparseOp(M.matrix), G, tau)
+        assert not split.fallback and not whole.fallback
+        assert split.negative == whole.negative, tau
+        counts.append(split.negative)
+    assert counts[0] == 0 and counts[1] >= 1 and counts[3] > counts[2] > counts[1]
+
+
+def test_a_declared_reflection_that_does_not_commute_raises():
+    # the toy model's soft bond b1 maps to b3 under the reflection, so
+    # assemble declares only the inversion; a reflection declared by hand
+    # raises, as does the Morse operator's reflection without its sign
+    # and a pair of involutions that do not commute
+    lat, ops = _toy_ops(12)
+    G = gram_D(lat)
+    A = assemble(ops[3])
+    assert len(A.mirror) == 1
+    assert len(assemble(Op2D(kind="atomistic", lattice=lat, model=ops[3].model)).mirror) == 1
+    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
+        coercivity(SparseOp(A.matrix, mirror=A.mirror + (lat.reflection(2),)), G)
+    morse = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
+    perm, sign = lat.reflection(2)
+    assert len(morse.mirror) == 2 and np.array_equal(morse.mirror[1][1], sign)
+    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
+        is_coercive(SparseOp(morse.matrix, mirror=((perm, np.abs(sign)),)), G, 1e-10)
+    with pytest.raises(ValueError, match="do not commute"):
+        is_coercive(SparseOp(morse.matrix, mirror=morse.mirror[:1] + _shifted_inversion(lat)),
+                    G, 1e-10)
 
 
 def test_no_stored_entry_is_zero_at_every_weight():
@@ -928,13 +1080,19 @@ def test_blend_pattern_refuses_a_foreign_operator():
 @pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
                                                   ("bqcf", 100.0, -24.0, 6)])
 def test_iterative_path_below_minus_one(kind, phiF, phi2F, K):
-    # the shift must be placed below gamma < -1, not at a fixed sigma = -1
+    # the shift must be placed next to gamma < -1, not at a fixed sigma =
+    # -1: below it, or above it with gamma alone below (a count of one)
     model = PairModel1D(phiF=phiF, phi2F=phi2F)
     dense = _gamma_1d(model, 300, kind=kind, K=K, method="dense")
     iterative = _gamma_1d(model, 300, kind=kind, K=K, method="iterative")
     assert dense.gamma < -1.0
     assert iterative.gamma == pytest.approx(dense.gamma, rel=1e-9)
-    assert iterative.shift < dense.gamma
+    ch = Chain1D(300)
+    A = assemble(Op1D(kind=kind, chain=ch, model=model,
+                      blend=None if K is None else build_blend_1d(ch, K)))
+    sign = is_coercive(A, gram_D(ch), iterative.shift)
+    assert iterative.shift < -1.0 and sign.method == "inertia"
+    assert sign.negative == int(iterative.shift > dense.gamma)
 
 
 def test_inertia_rejects_foreign_kernel():
