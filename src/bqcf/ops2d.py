@@ -395,14 +395,12 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     displacement component alike (the mask weighs |u|^2 = u_1^2 + u_2^2 per
     site, gram_D's 2D blocks are identities), so the vector pencil is two
     copies of a scalar one with the same supremum: it is solved on one
-    component, (2N)^2 coordinates. The mask form declares as its mirror the
-    lattice's inversion and its reflection y -> -y, each unsigned on the
-    scalar field, when the blending region maps to itself under it: a
-    hexagonal annulus does under both, so the pencil splits into the four
-    blocks of their group, the constant in the (+, +) block
-    (spectral._bases). x0 defaults to a radial bump, which lies in that
-    block: the other blocks start from a draw of the solver's seed
-    (spectral._iterative_gamma).
+    component, (2N)^2 coordinates. Its Gram form lists the inversion and
+    the reflection y -> -y, unsigned, and the mask, a hexagonal annulus,
+    commutes with both (spectral._Pinned measures it): four blocks, the
+    constant in the (+, +) one (spectral._bases). x0 defaults to a radial
+    bump, which lies in that block: the other blocks start from a draw of
+    the solver's seed (spectral._iterative_gamma).
     """
     from .spectral import SparseOp, coercivity, gram_D
 
@@ -414,10 +412,9 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> fl
     dim = (2 * lattice.N) ** 2
     sites = np.flatnonzero(mask.ravel())
     vals = np.full(sites.size, -lattice.eps**2)
-    mirror = tuple(g for g in ((lattice.inversion(), np.ones(dim)), lattice.reflection())
-                   if np.array_equal(mask.ravel()[g[0]], mask.ravel()))
-    M = SparseOp(sp.csr_matrix((vals, (sites, sites)), shape=(dim, dim)), mirror=mirror)
-    G = SparseOp(gram_D(lattice).matrix[0::2, 0::2], ncomp=1)
+    M = SparseOp(sp.csr_matrix((vals, (sites, sites)), shape=(dim, dim)))
+    G = SparseOp(gram_D(lattice).matrix[0::2, 0::2], ncomp=1,
+                 mirror=((lattice.inversion(), np.ones(dim)), lattice.reflection()))
     # start from a radial cosine bump about the annulus center: its ratio is
     # about 3/4 of the supremum, which places the first shift below it
     reach = min(3 * regions.Rb, lattice.N)

@@ -12,8 +12,8 @@ where an energy-based matrix differs from its transpose by rounding.
 The zero-mean space belongs to the Gram form: ker(G) is the constant
 shifts of its m = ncomp coordinates per site (SparseOp.kernel), and no
 other basis can be given. Its one coordinate system pins one site's m
-coordinates (the first site's, or with a mirror the origin's, which the
-lattice's symmetries fix), x = Pi W z, where sym(A) - sigma G restricts
+coordinates (the first site's, or in a split pencil the origin's, which
+the lattice's symmetries fix), x = Pi W z, where sym(A) - sigma G restricts
 to its trailing block plus a rank-2m term (_pinned_update). One sparse
 factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
@@ -33,23 +33,22 @@ method "dense": a dense eigh of the same pinned pencil, the reference
 the sparse one is checked against.
 
 A pencil that commutes with a group of coordinate symmetries splits into
-blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). SparseOp.mirror
-declares the group by its generators, commuting signed involutions x ->
-sign * x[perm]. assemble declares the lattice inversion on a 2D operator
-whose blend, if any, maps to itself, and with it the reflection y -> -y,
-which flips the second displacement component, when the model's Hessians
-map onto each other under it as well (the Morse models; not the toy
-model, whose soft bond b1 maps to b3). poincare_discrete declares both,
-unsigned, on its annulus mask when the mask maps to itself. _Pinned builds
-one block per character of the group (_bases): two for the inversion alone,
-four with the reflection. The constant shift of each component lies in the
-block of its own character, (1, 0) in (+, +) and (0, 1) in (+, -) (the
-scalar one in (+, +)), which pins it as above; the other blocks have no
-kernel: no pinning and no capacitance. Counts add over the blocks, a count
-is trusted when every block's is, and the Lanczos runs on their direct
-sum. The folded blocks fill far less under the fill-reducing ordering than
-the whole pencil on the torus. An operator with no mirror (1D, L-tilde, an
-asymmetric blend) is one block: the same code with the trivial group.
+blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). Symmetry is
+measured, not declared: the Gram form lists the candidates as its mirror
+(gram_D the 2D lattice's inversion and its reflection y -> -y, which flips
+the second displacement component; poincare_discrete's scalar form both,
+unsigned), and _Pinned splits by the largest group some of them generate
+that the operator commutes with, the whole group tried first: all of it for
+the Morse models and the annulus mask, the inversion for the toy model (the
+reflection maps its soft bond b1 to b3), one block for L-tilde, an
+asymmetric blend and 1D. Each character of the group gives one block
+(_bases). The constant shift of each component lies in the block of its
+own character, (1, 0) in (+, +) and (0, 1) in (+, -) (the scalar one in
+(+, +)), which pins it as above; the other blocks have no kernel: no
+pinning and no capacitance. Counts add over the blocks, a count is
+trusted when every block's is, and the Lanczos runs on their direct sum.
+The folded blocks fill far less under the fill-reducing ordering than the
+whole pencil on the torus.
 """
 
 from __future__ import annotations
@@ -102,11 +101,10 @@ class SparseOp:
     symmetric matrix it holds the same values. A Gram form sets ncomp, its
     coordinates per site: its nullspace is the constant shifts, whose
     orthonormal basis is kernel, and the zero-mean space of the pencil is
-    their orthogonal complement. mirror is a tuple of commuting signed
-    involutions (perm, sign), x -> sign * x[perm], each of which maps the
-    operator to itself: sign_i sign_j A[perm_i, perm_j] = A[i, j]. The
-    pencil solves split by the group they generate (_Pinned checks that
-    each holds); the empty tuple is the trivial group, one block.
+    their orthogonal complement. A Gram form's mirror lists its pencils'
+    candidate symmetries, commuting signed involutions x -> sign * x[perm]
+    that map it to itself; _Pinned measures which of them each operator
+    commutes with. A mirror without ncomp raises ValueError.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
@@ -115,6 +113,8 @@ class SparseOp:
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
+        if self.ncomp is None and self.mirror:
+            raise ValueError("only a Gram form (ncomp set) carries a mirror")
         if self.ncomp is not None and self.dim % self.ncomp:
             raise ValueError(f"dimension {self.dim} is not a multiple of ncomp {self.ncomp}")
 
@@ -188,37 +188,11 @@ def assemble(op) -> SparseOp:
     u^T A u equals the weighted quadratic form <apply(op, u), u> in plain
     Euclidean arithmetic. Entries that the stencil's sums leave zero are
     not stored; BlendPattern keeps an entry that is zero at one weight and
-    not at another. A 2D operator declares its symmetries as its mirror
-    (_symmetries).
+    not at another.
     """
     A = _stencil(op)
     A.eliminate_zeros()
-    return SparseOp(A, mirror=_symmetries(op))
-
-
-# the reflection y -> -y on a displacement
-_FLIP = np.diag([1.0, -1.0])
-
-
-def _symmetries(op) -> tuple:
-    """The signed involutions a 2D operator declares: the inversion through
-    the lattice origin, and the reflection y -> -y when the model's Hessians
-    map onto each other under it, to within 1e-13 of the largest; each only
-    when the blend, if any, maps to itself exactly. () for any other op."""
-    if not isinstance(op, ops2d.Op2D):
-        return ()
-    lat, model = op.lattice, op.model
-    group = [(lat.inversion(2), np.ones(2 * lat.nsites))]
-    # the reflection maps a1 and b2 to themselves, a2 to a3 and b1 to b3
-    (a1, a2, a3), (b1, b2, b3) = model.Ha, model.Hb
-    scale = max(np.abs(H).max() for H in model.Ha + model.Hb)
-    if all(np.abs(_FLIP @ H @ _FLIP - K).max() <= 1e-13 * scale
-           for H, K in ((a1, a1), (a2, a3), (b1, b3), (b2, b2))):
-        group.append(lat.reflection(2))
-    if op.blend is not None:
-        beta = op.blend.beta.ravel()
-        group = [g for g in group if np.array_equal(beta[g[0][::2] // 2], beta)]
-    return tuple(group)
+    return SparseOp(A)
 
 
 def _stencil(op) -> sp.csr_matrix:
@@ -259,7 +233,9 @@ def gram_D(domain) -> SparseOp:
     Hessians (the eps^2 weight and the 1/eps^2 of the quotients cancel).
     Identity Hessians couple no two components, so the 2D form is one
     scalar nearest-neighbor Laplacian on each: matrix[0::2, 0::2] on the
-    (2N)^2 sites, which poincare_discrete solves against.
+    (2N)^2 sites, which poincare_discrete solves against. The 2D mirror lists
+    the inversion and the signed reflection y -> -y (_Pinned); the 1D one
+    none, since the chain's split is slower at the sizes that run.
     """
     if isinstance(domain, Chain1D):
         n = domain.nsites
@@ -269,7 +245,8 @@ def gram_D(domain) -> SparseOp:
         dim = 2 * (2 * domain.N) ** 2
         rows, cols, vals = ops2d._block_triplets(
             domain, ops2d._blocks_shell(NN, (np.eye(2),) * 3, 1.0))
-        return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), ncomp=2)
+        return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), ncomp=2,
+                        mirror=((domain.inversion(2), np.ones(dim)), domain.reflection(2)))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
 
@@ -346,6 +323,8 @@ def _images(M: sp.csr_matrix, rep: np.ndarray, elements: list):
     n = rep.size
     counts = np.diff(M.indptr)
     src = np.flatnonzero(np.repeat(rep, counts))
+    if len(elements) == 1:                          # the trivial group
+        return src, []
     row, col = np.repeat(np.arange(n), counts)[src], M.indices[src]
     key = _keys(M)
     images = []
@@ -367,14 +346,33 @@ def _defect(data: np.ndarray, images: tuple) -> float:
                default=0.0)
 
 
-def _commutes(name: str, data: np.ndarray, images: tuple) -> float:
-    """_defect of the stored values data, whose images _images gave; raises
-    ValueError when the pattern does not map onto itself or the defect
-    exceeds 1e-13 of the largest value."""
-    defect = np.inf if images[1] is None else _defect(data, images)
-    if not defect <= 1e-13 * np.abs(data).max(initial=0.0):
-        raise ValueError(f"the {name} does not commute with its mirror")
-    return defect
+def _within(defect: float, data: np.ndarray) -> bool:
+    """defect <= 1e-13 of data's largest magnitude (False for a NaN)."""
+    return defect == 0.0 or defect <= 1e-13 * np.abs(data).max(initial=0.0)
+
+
+def _measure(M: sp.csr_matrix, values: tuple, elements: list):
+    """(images, defects): M's _images on the group's representative rows,
+    and the _defect of each array of values on M's pattern, when M commutes:
+    its pattern maps onto itself and each defect is _within; else None."""
+    rep_of = np.minimum.reduce([p for p, _, _ in elements])
+    images = _images(M, rep_of == np.arange(rep_of.size), elements)
+    defects = images[1] is not None and [_defect(v, images) for v in values]
+    if defects and all(map(_within, defects, values)):
+        return images, defects
+
+
+def _subgroup(A: sp.csr_matrix, values: tuple, mirror: tuple, group: list):
+    """(generators, elements, images) of the largest group that some of
+    mirror's generators generate and A commutes with (_measure), out of its
+    group's elements, the whole group first; the trivial group commutes."""
+    for k in range(len(mirror), -1, -1):
+        for gens in itertools.combinations(range(len(mirror)), k):
+            elements = [(p, s, tuple(map(gens.index, word)))
+                        for p, s, word in group if set(word) <= set(gens)]
+            measured = _measure(A, values, elements)
+            if measured is not None:
+                return tuple(mirror[g] for g in gens), elements, measured[0]
 
 
 def _bases(mirror: tuple, elements: list, kernel: np.ndarray):
@@ -398,7 +396,7 @@ def _bases(mirror: tuple, elements: list, kernel: np.ndarray):
     block, in the kernel's column order. The lattice groups fix the
     origin, whose coordinates come first, each in the block of its own
     component's character. A block that holds no constant shift gets
-    kernel None. With no mirror this is the one block of the trivial
+    kernel None. With no generators this is the one block of the trivial
     group, the identity basis.
     """
     n, m = kernel.shape
@@ -603,40 +601,43 @@ class _Block:
 
 class _Pinned:
     """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of the
-    group that mirror generates (_bases, _Block): the four blocks of the
-    inversion and the reflection, the two of the inversion alone, or, with
-    no mirror, the one block of the trivial group. The blocks' coordinates,
-    concatenated, are the pencil's: gram, restrict and lift act on their
-    direct sum.
+    largest group some of G's generators generate that A commutes with
+    (_subgroup, _bases, _Block):
+    the four blocks of the inversion and the reflection, the two of the
+    inversion alone, or the one block of the trivial group. The blocks'
+    coordinates, concatenated, are the pencil's: gram, restrict and lift
+    act on their direct sum.
 
     The pattern P is the union of A's, A^T's and G's; the blocks fold the
     entries of its representative rows (_Fold), among which A's and G's
-    stored entries are placed. The mirror is checked once: each generator
-    must be a signed involution of the coordinates that commutes with the
-    others (_group), and every element of the group must map A and G to
-    themselves, their patterns exactly and their values to within 1e-13 of
-    their largest entry, as read on the representative rows, whose images
-    are every row (_images); otherwise this raises ValueError. What the
+    stored entries are placed. G.mirror lists the candidates, whose group
+    must map G to itself, else this raises ValueError. The subgroup is
+    measured once (_subgroup), the whole group first: its elements map A's pattern
+    onto itself exactly, and A's values and each array in also (values on
+    A's pattern) to within 1e-13 of their largest entry, read on the
+    representative rows, whose images are every row (_images). What the
     values leave of that defect enters each shift's rounding tests
-    (perturbation). G, the Gram form, must be symmetric.
+    (perturbation). G must be symmetric.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: SparseOp, mirror: tuple = ()):
+    def __init__(self, A: sp.csr_matrix, G: SparseOp, also: tuple = ()):
         n = self.n = G.dim
         a = _numbered(A)
         # positive sums: nothing cancels
         P = a + a.T + _numbered(G.matrix)
         P.sort_indices()
         self.width = int(np.diff(P.indptr).max())
-        elements = _group(mirror, n)
+        group = _group(G.mirror, n)
+        measured = _measure(G.matrix, (G.matrix.data,), group)
+        if measured is None:
+            raise ValueError("the Gram form does not commute with its mirror")
+        g_images, (self.g_defect,) = measured
+        # A's entries in the representative rows, and their images
+        mirror, elements, self.images = _subgroup(A, (A.data,) + also, G.mirror, group)
         rep, orbit, bases = _bases(mirror, elements, G.kernel)
-        # A's and G's entries in the representative rows, and their images
-        self.images = _images(A, rep, elements)
-        g_images = _images(G.matrix, rep, elements)
-        self.g_defect = 0.0
-        if mirror:
-            _commutes("operator", A.data, self.images)
-            self.g_defect = _commutes("Gram form", G.matrix.data, g_images)
+        if len(elements) < len(group):
+            g_images = _images(G.matrix, rep, elements)
+            self.g_defect = _defect(G.matrix.data, g_images)
         fold = _Fold(P, rep, orbit, A, G.matrix, self.images[0], g_images[0])
         self.blocks = [_Block(fold, orbit, basis, kernel) for basis, kernel in bases]
         ends = np.cumsum([b.dim for b in self.blocks])
@@ -645,16 +646,19 @@ class _Pinned:
 
     def perturbation(self, a: np.ndarray, sigma: float) -> float:
         """A bound on the 2-norm of what the blocks change in sym(A) - sigma G,
-        for the values a on A's pattern; 0 without a mirror. Folded from
-        the representative rows, the blocks are exactly those of the pencil
-        that repeats those rows over each orbit by the group (averaged over
-        an element that fixes the row), which commutes with the group and
-        differs from this one, entry by entry of P, by at most defect_A +
-        |sigma| defect_G (_defect). A row of P holds at most width
-        entries."""
+        for the values a on A's pattern; 0 with the trivial group. Folded
+        from the representative rows, the blocks are exactly those of the
+        pencil that repeats those rows over each orbit by the group
+        (averaged over an element that fixes the row), which commutes with
+        the group and differs from this one, entry by entry of P, by at most
+        defect_A + |sigma| defect_G (_defect). A row of P holds at most width
+        entries. Refilled values (BlendPattern) past 1e-13 raise ValueError."""
         if not self.images[1]:
             return 0.0
-        return self.width * (_defect(a, self.images) + abs(sigma) * self.g_defect)
+        defect = _defect(a, self.images)
+        if not _within(defect, a):
+            raise ValueError("the operator's values do not commute with its blocks' group")
+        return self.width * (defect + abs(sigma) * self.g_defect)
 
     def gram(self) -> sp.csr_matrix:
         """G on the direct sum of the blocks, G_pp, in pinned coordinates:
@@ -760,10 +764,10 @@ class _Shift:
     rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
     |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z
     gamma_3w || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves
-    included. A mirror's blocks are exactly those of a pencil within eps of
-    this one in 2-norm (_Pinned.perturbation), a perturbation F of each
-    block's M_pp: a pivot's bound adds eps, and a capacitance block's eps
-    ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
+    included. A split pencil's blocks are exactly those of a pencil within
+    eps of this one in 2-norm (_Pinned.perturbation), a perturbation F of
+    each block's M_pp: a pivot's bound adds eps, and a capacitance block's
+    eps ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
     hold its (smallest magnitude, bound) pairs, in that order; the count is
     trusted when every block's test passes, and min_pivot and margin report
     the one that came closest.
@@ -780,11 +784,8 @@ class _Shift:
     reads those copies as L and U. They are not freed with the rest: the
     bound solve keeps the SuperLU object, on which scipy caches both
     copies, so each block's copies stay allocated beside SuperLU's own
-    factor while the shift or its solves live. At the 2D Morse atomistic
-    N = 24 shift (sigma = -0.25), split into its four blocks, tracemalloc
-    sees 8.6 MiB of copies and not SuperLU's factors (13.2 MiB split by the
-    inversion alone, 24.5 MB as one block). The Woodbury operator Cinv is built on the first
-    solve(), so a sign probe never builds it.
+    factor while the shift or its solves live. The Woodbury operator Cinv
+    is built on the first solve(), so a sign probe never builds it.
     """
 
     def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
@@ -925,7 +926,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     halve the step from sigma toward sigma_1 _HALVINGS times, then retry
     sigma itself. The old factor is freed first, and a new Lanczos
     run starts from that test's Ritz vector. _MAXITER caps the shifted
-    solves over both shifts. A pencil split by its mirror runs one Lanczos
+    solves over both shifts. A pencil split into blocks runs one Lanczos
     on the direct sum of its blocks (_Pinned), with the same shifts,
     re-shift and stopping test, the last on the full pencil. The block
     solves never mix the blocks, so a block that the start vector leaves
@@ -957,7 +958,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
             yield sigma
             sigma, step = sigma - step, 4.0 * step
 
-    pinned = _Pinned(A, G, opMatrix.mirror)
+    pinned = _Pinned(A, G)
     sigma, shift = certified(descent(min(2.0 * rho, 0.0), 0.5 * abs(rho) or 1.0))
 
     Gpp = pinned.gram()
@@ -1064,7 +1065,7 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
     can still clear the bounds; the sign there is whatever rounding made it.
     """
     _pencil_kernel(opMatrix.dim, G)
-    return _sign(_Pinned(opMatrix.matrix, G, opMatrix.mirror), opMatrix.matrix.data, tau,
+    return _sign(_Pinned(opMatrix.matrix, G), opMatrix.matrix.data, tau,
                  lambda: coercivity(opMatrix, G))
 
 
@@ -1096,10 +1097,10 @@ class BlendPattern:
     one sparse matrix per block it factors, and a SparseOp of A(beta) only
     when it falls back to a value solve. op must share the kind, lattice and
     model (equal by value) of the operator the pattern was built from. The
-    pattern splits by the mirror that assemble would give that operator;
-    then A_0 and A_1 must both commute with each of its involutions, else
-    this raises ValueError, and every op's blend must map to itself under
-    each as well.
+    pattern splits by the largest group of G's candidates under which A_0,
+    A_1 and that operator's A(beta) all commute (_Pinned measures it), so
+    the operator it was built from can always be probed; a refill whose
+    values break that group raises ValueError (_Pinned.perturbation).
     """
 
     def __init__(self, op, G: SparseOp):
@@ -1123,22 +1124,14 @@ class BlendPattern:
         self.slope = a1 - self.a0
         del A1
         self.site = rows // G.ncomp
-        A0 = sp.csr_matrix((self.a0, self.indices, self.indptr), shape=(n, n))
-        self.mirror = _symmetries(op)
-        # the sites' permutations, under which each op's blend is checked
-        self.sites = [perm[::G.ncomp] // G.ncomp for perm, _ in self.mirror]
-        self.pinned = _Pinned(A0, G, self.mirror)
         # with beta mapped to itself, A(beta) commutes when A_0 and A_1 do
-        _commutes("operator", a1, self.pinned.images)
+        self.pinned = _Pinned(self.matrix(op).matrix, G, also=(self.a0, a1))
 
     def values(self, op) -> np.ndarray:
         """A(beta)'s stored values at op's blend, on the pattern."""
         if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
-        beta = op.blend.beta.ravel()
-        if not all(np.array_equal(beta[sites], beta) for sites in self.sites):
-            raise ValueError("the blend does not map to itself under the pattern's mirror")
-        a = beta[self.site]
+        a = op.blend.beta.ravel()[self.site]
         a *= self.slope
         a += self.a0
         return a
@@ -1146,7 +1139,7 @@ class BlendPattern:
     def matrix(self, op) -> SparseOp:
         """A(beta) at op's blend, on the pattern."""
         return SparseOp(sp.csr_matrix((self.values(op), self.indices, self.indptr),
-                                      shape=(self.G.dim,) * 2), mirror=self.mirror)
+                                      shape=(self.G.dim,) * 2))
 
     def is_coercive(self, op, tau: float, *, method: str = "iterative",
                     seed: int = 7) -> InertiaReport:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bqcf.blend import blend_from_samples, build_blend_1d, third_diff_level_set
 from bqcf.lattice1d import Chain1D, diff, inner, norms, project_zero_mean
 from bqcf.ops1d import (
     Op1D,
+    _rst_terms,
     apply_op,
     divergence_form,
     quad_form,
@@ -14,6 +16,7 @@ from bqcf.ops1d import (
     sharpness_test_function,
 )
 from bqcf.potentials import PairModel1D, c0
+from bqcf.spectral import gram_D
 
 MODEL = PairModel1D(phiF=1.0, phi2F=-0.24)
 
@@ -177,6 +180,50 @@ def test_r_bound_holds_at_its_witness(N, K):
     assert np.allclose(diff(ch, u, 1), du, rtol=0.0, atol=1e-12)
     b = rst_bounds(bl, u)
     assert 0.95 * b["boundR"] <= abs(b["R"]) <= b["boundR"]
+
+
+def _polarized(ch, bl, name, reach=4):
+    # the term's symmetric matrix, polarized from _rst_terms over the band
+    # |i - j| <= reach with periodic wrap
+    n = ch.nsites
+
+    def q(u):
+        return getattr(_rst_terms(ch, bl, u), name)
+
+    e = np.eye(n)
+    diag = np.array([q(e[i]) for i in range(n)])
+    M = np.diag(diag)
+    for i in range(n):
+        for d in range(1, reach + 1):
+            j = (i + d) % n
+            M[i, j] = M[j, i] = 0.5 * (q(e[i] + e[j]) - diag[i] - diag[j])
+    return M, q
+
+
+@pytest.mark.parametrize("N, K", [(32, 6), (32, 10), (32, 15),
+                                  (128, 10), (128, 20), (128, 40)])
+def test_rst_bounds_hold_at_their_worst_case(N, K, rng):
+    # each term is a quadratic form in u and each bound is c ||Du||^2, so the
+    # worst |term| / bound over zero-mean u is the largest |eigenvalue| of
+    # (term matrix, gram_D) on the zero-mean space, over c. No ratio exceeds
+    # 1; R's bound is attained. rst_bounds accepts every extremal vector
+    ch = Chain1D(N)
+    bl = build_blend_1d(ch, K)
+    G = gram_D(ch).matrix.toarray()
+    W = scipy.linalg.null_space(np.ones((1, ch.nsites)))       # the zero-mean space
+    u = project_zero_mean(rng.standard_normal(ch.nsites))
+    bounds = rst_bounds(bl, u)                                   # c ||Du||^2 at u
+    for name in ("R", "S", "T"):
+        M, q = _polarized(ch, bl, name)
+        x = rng.standard_normal(ch.nsites)
+        assert abs(x @ M @ x - q(x)) <= 1e-12 * (np.abs(x) @ np.abs(M) @ np.abs(x))
+        lam, vecs = scipy.linalg.eigh(W.T @ M @ W, W.T @ G @ W)
+        k = np.argmax(np.abs(lam))
+        ratio = abs(lam[k]) * float(u @ G @ u) / bounds["bound" + name]
+        assert ratio <= 1 + 1e-9, (name, ratio)
+        if name == "R":
+            assert ratio >= 1 - 1e-9
+        rst_bounds(bl, W @ vecs[:, k])
 
 
 def test_t_bound_is_order_sharp():

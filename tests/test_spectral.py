@@ -2,6 +2,7 @@
 
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ from bqcf.spectral import (
 )
 
 MODEL2D = hessians_from_radial(morse(), np.eye(2))
+
+
+def _unsplit(G):
+    # the same Gram form with no candidate symmetries: every pencil is one block
+    return replace(G, mirror=())
 
 
 def _gamma_1d(model, N, kind="atomistic", K=None, **kw):
@@ -292,8 +298,8 @@ def _shifted_forms(domain):
 def test_shifted_solve_is_exact(domain, rng):
     # pinned LDL^T plus the Woodbury capacitance solves (sym A - sigma G) y = b
     # on the zero-mean space, for an energy-based and a force-based operator
-    # and the Poincare mask
-    G = gram_D(domain)
+    # and the Poincare mask, each as one block
+    G = _unsplit(gram_D(domain))
     k = G.kernel
     m = k.shape[1]
     sigma = -0.25
@@ -416,7 +422,7 @@ def test_thick_restart_keeps_converging(monkeypatch):
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-9)
     lat = TriLattice2D(12)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
-    assert len(A.mirror) == 2
+    assert len(_Pinned(A.matrix, G).blocks) == 4
     rep = coercivity(A, G)
     assert rep.iterations > 8 and rep.residual <= 1e-8
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
@@ -477,7 +483,7 @@ def test_morse_value_solve_factors_the_folded_blocks():
     lat = TriLattice2D(24)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
     rep = coercivity(A, G, seed=7)
-    assert len(A.mirror) == 2
+    assert len(_Pinned(A.matrix, G).blocks) == 4
     assert rep.nnz <= 900_000
     small = TriLattice2D(12)
     want = coercivity(assemble(Op2D(kind="atomistic", lattice=small, model=MODEL2D)),
@@ -605,7 +611,8 @@ def _rounding_tests(factor, M_pp):
 
 def _small_pencils():
     # the union pattern of A, A^T and G is A's and G's (1D qcl), A's alone
-    # (1D atomistic, 2D cauchy_born) or neither (2D atomistic, both bqcf)
+    # (1D atomistic, 2D cauchy_born) or neither (2D atomistic, both bqcf);
+    # each pencil is one block
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     for N, K in ((8, 6), (16, 7)):
         ch = Chain1D(N)
@@ -615,7 +622,8 @@ def _small_pencils():
     lat = TriLattice2D(4)
     for kind, blend in (("atomistic", None), ("cauchy_born", None),
                         ("bqcf", _blend_2d_sharp(lat, 1, 3))):
-        yield assemble(Op2D(kind=kind, lattice=lat, model=MODEL2D, blend=blend)), gram_D(lat)
+        yield (assemble(Op2D(kind=kind, lattice=lat, model=MODEL2D, blend=blend)),
+               _unsplit(gram_D(lat)))
 
 
 def test_rounding_tests_match_a_dense_evaluation():
@@ -748,7 +756,8 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     verdicts = set()
     for op in ops:
         A = assemble(op)
-        refs = _summed_blocks(A.sym_matrix, G, tau, A.mirror)
+        # the toy model commutes with the inversion alone; 1D lists none
+        refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror[:1])
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
         for block, ref in zip(pattern.pinned.blocks, refs):
             got, _, _ = block.block(pattern.matrix(op).matrix.data, tau)
@@ -776,14 +785,14 @@ def _toy_ops(N):
 @pytest.mark.parametrize("N", [12, 16])
 def test_split_probes_count_as_the_whole_pencil(N):
     # the counts of the even and odd blocks add up to the count of the same
-    # operator with no mirror, probe by probe
+    # pencil as one block, probe by probe
     lat, ops = _toy_ops(N)
     G = gram_D(lat)
     pattern = BlendPattern(ops[0], G)
     assert len(pattern.pinned.blocks) == 2
     for op in ops:
         split = pattern.is_coercive(op, 1e-10)
-        whole = is_coercive(SparseOp(assemble(op).matrix), G, 1e-10)
+        whole = is_coercive(assemble(op), _unsplit(G), 1e-10)
         assert (split.negative, split.coercive, split.fallback) == \
             (whole.negative, whole.coercive, whole.fallback), op.blend.K
 
@@ -797,25 +806,32 @@ def _shifted_inversion(lat):
     return ((2 * sites.ravel()[:, None] + np.arange(2)).ravel(), np.ones(2 * n * n)),
 
 
-def test_a_mirror_that_does_not_commute_raises(monkeypatch):
+def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
+    # a Gram form listing the inversion through an a1 bond's midpoint: the
+    # blended operator, one site off it, does not commute, so its pencil
+    # is one block with the unsplit pencil's counts and gamma
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
     A = assemble(ops[3])
     shifted = _shifted_inversion(lat)
     perm, ones = shifted[0]
     assert np.array_equal(perm[perm], np.arange(G.dim))
-    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
-        is_coercive(SparseOp(A.matrix, mirror=shifted), G, 1e-10)
-    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
-        coercivity(SparseOp(A.matrix, mirror=shifted), G)
+    Gs = SparseOp(G.matrix, ncomp=2, mirror=shifted)
+    assert len(_Pinned(A.matrix, Gs).blocks) == 1
+    for tau in (1e-10, 1.0):
+        split, whole = is_coercive(A, Gs, tau), is_coercive(A, _unsplit(G), tau)
+        assert (split.negative, split.min_pivot) == (whole.negative, whole.min_pivot)
+    assert coercivity(A, Gs).gamma == coercivity(A, _unsplit(G)).gamma
     # an unblended operator commutes with it, as with every lattice inversion
     atomistic = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
-    assert is_coercive(SparseOp(atomistic.matrix, mirror=shifted), G, 1e-10).coercive
+    assert len(_Pinned(atomistic.matrix, Gs).blocks) == 2
+    assert is_coercive(atomistic, Gs, 1e-10).coercive
     with pytest.raises(ValueError, match="not a signed involution"):
-        is_coercive(SparseOp(A.matrix, mirror=((np.roll(np.arange(G.dim), 2), ones),)), G, 1e-10)
-    # a pattern's probes fold A_0 + diag(beta) (A_1 - A_0): a stencil at
-    # beta = 1 that breaks the inversion, its pattern kept, is refused
-    # although the one at beta = 0 commutes
+        is_coercive(A, SparseOp(G.matrix, ncomp=2,
+                                mirror=((np.roll(np.arange(G.dim), 2), ones),)), 1e-10)
+    # a pattern's probes fold A_0 + diag(beta) (A_1 - A_0): with a stencil
+    # at beta = 1 that breaks the inversion, its pattern kept, the pattern
+    # is one block, although the one at beta = 0 commutes
     stencil = spectral._stencil
 
     def broken(op):
@@ -825,8 +841,27 @@ def test_a_mirror_that_does_not_commute_raises(monkeypatch):
         return A
 
     monkeypatch.setattr(spectral, "_stencil", broken)
-    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
-        BlendPattern(ops[3], G)
+    pattern = BlendPattern(ops[3], G)
+    assert len(pattern.pinned.blocks) == 1
+    split = pattern.is_coercive(ops[3], 1.0)
+    whole = is_coercive(pattern.matrix(ops[3]), _unsplit(G), 1.0)
+    assert (split.negative, split.min_pivot) == (whole.negative, whole.min_pivot)
+
+
+def test_a_gram_form_must_commute_with_its_mirror():
+    # the Gram form's candidates are checked against it: swapping two sites
+    # maps no nearest-neighbor pattern onto itself, and raises. Only a Gram
+    # form's mirror is read, so an operator that carries one is refused
+    lat = TriLattice2D(4)
+    G = gram_D(lat)
+    A = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
+    perm = np.arange(G.dim)
+    perm[[2, 3, 10, 11]] = [10, 11, 2, 3]
+    swapped = SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),))
+    with pytest.raises(ValueError, match="the Gram form does not commute with its mirror"):
+        is_coercive(A, swapped, 1e-10)
+    with pytest.raises(ValueError, match="mirror"):
+        SparseOp(A.matrix, mirror=G.mirror)
 
 
 def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
@@ -841,12 +876,12 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
     defect = 1e-14 * np.abs(a).max()
     a[0] += defect
     pinned = spectral._Pinned(scipy.sparse.csr_matrix((a, A.matrix.indices, A.matrix.indptr),
-                                                      shape=A.matrix.shape), G, A.mirror)
+                                                      shape=A.matrix.shape), G)
     sigma = -0.25
     eps = pinned.perturbation(a, sigma)
-    assert len(A.mirror) == 2 and pinned.g_defect == 0.0
+    assert len(pinned.blocks) == 4 and pinned.g_defect == 0.0
     assert eps == pytest.approx(pinned.width * defect, rel=1e-6)
-    assert spectral._Pinned(A.matrix, G, A.mirror).perturbation(A.matrix.data, sigma) == 0.0
+    assert spectral._Pinned(A.matrix, G).perturbation(A.matrix.data, sigma) == 0.0
     widened = _Shift(pinned, a, sigma)
     monkeypatch.setattr(pinned, "perturbation", lambda a, sigma: 0.0)
     plain = _Shift(pinned, a, sigma)
@@ -863,22 +898,23 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
 
 
 def test_an_asymmetric_blend_declares_no_mirror():
-    # a hand-built blend moved one site off the origin: no mirror, one
+    # a hand-built blend moved one site off the origin: no symmetry, one
     # block, and the iterative path agrees with the dense one. The toy
-    # model's own blend declares the inversion and not the reflection,
-    # which maps its soft bond b1 to b3
+    # model's own blend keeps the inversion and not the reflection, which
+    # maps its soft bond b1 to b3
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
     blend = ops[4].blend
     moved = Blend2D(lattice=lat, beta=np.roll(blend.beta, 1, axis=0), Ra=blend.Ra, Rb=blend.Rb)
     op = Op2D(kind="bqcf", lattice=lat, model=ops[4].model, blend=moved)
     A = assemble(op)
-    assert A.mirror == () and len(assemble(ops[4]).mirror) == 1
+    assert len(_Pinned(A.matrix, G).blocks) == 1
+    assert len(_Pinned(assemble(ops[4]).matrix, G).blocks) == 2
     assert len(BlendPattern(op, G).pinned.blocks) == 1
     rep = coercivity(A, G)
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
     # a pattern split by its inversion refuses a blend that breaks it
-    with pytest.raises(ValueError, match="does not map to itself"):
+    with pytest.raises(ValueError, match="do not commute with its blocks' group"):
         BlendPattern(ops[4], G).is_coercive(op, 1e-10)
 
 
@@ -890,9 +926,8 @@ def test_an_odd_extremal_mode_is_found_from_an_even_start():
     dim = (2 * lat.N) ** 2
     inverse = lat.inversion()
     sites = np.array([3, inverse[3]])
-    M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -1.0), (sites, sites)), shape=(dim, dim)),
-                 mirror=((inverse, np.ones(dim)),))
-    G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1)
+    M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -1.0), (sites, sites)), shape=(dim, dim)))
+    G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1, mirror=((inverse, np.ones(dim)),))
     dense = coercivity(M, G, method="dense")
     x = dense.minimizer
     assert np.linalg.norm(x + x[inverse]) <= 1e-12 * np.linalg.norm(x)      # odd
@@ -904,16 +939,13 @@ def test_an_odd_extremal_mode_is_found_from_an_even_start():
 
 def _morse_forms(lat):
     # Morse atomistic, cauchy_born and radially blended bqcf, and the
-    # Poincare mask on both components, each with the inversion and the
-    # signed reflection declared
+    # Poincare mask on both components, each commuting with the inversion
+    # and the signed reflection that gram_D lists
     ops = [Op2D(kind=kind, lattice=lat, model=MODEL2D) for kind in ("atomistic", "cauchy_born")]
     ops.append(Op2D(kind="bqcf", lattice=lat, model=MODEL2D,
                     blend=_blend_2d_sharp(lat, lat.N // 8, lat.N // 4)))
     forms = [assemble(op) for op in ops]
-    mask = _shifted_forms(lat)[2]
-    forms.append(SparseOp(mask.matrix, mirror=((lat.inversion(2), np.ones(mask.dim)),
-                                               lat.reflection(2))))
-    return forms
+    return forms + [_shifted_forms(lat)[2]]
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -925,8 +957,8 @@ def test_split_shifted_solve_is_exact(N, rng):
     k = G.kernel
     sigma = -0.25
     for sop in _morse_forms(lat):
-        pinned = spectral._Pinned(sop.matrix, G, sop.mirror)
-        assert len(sop.mirror) == 2 and len(pinned.blocks) == 4
+        pinned = spectral._Pinned(sop.matrix, G)
+        assert len(pinned.blocks) == 4
         z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
         shift = _Shift(pinned, sop.matrix.data, sigma)
         x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
@@ -948,19 +980,19 @@ def test_four_block_counts_match_the_whole_pencil(N):
     ops = [Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 4, 4 + K))
            for K in range(1, 9)]
     pattern = BlendPattern(ops[0], G)
-    assert len(pattern.mirror) == 2 and len(pattern.pinned.blocks) == 4
+    assert len(pattern.pinned.blocks) == 4
     counts = set()
     for op in ops:
         A = assemble(op)
-        assert len(A.mirror) == 2
+        assert len(_Pinned(A.matrix, G).blocks) == 4
         for tau in (7.0, 7.5, 8.0, 9.0):
-            split, whole = pattern.is_coercive(op, tau), is_coercive(SparseOp(A.matrix), G, tau)
+            split, whole = pattern.is_coercive(op, tau), is_coercive(A, _unsplit(G), tau)
             assert not split.fallback and not whole.fallback
             assert split.negative == whole.negative, (op.blend.K, tau)
             counts.add(split.negative)
     assert len(counts) > 4
     A, tau = assemble(ops[3]), 7.5
-    refs = _summed_blocks(A.sym_matrix, G, tau, A.mirror)
+    refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
     ulp = np.spacing(abs(A.matrix).max())
     for block, ref in zip(pattern.pinned.blocks, refs, strict=True):
         got, _, _ = block.block(pattern.values(ops[3]), tau)
@@ -983,39 +1015,75 @@ def test_four_block_poincare_counts_match_the_whole_pencil(N, monkeypatch):
     lat = TriLattice2D(N)
     ratio = ops2d.poincare_discrete(lat, make_regions(lat, N // 8, N // 4))
     (M, G), = forms
-    assert len(M.mirror) == 2
-    pinned = _Pinned(M.matrix, G, M.mirror)
+    assert len(G.mirror) == 2
+    pinned = _Pinned(M.matrix, G)
     assert len(pinned.blocks) == 4
     assert [b.kernel is not None for b in pinned.blocks] == [True, False, False, False]
     counts = []
     for tau in (-1.01 * ratio, -0.99 * ratio, -0.1 * ratio, -0.01 * ratio):
-        split, whole = is_coercive(M, G, tau), is_coercive(SparseOp(M.matrix), G, tau)
+        split, whole = is_coercive(M, G, tau), is_coercive(M, _unsplit(G), tau)
         assert not split.fallback and not whole.fallback
         assert split.negative == whole.negative, tau
         counts.append(split.negative)
     assert counts[0] == 0 and counts[1] >= 1 and counts[3] > counts[2] > counts[1]
 
 
-def test_a_declared_reflection_that_does_not_commute_raises():
-    # the toy model's soft bond b1 maps to b3 under the reflection, so
-    # assemble declares only the inversion; a reflection declared by hand
-    # raises, as does the Morse operator's reflection without its sign
-    # and a pair of involutions that do not commute
+def test_each_traffic_operator_splits_into_its_measured_blocks(monkeypatch):
+    # the blocks _Pinned measures for the operators the sweeps and the
+    # constants solve: 1D one; the toy model two (the inversion), one when
+    # its blend is rolled off the origin; Morse four (the inversion and the
+    # reflection), two when rolled along axis 0, which keeps the
+    # reflection; L-tilde one; the Poincare annulus four
+    def count(A, G):
+        return len(_Pinned(A.matrix, G).blocks)
+
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24), blend=build_blend_1d(ch, 20))
+    assert count(assemble(op), G) == len(BlendPattern(op, G).pinned.blocks) == 1
+    lat = TriLattice2D(14)
+    G = gram_D(lat)
+    for model, blend, want, rolled in ((unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8),
+                                        2, 1),
+                                       (MODEL2D, build_blend_2d(lat, 0, 7), 4, 2)):
+        for kind in ("atomistic", "cauchy_born"):
+            assert count(assemble(Op2D(kind=kind, lattice=lat, model=model)), G) == want
+        op = Op2D(kind="bqcf", lattice=lat, model=model, blend=blend)
+        moved = replace(op, blend=Blend2D(lattice=lat, beta=np.roll(blend.beta, 1, axis=0),
+                                          Ra=blend.Ra, Rb=blend.Rb))
+        assert count(assemble(op), G) == len(BlendPattern(op, G).pinned.blocks) == want
+        assert count(assemble(moved), G) == len(BlendPattern(moved, G).pinned.blocks) == rolled
+        assert count(assemble_ltilde(lat, model, blend), G) == 1
+    forms = []
+    solve = spectral.coercivity
+    monkeypatch.setattr(spectral, "coercivity",
+                        lambda A, G, **kw: forms.append((A, G)) or solve(A, G, **kw))
+    for N in (16, 32):
+        lat = TriLattice2D(N)
+        ops2d.poincare_discrete(lat, make_regions(lat, N // 8, N // 4))
+    assert [count(M, G) for M, G in forms] == [4, 4]
+
+
+def test_a_reflection_the_operator_breaks_is_unused():
+    # the toy model's soft bond b1 maps to b3 under the reflection, so its
+    # pencils split by the inversion alone; a Gram form that lists the
+    # reflection unsigned, with which gram_D commutes and Morse does not,
+    # leaves Morse one block. Each has the unsplit pencil's counts. A pair
+    # of involutions that do not commute raises
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
-    A = assemble(ops[3])
-    assert len(A.mirror) == 1
-    assert len(assemble(Op2D(kind="atomistic", lattice=lat, model=ops[3].model)).mirror) == 1
-    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
-        coercivity(SparseOp(A.matrix, mirror=A.mirror + (lat.reflection(2),)), G)
-    morse = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
     perm, sign = lat.reflection(2)
-    assert len(morse.mirror) == 2 and np.array_equal(morse.mirror[1][1], sign)
-    with pytest.raises(ValueError, match="the operator does not commute with its mirror"):
-        is_coercive(SparseOp(morse.matrix, mirror=((perm, np.abs(sign)),)), G, 1e-10)
+    unsigned = SparseOp(G.matrix, ncomp=2, mirror=((perm, np.abs(sign)),))
+    morse = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
+    toy = assemble(Op2D(kind="atomistic", lattice=lat, model=ops[3].model))
+    for A, Gc, blocks in ((assemble(ops[3]), G, 2), (toy, G, 2), (morse, unsigned, 1)):
+        assert len(_Pinned(A.matrix, Gc).blocks) == blocks
+        for tau in (1.0, 7.5):
+            split, whole = is_coercive(A, Gc, tau), is_coercive(A, _unsplit(G), tau)
+            assert not split.fallback and split.negative == whole.negative, (blocks, tau)
     with pytest.raises(ValueError, match="do not commute"):
-        is_coercive(SparseOp(morse.matrix, mirror=morse.mirror[:1] + _shifted_inversion(lat)),
-                    G, 1e-10)
+        is_coercive(morse, SparseOp(G.matrix, ncomp=2,
+                                    mirror=G.mirror[:1] + _shifted_inversion(lat)), 1e-10)
 
 
 def test_no_stored_entry_is_zero_at_every_weight():
