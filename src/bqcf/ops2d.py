@@ -41,7 +41,6 @@ from .lattice2d import (
     inner2d,
     project_zero_mean_2d,
     resolve_direction,
-    ring_number,
     shift_field,
 )
 from .potentials import PairModel2D
@@ -283,9 +282,10 @@ def apply_ltilde(lattice: TriLattice2D, model: PairModel2D, blend: Blend2D,
 def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
     """Triplets of a block-circulant stencil, optionally row-scaled.
 
-    blocks: iterable of (offset, 2x2 array); row_scale: per-site scalar
-    field multiplying every row block (the blending weight). A zero entry
-    of a block is never stored, so the pattern does not depend on
+    blocks: iterable of (offset, m x m array), m coordinates per site (2
+    for a displacement field, 1 for a scalar one); row_scale: per-site
+    scalar field multiplying every row block (the blending weight). A zero
+    entry of a block is never stored, so the pattern does not depend on
     row_scale: a blend's stencils at any two weights share it.
     """
     n = 2 * lattice.N
@@ -298,13 +298,14 @@ def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
     for off, B in blocks:
         di, dj = resolve_direction(off)
         nb = ((si + di) % n) * n + (sj + dj) % n
-        for cr in range(2):
-            for cc in range(2):
+        m = B.shape[0]
+        for cr in range(m):
+            for cc in range(m):
                 b = B[cr, cc]
                 if b == 0.0:
                     continue
-                rows.append(2 * site + cr)
-                cols.append(2 * nb + cc)
+                rows.append(m * site + cr)
+                cols.append(m * nb + cc)
                 vals.append(b * scale)
     return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
@@ -312,7 +313,7 @@ def _block_triplets(lattice: TriLattice2D, blocks, row_scale=None):
 def _blocks_shell(bonds, hessians, eps: float):
     """Blocks of one bond shell: sum_d H_d (2u(x) - u(x+d) - u(x-d)) / eps^2."""
     blocks = []
-    center = np.zeros((2, 2))
+    center = np.zeros_like(hessians[0])
     for bond, H in zip(bonds, hessians):
         center = center + 2.0 * H
         blocks.append((bond, -H / eps**2))
@@ -387,38 +388,64 @@ def assemble_triplets(op: Op2D):
     return 2 * (2 * lattice.N) ** 2, rows, cols, eps**2 * vals
 
 
-def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, **solver) -> float:
+def _symbol(G, n: int) -> np.ndarray:
+    """lambda(k) of a translation-invariant scalar form G on the (n, n)
+    torus, in rfft2's layout: the transform of its own column G e_0, so
+    that G f = irfft2(lambda rfft2(f)). Real, as G is symmetric."""
+    e0 = np.zeros(G.dim)
+    e0[0] = 1.0
+    return np.fft.rfft2((G.matrix @ e0).reshape(n, n)).real
+
+
+def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, *, seed: int = 7) -> float:
     """Extremal ratio sup ||u||^2_(blending region) / ||Du||^2 over zero-mean u.
 
-    Computed as the maximum eigenvalue of the (mask, Gram) pencil by
-    coercivity(**solver) on the negated mask form. Both forms act on each
-    displacement component alike (the mask weighs |u|^2 = u_1^2 + u_2^2 per
-    site, gram_D's 2D blocks are identities), so the vector pencil is two
-    copies of a scalar one with the same supremum: it is solved on one
-    component, (2N)^2 coordinates. Its Gram form lists the inversion and
-    the reflection y -> -y, unsigned, and the mask, a hexagonal annulus,
-    commutes with both (spectral._Pinned measures it): four blocks, the
-    constant in the (+, +) one (spectral._bases). x0 defaults to a radial
-    bump, which lies in that block: the other blocks start from a draw of
-    the solver's seed (spectral._iterative_gamma).
+    Both forms act on each displacement component alike (the mask weighs
+    |u|^2 = u_1^2 + u_2^2 per site, gram_D's 2D blocks are identities), so
+    the supremum is that of one component, on the (2N)^2 sites, against
+    the scalar Gram form G (gram_D(scalar=True)). G is translation-invariant
+    on the torus, so its pseudo-inverse G+ is an exact convolution:
+    irfft2(rfft2(f) / lambda) with lambda G's _symbol, its k = 0 mode (the
+    constants, G's kernel) zeroed by index. With P the restriction to the
+    annulus sites, the nonzero eigenvalues of the pencil (eps^2 P^T P, G)
+    off the constants are eps^2 times those of P G+ P^T, the Green's
+    function on the annulus; no pencil is factored.
+
+    Method: spectral._Lanczos, with the identity inner product, on y ->
+    (G+ P^T y) on the annulus, from a draw of default_rng(seed) on its
+    sites (a symmetric start would miss the modes of the other parity),
+    until its Ritz residual estimate is <= spectral._RTOL. Certificate:
+    the lifted u = G+ P^T y, zero-mean by construction, is checked on the
+    assembled sparse pencil; the ratio is its Rayleigh quotient, and a
+    relative residual above _RTOL raises RuntimeError, so that a wrong
+    symbol or a G that is not circulant fails there.
     """
-    from .spectral import SparseOp, coercivity, gram_D
+    from .spectral import _MAXITER, _RTOL, _Lanczos, _rayleigh_residual, gram_D
 
     if 2 * regions.Rb > lattice.N:
         raise ModelRangeError(f"Rb = {regions.Rb} exceeds N/2 = {lattice.N / 2:g}")
-    mask = regions.mask(1)
-    if not mask.any():
+    sites = np.flatnonzero(regions.mask(1).ravel())
+    if not sites.size:
         return 0.0
-    dim = (2 * lattice.N) ** 2
-    sites = np.flatnonzero(mask.ravel())
-    vals = np.full(sites.size, -lattice.eps**2)
-    M = SparseOp(sp.csr_matrix((vals, (sites, sites)), shape=(dim, dim)))
-    G = SparseOp(gram_D(lattice).matrix[0::2, 0::2], ncomp=1,
-                 mirror=((lattice.inversion(), np.ones(dim)), lattice.reflection()))
-    # start from a radial cosine bump about the annulus center: its ratio is
-    # about 3/4 of the supremum, which places the first shift below it
-    reach = min(3 * regions.Rb, lattice.N)
-    bump = np.cos(np.pi * np.minimum(ring_number(lattice), reach) / reach)
-    solver.setdefault("x0", bump.ravel())
-    report = coercivity(M, G, **solver)
-    return -report.gamma
+    n = 2 * lattice.N
+    G = gram_D(lattice, scalar=True)
+    lam = _symbol(G, n)
+    lam[0, 0] = np.inf                              # G+ is zero on the constants
+
+    def green(y):
+        f = np.zeros(n * n)
+        f[sites] = y
+        return np.fft.irfft2(np.fft.rfft2(f.reshape(n, n)) / lam, s=(n, n)).ravel()
+
+    start = np.random.default_rng(seed).standard_normal(sites.size)
+    lanczos = _Lanczos(lambda y: green(y)[sites], sp.identity(sites.size, format="csr"), start)
+    for _ in range(_MAXITER):
+        if lanczos.step() <= _RTOL:
+            break
+    u = green(lanczos.ritz_vector())
+    M = sp.csr_matrix((np.full(sites.size, lattice.eps**2), (sites, sites)), shape=(G.dim, G.dim))
+    rho, res = _rayleigh_residual(-M, G, u)
+    if not res <= _RTOL:
+        raise RuntimeError(f"Poincare ratio {-rho:.6e} fails its certificate on the sparse "
+                           f"pencil: relative residual {res:.3e} exceeds {_RTOL:g}")
+    return -rho

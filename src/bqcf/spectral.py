@@ -36,15 +36,15 @@ A pencil that commutes with a group of coordinate symmetries splits into
 blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). Symmetry is
 measured, not declared: the Gram form lists the candidates as its mirror
 (gram_D the 2D lattice's inversion and its reflection y -> -y, which flips
-the second displacement component; poincare_discrete's scalar form both,
-unsigned), and _Pinned splits by the largest group some of them generate
-that the operator commutes with, the whole group tried first: all of it for
-the Morse models and the annulus mask, the inversion for the toy model (the
-reflection maps its soft bond b1 to b3), one block for L-tilde, an
-asymmetric blend and 1D. Each character of the group gives one block
-(_bases). The constant shift of each component lies in the block of its
-own character, (1, 0) in (+, +) and (0, 1) in (+, -) (the scalar one in
-(+, +)), which pins it as above; the other blocks have no kernel: no
+the second displacement component), and _Pinned splits by the largest
+group some of them generate that the operator commutes with, the whole
+group tried first and each element measured once (_Commutes): all of it
+for the Morse models, the inversion for the toy model (the reflection maps
+its soft bond b1 to b3), one block for L-tilde, an asymmetric blend and
+1D. Each character of the group gives one block (_bases). The constant
+shift of each component lies in the block of its own character, (1, 0) in
+(+, +) and (0, 1) in (+, -) (a scalar form's in (+, +)), which pins it as
+above; the other blocks have no kernel: no
 pinning and no capacitance. Counts add over the blocks, a count is
 trusted when every block's is, and the Lanczos runs on their direct sum.
 The folded blocks fill far less under the fill-reducing ordering than the
@@ -224,7 +224,7 @@ def check_assembly(op, sop: SparseOp) -> float:
     return worst
 
 
-def gram_D(domain) -> SparseOp:
+def gram_D(domain, *, scalar: bool = False) -> SparseOp:
     """Gram matrix of ||Du||^2 (symmetric PSD), with its coordinates per
     site: its kernel is the constant shifts (SparseOp.kernel).
 
@@ -232,20 +232,26 @@ def gram_D(domain) -> SparseOp:
     (2, -1, -1) / eps, and in 2D the nearest bond shell with identity
     Hessians (the eps^2 weight and the 1/eps^2 of the quotients cancel).
     Identity Hessians couple no two components, so the 2D form is one
-    scalar nearest-neighbor Laplacian on each: matrix[0::2, 0::2] on the
-    (2N)^2 sites, which poincare_discrete solves against. The 2D mirror lists
-    the inversion and the signed reflection y -> -y (_Pinned); the 1D one
-    none, since the chain's split is slower at the sizes that run.
+    scalar nearest-neighbor Laplacian on each; scalar=True builds that
+    form alone, on the (2N)^2 sites, with the same stencil builder and no
+    mirror (poincare_discrete inverts it by its Fourier symbol). The 2D
+    mirror lists the inversion and the signed reflection y -> -y
+    (_Pinned); the 1D one none, since the chain's split is slower at the
+    sizes that run. A chain's form is scalar whatever scalar says.
     """
     if isinstance(domain, Chain1D):
         n = domain.nsites
         rows, cols, vals = ops1d._term_triplets(n, 1, 1.0)
         return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)), ncomp=1)
     if isinstance(domain, TriLattice2D):
-        dim = 2 * (2 * domain.N) ** 2
+        m = 1 if scalar else 2
+        dim = m * domain.nsites
         rows, cols, vals = ops2d._block_triplets(
-            domain, ops2d._blocks_shell(NN, (np.eye(2),) * 3, 1.0))
-        return SparseOp(sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)), ncomp=2,
+            domain, ops2d._blocks_shell(NN, (np.eye(m),) * 3, 1.0))
+        G = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        if scalar:
+            return SparseOp(G, ncomp=1)
+        return SparseOp(G, ncomp=2,
                         mirror=((domain.inversion(2), np.ones(dim)), domain.reflection(2)))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
@@ -313,33 +319,90 @@ def _group(mirror: tuple, n: int) -> list:
     return elements
 
 
-def _images(M: sp.csr_matrix, rep: np.ndarray, elements: list):
-    """(src, images) of a canonical CSR matrix under a group: src lists its
-    stored entries in the representative rows (rep), and images holds, for
-    each element but the identity, (at, sign): the stored entry at the
-    image (perm[row], perm[col]) of each, and sign[row] sign[col]. images
-    is None when the pattern does not map onto itself: an image is not
-    stored, or a row holds more entries than its representative."""
-    n = rep.size
-    counts = np.diff(M.indptr)
-    src = np.flatnonzero(np.repeat(rep, counts))
-    if len(elements) == 1:                          # the trivial group
-        return src, []
-    row, col = np.repeat(np.arange(n), counts)[src], M.indices[src]
-    key = _keys(M)
-    images = []
-    for perm, sign, _ in elements[1:]:
-        image = perm[row] * n + perm[col]
-        at = np.searchsorted(key, image).clip(max=key.size - 1)
-        if not (np.array_equal(counts[perm], counts) and np.array_equal(key[at], image)):
-            return src, None
-        images.append((at, sign[row] * sign[col] if (sign < 0).any() else 1.0))
-    return src, images
+class _Commutes:
+    """Which elements of a group a canonical CSR matrix M commutes with,
+    each element's pattern map and defects kept by its word, so that no
+    stored entry is measured twice under one element.
+
+    An element x -> sign * x[perm] commutes with M when it maps M's pattern
+    onto itself and changes each array of values (on M's pattern) by at
+    most 1e-13 of its largest magnitude (_within). A group commutes when
+    each of its elements does on the group's representative rows, the
+    smallest coordinate of each orbit, whose images are every row: the
+    image (perm[r], perm[c]) of each stored entry there is stored, each row
+    holds as many entries as its image, and the values stay within. A
+    subgroup has more representative rows, of which only the entries not
+    yet measured are; an element that fails on any rows fails every group.
+    """
+
+    def __init__(self, M: sp.csr_matrix, values: tuple):
+        self.M, self.values = M, values
+        self.counts = np.diff(M.indptr)
+        # by word: (done, maps), the rows measured and the (entries, their
+        # images' entries) of each measurement, or None once it fails
+        self.measured = {}
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+    @cached_property
+    def key(self) -> np.ndarray:
+        return _keys(self.M)
+
+    @cached_property
+    def bounds(self) -> list:
+        """_within's bound of each array of values, read once."""
+        return [1e-13 * np.abs(v).max(initial=0.0) for v in self.values]
+
+    def group(self, elements: list):
+        """(src, images) of the group of elements (_group's, the identity
+        first) when M commutes with each of them, else None: src lists M's
+        stored entries in the group's representative rows, and images
+        holds, for each element but the identity, (at, sign): the stored
+        entry at the image (perm[row], perm[col]) of each, and sign[row]
+        sign[col] (_defect)."""
+        n = self.counts.size
+        rep_of = np.minimum.reduce([p for p, _, _ in elements])
+        rep = rep_of == np.arange(n)
+        src = np.flatnonzero(np.repeat(rep, self.counts))
+        if len(elements) == 1:                      # the trivial group
+            return src, []
+        key, row, col = self.key, self.row[src], self.M.indices[src]
+        here = [v[src] for v in self.values]
+        images = []
+        for perm, sign, word in elements[1:]:
+            if word not in self.measured:
+                self.measured[word] = ((np.zeros(n, dtype=bool), [])
+                                       if np.array_equal(self.counts[perm], self.counts) else None)
+            if self.measured[word] is None:
+                return None
+            done, maps = self.measured[word]
+            s = sign[row] * sign[col] if (sign < 0).any() else 1.0
+            new = np.flatnonzero(~done[row]) if maps else slice(None)
+            image = perm[row[new]] * n + perm[col[new]]
+            at = np.searchsorted(key, image).clip(max=key.size - 1)
+            sn = s if np.isscalar(s) else s[new]
+            defects = (np.abs(sn * v[at] - x[new]).max(initial=0.0)
+                       for v, x in zip(self.values, here))
+            if not (np.array_equal(key[at], image)
+                    and all(d == 0.0 or d <= bound for d, bound in zip(defects, self.bounds))):
+                self.measured[word] = None
+                return None
+            maps.append((src[new], at))
+            done |= rep
+            if len(maps) > 1:                       # a subgroup's rows, partly measured
+                full = np.empty(key.size, dtype=np.intp)
+                for entries, to in maps:
+                    full[entries] = to
+                at = full[src]
+            images.append((at, s))
+        return src, images
 
 
 def _defect(data: np.ndarray, images: tuple) -> float:
     """The largest change of a matrix's stored values in the representative
-    rows under any element of the group, for their images (_images)."""
+    rows under any element of the group, for their images (_Commutes.group)."""
     src, images = images
     x = data[src]
     return max((float(np.abs(sign * data[at] - x).max(initial=0.0)) for at, sign in images),
@@ -351,28 +414,19 @@ def _within(defect: float, data: np.ndarray) -> bool:
     return defect == 0.0 or defect <= 1e-13 * np.abs(data).max(initial=0.0)
 
 
-def _measure(M: sp.csr_matrix, values: tuple, elements: list):
-    """(images, defects): M's _images on the group's representative rows,
-    and the _defect of each array of values on M's pattern, when M commutes:
-    its pattern maps onto itself and each defect is _within; else None."""
-    rep_of = np.minimum.reduce([p for p, _, _ in elements])
-    images = _images(M, rep_of == np.arange(rep_of.size), elements)
-    defects = images[1] is not None and [_defect(v, images) for v in values]
-    if defects and all(map(_within, defects, values)):
-        return images, defects
-
-
-def _subgroup(A: sp.csr_matrix, values: tuple, mirror: tuple, group: list):
-    """(generators, elements, images) of the largest group that some of
-    mirror's generators generate and A commutes with (_measure), out of its
-    group's elements, the whole group first; the trivial group commutes."""
+def _subgroup(commutes: _Commutes, mirror: tuple, group: list):
+    """(generators, members, elements, images) of the largest group that
+    some of mirror's generators generate and whose every element commutes
+    (_Commutes.group, which gives its images), out of its group's elements,
+    the whole group first; the trivial group commutes. members are its
+    elements as group words them, elements as its generators do (_bases)."""
     for k in range(len(mirror), -1, -1):
         for gens in itertools.combinations(range(len(mirror)), k):
-            elements = [(p, s, tuple(map(gens.index, word)))
-                        for p, s, word in group if set(word) <= set(gens)]
-            measured = _measure(A, values, elements)
-            if measured is not None:
-                return tuple(mirror[g] for g in gens), elements, measured[0]
+            members = [e for e in group if set(e[2]) <= set(gens)]
+            images = commutes.group(members)
+            if images is not None:
+                return (tuple(mirror[g] for g in gens), members,
+                        [(p, s, tuple(map(gens.index, word))) for p, s, word in members], images)
 
 
 def _bases(mirror: tuple, elements: list, kernel: np.ndarray):
@@ -452,9 +506,9 @@ class _Fold:
     (orbit(r), orbit(c)): into is its pair, and (orow, ocol) the pairs in
     CSR order, whose pattern is symmetric, with transpose each pair's
     transposed one. The entries' coordinates are (row, col). src_a and
-    src_g list A's and G's stored entries in those rows (_images), at_a and
-    at_g are their places among the folded entries, and g holds G's values
-    at them.
+    src_g list A's and G's stored entries in those rows (_Commutes.group),
+    at_a and at_g are their places among the folded entries, and g holds
+    G's values at them.
     """
 
     def __init__(self, P, rep, orbit, A, G, src_a, src_g):
@@ -612,12 +666,13 @@ class _Pinned:
     entries of its representative rows (_Fold), among which A's and G's
     stored entries are placed. G.mirror lists the candidates, whose group
     must map G to itself, else this raises ValueError. The subgroup is
-    measured once (_subgroup), the whole group first: its elements map A's pattern
-    onto itself exactly, and A's values and each array in also (values on
-    A's pattern) to within 1e-13 of their largest entry, read on the
-    representative rows, whose images are every row (_images). What the
-    values leave of that defect enters each shift's rounding tests
-    (perturbation). G must be symmetric.
+    measured once (_subgroup), the whole group first, each element of the
+    candidates once (_Commutes): its elements map A's pattern onto itself
+    exactly, and A's values and each array in also (values on A's pattern)
+    to within 1e-13 of their largest entry, read on the representative
+    rows, whose images are every row. What the values leave of that defect
+    enters each shift's rounding tests (perturbation). G must be
+    symmetric.
     """
 
     def __init__(self, A: sp.csr_matrix, G: SparseOp, also: tuple = ()):
@@ -628,16 +683,18 @@ class _Pinned:
         P.sort_indices()
         self.width = int(np.diff(P.indptr).max())
         group = _group(G.mirror, n)
-        measured = _measure(G.matrix, (G.matrix.data,), group)
-        if measured is None:
+        g_commutes = _Commutes(G.matrix, (G.matrix.data,))
+        g_images = g_commutes.group(group)
+        # A's and G's entries in the representative rows, and their images;
+        # a subgroup has more of those rows, where G is measured as well
+        mirror, members, elements, self.images = _subgroup(
+            _Commutes(A, (A.data,) + also), G.mirror, group)
+        if g_images is not None and len(members) < len(group):
+            g_images = g_commutes.group(members)
+        if g_images is None:
             raise ValueError("the Gram form does not commute with its mirror")
-        g_images, (self.g_defect,) = measured
-        # A's entries in the representative rows, and their images
-        mirror, elements, self.images = _subgroup(A, (A.data,) + also, G.mirror, group)
         rep, orbit, bases = _bases(mirror, elements, G.kernel)
-        if len(elements) < len(group):
-            g_images = _images(G.matrix, rep, elements)
-            self.g_defect = _defect(G.matrix.data, g_images)
+        self.g_defect = _defect(G.matrix.data, g_images)
         fold = _Fold(P, rep, orbit, A, G.matrix, self.images[0], g_images[0])
         self.blocks = [_Block(fold, orbit, basis, kernel) for basis, kernel in bases]
         ends = np.cumsum([b.dim for b in self.blocks])
@@ -840,7 +897,10 @@ class _Lanczos:
     the top _KEEP - 1 when it reads the bottom) and the last Lanczos
     vector, with H their Ritz values and the couplings the next step
     computes (Wu and Simon's thick restart), so Q and P hold at most _BASIS
-    + 1 vectors each: O(_BASIS n) memory however long the solve.
+    + 1 vectors each: O(_BASIS n) memory however long the solve. Any
+    solve that G_pp makes self-adjoint will do: poincare_discrete passes a
+    Green's function and the identity. A step whose beta is exactly zero
+    has found an invariant subspace, and its Ritz pairs are exact.
     """
 
     def __init__(self, solve, Gpp: sp.csr_matrix, z: np.ndarray, bottom: bool = False):
@@ -869,7 +929,8 @@ class _Lanczos:
         self.H[:j + 1, j] = self.H[j, :j + 1] = h
         Gw = self.Gpp @ w
         beta = np.sqrt(w @ Gw)
-        self.Q[j + 1], self.P[j + 1] = w / beta, Gw / beta
+        if beta:                # else the basis spans an invariant subspace: exact Ritz pairs
+            self.Q[j + 1], self.P[j + 1] = w / beta, Gw / beta
         self.steps = j + 1
         k = 1 if self.bottom else j + 1
         theta, s, _, _, info = scipy.linalg.lapack.dsyevr(

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from bqcf import ops2d
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_2d, derivative_bounds
 from bqcf.lattice2d import (
+    Regions2D,
     TriLattice2D,
     grad_norm_sq_2d,
     inner2d,
@@ -29,7 +32,7 @@ from bqcf.ops2d import (
     rs_bounds_2d,
 )
 from bqcf.potentials import harmonic, hessians_from_radial, lennard_jones, morse
-from bqcf.spectral import assemble
+from bqcf.spectral import SparseOp, assemble, coercivity, gram_D
 
 MODEL = hessians_from_radial(morse(), np.eye(2))
 
@@ -345,3 +348,41 @@ def test_poincare_rejects_wide_annulus():
     lat = TriLattice2D(12)
     with pytest.raises(ValueError, match="exceeds N/2"):
         poincare_discrete(lat, make_regions(lat, 2, 7))
+
+
+def test_poincare_finds_an_odd_top_mode():
+    # two sites that the inversion swaps, three bonds from the origin: the
+    # Green's function couples them negatively, so the top mode is odd,
+    # which a start that the inversion maps to itself would never reach
+    lat = TriLattice2D(8)
+    n = 2 * lat.N
+    inversion = lat.inversion()
+    site = (3 + lat.N - 1) * n + lat.N - 1                 # coordinates (3, 0)
+    sites = np.array([site, inversion[site]])
+    labels = np.full((n, n), 2, dtype=np.int8)
+    labels.flat[sites] = 1
+    G = gram_D(lat, scalar=True)
+    M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -lat.eps**2), (sites, sites)),
+                                         shape=(G.dim, G.dim)))
+    dense = coercivity(M, G, method="dense")
+    x = dense.minimizer
+    assert np.abs(x + x[inversion]).max() <= 1e-10 * np.abs(x).max()
+    ratio = poincare_discrete(lat, Regions2D(Ra=0, Rb=1, labels=labels))
+    assert ratio == pytest.approx(-dense.gamma, rel=1e-10)
+
+
+def test_poincare_raises_on_a_wrong_symbol(monkeypatch):
+    # the certificate is the residual on the sparse pencil: a symbol with
+    # one mode scaled is another circulant operator, whose top Ritz vector
+    # fails there
+    symbol = ops2d._symbol
+
+    def wrong(G, n):
+        lam = symbol(G, n)
+        lam[0, 1] *= 1.5
+        return lam
+
+    monkeypatch.setattr(ops2d, "_symbol", wrong)
+    lat = TriLattice2D(16)
+    with pytest.raises(RuntimeError, match="fails its certificate"):
+        poincare_discrete(lat, make_regions(lat, 2, 4))

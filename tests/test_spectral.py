@@ -40,6 +40,17 @@ def _unsplit(G):
     return replace(G, mirror=())
 
 
+def _poincare_pencil(lat, regions):
+    # the annulus mass form, negated, against the scalar Gram form, which
+    # lists the inversion and the reflection, unsigned, as its candidate
+    # symmetries: the pencil of the ratio poincare_discrete computes
+    sites = np.flatnonzero(regions.mask(1).ravel())
+    G = gram_D(lat, scalar=True)
+    M = SparseOp(scipy.sparse.csr_matrix((np.full(sites.size, -lat.eps**2), (sites, sites)),
+                                         shape=(G.dim, G.dim)))
+    return M, replace(G, mirror=((lat.inversion(), np.ones(G.dim)), lat.reflection()))
+
+
 def _gamma_1d(model, N, kind="atomistic", K=None, **kw):
     ch = Chain1D(N)
     blend = build_blend_1d(ch, K) if K is not None else None
@@ -375,23 +386,30 @@ def test_iterative_solve_counts_1d_cluster():
 
 
 def test_iterative_solve_counts_poincare(monkeypatch):
-    # shifted solves of the Poincare ratio at N = 32; eigsh took 21
-    reports = []
+    # Lanczos steps of the Poincare ratio's Green's function at N = 32 (the
+    # shift-invert pencil took 12 shifted solves, eigsh 21), and its
+    # certificate: the lifted vector's residual on the sparse pencil, whose
+    # Rayleigh quotient is the ratio, the shift-invert solve's to 1e-12
+    runs, checks = [], []
+    rayleigh = spectral._rayleigh_residual
 
-    def recording(A, G, **kw):
-        rep = coercivity(A, G, **kw)
-        reports.append((A, G, rep))
-        return rep
+    class Recording(spectral._Lanczos):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            runs.append(self)
 
-    monkeypatch.setattr(spectral, "coercivity", recording)
+    monkeypatch.setattr(spectral, "_Lanczos", Recording)
+    monkeypatch.setattr(spectral, "_rayleigh_residual",
+                        lambda A, G, x: checks.append(rayleigh(A, G, x)) or checks[-1])
     lat = TriLattice2D(32)
-    ops2d.poincare_discrete(lat, make_regions(lat, 4, 8), seed=1)
-    (A, G, rep), = reports
-    assert rep.method == "iterative" and rep.iterations <= 12
-    # the pencil is solved on one displacement component, with one factor
-    assert G.ncomp == 1 and G.dim == (2 * lat.N) ** 2
-    assert rep.factorizations == 1
-    _certified_shift(A, G, rep)
+    regions = make_regions(lat, 4, 8)
+    ratio = ops2d.poincare_discrete(lat, regions, seed=1)
+    (run,), ((rho, res),) = runs, checks
+    assert run.steps <= 10 and res <= spectral._RTOL
+    assert ratio == -rho
+    monkeypatch.undo()
+    M, G = _poincare_pencil(lat, regions)
+    assert ratio == pytest.approx(-coercivity(M, G, seed=1).gamma, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [8, 16])
@@ -1001,21 +1019,15 @@ def test_four_block_counts_match_the_whole_pencil(N):
 
 
 @pytest.mark.parametrize("N", [16, 32])
-def test_four_block_poincare_counts_match_the_whole_pencil(N, monkeypatch):
+def test_four_block_poincare_counts_match_the_whole_pencil(N):
     # the annulus mask maps to itself under the inversion and the
     # reflection, unsigned on the scalar field: four blocks, the constant
-    # in the first, whose counts add up to the unsplit pencil's
-    forms = []
-
-    def recording(A, G, **kw):
-        forms.append((A, G))
-        return coercivity(A, G, **kw)
-
-    monkeypatch.setattr(spectral, "coercivity", recording)
+    # in the first, whose counts add up to the unsplit pencil's about the
+    # ratio poincare_discrete computes
     lat = TriLattice2D(N)
-    ratio = ops2d.poincare_discrete(lat, make_regions(lat, N // 8, N // 4))
-    (M, G), = forms
-    assert len(G.mirror) == 2
+    regions = make_regions(lat, N // 8, N // 4)
+    ratio = ops2d.poincare_discrete(lat, regions)
+    M, G = _poincare_pencil(lat, regions)
     pinned = _Pinned(M.matrix, G)
     assert len(pinned.blocks) == 4
     assert [b.kernel is not None for b in pinned.blocks] == [True, False, False, False]
@@ -1028,7 +1040,7 @@ def test_four_block_poincare_counts_match_the_whole_pencil(N, monkeypatch):
     assert counts[0] == 0 and counts[1] >= 1 and counts[3] > counts[2] > counts[1]
 
 
-def test_each_traffic_operator_splits_into_its_measured_blocks(monkeypatch):
+def test_each_traffic_operator_splits_into_its_measured_blocks():
     # the blocks _Pinned measures for the operators the sweeps and the
     # constants solve: 1D one; the toy model two (the inversion), one when
     # its blend is rolled off the origin; Morse four (the inversion and the
@@ -1054,14 +1066,9 @@ def test_each_traffic_operator_splits_into_its_measured_blocks(monkeypatch):
         assert count(assemble(op), G) == len(BlendPattern(op, G).pinned.blocks) == want
         assert count(assemble(moved), G) == len(BlendPattern(moved, G).pinned.blocks) == rolled
         assert count(assemble_ltilde(lat, model, blend), G) == 1
-    forms = []
-    solve = spectral.coercivity
-    monkeypatch.setattr(spectral, "coercivity",
-                        lambda A, G, **kw: forms.append((A, G)) or solve(A, G, **kw))
     for N in (16, 32):
         lat = TriLattice2D(N)
-        ops2d.poincare_discrete(lat, make_regions(lat, N // 8, N // 4))
-    assert [count(M, G) for M, G in forms] == [4, 4]
+        assert count(*_poincare_pencil(lat, make_regions(lat, N // 8, N // 4))) == 4
 
 
 def test_a_reflection_the_operator_breaks_is_unused():
