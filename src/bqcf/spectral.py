@@ -24,11 +24,10 @@ Lanczos (_Lanczos) checks gamma's Ritz pair after every shifted solve and
 stops once the stopping test passes; a solve still open after
 _RESHIFT_AT shifted solves re-shifts once, next to gamma, certified the
 same way (Grimes, Lewis and Simon's inertia-certified shifts). Both build
-the factored block the same way (_Pinned): values refilled on one
-pattern, the union of A's, A^T's and G's, fixed for every sigma. A
-blended operator is affine in its weight, so a threshold scan refills
-that pattern at each blend (BlendPattern) and assembles nothing per
-probe. Every value solve takes this path unless its caller asks for
+the factored blocks the same way (_Pinned): values refilled on one
+pattern per block, fixed for every sigma. A blended operator is affine in
+its weight, so a threshold scan refills those patterns at each blend
+(BlendPattern) and assembles nothing per probe. Every value solve takes this path unless its caller asks for
 method "dense": a dense eigh of the same pinned pencil, the reference
 the sparse one is checked against.
 
@@ -36,19 +35,21 @@ A pencil that commutes with a group of coordinate symmetries splits into
 blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). Symmetry is
 measured, not declared: the Gram form lists the candidates as its mirror
 (gram_D the 2D lattice's inversion and its reflection y -> -y, which flips
-the second displacement component), and _Pinned splits by the largest
-group some of them generate that the operator commutes with, the whole
-group tried first and each element measured once (_Commutes): all of it
-for the Morse models, the inversion for the toy model (the reflection maps
-its soft bond b1 to b3), one block for L-tilde, an asymmetric blend and
-1D. Each character of the group gives one block (_bases). The constant
-shift of each component lies in the block of its own character, (1, 0) in
-(+, +) and (0, 1) in (+, -) (a scalar form's in (+, +)), which pins it as
-above; the other blocks have no kernel: no
-pinning and no capacitance. Counts add over the blocks, a count is
-trusted when every block's is, and the Lanczos runs on their direct sum.
-The folded blocks fill far less under the fill-reducing ordering than the
-whole pencil on the torus.
+the second displacement component), and _Pinned splits by the group that
+the candidates the operator commutes with generate, each tested once
+(_commutator): both for the Morse models, the inversion for the toy model
+(the reflection maps its soft bond b1 to b3), none for L-tilde, an
+asymmetric blend and 1D. The group's orbits give one explicit sparse
+orthonormal basis B_chi per character chi (_basis), and each block is the
+sparse product B_chi^T M B_chi. The constant shift of each component lies
+in the block of its own character, (1, 0) in (+, +) and (0, 1) in (+, -)
+(a scalar form's in (+, +)), which pins it as above; the other blocks
+have no kernel: no pinning and no capacitance. The split drops the
+off-diagonal blocks of B^T (sym(A) - sigma G) B, whose norm, bounded by
+the generators' measured commutators, widens every rounding test. Counts
+add over the blocks, a count is trusted when every block's is, and the
+Lanczos runs on their direct sum. The blocks fill far less under the
+fill-reducing ordering than the whole pencil on the torus.
 """
 
 from __future__ import annotations
@@ -102,8 +103,11 @@ class SparseOp:
     coordinates per site: its nullspace is the constant shifts, whose
     orthonormal basis is kernel, and the zero-mean space of the pencil is
     their orthogonal complement. A Gram form's mirror lists its pencils'
-    candidate symmetries, commuting signed involutions x -> sign * x[perm]
-    that map it to itself; _Pinned measures which of them each operator
+    candidate symmetries, signed involutions x -> sign * x[perm] that
+    commute pairwise, map each constant shift to plus or minus itself, and
+    commute with the form to 1e-13 of its largest entry (_commutator), all
+    checked here once, else ValueError; defects keeps each commutator's
+    (verdict, norm), and _Pinned measures which of them each operator
     commutes with. A mirror without ncomp raises ValueError.
     """
 
@@ -117,6 +121,20 @@ class SparseOp:
             raise ValueError("only a Gram form (ncomp set) carries a mirror")
         if self.ncomp is not None and self.dim % self.ncomp:
             raise ValueError(f"dimension {self.dim} is not a multiple of ncomp {self.ncomp}")
+        n, ones = self.dim, np.ones(self.dim)
+        for perm, sign in self.mirror:
+            if not (np.shape(perm) == np.shape(sign) == (n,)
+                    and np.array_equal(perm[perm], np.arange(n))
+                    and np.array_equal(np.abs(sign), ones)
+                    and np.array_equal(sign * sign[perm], ones)):
+                raise ValueError("mirror is not a signed involution of the pencil's coordinates")
+            if not _character(perm, sign, self.kernel).all():
+                raise ValueError("the Gram form's kernel does not map to itself under its mirror")
+        if not all(commutes for commutes, _, _ in self.defects):
+            raise ValueError("the Gram form does not commute with its mirror")
+        for (p, s), (q, t) in itertools.combinations(self.mirror, 2):
+            if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
+                raise ValueError("the mirror's involutions do not commute")
 
     @property
     def dim(self) -> int:
@@ -129,6 +147,11 @@ class SparseOp:
             return None
         nsites = self.dim // self.ncomp
         return np.kron(np.ones((nsites, 1)), np.eye(self.ncomp)) / np.sqrt(nsites)
+
+    @cached_property
+    def defects(self) -> tuple:
+        """_commutator of the form under each symmetry its mirror lists."""
+        return tuple(_commutator(self.matrix, perm, sign) for perm, sign in self.mirror)
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -287,351 +310,151 @@ def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
     return float(w[0]), _lift(kernel, y[:, 0])
 
 
-def _keys(M: sp.csr_matrix) -> np.ndarray:
-    """row * n + col of each stored entry of a CSR matrix, in storage order."""
-    n = M.shape[0]
-    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr)) + M.indices
+def _commutator(M: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray) -> tuple:
+    """(||D||_max <= 1e-13 ||M||_max, N(Re D), N(Im D)) for D = S M S^T - M,
+    S x = sign * x[perm]: whether M commutes with S (False for a NaN), and
+    the infinity norm N of (|X| + |X|^T) / 2 for both parts X of D, which
+    bounds the 2-norm of X's symmetric part and is the same for S X S^T."""
+    n = perm.size
+    S = sp.csr_matrix((sign, perm, np.arange(n + 1)), shape=(n, n))
+    D = S @ M @ S - M                           # S^T = S^-1 = S
+    rows = np.repeat(np.arange(n), np.diff(D.indptr))
+
+    def norm(x):
+        x = np.abs(x)
+        return 0.5 * float((np.bincount(rows, x, minlength=n)
+                            + np.bincount(D.indices, x, minlength=n)).max(initial=0.0))
+
+    return (np.abs(D.data).max(initial=0.0) <= 1e-13 * np.abs(M.data).max(initial=0.0),
+            norm(D.data.real), norm(D.data.imag))
 
 
-def _numbered(M: sp.csr_matrix) -> sp.csr_matrix:
-    """M's pattern, each stored entry's position plus one as its value."""
-    return sp.csr_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr), shape=M.shape)
+def _character(perm: np.ndarray, sign: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The sign each constant shift (kernel column) takes under x -> sign *
+    x[perm], 0 for one that does not map to plus or minus itself."""
+    image = sign[:, None] * kernel[perm]
+    chi = np.sign(np.sum(image * kernel, axis=0))
+    return np.where((image == chi * kernel).all(axis=0), chi, 0.0)
 
 
-def _group(mirror: tuple, n: int) -> list:
-    """Every element (perm, sign, word) of the group that the signed
-    involutions mirror generate, x -> sign * x[perm], word naming the
-    generators it is the product of; the identity first. Raises ValueError
-    unless each is a signed involution of n coordinates and they commute."""
-    ones = np.ones(n)
-    for perm, sign in mirror:
-        if not (np.shape(perm) == np.shape(sign) == (n,)
-                and np.array_equal(perm[perm], np.arange(n))
-                and np.array_equal(np.abs(sign), ones)
-                and np.array_equal(sign * sign[perm], ones)):
-            raise ValueError("mirror is not a signed involution of the pencil's coordinates")
-    for (p, s), (q, t) in itertools.combinations(mirror, 2):
-        if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
-            raise ValueError("the mirror's involutions do not commute")
-    elements = [(np.arange(n), ones, ())]
-    for k, (perm, sign) in enumerate(mirror):
-        elements += [(perm[p], s * sign[p], word + (k,)) for p, s, word in elements]
-    return elements
-
-
-class _Commutes:
-    """Which elements of a group a canonical CSR matrix M commutes with,
-    each element's pattern map and defects kept by its word, so that no
-    stored entry is measured twice under one element.
-
-    An element x -> sign * x[perm] commutes with M when it maps M's pattern
-    onto itself and changes each array of values (on M's pattern) by at
-    most 1e-13 of its largest magnitude (_within). A group commutes when
-    each of its elements does on the group's representative rows, the
-    smallest coordinate of each orbit, whose images are every row: the
-    image (perm[r], perm[c]) of each stored entry there is stored, each row
-    holds as many entries as its image, and the values stay within. A
-    subgroup has more representative rows, of which only the entries not
-    yet measured are; an element that fails on any rows fails every group.
-    """
-
-    def __init__(self, M: sp.csr_matrix, values: tuple):
-        self.M, self.values = M, values
-        self.counts = np.diff(M.indptr)
-        # by word: (done, maps), the rows measured and the (entries, their
-        # images' entries) of each measurement, or None once it fails
-        self.measured = {}
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        return np.repeat(np.arange(self.counts.size), self.counts)
-
-    @cached_property
-    def key(self) -> np.ndarray:
-        return _keys(self.M)
-
-    @cached_property
-    def bounds(self) -> list:
-        """_within's bound of each array of values, read once."""
-        return [1e-13 * np.abs(v).max(initial=0.0) for v in self.values]
-
-    def group(self, elements: list):
-        """(src, images) of the group of elements (_group's, the identity
-        first) when M commutes with each of them, else None: src lists M's
-        stored entries in the group's representative rows, and images
-        holds, for each element but the identity, (at, sign): the stored
-        entry at the image (perm[row], perm[col]) of each, and sign[row]
-        sign[col] (_defect)."""
-        n = self.counts.size
-        rep_of = np.minimum.reduce([p for p, _, _ in elements])
-        rep = rep_of == np.arange(n)
-        src = np.flatnonzero(np.repeat(rep, self.counts))
-        if len(elements) == 1:                      # the trivial group
-            return src, []
-        key, row, col = self.key, self.row[src], self.M.indices[src]
-        here = [v[src] for v in self.values]
-        images = []
-        for perm, sign, word in elements[1:]:
-            if word not in self.measured:
-                self.measured[word] = ((np.zeros(n, dtype=bool), [])
-                                       if np.array_equal(self.counts[perm], self.counts) else None)
-            if self.measured[word] is None:
-                return None
-            done, maps = self.measured[word]
-            s = sign[row] * sign[col] if (sign < 0).any() else 1.0
-            new = np.flatnonzero(~done[row]) if maps else slice(None)
-            image = perm[row[new]] * n + perm[col[new]]
-            at = np.searchsorted(key, image).clip(max=key.size - 1)
-            sn = s if np.isscalar(s) else s[new]
-            defects = (np.abs(sn * v[at] - x[new]).max(initial=0.0)
-                       for v, x in zip(self.values, here))
-            if not (np.array_equal(key[at], image)
-                    and all(d == 0.0 or d <= bound for d, bound in zip(defects, self.bounds))):
-                self.measured[word] = None
-                return None
-            maps.append((src[new], at))
-            done |= rep
-            if len(maps) > 1:                       # a subgroup's rows, partly measured
-                full = np.empty(key.size, dtype=np.intp)
-                for entries, to in maps:
-                    full[entries] = to
-                at = full[src]
-            images.append((at, s))
-        return src, images
-
-
-def _defect(data: np.ndarray, images: tuple) -> float:
-    """The largest change of a matrix's stored values in the representative
-    rows under any element of the group, for their images (_Commutes.group)."""
-    src, images = images
-    x = data[src]
-    return max((float(np.abs(sign * data[at] - x).max(initial=0.0)) for at, sign in images),
-               default=0.0)
-
-
-def _within(defect: float, data: np.ndarray) -> bool:
-    """defect <= 1e-13 of data's largest magnitude (False for a NaN)."""
-    return defect == 0.0 or defect <= 1e-13 * np.abs(data).max(initial=0.0)
-
-
-def _subgroup(commutes: _Commutes, mirror: tuple, group: list):
-    """(generators, members, elements, images) of the largest group that
-    some of mirror's generators generate and whose every element commutes
-    (_Commutes.group, which gives its images), out of its group's elements,
-    the whole group first; the trivial group commutes. members are its
-    elements as group words them, elements as its generators do (_bases)."""
-    for k in range(len(mirror), -1, -1):
-        for gens in itertools.combinations(range(len(mirror)), k):
-            members = [e for e in group if set(e[2]) <= set(gens)]
-            images = commutes.group(members)
-            if images is not None:
-                return (tuple(mirror[g] for g in gens), members,
-                        [(p, s, tuple(map(gens.index, word))) for p, s, word in members], images)
-
-
-def _bases(mirror: tuple, elements: list, kernel: np.ndarray):
-    """(rep, orbit, bases) of the group that the signed involutions mirror
-    generate, whose elements _group gave. rep marks each orbit's
-    representative, its smallest coordinate, and orbit numbers each
-    coordinate's orbit: those with the larger stabilizers first, then by
-    representative. bases holds ((held, coef), kernel) of each block, one
+def _basis(generators: list, kernel: np.ndarray) -> list:
+    """(B_chi, kernel, first) of each block of the group that the commuting
+    signed involutions generators generate, x -> sign * x[perm]: one block
     per character chi (a sign per generator) that some orbit carries, (+,
-    ..., +) first.
+    ..., +) first. The B_chi together are an orthogonal basis.
 
     An element h of the group maps e_r to s_h(r) e_h(r). The orbit of r
-    gives block chi the vector sum_h chi(h) s_h(r) e_h(r), normalized,
-    unless it is zero (an element fixing r cancels it): held marks the
-    orbits that give one, and coordinate i's entry in it is coef[i] =
-    +-1/sqrt(|orbit|) (0 off the block). A block's coordinates are its held
-    orbits, in their order. The constant shift of component c carries the
-    character of c's signs, and the block of that character holds it as B^T
-    k, pinned at the block's first coordinate where that column is
-    nonzero; this raises ValueError unless those coordinates lead the
-    block, in the kernel's column order. The lattice groups fix the
-    origin, whose coordinates come first, each in the block of its own
-    component's character. A block that holds no constant shift gets
-    kernel None. With no generators this is the one block of the trivial
-    group, the identity basis.
+    gives block chi the column sum_h chi(h) s_h(r) e_h(r), normalized, with
+    entries +-1/sqrt(|orbit|), unless it is zero (an element fixing r
+    cancels it). A block's columns are the orbits that give one, those with
+    the larger stabilizers first, then by representative, the orbit's
+    smallest coordinate; first is each column's representative. The
+    constant shift of component c carries the character of its signs, and
+    the block of that character holds it as kernel = B_chi^T k, pinned at
+    the block's first coordinates, which must fix it (else ValueError). The
+    lattice groups fix the origin, whose coordinates come first, each in
+    the block of its own component's character. A block that holds no
+    constant shift gets kernel None. With no generators this is the one
+    block of the trivial group, B = I.
     """
     n, m = kernel.shape
+    elements = [(np.arange(n), np.ones(n), ())]
+    for k, (perm, sign) in enumerate(generators):
+        elements += [(perm[p], s * sign[p], word + (k,)) for p, s, word in elements]
     rep_of = np.minimum.reduce([p for p, _, _ in elements])
     reps = np.flatnonzero(rep_of == np.arange(n))
     stab = sum(p[reps] == reps for p, _, _ in elements)
-    number = np.empty(n, dtype=np.int32)
-    number[reps[np.lexsort((reps, -stab))]] = np.arange(reps.size, dtype=np.int32)
-    orbit = number[rep_of]
-    # 1/sqrt(|orbit|) = 1/sqrt(|group| / |stabilizer|)
-    norm = np.zeros(n)
-    norm[reps] = 1.0 / np.sqrt(len(elements) * stab)
-    norm = norm[rep_of]
-    carried = []                                    # each kernel column's character
-    for c in range(m):
-        chi = []
-        for perm, sign in mirror:
-            image = sign * kernel[perm, c]
-            chi.append(1.0 if np.array_equal(image, kernel[:, c])
-                       else -1.0 if np.array_equal(image, -kernel[:, c]) else 0.0)
-        if 0.0 in chi:
-            raise ValueError("the Gram form's kernel does not map to itself under its mirror")
-        carried.append(tuple(chi))
-    bases = []
-    for chi in itertools.product((1.0, -1.0), repeat=len(mirror)):
+    reps = reps[np.lexsort((reps, -stab))]
+    orbit = np.empty(n, dtype=np.intp)
+    orbit[reps] = np.arange(reps.size)
+    orbit = orbit[rep_of]
+    norm = 1.0 / np.sqrt(np.bincount(orbit))
+    carried = np.array([_character(p, s, kernel) for p, s in generators]).reshape(-1, m)
+    blocks = []
+    for chi in itertools.product((1.0, -1.0), repeat=len(generators)):
         acc = np.zeros(n)
         for p, s, word in elements:
             acc[p[reps]] += np.prod([chi[k] for k in word]) * s[reps]
-        held = np.zeros(reps.size, dtype=bool)
-        held[orbit[reps]] = acc[reps] != 0.0
+        held = acc[reps] != 0.0
         if not held.any():
             continue
-        coef = acc * norm
-        cols = [c for c in range(m) if carried[c] == chi]
-        kb = None
-        if cols:
-            coords = np.flatnonzero(coef)
-            at = (np.cumsum(held) - 1)[orbit[coords]]
-            kb = np.stack([np.bincount(at, weights=coef[coords] * kernel[coords, c])
-                           for c in cols], axis=1)
-            lead = np.arange(len(cols))
-            if not (np.array_equal(np.argmax(kb != 0.0, axis=0), lead) and kb[lead, lead].all()):
-                raise ValueError("the constant shifts do not lead their block")
-        bases.append(((held, coef), kb))
-    return rep_of == np.arange(n), orbit, bases
-
-
-class _Fold:
-    """The entries of the pencil's pattern P in the representative rows,
-    folded onto the pattern of orbit pairs, once for every block.
-
-    An entry (r, c) of a representative row folds into the orbit pair
-    (orbit(r), orbit(c)): into is its pair, and (orow, ocol) the pairs in
-    CSR order, whose pattern is symmetric, with transpose each pair's
-    transposed one. The entries' coordinates are (row, col). src_a and
-    src_g list A's and G's stored entries in those rows (_Commutes.group),
-    at_a and at_g are their places among the folded entries, and g holds
-    G's values at them.
-    """
-
-    def __init__(self, P, rep, orbit, A, G, src_a, src_g):
-        n, no = P.shape[0], int(orbit.max()) + 1
-        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(P.indptr))
-        held = np.flatnonzero(rep[rows])
-        self.row, self.col = rows[held], P.indices[held]
-        key = orbit[self.row].astype(np.int64)
-        key *= no
-        key += orbit[self.col]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        self.into = np.empty(key.size, dtype=np.int32)
-        self.into[order] = np.cumsum(first, dtype=np.int32) - 1
-        self.orow, self.ocol = (x.astype(np.int32) for x in np.divmod(key[first], no))
-        pairs = sp.csr_matrix((np.arange(1.0, self.orow.size + 1), self.ocol,
-                               np.searchsorted(self.orow, np.arange(no + 1))), shape=(no, no))
-        self.transpose = (pairs.T.tocsr().data - 1).astype(np.int32)
-        # A's and G's entries in the representative rows, by their place there
-        key = _keys(P)[held]
-        self.src_a, self.g = src_a, G.data[src_g]
-        self.at_a, self.at_g = (np.searchsorted(key, _keys(M)[src]) for M, src in
-                                ((A, src_a), (G, src_g)))
+        coords = np.flatnonzero(acc)
+        B = sp.csr_matrix((np.sign(acc[coords]) * norm[orbit[coords]],
+                           (coords, (np.cumsum(held) - 1)[orbit[coords]])),
+                          shape=(n, int(held.sum())))
+        shifts = [c for c in range(m) if tuple(carried[:, c]) == chi]
+        kb = B.T @ kernel[:, shifts] if shifts else None
+        if shifts and np.linalg.matrix_rank(kb[:len(shifts)]) < len(shifts):
+            raise ValueError("the constant shifts do not lead their block")
+        blocks.append((B, kb, reps[held]))
+    return blocks
 
 
 class _Block:
-    """One diagonal block B^T (sym(A) - sigma G) B of the pencil, on one
-    sparsity pattern for every value of A's entries and every sigma, in
-    pinned coordinates when it holds constant shifts (kernel).
+    """One diagonal block B_chi^T (sym(A) - sigma G) B_chi of the pencil, on
+    one sparsity pattern P for every sigma and every blend weight, in pinned
+    coordinates when it holds constant shifts (kernel).
 
-    A and G commute with the group, so a block entry (a, b) is coef[r]^-1
-    sum_c coef[c] M[r, c] over the columns c of orbit b in the row r that
-    represents orbit a: each entry of the pencil's pattern (P, the union of
-    A's, A^T's and G's) in a representative row adds, with its signed
-    weight, into one entry of the block, that of its orbit pair (_Fold),
-    and the block's pattern is the orbit pairs it holds. Scatter maps place
-    A's weighted entries in it and the transpose map sends each of its
-    entries to its transposed one; G's values and G's pattern on the block
-    are scattered once. Each entry adds its value times the kernel's value
-    at its column to one slot of s = sym(A) k, its row's at its column's
-    component; the slots and the block's columns and row pointers are
-    O(nnz) arrays, built once with no sort. block(a, sigma), a the values
-    on A's canonical CSR pattern, scatters them and sums sym(A) - sigma G
-    on the pattern, sym(A) = (A + A^T) / 2 whether or not A is symmetric,
-    forms the rank-2m update from s with one weighted bincount, and keeps
-    the block past its m pinned rows and columns, less its exact zeros off
-    G's pattern: the nonzero set of sym(A) summed with G's pattern, so that
-    SuperLU orders and fills it as it would the summed matrices, whatever
-    sigma. A block without a kernel pins nothing. A probe is O(nnz) array
-    work and one sparse matrix, the block. With the trivial group the
-    block is the whole pencil.
+    values holds the block's B_chi^T M B_chi on P: (g, sym(A)) for a fixed
+    operator, and (g, a, a^T, slope, slope^T) for a pattern, with M = A_0
+    for a and A_1 - A_0 for slope. A weight w that is constant on orbits is
+    one number per block coordinate, w at its representative (first), and
+    the block of A_0 + diag(w) (A_1 - A_0) is a + diag(w) slope.
+    block(w, sigma) forms it and its transpose, sums sym(A) - sigma G on
+    the pattern, forms the rank-2m update from s = sym(A) k with one
+    bincount per constant shift, and keeps the block past its m pinned rows
+    and columns, less its exact zeros off G's pattern: the nonzero set of
+    sym(A) summed with G's pattern, so that SuperLU orders and fills it as
+    it would the summed matrices, whatever sigma. A block without a kernel
+    pins nothing. A probe is O(nnz) array work and one sparse matrix, the
+    block. With the trivial group the block is the whole pencil.
     """
 
-    def __init__(self, fold: _Fold, orbit: np.ndarray, basis, kernel):
+    def __init__(self, P: sp.csr_matrix, values: list, kernel, first: np.ndarray):
         m = 0 if kernel is None else kernel.shape[1]
-        held, coef = basis
-        rank = np.cumsum(held, dtype=np.int32) - 1       # each held orbit's coordinate
-        nb = int(rank[-1]) + 1
-        keep = held[fold.orow] & held[fold.ocol]
-        entry = np.cumsum(keep, dtype=np.int32) - 1      # each held pair's block entry
-        entry[~keep] = -1
-        rows, cols = rank[fold.orow[keep]], rank[fold.ocol[keep]]
-        indptr = np.searchsorted(rows, np.arange(nb + 1))
-        self.size = rows.size
-        self.transpose = entry[fold.transpose[keep]]
-        into = entry[fold.into]                          # the block entry of each folded entry
-        on = np.flatnonzero(into >= 0)
-        weight = np.zeros(into.size)
-        weight[on] = coef[fold.col[on]] / coef[fold.row[on]]
-        into_a = into[fold.at_a]
-        src = np.flatnonzero(into_a >= 0)
-        self.src, self.at_a, self.w = fold.src_a[src], into_a[src], weight[fold.at_a[src]]
-        into_g = into[fold.at_g]
-        src = np.flatnonzero(into_g >= 0)
-        at_g = into_g[src]
-        g = np.bincount(at_g, weights=fold.g[src] * weight[fold.at_g[src]], minlength=self.size)
-        g += g[self.transpose]
-        g *= 0.5
-        self.kernel, self.dim = kernel, nb - m
+        nb = first.size
+        self.counts = np.diff(P.indptr)
+        row = np.repeat(np.arange(nb, dtype=np.int32), self.counts)
+        self.row, self.col = row, P.indices.astype(np.int32)
+        g, *self.a = values
+        self.kernel, self.first, self.dim = kernel, first, nb - m
         if kernel is not None:
-            # (sym(A) k)[row, comp(col)] sums k[col] sym(A)_e over the entries
-            # e of a row in CSR order, as a CSR product does
-            comp = np.argmax(kernel != 0.0, axis=1)
-            kcol = kernel[np.arange(nb), comp]
-            self.slot = (rows * m + comp[cols]).astype(np.int32)
-            self.kv = kcol[cols]
-            # pinned coordinates z = x[m:] - x[comp] k[m:] / k[comp]
-            self.comp, self.ratio = comp[m:], kcol[m:] / kcol[comp[m:]]
-        # the block: the entries from start on (rows past the first m), their
-        # columns shifted by m, negative for the first m columns; G's values
-        # there, and G's pattern, whose entries the block keeps at any value
-        self.start = indptr[m]
-        self.cols = (cols[self.start:] - m).astype(np.int32)
-        self.indptr = (indptr[m:] - self.start).astype(np.int32)
-        on_g = np.zeros(self.size, dtype=bool)
-        on_g[at_g] = True
-        self.g, self.on_g, self.in_block = g[self.start:], on_g[self.start:], self.cols >= 0
-        # the basis, to move vectors between full and block coordinates
-        self.coords = np.flatnonzero(coef)
-        self.at, self.coef = rank[orbit[self.coords]], coef[self.coords]
+            # each constant shift at each entry's column
+            self.k_at = kernel[self.col].T.copy()
+            # pinned coordinates z = x[m:] - ratio x[:m], x = Pi W z
+            self.ratio = np.linalg.solve(kernel[:m].T, kernel[m:].T).T
+        # the entries past the pinned rows and columns, row by row
+        self.inner = np.flatnonzero((row >= m) & (self.col >= m))
+        self.cols = self.col[self.inner] - m
+        self.indptr = np.searchsorted(row[self.inner], np.arange(m, nb + 1))
+        self.g = g[self.inner]
+        self.on_g = self.g != 0.0
 
-    def block(self, a: np.ndarray, sigma: float):
-        """(M_pp, U, k^T s) of _Factor for the values a on A's pattern; U
-        and k^T s are None without a kernel."""
-        x = a[self.src]
-        x *= self.w
-        x = np.bincount(self.at_a, weights=x, minlength=self.size)
-        s = x[self.transpose]                       # sym(A)
-        s += x
-        s *= 0.5
+    def block(self, w, sigma: float):
+        """(M_pp, U, k^T s) of _Factor at the weight w (None off a pattern);
+        U and k^T s are None without a kernel."""
+        if w is None:
+            x, = self.a
+        else:
+            a, at, s, st = self.a
+            wb = w[self.first]
+            x = wb[self.col]                        # sym(A): the transpose's values
+            x *= st
+            x += at
+            y = np.repeat(wb, self.counts)             # w at each entry's row
+            y *= s
+            y += a
+            x += y
+            x *= 0.5
         U = kts = None
         if self.kernel is not None:
-            nb, m = self.kernel.shape
-            sk = np.bincount(self.slot, weights=s * self.kv, minlength=nb * m)
-            U, kts = _pinned_update(sk.reshape(nb, m), self.kernel)
-        s = s[self.start:]
-        keep = s != 0.0
-        keep |= self.on_g
-        keep &= self.in_block
-        keep = np.flatnonzero(keep)
-        values = s[keep]
+            nb = self.kernel.shape[0]
+            sk = np.stack([np.bincount(self.row, weights=x * k, minlength=nb)
+                           for k in self.k_at], axis=1)
+            U, kts = _pinned_update(sk, self.kernel)
+        x = x[self.inner]
+        keep = np.flatnonzero((x != 0.0) | self.on_g)
+        values = x[keep]
         values -= sigma * self.g[keep]
         # int32 like the columns, so that scipy casts neither
         indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
@@ -639,107 +462,121 @@ class _Block:
         return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(self.dim,) * 2),
                 U, kts)
 
-    def restrict(self, x: np.ndarray) -> np.ndarray:
-        """The block coordinates of a zero-mean x, pinned: lift's inverse."""
-        xb = np.bincount(self.at, weights=self.coef * x[self.coords])
+    def gram(self) -> sp.csr_matrix:
+        """G_pp of the block, on G's pattern."""
+        keep = np.flatnonzero(self.on_g)
+        return sp.csr_matrix((self.g[keep], self.cols[keep], np.searchsorted(keep, self.indptr)),
+                             shape=(self.dim,) * 2)
+
+    def restrict(self, xb: np.ndarray) -> np.ndarray:
+        """The pinned coordinates of a zero-mean xb = B_chi^T x: lift's inverse."""
         if self.kernel is None:
             return xb
         m = self.kernel.shape[1]
-        return xb[m:] - self.ratio * xb[self.comp]
+        return xb[m:] - self.ratio @ xb[:m]
 
-    def lift(self, z: np.ndarray, out: np.ndarray) -> None:
-        """Add B Pi W z to out."""
-        y = z if self.kernel is None else _lift(self.kernel, z)
-        out[self.coords] += self.coef * y[self.at]
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """Pi W z, in the block's coordinates."""
+        return z if self.kernel is None else _lift(self.kernel, z)
 
 
 class _Pinned:
-    """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of the
-    largest group some of G's generators generate that A commutes with
-    (_subgroup, _bases, _Block):
-    the four blocks of the inversion and the reflection, the two of the
-    inversion alone, or the one block of the trivial group. The blocks'
+    """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of
+    B^T (sym(A) - sigma G) B, B = [B_chi] the basis of a group of G's
+    candidate symmetries (_basis): the four blocks of the inversion and the
+    reflection, the two of the inversion alone, or the one block of the
+    trivial group. Each block is B_chi^T M B_chi by sparse products, for M
+    = A, G and, for a pattern, slope (_Block). The blocks' pinned
     coordinates, concatenated, are the pencil's: gram, restrict and lift
     act on their direct sum.
 
-    The pattern P is the union of A's, A^T's and G's; the blocks fold the
-    entries of its representative rows (_Fold), among which A's and G's
-    stored entries are placed. G.mirror lists the candidates, whose group
-    must map G to itself, else this raises ValueError. The subgroup is
-    measured once (_subgroup), the whole group first, each element of the
-    candidates once (_Commutes): its elements map A's pattern onto itself
-    exactly, and A's values and each array in also (values on A's pattern)
-    to within 1e-13 of their largest entry, read on the representative
-    rows, whose images are every row. What the values leave of that defect
-    enters each shift's rounding tests (perturbation). G must be
-    symmetric.
+    The group is the one generated by the candidates in G.mirror (checked
+    by SparseOp) that each commute with A to 1e-13 of its largest entry
+    (_commutator): commuting involutions commute with A when each one does,
+    so no subset is searched. For a pattern (BlendPattern), A is A_0, slope
+    is A_1 - A_0, and a candidate is kept when A_0 + i slope commutes with
+    it to 1e-13 of its largest entry and the weight, one number per
+    coordinate, maps to itself under it exactly.
+
+    B is orthogonal, so the split drops only the off-diagonal blocks of B^T
+    M B, which are B^T (M - M_avg) B, M_avg = (1/|group|) sum_h S_h M S_h^T
+    (the group average). M - S_h M S_h^T adds up the commutators of the
+    generators in h's word, and each generator lies in half of the group's
+    elements: the dropped part's N (_commutator) is at most half the sum of
+    the kept generators' N(S_g M S_g^T - M), measured once by the products
+    that test them (dropped, for A, the slope and G; perturbation). G must
+    be symmetric.
     """
 
-    def __init__(self, A: sp.csr_matrix, G: SparseOp, also: tuple = ()):
-        n = self.n = G.dim
-        a = _numbered(A)
-        # positive sums: nothing cancels
-        P = a + a.T + _numbered(G.matrix)
-        P.sort_indices()
-        self.width = int(np.diff(P.indptr).max())
-        group = _group(G.mirror, n)
-        g_commutes = _Commutes(G.matrix, (G.matrix.data,))
-        g_images = g_commutes.group(group)
-        # A's and G's entries in the representative rows, and their images;
-        # a subgroup has more of those rows, where G is measured as well
-        mirror, members, elements, self.images = _subgroup(
-            _Commutes(A, (A.data,) + also), G.mirror, group)
-        if g_images is not None and len(members) < len(group):
-            g_images = g_commutes.group(members)
-        if g_images is None:
-            raise ValueError("the Gram form does not commute with its mirror")
-        rep, orbit, bases = _bases(mirror, elements, G.kernel)
-        self.g_defect = _defect(G.matrix.data, g_images)
-        fold = _Fold(P, rep, orbit, A, G.matrix, self.images[0], g_images[0])
-        self.blocks = [_Block(fold, orbit, basis, kernel) for basis, kernel in bases]
+    def __init__(self, A: sp.csr_matrix, G: SparseOp, slope: Optional[sp.csr_matrix] = None,
+                 weight: Optional[np.ndarray] = None):
+        # the matrix the candidates are tested on: A, or A_0 + i slope
+        X = A if slope is None else A + 1j * slope
+        self.generators = []
+        # N of the kept generators' commutators with A (A_0 for a pattern),
+        # the slope and G, halved and summed
+        self.dropped = np.zeros(3)
+        for (perm, sign), (_, g_norm, _) in zip(G.mirror, G.defects):
+            if weight is not None and not np.array_equal(weight[perm], weight):
+                continue
+            commutes, a_norm, s_norm = _commutator(X, perm, sign)
+            if commutes:
+                self.generators.append((perm, sign))
+                self.dropped += 0.5 * np.array([a_norm, s_norm, g_norm])
+        if slope is None:
+            # one complex product per block carries A and G, and keeps every
+            # entry where either is nonzero
+            X = A + 1j * G.matrix
+        self.blocks, bases = [], _basis(self.generators, G.kernel)
+        for B, kb, first in bases:
+            Bt = B.T.tocsr()
+            P = Bt @ X @ B
+            if slope is None:
+                # (a + a^T) + i (g + g^T): the entries that sym(A) - sigma G
+                # keeps at any sigma
+                P = P + P.T
+                values = [0.5 * P.data.imag, 0.5 * P.data.real]
+            else:
+                # g, a + i slope and its transpose, each read on their union
+                parts = [Bt @ G.matrix @ B, P, P.T.tocsr()]
+                P = abs(parts[0]) + abs(parts[1]) + abs(parts[2])
+                at = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr)), P.indices
+                g, x, xt = (np.asarray(M[at]).ravel() for M in parts)
+                values = [g, x.real, xt.real, x.imag, xt.imag]
+            self.blocks.append(_Block(P, values, kb, first))
+        self.B = sp.hstack([B for B, _, _ in bases], format="csr")
+        # each block's columns of B, and its pinned coordinates in the direct sum
+        ends = np.cumsum([b.first.size for b in self.blocks])
+        self.spans = [slice(e - b.first.size, e) for b, e in zip(self.blocks, ends)]
         ends = np.cumsum([b.dim for b in self.blocks])
-        # each block's coordinates in the direct sum
         self.slices = [slice(e - b.dim, e) for b, e in zip(self.blocks, ends)]
 
-    def perturbation(self, a: np.ndarray, sigma: float) -> float:
-        """A bound on the 2-norm of what the blocks change in sym(A) - sigma G,
-        for the values a on A's pattern; 0 with the trivial group. Folded
-        from the representative rows, the blocks are exactly those of the
-        pencil that repeats those rows over each orbit by the group
-        (averaged over an element that fixes the row), which commutes with
-        the group and differs from this one, entry by entry of P, by at most
-        defect_A + |sigma| defect_G (_defect). A row of P holds at most width
-        entries. Refilled values (BlendPattern) past 1e-13 raise ValueError."""
-        if not self.images[1]:
-            return 0.0
-        defect = _defect(a, self.images)
-        if not _within(defect, a):
+    def perturbation(self, w, sigma: float) -> float:
+        """A bound on the 2-norm of what the blocks drop of B^T (sym(A) -
+        sigma G) B at the weight w (None off a pattern): dropped_A + max|w|
+        dropped_slope + |sigma| dropped_G; 0 with the trivial group. A
+        weight that does not map to itself under the group raises
+        ValueError."""
+        if w is not None and not all(np.array_equal(w[p], w) for p, _ in self.generators):
             raise ValueError("the operator's values do not commute with its blocks' group")
-        return self.width * (defect + abs(sigma) * self.g_defect)
+        dropped_a, dropped_s, dropped_g = self.dropped
+        if dropped_s:
+            dropped_a += np.abs(w).max(initial=0.0) * dropped_s
+        return float(dropped_a + abs(sigma) * dropped_g)
 
     def gram(self) -> sp.csr_matrix:
-        """G on the direct sum of the blocks, G_pp, in pinned coordinates:
-        each block's entries on G's pattern, its columns and row pointers
-        offset by the blocks before it."""
-        data, cols, indptr, nnz = [], [], [np.zeros(1, dtype=np.int64)], 0
-        for b, part in zip(self.blocks, self.slices):
-            keep = np.flatnonzero(b.on_g & b.in_block)
-            data.append(b.g[keep])
-            cols.append(b.cols[keep] + part.start)
-            indptr.append(np.searchsorted(keep, b.indptr[1:]) + nnz)
-            nnz += keep.size
-        return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), np.concatenate(indptr)),
-                             shape=(self.slices[-1].stop,) * 2)
+        """G on the direct sum of the blocks, G_pp, in pinned coordinates."""
+        return sp.block_diag([b.gram() for b in self.blocks], format="csr")
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([b.restrict(x) for b in self.blocks])
+        """The pinned coordinates of a zero-mean x, block by block: lift's inverse."""
+        xb = self.B.T @ x
+        return np.concatenate([b.restrict(xb[span]) for b, span in zip(self.blocks, self.spans)])
 
     def lift(self, z: np.ndarray) -> np.ndarray:
-        """x = sum over blocks of B Pi W z_b."""
-        x = np.zeros(self.n)
-        for b, part in zip(self.blocks, self.slices):
-            b.lift(z[part], x)
-        return x
+        """x = B y, y the blocks' Pi W z_b."""
+        return self.B @ np.concatenate([b.lift(z[part])
+                                        for b, part in zip(self.blocks, self.slices)])
 
 
 class _Factor:
@@ -747,8 +584,8 @@ class _Factor:
     holds the constant shifts; a factorization that yields no inertia
     raises (_ldlt). eps, _Pinned.perturbation, widens the rounding tests."""
 
-    def __init__(self, block: _Block, a: np.ndarray, sigma: float, eps: float):
-        M_pp, U, kts = block.block(a, sigma)
+    def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float, eps: float):
+        M_pp, U, kts = block.block(w, sigma)
         lu = _ldlt(M_pp)
         del M_pp                                    # before lu.U copies the factor
         self.nnz, self._solve, self.Y = int(lu.nnz), lu.solve, None
@@ -803,7 +640,8 @@ class _Factor:
 
 class _Shift:
     """LDL^T of sym(A) - sigma G on the zero-mean space, block by block of
-    _Pinned (_Factor), in pinned coordinates.
+    _Pinned (_Factor), in pinned coordinates, at the blend weight w of a
+    pattern's _Pinned (None for a fixed operator).
 
     _Pinned gives the trivial group one block, the inversion two and the
     inversion with the reflection four, of which the first two each hold
@@ -821,10 +659,11 @@ class _Shift:
     rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
     |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z
     gamma_3w || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves
-    included. A split pencil's blocks are exactly those of a pencil within
-    eps of this one in 2-norm (_Pinned.perturbation), a perturbation F of
-    each block's M_pp: a pivot's bound adds eps, and a capacitance block's
-    eps ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
+    included. A split pencil's blocks drop the off-diagonal blocks of B^T
+    (sym(A) - sigma G) B, whose 2-norm is at most eps (_Pinned.perturbation):
+    they are exactly the blocks of a pencil within eps of this one, a
+    perturbation F of each block's M_pp, so a pivot's bound adds eps, and a
+    capacitance block's eps ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
     hold its (smallest magnitude, bound) pairs, in that order; the count is
     trusted when every block's test passes, and min_pivot and margin report
     the one that came closest.
@@ -845,11 +684,11 @@ class _Shift:
     is built on the first solve(), so a sign probe never builds it.
     """
 
-    def __init__(self, pinned: _Pinned, a: np.ndarray, sigma: float):
+    def __init__(self, pinned: _Pinned, w: Optional[np.ndarray], sigma: float):
         self.slices = pinned.slices
         try:
-            eps = pinned.perturbation(a, sigma)
-            self.factors = [_Factor(block, a, sigma, eps) for block in pinned.blocks]
+            eps = pinned.perturbation(w, sigma)
+            self.factors = [_Factor(block, w, sigma, eps) for block in pinned.blocks]
         except (RuntimeError, np.linalg.LinAlgError):      # no inertia to read
             self.negative, self.min_pivot, self.margin, self.trusted = -1, 0.0, np.nan, False
             return
@@ -1008,7 +847,7 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     def certified(trials):
         for sigma in trials:
             report["factorizations"] += 1
-            shift = _Shift(pinned, A.data, sigma)
+            shift = _Shift(pinned, None, sigma)
             if shift.trusted and shift.negative <= 1:
                 return sigma, shift
             del shift                               # before the next factorization
@@ -1126,15 +965,15 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
     can still clear the bounds; the sign there is whatever rounding made it.
     """
     _pencil_kernel(opMatrix.dim, G)
-    return _sign(_Pinned(opMatrix.matrix, G), opMatrix.matrix.data, tau,
-                 lambda: coercivity(opMatrix, G))
+    return _sign(_Pinned(opMatrix.matrix, G), None, tau, lambda: coercivity(opMatrix, G))
 
 
-def _sign(pinned: _Pinned, a: np.ndarray, tau: float, solve) -> InertiaReport:
-    """gamma > tau for the values a on pinned's pattern, read off _Shift's
-    count with its evidence; solve() gives the pencil solve's
-    StabilityReport, asked for only when the count is untrusted."""
-    shift = _Shift(pinned, a, tau)
+def _sign(pinned: _Pinned, w: Optional[np.ndarray], tau: float, solve) -> InertiaReport:
+    """gamma > tau at the blend weight w of pinned's pattern (None for a
+    fixed operator), read off _Shift's count with its evidence; solve()
+    gives the pencil solve's StabilityReport, asked for only when the count
+    is untrusted."""
+    shift = _Shift(pinned, w, tau)
     report = InertiaReport(coercive=shift.negative == 0, negative=shift.negative,
                            min_pivot=shift.min_pivot, margin=shift.margin, method="inertia")
     if shift.trusted:
@@ -1152,16 +991,18 @@ class BlendPattern:
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
     at beta = 0 and beta = 1 on one CSR pattern: the entries some weight
     makes nonzero, stored at every weight (the 2D toy model's bqcf pattern
-    holds 9,216 at N = 12, 8 per row). is_coercive(op) refills the values
-    at op's blend (values) and hands them to _Shift on a _Pinned pattern,
-    with no assembly, symmetrization or format conversion: the probe builds
-    one sparse matrix per block it factors, and a SparseOp of A(beta) only
-    when it falls back to a value solve. op must share the kind, lattice and
-    model (equal by value) of the operator the pattern was built from. The
-    pattern splits by the largest group of G's candidates under which A_0,
-    A_1 and that operator's A(beta) all commute (_Pinned measures it), so
-    the operator it was built from can always be probed; a refill whose
-    values break that group raises ValueError (_Pinned.perturbation).
+    holds 9,216 at N = 12, 8 per row). The pattern splits by the group of
+    G's candidates that A_0, A_1 - A_0 and the blend of the operator it was
+    built from map to themselves under (_Pinned measures it), and each block forms
+    B_chi^T A_0 B_chi and B_chi^T (A_1 - A_0) B_chi once. is_coercive(op)
+    hands op's weight (weight) to _Shift, which refills each block as
+    B_chi^T A_0 B_chi + diag(beta_chi) B_chi^T (A_1 - A_0) B_chi, exact for
+    a beta constant on the group's orbits, with no assembly or product: the
+    probe builds one sparse matrix per block it factors, and a SparseOp of
+    A(beta) only when it falls back to a value solve. op must share the
+    kind, lattice and model (equal by value) of the operator the pattern
+    was built from; a blend that does not map to itself under the group
+    raises ValueError (_Pinned.perturbation).
     """
 
     def __init__(self, op, G: SparseOp):
@@ -1184,15 +1025,20 @@ class BlendPattern:
         self.a0, a1 = A0.data[keep], A1.data[keep]
         self.slope = a1 - self.a0
         del A1
-        self.site = rows // G.ncomp
-        # with beta mapped to itself, A(beta) commutes when A_0 and A_1 do
-        self.pinned = _Pinned(self.matrix(op).matrix, G, also=(self.a0, a1))
+        self.rows = rows                            # each stored entry's row
+        A0, S = (sp.csr_matrix((v, self.indices, self.indptr), shape=(n, n))
+                 for v in (self.a0, self.slope))
+        self.pinned = _Pinned(A0, G, S, self.weight(op))
+
+    def weight(self, op) -> np.ndarray:
+        """beta at each coordinate of op's blend."""
+        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
+            raise ValueError("operator differs in kind, lattice or model from the pattern's")
+        return np.repeat(op.blend.beta.ravel(), self.G.ncomp)
 
     def values(self, op) -> np.ndarray:
         """A(beta)'s stored values at op's blend, on the pattern."""
-        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
-            raise ValueError("operator differs in kind, lattice or model from the pattern's")
-        a = op.blend.beta.ravel()[self.site]
+        a = self.weight(op)[self.rows]
         a *= self.slope
         a += self.a0
         return a
@@ -1207,5 +1053,5 @@ class BlendPattern:
         """spectral.is_coercive(assemble(op), G, tau) on the pattern; A(beta)
         is built as a matrix only when the probe falls back to a value solve,
         coercivity's with this method and seed."""
-        return _sign(self.pinned, self.values(op), tau,
+        return _sign(self.pinned, self.weight(op), tau,
                      lambda: coercivity(self.matrix(op), self.G, method=method, seed=seed))

@@ -319,7 +319,7 @@ def test_shifted_solve_is_exact(domain, rng):
         M = Asym - sigma * G.matrix
         b = rng.standard_normal(G.dim)
         b -= k @ (k.T @ b)
-        shift = _Shift(_Pinned(Asym, G), Asym.data, sigma)
+        shift = _Shift(_Pinned(Asym, G), None, sigma)
         y = _lift(k, shift.solve(b[m:]))
         r = M @ y - b
         assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(b)
@@ -654,10 +654,10 @@ def test_rounding_tests_match_a_dense_evaluation():
         gamma = coercivity(sop, G, method="dense").gamma
         pinned = _Pinned(sop.matrix, G)
         for tau in (1e-10, gamma - 1e-7):
-            shift = _Shift(pinned, sop.matrix.data, tau)
+            shift = _Shift(pinned, None, tau)
             factor, = shift.factors
             negative, tests = _rounding_tests(factor,
-                                              pinned.blocks[0].block(sop.matrix.data, tau)[0])
+                                              pinned.blocks[0].block(None, tau)[0])
             assert shift.negative == negative, (sop.dim, tau)
             assert shift.trusted == all(p > b for p, b in tests), (sop.dim, tau)
             assert np.allclose(factor.tests, tests, rtol=1e-13, atol=0.0), (sop.dim, tau)
@@ -689,7 +689,7 @@ def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     assert pattern.is_coercive(op, 1e-10).method == "inertia"
     assert made == ["csc_matrix"]
     monkeypatch.undo()
-    shift = _Shift(pattern.pinned, pattern.values(op), 1e-10)
+    shift = _Shift(pattern.pinned, pattern.weight(op), 1e-10)
     factor, = shift.factors
     assert shift.trusted and "Cinv" not in vars(factor)
     shift.solve(np.ones(G.dim - 1))
@@ -778,7 +778,7 @@ def test_refilled_block_matches_the_assembled_one(space, N):
         refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror[:1])
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
         for block, ref in zip(pattern.pinned.blocks, refs):
-            got, _, _ = block.block(pattern.matrix(op).matrix.data, tau)
+            got, _, _ = block.block(pattern.weight(op), tau)
             assert np.array_equal(got.indptr, ref.indptr), op.blend.K
             assert np.array_equal(got.indices, ref.indices), op.blend.K
             ulp = np.spacing(abs(A.matrix).max())
@@ -867,44 +867,45 @@ def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
 
 
 def test_a_gram_form_must_commute_with_its_mirror():
-    # the Gram form's candidates are checked against it: swapping two sites
-    # maps no nearest-neighbor pattern onto itself, and raises. Only a Gram
-    # form's mirror is read, so an operator that carries one is refused
+    # the Gram form's candidates are checked against it once, as it is
+    # built: swapping two sites maps no nearest-neighbor pattern onto
+    # itself, and raises. Only a Gram form's mirror is read, so an operator
+    # that carries one is refused
     lat = TriLattice2D(4)
     G = gram_D(lat)
     A = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
     perm = np.arange(G.dim)
     perm[[2, 3, 10, 11]] = [10, 11, 2, 3]
-    swapped = SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),))
     with pytest.raises(ValueError, match="the Gram form does not commute with its mirror"):
-        is_coercive(A, swapped, 1e-10)
+        SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),))
     with pytest.raises(ValueError, match="mirror"):
         SparseOp(A.matrix, mirror=G.mirror)
 
 
 def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
-    # values that commute with the mirror only to within the tolerance fold
-    # into the blocks of a pencil within eps = width (defect_A + |sigma|
-    # defect_G) of the given one: each pivot's bound grows by eps, each
+    # values that commute with the mirror only to within the tolerance (one
+    # entry off the diagonal moved by 1e-14 of the largest) leave
+    # off-diagonal blocks in B^T (sym A - sigma G) B, which the split drops:
+    # eps, their measured size, bounds their 2-norm (B from the projector
+    # sums, _explicit_bases), and widens each pivot's bound by eps and each
     # capacitance block's by eps ||Y_j||^2
     lat = TriLattice2D(4)
     G = gram_D(lat)
-    A = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
-    a = A.matrix.data.copy()
-    defect = 1e-14 * np.abs(a).max()
-    a[0] += defect
-    pinned = spectral._Pinned(scipy.sparse.csr_matrix((a, A.matrix.indices, A.matrix.indptr),
-                                                      shape=A.matrix.shape), G)
+    M = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)).matrix.copy()
+    M[0, 2] += 1e-14 * np.abs(M.data).max()
+    pinned = _Pinned(M, G)
     sigma = -0.25
-    eps = pinned.perturbation(a, sigma)
-    assert len(pinned.blocks) == 4 and pinned.g_defect == 0.0
-    assert eps == pytest.approx(pinned.width * defect, rel=1e-6)
-    assert spectral._Pinned(A.matrix, G).perturbation(A.matrix.data, sigma) == 0.0
-    widened = _Shift(pinned, a, sigma)
-    monkeypatch.setattr(pinned, "perturbation", lambda a, sigma: 0.0)
-    plain = _Shift(pinned, a, sigma)
-    for wide, bare in zip(widened.factors, plain.factors):
-        assert wide.tests[0][1] == pytest.approx(bare.tests[0][1] + eps, rel=1e-12)
+    eps = pinned.perturbation(None, sigma)
+    assert len(pinned.blocks) == 4
+    B = scipy.sparse.hstack([b for b, _ in _explicit_bases(G.mirror, G.kernel)]).toarray()
+    C = B.T @ ((M + M.T) * 0.5 - sigma * G.matrix).toarray() @ B
+    for span in pinned.spans:
+        C[span, span] = 0.0
+    assert eps >= np.linalg.norm(C, 2) > 0.0
+    widened = _Shift(pinned, None, sigma)
+    monkeypatch.setattr(pinned, "perturbation", lambda w, sigma: 0.0)
+    plain = _Shift(pinned, None, sigma)
+    for wide, bare in zip(widened.factors, plain.factors, strict=True):
         m = 0 if bare.Y is None else bare.Y.shape[1] // 2
         extra = [eps] if bare.Y is None else \
             [eps] + [eps * np.linalg.norm(bare.Y[:, j], 2) ** 2
@@ -913,6 +914,31 @@ def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
         for (p, b), (q, c), e in zip(wide.tests, bare.tests, extra):
             assert p == q and b == pytest.approx(c + e, rel=1e-12)
     assert widened.negative == plain.negative and widened.trusted
+
+
+@pytest.mark.parametrize("space", ["1d", "ltilde"])
+def test_the_trivial_group_block_is_the_pinned_pencil_bitwise(space):
+    # one block, B = I: at every sigma the block is (sym A - sigma G)[m:, m:]
+    # to the last bit on its stored pattern, nothing is dropped, and lift is
+    # the unsplit pinning's, so answers on one block cannot drift
+    if space == "1d":
+        ch = Chain1D(256)
+        G = gram_D(ch)
+        A = assemble(Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                          blend=build_blend_1d(ch, 18)))
+    else:
+        lat = TriLattice2D(12)
+        G = gram_D(lat)
+        A = assemble_ltilde(lat, unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8))
+    pinned = _Pinned(A.matrix, G)
+    m = G.ncomp
+    assert len(pinned.blocks) == 1 and pinned.perturbation(None, 7.5) == 0.0
+    for sigma in (0.0, 1e-10, -0.25, 7.5):
+        got, _, _ = pinned.blocks[0].block(None, sigma)
+        want = (A.sym_matrix - sigma * G.matrix)[m:, m:]
+        assert np.array_equal(got.toarray(), want.toarray()), sigma
+    z = np.random.default_rng(3).standard_normal(G.dim - m)
+    assert np.array_equal(pinned.lift(z), _lift(G.kernel, z))
 
 
 def test_an_asymmetric_blend_declares_no_mirror():
@@ -978,7 +1004,7 @@ def test_split_shifted_solve_is_exact(N, rng):
         pinned = spectral._Pinned(sop.matrix, G)
         assert len(pinned.blocks) == 4
         z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
-        shift = _Shift(pinned, sop.matrix.data, sigma)
+        shift = _Shift(pinned, None, sigma)
         x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
         r = (sop.sym_matrix - sigma * G.matrix) @ x - G.matrix @ y
         assert np.linalg.norm(r - k @ (k.T @ r)) <= 1e-10 * np.linalg.norm(G.matrix @ y)
@@ -1013,7 +1039,7 @@ def test_four_block_counts_match_the_whole_pencil(N):
     refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
     ulp = np.spacing(abs(A.matrix).max())
     for block, ref in zip(pattern.pinned.blocks, refs, strict=True):
-        got, _, _ = block.block(pattern.values(ops[3]), tau)
+        got, _, _ = block.block(pattern.weight(ops[3]), tau)
         assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
         assert np.abs(got.data - ref.data).max() <= 8 * ulp
 
@@ -1045,7 +1071,9 @@ def test_each_traffic_operator_splits_into_its_measured_blocks():
     # constants solve: 1D one; the toy model two (the inversion), one when
     # its blend is rolled off the origin; Morse four (the inversion and the
     # reflection), two when rolled along axis 0, which keeps the
-    # reflection; L-tilde one; the Poincare annulus four
+    # reflection; L-tilde one. The Poincare ratio solves no pencil: its
+    # annulus mask against the scalar form stays as the check of a
+    # four-block split whose kernel block pins one shift (m = 1)
     def count(A, G):
         return len(_Pinned(A.matrix, G).blocks)
 
@@ -1201,7 +1229,7 @@ def test_shift_reports_an_untrusted_count_when_the_factor_fails():
     ch = Chain1D(64)
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
     G = gram_D(ch)
-    shift = _Shift(_Pinned(sop.matrix, G), sop.matrix.data, 0.76)
+    shift = _Shift(_Pinned(sop.matrix, G), None, 0.76)
     assert shift.trusted is False and shift.negative == -1
     assert shift.min_pivot == 0.0 and np.isnan(shift.margin)
 
