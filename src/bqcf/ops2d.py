@@ -388,15 +388,6 @@ def assemble_triplets(op: Op2D):
     return 2 * (2 * lattice.N) ** 2, rows, cols, eps**2 * vals
 
 
-def _symbol(G, n: int) -> np.ndarray:
-    """lambda(k) of a translation-invariant scalar form G on the (n, n)
-    torus, in rfft2's layout: the transform of its own column G e_0, so
-    that G f = irfft2(lambda rfft2(f)). Real, as G is symmetric."""
-    e0 = np.zeros(G.dim)
-    e0[0] = 1.0
-    return np.fft.rfft2((G.matrix @ e0).reshape(n, n)).real
-
-
 def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, *, seed: int = 7) -> float:
     """Extremal ratio sup ||u||^2_(blending region) / ||Du||^2 over zero-mean u.
 
@@ -405,11 +396,11 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, *, seed: int = 
     the supremum is that of one component, on the (2N)^2 sites, against
     the scalar Gram form G (gram_D(scalar=True)). G is translation-invariant
     on the torus, so its pseudo-inverse G+ is an exact convolution:
-    irfft2(rfft2(f) / lambda) with lambda G's _symbol, its k = 0 mode (the
-    constants, G's kernel) zeroed by index. With P the restriction to the
-    annulus sites, the nonzero eigenvalues of the pencil (eps^2 P^T P, G)
-    off the constants are eps^2 times those of P G+ P^T, the Green's
-    function on the annulus; no pencil is factored.
+    irfft2(rfft2(f) / lambda) with lambda G's symbol (spectral._symbol),
+    its k = 0 mode (the constants, G's kernel) zeroed by index. With P the
+    restriction to the annulus sites, the nonzero eigenvalues of the pencil
+    (eps^2 P^T P, G) off the constants are eps^2 times those of P G+ P^T,
+    the Green's function on the annulus; no pencil is factored.
 
     Method: spectral._Lanczos, with the identity inner product, on y ->
     (G+ P^T y) on the annulus, from a draw of default_rng(seed) on its
@@ -420,7 +411,7 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, *, seed: int = 
     relative residual above _RTOL raises RuntimeError, so that a wrong
     symbol or a G that is not circulant fails there.
     """
-    from .spectral import _MAXITER, _RTOL, _Lanczos, _rayleigh_residual, gram_D
+    from .spectral import _MAXITER, _RTOL, _Lanczos, _rayleigh_residual, _symbol, gram_D
 
     if 2 * regions.Rb > lattice.N:
         raise ModelRangeError(f"Rb = {regions.Rb} exceeds N/2 = {lattice.N / 2:g}")
@@ -429,7 +420,7 @@ def poincare_discrete(lattice: TriLattice2D, regions: Regions2D, *, seed: int = 
         return 0.0
     n = 2 * lattice.N
     G = gram_D(lattice, scalar=True)
-    lam = _symbol(G, n)
+    lam = _symbol(G.matrix, G)[..., 0, 0].real
     lam[0, 0] = np.inf                              # G+ is zero on the constants
 
     def green(y):

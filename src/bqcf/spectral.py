@@ -27,9 +27,26 @@ same way (Grimes, Lewis and Simon's inertia-certified shifts). Both build
 the factored blocks the same way (_Pinned): values refilled on one
 pattern per block, fixed for every sigma. A blended operator is affine in
 its weight, so a threshold scan refills those patterns at each blend
-(BlendPattern) and assembles nothing per probe. Every value solve takes this path unless its caller asks for
-method "dense": a dense eigh of the same pinned pencil, the reference
-the sparse one is checked against.
+(BlendPattern) and assembles nothing per probe. Every value solve takes
+this path unless the pencil is translation-invariant (below) or its
+caller asks for method "dense": a dense eigh of the same pinned pencil,
+the reference the other paths are checked against.
+
+A translation-invariant pencil is answered from its lattice symbol, with
+nothing factored (Dobson, Ortner and Shapeev, 2012). gram_D records its
+torus on the Gram form (SparseOp.grid); a form built by hand has none.
+When sym(A) commutes with the one-site shift along each grid axis, to
+1e-13 of its largest entry (_commutator), it is block-circulant, as the
+atomistic and qcl chains and the 2D atomistic and Cauchy-Born kinds are,
+and gamma is the minimum over wavevectors k != 0 of the smallest
+eigenvalue of the Hermitian part of A(k), the transform of sym(A)'s
+first m columns, over g(k), G's (_symbol_gamma). The certificate is the
+one a Lanczos solve meets: the Bloch mode of the minimizing k, lifted to
+a real field with its phase reduced in integers (_bloch_mode), must pass
+the residual test on the sparse pencil, or the call raises; there is no
+fallback. Where that test is tighter than the mode's rounding (the exact
+mode of Chain1D(4096) at phi2F = -0.24 has residual 1.04e-8) the call
+raises too. is_coercive still factors these pencils.
 
 A pencil that commutes with a group of coordinate symmetries splits into
 blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). Symmetry is
@@ -55,6 +72,7 @@ fill-reducing ordering than the whole pencil on the torus.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
@@ -102,39 +120,33 @@ class SparseOp:
     symmetric matrix it holds the same values. A Gram form sets ncomp, its
     coordinates per site: its nullspace is the constant shifts, whose
     orthonormal basis is kernel, and the zero-mean space of the pencil is
-    their orthogonal complement. A Gram form's mirror lists its pencils'
-    candidate symmetries, signed involutions x -> sign * x[perm] that
-    commute pairwise, map each constant shift to plus or minus itself, and
-    commute with the form to 1e-13 of its largest entry (_commutator), all
-    checked here once, else ValueError; defects keeps each commutator's
-    (verdict, norm), and _Pinned measures which of them each operator
-    commutes with. A mirror without ncomp raises ValueError.
+    their orthogonal complement. A Gram form's grid is the shape of its
+    torus, sites numbered in its row-major order, ncomp coordinates each
+    ((2N,) for a chain, (2N, 2N) in 2D; () for a form with none), along
+    whose axes coercivity tests translation invariance. A Gram form's
+    mirror lists its pencils' candidate symmetries, signed involutions x ->
+    sign * x[perm] that commute pairwise, map each constant shift to plus
+    or minus itself, and commute with the form to 1e-13 of its largest
+    entry (_commutator), all checked once, on the first read of defects,
+    else ValueError; defects keeps each commutator's (verdict, norm), and
+    _Pinned measures which of them each operator commutes with. A mirror
+    or a grid without ncomp, or a grid that does not hold dim coordinates,
+    raises ValueError at construction.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
     ncomp: Optional[int] = None
     mirror: tuple = field(default=(), repr=False)
+    grid: tuple = ()
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
-        if self.ncomp is None and self.mirror:
-            raise ValueError("only a Gram form (ncomp set) carries a mirror")
+        if self.ncomp is None and (self.mirror or self.grid):
+            raise ValueError("only a Gram form (ncomp set) carries a mirror or a grid")
         if self.ncomp is not None and self.dim % self.ncomp:
             raise ValueError(f"dimension {self.dim} is not a multiple of ncomp {self.ncomp}")
-        n, ones = self.dim, np.ones(self.dim)
-        for perm, sign in self.mirror:
-            if not (np.shape(perm) == np.shape(sign) == (n,)
-                    and np.array_equal(perm[perm], np.arange(n))
-                    and np.array_equal(np.abs(sign), ones)
-                    and np.array_equal(sign * sign[perm], ones)):
-                raise ValueError("mirror is not a signed involution of the pencil's coordinates")
-            if not _character(perm, sign, self.kernel).all():
-                raise ValueError("the Gram form's kernel does not map to itself under its mirror")
-        if not all(commutes for commutes, _, _ in self.defects):
-            raise ValueError("the Gram form does not commute with its mirror")
-        for (p, s), (q, t) in itertools.combinations(self.mirror, 2):
-            if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
-                raise ValueError("the mirror's involutions do not commute")
+        if self.grid and self.ncomp * int(np.prod(self.grid)) != self.dim:
+            raise ValueError(f"grid {self.grid} does not hold the form's {self.dim} coordinates")
 
     @property
     def dim(self) -> int:
@@ -150,8 +162,24 @@ class SparseOp:
 
     @cached_property
     def defects(self) -> tuple:
-        """_commutator of the form under each symmetry its mirror lists."""
-        return tuple(_commutator(self.matrix, perm, sign) for perm, sign in self.mirror)
+        """_commutator of the form under each symmetry its mirror lists, the
+        mirror checked on this first read (only _Pinned reads it)."""
+        n, ones = self.dim, np.ones(self.dim)
+        for perm, sign in self.mirror:
+            if not (np.shape(perm) == np.shape(sign) == (n,)
+                    and np.array_equal(perm[perm], np.arange(n))
+                    and np.array_equal(np.abs(sign), ones)
+                    and np.array_equal(sign * sign[perm], ones)):
+                raise ValueError("mirror is not a signed involution of the pencil's coordinates")
+            if not _character(perm, sign, self.kernel).all():
+                raise ValueError("the Gram form's kernel does not map to itself under its mirror")
+        for (p, s), (q, t) in itertools.combinations(self.mirror, 2):
+            if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
+                raise ValueError("the mirror's involutions do not commute")
+        defects = tuple(_commutator(self.matrix, perm, sign) for perm, sign in self.mirror)
+        if not all(commutes for commutes, _, _ in defects):
+            raise ValueError("the Gram form does not commute with its mirror")
+        return defects
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -168,7 +196,8 @@ class StabilityReport:
     each of which factors every block of the pencil, shift is the last
     certified shift, the one the solve ended at: a trusted count puts no
     eigenvalue below it, or exactly one, gamma, which lies below it. nnz
-    is its factors' nonzeros, summed over the blocks."""
+    is its factors' nonzeros, summed over the blocks. The symbol path
+    (method "symbol") and the dense one factor nothing: 0, 0, nan."""
 
     gamma: float
     minimizer: np.ndarray = field(repr=False)
@@ -249,7 +278,8 @@ def check_assembly(op, sop: SparseOp) -> float:
 
 def gram_D(domain, *, scalar: bool = False) -> SparseOp:
     """Gram matrix of ||Du||^2 (symmetric PSD), with its coordinates per
-    site: its kernel is the constant shifts (SparseOp.kernel).
+    site and its torus (SparseOp.grid): its kernel is the constant shifts
+    (SparseOp.kernel).
 
     It is the nearest-neighbor stencil with unit stiffness: the 1D circulant
     (2, -1, -1) / eps, and in 2D the nearest bond shell with identity
@@ -265,16 +295,18 @@ def gram_D(domain, *, scalar: bool = False) -> SparseOp:
     if isinstance(domain, Chain1D):
         n = domain.nsites
         rows, cols, vals = ops1d._term_triplets(n, 1, 1.0)
-        return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)), ncomp=1)
+        return SparseOp(sp.csr_matrix((vals / domain.eps, (rows, cols)), shape=(n, n)),
+                        ncomp=1, grid=(n,))
     if isinstance(domain, TriLattice2D):
         m = 1 if scalar else 2
         dim = m * domain.nsites
         rows, cols, vals = ops2d._block_triplets(
             domain, ops2d._blocks_shell(NN, (np.eye(m),) * 3, 1.0))
         G = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        grid = (2 * domain.N,) * 2
         if scalar:
-            return SparseOp(G, ncomp=1)
-        return SparseOp(G, ncomp=2,
+            return SparseOp(G, ncomp=1, grid=grid)
+        return SparseOp(G, ncomp=2, grid=grid,
                         mirror=((domain.inversion(2), np.ones(dim)), domain.reflection(2)))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
@@ -312,12 +344,13 @@ def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
 
 def _commutator(M: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray) -> tuple:
     """(||D||_max <= 1e-13 ||M||_max, N(Re D), N(Im D)) for D = S M S^T - M,
-    S x = sign * x[perm]: whether M commutes with S (False for a NaN), and
-    the infinity norm N of (|X| + |X|^T) / 2 for both parts X of D, which
-    bounds the 2-norm of X's symmetric part and is the same for S X S^T."""
+    S x = sign * x[perm] a signed permutation: whether M commutes with S
+    (False for a NaN), and the infinity norm N of (|X| + |X|^T) / 2 for
+    both parts X of D, which bounds the 2-norm of X's symmetric part and is
+    the same for S X S^T."""
     n = perm.size
     S = sp.csr_matrix((sign, perm, np.arange(n + 1)), shape=(n, n))
-    D = S @ M @ S - M                           # S^T = S^-1 = S
+    D = S @ M @ S.T - M
     rows = np.repeat(np.arange(n), np.diff(D.indptr))
 
     def norm(x):
@@ -897,22 +930,101 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
             lanczos, ratio = _Lanczos(shift.solve, Gpp, z, shift.negative == 1), None
 
 
+def _translations(G: SparseOp) -> list:
+    """The one-site shift along each axis of G's grid, as a signed
+    permutation (perm, sign) of its coordinates, m = ncomp per site."""
+    sites = np.arange(G.dim // G.ncomp).reshape(G.grid)
+    return [((G.ncomp * np.roll(sites, 1, axis=a).ravel()[:, None]
+              + np.arange(G.ncomp)).ravel(), np.ones(G.dim)) for a in range(len(G.grid))]
+
+
+def _translation_invariant(Asym: sp.csr_matrix, G: SparseOp) -> bool:
+    """Whether sym(A) commutes with the one-site shift along each axis of
+    G's grid (_commutator); False without a grid. The commutators' diagonals,
+    d[perm] - d, are tested first, at O(n) cost: a blend breaks them there."""
+    if not G.grid:
+        return False
+    shifts, d = _translations(G), Asym.diagonal()
+    tol = 1e-13 * np.abs(Asym.data).max(initial=0.0)
+    return (all(np.abs(d[perm] - d).max() <= tol for perm, _ in shifts)
+            and all(_commutator(Asym, perm, sign)[0] for perm, sign in shifts))
+
+
+def _symbol(M: sp.spmatrix, G: SparseOp) -> np.ndarray:
+    """M(k) of a form M that commutes with the translations of G's torus,
+    one m x m matrix per wavevector k (m = G.ncomp) in rfftn's layout over
+    the grid: the transform of M's first m columns, the one site's
+    coupling to every other, so that M (e^{ik.x} v) = e^{ik.x} M(k) v."""
+    m, grid = G.ncomp, G.grid
+    cols = M[:, :m].toarray().reshape(grid + (m, m))
+    return np.fft.rfftn(cols, axes=tuple(range(len(grid))))
+
+
+def _bloch_mode(G: SparseOp, k: tuple, v: np.ndarray) -> np.ndarray:
+    """The real lift of the Bloch mode e^{ik.x} v on G's torus, k integer
+    wavenumbers per grid axis and v one value per coordinate of a site: the
+    larger of its real and imaginary parts, each a mode of a real pencil
+    when e^{ik.x} v is one (its conjugate, at -k, is another), projected
+    off the constant shifts and normalized. k.x is reduced mod the grid's
+    period in integers before the phase is formed, so that the phase takes
+    no rounding from k.x, however large."""
+    period = math.lcm(*G.grid)
+    sites = np.indices(G.grid).reshape(len(G.grid), -1)
+    phase = sum(kk * (period // n) * s for kk, n, s in zip(k, G.grid, sites)) % period
+    mode = (np.exp(2j * np.pi * np.arange(period) / period)[phase][:, None] * v).ravel()
+    x = _project_out(G.kernel, max(mode.real, mode.imag, key=np.linalg.norm))
+    return x / np.linalg.norm(x)
+
+
+def _symbol_gamma(Asym: sp.csr_matrix, G: SparseOp) -> StabilityReport:
+    """gamma of a pencil whose sym(A) commutes with G's translations, from
+    the symbols, nothing factored: the minimum over k != 0 of the smallest
+    eigenvalue of A(k)'s Hermitian part over g(k), G's symbol on one
+    component (gram_D acts on each alike), with k = 0, the constant
+    shifts, masked by its index.
+
+    Certificate: the Bloch mode of the minimizing k and its eigenvector,
+    lifted to real form (_bloch_mode). gamma is its Rayleigh quotient, and
+    a relative residual on the sparse pencil above _RTOL raises
+    RuntimeError, so that a wrong symbol or a G that is not circulant fails
+    there."""
+    m = G.ncomp
+    a = _symbol(Asym, G)
+    a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    g = _symbol(G.matrix, G)[..., 0, 0].real.ravel()
+    lam, vec = np.linalg.eigh(a.reshape(-1, m, m))
+    ratio = np.full(g.size, np.inf)
+    ratio[1:] = lam[1:, 0] / g[1:]
+    j = int(np.argmin(ratio))
+    x = _bloch_mode(G, np.unravel_index(j, a.shape[:-2]), vec[j, :, 0])
+    rho, res = _rayleigh_residual(Asym, G, x)
+    if not res <= _RTOL:
+        raise RuntimeError(f"symbol minimum {rho:.6e} fails its certificate on the sparse "
+                           f"pencil: relative residual {res:.3e} exceeds {_RTOL:g}")
+    return StabilityReport(gamma=rho, minimizer=x, method="symbol", residual=res, iterations=0)
+
+
 def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
                x0: Optional[np.ndarray] = None, seed: int = 7) -> StabilityReport:
     """Minimum eigenvalue of the pencil (sym(A), G) off the kernel of G, the
     constant shifts of G's ncomp coordinates per site.
 
-    method "iterative" is shift-invert Lanczos (_iterative_gamma) at every
-    size; "dense" is the dense eigh of the same pinned pencil, the reference
-    the iterative path is checked against. gamma is the Rayleigh quotient
-    of the minimizer. The iterative path starts from x0, else from a draw
-    of default_rng(seed), and raises when _MAXITER shifted solves leave the
-    relative residual above _RTOL; its report gives the final certified
-    shift (below gamma, or the one shift with gamma alone below it), the
-    factorizations (the re-shift included), the factor's nonzeros and, as
-    iterations, the shifted solves. An x0 of the wrong shape, or with no
-    zero-mean part above 1e-12 of its norm (a constant shift), raises
-    ValueError.
+    method "dense" is the dense eigh of the pinned pencil, the reference
+    the other paths are checked against. method "iterative" routes: when G
+    has a grid and sym(A) commutes with the one-site shift along each of
+    its axes, the pencil is answered from its symbol (_symbol_gamma;
+    method "symbol" in the report, with no iterations, factorizations or
+    nonzeros and a nan shift), whose certificate raises RuntimeError when
+    the lifted Bloch mode's relative residual exceeds _RTOL; otherwise, at
+    every size, by shift-invert Lanczos (_iterative_gamma). gamma is the
+    Rayleigh quotient of the minimizer. The Lanczos starts from x0, else
+    from a draw of default_rng(seed), and raises when _MAXITER shifted
+    solves leave the relative residual above _RTOL; its report gives the
+    final certified shift (below gamma, or the one shift with gamma alone
+    below it), the factorizations (the re-shift included), the factor's
+    nonzeros and, as iterations, the shifted solves. The symbol path reads
+    neither x0 nor seed. An x0 of the wrong shape, or with no zero-mean
+    part above 1e-12 of its norm (a constant shift), raises ValueError.
     """
     _pencil_kernel(opMatrix.dim, G)
     if method not in METHODS:
@@ -924,13 +1036,15 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
         if not np.linalg.norm(_project_out(G.kernel, x0)) > 1e-12 * np.linalg.norm(x0):
             raise ValueError("x0 has no zero-mean part")
 
-    if method == "iterative":
-        return _iterative_gamma(opMatrix, G, x0, seed)
     Asym = opMatrix.sym_matrix
-    _, x = _dense_gamma(Asym, G)
-    gamma, res = _rayleigh_residual(Asym, G, x)
-    return StabilityReport(gamma=gamma, minimizer=x, method="dense",
-                           residual=res, iterations=0)
+    if method == "dense":
+        _, x = _dense_gamma(Asym, G)
+        gamma, res = _rayleigh_residual(Asym, G, x)
+        return StabilityReport(gamma=gamma, minimizer=x, method="dense",
+                               residual=res, iterations=0)
+    if _translation_invariant(Asym, G):
+        return _symbol_gamma(Asym, G)
+    return _iterative_gamma(opMatrix, G, x0, seed)
 
 
 def _pencil_kernel(dim: int, G: SparseOp) -> None:

@@ -252,6 +252,18 @@ def test_stability_writes_its_solver_diagnostics(tmp_path):
     assert (dense["factorizations"], dense["shift"], dense["nnz"]) == ("0", "nan", "0")
 
 
+def test_stability_writes_the_symbol_path(tmp_path):
+    # an unblended kind is answered from its symbol: nothing factored
+    out = tmp_path / "atomistic"
+    assert main(["stability", "--space", "2d", "--kind", "atomistic", "--n", "8",
+                 "--out", str(out)]) == 0
+    with open(out / "rows.csv", newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["method"], row["factorizations"], row["nnz"], row["shift"]) == \
+        ("symbol", "0", "0", "nan")
+    assert int(row["iterations"]) == 0
+
+
 def test_help_shows_each_default_and_choices(capsys):
     def help_text(name):
         with pytest.raises(SystemExit) as exc:

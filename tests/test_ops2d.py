@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from bqcf import ops2d
+from bqcf import ops2d, spectral
 from bqcf.blend import Blend2D, _blend_2d_sharp, build_blend_2d, derivative_bounds
 from bqcf.lattice2d import (
     Regions2D,
@@ -375,14 +375,14 @@ def test_poincare_raises_on_a_wrong_symbol(monkeypatch):
     # the certificate is the residual on the sparse pencil: a symbol with
     # one mode scaled is another circulant operator, whose top Ritz vector
     # fails there
-    symbol = ops2d._symbol
+    symbol = spectral._symbol
 
-    def wrong(G, n):
-        lam = symbol(G, n)
+    def wrong(M, G):
+        lam = symbol(M, G)
         lam[0, 1] *= 1.5
         return lam
 
-    monkeypatch.setattr(ops2d, "_symbol", wrong)
+    monkeypatch.setattr(spectral, "_symbol", wrong)
     lat = TriLattice2D(16)
     with pytest.raises(RuntimeError, match="fails its certificate"):
         poincare_discrete(lat, make_regions(lat, 2, 4))

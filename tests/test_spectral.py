@@ -51,10 +51,18 @@ def _poincare_pencil(lat, regions):
     return M, replace(G, mirror=((lat.inversion(), np.ones(G.dim)), lat.reflection()))
 
 
-def _gamma_1d(model, N, kind="atomistic", K=None, **kw):
+def _lanczos(A, G, seed=7):
+    # shift-invert Lanczos itself: coercivity answers a translation-invariant
+    # pencil from its symbol, so the chains reach the sparse path directly
+    return spectral._iterative_gamma(A, G, None, seed)
+
+
+def _gamma_1d(model, N, kind="atomistic", K=None, lanczos=False, **kw):
     ch = Chain1D(N)
     blend = build_blend_1d(ch, K) if K is not None else None
     op = Op1D(kind=kind, chain=ch, model=model, blend=blend)
+    if lanczos:
+        return _lanczos(assemble(op), gram_D(ch), **kw)
     return coercivity(assemble(op), gram_D(ch), **kw)
 
 
@@ -345,7 +353,7 @@ def test_iterative_path_converges_on_a_tight_cluster():
     # re-shifts next to gamma and stays below it (eigsh's passes ran out of
     # their 5000 solves at this seed)
     N, phi2F = 1024, -1.0
-    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=phi2F), N, method="iterative", seed=1)
+    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=phi2F), N, lanczos=True, seed=1)
     exact = 1.0 + 2.0 * phi2F * (1.0 + np.cos(np.pi / N))
     assert rep.gamma == pytest.approx(exact, rel=1e-9)
     assert rep.shift < rep.gamma
@@ -364,7 +372,7 @@ def test_refused_shifts_are_freed_before_the_next_factorization(monkeypatch):
             alive.append(weakref.ref(self))
 
     monkeypatch.setattr(spectral, "_Shift", Tracked)
-    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=-1.0), 1024, method="iterative", seed=1)
+    rep = _gamma_1d(PairModel1D(phiF=1.0, phi2F=-1.0), 1024, lanczos=True, seed=1)
     assert len(alive) == rep.factorizations == 8
 
 
@@ -379,7 +387,7 @@ def test_iterative_solve_counts_1d_cluster():
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
     ch = Chain1D(1024)
     A, G = assemble(Op1D(kind="atomistic", chain=ch, model=model)), gram_D(ch)
-    rep = coercivity(A, G, seed=1)
+    rep = _lanczos(A, G, seed=1)
     assert rep.method == "iterative" and rep.iterations <= 168
     assert rep.gamma == pytest.approx(1.0 - 0.48 * (1.0 + np.cos(np.pi / 1024)), rel=1e-9)
     _certified_shift(A, G, rep)
@@ -441,7 +449,7 @@ def test_thick_restart_keeps_converging(monkeypatch):
     lat = TriLattice2D(12)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
     assert len(_Pinned(A.matrix, G).blocks) == 4
-    rep = coercivity(A, G)
+    rep = _lanczos(A, G)
     assert rep.iterations > 8 and rep.residual <= 1e-8
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
 
@@ -479,7 +487,8 @@ def test_coercivity_validation():
                          + [("2d", kind, N) for kind in ("atomistic", "cauchy_born")
                             for N in (1, 2, 3)])
 def test_default_path_is_iterative_at_every_size(space, kind, N):
-    # no size rule: the smallest pencils take shift-invert Lanczos too, and
+    # no size rule: method "iterative", the default, answers an unblended
+    # kind from its symbol at every size, the smallest tori included, and
     # it agrees with the dense reference
     if space == "1d":
         domain = Chain1D(N)
@@ -489,8 +498,88 @@ def test_default_path_is_iterative_at_every_size(space, kind, N):
         op = Op2D(kind=kind, lattice=domain, model=unstable_toy_model())
     A, G = assemble(op), gram_D(domain)
     rep = coercivity(A, G)
-    assert rep.method == "iterative"
+    assert rep.method == "symbol"
+    assert (rep.iterations, rep.factorizations, rep.nnz) == (0, 0, 0) and np.isnan(rep.shift)
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-13)
+
+
+@pytest.mark.parametrize("space", ["1d", "2d"])
+def test_blended_kinds_take_the_iterative_path(space):
+    # a blend breaks translation invariance: the router refuses the symbol
+    if space == "1d":
+        ch = Chain1D(32)
+        A, G = assemble(Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                             blend=build_blend_1d(ch, 8))), gram_D(ch)
+    else:
+        lat, ops = _toy_ops(12)
+        A, G = assemble(ops[4]), gram_D(lat)
+    rep = coercivity(A, G)
+    assert rep.method == "iterative" and rep.factorizations >= 1
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
+
+
+def test_a_broken_translation_takes_the_sparse_path():
+    # one entry changed breaks the shift's commutator, on the diagonal
+    # (which the router tests first) or off it: the router sends the pencil
+    # to the Lanczos, which still agrees with the dense reference
+    lat = TriLattice2D(8)
+    A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
+    assert coercivity(A, G).method == "symbol"
+    assert A.matrix.indices[0] == 0 != A.matrix.indices[1]
+    for entry in (0, 1):
+        M = A.matrix.copy()
+        M.data[entry] *= 1.0 + 1e-6
+        B = SparseOp(M)
+        rep = coercivity(B, G)
+        assert rep.method == "iterative" and rep.factorizations >= 1
+        assert rep.gamma == pytest.approx(coercivity(B, G, method="dense").gamma, rel=1e-9)
+
+
+def test_a_wrong_gram_column_fails_the_symbol_certificate():
+    # one circulant entry of the column the symbol reads, changed with its
+    # transpose: the operator still commutes with the shifts, but the Bloch
+    # mode is no eigenvector of the sparse pencil, and the call raises
+    ch = Chain1D(16)
+    A = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
+    G = gram_D(ch)
+    M = G.matrix.tolil()
+    M[1, 0] = M[0, 1] = 1.5 * M[1, 0]
+    with pytest.raises(RuntimeError, match="fails its certificate"):
+        coercivity(A, replace(G, matrix=M.tocsr()))
+
+
+def test_the_symbol_phase_is_exact_on_a_long_chain():
+    # the lowest mode of the 2048-site chain meets _RTOL and the closed
+    # form; its phase is reduced mod the period in integers, so an aliased
+    # wavenumber lifts to the same field bitwise, where a phase formed in
+    # floats from k.x near 4e9 drifts by about 1e-9
+    model = PairModel1D(1.0, -0.24)
+    rep = _gamma_1d(model, 1024)
+    assert rep.method == "symbol" and rep.residual <= spectral._RTOL
+    exact = model.phiF + 2.0 * model.phi2F * (1.0 + np.cos(np.pi / 1024))
+    assert rep.gamma == pytest.approx(exact, rel=1e-9)
+    G, v = gram_D(Chain1D(1024)), np.ones(1)
+    assert np.array_equal(spectral._bloch_mode(G, (1 + 1000 * 2048,), v),
+                          spectral._bloch_mode(G, (1,), v))
+
+
+@pytest.mark.parametrize("k", [(0, 4), (4, 0), (4, 4)])
+def test_a_nyquist_mode_lifts_to_a_real_mode(k):
+    # on the Nyquist lines e^{ik.x} is real, so e^{ik.x} v for a real v has
+    # a zero imaginary part, and for i v a zero real part: the lift keeps
+    # the one that is not zero, an eigenvector of the sparse pencil
+    lat = TriLattice2D(4)
+    A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
+    Asym = A.sym_matrix
+    ak = spectral._symbol(Asym, G)[k]
+    gk = spectral._symbol(G.matrix, G)[k][0, 0].real
+    assert np.abs(ak.imag).max() <= 1e-12 * np.abs(ak).max()
+    lam, vec = np.linalg.eigh(ak.real)
+    for v in (vec[:, 0], 1j * vec[:, 0]):
+        x = spectral._bloch_mode(G, k, v)
+        assert x.dtype == float and np.linalg.norm(x) == pytest.approx(1.0)
+        rho, res = spectral._rayleigh_residual(Asym, G, x)
+        assert res <= 1e-12 and rho == pytest.approx(lam[0] / gk, rel=1e-12)
 
 
 def test_morse_value_solve_factors_the_folded_blocks():
@@ -500,7 +589,7 @@ def test_morse_value_solve_factors_the_folded_blocks():
     # inversion alone and 2,139,132 for the one unsplit block
     lat = TriLattice2D(24)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
-    rep = coercivity(A, G, seed=7)
+    rep = _lanczos(A, G, seed=7)
     assert len(_Pinned(A.matrix, G).blocks) == 4
     assert rep.nnz <= 900_000
     small = TriLattice2D(12)
@@ -516,7 +605,7 @@ def test_iterative_solve_reshifts_when_open_after_twenty_solves():
     # staying at the first shift took 50
     lat = TriLattice2D(12)
     A, G = assemble(Op2D(kind="cauchy_born", lattice=lat, model=MODEL2D)), gram_D(lat)
-    rep = coercivity(A, G, seed=1)
+    rep = _lanczos(A, G, seed=1)
     assert rep.factorizations >= 2 and rep.iterations <= 30
     _certified_shift(A, G, rep)
 
@@ -867,8 +956,8 @@ def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
 
 
 def test_a_gram_form_must_commute_with_its_mirror():
-    # the Gram form's candidates are checked against it once, as it is
-    # built: swapping two sites maps no nearest-neighbor pattern onto
+    # the Gram form's candidates are checked against it once, on the first
+    # read of its defects, which only _Pinned makes: swapping two sites maps no nearest-neighbor pattern onto
     # itself, and raises. Only a Gram form's mirror is read, so an operator
     # that carries one is refused
     lat = TriLattice2D(4)
@@ -877,7 +966,7 @@ def test_a_gram_form_must_commute_with_its_mirror():
     perm = np.arange(G.dim)
     perm[[2, 3, 10, 11]] = [10, 11, 2, 3]
     with pytest.raises(ValueError, match="the Gram form does not commute with its mirror"):
-        SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),))
+        SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),)).defects
     with pytest.raises(ValueError, match="mirror"):
         SparseOp(A.matrix, mirror=G.mirror)
 
@@ -1187,7 +1276,7 @@ def test_iterative_path_below_minus_one(kind, phiF, phi2F, K):
     # -1: below it, or above it with gamma alone below (a count of one)
     model = PairModel1D(phiF=phiF, phi2F=phi2F)
     dense = _gamma_1d(model, 300, kind=kind, K=K, method="dense")
-    iterative = _gamma_1d(model, 300, kind=kind, K=K, method="iterative")
+    iterative = _gamma_1d(model, 300, kind=kind, K=K, lanczos=True)
     assert dense.gamma < -1.0
     assert iterative.gamma == pytest.approx(dense.gamma, rel=1e-9)
     ch = Chain1D(300)
@@ -1216,10 +1305,11 @@ def test_inertia_rejects_foreign_kernel():
 
 def test_inertia_falls_back_when_the_factor_leaves_the_diagonal():
     # at tau = phiF + phi2F every diagonal entry of sym(A) - tau G is zero,
-    # so SuperLU pivots off the diagonal and no inertia can be read
+    # so SuperLU pivots off the diagonal and no inertia can be read; the
+    # Gram form, without its grid, sends the value solve to the Lanczos
     ch = Chain1D(64)
     sop = assemble(Op1D(kind="atomistic", chain=ch, model=PairModel1D(1.0, -0.24)))
-    rep = is_coercive(sop, gram_D(ch), 0.76)
+    rep = is_coercive(sop, replace(gram_D(ch), grid=()), 0.76)
     assert rep.method == "iterative" and rep.negative == -1
     assert rep.coercive is False
 
