@@ -103,20 +103,6 @@ class TriLattice2D:
         sites = (p[:, None] * n + p).ravel()
         return (ncomp * sites[:, None] + np.arange(ncomp)).ravel()
 
-    def reflection(self, ncomp: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Reflection y -> -y, (i, j) -> (i + j, -j), as a signed coordinate
-        permutation (perm, sign): the reflected field is sign * u[perm], so
-        the second of ncomp = 2 components changes sign and a scalar field
-        (ncomp = 1) keeps it. Array positions (p, q) map to ((p + q - N + 1)
-        mod 2N, (2N - 2 - q) mod 2N)."""
-        n = 2 * self.N
-        p = np.arange(n)
-        sites = (((p[:, None] + p - self.N + 1) % n) * n + (n - 2 - p) % n).ravel()
-        perm = (ncomp * sites[:, None] + np.arange(ncomp)).ravel()
-        sign = np.ones((sites.size, ncomp))
-        sign[:, 1:2] = -1.0
-        return perm, sign.ravel()
-
 
 def shift_field(u: np.ndarray, d) -> np.ndarray:
     """Field evaluated at x + d: periodic roll by the index offset d."""

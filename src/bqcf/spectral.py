@@ -13,7 +13,7 @@ The zero-mean space belongs to the Gram form: ker(G) is the constant
 shifts of its m = ncomp coordinates per site (SparseOp.kernel), and no
 other basis can be given. Its one coordinate system pins one site's m
 coordinates (the first site's, or in a split pencil the origin's, which
-the lattice's symmetries fix), x = Pi W z, where sym(A) - sigma G restricts
+the inversion fixes), x = Pi W z, where sym(A) - sigma G restricts
 to its trailing block plus a rank-2m term (_pinned_update). One sparse
 factorization of it answers both questions (_Shift): an LDL^T plus a small
 capacitance. "Is gamma > tau?" is read off its inertia at sigma = tau
@@ -48,30 +48,27 @@ fallback. Where that test is tighter than the mode's rounding (the exact
 mode of Chain1D(4096) at phi2F = -0.24 has residual 1.04e-8) the call
 raises too. is_coercive still factors these pencils.
 
-A pencil that commutes with a group of coordinate symmetries splits into
-blocks (symmetry-adapted bases; Fassler and Stiefel, 1992). Symmetry is
-measured, not declared: the Gram form lists the candidates as its mirror
-(gram_D the 2D lattice's inversion and its reflection y -> -y, which flips
-the second displacement component), and _Pinned splits by the group that
-the candidates the operator commutes with generate, each tested once
-(_commutator): both for the Morse models, the inversion for the toy model
-(the reflection maps its soft bond b1 to b3), none for L-tilde, an
-asymmetric blend and 1D. The group's orbits give one explicit sparse
-orthonormal basis B_chi per character chi (_basis), and each block is the
-sparse product B_chi^T M B_chi. The constant shift of each component lies
-in the block of its own character, (1, 0) in (+, +) and (0, 1) in (+, -)
-(a scalar form's in (+, +)), which pins it as above; the other blocks
-have no kernel: no pinning and no capacitance. The split drops the
-off-diagonal blocks of B^T (sym(A) - sigma G) B, whose norm, bounded by
-the generators' measured commutators, widens every rounding test. Counts
-add over the blocks, a count is trusted when every block's is, and the
-Lanczos runs on their direct sum. The blocks fill far less under the
-fill-reducing ordering than the whole pencil on the torus.
+A pencil that commutes with the lattice inversion splits into its even
+and odd blocks (symmetry-adapted bases; Fassler and Stiefel, 1992).
+Symmetry is measured, not declared: the Gram form names the inversion as
+its mirror (gram_D in 2D), and _Pinned splits a pencil only when its
+operator commutes with it, tested once (_commutator): the Morse and toy
+models do; L-tilde, an asymmetric blend and 1D (whose form names none) do
+not. The inversion's fixed coordinates and its coordinate pairs give one
+explicit sparse orthonormal basis B per block (_basis), and each block is
+the sparse product B^T M B. The inversion keeps each site's components,
+so every constant shift is even: the even block holds them (m = 2, or 1 on
+a scalar form), pinned as above, and the odd block has no kernel: no
+pinning and no capacitance. The split drops the off-diagonal blocks of
+B^T (sym(A) - sigma G) B, whose norm, bounded by the measured
+commutators, widens every rounding test. Counts add over the blocks, a
+count is trusted when each block's is, and the Lanczos runs on their
+direct sum. The two blocks fill far less under the fill-reducing
+ordering than the whole pencil on the torus.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -110,6 +107,8 @@ _RESHIFT_AT = 20
 _HALVINGS = 4
 # a value solve's relative residual target, and its cap on shifted solves
 _RTOL, _MAXITER = 1e-8, 5000
+# the seed's draw in a value solve's given start, relative to its root mean square
+_MIX = 1e-4
 
 
 @dataclass(frozen=True)
@@ -124,24 +123,23 @@ class SparseOp:
     torus, sites numbered in its row-major order, ncomp coordinates each
     ((2N,) for a chain, (2N, 2N) in 2D; () for a form with none), along
     whose axes coercivity tests translation invariance. A Gram form's
-    mirror lists its pencils' candidate symmetries, signed involutions x ->
-    sign * x[perm] that commute pairwise, map each constant shift to plus
-    or minus itself, and commute with the form to 1e-13 of its largest
-    entry (_commutator), all checked once, on the first read of defects,
-    else ValueError; defects keeps each commutator's (verdict, norm), and
-    _Pinned measures which of them each operator commutes with. A mirror
-    or a grid without ncomp, or a grid that does not hold dim coordinates,
-    raises ValueError at construction.
+    mirror is its pencils' candidate symmetry, a coordinate permutation x
+    -> x[mirror] (None for none): it must be an involution, keep each
+    site's components, and commute with the form to 1e-13 of its largest
+    entry (_commutator), all checked once, on the first read of defect,
+    else ValueError; _Pinned measures whether each operator commutes with
+    it. A mirror or a grid without ncomp, or a grid that does not hold dim
+    coordinates, raises ValueError at construction.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
     ncomp: Optional[int] = None
-    mirror: tuple = field(default=(), repr=False)
+    mirror: Optional[np.ndarray] = field(default=None, repr=False)
     grid: tuple = ()
 
     def __post_init__(self) -> None:
         self.matrix.sum_duplicates()
-        if self.ncomp is None and (self.mirror or self.grid):
+        if self.ncomp is None and (self.mirror is not None or self.grid):
             raise ValueError("only a Gram form (ncomp set) carries a mirror or a grid")
         if self.ncomp is not None and self.dim % self.ncomp:
             raise ValueError(f"dimension {self.dim} is not a multiple of ncomp {self.ncomp}")
@@ -161,25 +159,20 @@ class SparseOp:
         return np.kron(np.ones((nsites, 1)), np.eye(self.ncomp)) / np.sqrt(nsites)
 
     @cached_property
-    def defects(self) -> tuple:
-        """_commutator of the form under each symmetry its mirror lists, the
+    def defect(self) -> float:
+        """N of the form's commutator with its mirror (_commutator), the
         mirror checked on this first read (only _Pinned reads it)."""
-        n, ones = self.dim, np.ones(self.dim)
-        for perm, sign in self.mirror:
-            if not (np.shape(perm) == np.shape(sign) == (n,)
-                    and np.array_equal(perm[perm], np.arange(n))
-                    and np.array_equal(np.abs(sign), ones)
-                    and np.array_equal(sign * sign[perm], ones)):
-                raise ValueError("mirror is not a signed involution of the pencil's coordinates")
-            if not _character(perm, sign, self.kernel).all():
-                raise ValueError("the Gram form's kernel does not map to itself under its mirror")
-        for (p, s), (q, t) in itertools.combinations(self.mirror, 2):
-            if not (np.array_equal(q[p], p[q]) and np.array_equal(s * t[p], t * s[q])):
-                raise ValueError("the mirror's involutions do not commute")
-        defects = tuple(_commutator(self.matrix, perm, sign) for perm, sign in self.mirror)
-        if not all(commutes for commutes, _, _ in defects):
+        perm, n = self.mirror, self.dim
+        if not (np.shape(perm) == (n,) and np.array_equal(perm[perm], np.arange(n))):
+            raise ValueError("mirror is not an involution of the pencil's coordinates")
+        sites = perm.reshape(-1, self.ncomp)
+        if (sites[:, 0] % self.ncomp).any() or \
+                not np.array_equal(sites, sites[:, :1] + np.arange(self.ncomp)):
+            raise ValueError("mirror does not keep each site's components")
+        commutes, norm, _ = _commutator(self.matrix, perm)
+        if not commutes:
             raise ValueError("the Gram form does not commute with its mirror")
-        return defects
+        return norm
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -288,9 +281,9 @@ def gram_D(domain, *, scalar: bool = False) -> SparseOp:
     scalar nearest-neighbor Laplacian on each; scalar=True builds that
     form alone, on the (2N)^2 sites, with the same stencil builder and no
     mirror (poincare_discrete inverts it by its Fourier symbol). The 2D
-    mirror lists the inversion and the signed reflection y -> -y
-    (_Pinned); the 1D one none, since the chain's split is slower at the
-    sizes that run. A chain's form is scalar whatever scalar says.
+    mirror is the lattice inversion (_Pinned); the chain's form has none,
+    since the chain's split is slower at the sizes that run. A chain's
+    form is scalar whatever scalar says.
     """
     if isinstance(domain, Chain1D):
         n = domain.nsites
@@ -306,8 +299,7 @@ def gram_D(domain, *, scalar: bool = False) -> SparseOp:
         grid = (2 * domain.N,) * 2
         if scalar:
             return SparseOp(G, ncomp=1, grid=grid)
-        return SparseOp(G, ncomp=2, grid=grid,
-                        mirror=((domain.inversion(2), np.ones(dim)), domain.reflection(2)))
+        return SparseOp(G, ncomp=2, grid=grid, mirror=domain.inversion(2))
     raise TypeError(f"no Gram form for {type(domain).__name__}")
 
 
@@ -342,14 +334,14 @@ def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
     return float(w[0]), _lift(kernel, y[:, 0])
 
 
-def _commutator(M: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray) -> tuple:
+def _commutator(M: sp.csr_matrix, perm: np.ndarray) -> tuple:
     """(||D||_max <= 1e-13 ||M||_max, N(Re D), N(Im D)) for D = S M S^T - M,
-    S x = sign * x[perm] a signed permutation: whether M commutes with S
-    (False for a NaN), and the infinity norm N of (|X| + |X|^T) / 2 for
-    both parts X of D, which bounds the 2-norm of X's symmetric part and is
-    the same for S X S^T."""
+    S x = x[perm] a permutation: whether M commutes with S (False for a
+    NaN), and the infinity norm N of (|X| + |X|^T) / 2 for both parts X of
+    D, which bounds the 2-norm of X's symmetric part and is the same for S
+    X S^T."""
     n = perm.size
-    S = sp.csr_matrix((sign, perm, np.arange(n + 1)), shape=(n, n))
+    S = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
     D = S @ M @ S.T - M
     rows = np.repeat(np.arange(n), np.diff(D.indptr))
 
@@ -362,77 +354,55 @@ def _commutator(M: sp.csr_matrix, perm: np.ndarray, sign: np.ndarray) -> tuple:
             norm(D.data.real), norm(D.data.imag))
 
 
-def _character(perm: np.ndarray, sign: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The sign each constant shift (kernel column) takes under x -> sign *
-    x[perm], 0 for one that does not map to plus or minus itself."""
-    image = sign[:, None] * kernel[perm]
-    chi = np.sign(np.sum(image * kernel, axis=0))
-    return np.where((image == chi * kernel).all(axis=0), chi, 0.0)
+def _basis(perm: Optional[np.ndarray], kernel: np.ndarray) -> list:
+    """(B, kernel, first) of each block of a pencil that commutes with the
+    involution x -> x[perm]: the even block, then the odd one when perm
+    moves a coordinate; with perm None, the one block B = I. The B
+    together are an orthogonal basis.
 
-
-def _basis(generators: list, kernel: np.ndarray) -> list:
-    """(B_chi, kernel, first) of each block of the group that the commuting
-    signed involutions generators generate, x -> sign * x[perm]: one block
-    per character chi (a sign per generator) that some orbit carries, (+,
-    ..., +) first. The B_chi together are an orthogonal basis.
-
-    An element h of the group maps e_r to s_h(r) e_h(r). The orbit of r
-    gives block chi the column sum_h chi(h) s_h(r) e_h(r), normalized, with
-    entries +-1/sqrt(|orbit|), unless it is zero (an element fixing r
-    cancels it). A block's columns are the orbits that give one, those with
-    the larger stabilizers first, then by representative, the orbit's
-    smallest coordinate; first is each column's representative. The
-    constant shift of component c carries the character of its signs, and
-    the block of that character holds it as kernel = B_chi^T k, pinned at
-    the block's first coordinates, which must fix it (else ValueError). The
-    lattice groups fix the origin, whose coordinates come first, each in
-    the block of its own component's character. A block that holds no
-    constant shift gets kernel None. With no generators this is the one
-    block of the trivial group, B = I.
+    The even block has a column e_r for each coordinate r that perm fixes
+    and (e_r + e_perm[r]) / sqrt(2) for each pair r < perm[r]; the odd
+    block (e_r - e_perm[r]) / sqrt(2) for each pair. The fixed coordinates
+    come first, then the pairs, each in order of r, the column's
+    representative; first is each column's representative. perm keeps
+    each site's components (SparseOp.defect), so every constant shift is
+    even, and the even block holds them as kernel = B^T k; its first m
+    coordinates are one site's (the lattice inversion's first fixed site
+    is the origin), so they fix the shifts, and the block pins them. The
+    odd block gets kernel None.
     """
-    n, m = kernel.shape
-    elements = [(np.arange(n), np.ones(n), ())]
-    for k, (perm, sign) in enumerate(generators):
-        elements += [(perm[p], s * sign[p], word + (k,)) for p, s, word in elements]
-    rep_of = np.minimum.reduce([p for p, _, _ in elements])
-    reps = np.flatnonzero(rep_of == np.arange(n))
-    stab = sum(p[reps] == reps for p, _, _ in elements)
-    reps = reps[np.lexsort((reps, -stab))]
-    orbit = np.empty(n, dtype=np.intp)
-    orbit[reps] = np.arange(reps.size)
-    orbit = orbit[rep_of]
-    norm = 1.0 / np.sqrt(np.bincount(orbit))
-    carried = np.array([_character(p, s, kernel) for p, s in generators]).reshape(-1, m)
-    blocks = []
-    for chi in itertools.product((1.0, -1.0), repeat=len(generators)):
-        acc = np.zeros(n)
-        for p, s, word in elements:
-            acc[p[reps]] += np.prod([chi[k] for k in word]) * s[reps]
-        held = acc[reps] != 0.0
-        if not held.any():
-            continue
-        coords = np.flatnonzero(acc)
-        B = sp.csr_matrix((np.sign(acc[coords]) * norm[orbit[coords]],
-                           (coords, (np.cumsum(held) - 1)[orbit[coords]])),
-                          shape=(n, int(held.sum())))
-        shifts = [c for c in range(m) if tuple(carried[:, c]) == chi]
-        kb = B.T @ kernel[:, shifts] if shifts else None
-        if shifts and np.linalg.matrix_rank(kb[:len(shifts)]) < len(shifts):
-            raise ValueError("the constant shifts do not lead their block")
-        blocks.append((B, kb, reps[held]))
+    n = kernel.shape[0]
+    if perm is None:
+        return [(sp.identity(n, format="csr"), kernel, np.arange(n))]
+    r = np.arange(n)
+    fixed, pairs = np.flatnonzero(perm == r), np.flatnonzero(perm > r)
+    nf, npairs = fixed.size, pairs.size
+    half = np.full(npairs, 1.0 / np.sqrt(2.0))
+    cols = np.arange(npairs)
+    even = sp.csr_matrix((np.concatenate([np.ones(nf), half, half]),
+                          (np.concatenate([fixed, pairs, perm[pairs]]),
+                           np.concatenate([np.arange(nf), nf + cols, nf + cols]))),
+                         shape=(n, nf + npairs))
+    blocks = [(even, even.T @ kernel, np.concatenate([fixed, pairs]))]
+    if npairs:
+        odd = sp.csr_matrix((np.concatenate([half, -half]),
+                             (np.concatenate([pairs, perm[pairs]]), np.concatenate([cols, cols]))),
+                            shape=(n, npairs))
+        blocks.append((odd, None, pairs))
     return blocks
 
 
 class _Block:
-    """One diagonal block B_chi^T (sym(A) - sigma G) B_chi of the pencil, on
-    one sparsity pattern P for every sigma and every blend weight, in pinned
+    """One diagonal block B^T (sym(A) - sigma G) B of the pencil, on one
+    sparsity pattern P for every sigma and every blend weight, in pinned
     coordinates when it holds constant shifts (kernel).
 
-    values holds the block's B_chi^T M B_chi on P: (g, sym(A)) for a fixed
+    values holds the block's B^T M B on P: (g, sym(A)) for a fixed
     operator, and (g, a, a^T, slope, slope^T) for a pattern, with M = A_0
-    for a and A_1 - A_0 for slope. A weight w that is constant on orbits is
-    one number per block coordinate, w at its representative (first), and
-    the block of A_0 + diag(w) (A_1 - A_0) is a + diag(w) slope.
+    for a and A_1 - A_0 for slope. A weight w that maps to itself under
+    the mirror is one number per block coordinate, w at its representative
+    (first), and the block of A_0 + diag(w) (A_1 - A_0) is a + diag(w)
+    slope.
     block(w, sigma) forms it and its transpose, sums sym(A) - sigma G on
     the pattern, forms the rank-2m update from s = sym(A) k with one
     bincount per constant shift, and keeps the block past its m pinned rows
@@ -440,7 +410,7 @@ class _Block:
     sym(A) summed with G's pattern, so that SuperLU orders and fills it as
     it would the summed matrices, whatever sigma. A block without a kernel
     pins nothing. A probe is O(nnz) array work and one sparse matrix, the
-    block. With the trivial group the block is the whole pencil.
+    block. Unsplit, the block is the whole pencil.
     """
 
     def __init__(self, P: sp.csr_matrix, values: list, kernel, first: np.ndarray):
@@ -502,7 +472,7 @@ class _Block:
                              shape=(self.dim,) * 2)
 
     def restrict(self, xb: np.ndarray) -> np.ndarray:
-        """The pinned coordinates of a zero-mean xb = B_chi^T x: lift's inverse."""
+        """The pinned coordinates of a zero-mean xb = B^T x: lift's inverse."""
         if self.kernel is None:
             return xb
         m = self.kernel.shape[1]
@@ -515,52 +485,43 @@ class _Block:
 
 class _Pinned:
     """sym(A) - sigma G on the zero-mean space, as the diagonal blocks of
-    B^T (sym(A) - sigma G) B, B = [B_chi] the basis of a group of G's
-    candidate symmetries (_basis): the four blocks of the inversion and the
-    reflection, the two of the inversion alone, or the one block of the
-    trivial group. Each block is B_chi^T M B_chi by sparse products, for M
-    = A, G and, for a pattern, slope (_Block). The blocks' pinned
-    coordinates, concatenated, are the pencil's: gram, restrict and lift
-    act on their direct sum.
+    B^T (sym(A) - sigma G) B, B = [B_even, B_odd] the basis of G's mirror
+    (_basis) when the pencil commutes with it, else the one block B = I.
+    Each block is B^T M B by sparse products, for M = A, G and, for a
+    pattern, slope (_Block). The blocks' pinned coordinates, concatenated,
+    are the pencil's: gram, restrict and lift act on their direct sum.
 
-    The group is the one generated by the candidates in G.mirror (checked
-    by SparseOp) that each commute with A to 1e-13 of its largest entry
-    (_commutator): commuting involutions commute with A when each one does,
-    so no subset is searched. For a pattern (BlendPattern), A is A_0, slope
-    is A_1 - A_0, and a candidate is kept when A_0 + i slope commutes with
-    it to 1e-13 of its largest entry and the weight, one number per
-    coordinate, maps to itself under it exactly.
+    The mirror (checked by SparseOp) splits the pencil when it commutes
+    with A to 1e-13 of its largest entry (_commutator). For a pattern
+    (BlendPattern), A is A_0, slope is A_1 - A_0, and it splits when A_0 +
+    i slope commutes with the mirror to 1e-13 of its largest entry and the
+    weight, one number per coordinate, maps to itself under it exactly.
 
     B is orthogonal, so the split drops only the off-diagonal blocks of B^T
-    M B, which are B^T (M - M_avg) B, M_avg = (1/|group|) sum_h S_h M S_h^T
-    (the group average). M - S_h M S_h^T adds up the commutators of the
-    generators in h's word, and each generator lies in half of the group's
-    elements: the dropped part's N (_commutator) is at most half the sum of
-    the kept generators' N(S_g M S_g^T - M), measured once by the products
-    that test them (dropped, for A, the slope and G; perturbation). G must
-    be symmetric.
+    M B, which are B^T (M - S M S^T) B / 2, S the mirror: the dropped
+    part's N (_commutator) is at most half of N(S M S^T - M), measured once
+    by the products that test it (dropped, for A, the slope and G;
+    perturbation). G must be symmetric.
     """
 
     def __init__(self, A: sp.csr_matrix, G: SparseOp, slope: Optional[sp.csr_matrix] = None,
                  weight: Optional[np.ndarray] = None):
-        # the matrix the candidates are tested on: A, or A_0 + i slope
+        # the matrix the mirror is tested on: A, or A_0 + i slope
         X = A if slope is None else A + 1j * slope
-        self.generators = []
-        # N of the kept generators' commutators with A (A_0 for a pattern),
-        # the slope and G, halved and summed
-        self.dropped = np.zeros(3)
-        for (perm, sign), (_, g_norm, _) in zip(G.mirror, G.defects):
-            if weight is not None and not np.array_equal(weight[perm], weight):
-                continue
-            commutes, a_norm, s_norm = _commutator(X, perm, sign)
-            if commutes:
-                self.generators.append((perm, sign))
-                self.dropped += 0.5 * np.array([a_norm, s_norm, g_norm])
+        # the mirror when the pencil splits by it, and N of its commutators
+        # with A (A_0 for a pattern), the slope and G, halved
+        self.perm, self.dropped = None, np.zeros(3)
+        if G.mirror is not None:
+            g_norm = G.defect
+            if weight is None or np.array_equal(weight[G.mirror], weight):
+                commutes, a_norm, s_norm = _commutator(X, G.mirror)
+                if commutes:
+                    self.perm, self.dropped = G.mirror, 0.5 * np.array([a_norm, s_norm, g_norm])
         if slope is None:
             # one complex product per block carries A and G, and keeps every
             # entry where either is nonzero
             X = A + 1j * G.matrix
-        self.blocks, bases = [], _basis(self.generators, G.kernel)
+        self.blocks, bases = [], _basis(self.perm, G.kernel)
         for B, kb, first in bases:
             Bt = B.T.tocsr()
             P = Bt @ X @ B
@@ -587,10 +548,9 @@ class _Pinned:
     def perturbation(self, w, sigma: float) -> float:
         """A bound on the 2-norm of what the blocks drop of B^T (sym(A) -
         sigma G) B at the weight w (None off a pattern): dropped_A + max|w|
-        dropped_slope + |sigma| dropped_G; 0 with the trivial group. A
-        weight that does not map to itself under the group raises
-        ValueError."""
-        if w is not None and not all(np.array_equal(w[p], w) for p, _ in self.generators):
+        dropped_slope + |sigma| dropped_G; 0 for one block. A weight that
+        does not map to itself under the mirror raises ValueError."""
+        if w is not None and self.perm is not None and not np.array_equal(w[self.perm], w):
             raise ValueError("the operator's values do not commute with its blocks' group")
         dropped_a, dropped_s, dropped_g = self.dropped
         if dropped_s:
@@ -676,10 +636,9 @@ class _Shift:
     _Pinned (_Factor), in pinned coordinates, at the blend weight w of a
     pattern's _Pinned (None for a fixed operator).
 
-    _Pinned gives the trivial group one block, the inversion two and the
-    inversion with the reflection four, of which the first two each hold
-    one component's constant shift (m = 1), each copy of what follows. In
-    a block that holds constant shifts, with its first m coordinates
+    _Pinned gives a pencil one block, or the inversion's two, of which the
+    even one holds the constant shifts, each a copy of what follows. In a
+    block that holds constant shifts, with its first m coordinates
     pinned, x = Pi W z (Pi projects off ker G) and the
     restricted matrix is S = M_pp + U C U^T: M_pp = (sym A - sigma G)[m:, m:]
     = L D L^T, as _Block builds it, with U and k^T s in C = [[k^T s, -I],
@@ -861,15 +820,21 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
     run starts from that test's Ritz vector. _MAXITER caps the shifted
     solves over both shifts. A pencil split into blocks runs one Lanczos
     on the direct sum of its blocks (_Pinned), with the same shifts,
-    re-shift and stopping test, the last on the full pencil. The block
-    solves never mix the blocks, so a block that the start vector leaves
-    exactly zero starts from a draw of default_rng(seed) instead, at the
-    start vector's mean square per coordinate.
+    re-shift and stopping test, the last on the full pencil.
+
+    The start is a draw of default_rng(seed), or x0 with that draw mixed
+    in at _MIX times x0's root mean square. The Lanczos reaches only the
+    eigenvectors its start has a part in, and at a count-zero shift the
+    stopping test cannot tell gamma's from a higher one, so an x0 inside a
+    symmetry class that gamma's eigenvector is not in would end at a higher
+    eigenvalue; the draw gives every eigenvector a part.
     """
     tol, maxiter = _RTOL, _MAXITER
     A, Asym = opMatrix.matrix, opMatrix.sym_matrix
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(G.dim) if x0 is None else x0
+    x = np.random.default_rng(seed).standard_normal(G.dim)
+    if x0 is not None:
+        x0 = _project_out(G.kernel, x0)
+        x = x0 + _MIX * np.sqrt(x0 @ x0 / x0.size) * x
     x = _project_out(G.kernel, x)
     x /= np.linalg.norm(x)
     rho, res = _rayleigh_residual(Asym, G, x)
@@ -896,13 +861,6 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
 
     Gpp = pinned.gram()
     z = pinned.restrict(x)                          # x in pinned coordinates
-    # the Lanczos never reaches a block that x leaves exactly zero, as a
-    # symmetric x0 leaves all but the first: such a block starts from the
-    # seed's draw
-    scale = np.sqrt(z @ z / z.size)
-    for part in pinned.slices:
-        if not z[part].any():
-            z[part] = scale * rng.standard_normal(part.stop - part.start)
     lanczos, ratio = _Lanczos(shift.solve, Gpp, z, shift.negative == 1), None
     while True:
         if report["iterations"] >= maxiter:
@@ -931,11 +889,11 @@ def _iterative_gamma(opMatrix: SparseOp, G: SparseOp, x0: Optional[np.ndarray], 
 
 
 def _translations(G: SparseOp) -> list:
-    """The one-site shift along each axis of G's grid, as a signed
-    permutation (perm, sign) of its coordinates, m = ncomp per site."""
+    """The one-site shift along each axis of G's grid, as a permutation of
+    its coordinates, m = ncomp per site."""
     sites = np.arange(G.dim // G.ncomp).reshape(G.grid)
-    return [((G.ncomp * np.roll(sites, 1, axis=a).ravel()[:, None]
-              + np.arange(G.ncomp)).ravel(), np.ones(G.dim)) for a in range(len(G.grid))]
+    return [(G.ncomp * np.roll(sites, 1, axis=a).ravel()[:, None] + np.arange(G.ncomp)).ravel()
+            for a in range(len(G.grid))]
 
 
 def _translation_invariant(Asym: sp.csr_matrix, G: SparseOp) -> bool:
@@ -946,8 +904,8 @@ def _translation_invariant(Asym: sp.csr_matrix, G: SparseOp) -> bool:
         return False
     shifts, d = _translations(G), Asym.diagonal()
     tol = 1e-13 * np.abs(Asym.data).max(initial=0.0)
-    return (all(np.abs(d[perm] - d).max() <= tol for perm, _ in shifts)
-            and all(_commutator(Asym, perm, sign)[0] for perm, sign in shifts))
+    return (all(np.abs(d[perm] - d).max() <= tol for perm in shifts)
+            and all(_commutator(Asym, perm)[0] for perm in shifts))
 
 
 def _symbol(M: sp.spmatrix, G: SparseOp) -> np.ndarray:
@@ -1017,9 +975,9 @@ def coercivity(opMatrix: SparseOp, G: SparseOp, method: str = "iterative",
     nonzeros and a nan shift), whose certificate raises RuntimeError when
     the lifted Bloch mode's relative residual exceeds _RTOL; otherwise, at
     every size, by shift-invert Lanczos (_iterative_gamma). gamma is the
-    Rayleigh quotient of the minimizer. The Lanczos starts from x0, else
-    from a draw of default_rng(seed), and raises when _MAXITER shifted
-    solves leave the relative residual above _RTOL; its report gives the
+    Rayleigh quotient of the minimizer. The Lanczos starts from a draw of
+    default_rng(seed), mixed into x0 when given, and raises when _MAXITER
+    shifted solves leave the relative residual above _RTOL; its report gives the
     final certified shift (below gamma, or the one shift with gamma alone
     below it), the factorizations (the re-shift included), the factor's
     nonzeros and, as iterations, the shifted solves. The symbol path reads
@@ -1105,18 +1063,19 @@ class BlendPattern:
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
     at beta = 0 and beta = 1 on one CSR pattern: the entries some weight
     makes nonzero, stored at every weight (the 2D toy model's bqcf pattern
-    holds 9,216 at N = 12, 8 per row). The pattern splits by the group of
-    G's candidates that A_0, A_1 - A_0 and the blend of the operator it was
-    built from map to themselves under (_Pinned measures it), and each block forms
-    B_chi^T A_0 B_chi and B_chi^T (A_1 - A_0) B_chi once. is_coercive(op)
-    hands op's weight (weight) to _Shift, which refills each block as
-    B_chi^T A_0 B_chi + diag(beta_chi) B_chi^T (A_1 - A_0) B_chi, exact for
-    a beta constant on the group's orbits, with no assembly or product: the
-    probe builds one sparse matrix per block it factors, and a SparseOp of
-    A(beta) only when it falls back to a value solve. op must share the
-    kind, lattice and model (equal by value) of the operator the pattern
-    was built from; a blend that does not map to itself under the group
-    raises ValueError (_Pinned.perturbation).
+    holds 9,216 at N = 12, 8 per row). The pattern splits into the even and
+    odd blocks of G's mirror when A_0, A_1 - A_0 and the blend of the
+    operator it was built from map to themselves under it (_Pinned
+    measures it), and each block forms B^T A_0 B and B^T (A_1 - A_0) B
+    once. is_coercive(op) hands op's weight (weight) to _Shift, which
+    refills each block as B^T A_0 B + diag(beta_B) B^T (A_1 - A_0) B, exact
+    for a beta that the mirror maps to itself, with no assembly or
+    product: the probe builds one sparse matrix per block it factors, and
+    a SparseOp of A(beta) only when it falls back to a value solve. op
+    must share the kind, lattice and model (equal by value) of the
+    operator the pattern was built from; a blend that does not map to
+    itself under the mirror of a split pattern raises ValueError
+    (_Pinned.perturbation).
     """
 
     def __init__(self, op, G: SparseOp):

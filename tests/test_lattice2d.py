@@ -52,27 +52,6 @@ def test_ring_number_identity():
     assert np.array_equal(ring_number(lat), (np.abs(ii) + np.abs(jj) + np.abs(ii + jj)) // 2)
 
 
-@pytest.mark.parametrize("N", [1, 2, 5])
-def test_reflection_is_the_signed_mirror_of_y(N):
-    # (i, j) -> (i + j, -j) on the torus, the mirror _MIR: a signed
-    # involution that flips a displacement's second component, keeps a
-    # scalar field's sign and commutes with the inversion
-    lat = TriLattice2D(N)
-    ii, jj = (c.ravel() for c in lat.coords())
-    perm, sign = lat.reflection(2)
-    sites = perm[0::2] // 2
-    wrap = lambda c: (c + N - 1) % (2 * N) - N + 1
-    mi, mj = _MIR(ii, jj)
-    assert np.array_equal(ii[sites], wrap(mi)) and np.array_equal(jj[sites], wrap(mj))
-    assert np.array_equal(perm[1::2], perm[0::2] + 1)
-    assert np.array_equal(perm[perm], np.arange(perm.size))
-    assert np.array_equal(sign, np.tile([1.0, -1.0], lat.nsites))
-    scalar, unsigned = lat.reflection()
-    assert np.array_equal(scalar, sites) and np.array_equal(unsigned, np.ones(lat.nsites))
-    inverse = lat.inversion(2)
-    assert np.array_equal(perm[inverse], inverse[perm])
-
-
 def test_diff2d_constant_field():
     lat = TriLattice2D(4)
     u = np.ones((8, 8, 2)) * 3.0

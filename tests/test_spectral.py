@@ -1,6 +1,5 @@
 """Sparse assembly identities and coercivity pencil solves."""
 
-import itertools
 import weakref
 from dataclasses import replace
 
@@ -36,19 +35,19 @@ MODEL2D = hessians_from_radial(morse(), np.eye(2))
 
 
 def _unsplit(G):
-    # the same Gram form with no candidate symmetries: every pencil is one block
-    return replace(G, mirror=())
+    # the same Gram form with no mirror: every pencil is one block
+    return replace(G, mirror=None)
 
 
 def _poincare_pencil(lat, regions):
     # the annulus mass form, negated, against the scalar Gram form, which
-    # lists the inversion and the reflection, unsigned, as its candidate
-    # symmetries: the pencil of the ratio poincare_discrete computes
+    # names the inversion as its mirror: the pencil of the ratio
+    # poincare_discrete computes
     sites = np.flatnonzero(regions.mask(1).ravel())
     G = gram_D(lat, scalar=True)
     M = SparseOp(scipy.sparse.csr_matrix((np.full(sites.size, -lat.eps**2), (sites, sites)),
                                          shape=(G.dim, G.dim)))
-    return M, replace(G, mirror=((lat.inversion(), np.ones(G.dim)), lat.reflection()))
+    return M, replace(G, mirror=lat.inversion())
 
 
 def _lanczos(A, G, seed=7):
@@ -438,7 +437,7 @@ def test_poincare_matches_the_two_component_pencil(N):
 def test_thick_restart_keeps_converging(monkeypatch):
     # a basis of 8 vectors restarts every few steps and still reaches the
     # dense gamma, with the same stopping test; in 2D the restart runs in
-    # the coordinates of the four blocks of the inversion and the reflection
+    # the coordinates of the even and odd blocks of the inversion
     monkeypatch.setattr(spectral, "_BASIS", 8)
     monkeypatch.setattr(spectral, "_KEEP", 3)
     model = PairModel1D(phiF=1.0, phi2F=-0.24)
@@ -448,7 +447,7 @@ def test_thick_restart_keeps_converging(monkeypatch):
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-9)
     lat = TriLattice2D(12)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
-    assert len(_Pinned(A.matrix, G).blocks) == 4
+    assert len(_Pinned(A.matrix, G).blocks) == 2
     rep = _lanczos(A, G)
     assert rep.iterations > 8 and rep.residual <= 1e-8
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
@@ -583,15 +582,16 @@ def test_a_nyquist_mode_lifts_to_a_real_mode(k):
 
 
 def test_morse_value_solve_factors_the_folded_blocks():
-    # the constants workload's heaviest query: split by the inversion and
-    # the reflection, the factors of the four blocks hold about 0.75M
-    # nonzeros, against 1,141,996 for the even and odd blocks of the
-    # inversion alone and 2,139,132 for the one unsplit block
+    # the Morse atomistic N = 24 value solve on the sparse path (coercivity
+    # answers it from its symbol): split by the inversion, the factors of
+    # the even and odd blocks hold 1,112,520 nonzeros at its final shift,
+    # against 2,139,132 for the one unsplit block at the same shift
     lat = TriLattice2D(24)
     A, G = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)), gram_D(lat)
     rep = _lanczos(A, G, seed=7)
-    assert len(_Pinned(A.matrix, G).blocks) == 4
-    assert rep.nnz <= 900_000
+    assert len(_Pinned(A.matrix, G).blocks) == 2
+    unsplit = _Shift(_Pinned(A.matrix, _unsplit(G)), None, rep.shift)
+    assert rep.nnz <= 1_200_000 and unsplit.nnz >= 2_000_000
     small = TriLattice2D(12)
     want = coercivity(assemble(Op2D(kind="atomistic", lattice=small, model=MODEL2D)),
                       gram_D(small), method="dense").gamma
@@ -785,28 +785,25 @@ def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     assert "Cinv" in vars(factor)
 
 
-def _explicit_bases(mirror, kernel):
-    # each block of the group the involutions generate, written out: the
-    # projector P_chi = sum_h chi(h) S_h / |group| of each character, as a
-    # sparse matrix, with S_h x = sign * x[perm]; its columns at the orbits'
-    # smallest coordinates, where nonzero and normalized, are the block's
-    # basis B, the orbits with the larger stabilizers first. A block holds
-    # the constant shifts k that carry its character as B^T k, whose first
-    # m coordinates are the pinned ones. Returns (B, B^T k or None) per block
+def _explicit_bases(perm, kernel):
+    # each block of the involution x -> x[perm], written out: the projector
+    # P = (I + chi S) / 2 of each sign chi, as a sparse matrix, with S x =
+    # x[perm]; its columns at the smaller coordinate of each pair, where
+    # nonzero and normalized, are the block's basis B, the fixed
+    # coordinates first. With perm None, the one block B = I. A block holds
+    # the constant shifts k that it keeps as B^T k, whose first m
+    # coordinates are the pinned ones. Returns (B, B^T k or None) per block
     n = kernel.shape[0]
     ident = scipy.sparse.identity(n, format="csr")
-    elements = [(ident, ())]
-    for g, (perm, sign) in enumerate(mirror):
-        S = scipy.sparse.csr_matrix((sign, (np.arange(n), perm)), shape=(n, n))
-        elements += [(S @ h, word + (g,)) for h, word in elements]
-    images = np.stack([h.indices for h, _ in elements])     # h e_r sits at row h.indices[r]
-    reps = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    stab = (images[:, reps] == reps).sum(axis=0)
-    reps = reps[np.lexsort((reps, -stab))]
+    if perm is None:
+        return [(ident.tocsc(), kernel)]
+    S = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    reps = np.flatnonzero(np.minimum(perm, np.arange(n)) == np.arange(n))
+    reps = reps[np.lexsort((reps, perm[reps] != reps))]
     out = []
-    for chi in itertools.product((1.0, -1.0), repeat=len(mirror)):
-        proj = sum(np.prod([chi[g] for g in word]) * h for h, word in elements) / len(elements)
-        cols = proj.tocsc()[:, reps]
+    for chi in (1.0, -1.0):
+        cols = ((ident + chi * S) / 2).tocsc()[:, reps]
+        cols.eliminate_zeros()
         held = np.flatnonzero(np.diff(cols.indptr))
         if held.size == 0:
             continue
@@ -818,7 +815,7 @@ def _explicit_bases(mirror, kernel):
     return out
 
 
-def _summed_blocks(Asym, G, tau, mirror=()):
+def _summed_blocks(Asym, G, tau, perm=None):
     # sym(A) - tau G summed from triplets, then written in each block's
     # basis (_explicit_bases) as the sparse product B^T (sym A - tau G) B,
     # its m pinned rows and columns sliced off. G's pattern is kept at any
@@ -829,7 +826,7 @@ def _summed_blocks(Asym, G, tau, mirror=()):
          (np.concatenate([a.row, g.row]), np.concatenate([a.col, g.col]))),
         shape=a.shape)
     blocks = []
-    for B, kb in _explicit_bases(mirror, G.kernel):
+    for B, kb in _explicit_bases(perm, G.kernel):
         m = 0 if kb is None else kb.shape[1]
         if kb is not None:
             # the pinned coordinates lead the block
@@ -863,8 +860,8 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     verdicts = set()
     for op in ops:
         A = assemble(op)
-        # the toy model commutes with the inversion alone; 1D lists none
-        refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror[:1])
+        # the toy model commutes with the inversion; 1D's form names none
+        refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
         for block, ref in zip(pattern.pinned.blocks, refs):
             got, _, _ = block.block(pattern.weight(op), tau)
@@ -910,20 +907,19 @@ def _shifted_inversion(lat):
     n = 2 * lat.N
     p = (n - 2 - np.arange(n)) % n
     sites = ((p + 1) % n)[:, None] * n + p
-    return ((2 * sites.ravel()[:, None] + np.arange(2)).ravel(), np.ones(2 * n * n)),
+    return (2 * sites.ravel()[:, None] + np.arange(2)).ravel()
 
 
 def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
-    # a Gram form listing the inversion through an a1 bond's midpoint: the
+    # a Gram form naming the inversion through an a1 bond's midpoint: the
     # blended operator, one site off it, does not commute, so its pencil
     # is one block with the unsplit pencil's counts and gamma
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
     A = assemble(ops[3])
-    shifted = _shifted_inversion(lat)
-    perm, ones = shifted[0]
+    perm = _shifted_inversion(lat)
     assert np.array_equal(perm[perm], np.arange(G.dim))
-    Gs = SparseOp(G.matrix, ncomp=2, mirror=shifted)
+    Gs = SparseOp(G.matrix, ncomp=2, mirror=perm)
     assert len(_Pinned(A.matrix, Gs).blocks) == 1
     for tau in (1e-10, 1.0):
         split, whole = is_coercive(A, Gs, tau), is_coercive(A, _unsplit(G), tau)
@@ -933,9 +929,12 @@ def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
     atomistic = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
     assert len(_Pinned(atomistic.matrix, Gs).blocks) == 2
     assert is_coercive(atomistic, Gs, 1e-10).coercive
-    with pytest.raises(ValueError, match="not a signed involution"):
-        is_coercive(A, SparseOp(G.matrix, ncomp=2,
-                                mirror=((np.roll(np.arange(G.dim), 2), ones),)), 1e-10)
+    with pytest.raises(ValueError, match="not an involution"):
+        is_coercive(A, SparseOp(G.matrix, ncomp=2, mirror=np.roll(np.arange(G.dim), 2)), 1e-10)
+    # an involution that swaps a site's two components breaks no Gram
+    # form's commutator, and is refused by name
+    with pytest.raises(ValueError, match="keep each site's components"):
+        is_coercive(A, SparseOp(G.matrix, ncomp=2, mirror=np.arange(G.dim) ^ 1), 1e-10)
     # a pattern's probes fold A_0 + diag(beta) (A_1 - A_0): with a stencil
     # at beta = 1 that breaks the inversion, its pattern kept, the pattern
     # is one block, although the one at beta = 0 commutes
@@ -956,36 +955,39 @@ def test_a_candidate_that_does_not_commute_is_unused(monkeypatch):
 
 
 def test_a_gram_form_must_commute_with_its_mirror():
-    # the Gram form's candidates are checked against it once, on the first
-    # read of its defects, which only _Pinned makes: swapping two sites maps no nearest-neighbor pattern onto
-    # itself, and raises. Only a Gram form's mirror is read, so an operator
-    # that carries one is refused
+    # the Gram form's mirror is checked against it once, on the first read
+    # of its defect, which only _Pinned makes: swapping two sites maps no
+    # nearest-neighbor pattern onto itself, and raises. Only a Gram form's
+    # mirror is read, so an operator that carries one is refused
     lat = TriLattice2D(4)
     G = gram_D(lat)
     A = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
     perm = np.arange(G.dim)
     perm[[2, 3, 10, 11]] = [10, 11, 2, 3]
     with pytest.raises(ValueError, match="the Gram form does not commute with its mirror"):
-        SparseOp(G.matrix, ncomp=2, mirror=((perm, np.ones(G.dim)),)).defects
+        SparseOp(G.matrix, ncomp=2, mirror=perm).defect
     with pytest.raises(ValueError, match="mirror"):
         SparseOp(A.matrix, mirror=G.mirror)
 
 
 def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
-    # values that commute with the mirror only to within the tolerance (one
-    # entry off the diagonal moved by 1e-14 of the largest) leave
-    # off-diagonal blocks in B^T (sym A - sigma G) B, which the split drops:
-    # eps, their measured size, bounds their 2-norm (B from the projector
-    # sums, _explicit_bases), and widens each pivot's bound by eps and each
-    # capacitance block's by eps ||Y_j||^2
+    # values that commute with the mirror only to within the tolerance (two
+    # entries of one row off the diagonal moved by 1e-14 of the largest)
+    # leave off-diagonal blocks in B^T (sym A - sigma G) B, which the split
+    # drops: eps, their measured size, bounds their 2-norm (B from the
+    # projector sums, _explicit_bases), and widens each pivot's bound by
+    # eps and each capacitance block's by eps ||Y_j||^2. One moved entry
+    # attains the bound, where this float64 evaluation of the dropped part
+    # would read above it by its own rounding
     lat = TriLattice2D(4)
     G = gram_D(lat)
     M = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)).matrix.copy()
-    M[0, 2] += 1e-14 * np.abs(M.data).max()
+    for col in (2, 3):
+        M[0, col] += 1e-14 * np.abs(M.data).max()
     pinned = _Pinned(M, G)
     sigma = -0.25
     eps = pinned.perturbation(None, sigma)
-    assert len(pinned.blocks) == 4
+    assert len(pinned.blocks) == 2
     B = scipy.sparse.hstack([b for b, _ in _explicit_bases(G.mirror, G.kernel)]).toarray()
     C = B.T @ ((M + M.T) * 0.5 - sigma * G.matrix).toarray() @ B
     for span in pinned.spans:
@@ -1033,8 +1035,7 @@ def test_the_trivial_group_block_is_the_pinned_pencil_bitwise(space):
 def test_an_asymmetric_blend_declares_no_mirror():
     # a hand-built blend moved one site off the origin: no symmetry, one
     # block, and the iterative path agrees with the dense one. The toy
-    # model's own blend keeps the inversion and not the reflection, which
-    # maps its soft bond b1 to b3
+    # model's own blend keeps the inversion
     lat, ops = _toy_ops(12)
     G = gram_D(lat)
     blend = ops[4].blend
@@ -1053,14 +1054,14 @@ def test_an_asymmetric_blend_declares_no_mirror():
 
 def test_an_odd_extremal_mode_is_found_from_an_even_start():
     # a mask on two sites that the inversion swaps: its extremal mode is
-    # odd, and an even x0 leaves the odd block zero; that block starts from
-    # the seed's draw, and the value solve reaches the dense gamma
+    # odd, and an even x0 leaves the odd block zero; the seed's draw mixed
+    # into the start reaches it, and the value solve reaches the dense gamma
     lat = TriLattice2D(8)
     dim = (2 * lat.N) ** 2
     inverse = lat.inversion()
     sites = np.array([3, inverse[3]])
     M = SparseOp(scipy.sparse.csr_matrix((np.full(2, -1.0), (sites, sites)), shape=(dim, dim)))
-    G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1, mirror=((inverse, np.ones(dim)),))
+    G = SparseOp(gram_D(lat).matrix[0::2, 0::2], ncomp=1, mirror=inverse)
     dense = coercivity(M, G, method="dense")
     x = dense.minimizer
     assert np.linalg.norm(x + x[inverse]) <= 1e-12 * np.linalg.norm(x)      # odd
@@ -1070,10 +1071,25 @@ def test_an_odd_extremal_mode_is_found_from_an_even_start():
     assert rep.gamma == pytest.approx(dense.gamma, rel=1e-10)
 
 
+def test_a_start_inside_one_symmetry_class_reaches_gamma():
+    # an unsplit pencil from a start that the inversion maps to itself: the
+    # Lanczos reaches only the even eigenvectors, and at a count-zero shift
+    # the residual test passes a higher eigenvalue's Ritz pair (1.786e-2
+    # against gamma = 1.215e-2 here) unless the seed's draw is mixed in
+    lat = TriLattice2D(12)
+    op = Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+              blend=_blend_2d_sharp(lat, 4, 11))
+    A, G = assemble(op), _unsplit(gram_D(lat))
+    v = np.random.default_rng(0).standard_normal(G.dim)
+    rep = coercivity(A, G, x0=v + v[lat.inversion(2)])
+    assert rep.method == "iterative"
+    assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
+
+
 def _morse_forms(lat):
     # Morse atomistic, cauchy_born and radially blended bqcf, and the
     # Poincare mask on both components, each commuting with the inversion
-    # and the signed reflection that gram_D lists
+    # that gram_D names
     ops = [Op2D(kind=kind, lattice=lat, model=MODEL2D) for kind in ("atomistic", "cauchy_born")]
     ops.append(Op2D(kind="bqcf", lattice=lat, model=MODEL2D,
                     blend=_blend_2d_sharp(lat, lat.N // 8, lat.N // 4)))
@@ -1083,15 +1099,16 @@ def _morse_forms(lat):
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_split_shifted_solve_is_exact(N, rng):
-    # the four blocks' solves, lifted, solve (sym A - sigma G) x = G y on
-    # the zero-mean space, y = lift(z): S z' = G_pp z in block coordinates
+    # the even and odd blocks' solves, lifted, solve (sym A - sigma G) x =
+    # G y on the zero-mean space, y = lift(z): S z' = G_pp z in block
+    # coordinates
     lat = TriLattice2D(N)
     G = gram_D(lat)
     k = G.kernel
     sigma = -0.25
     for sop in _morse_forms(lat):
         pinned = spectral._Pinned(sop.matrix, G)
-        assert len(pinned.blocks) == 4
+        assert len(pinned.blocks) == 2
         z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
         shift = _Shift(pinned, None, sigma)
         x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
@@ -1104,20 +1121,20 @@ def test_split_shifted_solve_is_exact(N, rng):
 
 @pytest.mark.parametrize("N", [12, 16])
 def test_four_block_counts_match_the_whole_pencil(N):
-    # Morse bqcf with the radial blend splits into the four blocks of the
-    # inversion and the reflection: each refilled block is its explicit
-    # basis product, and the blocks' counts add up to the unsplit pencil's,
-    # probe by probe, at shifts with hundreds of eigenvalues below
+    # Morse bqcf with the radial blend splits into the even and odd blocks
+    # of the inversion: each refilled block is its explicit basis product,
+    # and the blocks' counts add up to the unsplit pencil's, probe by
+    # probe, at shifts with hundreds of eigenvalues below
     lat = TriLattice2D(N)
     G = gram_D(lat)
     ops = [Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 4, 4 + K))
            for K in range(1, 9)]
     pattern = BlendPattern(ops[0], G)
-    assert len(pattern.pinned.blocks) == 4
+    assert len(pattern.pinned.blocks) == 2
     counts = set()
     for op in ops:
         A = assemble(op)
-        assert len(_Pinned(A.matrix, G).blocks) == 4
+        assert len(_Pinned(A.matrix, G).blocks) == 2
         for tau in (7.0, 7.5, 8.0, 9.0):
             split, whole = pattern.is_coercive(op, tau), is_coercive(A, _unsplit(G), tau)
             assert not split.fallback and not whole.fallback
@@ -1135,17 +1152,16 @@ def test_four_block_counts_match_the_whole_pencil(N):
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_four_block_poincare_counts_match_the_whole_pencil(N):
-    # the annulus mask maps to itself under the inversion and the
-    # reflection, unsigned on the scalar field: four blocks, the constant
-    # in the first, whose counts add up to the unsplit pencil's about the
-    # ratio poincare_discrete computes
+    # the annulus mask maps to itself under the inversion: two blocks, the
+    # constant (m = 1) in the even one, whose counts add up to the unsplit
+    # pencil's about the ratio poincare_discrete computes
     lat = TriLattice2D(N)
     regions = make_regions(lat, N // 8, N // 4)
     ratio = ops2d.poincare_discrete(lat, regions)
     M, G = _poincare_pencil(lat, regions)
     pinned = _Pinned(M.matrix, G)
-    assert len(pinned.blocks) == 4
-    assert [b.kernel is not None for b in pinned.blocks] == [True, False, False, False]
+    assert len(pinned.blocks) == 2
+    assert [None if b.kernel is None else b.kernel.shape[1] for b in pinned.blocks] == [1, None]
     counts = []
     for tau in (-1.01 * ratio, -0.99 * ratio, -0.1 * ratio, -0.01 * ratio):
         split, whole = is_coercive(M, G, tau), is_coercive(M, _unsplit(G), tau)
@@ -1157,12 +1173,11 @@ def test_four_block_poincare_counts_match_the_whole_pencil(N):
 
 def test_each_traffic_operator_splits_into_its_measured_blocks():
     # the blocks _Pinned measures for the operators the sweeps and the
-    # constants solve: 1D one; the toy model two (the inversion), one when
-    # its blend is rolled off the origin; Morse four (the inversion and the
-    # reflection), two when rolled along axis 0, which keeps the
-    # reflection; L-tilde one. The Poincare ratio solves no pencil: its
-    # annulus mask against the scalar form stays as the check of a
-    # four-block split whose kernel block pins one shift (m = 1)
+    # constants solve: 1D one; the toy model and Morse two (the
+    # inversion), one when the blend is rolled off the origin; L-tilde
+    # one. The Poincare ratio solves no pencil: its annulus mask against
+    # the scalar form stays as the check of a split whose kernel block
+    # pins one shift (m = 1)
     def count(A, G):
         return len(_Pinned(A.matrix, G).blocks)
 
@@ -1174,7 +1189,7 @@ def test_each_traffic_operator_splits_into_its_measured_blocks():
     G = gram_D(lat)
     for model, blend, want, rolled in ((unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8),
                                         2, 1),
-                                       (MODEL2D, build_blend_2d(lat, 0, 7), 4, 2)):
+                                       (MODEL2D, build_blend_2d(lat, 0, 7), 2, 1)):
         for kind in ("atomistic", "cauchy_born"):
             assert count(assemble(Op2D(kind=kind, lattice=lat, model=model)), G) == want
         op = Op2D(kind="bqcf", lattice=lat, model=model, blend=blend)
@@ -1185,29 +1200,7 @@ def test_each_traffic_operator_splits_into_its_measured_blocks():
         assert count(assemble_ltilde(lat, model, blend), G) == 1
     for N in (16, 32):
         lat = TriLattice2D(N)
-        assert count(*_poincare_pencil(lat, make_regions(lat, N // 8, N // 4))) == 4
-
-
-def test_a_reflection_the_operator_breaks_is_unused():
-    # the toy model's soft bond b1 maps to b3 under the reflection, so its
-    # pencils split by the inversion alone; a Gram form that lists the
-    # reflection unsigned, with which gram_D commutes and Morse does not,
-    # leaves Morse one block. Each has the unsplit pencil's counts. A pair
-    # of involutions that do not commute raises
-    lat, ops = _toy_ops(12)
-    G = gram_D(lat)
-    perm, sign = lat.reflection(2)
-    unsigned = SparseOp(G.matrix, ncomp=2, mirror=((perm, np.abs(sign)),))
-    morse = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D))
-    toy = assemble(Op2D(kind="atomistic", lattice=lat, model=ops[3].model))
-    for A, Gc, blocks in ((assemble(ops[3]), G, 2), (toy, G, 2), (morse, unsigned, 1)):
-        assert len(_Pinned(A.matrix, Gc).blocks) == blocks
-        for tau in (1.0, 7.5):
-            split, whole = is_coercive(A, Gc, tau), is_coercive(A, _unsplit(G), tau)
-            assert not split.fallback and split.negative == whole.negative, (blocks, tau)
-    with pytest.raises(ValueError, match="do not commute"):
-        is_coercive(morse, SparseOp(G.matrix, ncomp=2,
-                                    mirror=G.mirror[:1] + _shifted_inversion(lat)), 1e-10)
+        assert count(*_poincare_pencil(lat, make_regions(lat, N // 8, N // 4))) == 2
 
 
 def test_no_stored_entry_is_zero_at_every_weight():
