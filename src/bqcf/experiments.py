@@ -180,9 +180,12 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     """K* at one lattice size: an inertia scan of every K in [k_floor, k_cap],
     then pencil solves at K*-1 and K* only, each by coercivity's method.
 
-    build(K) returns the operator at blend width K. The scan assembles once:
-    one BlendPattern, built from the first operator, answers every probe by
-    refilling its values at that K's blend. K* is the smallest K the
+    build(K) returns the operator at blend width K; the window's operators
+    are built first, K = k_floor..k_cap in order. The scan assembles once:
+    one BlendPattern, built from the whole window, answers every probe by
+    refilling its values at that K's blend, and factors the coordinates
+    that no blend of the window moves once, so that each probe factors the
+    Schur complement on the moving ones alone. K* is the smallest K the
     scan finds coercive (gamma > _TOL); every later change of verdict is
     flagged, so gamma need not be monotone in K. The solves at K*-1 and K*
     must agree with the scan's verdicts there, otherwise this raises.
@@ -190,11 +193,10 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
     """
     where = f"eps=1/{round(1 / eps)}"
     scan, flags, boundary = [], [], {}
-    kstar = last = verdict = pattern = None
-    for K in range(k_floor, k_cap + 1):
-        op = build(K)
-        if pattern is None:
-            pattern = BlendPattern(op, G)
+    kstar = last = verdict = None
+    window = [build(K) for K in range(k_floor, k_cap + 1)]
+    pattern = BlendPattern(window, G)
+    for K, op in enumerate(window, k_floor):
         rep = pattern.is_coercive(op, _TOL, method=method, seed=seed)
         scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
                               min_pivot=rep.min_pivot, fallback=rep.fallback))
@@ -206,7 +208,7 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
         verdict, last = rep.coercive, op
     # the pattern lives for this scan only; the light operators at K*-1 and
     # K* are kept and assembled below, for their value solves
-    del pattern
+    del pattern, window
     if kstar is None:
         return None, {}, scan, [f"no-sign-change:{where}"]
 
@@ -403,7 +405,7 @@ def sweep_threshold_2d(model: PairModel2D, case: int, params) -> ThresholdFit:
                 f"auxiliary operator not positive definite at the widest "
                 f"blend (eps=1/{N}, K={k_cap}, gamma_tilde={gt:.6e})")
 
-        def build(K: int) -> Op2D:       # called once per K, from K_min up
+        def build(K: int) -> Op2D:       # once per K, K_min up, before the scan probes
             blend = _blend_2d_sharp(lattice, Ra, Ra + K, profile=profile)
             _canary_2d(lattice, model, blend, rng, BONDS[(K - K_min) % 3])
             return Op2D(kind="bqcf", lattice=lattice, model=model, blend=blend)

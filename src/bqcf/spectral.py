@@ -27,7 +27,10 @@ same way (Grimes, Lewis and Simon's inertia-certified shifts). Both build
 the factored blocks the same way (_Pinned): values refilled on one
 pattern per block, fixed for every sigma. A blended operator is affine in
 its weight, so a threshold scan refills those patterns at each blend
-(BlendPattern) and assembles nothing per probe. Every value solve takes
+(BlendPattern) and assembles nothing per probe; the coordinates that no
+blend of its window moves are factored once per shift (_Fixed), and each
+probe factors the Schur complement on the rest (_Window), its count added
+to theirs (Haynsworth, 1968). Every value solve takes
 this path unless the pencil is translation-invariant (below) or its
 caller asks for method "dense": a dense eigh of the same pinned pencil,
 the reference the other paths are checked against.
@@ -315,6 +318,23 @@ def _pinned_update(s: np.ndarray, kernel: np.ndarray):
     return np.hstack([kernel[m:], s[m:]]), kernel.T @ s
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric m x m matrices, from
+    their lower triangles as np.linalg.eigvalsh reads them: the entries
+    themselves for m = 1, where the call costs more than the answer."""
+    return a[..., 0] if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
+
+
+def _border(kts: np.ndarray) -> np.ndarray:
+    """-C^-1 = [[0, I], [I, k^T s]] for _pinned_update's C."""
+    m = kts.shape[0]
+    Q = np.zeros((2 * m, 2 * m))
+    Q[m:, m:] = kts
+    i = np.arange(m)
+    Q[i, i + m] = Q[i + m, i] = 1.0
+    return Q
+
+
 def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
     """Dense eigh of the pinned pencil (S, G[m:, m:]) at sigma = 0, lifted.
 
@@ -414,7 +434,7 @@ class _Block:
     """
 
     def __init__(self, P: sp.csr_matrix, values: list, kernel, first: np.ndarray):
-        m = 0 if kernel is None else kernel.shape[1]
+        self.m = m = 0 if kernel is None else kernel.shape[1]
         nb = first.size
         self.counts = np.diff(P.indptr)
         row = np.repeat(np.arange(nb, dtype=np.int32), self.counts)
@@ -434,8 +454,8 @@ class _Block:
         self.on_g = self.g != 0.0
 
     def block(self, w, sigma: float):
-        """(M_pp, U, k^T s) of _Factor at the weight w (None off a pattern);
-        U and k^T s are None without a kernel."""
+        """(M_pp, U, -C^-1) of _Factor at the weight w (None off a pattern);
+        U and -C^-1 are None without a kernel."""
         if w is None:
             x, = self.a
         else:
@@ -449,12 +469,13 @@ class _Block:
             y += a
             x += y
             x *= 0.5
-        U = kts = None
+        U = Q = None
         if self.kernel is not None:
             nb = self.kernel.shape[0]
             sk = np.stack([np.bincount(self.row, weights=x * k, minlength=nb)
                            for k in self.k_at], axis=1)
             U, kts = _pinned_update(sk, self.kernel)
+            Q = _border(kts)
         x = x[self.inner]
         keep = np.flatnonzero((x != 0.0) | self.on_g)
         values = x[keep]
@@ -463,7 +484,7 @@ class _Block:
         indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
         # sym(A) - sigma G is symmetric: its CSR arrays are its CSC arrays
         return (sp.csc_matrix((values, self.cols[keep], indptr), shape=(self.dim,) * 2),
-                U, kts)
+                U, Q)
 
     def gram(self) -> sp.csr_matrix:
         """G_pp of the block, on G's pattern."""
@@ -494,8 +515,9 @@ class _Pinned:
     The mirror (checked by SparseOp) splits the pencil when it commutes
     with A to 1e-13 of its largest entry (_commutator). For a pattern
     (BlendPattern), A is A_0, slope is A_1 - A_0, and it splits when A_0 +
-    i slope commutes with the mirror to 1e-13 of its largest entry and the
-    weight, one number per coordinate, maps to itself under it exactly.
+    i slope commutes with the mirror to 1e-13 of its largest entry and
+    every weight of its window, one number per coordinate, maps to itself
+    under it exactly (invariant).
 
     B is orthogonal, so the split drops only the off-diagonal blocks of B^T
     M B, which are B^T (M - S M S^T) B / 2, S the mirror: the dropped
@@ -505,7 +527,7 @@ class _Pinned:
     """
 
     def __init__(self, A: sp.csr_matrix, G: SparseOp, slope: Optional[sp.csr_matrix] = None,
-                 weight: Optional[np.ndarray] = None):
+                 invariant: bool = True):
         # the matrix the mirror is tested on: A, or A_0 + i slope
         X = A if slope is None else A + 1j * slope
         # the mirror when the pencil splits by it, and N of its commutators
@@ -513,7 +535,7 @@ class _Pinned:
         self.perm, self.dropped = None, np.zeros(3)
         if G.mirror is not None:
             g_norm = G.defect
-            if weight is None or np.array_equal(weight[G.mirror], weight):
+            if invariant:
                 commutes, a_norm, s_norm = _commutator(X, G.mirror)
                 if commutes:
                     self.perm, self.dropped = G.mirror, 0.5 * np.array([a_norm, s_norm, g_norm])
@@ -547,15 +569,18 @@ class _Pinned:
 
     def perturbation(self, w, sigma: float) -> float:
         """A bound on the 2-norm of what the blocks drop of B^T (sym(A) -
-        sigma G) B at the weight w (None off a pattern): dropped_A + max|w|
-        dropped_slope + |sigma| dropped_G; 0 for one block. A weight that
-        does not map to itself under the mirror raises ValueError."""
+        sigma G) B at the weight w (None off a pattern): bound(max|w|,
+        sigma). A weight that does not map to itself under the mirror
+        raises ValueError."""
         if w is not None and self.perm is not None and not np.array_equal(w[self.perm], w):
             raise ValueError("the operator's values do not commute with its blocks' group")
+        return self.bound(np.abs(w).max(initial=0.0) if self.dropped[1] else 0.0, sigma)
+
+    def bound(self, scale: float, sigma: float) -> float:
+        """dropped_A + scale dropped_slope + |sigma| dropped_G, for every
+        weight with max|w| <= scale; 0 for one block."""
         dropped_a, dropped_s, dropped_g = self.dropped
-        if dropped_s:
-            dropped_a += np.abs(w).max(initial=0.0) * dropped_s
-        return float(dropped_a + abs(sigma) * dropped_g)
+        return float(dropped_a + scale * dropped_s + abs(sigma) * dropped_g)
 
     def gram(self) -> sp.csr_matrix:
         """G on the direct sum of the blocks, G_pp, in pinned coordinates."""
@@ -572,27 +597,236 @@ class _Pinned:
                                         for b, part in zip(self.blocks, self.slices)])
 
 
-class _Factor:
-    """LDL^T of one block of _Shift, with its capacitance when the block
-    holds the constant shifts; a factorization that yields no inertia
-    raises (_ldlt). eps, _Pinned.perturbation, widens the rounding tests."""
+def _moving(block: _Block, moves: np.ndarray) -> np.ndarray:
+    """Which of block's coordinates a window moves (_Window's V), given
+    moves, whether the window's weights differ at each coordinate: both
+    endpoints of every stored slope entry whose row's weight moves, less
+    the m pinned coordinates. The block's pattern is symmetric, so this
+    holds the transpose's entries too."""
+    s = block.a[2]
+    moving = (s != 0.0) & moves[block.first][block.row]
+    in_v = np.zeros(block.first.size, dtype=bool)
+    in_v[block.row[moving]] = in_v[block.col[moving]] = True
+    in_v[:block.m] = False
+    return in_v
 
-    def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float, eps: float):
-        M_pp, U, kts = block.block(w, sigma)
+
+class _Window:
+    """One block of a pattern split by its window: the coordinates the
+    window moves (V, _moving) and the rest (F), and the block's Schur
+    complement on V at a weight (schur).
+
+    sym(A) is affine in the weight entry by entry, so no entry with an
+    endpoint in F, and no row of s = sym(A) k in F, moves across the
+    window: M_FF, M_F,V and U_F are the block's at the window's first
+    weight w0, at every weight equal to w0 on held, the rows of the slope
+    entries with an endpoint in F. dV is the coordinates of V that an entry
+    nonzero in sym(A) at w0 or in G couples to F; M_F,V is zero off them
+    at every sigma.
+
+    schur(w, sigma, fixed) refills sym(A) at w on the entries of V's rows
+    and of the pinned ones, O(|V|) work, and with fixed's C = [M_F,dV,
+    U_F]^T M_FF^-1 [M_F,dV, U_F] (_Fixed) forms the bordered matrix that
+    eliminating F leaves of [[M_pp, U], [U^T, -C^-1]]:
+    - the Schur complement M_VV - M_V,F M_FF^-1 M_F,V, M_VV less C's dV
+      block, on one pattern, V's entries of the block and dV x dV, less
+      the exact zeros of M_VV off G's pattern, as _Block keeps them;
+    - U_V - M_V,F M_FF^-1 U_F;
+    - -C^-1 - U_F^T M_FF^-1 U_F, its k^T s summed from F's rows at w0 and
+      from V's and the pinned rows at w.
+    These are (M_pp, U, -C^-1) of _Factor, so the inertia adds:
+    Haynsworth's formula over F, then over V and the capacitance. A weight
+    that differs from w0 on held raises ValueError.
+    """
+
+    def __init__(self, block: _Block, in_v: np.ndarray, w0: np.ndarray):
+        m, first, row, col = block.m, block.first, block.row, block.col
+        a, at, s, st = block.a
+        nb = first.size
+        in_f = ~in_v
+        in_f[:m] = False
+        self.V, self.F = np.flatnonzero(in_v), np.flatnonzero(in_f)
+        wb = w0[first]
+        x0 = 0.5 * ((wb[col] * st + at) + (wb[row] * s + a))      # sym(A) at w0
+        inner = block.inner
+        couples = in_v[row[inner]] & in_f[col[inner]] & ((x0[inner] != 0.0) | block.on_g)
+        self.dV = np.unique(row[inner][couples])
+        self.held = np.unique(first[row[(in_f[row] | in_f[col]) & (s != 0.0)]])
+        self.w_held = w0[self.held]
+        # the entries of V's rows and of the pinned rows, in block order
+        live = np.flatnonzero(in_v[row] | (row < m))
+        nv = self.V.size
+        loc = np.zeros(nb, dtype=np.intp)
+        loc[self.V] = np.arange(nv)
+        loc[:m] = nv + np.arange(m)
+        self.row, self.nlive = loc[row[live]], nv + m
+        self.w_row, self.w_col = first[row[live]], first[col[live]]
+        self.a = [v[live] for v in block.a]
+        self.kernel = block.kernel
+        if block.kernel is not None:
+            k = block.kernel
+            self.k_at, self.k_v = block.k_at[:, live], k[self.V]
+            self.k_live = k[np.concatenate([self.V, np.arange(m)])]
+            sk = np.stack([np.bincount(row, weights=x0 * kc, minlength=nb)
+                           for kc in block.k_at], axis=1)
+            self.kts_f = k[self.F].T @ sk[self.F]
+        # the pattern: V x V entries of the block, and dV x dV
+        self.vv = np.flatnonzero(in_v[row[live]] & in_v[col[live]])
+        entries = live[self.vv]
+        self.g = block.g[np.searchsorted(inner, entries)]
+        self.dloc = loc[self.dV]
+        kv = loc[row[entries]] * nv + loc[col[entries]]
+        kd = (self.dloc[:, None] * nv + self.dloc).ravel()
+        keys = np.union1d(kv, kd)
+        self.at_vv, self.at_dd = np.searchsorted(keys, kv), np.searchsorted(keys, kd)
+        self.always = np.zeros(keys.size, dtype=bool)
+        self.always[self.at_vv[self.g != 0.0]] = self.always[self.at_dd] = True
+        self.cols = (keys % nv).astype(np.int32)
+        self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
+
+    def schur(self, w: np.ndarray, sigma: float, fixed: "_Fixed"):
+        """(S, U, -C^-1) at the weight w: the Schur complement on V, and the
+        border it keeps; U and -C^-1 are None without a kernel."""
+        if not np.array_equal(w[self.held], self.w_held):
+            raise ValueError("the operator's weight differs from its pattern's window "
+                             "where the window holds it fixed")
+        a, at, s, st = self.a
+        x = w[self.w_col]                           # as _Block.block, on V's rows
+        x *= st
+        x += at
+        y = w[self.w_row]
+        y *= s
+        y += a
+        x += y
+        x *= 0.5
+        U = Q = None
+        if self.kernel is not None:
+            m = self.k_at.shape[0]
+            sk = np.stack([np.bincount(self.row, weights=x * k, minlength=self.nlive)
+                           for k in self.k_at], axis=1)
+            U, Q = fixed.U.copy(), fixed.Q.copy()
+            U[:, m:] += sk[:self.V.size]
+            Q[m:, m:] += self.k_live.T @ sk
+        data = np.zeros(self.cols.size)
+        values = x[self.vv]
+        values -= sigma * self.g
+        data[self.at_vv] = values
+        data[self.at_dd] -= fixed.C_VV.ravel()
+        keep = np.flatnonzero((data != 0.0) | self.always)
+        indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
+        return (sp.csc_matrix((data[keep], self.cols[keep], indptr), shape=(self.V.size,) * 2),
+                U, Q)
+
+
+# the columns of [M_F,dV, U_F] that _Fixed solves for at once: on 2 cores
+# SuperLU's solve with 16 right-hand sides measured up to 19 times slower
+# per column than with 8 (toy N = 24, 81 columns: 80 against 4.2 ms), the
+# OpenBLAS threads of its dense kernels; 8 is at or near the fastest width
+# from N = 12 to 48
+_COLUMNS = 8
+
+
+class _Fixed:
+    """The fixed part F of one block of a pattern's window (_Window) at one
+    sigma, factored once, before the window's first probe at sigma.
+
+    M_FF = (sym A - sigma G)_FF, the block's at the window's first weight,
+    is factored by _ldlt and its pivots tested as _Factor's. With W =
+    [M_F,dV, U_F], Y = M_FF^-1 W is solved _COLUMNS columns at a time, and
+    with it C = W^T Y and the Gram matrix Y^T Y = W^T M_FF^-1 Y, one more
+    solve per column block, so that no dense array wider than _COLUMNS is
+    held. Of the factor only this is kept: C, symmetrized, as its dV block
+    C_VV and the border that each probe completes (_Window.schur), U =
+    [k_V, 0] - C_VU and Q = [[0, I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y,
+    symmetrized, and dd, the 2-norm of its dV block; rounding = gamma_3w
+    ||R_F||, with
+    ||R_F||_2 <= max_i (|L| |U| 1)_i (R_F = |L||D||L^T| is symmetric); its
+    nonzeros; neg(D_F); and the pivot test (test). Then the factor is
+    freed, with the copies of L and U that scipy caches on it.
+
+    gram bounds, to first order, what F's rounding and a split's dropped
+    blocks do to a probe (_Factor): eliminating F is exact for M_FF + E,
+    ||E|| <= rounding + eps, so a vector z of the bordered matrix's
+    coordinates dV and U moves by (Y z)^T E (Y z), at most (rounding +
+    eps) z^T gram z, the cancellation between Y's columns kept.
+    """
+
+    def __init__(self, block: _Block, window: _Window, w0: np.ndarray, sigma: float):
+        self.window, self.dim = window, window.F.size
+        M_pp, U, _ = block.block(w0, sigma)
+        F, dV = window.F - block.m, window.dV - block.m
+        rows = M_pp.T[F]                            # M_pp is symmetric: its CSR form
+        Wd = rows[:, dV]                            # M_F,dV
+        UF = np.zeros((F.size, 0)) if U is None else U[F]
+        lu = _ldlt(rows[:, F].T)
+        del M_pp, rows, U
+        self.nnz = int(lu.nnz)
+        Lf, Uf = lu.L, lu.U
+        d = Uf.diagonal()
+        ad = np.abs(d)
+        np.abs(Lf.data, out=Lf.data)
+        np.abs(Uf.data, out=Uf.data)
+        unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
+        norm = (Lf @ (Uf @ np.ones(F.size))).max()
+        Lf.data **= 2
+        self.pivot = (ad.min(), unit / (1 - unit) * (Lf @ ad).max())
+        self.negative = int(np.sum(d < 0))
+        del Lf, Uf
+        unit *= 3
+        self.rounding = unit / (1 - unit) * norm
+        nd = dV.size
+        c = nd + UF.shape[1]
+        C, gram = np.empty((2, c, c))
+        for j in range(0, c, _COLUMNS):
+            J = slice(j, min(j + _COLUMNS, c))
+            Y = lu.solve(np.hstack([Wd[:, J.start:min(J.stop, nd)].toarray(),
+                                    UF[:, max(J.start - nd, 0):max(J.stop - nd, 0)]]))
+            for out, X in ((C, Y), (gram, lu.solve(Y))):
+                out[:nd, J], out[nd:, J] = Wd.T @ X, UF.T @ X
+        del lu
+        C, gram = 0.5 * (C + C.T), 0.5 * (gram + gram.T)
+        self.C_VV, self.gram = C[:nd, :nd], gram
+        if window.kernel is not None:
+            # U_V less C_VU, and -C^-1 less C_UU, each at s = 0 on V's rows
+            self.U = np.hstack([window.k_v, np.zeros_like(window.k_v)])
+            self.U[window.dloc] -= C[:nd, nd:]
+            self.Q = _border(window.kts_f) - C[nd:, nd:]
+        self.dd = float(np.linalg.eigvalsh(gram[:nd, :nd])[-1]) if nd else 0.0
+
+    def test(self, eps: float) -> tuple:
+        """F's pivot test: (smallest |pivot|, its bound) at perturbation eps."""
+        return self.pivot[0], self.pivot[1] + eps
+
+    def block(self, w: np.ndarray, sigma: float):
+        """The window's Schur complement on V at w (_Window.schur)."""
+        return self.window.schur(w, sigma, self)
+
+
+class _Factor:
+    """LDL^T of one block of _Shift, or of the Schur complement that a
+    pattern's window leaves of it behind its fixed part (fixed, _Fixed),
+    with its capacitance when the block holds the constant shifts; a
+    factorization that yields no inertia raises (_ldlt). eps,
+    _Pinned.perturbation, widens the rounding tests, and behind a fixed
+    part so does F's (_Shift)."""
+
+    def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float, eps: float,
+                 fixed: Optional[_Fixed] = None):
+        M_pp, U, Q = (fixed or block).block(w, sigma)
         lu = _ldlt(M_pp)
         del M_pp                                    # before lu.U copies the factor
         self.nnz, self._solve, self.Y = int(lu.nnz), lu.solve, None
         if U is not None:
-            m = kts.shape[0]
+            m = Q.shape[0] // 2
             XU = lu.solve(U)
-            Q = np.zeros((2 * m, 2 * m))            # -C^-1
-            Q[:m, m:] = Q[m:, :m] = np.eye(m)
-            Q[m:, m:] = kts
-            Q -= U.T @ XU
+            Q = Q - U.T @ XU
             Q = 0.5 * (Q + Q.T)
-            F = np.linalg.solve(Q[:m, :m], Q[:m, m:])
-            self.capacitance = np.stack([Q[:m, :m], Q[m:, m:] - Q[m:, :m] @ F])
-            self.Y = np.hstack([XU[:, :m], XU[:, m:] - XU[:, :m] @ F])
+            Q11 = Q[:m, :m]
+            F = Q[:m, m:] / Q11 if m == 1 else np.linalg.solve(Q11, Q[:m, m:])
+            T = np.eye(2 * m)
+            T[:m, m:] = -F
+            self.capacitance = np.stack([Q11, Q[m:, m:] - Q[m:, :m] @ F])
+            self.Y, self.T = XU @ T, T
 
         # lu.U makes the copies of L and U together; the factor keeps them
         # and nothing reads them after this, so they are overwritten in place
@@ -606,17 +840,33 @@ class _Factor:
             RY = Lf @ (Uf @ Yp)                     # R |Y| = |L| (|U| |Y|)
         Lf.data **= 2
         unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        self.tests = [(ad.min(), unit / (1 - unit) * (Lf @ ad).max() + eps)]
+        bound = unit / (1 - unit) * (Lf @ ad).max() + eps
+        if fixed is not None:
+            e = eps + fixed.rounding
+            bound += e * fixed.dd
+        self.tests = [(ad.min(), bound)]
         self.negative = int(np.sum(d < 0))
         if self.Y is not None:
             unit *= 3
-            q = np.linalg.eigvalsh(self.capacitance)
-            YRY = np.stack([Yp[:, j].T @ RY[:, j] for j in (slice(0, m), slice(m, None))])
-            # the 2-norm of each block is its largest singular value
-            bounds = unit / (1 - unit) * np.linalg.svd(YRY, compute_uv=False)[:, 0]
+            # one batch of m x m symmetric eigenproblems: the capacitance,
+            # then per block j |Y_j|^T R |Y_j|, whose 2-norm is its largest
+            # eigenvalue, and, where they widen the bounds, Y_j^T Y_j (2-norm
+            # ||Y_j||^2) and Z_j^T gram Z_j, z = [-Y[dV]; T] in the bordered
+            # matrix's dV and U coordinates (_Fixed)
+            mats = [Yp.T @ RY]
             if eps:
-                bounds += eps * np.array([np.linalg.norm(self.Y[:, j], 2) ** 2
-                                          for j in (slice(0, m), slice(m, None))])
+                mats.append(self.Y.T @ self.Y)
+            if fixed is not None:
+                Z = np.vstack([-self.Y[fixed.window.dloc], T])
+                mats.append(Z.T @ fixed.gram @ Z)
+            ev = _eigvalsh(np.concatenate(
+                [self.capacitance] + [M[j, j][None] for M in mats for j in (slice(0, m), slice(m, None))]))
+            q, top = ev[:2], ev[2:, -1].reshape(-1, 2)
+            bounds = unit / (1 - unit) * top[0]
+            if eps:
+                bounds += eps * top[1]
+            if fixed is not None:
+                bounds += e * top[-1]
             self.tests += zip(np.abs(q).min(axis=1), bounds)
             self.negative += int(np.sum(q < 0)) - m
 
@@ -634,7 +884,8 @@ class _Factor:
 class _Shift:
     """LDL^T of sym(A) - sigma G on the zero-mean space, block by block of
     _Pinned (_Factor), in pinned coordinates, at the blend weight w of a
-    pattern's _Pinned (None for a fixed operator).
+    pattern's _Pinned (None for a fixed operator), each block behind its
+    fixed part where the pattern's window gives one (fixed, _Fixed).
 
     _Pinned gives a pencil one block, or the inversion's two, of which the
     even one holds the constant shifts, each a copy of what follows. In a
@@ -647,6 +898,9 @@ class _Shift:
     X + X U Q^-1 U^T X (Woodbury), with Q block-diagonalized: T^T Q T =
     diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A block
     without a kernel is its own LDL^T, with neg(D) negative eigenvalues.
+    Behind a fixed part F, the factor is the Schur complement's on the
+    window's moving coordinates V (_Window.schur), and the block has
+    neg(D_F) + neg(D_S) + neg(Q) - m (Haynsworth, 1968).
     The counts add over the blocks. A sign is trusted when it clears a
     rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
     |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z
@@ -654,14 +908,21 @@ class _Shift:
     included. A split pencil's blocks drop the off-diagonal blocks of B^T
     (sym(A) - sigma G) B, whose 2-norm is at most eps (_Pinned.perturbation):
     they are exactly the blocks of a pencil within eps of this one, a
-    perturbation F of each block's M_pp, so a pivot's bound adds eps, and a
-    capacitance block's eps ||Y_j||^2, the first-order bound of Y_j^T F Y_j. Each factor's tests
-    hold its (smallest magnitude, bound) pairs, in that order; the count is
-    trusted when every block's test passes, and min_pivot and margin report
-    the one that came closest.
+    perturbation E of each block's M_pp, so a pivot's bound adds eps, and a
+    capacitance block's eps ||Y_j||^2, the first-order bound of Y_j^T E Y_j.
+    Behind a fixed part, F's pivots are tested with eps added (_Fixed.test),
+    and e = eps + _Fixed.rounding bounds the error of M_FF that the bordered
+    matrix inherits, through _Fixed.gram: a Schur pivot's bound adds e times
+    the 2-norm of gram's dV block, and a capacitance block's e ||Z_j^T gram
+    Z_j||, Z_j = [-Y_j[dV]; T_j], since that error reaches U and -C^-1 too.
+    Each factor's tests hold its (smallest magnitude, bound) pairs, in that
+    order, after the fixed part's; the count is trusted when every test
+    passes, and min_pivot and margin report the one that came closest.
     Where a factorization yields no inertia (a zero pivot, pivots off the
     diagonal, a singular Q11) construction does not raise: negative -1,
     min_pivot 0, margin nan, and the blocks after it are not factored.
+    fixed is the number of coordinates behind fixed parts; such a shift
+    counts, and has no solve.
 
     A sign probe costs the factorizations, one solve with 2m right-hand
     sides, O(nnz) work on each factor and a few m x m dense calls: with U =
@@ -676,22 +937,33 @@ class _Shift:
     is built on the first solve(), so a sign probe never builds it.
     """
 
-    def __init__(self, pinned: _Pinned, w: Optional[np.ndarray], sigma: float):
+    def __init__(self, pinned: _Pinned, w: Optional[np.ndarray], sigma: float,
+                 fixed: Optional[list] = None):
         self.slices = pinned.slices
+        parts = fixed or [None] * len(pinned.blocks)
+        self.fixed = sum(part.dim for part in parts if part is not None)
         try:
             eps = pinned.perturbation(w, sigma)
-            self.factors = [_Factor(block, w, sigma, eps) for block in pinned.blocks]
+            self.factors, tests, self.negative = [], [], 0
+            for block, part in zip(pinned.blocks, parts):
+                factor = _Factor(block, w, sigma, eps, part)
+                if part is not None:
+                    tests.append(part.test(eps))
+                    self.negative += part.negative
+                self.factors.append(factor)
+                tests += factor.tests
+                self.negative += factor.negative
         except (RuntimeError, np.linalg.LinAlgError):      # no inertia to read
             self.negative, self.min_pivot, self.margin, self.trusted = -1, 0.0, np.nan, False
             return
-        tests = [t for f in self.factors for t in f.tests]
-        self.negative = sum(f.negative for f in self.factors)
         self.nnz = sum(f.nnz for f in self.factors)
         self.min_pivot, self.margin = map(float, min(tests, key=lambda t: t[0] / t[1]))
         self.trusted = all(p > b for p, b in tests)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """S^-1 r in pinned coordinates, block by block."""
+        if self.fixed:
+            raise ValueError("a shift behind fixed parts counts only; it has no solve")
         x = np.empty_like(r)
         for f, part in zip(self.factors, self.slices):
             x[part] = f.solve(r[part])
@@ -1037,15 +1309,14 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
     can still clear the bounds; the sign there is whatever rounding made it.
     """
     _pencil_kernel(opMatrix.dim, G)
-    return _sign(_Pinned(opMatrix.matrix, G), None, tau, lambda: coercivity(opMatrix, G))
+    return _sign(_Shift(_Pinned(opMatrix.matrix, G), None, tau), tau,
+                 lambda: coercivity(opMatrix, G))
 
 
-def _sign(pinned: _Pinned, w: Optional[np.ndarray], tau: float, solve) -> InertiaReport:
-    """gamma > tau at the blend weight w of pinned's pattern (None for a
-    fixed operator), read off _Shift's count with its evidence; solve()
-    gives the pencil solve's StabilityReport, asked for only when the count
-    is untrusted."""
-    shift = _Shift(pinned, w, tau)
+def _sign(shift: _Shift, tau: float, solve) -> InertiaReport:
+    """gamma > tau read off the shift's count at tau, with its evidence;
+    solve() gives the pencil solve's StabilityReport, asked for only when
+    the count is untrusted."""
     report = InertiaReport(coercive=shift.negative == 0, negative=shift.negative,
                            min_pivot=shift.min_pivot, margin=shift.margin, method="inertia")
     if shift.trusted:
@@ -1056,29 +1327,43 @@ def _sign(pinned: _Pinned, w: Optional[np.ndarray], tau: float, solve) -> Inerti
 
 
 class BlendPattern:
-    """is_coercive for a blended operator at every blend of its lattice, from
-    one assembly: a threshold scan builds it once per lattice size.
+    """is_coercive for a blended operator at every blend of a window of
+    them, from one assembly: a threshold scan builds it once per lattice
+    size, from the operators of every width it scans.
 
     A blended stencil is affine in the weight, row by row: A(beta) = A_0 +
     diag(beta at each row's site) (A_1 - A_0), with A_0 and A_1 the stencil
     at beta = 0 and beta = 1 on one CSR pattern: the entries some weight
     makes nonzero, stored at every weight (the 2D toy model's bqcf pattern
     holds 9,216 at N = 12, 8 per row). The pattern splits into the even and
-    odd blocks of G's mirror when A_0, A_1 - A_0 and the blend of the
-    operator it was built from map to themselves under it (_Pinned
-    measures it), and each block forms B^T A_0 B and B^T (A_1 - A_0) B
-    once. is_coercive(op) hands op's weight (weight) to _Shift, which
-    refills each block as B^T A_0 B + diag(beta_B) B^T (A_1 - A_0) B, exact
-    for a beta that the mirror maps to itself, with no assembly or
-    product: the probe builds one sparse matrix per block it factors, and
-    a SparseOp of A(beta) only when it falls back to a value solve. op
-    must share the kind, lattice and model (equal by value) of the
-    operator the pattern was built from; a blend that does not map to
-    itself under the mirror of a split pattern raises ValueError
-    (_Pinned.perturbation).
+    odd blocks of G's mirror when A_0, A_1 - A_0 and every blend of the
+    window map to themselves under it (_Pinned measures it), and each block
+    forms B^T A_0 B and B^T (A_1 - A_0) B once. is_coercive(op) hands op's
+    weight (weight) to _Shift, which refills each block as B^T A_0 B +
+    diag(beta_B) B^T (A_1 - A_0) B, exact for a beta that the mirror maps
+    to itself, with no assembly or product.
+
+    window is the operators, or one operator, a window of one. Their
+    weights split each block into the coordinates they move, V, and the
+    rest, F (_Window). On the first probe at a tau, each block's F is
+    factored once (_Fixed), and every probe at that tau then factors only
+    the Schur complement on V, whose count adds to F's: in 1D V is 128
+    coordinates for the window K = 6..64 at every N. A block falls back to
+    its whole factor (F empty) where the window moves every coordinate of
+    it or none, or where F's factorization yields no trusted inertia at
+    the window's largest weight; fixed(tau) is the number of coordinates
+    behind fixed parts. A probe builds one sparse matrix per block it
+    factors, and a SparseOp of A(beta) only when it falls back to a value
+    solve. op must share the kind, lattice and model (equal by value) of
+    the window's operators; its weight must equal the window's where the
+    window holds it fixed and it enters F (_Window.schur), and a blend that
+    does not map to itself under the mirror of a split pattern raises
+    ValueError (_Pinned.perturbation).
     """
 
-    def __init__(self, op, G: SparseOp):
+    def __init__(self, window, G: SparseOp):
+        ops = [window] if hasattr(window, "blend") else list(window)
+        op = ops[0]
         if op.blend is None:
             raise ValueError(f"kind {op.kind!r} has no blend to refill")
         beta = op.blend.beta
@@ -1101,7 +1386,25 @@ class BlendPattern:
         self.rows = rows                            # each stored entry's row
         A0, S = (sp.csr_matrix((v, self.indices, self.indptr), shape=(n, n))
                  for v in (self.a0, self.slope))
-        self.pinned = _Pinned(A0, G, S, self.weight(op))
+        # the window's first weight, where its weights differ, their
+        # largest magnitude, and whether each maps to itself under the mirror
+        self.w0 = self.weight(op)
+        moves = np.zeros(n, dtype=bool)
+        self.scale = np.abs(self.w0).max(initial=0.0)
+        invariant = True
+        for other in ops:
+            w = self.weight(other)
+            moves |= w != self.w0
+            self.scale = max(self.scale, np.abs(w).max(initial=0.0))
+            invariant &= G.mirror is None or np.array_equal(w[G.mirror], w)
+        self.pinned = _Pinned(A0, G, S, invariant)
+        self.windows = []
+        for block in self.pinned.blocks:
+            in_v = _moving(block, moves)
+            moved = in_v[block.m:]
+            self.windows.append(_Window(block, in_v, self.w0)
+                                if moved.any() and not moved.all() else None)
+        self._fixed = {}                            # each tau's fixed parts
 
     def weight(self, op) -> np.ndarray:
         """beta at each coordinate of op's blend."""
@@ -1121,10 +1424,44 @@ class BlendPattern:
         return SparseOp(sp.csr_matrix((self.values(op), self.indices, self.indptr),
                                       shape=(self.G.dim,) * 2))
 
+    def parts(self, tau: float) -> list:
+        """Each block's fixed part at tau (_Fixed), or None: factored on the
+        first call at tau, and kept. None where the window moves every
+        coordinate of the block or none, or where F's factorization yields
+        no inertia, or a pivot that fails its test at the window's largest
+        weight."""
+        if tau not in self._fixed:
+            eps = self.pinned.bound(self.scale, tau)
+            parts = []
+            for block, window in zip(self.pinned.blocks, self.windows):
+                part = None
+                if window is not None:
+                    try:
+                        part = _Fixed(block, window, self.w0, tau)
+                    except (RuntimeError, np.linalg.LinAlgError):     # no inertia
+                        pass
+                    else:
+                        pivot, bound = part.test(eps)
+                        part = part if pivot > bound else None
+                parts.append(part)
+            self._fixed[tau] = parts
+        return self._fixed[tau]
+
+    def fixed(self, tau: float) -> int:
+        """The coordinates behind fixed parts at tau, summed over the blocks."""
+        return sum(part.dim for part in self.parts(tau) if part is not None)
+
     def is_coercive(self, op, tau: float, *, method: str = "iterative",
                     seed: int = 7) -> InertiaReport:
         """spectral.is_coercive(assemble(op), G, tau) on the pattern; A(beta)
         is built as a matrix only when the probe falls back to a value solve,
-        coercivity's with this method and seed."""
-        return _sign(self.pinned, self.weight(op), tau,
+        coercivity's with this method and seed. A count behind fixed parts
+        that its widened bounds leave untrusted is probed again on the
+        whole blocks before that."""
+        w = self.weight(op)
+        shift = _Shift(self.pinned, w, tau, self.parts(tau))
+        if shift.fixed and not shift.trusted:
+            del shift                               # before the whole blocks' factors
+            shift = _Shift(self.pinned, w, tau)
+        return _sign(shift, tau,
                      lambda: coercivity(self.matrix(op), self.G, method=method, seed=seed))

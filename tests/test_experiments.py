@@ -105,8 +105,8 @@ def test_sweeps_pass_their_seed_to_every_pencil_solve(monkeypatch):
 def _fake_scan(monkeypatch, verdicts, gamma_at):
     """Drive the scan helper with made-up inertia verdicts and gammas."""
     class FakePattern:
-        def __init__(self, K, G):
-            pass
+        def __init__(self, window, G):
+            assert window == list(range(3, 10))     # every K, built before the scan
 
         def is_coercive(self, K, tol, **kw):
             return InertiaReport(coercive=verdicts[K], negative=0 if verdicts[K] else 1,
@@ -144,9 +144,10 @@ def test_scan_raises_when_the_solve_contradicts_inertia(monkeypatch):
 
 @pytest.mark.parametrize("space", ["1d", "2d"])
 def test_scan_assembles_once_per_size(monkeypatch, space):
-    # the scan refills one BlendPattern per size: the stencil runs twice for
-    # the pattern and once for each of the K*-1 and K* value solves, however
-    # wide the window, and assemble() is called for those solves only
+    # the scan refills one BlendPattern per size, built from its whole
+    # window: the stencil runs twice for the pattern and once for each of
+    # the K*-1 and K* value solves, however wide the window, and assemble()
+    # is called for those solves only
     stencil = ops1d if space == "1d" else ops2d
     calls = {"assemble": 0, "triplets": 0, "pattern": 0}
 
@@ -157,9 +158,9 @@ def test_scan_assembles_once_per_size(monkeypatch, space):
         return wrapper
 
     class Pattern(experiments.BlendPattern):
-        def __init__(self, op, G):
+        def __init__(self, window, G):
             calls["pattern"] += 1
-            super().__init__(op, G)
+            super().__init__(window, G)
 
     monkeypatch.setattr(experiments, "assemble", counted("assemble", assemble))
     monkeypatch.setattr(stencil, "assemble_triplets",

@@ -697,10 +697,13 @@ def test_inertia_margin_on_criterion_4_largest_window():
         assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
 
 
-def _rounding_tests(factor, M_pp):
+def _rounding_tests(factor, M_pp, fixed=None):
     # _Shift's three tests as its docstring states them, from dense L and D
     # of M_pp's factor and R = |L||D||L^T|: pivots against gamma_w max_k
-    # R_kk, the eigenvalues of Q11 and Z against gamma_3w || |Y_j|^T R |Y_j| ||
+    # R_kk, the eigenvalues of Q11 and Z against gamma_3w || |Y_j|^T R |Y_j| ||.
+    # Behind a fixed part (M_pp the Schur complement), with e its rounding
+    # bound, the pivots' bound adds e ||gram_dV|| and block j's e || Z_j^T
+    # gram Z_j ||, Z_j = [-Y_j[dV]; T_j]
     lu = _ldlt(M_pp)
     L, D = lu.L.toarray(), np.diag(lu.U.toarray())
     R = np.abs(L) @ np.diag(np.abs(D)) @ np.abs(L).T
@@ -708,10 +711,17 @@ def _rounding_tests(factor, M_pp):
     m = factor.capacitance.shape[1]
     q = [np.linalg.eigvalsh(B) for B in factor.capacitance]
     tests = [(np.abs(D).min(), wu / (1 - wu) * np.diag(R).max())]
+    if fixed is not None:
+        gram, nd = fixed.gram, fixed.window.dV.size
+        tests[0] = (tests[0][0], tests[0][1] + fixed.rounding * np.linalg.norm(gram[:nd, :nd], 2))
+        Z = np.vstack([-factor.Y[fixed.window.dloc], factor.T])
     for j in range(2):
-        Yj = np.abs(factor.Y[:, j * m:(j + 1) * m])
-        tests.append((np.abs(q[j]).min(),
-                      3 * wu / (1 - 3 * wu) * np.linalg.norm(Yj.T @ R @ Yj, 2)))
+        J = slice(j * m, (j + 1) * m)
+        Yj = np.abs(factor.Y[:, J])
+        bound = 3 * wu / (1 - 3 * wu) * np.linalg.norm(Yj.T @ R @ Yj, 2)
+        if fixed is not None:
+            bound += fixed.rounding * np.linalg.norm(Z[:, J].T @ gram @ Z[:, J], 2)
+        tests.append((np.abs(q[j]).min(), bound))
     negative = int(np.sum(D < 0) + sum(np.sum(qj < 0) for qj in q)) - m
     return negative, tests
 
@@ -752,6 +762,67 @@ def test_rounding_tests_match_a_dense_evaluation():
             assert np.allclose(factor.tests, tests, rtol=1e-13, atol=0.0), (sop.dim, tau)
             assert shift.min_pivot / shift.margin == pytest.approx(
                 min(p / b for p, b in tests), rel=1e-13, abs=0.0)
+    # the same behind a window's fixed part, on windows of these sizes:
+    # F's pivot test, the Schur complement's tests widened by F's rounding
+    # bound, and the capacitance's; F's test, neg(D_F), rounding bound and
+    # gram against their own dense evaluation
+    composed = 0
+    for ops, G in _small_windows():
+        pattern = BlendPattern(ops, G)
+        (block,) = pattern.pinned.blocks
+        for op in ops:
+            w = pattern.weight(op)
+            gamma = coercivity(pattern.matrix(op), G, method="dense").gamma
+            for tau in (1e-10, gamma - 1e-7):
+                (part,) = pattern.parts(tau)
+                if part is None:
+                    continue
+                composed += 1
+                pivot, negative_f, rounding, gram = _dense_fixed(block, part, w, tau)
+                assert part.negative == negative_f
+                assert np.allclose(part.test(0.0), pivot, rtol=1e-13, atol=0.0)
+                assert part.rounding == pytest.approx(rounding, rel=1e-13, abs=0.0)
+                assert np.allclose(part.gram, gram, rtol=1e-9, atol=1e-12 * np.abs(gram).max())
+                shift = _Shift(pattern.pinned, w, tau, pattern.parts(tau))
+                factor, = shift.factors
+                negative, tests = _rounding_tests(factor, part.block(w, tau)[0], part)
+                tests = [pivot] + tests
+                assert shift.negative == negative_f + negative, (op.blend.K, tau)
+                assert shift.trusted == all(p > b for p, b in tests), (op.blend.K, tau)
+                assert np.allclose(factor.tests, tests[1:], rtol=1e-13, atol=0.0), (op.blend.K, tau)
+                assert shift.min_pivot / shift.margin == pytest.approx(
+                    min(p / b for p, b in tests), rel=1e-13, abs=0.0)
+    assert composed >= 20
+
+
+def _small_windows():
+    # scan windows at _small_pencils' sizes, each one block: 1D N = 16 and
+    # 24, K = 6..N-1, and the 2D Morse blend on N = 4 at Ra = 1, K = 1, 2
+    model = PairModel1D(phiF=1.0, phi2F=-0.24)
+    for N in (16, 24):
+        ch = Chain1D(N)
+        yield ([Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
+                for K in range(6, N)], gram_D(ch))
+    lat = TriLattice2D(4)
+    yield ([Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 1, 1 + K))
+            for K in (1, 2)], _unsplit(gram_D(lat)))
+
+
+def _dense_fixed(block, part, w, tau):
+    # F's pivot test, neg(D_F), rounding bound gamma_3w max_i (R_F 1)_i and
+    # gram = Y^T Y, Y = M_FF^-1 [M_F,dV, U_F], from the whole block at w
+    # (equal to the window's first weight wherever F reads it), dense
+    M_pp, U, _ = block.block(w, tau)
+    F, dV = part.window.F - block.m, part.window.dV - block.m
+    M = M_pp.toarray()
+    lu = _ldlt(M_pp[F][:, F])
+    L, D = lu.L.toarray(), np.diag(lu.U.toarray())
+    R = np.abs(L) @ np.diag(np.abs(D)) @ np.abs(L).T
+    wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
+    Y = np.linalg.solve(M[np.ix_(F, F)], np.hstack([M[np.ix_(F, dV)],
+                                                   np.zeros((F.size, 0)) if U is None else U[F]]))
+    return ((np.abs(D).min(), wu / (1 - wu) * np.diag(R).max()), int(np.sum(D < 0)),
+            3 * wu / (1 - 3 * wu) * R.sum(axis=1).max(), Y.T @ Y)
 
 
 def _counting(cls, made):
@@ -764,12 +835,15 @@ def _counting(cls, made):
 
 def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     # a trusted probe constructs one sparse matrix in spectral, the block
-    # handed to splu, and never the Woodbury operator a solve needs
+    # handed to splu (behind a window's fixed part, its Schur complement),
+    # and never the Woodbury operator a solve needs
     ch = Chain1D(128)
     G = gram_D(ch)
-    op = Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
-              blend=build_blend_1d(ch, 20))
-    pattern = BlendPattern(op, G)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in (12, 20, 28)]
+    op = ops[1]
+    pattern = BlendPattern(ops, G)
+    assert pattern.fixed(1e-10) > 0                 # factored before the probe
     made = []
     for name in dir(spectral.sp):
         cls = getattr(spectral.sp, name)
@@ -839,10 +913,14 @@ def _summed_blocks(Asym, G, tau, perm=None):
 
 @pytest.mark.parametrize("space, N", [("1d", 128), ("1d", 256), ("2d", 12), ("2d", 16)])
 def test_refilled_block_matches_the_assembled_one(space, N):
-    # a scan's probes refill one pattern per size; each pinned block must be
-    # the assembled operator's: the same nonzero set, values within a few
-    # ulps of max |A|, the same fill, and the same inertia verdict. A 2D
-    # pattern splits into the even and odd blocks of its inversion
+    # a scan's probes refill one pattern per size, behind the fixed part of
+    # its window: each probe's block must be the dense Schur complement on
+    # the moving coordinates V of the assembled operator's pinned block
+    # (_summed_blocks), within 1e-13 of its largest entry (2e-15 measured),
+    # zero off its pattern, and F's and the Schur complement's negative
+    # pivots must add up to the assembled block's; the probes give the same
+    # inertia verdicts. A 2D pattern splits into the even and odd blocks of
+    # its inversion
     tau = 1e-10
     if space == "1d":
         ch = Chain1D(N)
@@ -856,22 +934,28 @@ def test_refilled_block_matches_the_assembled_one(space, N):
         model = unstable_toy_model(2.04, 1.0)
         ops = [Op2D(kind="bqcf", lattice=lat, model=model,
                     blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, min(13, N - 3))]
-    pattern = BlendPattern(ops[0], G)
+    pattern = BlendPattern(ops, G)
+    parts = pattern.parts(tau)
+    assert all(part is not None for part in parts)
     verdicts = set()
     for op in ops:
         A = assemble(op)
         # the toy model commutes with the inversion; 1D's form names none
         refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
-        for block, ref in zip(pattern.pinned.blocks, refs):
-            got, _, _ = block.block(pattern.weight(op), tau)
-            assert np.array_equal(got.indptr, ref.indptr), op.blend.K
-            assert np.array_equal(got.indices, ref.indices), op.blend.K
-            ulp = np.spacing(abs(A.matrix).max())
-            assert np.abs(got.data - ref.data).max() <= 4 * ulp, op.blend.K
-            lu_got, lu_ref = _ldlt(got), _ldlt(ref)
-            assert lu_got.nnz == lu_ref.nnz
-            assert np.sum(lu_got.U.diagonal() < 0) == np.sum(lu_ref.U.diagonal() < 0)
+        for block, part, ref in zip(pattern.pinned.blocks, parts, refs):
+            V, F = part.window.V - block.m, part.window.F - block.m
+            M = ref.toarray()
+            schur = M[np.ix_(V, V)] - M[np.ix_(V, F)] @ np.linalg.solve(M[np.ix_(F, F)],
+                                                                        M[np.ix_(F, V)])
+            got, _, _ = part.block(pattern.weight(op), tau)
+            got = got.toarray()
+            assert np.abs(got - schur).max() <= 1e-13 * np.abs(schur).max(), op.blend.K
+            off = got == 0.0
+            assert np.array_equal(schur[off], np.zeros(off.sum())), op.blend.K
+            lu_f, lu_s, lu_ref = _ldlt(ref[F][:, F]), _ldlt(scipy.sparse.csc_matrix(got)), _ldlt(ref)
+            assert sum(np.sum(lu.U.diagonal() < 0) for lu in (lu_f, lu_s)) == \
+                np.sum(lu_ref.U.diagonal() < 0)
         want, rep = is_coercive(A, G, tau), pattern.is_coercive(op, tau)
         assert (rep.negative, rep.coercive, rep.fallback) == \
             (want.negative, want.coercive, want.fallback), op.blend.K
@@ -892,7 +976,7 @@ def test_split_probes_count_as_the_whole_pencil(N):
     # pencil as one block, probe by probe
     lat, ops = _toy_ops(N)
     G = gram_D(lat)
-    pattern = BlendPattern(ops[0], G)
+    pattern = BlendPattern(ops, G)
     assert len(pattern.pinned.blocks) == 2
     for op in ops:
         split = pattern.is_coercive(op, 1e-10)
@@ -1129,7 +1213,7 @@ def test_four_block_counts_match_the_whole_pencil(N):
     G = gram_D(lat)
     ops = [Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 4, 4 + K))
            for K in range(1, 9)]
-    pattern = BlendPattern(ops[0], G)
+    pattern = BlendPattern(ops, G)
     assert len(pattern.pinned.blocks) == 2
     counts = set()
     for op in ops:
@@ -1241,8 +1325,8 @@ def test_models_compare_by_value_and_blends_by_identity():
     ch = Chain1D(16)
     assert build_blend_1d(ch, 6) != build_blend_1d(ch, 6)
     op = Op2D(kind="bqcf", lattice=lat, model=model, blend=blend)
-    pattern = BlendPattern(op, gram_D(lat))
     twin = Op2D(kind="bqcf", lattice=lat, model=again, blend=_blend_2d_sharp(lat, 1, 4))
+    pattern = BlendPattern([op, twin], gram_D(lat))
     got, want = pattern.is_coercive(twin, 1e-10), is_coercive(assemble(twin), gram_D(lat), 1e-10)
     assert (got.negative, got.coercive, got.fallback) == (want.negative, want.coercive,
                                                           want.fallback)
@@ -1251,15 +1335,189 @@ def test_models_compare_by_value_and_blends_by_identity():
 def test_blend_pattern_refuses_a_foreign_operator():
     ch = Chain1D(32)
     model = PairModel1D(1.0, -0.24)
-    pattern = BlendPattern(Op1D(kind="bqcf", chain=ch, model=model,
-                                blend=build_blend_1d(ch, 8)), gram_D(ch))
+    window = [Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
+              for K in (8, 9, 10)]
+    pattern = BlendPattern(window, gram_D(ch))
     for op in (Op1D(kind="bqcf2", chain=ch, model=model, blend=build_blend_1d(ch, 8)),
                Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.2),
                     blend=build_blend_1d(ch, 8))):
         with pytest.raises(ValueError, match="differs in kind, lattice or model"):
             pattern.is_coercive(op, 1e-10)
+        with pytest.raises(ValueError, match="differs in kind, lattice or model"):
+            BlendPattern(window + [op], gram_D(ch))
     with pytest.raises(ValueError, match="has no blend"):
         BlendPattern(Op1D(kind="atomistic", chain=ch, model=model), gram_D(ch))
+
+
+def _dense_pinned(Asym, G):
+    # (sym A, G) on the zero-mean space, dense, so that neg(sym(A) - tau G)
+    # there is the count of sum(neg(A_b - tau G_b)) over the blocks: in each
+    # block of the explicit bases, P X P on the block's pinned coordinates,
+    # P = I - k k^T its projector off the constant shifts
+    out = []
+    for B, kb in _explicit_bases(G.mirror, G.kernel):
+        A, Gb = ((B.T @ M @ B).toarray() for M in (Asym, G.matrix))
+        if kb is not None:
+            m = kb.shape[1]
+            A, Gb = ((X - kb @ (kb.T @ X) - (X @ kb) @ kb.T
+                      + kb @ (kb.T @ X @ kb) @ kb.T)[m:, m:] for X in (A, Gb))
+        out.append((A, Gb))
+    return out
+
+
+@pytest.mark.parametrize("space, N, stride", [("1d", 128, 1), ("1d", 512, 8), ("2d", 12, 1),
+                                              ("2d", 16, 4)])
+def test_window_probes_count_as_the_whole_pencil(space, N, stride):
+    # the threshold scans' windows (1D K = 6..64, the 2D toy K = 1..12 at
+    # Ra = 4): every probe behind the fixed part counts as the whole block
+    # does (F empty), both trusted, at three shifts, and as a dense
+    # eigensolve, on every stride-th probe
+    if space == "1d":
+        ch = Chain1D(N)
+        G = gram_D(ch)
+        ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                    blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    else:
+        lat = TriLattice2D(N)
+        G = gram_D(lat)
+        ops = [Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+                    blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, min(13, N - 3))]
+    pattern = BlendPattern(ops, G)
+    taus = (1e-10, 0.01, -0.01)
+    assert all(pattern.fixed(tau) > 0 for tau in taus)
+    counts = set()
+    for i, op in enumerate(ops):
+        w = pattern.weight(op)
+        dense = (_dense_pinned(assemble(op).sym_matrix, G)
+                 if i % stride == 0 else None)
+        for tau in taus:
+            split = _Shift(pattern.pinned, w, tau, pattern.parts(tau))
+            whole = _Shift(pattern.pinned, w, tau)
+            assert split.trusted and whole.trusted, (op.blend.K, tau)
+            assert split.negative == whole.negative, (op.blend.K, tau)
+            if dense is not None:
+                assert split.negative == sum(np.sum(np.linalg.eigvalsh(A - tau * Gb) < 0)
+                                             for A, Gb in dense), (op.blend.K, tau)
+            counts.add(split.negative)
+    assert len(counts) > 1
+
+
+def test_a_weight_that_moves_on_the_fixed_part_is_refused():
+    # a probe whose blend is wider than every blend of the window moves
+    # coordinates the window holds fixed, and F's factor no longer holds
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 11)]
+    pattern = BlendPattern(ops[:3], G)
+    assert pattern.fixed(1e-10) > 0
+    pattern.is_coercive(ops[1], 1e-10)
+    with pytest.raises(ValueError, match="where the window holds it fixed"):
+        pattern.is_coercive(ops[4], 1e-10)
+
+
+def test_an_untrusted_fixed_part_falls_back_to_the_whole_block(monkeypatch):
+    # F's pivots failing their test at the window's largest weight leave
+    # every block whole (F empty): the same code, the same counts
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    want = [BlendPattern(ops, G).is_coercive(op, 1e-10) for op in ops]
+    monkeypatch.setattr(spectral._Fixed, "test", lambda self, eps: (0.0, 1.0))
+    pattern = BlendPattern(ops, G)
+    assert pattern.fixed(1e-10) == 0
+    made = []
+    monkeypatch.setattr(spectral, "_ldlt", lambda M, ldlt=_ldlt: made.append(M.shape) or ldlt(M))
+    got = [pattern.is_coercive(op, 1e-10) for op in ops]
+    assert [(r.negative, r.coercive, r.fallback) for r in got] == \
+        [(r.negative, r.coercive, r.fallback) for r in want]
+    assert set(made) == {(G.dim - 1,) * 2}
+
+
+def test_a_fixed_part_that_fails_its_test_at_a_probe_is_probed_whole(monkeypatch):
+    # F's pivot test belongs to every probe behind it: failing there, the
+    # probe is untrusted, and the pattern probes the whole block again, with
+    # the same trusted count
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 20)]
+    pattern = BlendPattern(ops, G)
+    (part,) = pattern.parts(1e-10)
+    monkeypatch.setattr(part, "pivot", (1.0, 2.0))
+    for op in ops:
+        w = pattern.weight(op)
+        shift = _Shift(pattern.pinned, w, 1e-10, [part])
+        assert not shift.trusted and (shift.min_pivot, shift.margin) == (1.0, 2.0)
+        whole, got = _Shift(pattern.pinned, w, 1e-10), pattern.is_coercive(op, 1e-10)
+        assert whole.trusted and got.method == "inertia"
+        assert (got.negative, got.min_pivot) == (whole.negative, whole.min_pivot)
+
+
+def test_a_stencil_whose_rows_do_not_sum_to_zero_splits_exactly(monkeypatch):
+    # force-based rows sum to zero, so s = sym(A) k vanishes off the blend
+    # and F's rows add nothing to k^T s; a diagonal added at both weights
+    # puts s on F's rows, and the split still counts as the whole block
+    stencil = spectral._stencil
+
+    def shifted(op):
+        A = stencil(op)
+        A.setdiag(A.diagonal() + 0.3)
+        return A
+
+    monkeypatch.setattr(spectral, "_stencil", shifted)
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 40)]
+    pattern = BlendPattern(ops, G)
+    (part,) = pattern.parts(-0.2)
+    assert np.abs(part.Q).max() > 1.0               # k_F^T s_F, less C_UU
+    for op in ops:
+        w = pattern.weight(op)
+        split, whole = (_Shift(pattern.pinned, w, -0.2, parts)
+                        for parts in (pattern.parts(-0.2), None))
+        assert split.trusted and whole.trusted
+        assert split.negative == whole.negative, op.blend.K
+
+
+def test_a_window_probe_at_gamma_falls_back_to_the_value_solve(monkeypatch):
+    # at tau = gamma a pivot or capacitance eigenvalue of the Schur probe
+    # is rounding: the count is untrusted, and the value solve, on the
+    # pattern's own matrix, finds gamma > tau false
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    pattern = BlendPattern(ops, G)
+    op = ops[14]
+    tau = coercivity(pattern.matrix(op), G).gamma
+    assert pattern.fixed(tau) > 0
+    built = []
+    monkeypatch.setattr(pattern, "matrix", lambda op, f=pattern.matrix: built.append(op) or f(op))
+    rep = pattern.is_coercive(op, tau)
+    assert (rep.method, rep.coercive, rep.fallback) == ("iterative", False, True)
+    assert built == [op]
+
+
+@pytest.mark.parametrize("N", [256, 4096])
+def test_a_1d_window_probe_factors_128_coordinates(monkeypatch, N):
+    # the 1D scan window K = 6..64 moves the same 128 coordinates at every
+    # N: a probe factors those alone, F once per shift
+    ch = Chain1D(N)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    pattern = BlendPattern(ops, G)
+    made = []
+    monkeypatch.setattr(spectral, "_ldlt", lambda M, ldlt=_ldlt: made.append(M.shape) or ldlt(M))
+    pattern.is_coercive(ops[0], 1e-10)
+    assert made == [(G.dim - 1 - 128,) * 2, (128, 128)]
+    made.clear()
+    assert [pattern.is_coercive(op, 1e-10).method for op in ops[1:]] == ["inertia"] * 58
+    assert set(made) == {(128, 128)} and len(made) == 58
+    assert pattern.fixed(1e-10) == G.dim - 1 - 128
 
 
 @pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
