@@ -182,22 +182,24 @@ def _threshold_at_size(build: Callable[[int], object], G, eps: float,
 
     build(K) returns the operator at blend width K; the window's operators
     are built first, K = k_floor..k_cap in order. The scan assembles once:
-    one BlendPattern, built from the whole window, answers every probe by
-    refilling its values at that K's blend, and factors the coordinates
-    that no blend of the window moves once, so that each probe factors the
-    Schur complement on the moving ones alone. K* is the smallest K the
-    scan finds coercive (gamma > _TOL); every later change of verdict is
-    flagged, so gamma need not be monotone in K. The solves at K*-1 and K*
-    must agree with the scan's verdicts there, otherwise this raises.
-    Returns (kstar, {K: (gamma, solve seconds)}, scan probes, flags).
+    one BlendPattern, built from the whole window, answers every probe in
+    one call, refilling its values at each K's blend. It factors the
+    coordinates that no blend of the window moves once, so that each probe
+    factors the Schur complement on the moving ones alone: on a chain all
+    the window's complements together, as one band LDL^T, on a lattice one
+    sparse factorization per probe. K* is the smallest K the scan finds
+    coercive (gamma > _TOL); every later change of verdict is flagged, so
+    gamma need not be monotone in K. The solves at K*-1 and K* must agree
+    with the scan's verdicts there, otherwise this raises. Returns (kstar,
+    {K: (gamma, solve seconds)}, scan probes, flags).
     """
     where = f"eps=1/{round(1 / eps)}"
     scan, flags, boundary = [], [], {}
     kstar = last = verdict = None
     window = [build(K) for K in range(k_floor, k_cap + 1)]
     pattern = BlendPattern(window, G)
-    for K, op in enumerate(window, k_floor):
-        rep = pattern.is_coercive(op, _TOL, method=method, seed=seed)
+    reports = pattern.is_coercive(window, _TOL, method=method, seed=seed)
+    for K, op, rep in zip(range(k_floor, k_cap + 1), window, reports):
         scan.append(ScanProbe(eps=eps, K=K, negative=rep.negative,
                               min_pivot=rep.min_pivot, fallback=rep.fallback))
         if kstar is None and rep.coercive:

@@ -30,8 +30,12 @@ its weight, so a threshold scan refills those patterns at each blend
 (BlendPattern) and assembles nothing per probe; the coordinates that no
 blend of its window moves are factored once per shift (_Fixed), and each
 probe factors the Schur complement on the rest (_Window), its count added
-to theirs (Haynsworth, 1968). Every value solve takes
-this path unless the pencil is translation-invariant (below) or its
+to theirs (Haynsworth, 1968). On a lattice each probe's complement is one
+more sparse factorization; on a chain the window's complements are a band
+of half-width 3 in reverse Cuthill-McKee order, and all of them are
+factored together, one unpivoted band LDL^T vectorized across the probes
+(_BandFactor), with the same certificate. Every value solve takes
+the sparse path unless the pencil is translation-invariant (below) or its
 caller asks for method "dense": a dense eigh of the same pinned pencil,
 the reference the other paths are checked against.
 
@@ -377,8 +381,8 @@ def _commutator(M: sp.csr_matrix, perm: np.ndarray) -> tuple:
 def _basis(perm: Optional[np.ndarray], kernel: np.ndarray) -> list:
     """(B, kernel, first) of each block of a pencil that commutes with the
     involution x -> x[perm]: the even block, then the odd one when perm
-    moves a coordinate; with perm None, the one block B = I. The B
-    together are an orthogonal basis.
+    moves a coordinate; with perm None, the one block B = I, given as None,
+    so that no product forms it. The B together are an orthogonal basis.
 
     The even block has a column e_r for each coordinate r that perm fixes
     and (e_r + e_perm[r]) / sqrt(2) for each pair r < perm[r]; the odd
@@ -393,7 +397,7 @@ def _basis(perm: Optional[np.ndarray], kernel: np.ndarray) -> list:
     """
     n = kernel.shape[0]
     if perm is None:
-        return [(sp.identity(n, format="csr"), kernel, np.arange(n))]
+        return [(None, kernel, np.arange(n))]
     r = np.arange(n)
     fixed, pairs = np.flatnonzero(perm == r), np.flatnonzero(perm > r)
     nf, npairs = fixed.size, pairs.size
@@ -545,8 +549,9 @@ class _Pinned:
             X = A + 1j * G.matrix
         self.blocks, bases = [], _basis(self.perm, G.kernel)
         for B, kb, first in bases:
-            Bt = B.T.tocsr()
-            P = Bt @ X @ B
+            # the one block B = I takes the matrices themselves
+            Bt = None if B is None else B.T.tocsr()
+            P = X if B is None else Bt @ X @ B
             if slope is None:
                 # (a + a^T) + i (g + g^T): the entries that sym(A) - sigma G
                 # keeps at any sigma
@@ -554,13 +559,13 @@ class _Pinned:
                 values = [0.5 * P.data.imag, 0.5 * P.data.real]
             else:
                 # g, a + i slope and its transpose, each read on their union
-                parts = [Bt @ G.matrix @ B, P, P.T.tocsr()]
+                parts = [G.matrix if B is None else Bt @ G.matrix @ B, P, P.T.tocsr()]
                 P = abs(parts[0]) + abs(parts[1]) + abs(parts[2])
                 at = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr)), P.indices
                 g, x, xt = (np.asarray(M[at]).ravel() for M in parts)
                 values = [g, x.real, xt.real, x.imag, xt.imag]
             self.blocks.append(_Block(P, values, kb, first))
-        self.B = sp.hstack([B for B, _, _ in bases], format="csr")
+        self.B = None if self.perm is None else sp.hstack([B for B, _, _ in bases], format="csr")
         # each block's columns of B, and its pinned coordinates in the direct sum
         ends = np.cumsum([b.first.size for b in self.blocks])
         self.spans = [slice(e - b.first.size, e) for b, e in zip(self.blocks, ends)]
@@ -588,13 +593,13 @@ class _Pinned:
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """The pinned coordinates of a zero-mean x, block by block: lift's inverse."""
-        xb = self.B.T @ x
+        xb = x if self.B is None else self.B.T @ x
         return np.concatenate([b.restrict(xb[span]) for b, span in zip(self.blocks, self.spans)])
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """x = B y, y the blocks' Pi W z_b."""
-        return self.B @ np.concatenate([b.lift(z[part])
-                                        for b, part in zip(self.blocks, self.slices)])
+        y = np.concatenate([b.lift(z[part]) for b, part in zip(self.blocks, self.slices)])
+        return y if self.B is None else self.B @ y
 
 
 def _moving(block: _Block, moves: np.ndarray) -> np.ndarray:
@@ -636,10 +641,15 @@ class _Window:
       from V's and the pinned rows at w.
     These are (M_pp, U, -C^-1) of _Factor, so the inertia adds:
     Haynsworth's formula over F, then over V and the capacitance. A weight
-    that differs from w0 on held raises ValueError.
+    that differs from w0 on held raises ValueError (refill).
+
+    banded (a chain's window) builds the window's band order (band,
+    _Band): C's dV block is exactly zero between two dV coordinates that
+    no connected part of F's entries joins, and the band keeps the other
+    pairs alone; schur keeps every dV pair. Without it band is None.
     """
 
-    def __init__(self, block: _Block, in_v: np.ndarray, w0: np.ndarray):
+    def __init__(self, block: _Block, in_v: np.ndarray, w0: np.ndarray, banded: bool):
         m, first, row, col = block.m, block.first, block.row, block.col
         a, at, s, st = block.a
         nb = first.size
@@ -683,15 +693,26 @@ class _Window:
         self.always[self.at_vv[self.g != 0.0]] = self.always[self.at_dd] = True
         self.cols = (keys % nv).astype(np.int32)
         self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
+        self.band = None
+        if banded:
+            # the connected parts of F's entries nonzero in sym(A) at w0 or
+            # in G (a chain's pinned coordinate cuts its outer run of F in
+            # two), and the dV pairs that touch one part
+            ff = in_f[row[inner]] & in_f[col[inner]] & ((x0[inner] != 0.0) | block.on_g)
+            part = _components(nb, row[inner][ff], col[inner][ff])
+            touch = np.zeros((self.dV.size, nb), dtype=bool)
+            touch[np.searchsorted(self.dV, row[inner][couples]), part[col[inner][couples]]] = True
+            touch = touch[:, touch.any(axis=0)].astype(float)
+            self.band = _Band(self, np.flatnonzero(touch @ touch.T))
 
-    def schur(self, w: np.ndarray, sigma: float, fixed: "_Fixed"):
-        """(S, U, -C^-1) at the weight w: the Schur complement on V, and the
-        border it keeps; U and -C^-1 are None without a kernel."""
+    def refill(self, w: np.ndarray) -> np.ndarray:
+        """sym(A) on the entries of V's rows and of the pinned ones at the
+        weight w, as _Block.block forms it."""
         if not np.array_equal(w[self.held], self.w_held):
             raise ValueError("the operator's weight differs from its pattern's window "
                              "where the window holds it fixed")
         a, at, s, st = self.a
-        x = w[self.w_col]                           # as _Block.block, on V's rows
+        x = w[self.w_col]                           # the transpose's values
         x *= st
         x += at
         y = w[self.w_row]
@@ -699,6 +720,12 @@ class _Window:
         y += a
         x += y
         x *= 0.5
+        return x
+
+    def schur(self, w: np.ndarray, sigma: float, fixed: "_Fixed"):
+        """(S, U, -C^-1) at the weight w: the Schur complement on V, and the
+        border it keeps; U and -C^-1 are None without a kernel."""
+        x = self.refill(w)
         U = Q = None
         if self.kernel is not None:
             m = self.k_at.shape[0]
@@ -732,14 +759,13 @@ class _Fixed:
 
     M_FF = (sym A - sigma G)_FF, the block's at the window's first weight,
     is factored by _ldlt and its pivots tested as _Factor's. With W =
-    [M_F,dV, U_F], Y = M_FF^-1 W is solved _COLUMNS columns at a time, and
-    with it C = W^T Y and the Gram matrix Y^T Y = W^T M_FF^-1 Y, one more
-    solve per column block, so that no dense array wider than _COLUMNS is
-    held. Of the factor only this is kept: C, symmetrized, as its dV block
-    C_VV and the border that each probe completes (_Window.schur), U =
-    [k_V, 0] - C_VU and Q = [[0, I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y,
-    symmetrized, and dd, the 2-norm of its dV block; rounding = gamma_3w
-    ||R_F||, with
+    [M_F,dV, U_F], Y = M_FF^-1 W is solved _COLUMNS columns at a time, one
+    solve per column, and held while C = W^T Y and the Gram matrix Y^T Y are
+    formed (|F| x 81 doubles, 5.6 MB, at toy N = 48). Of the factor only
+    this is kept: C, symmetrized, as its dV block C_VV and the border that
+    each probe completes (_Window.schur), U = [k_V, 0] - C_VU and Q = [[0,
+    I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y and dd, the 2-norm of its dV
+    block; rounding = gamma_3w ||R_F||, with
     ||R_F||_2 <= max_i (|L| |U| 1)_i (R_F = |L||D||L^T| is symmetric); its
     nonzeros; neg(D_F); and the pivot test (test). Then the factor is
     freed, with the copies of L and U that scipy caches on it.
@@ -776,15 +802,16 @@ class _Fixed:
         self.rounding = unit / (1 - unit) * norm
         nd = dV.size
         c = nd + UF.shape[1]
-        C, gram = np.empty((2, c, c))
+        Y = np.empty((F.size, c))
         for j in range(0, c, _COLUMNS):
             J = slice(j, min(j + _COLUMNS, c))
-            Y = lu.solve(np.hstack([Wd[:, J.start:min(J.stop, nd)].toarray(),
-                                    UF[:, max(J.start - nd, 0):max(J.stop - nd, 0)]]))
-            for out, X in ((C, Y), (gram, lu.solve(Y))):
-                out[:nd, J], out[nd:, J] = Wd.T @ X, UF.T @ X
+            Y[:, J] = lu.solve(np.hstack([Wd[:, J.start:min(J.stop, nd)].toarray(),
+                                          UF[:, max(J.start - nd, 0):max(J.stop - nd, 0)]]))
         del lu
-        C, gram = 0.5 * (C + C.T), 0.5 * (gram + gram.T)
+        C = np.vstack([Wd.T @ Y, UF.T @ Y])
+        gram = Y.T @ Y
+        del Y
+        C = 0.5 * (C + C.T)
         self.C_VV, self.gram = C[:nd, :nd], gram
         if window.kernel is not None:
             # U_V less C_VU, and -C^-1 less C_UU, each at s = 0 on V's rows
@@ -802,13 +829,72 @@ class _Fixed:
         return self.window.schur(w, sigma, self)
 
 
+def _capacitance(Q: np.ndarray, U: np.ndarray, XU: np.ndarray):
+    """(capacitance, T, Y) of _Shift from -C^-1 (Q), U and X U, X = M_pp^-1,
+    over any leading axes of a stack: Q - U^T X U, symmetrized, as T^T (Q -
+    U^T X U) T = diag(Q11, Z), the capacitance the stack [Q11, Z], and Y =
+    X U T. A singular Q11 makes a non-finite capacitance for m = 1, and
+    raises LinAlgError otherwise."""
+    m = Q.shape[-1] // 2
+    Q = Q - np.swapaxes(U, -1, -2) @ XU
+    Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
+    Q11 = Q[..., :m, :m]
+    F = Q[..., :m, m:] / Q11 if m == 1 else np.linalg.solve(Q11, Q[..., :m, m:])
+    T = np.zeros(Q.shape)
+    T[...] = np.eye(2 * m)
+    T[..., :m, m:] = -F
+    return np.stack([Q11, Q[..., m:, m:] - Q[..., m:, :m] @ F], axis=-3), T, XU @ T
+
+
+def _pivot_test(ad: np.ndarray, r_max, unit: float, eps, fixed: Optional["_Fixed"]) -> tuple:
+    """(smallest |pivot|, its bound) of _Shift, over the last axis of ad:
+    gamma_w max_k R_kk (r_max, unit = w u) plus eps, and behind a fixed
+    part e ||gram_dV||, e = eps + its rounding bound."""
+    bound = unit / (1 - unit) * r_max + eps
+    if fixed is not None:
+        bound += (eps + fixed.rounding) * fixed.dd
+    return ad.min(axis=-1), bound
+
+
+def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float, eps,
+                        fixed: Optional["_Fixed"]) -> tuple:
+    """(eigenvalues of Q11 and Z, their two bounds) of _Shift, over any
+    leading axes of a stack, with unit = 3 w u, Yp = |Y| and RY = R |Y|;
+    eps is one number, or one per probe of the stack with a trailing axis.
+
+    One batch of m x m symmetric eigenproblems: the capacitance, then per
+    block j |Y_j|^T R |Y_j|, whose 2-norm is its largest eigenvalue, and,
+    where they widen the bounds, Y_j^T Y_j (2-norm ||Y_j||^2) and Z_j^T
+    gram Z_j, z = [-Y[dV]; T] in the bordered matrix's dV and U coordinates
+    (_Fixed)."""
+    m = capacitance.shape[-1]
+    mats = [np.swapaxes(Yp, -1, -2) @ RY]
+    if np.any(eps):
+        mats.append(np.swapaxes(Y, -1, -2) @ Y)
+    if fixed is not None:
+        Z = np.concatenate([-Y[..., fixed.window.dloc, :], T], axis=-2)
+        mats.append(np.swapaxes(Z, -1, -2) @ fixed.gram @ Z)
+    ev = _eigvalsh(np.concatenate(
+        [capacitance] + [M[..., None, j, j] for M in mats for j in (slice(0, m), slice(m, None))],
+        axis=-3))
+    q, top = ev[..., :2, :], ev[..., 2:, -1]
+    top = top.reshape(top.shape[:-1] + (-1, 2))
+    bounds = unit / (1 - unit) * top[..., 0, :]
+    if np.any(eps):
+        bounds += eps * top[..., 1, :]
+    if fixed is not None:
+        bounds += (eps + fixed.rounding) * top[..., -1, :]
+    return q, bounds
+
+
 class _Factor:
     """LDL^T of one block of _Shift, or of the Schur complement that a
     pattern's window leaves of it behind its fixed part (fixed, _Fixed),
     with its capacitance when the block holds the constant shifts; a
     factorization that yields no inertia raises (_ldlt). eps,
     _Pinned.perturbation, widens the rounding tests, and behind a fixed
-    part so does F's (_Shift)."""
+    part so does F's (_Shift). The tests come from _pivot_test,
+    _capacitance and _capacitance_bounds, which _BandFactor shares."""
 
     def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float, eps: float,
                  fixed: Optional[_Fixed] = None):
@@ -817,16 +903,7 @@ class _Factor:
         del M_pp                                    # before lu.U copies the factor
         self.nnz, self._solve, self.Y = int(lu.nnz), lu.solve, None
         if U is not None:
-            m = Q.shape[0] // 2
-            XU = lu.solve(U)
-            Q = Q - U.T @ XU
-            Q = 0.5 * (Q + Q.T)
-            Q11 = Q[:m, :m]
-            F = Q[:m, m:] / Q11 if m == 1 else np.linalg.solve(Q11, Q[:m, m:])
-            T = np.eye(2 * m)
-            T[:m, m:] = -F
-            self.capacitance = np.stack([Q11, Q[m:, m:] - Q[m:, :m] @ F])
-            self.Y, self.T = XU @ T, T
+            self.capacitance, self.T, self.Y = _capacitance(Q, U, lu.solve(U))
 
         # lu.U makes the copies of L and U together; the factor keeps them
         # and nothing reads them after this, so they are overwritten in place
@@ -840,35 +917,13 @@ class _Factor:
             RY = Lf @ (Uf @ Yp)                     # R |Y| = |L| (|U| |Y|)
         Lf.data **= 2
         unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        bound = unit / (1 - unit) * (Lf @ ad).max() + eps
-        if fixed is not None:
-            e = eps + fixed.rounding
-            bound += e * fixed.dd
-        self.tests = [(ad.min(), bound)]
+        self.tests = [_pivot_test(ad, (Lf @ ad).max(), unit, eps, fixed)]
         self.negative = int(np.sum(d < 0))
         if self.Y is not None:
-            unit *= 3
-            # one batch of m x m symmetric eigenproblems: the capacitance,
-            # then per block j |Y_j|^T R |Y_j|, whose 2-norm is its largest
-            # eigenvalue, and, where they widen the bounds, Y_j^T Y_j (2-norm
-            # ||Y_j||^2) and Z_j^T gram Z_j, z = [-Y[dV]; T] in the bordered
-            # matrix's dV and U coordinates (_Fixed)
-            mats = [Yp.T @ RY]
-            if eps:
-                mats.append(self.Y.T @ self.Y)
-            if fixed is not None:
-                Z = np.vstack([-self.Y[fixed.window.dloc], T])
-                mats.append(Z.T @ fixed.gram @ Z)
-            ev = _eigvalsh(np.concatenate(
-                [self.capacitance] + [M[j, j][None] for M in mats for j in (slice(0, m), slice(m, None))]))
-            q, top = ev[:2], ev[2:, -1].reshape(-1, 2)
-            bounds = unit / (1 - unit) * top[0]
-            if eps:
-                bounds += eps * top[1]
-            if fixed is not None:
-                bounds += e * top[-1]
+            q, bounds = _capacitance_bounds(self.capacitance, self.T, self.Y, Yp, RY,
+                                            3 * unit, eps, fixed)
             self.tests += zip(np.abs(q).min(axis=1), bounds)
-            self.negative += int(np.sum(q < 0)) - m
+            self.negative += int(np.sum(q < 0)) - self.T.shape[0] // 2
 
     @cached_property
     def Cinv(self) -> np.ndarray:
@@ -922,7 +977,10 @@ class _Shift:
     diagonal, a singular Q11) construction does not raise: negative -1,
     min_pivot 0, margin nan, and the blocks after it are not factored.
     fixed is the number of coordinates behind fixed parts; such a shift
-    counts, and has no solve.
+    counts, and has no solve. A chain's window probes are counted with the
+    same tests by _BandFactor, every probe of the window at once; _Shift
+    counts a lattice's, and a chain probe that the band leaves without
+    inertia.
 
     A sign probe costs the factorizations, one solve with 2m right-hand
     sides, O(nnz) work on each factor and a few m x m dense calls: with U =
@@ -968,6 +1026,221 @@ class _Shift:
         for f, part in zip(self.factors, self.slices):
             x[part] = f.solve(r[part])
         return x
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The connected parts of the graph on n nodes with edges (u, v): each
+    node's label, the smallest node of its part. Roots are hooked to the
+    smaller root across each edge, then every label jumps to its root."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+
+
+def _rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Reverse Cuthill-McKee order of a symmetric pattern in CSR form: a
+    breadth-first search from a node of least degree in each connected
+    part, visiting each node's neighbors by increasing degree (ties by
+    index), reversed. On the 1D scan windows this is the order of
+    scipy.sparse.csgraph.reverse_cuthill_mckee; that package is not
+    imported, since importing it holds about 1 MB more resident memory."""
+    n = indptr.size - 1
+    degree = np.diff(indptr).tolist()
+    near = [sorted(indices[indptr[i]:indptr[i + 1]].tolist(), key=degree.__getitem__)
+            for i in range(n)]
+    seen, order = [False] * n, []
+    for start in sorted(range(n), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for j in near[order[head]]:
+                if not seen[j]:
+                    seen[j] = True
+                    order.append(j)
+            head += 1
+    return np.array(order[::-1], dtype=np.intp)
+
+
+class _Band:
+    """The band order of one block of a chain's window (_Window), fixed
+    once: V in reverse Cuthill-McKee order of the window's pattern (V's
+    entries and the joined dV pairs), rank each coordinate's place in it,
+    and width the half-bandwidth, 3 for the 1D scan window K = 6..64 at N =
+    128..1024, whose V is two runs of sites that C_VV joins. at_vv and
+    at_dd place the pattern's entries in a band's rows, flattened (row i
+    holds S[i, i + o] at width + o), and sums gives s = sym(A) k on the
+    live rows as one sparse product (_BandFactor)."""
+
+    def __init__(self, window: "_Window", joined: np.ndarray):
+        nv = window.V.size
+        self.joined = joined
+        used = np.union1d(window.at_vv, window.at_dd[joined])
+        rows = np.repeat(np.arange(nv), np.diff(window.indptr))[used]
+        cols = window.cols[used]
+        self.order = _rcm(np.searchsorted(rows, np.arange(nv + 1)), cols)
+        self.rank = np.empty(nv, dtype=np.intp)
+        self.rank[self.order] = np.arange(nv)
+        i, j = self.rank[rows], self.rank[cols]
+        self.width = b = int(np.abs(i - j).max(initial=0))
+        place = np.zeros(window.cols.size, dtype=np.intp)
+        place[used] = i * (2 * b + 1) + b + j - i
+        self.at_vv, self.at_dd = place[window.at_vv], place[window.at_dd[joined]]
+        if window.kernel is not None:
+            # one row per shift and live row
+            m, n = window.k_at.shape
+            self.sums = sp.csr_matrix(
+                (window.k_at.ravel(),
+                 ((np.arange(m)[:, None] * window.nlive + window.row).ravel(),
+                  np.tile(np.arange(n), m))), shape=(m * window.nlive, n))
+
+    def stage(self, window: _Window, fixed: _Fixed, x: np.ndarray, sigma: float):
+        """(S, U, -C^-1) of _Window.schur for each row of x, one probe's
+        _Window.refill: S the band of the Schur complements, (|V| + width,
+        2 width + 1, probes), U and -C^-1 probes first, in band order; U and
+        -C^-1 None without a kernel. C's dV block must be zero off the
+        joined pairs, else ValueError."""
+        P, nv, b = x.shape[0], window.V.size, self.width
+        C = fixed.C_VV.ravel()
+        if np.delete(C, self.joined).any():
+            raise ValueError("C's dV block is not zero off the joined pairs")
+        values = x[:, window.vv]
+        values -= sigma * window.g
+        S = np.zeros(((nv + b) * (2 * b + 1), P))
+        S[self.at_vv] = values.T                    # as _Window.schur, then less C
+        del values
+        S[self.at_dd] -= C[self.joined][:, None]
+        S = S.reshape(nv + b, 2 * b + 1, P)
+        if window.kernel is None:
+            return S, None, None
+        m = window.k_at.shape[0]
+        # probe-first and contiguous, so that every product takes the same
+        # path however many probes there are
+        sk = np.ascontiguousarray((self.sums @ x.T).reshape(m, window.nlive, P).T)
+        U = np.repeat(fixed.U[self.order][None], P, axis=0)
+        U[:, :, m:] += sk[:, self.order]
+        Q = np.repeat(fixed.Q[None], P, axis=0)
+        Q[:, m:, m:] += window.k_live.T @ sk
+        return S, U, Q
+
+
+class _BandFactor:
+    """_Factor of a chain window's Schur complements (_Window.schur) at a
+    stack of weights, one per probe, given as their refills (_Window.refill,
+    an iterable, read into one array that is freed once staged), factored
+    together: one band LDL^T, unpivoted, so a congruence, in the block's
+    band order (_Band), each step vectorized across the probes.
+
+    The complements fill one (|V| + width, 2 width + 1, probes) array, row
+    i holding S[i, i + o] at width + o, the rows past |V| padding that the
+    updates may write. Step j divides row j's upper entries, L[j + r, j]
+    d_j, by d_j and updates the trailing width x width block in one strided
+    view; every later step reads only its row's diagonal and upper
+    entries, so this is the LDL^T of the upper triangle. The border solve X
+    = S^-1 U runs its forward substitution in the same steps and its back
+    substitution after. The tests are _Factor's: w is the longest row of
+    the band's L, min(width, |V| - 1) + 1; R_kk = sum_i l_ki^2 |d_i| and R
+    |Y| = |L| (|D| (|L^T| |Y|)) are summed along the band's diagonals; the
+    capacitance and its bounds come from _capacitance and
+    _capacitance_bounds, once for the stack. eps holds each probe's
+    _Pinned.perturbation.
+
+    d (probes x |V|) and L (probes x |V| x width, |L[j + r, j]| at r - 1,
+    magnitudes once the solve is done) are the factors, Y and T as
+    _Factor's (Y in V's order), negative and each test's two entries one
+    per probe, and ok whether the LDL^T yields inertia, every pivot finite
+    and nonzero: a probe without it is factored as the identity, so that
+    nothing after it turns non-finite.
+    """
+
+    def __init__(self, band: _Band, window: _Window, fixed: _Fixed, refills, sigma: float,
+                 eps: np.ndarray):
+        P, nv, b = eps.size, window.V.size, band.width
+        w = 2 * b + 1
+        x = np.empty((P, window.row.size))
+        for i, row in enumerate(refills):
+            x[i] = row
+        A, U, Q = band.stage(window, fixed, x, sigma)
+        del x
+        # step j's trailing block, A[j + s, b + t - s] at (j, s - 1, t - 1)
+        item = A.itemsize * P
+        trail = np.lib.stride_tricks.as_strided(A[1:, b:], shape=(nv, b, b, P),
+                                                strides=(w * item, (w - 1) * item, item,
+                                                         A.itemsize))
+        L = np.zeros((nv, b, P))                    # L[j + r, j] at (j, r - 1)
+        kernel = U is not None
+        if kernel:
+            m = Q.shape[-1] // 2
+            X = np.zeros((nv + b, 2 * m, P))
+            X[:nv] = U.transpose(1, 2, 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j in range(nv):
+                du = A[j, b + 1:]
+                l = L[j]
+                np.divide(du, A[j, b], out=l)
+                trail[j] -= l[:, None] * du[None]
+                if kernel:
+                    X[j + 1:j + b + 1] -= l[:, None] * X[j]
+            d = A[:nv, b]
+            self.ok = np.isfinite(d).all(axis=0) & (d != 0.0).all(axis=0) & \
+                np.isfinite(L).all(axis=(0, 1))
+            d[:, ~self.ok], L[:, :, ~self.ok] = 1.0, 0.0
+            self.d, self.L = d.T.copy(), L.transpose(2, 0, 1)
+            del A, trail, d
+            if kernel:
+                X[:, :, ~self.ok] = 0.0
+                X[:nv] /= self.d.T[:, None]
+                for j in range(nv - 1, -1, -1):
+                    X[j] -= (L[j][:, None] * X[j + 1:j + b + 1]).sum(axis=0)
+                X = np.ascontiguousarray(X[:nv].transpose(2, 0, 1))
+            # the signs of L are read no more
+            ad, aL = np.abs(self.d), np.abs(self.L, out=self.L)
+            R = ad.copy()
+            for r in range(1, b + 1):
+                R[:, r:] += aL[:, :nv - r, r - 1] ** 2 * ad[:, :nv - r]
+            unit = (min(b, nv - 1) + 1) * 2.0 ** -53       # w u
+            self.tests = [_pivot_test(ad, R.max(axis=1), unit, eps, fixed)]
+            self.negative = np.sum(self.d < 0, axis=1)
+            if not kernel:
+                return
+            try:
+                self.capacitance, self.T, Y = _capacitance(Q, U, X)
+            except np.linalg.LinAlgError:           # a singular Q11, m > 1
+                self.ok[:] = False
+                return
+            del X, U
+            Yp = np.abs(Y)
+            # in V's order, where the Gram term reads its dV rows
+            self.Y = Y[:, band.rank]
+            del Y
+            Z = Yp.copy()                           # |L^T| |Y|, then |D| times it
+            for r in range(1, b + 1):
+                Z[:, :nv - r] += aL[:, :nv - r, r - 1, None] * Yp[:, r:]
+            Z *= ad[..., None]
+            RY = Z.copy()
+            for r in range(1, b + 1):
+                RY[:, r:] += aL[:, :nv - r, r - 1, None] * Z[:, :nv - r]
+            q, bounds = _capacitance_bounds(self.capacitance, self.T, self.Y, Yp, RY,
+                                            3 * unit, eps[:, None], fixed)
+        self.tests += [(np.abs(q[:, k]).min(axis=-1), bounds[:, k]) for k in range(2)]
+        self.negative += np.sum(q < 0, axis=(1, 2)) - m
+
+
+@dataclass(frozen=True)
+class _Count:
+    """A band probe's count and its closest test, as _sign reads a _Shift's."""
+
+    negative: int
+    min_pivot: float
+    margin: float
+    trusted: bool
 
 
 def _lift(kernel: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -1313,10 +1586,10 @@ def is_coercive(opMatrix: SparseOp, G: SparseOp, tau: float) -> InertiaReport:
                  lambda: coercivity(opMatrix, G))
 
 
-def _sign(shift: _Shift, tau: float, solve) -> InertiaReport:
-    """gamma > tau read off the shift's count at tau, with its evidence;
-    solve() gives the pencil solve's StabilityReport, asked for only when
-    the count is untrusted."""
+def _sign(shift, tau: float, solve) -> InertiaReport:
+    """gamma > tau read off the shift's count at tau (a _Shift or a band
+    probe's _Count), with its evidence; solve() gives the pencil solve's
+    StabilityReport, asked for only when the count is untrusted."""
     report = InertiaReport(coercive=shift.negative == 0, negative=shift.negative,
                            min_pivot=shift.min_pivot, margin=shift.margin, method="inertia")
     if shift.trusted:
@@ -1338,26 +1611,32 @@ class BlendPattern:
     holds 9,216 at N = 12, 8 per row). The pattern splits into the even and
     odd blocks of G's mirror when A_0, A_1 - A_0 and every blend of the
     window map to themselves under it (_Pinned measures it), and each block
-    forms B^T A_0 B and B^T (A_1 - A_0) B once. is_coercive(op) hands op's
-    weight (weight) to _Shift, which refills each block as B^T A_0 B +
-    diag(beta_B) B^T (A_1 - A_0) B, exact for a beta that the mirror maps
-    to itself, with no assembly or product.
+    forms B^T A_0 B and B^T (A_1 - A_0) B once. A probe refills each block
+    at op's weight (weight) as B^T A_0 B + diag(beta_B) B^T (A_1 - A_0) B,
+    exact for a beta that the mirror maps to itself, with no assembly or
+    product.
 
     window is the operators, or one operator, a window of one. Their
     weights split each block into the coordinates they move, V, and the
     rest, F (_Window). On the first probe at a tau, each block's F is
     factored once (_Fixed), and every probe at that tau then factors only
     the Schur complement on V, whose count adds to F's: in 1D V is 128
-    coordinates for the window K = 6..64 at every N. A block falls back to
-    its whole factor (F empty) where the window moves every coordinate of
-    it or none, or where F's factorization yields no trusted inertia at
-    the window's largest weight; fixed(tau) is the number of coordinates
-    behind fixed parts. A probe builds one sparse matrix per block it
-    factors, and a SparseOp of A(beta) only when it falls back to a value
+    coordinates for the window K = 6..64 at every N. Which factor does
+    that reads the Gram form's geometry alone: on a chain (one grid axis)
+    is_coercive counts every probe it is given at once, one band LDL^T of
+    all their complements (_Window.band, _BandFactor), building no sparse
+    matrix;
+    on a lattice, whose complements have bandwidths of 44-78 in the same
+    order, each probe factors its own by SuperLU (_Shift), one sparse
+    matrix per block. A block falls back to its whole factor (F empty)
+    where the window moves every coordinate of it or none, or where F's
+    factorization yields no trusted inertia at the window's largest
+    weight; fixed(tau) is the number of coordinates behind fixed parts. A
+    SparseOp of A(beta) is built only when a probe falls back to a value
     solve. op must share the kind, lattice and model (equal by value) of
     the window's operators; its weight must equal the window's where the
-    window holds it fixed and it enters F (_Window.schur), and a blend that
-    does not map to itself under the mirror of a split pattern raises
+    window holds it fixed and it enters F (_Window.refill), and a blend
+    that does not map to itself under the mirror of a split pattern raises
     ValueError (_Pinned.perturbation).
     """
 
@@ -1402,7 +1681,8 @@ class BlendPattern:
         for block in self.pinned.blocks:
             in_v = _moving(block, moves)
             moved = in_v[block.m:]
-            self.windows.append(_Window(block, in_v, self.w0)
+            # a chain's window is counted as one band, a lattice's by SuperLU
+            self.windows.append(_Window(block, in_v, self.w0, banded=len(G.grid) == 1)
                                 if moved.any() and not moved.all() else None)
         self._fixed = {}                            # each tau's fixed parts
 
@@ -1451,17 +1731,54 @@ class BlendPattern:
         """The coordinates behind fixed parts at tau, summed over the blocks."""
         return sum(part.dim for part in self.parts(tau) if part is not None)
 
-    def is_coercive(self, op, tau: float, *, method: str = "iterative",
-                    seed: int = 7) -> InertiaReport:
-        """spectral.is_coercive(assemble(op), G, tau) on the pattern; A(beta)
-        is built as a matrix only when the probe falls back to a value solve,
-        coercivity's with this method and seed. A count behind fixed parts
-        that its widened bounds leave untrusted is probed again on the
-        whole blocks before that."""
-        w = self.weight(op)
-        shift = _Shift(self.pinned, w, tau, self.parts(tau))
-        if shift.fixed and not shift.trusted:
-            del shift                               # before the whole blocks' factors
-            shift = _Shift(self.pinned, w, tau)
-        return _sign(shift, tau,
+    def is_coercive(self, window, tau: float, *, method: str = "iterative",
+                    seed: int = 7):
+        """spectral.is_coercive(assemble(op), G, tau) for each op of window,
+        the operators or one operator, on the pattern: a list of reports, or
+        one report. On a chain, behind every block's fixed part, the probes
+        are counted together (_banded); a probe that yields no inertia
+        there, and every probe on a lattice, is counted by _Shift. A count
+        behind fixed parts that its widened bounds leave untrusted is probed
+        again on the whole blocks, by _Shift; A(beta) is built as a matrix
+        only when that falls back to a value solve, coercivity's with this
+        method and seed."""
+        ops = [window] if hasattr(window, "blend") else list(window)
+        counts = self._banded(ops, tau)
+        reports = [self._probe(op, tau, count, method, seed) for op, count in zip(ops, counts)]
+        return reports[0] if hasattr(window, "blend") else reports
+
+    def _banded(self, ops: list, tau: float) -> list:
+        """Each op's _Count from the blocks' bands (_Window.band), summed over the
+        blocks with their fixed parts' counts and tests, or None where the
+        LDL^T yields no inertia; all None off a chain, or where a block has
+        no fixed part at tau. The weights are read one at a time, so that no
+        stack of them is held."""
+        parts = self.parts(tau)
+        if any(part is None or part.window.band is None for part in parts):
+            return [None] * len(ops)
+        eps = np.array([self.pinned.perturbation(self.weight(op), tau) for op in ops])
+        negative, tests, ok = 0, [], np.ones(len(ops), dtype=bool)
+        for window, part in zip(self.windows, parts):
+            factor = _BandFactor(window.band, window, part,
+                                 (window.refill(self.weight(op)) for op in ops), tau, eps)
+            negative = negative + part.negative + factor.negative
+            tests += [part.test(eps)] + factor.tests
+            ok &= factor.ok
+        pivots, bounds = (np.array([np.broadcast_to(t[k], eps.shape) for t in tests])
+                          for k in (0, 1))
+        closest = np.argmin(pivots / bounds, axis=0)
+        trusted = (pivots > bounds).all(axis=0)
+        return [_Count(int(negative[i]), float(pivots[c, i]), float(bounds[c, i]),
+                       bool(trusted[i])) if ok[i] else None
+                for i, c in enumerate(closest)]
+
+    def _probe(self, op, tau: float, count: Optional[_Count], method: str,
+               seed: int) -> InertiaReport:
+        """op's report from its band count, or from _Shift where it has none."""
+        if count is None:
+            count = _Shift(self.pinned, self.weight(op), tau, self.parts(tau))
+        if self.fixed(tau) and not count.trusted:
+            del count                               # before the whole blocks' factors
+            count = _Shift(self.pinned, self.weight(op), tau)
+        return _sign(count, tau,
                      lambda: coercivity(self.matrix(op), self.G, method=method, seed=seed))

@@ -108,9 +108,9 @@ def _fake_scan(monkeypatch, verdicts, gamma_at):
         def __init__(self, window, G):
             assert window == list(range(3, 10))     # every K, built before the scan
 
-        def is_coercive(self, K, tol, **kw):
-            return InertiaReport(coercive=verdicts[K], negative=0 if verdicts[K] else 1,
-                                 min_pivot=1.0, margin=0.0, method="inertia")
+        def is_coercive(self, window, tol, **kw):
+            return [InertiaReport(coercive=verdicts[K], negative=0 if verdicts[K] else 1,
+                                  min_pivot=1.0, margin=0.0, method="inertia") for K in window]
 
     monkeypatch.setattr(experiments, "assemble", lambda K: K)
     monkeypatch.setattr(experiments, "BlendPattern", FakePattern)

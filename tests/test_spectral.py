@@ -19,6 +19,7 @@ from bqcf.potentials import PairModel1D, c0, hessians_from_radial, morse
 from bqcf.spectral import (
     BlendPattern,
     SparseOp,
+    _BandFactor,
     _Pinned,
     _Shift,
     _dense_gamma,
@@ -697,33 +698,56 @@ def test_inertia_margin_on_criterion_4_largest_window():
         assert rep.min_pivot >= 1e3 * rep.margin, (K, rep)
 
 
-def _rounding_tests(factor, M_pp, fixed=None):
+def _dense_tests(L, D, wu, capacitance, Y, Z=None, fixed=None):
     # _Shift's three tests as its docstring states them, from dense L and D
-    # of M_pp's factor and R = |L||D||L^T|: pivots against gamma_w max_k
-    # R_kk, the eigenvalues of Q11 and Z against gamma_3w || |Y_j|^T R |Y_j| ||.
-    # Behind a fixed part (M_pp the Schur complement), with e its rounding
-    # bound, the pivots' bound adds e ||gram_dV|| and block j's e || Z_j^T
-    # gram Z_j ||, Z_j = [-Y_j[dV]; T_j]
-    lu = _ldlt(M_pp)
-    L, D = lu.L.toarray(), np.diag(lu.U.toarray())
+    # of a factor and R = |L||D||L^T|, w u = wu: pivots against gamma_w
+    # max_k R_kk, the eigenvalues of its capacitance, Q11 and Z, against gamma_3w
+    # || |Y_j|^T R |Y_j| ||, Y's rows in L's order. Behind a fixed part,
+    # with e its rounding bound, the pivots' bound adds e ||gram_dV|| and
+    # block j's e || Z_j^T gram Z_j ||, Z_j = [-Y_j[dV]; T_j]
     R = np.abs(L) @ np.diag(np.abs(D)) @ np.abs(L).T
-    wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
-    m = factor.capacitance.shape[1]
-    q = [np.linalg.eigvalsh(B) for B in factor.capacitance]
+    m = capacitance.shape[-1]
+    q = [np.linalg.eigvalsh(B) for B in capacitance]
     tests = [(np.abs(D).min(), wu / (1 - wu) * np.diag(R).max())]
     if fixed is not None:
         gram, nd = fixed.gram, fixed.window.dV.size
         tests[0] = (tests[0][0], tests[0][1] + fixed.rounding * np.linalg.norm(gram[:nd, :nd], 2))
-        Z = np.vstack([-factor.Y[fixed.window.dloc], factor.T])
     for j in range(2):
         J = slice(j * m, (j + 1) * m)
-        Yj = np.abs(factor.Y[:, J])
+        Yj = np.abs(Y[:, J])
         bound = 3 * wu / (1 - 3 * wu) * np.linalg.norm(Yj.T @ R @ Yj, 2)
         if fixed is not None:
             bound += fixed.rounding * np.linalg.norm(Z[:, J].T @ gram @ Z[:, J], 2)
         tests.append((np.abs(q[j]).min(), bound))
     negative = int(np.sum(D < 0) + sum(np.sum(qj < 0) for qj in q)) - m
     return negative, tests
+
+
+def _rounding_tests(factor, M_pp, fixed=None):
+    # _dense_tests of a _Factor, from SuperLU's L and D of M_pp, w the
+    # longest row of its L, and the factor's own Y
+    lu = _ldlt(M_pp)
+    L, D = lu.L.toarray(), np.diag(lu.U.toarray())
+    wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
+    Z = None if fixed is None else np.vstack([-factor.Y[fixed.window.dloc], factor.T])
+    return _dense_tests(L, D, wu, factor.capacitance, factor.Y, Z, fixed)
+
+
+def _band_rounding_tests(band, factor, fixed):
+    # _dense_tests of a _BandFactor of one probe, from its own d and |L|
+    # (R reads magnitudes only), w the longest row of a lower band of its
+    # half-width, and its Y in band order; the Gram term reads Y's dV rows
+    # in V's order
+    (d,), (l,) = factor.d, factor.L
+    nv, b = d.size, band.width
+    L = np.eye(nv)
+    for r in range(1, b + 1):
+        L[np.arange(r, nv), np.arange(nv - r)] = l[:nv - r, r - 1]
+    offsets = np.subtract.outer(np.arange(nv), np.arange(nv))
+    wu = ((offsets >= 0) & (offsets <= b)).sum(axis=1).max() * 2.0 ** -53
+    (Y,), (T,), (capacitance,) = factor.Y, factor.T, factor.capacitance
+    Z = np.vstack([-Y[fixed.window.dloc], T])
+    return _dense_tests(L, d, wu, capacitance, Y[band.order], Z, fixed)
 
 
 def _small_pencils():
@@ -765,8 +789,11 @@ def test_rounding_tests_match_a_dense_evaluation():
     # the same behind a window's fixed part, on windows of these sizes:
     # F's pivot test, the Schur complement's tests widened by F's rounding
     # bound, and the capacitance's; F's test, neg(D_F), rounding bound and
-    # gram against their own dense evaluation
-    composed = 0
+    # gram against their own dense evaluation. On a chain the same for the
+    # band factor (_BandFactor) of each probe: its tests against their
+    # dense evaluation from its own d, L, capacitance and Y, behind F's
+    # test, and the count the pattern reads from it (_banded)
+    composed = banded = 0
     for ops, G in _small_windows():
         pattern = BlendPattern(ops, G)
         (block,) = pattern.pinned.blocks
@@ -792,7 +819,25 @@ def test_rounding_tests_match_a_dense_evaluation():
                 assert np.allclose(factor.tests, tests[1:], rtol=1e-13, atol=0.0), (op.blend.K, tau)
                 assert shift.min_pivot / shift.margin == pytest.approx(
                     min(p / b for p, b in tests), rel=1e-13, abs=0.0)
-    assert composed >= 20
+                if pattern.windows[0].band is None:
+                    continue
+                banded += 1
+                (window,) = pattern.windows
+                band = window.band
+                factor = _BandFactor(band, window, part, window.refill(w)[None], tau, np.zeros(1))
+                negative, tests = _band_rounding_tests(band, factor, part)
+                tests = [pivot] + tests
+                assert factor.ok[0] and factor.negative[0] == negative, (op.blend.K, tau)
+                assert np.allclose([(p[0], b[0]) for p, b in factor.tests], tests[1:],
+                                   rtol=1e-13, atol=0.0), (op.blend.K, tau)
+                (count,) = pattern._banded([op], tau)
+                assert count.negative == negative_f + negative, (op.blend.K, tau)
+                assert count.trusted == all(p > b for p, b in tests), (op.blend.K, tau)
+                assert count.min_pivot / count.margin == pytest.approx(
+                    min(p / b for p, b in tests), rel=1e-13, abs=0.0)
+                if count.trusted and shift.trusted:
+                    assert count.negative == shift.negative, (op.blend.K, tau)
+    assert composed >= 20 and banded >= 20
 
 
 def _small_windows():
@@ -834,23 +879,30 @@ def _counting(cls, made):
 
 
 def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
-    # a trusted probe constructs one sparse matrix in spectral, the block
-    # handed to splu (behind a window's fixed part, its Schur complement),
-    # and never the Woodbury operator a solve needs
+    # a trusted probe constructs no sparse matrix in spectral but the block
+    # it factors behind its window's fixed part: none on a chain, whose
+    # window's Schur complements are staged in one dense band
+    # (_Band.stage), and on a lattice one csc_matrix per block, handed to
+    # splu. Neither builds the Woodbury operator a solve needs
     ch = Chain1D(128)
     G = gram_D(ch)
     ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
                 blend=build_blend_1d(ch, K)) for K in (12, 20, 28)]
     op = ops[1]
     pattern = BlendPattern(ops, G)
-    assert pattern.fixed(1e-10) > 0                 # factored before the probe
+    lat, toy = _toy_ops(12)
+    lattice = BlendPattern(toy, gram_D(lat))
+    # factored before the probes
+    assert pattern.fixed(1e-10) > 0 and lattice.fixed(1e-10) > 0
     made = []
     for name in dir(spectral.sp):
         cls = getattr(spectral.sp, name)
         if name.endswith(("_matrix", "_array")) and isinstance(cls, type):
             monkeypatch.setattr(spectral.sp, name, _counting(cls, made))
     assert pattern.is_coercive(op, 1e-10).method == "inertia"
-    assert made == ["csc_matrix"]
+    assert made == []
+    assert lattice.is_coercive(toy[3], 1e-10).method == "inertia"
+    assert made == ["csc_matrix"] * 2
     monkeypatch.undo()
     shift = _Shift(pattern.pinned, pattern.weight(op), 1e-10)
     factor, = shift.factors
@@ -911,6 +963,18 @@ def _summed_blocks(Asym, G, tau, perm=None):
     return blocks
 
 
+def _dense_band(S):
+    # the probes' matrices of a staged band (_Band.stage), dense and probes
+    # first: row i of the band holds S[i, i + o] at width + o
+    b = (S.shape[1] - 1) // 2
+    n = S.shape[0] - b
+    out = np.zeros((S.shape[2], n, n))
+    for o in range(-b, b + 1):
+        i = np.arange(max(0, -o), min(n, n - o))
+        out[:, i, i + o] = S[i, b + o].T
+    return out
+
+
 @pytest.mark.parametrize("space, N", [("1d", 128), ("1d", 256), ("2d", 12), ("2d", 16)])
 def test_refilled_block_matches_the_assembled_one(space, N):
     # a scan's probes refill one pattern per size, behind the fixed part of
@@ -919,8 +983,10 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     # (_summed_blocks), within 1e-13 of its largest entry (2e-15 measured),
     # zero off its pattern, and F's and the Schur complement's negative
     # pivots must add up to the assembled block's; the probes give the same
-    # inertia verdicts. A 2D pattern splits into the even and odd blocks of
-    # its inversion
+    # inertia verdicts. On a chain the block is the window's band (_Band),
+    # staged for every probe at once, in band order, and its negative pivots
+    # are the band factor's; a 2D pattern splits into the even and odd
+    # blocks of its inversion, each block the sparse one SuperLU factors
     tau = 1e-10
     if space == "1d":
         ch = Chain1D(N)
@@ -937,26 +1003,41 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     pattern = BlendPattern(ops, G)
     parts = pattern.parts(tau)
     assert all(part is not None for part in parts)
+    assert all((window.band is not None) == (space == "1d") for window in pattern.windows)
+    banded = [None if window.band is None else
+              (window.band, _dense_band(window.band.stage(window, part, x, tau)[0]),
+               _BandFactor(window.band, window, part, x, tau, np.zeros(len(ops))))
+              for window, part in zip(pattern.windows, parts)
+              for x in [np.stack([window.refill(pattern.weight(op)) for op in ops])]]
+    reports = pattern.is_coercive(ops, tau)
     verdicts = set()
-    for op in ops:
+    for i, (op, rep) in enumerate(zip(ops, reports)):
         A = assemble(op)
         # the toy model commutes with the inversion; 1D's form names none
         refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
         assert len(pattern.pinned.blocks) == len(refs) == (2 if space == "2d" else 1)
-        for block, part, ref in zip(pattern.pinned.blocks, parts, refs):
+        for block, part, ref, staged in zip(pattern.pinned.blocks, parts, refs, banded):
             V, F = part.window.V - block.m, part.window.F - block.m
             M = ref.toarray()
             schur = M[np.ix_(V, V)] - M[np.ix_(V, F)] @ np.linalg.solve(M[np.ix_(F, F)],
                                                                         M[np.ix_(F, V)])
-            got, _, _ = part.block(pattern.weight(op), tau)
-            got = got.toarray()
+            if staged is None:
+                got, _, _ = part.block(pattern.weight(op), tau)
+                got = got.toarray()
+                lu_s = _ldlt(scipy.sparse.csc_matrix(got))
+                negative_s = np.sum(lu_s.U.diagonal() < 0)
+            else:
+                band, dense, factor = staged
+                schur = schur[np.ix_(band.order, band.order)]
+                got = dense[i]
+                assert factor.ok[i]
+                negative_s = np.sum(factor.d[i] < 0)
             assert np.abs(got - schur).max() <= 1e-13 * np.abs(schur).max(), op.blend.K
             off = got == 0.0
             assert np.array_equal(schur[off], np.zeros(off.sum())), op.blend.K
-            lu_f, lu_s, lu_ref = _ldlt(ref[F][:, F]), _ldlt(scipy.sparse.csc_matrix(got)), _ldlt(ref)
-            assert sum(np.sum(lu.U.diagonal() < 0) for lu in (lu_f, lu_s)) == \
-                np.sum(lu_ref.U.diagonal() < 0)
-        want, rep = is_coercive(A, G, tau), pattern.is_coercive(op, tau)
+            lu_f, lu_ref = _ldlt(ref[F][:, F]), _ldlt(ref)
+            assert np.sum(lu_f.U.diagonal() < 0) + negative_s == np.sum(lu_ref.U.diagonal() < 0)
+        want = is_coercive(A, G, tau)
         assert (rep.negative, rep.coercive, rep.fallback) == \
             (want.negative, want.coercive, want.fallback), op.blend.K
         verdicts.add(rep.coercive)
@@ -1114,6 +1195,56 @@ def test_the_trivial_group_block_is_the_pinned_pencil_bitwise(space):
         assert np.array_equal(got.toarray(), want.toarray()), sigma
     z = np.random.default_rng(3).standard_normal(G.dim - m)
     assert np.array_equal(pinned.lift(z), _lift(G.kernel, z))
+
+
+def _identity_products(A, G, slope=None):
+    # the one block B = I of _Pinned as the sparse products B^T M B it
+    # would form for any basis, with B the sparse identity
+    I = scipy.sparse.identity(G.dim, format="csr")
+    X = A + 1j * (G.matrix if slope is None else slope)
+    P = I.T.tocsr() @ X @ I
+    if slope is None:
+        P = P + P.T
+        values = [0.5 * P.data.imag, 0.5 * P.data.real]
+    else:
+        parts = [I.T.tocsr() @ G.matrix @ I, P, P.T.tocsr()]
+        P = abs(parts[0]) + abs(parts[1]) + abs(parts[2])
+        at = np.repeat(np.arange(P.shape[0]), np.diff(P.indptr)), P.indices
+        g, x, xt = (np.asarray(M[at]).ravel() for M in parts)
+        values = [g, x.real, xt.real, x.imag, xt.imag]
+    return spectral._Block(P, values, G.kernel, np.arange(G.dim))
+
+
+@pytest.mark.parametrize("space", ["1d", "ltilde", "pattern"])
+def test_an_unsplit_block_is_its_identity_products_bitwise(space):
+    # one block, B = I: _Pinned takes the matrices themselves, and every
+    # array of the block is bitwise the one the products I^T M I give, for
+    # an operator and for a pattern's A_0 and slope; no basis is kept
+    if space == "ltilde":
+        lat = TriLattice2D(12)
+        G = gram_D(lat)
+        A = assemble_ltilde(lat, unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8))
+        pinned, ref = _Pinned(A.matrix, G), _identity_products(A.matrix, G)
+    else:
+        ch = Chain1D(256)
+        G = gram_D(ch)
+        ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                    blend=build_blend_1d(ch, K)) for K in (6, 18, 30)]
+        if space == "1d":
+            A = assemble(ops[1])
+            pinned, ref = _Pinned(A.matrix, G), _identity_products(A.matrix, G)
+        else:
+            pattern = BlendPattern(ops, G)
+            A0, S = (scipy.sparse.csr_matrix((v, pattern.indices, pattern.indptr),
+                                             shape=(G.dim,) * 2)
+                     for v in (pattern.a0, pattern.slope))
+            pinned, ref = pattern.pinned, _identity_products(A0, G, S)
+    (block,) = pinned.blocks
+    assert pinned.B is None
+    for name in ("counts", "row", "col", "g", "inner", "cols", "indptr", "k_at", "ratio"):
+        got, want = getattr(block, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(block.a, ref.a))
 
 
 def test_an_asymmetric_blend_declares_no_mirror():
@@ -1371,7 +1502,9 @@ def test_window_probes_count_as_the_whole_pencil(space, N, stride):
     # the threshold scans' windows (1D K = 6..64, the 2D toy K = 1..12 at
     # Ra = 4): every probe behind the fixed part counts as the whole block
     # does (F empty), both trusted, at three shifts, and as a dense
-    # eigensolve, on every stride-th probe
+    # eigensolve, on every stride-th probe. A chain's probes are counted
+    # together, by the window's band factor (_banded), also at tau = 0.1,
+    # where F's own pivots are negative and its count enters every probe's
     if space == "1d":
         ch = Chain1D(N)
         G = gram_D(ch)
@@ -1383,15 +1516,18 @@ def test_window_probes_count_as_the_whole_pencil(space, N, stride):
         ops = [Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
                     blend=_blend_2d_sharp(lat, 4, 4 + K)) for K in range(1, min(13, N - 3))]
     pattern = BlendPattern(ops, G)
-    taus = (1e-10, 0.01, -0.01)
+    taus = (1e-10, 0.01, -0.01) + ((0.1,) if space == "1d" else ())
     assert all(pattern.fixed(tau) > 0 for tau in taus)
+    assert (pattern.parts(taus[-1])[0].negative > 0) == (space == "1d")
+    batch = {tau: pattern._banded(ops, tau) for tau in taus}
+    assert all((count is not None) == (space == "1d") for tau in taus for count in batch[tau])
     counts = set()
     for i, op in enumerate(ops):
         w = pattern.weight(op)
         dense = (_dense_pinned(assemble(op).sym_matrix, G)
                  if i % stride == 0 else None)
         for tau in taus:
-            split = _Shift(pattern.pinned, w, tau, pattern.parts(tau))
+            split = batch[tau][i] or _Shift(pattern.pinned, w, tau, pattern.parts(tau))
             whole = _Shift(pattern.pinned, w, tau)
             assert split.trusted and whole.trusted, (op.blend.K, tau)
             assert split.negative == whole.negative, (op.blend.K, tau)
@@ -1504,20 +1640,101 @@ def test_a_window_probe_at_gamma_falls_back_to_the_value_solve(monkeypatch):
 @pytest.mark.parametrize("N", [256, 4096])
 def test_a_1d_window_probe_factors_128_coordinates(monkeypatch, N):
     # the 1D scan window K = 6..64 moves the same 128 coordinates at every
-    # N: a probe factors those alone, F once per shift
+    # N: its probes factor those alone, all 59 in one band factor of
+    # half-width 3, and F once per shift, by SuperLU
     ch = Chain1D(N)
     G = gram_D(ch)
     ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
                 blend=build_blend_1d(ch, K)) for K in range(6, 65)]
     pattern = BlendPattern(ops, G)
-    made = []
+    made, batches = [], []
     monkeypatch.setattr(spectral, "_ldlt", lambda M, ldlt=_ldlt: made.append(M.shape) or ldlt(M))
-    pattern.is_coercive(ops[0], 1e-10)
-    assert made == [(G.dim - 1 - 128,) * 2, (128, 128)]
-    made.clear()
-    assert [pattern.is_coercive(op, 1e-10).method for op in ops[1:]] == ["inertia"] * 58
-    assert set(made) == {(128, 128)} and len(made) == 58
+    monkeypatch.setattr(spectral, "_BandFactor",
+                        lambda band, window, fixed, refills, sigma, eps, cls=_BandFactor:
+                        batches.append(eps.size) or cls(band, window, fixed, refills, sigma, eps))
+    assert [rep.method for rep in pattern.is_coercive(ops, 1e-10)] == ["inertia"] * 59
+    assert made == [(G.dim - 1 - 128,) * 2] and batches == [59]
+    (window,) = pattern.windows
+    assert window.V.size == 128 and window.band.width == 3
     assert pattern.fixed(1e-10) == G.dim - 1 - 128
+
+
+def test_a_zero_band_pivot_falls_back_alone(monkeypatch):
+    # an exactly zero pivot in one probe of a batch leaves that probe, and
+    # it alone, without inertia: it is counted on SuperLU's factor of its
+    # Schur complement (_Shift), and every other probe's report is the one
+    # the batch gives without it
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    pattern = BlendPattern(ops, G)
+    want = pattern.is_coercive(ops, 1e-10)
+    stage = spectral._Band.stage
+
+    def zeroed(self, *args):
+        S, U, Q = stage(self, *args)
+        S[0, self.width, 7] = 0.0                   # probe 7's first pivot
+        return S, U, Q
+
+    monkeypatch.setattr(spectral._Band, "stage", zeroed)
+    (window,), (part,) = pattern.windows, pattern.parts(1e-10)
+    x = np.stack([window.refill(pattern.weight(op)) for op in ops])
+    factor = _BandFactor(window.band, window, part, x, 1e-10, np.zeros(len(ops)))
+    assert np.flatnonzero(~factor.ok).tolist() == [7]
+    shifts = []
+    monkeypatch.setattr(spectral, "_Shift", _counting(_Shift, shifts))
+    got = pattern.is_coercive(ops, 1e-10)
+    assert shifts == ["_Shift"]
+    assert got[:7] + got[8:] == want[:7] + want[8:]
+    sparse = _Shift(pattern.pinned, pattern.weight(ops[7]), 1e-10, pattern.parts(1e-10))
+    assert got[7] == spectral.InertiaReport(coercive=sparse.negative == 0, negative=sparse.negative,
+                                            min_pivot=sparse.min_pivot, margin=sparse.margin,
+                                            method="inertia")
+
+
+@pytest.mark.parametrize("N", [128, 1024])
+def test_a_window_of_one_is_its_probe_in_the_batch(N):
+    # is_coercive(op) factors a batch of one: its report is the one the
+    # window's batch gives for op, bitwise, at every shift
+    ch = Chain1D(N)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    pattern = BlendPattern(ops, G)
+    for tau in (1e-10, 0.01, -0.01):
+        batch = pattern.is_coercive(ops, tau)
+        assert [pattern.is_coercive(op, tau) for op in ops[::6]] == batch[::6], tau
+
+
+def test_the_benchmark_windows_take_their_paths(monkeypatch):
+    # the rule reads the Gram form's geometry: threshold-1d's windows (K =
+    # 6..64 at N = 128 and 1024) are chains, counted by one band factor of
+    # half-width at most 3; threshold-2d's (toy model, Ra = 4, K =
+    # 1..min(16, N - 4) at N = 12 and 16) are lattices, counted probe by
+    # probe on SuperLU's factors (_Shift), with no band built
+    batches, shifts = [], []
+    monkeypatch.setattr(spectral, "_BandFactor", _counting(_BandFactor, batches))
+    monkeypatch.setattr(spectral, "_Shift", _counting(_Shift, shifts))
+    model = PairModel1D(1.0, -0.24)
+    for N in (128, 1024):
+        ch = Chain1D(N)
+        ops = [Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
+               for K in range(6, 65)]
+        pattern = BlendPattern(ops, gram_D(ch))
+        assert all(window.band.width <= 3 for window in pattern.windows)
+        pattern.is_coercive(ops, 1e-10)
+        assert (batches, shifts) == (["_BandFactor"], [])
+        batches.clear()
+    model = unstable_toy_model(2.04, 1.0)
+    for N in (12, 16):
+        lat = TriLattice2D(N)
+        ops = [Op2D(kind="bqcf", lattice=lat, model=model, blend=_blend_2d_sharp(lat, 4, 4 + K))
+               for K in range(1, min(16, N - 4) + 1)]
+        pattern = BlendPattern(ops, gram_D(lat))
+        assert all(window.band is None for window in pattern.windows)
+        pattern.is_coercive(ops, 1e-10)
+        assert batches == [] and len(shifts) >= len(ops)
 
 
 @pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
