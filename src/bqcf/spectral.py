@@ -32,8 +32,8 @@ blend of its window moves are factored once per shift (_Fixed), and each
 probe factors the Schur complement on the rest (_Window), its count added
 to theirs (Haynsworth, 1968). On a lattice each probe's complement is one
 more sparse factorization; on a chain the window's complements are a band
-of half-width 3 in reverse Cuthill-McKee order, and all of them are
-factored together, one unpivoted band LDL^T vectorized across the probes
+of half-width 3 in the natural order, and all of them are factored
+together, one unpivoted band LDL^T vectorized across the probes
 (_BandFactor), with the same certificate. Every value solve takes
 the sparse path unless the pencil is translation-invariant (below) or its
 caller asks for method "dense": a dense eigh of the same pinned pencil,
@@ -59,19 +59,21 @@ A pencil that commutes with the lattice inversion splits into its even
 and odd blocks (symmetry-adapted bases; Fassler and Stiefel, 1992).
 Symmetry is measured, not declared: the Gram form names the inversion as
 its mirror (gram_D in 2D), and _Pinned splits a pencil only when its
-operator commutes with it, tested once (_commutator): the Morse and toy
-models do; L-tilde, an asymmetric blend and 1D (whose form names none) do
-not. The inversion's fixed coordinates and its coordinate pairs give one
+operator commutes with it exactly, every entry of S A S^T - A zero, tested
+once (_commutator): the toy model and the Morse atomistic operator do;
+L-tilde, an asymmetric blend, the Morse blends and Cauchy-Born operator
+(whose commutators are rounding) and 1D (whose form names none) do not.
+The inversion's fixed coordinates and its coordinate pairs give one
 explicit sparse orthonormal basis B per block (_basis), and each block is
 the sparse product B^T M B. The inversion keeps each site's components,
 so every constant shift is even: the even block holds them (m = 2, or 1 on
 a scalar form), pinned as above, and the odd block has no kernel: no
-pinning and no capacitance. The split drops the off-diagonal blocks of
-B^T (sym(A) - sigma G) B, whose norm, bounded by the measured
-commutators, widens every rounding test. Counts add over the blocks, a
-count is trusted when each block's is, and the Lanczos runs on their
-direct sum. The two blocks fill far less under the fill-reducing
-ordering than the whole pencil on the torus.
+pinning and no capacitance. The off-diagonal blocks of B^T (sym(A) -
+sigma G) B are then exactly zero, so the split drops nothing and leaves
+every rounding test as it is. Counts add over the blocks, a count is
+trusted when each block's is, and the Lanczos runs on their direct sum.
+The two blocks fill far less under the fill-reducing ordering than the
+whole pencil on the torus.
 """
 
 from __future__ import annotations
@@ -132,11 +134,11 @@ class SparseOp:
     whose axes coercivity tests translation invariance. A Gram form's
     mirror is its pencils' candidate symmetry, a coordinate permutation x
     -> x[mirror] (None for none): it must be an involution, keep each
-    site's components, and commute with the form to 1e-13 of its largest
-    entry (_commutator), all checked once, on the first read of defect,
-    else ValueError; _Pinned measures whether each operator commutes with
-    it. A mirror or a grid without ncomp, or a grid that does not hold dim
-    coordinates, raises ValueError at construction.
+    site's components, and commute with the form exactly (_commutator),
+    all checked once, on the first read of defect, else ValueError;
+    _Pinned measures whether each operator commutes with it. A mirror or a
+    grid without ncomp, or a grid that does not hold dim coordinates,
+    raises ValueError at construction.
     """
 
     matrix: sp.csr_matrix = field(repr=False)
@@ -166,9 +168,9 @@ class SparseOp:
         return np.kron(np.ones((nsites, 1)), np.eye(self.ncomp)) / np.sqrt(nsites)
 
     @cached_property
-    def defect(self) -> float:
-        """N of the form's commutator with its mirror (_commutator), the
-        mirror checked on this first read (only _Pinned reads it)."""
+    def defect(self) -> None:
+        """None once the mirror is checked, on this first read, which raises
+        ValueError for a bad one (only _Pinned reads it)."""
         perm, n = self.mirror, self.dim
         if not (np.shape(perm) == (n,) and np.array_equal(perm[perm], np.arange(n))):
             raise ValueError("mirror is not an involution of the pencil's coordinates")
@@ -176,10 +178,8 @@ class SparseOp:
         if (sites[:, 0] % self.ncomp).any() or \
                 not np.array_equal(sites, sites[:, :1] + np.arange(self.ncomp)):
             raise ValueError("mirror does not keep each site's components")
-        commutes, norm, _ = _commutator(self.matrix, perm)
-        if not commutes:
+        if not _commutator(self.matrix, perm, 0.0):
             raise ValueError("the Gram form does not commute with its mirror")
-        return norm
 
     @cached_property
     def sym_matrix(self) -> sp.csr_matrix:
@@ -358,24 +358,14 @@ def _dense_gamma(Asym: sp.csr_matrix, G: SparseOp):
     return float(w[0]), _lift(kernel, y[:, 0])
 
 
-def _commutator(M: sp.csr_matrix, perm: np.ndarray) -> tuple:
-    """(||D||_max <= 1e-13 ||M||_max, N(Re D), N(Im D)) for D = S M S^T - M,
-    S x = x[perm] a permutation: whether M commutes with S (False for a
-    NaN), and the infinity norm N of (|X| + |X|^T) / 2 for both parts X of
-    D, which bounds the 2-norm of X's symmetric part and is the same for S
-    X S^T."""
+def _commutator(M: sp.csr_matrix, perm: np.ndarray, rtol: float) -> bool:
+    """Whether M commutes with the permutation S x = x[perm]: every entry of
+    D = S M S^T - M within rtol of max|M| (False for a NaN); rtol 0 asks
+    for exact commutation."""
     n = perm.size
     S = sp.csr_matrix((np.ones(n), perm, np.arange(n + 1)), shape=(n, n))
     D = S @ M @ S.T - M
-    rows = np.repeat(np.arange(n), np.diff(D.indptr))
-
-    def norm(x):
-        x = np.abs(x)
-        return 0.5 * float((np.bincount(rows, x, minlength=n)
-                            + np.bincount(D.indices, x, minlength=n)).max(initial=0.0))
-
-    return (np.abs(D.data).max(initial=0.0) <= 1e-13 * np.abs(M.data).max(initial=0.0),
-            norm(D.data.real), norm(D.data.imag))
+    return bool(np.abs(D.data).max(initial=0.0) <= rtol * np.abs(M.data).max(initial=0.0))
 
 
 def _basis(perm: Optional[np.ndarray], kernel: np.ndarray) -> list:
@@ -516,33 +506,26 @@ class _Pinned:
     pattern, slope (_Block). The blocks' pinned coordinates, concatenated,
     are the pencil's: gram, restrict and lift act on their direct sum.
 
-    The mirror (checked by SparseOp) splits the pencil when it commutes
-    with A to 1e-13 of its largest entry (_commutator). For a pattern
+    The mirror (checked by SparseOp, G commuting with it exactly) splits
+    the pencil when it commutes with A exactly (_commutator). For a pattern
     (BlendPattern), A is A_0, slope is A_1 - A_0, and it splits when A_0 +
-    i slope commutes with the mirror to 1e-13 of its largest entry and
-    every weight of its window, one number per coordinate, maps to itself
-    under it exactly (invariant).
-
-    B is orthogonal, so the split drops only the off-diagonal blocks of B^T
-    M B, which are B^T (M - S M S^T) B / 2, S the mirror: the dropped
-    part's N (_commutator) is at most half of N(S M S^T - M), measured once
-    by the products that test it (dropped, for A, the slope and G;
-    perturbation). G must be symmetric.
+    i slope commutes with the mirror exactly and every weight of its
+    window, one number per coordinate, maps to itself under it (invariant).
+    B is orthogonal, so the off-diagonal blocks of B^T M B, B^T (M - S M
+    S^T) B / 2 with S the mirror, are then exactly zero, at every sigma and
+    every such weight: the blocks are the pencil. G must be symmetric.
     """
 
     def __init__(self, A: sp.csr_matrix, G: SparseOp, slope: Optional[sp.csr_matrix] = None,
                  invariant: bool = True):
         # the matrix the mirror is tested on: A, or A_0 + i slope
         X = A if slope is None else A + 1j * slope
-        # the mirror when the pencil splits by it, and N of its commutators
-        # with A (A_0 for a pattern), the slope and G, halved
-        self.perm, self.dropped = None, np.zeros(3)
+        # the mirror when the pencil splits by it
+        self.perm = None
         if G.mirror is not None:
-            g_norm = G.defect
-            if invariant:
-                commutes, a_norm, s_norm = _commutator(X, G.mirror)
-                if commutes:
-                    self.perm, self.dropped = G.mirror, 0.5 * np.array([a_norm, s_norm, g_norm])
+            G.defect                                # checks the mirror, once
+            if invariant and _commutator(X, G.mirror, 0.0):
+                self.perm = G.mirror
         if slope is None:
             # one complex product per block carries A and G, and keeps every
             # entry where either is nonzero
@@ -572,20 +555,12 @@ class _Pinned:
         ends = np.cumsum([b.dim for b in self.blocks])
         self.slices = [slice(e - b.dim, e) for b, e in zip(self.blocks, ends)]
 
-    def perturbation(self, w, sigma: float) -> float:
-        """A bound on the 2-norm of what the blocks drop of B^T (sym(A) -
-        sigma G) B at the weight w (None off a pattern): bound(max|w|,
-        sigma). A weight that does not map to itself under the mirror
-        raises ValueError."""
+    def check(self, w: Optional[np.ndarray]) -> None:
+        """Raise ValueError for a weight that a split pencil's mirror does
+        not map to itself: its blocks read it at their representatives.
+        None, a fixed operator's, passes."""
         if w is not None and self.perm is not None and not np.array_equal(w[self.perm], w):
             raise ValueError("the operator's values do not commute with its blocks' group")
-        return self.bound(np.abs(w).max(initial=0.0) if self.dropped[1] else 0.0, sigma)
-
-    def bound(self, scale: float, sigma: float) -> float:
-        """dropped_A + scale dropped_slope + |sigma| dropped_G, for every
-        weight with max|w| <= scale; 0 for one block."""
-        dropped_a, dropped_s, dropped_g = self.dropped
-        return float(dropped_a + scale * dropped_s + abs(sigma) * dropped_g)
 
     def gram(self) -> sp.csr_matrix:
         """G on the direct sum of the blocks, G_pp, in pinned coordinates."""
@@ -634,8 +609,9 @@ class _Window:
     U_F]^T M_FF^-1 [M_F,dV, U_F] (_Fixed) forms the bordered matrix that
     eliminating F leaves of [[M_pp, U], [U^T, -C^-1]]:
     - the Schur complement M_VV - M_V,F M_FF^-1 M_F,V, M_VV less C's dV
-      block, on one pattern, V's entries of the block and dV x dV, less
-      the exact zeros of M_VV off G's pattern, as _Block keeps them;
+      block, on one pattern, V's entries of the block and the joined dV
+      pairs, less the exact zeros of M_VV off G's pattern, as _Block keeps
+      them;
     - U_V - M_V,F M_FF^-1 U_F;
     - -C^-1 - U_F^T M_FF^-1 U_F, its k^T s summed from F's rows at w0 and
       from V's and the pinned rows at w.
@@ -643,10 +619,12 @@ class _Window:
     Haynsworth's formula over F, then over V and the capacitance. A weight
     that differs from w0 on held raises ValueError (refill).
 
-    banded (a chain's window) builds the window's band order (band,
-    _Band): C's dV block is exactly zero between two dV coordinates that
-    no connected part of F's entries joins, and the band keeps the other
-    pairs alone; schur keeps every dV pair. Without it band is None.
+    C's dV block is exactly zero between two dV coordinates that no
+    connected part of F's entries joins (M_FF is block-diagonal over the
+    parts), so the pattern keeps the joined pairs alone (joined, indices
+    into the flattened dV x dV; _Fixed checks the rest is zero). banded (a
+    chain's window) builds the window's band (band, _Band); without it
+    band is None.
     """
 
     def __init__(self, block: _Block, in_v: np.ndarray, w0: np.ndarray, banded: bool):
@@ -680,30 +658,29 @@ class _Window:
             sk = np.stack([np.bincount(row, weights=x0 * kc, minlength=nb)
                            for kc in block.k_at], axis=1)
             self.kts_f = k[self.F].T @ sk[self.F]
-        # the pattern: V x V entries of the block, and dV x dV
+        # the connected parts of F's entries nonzero in sym(A) at w0 or in
+        # G (a chain's pinned coordinate cuts its outer run of F in two),
+        # and the dV pairs that touch one part
+        ff = in_f[row[inner]] & in_f[col[inner]] & ((x0[inner] != 0.0) | block.on_g)
+        part = _components(nb, row[inner][ff], col[inner][ff])
+        touch = np.zeros((self.dV.size, nb), dtype=bool)
+        touch[np.searchsorted(self.dV, row[inner][couples]), part[col[inner][couples]]] = True
+        touch = touch[:, touch.any(axis=0)].astype(float)
+        self.joined = np.flatnonzero(touch @ touch.T)
+        # the pattern: V x V entries of the block, and the joined dV pairs
         self.vv = np.flatnonzero(in_v[row[live]] & in_v[col[live]])
         entries = live[self.vv]
         self.g = block.g[np.searchsorted(inner, entries)]
         self.dloc = loc[self.dV]
         kv = loc[row[entries]] * nv + loc[col[entries]]
-        kd = (self.dloc[:, None] * nv + self.dloc).ravel()
+        kd = (self.dloc[:, None] * nv + self.dloc).ravel()[self.joined]
         keys = np.union1d(kv, kd)
         self.at_vv, self.at_dd = np.searchsorted(keys, kv), np.searchsorted(keys, kd)
         self.always = np.zeros(keys.size, dtype=bool)
         self.always[self.at_vv[self.g != 0.0]] = self.always[self.at_dd] = True
         self.cols = (keys % nv).astype(np.int32)
         self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
-        self.band = None
-        if banded:
-            # the connected parts of F's entries nonzero in sym(A) at w0 or
-            # in G (a chain's pinned coordinate cuts its outer run of F in
-            # two), and the dV pairs that touch one part
-            ff = in_f[row[inner]] & in_f[col[inner]] & ((x0[inner] != 0.0) | block.on_g)
-            part = _components(nb, row[inner][ff], col[inner][ff])
-            touch = np.zeros((self.dV.size, nb), dtype=bool)
-            touch[np.searchsorted(self.dV, row[inner][couples]), part[col[inner][couples]]] = True
-            touch = touch[:, touch.any(axis=0)].astype(float)
-            self.band = _Band(self, np.flatnonzero(touch @ touch.T))
+        self.band = _Band(self) if banded else None
 
     def refill(self, w: np.ndarray) -> np.ndarray:
         """sym(A) on the entries of V's rows and of the pinned ones at the
@@ -738,7 +715,7 @@ class _Window:
         values = x[self.vv]
         values -= sigma * self.g
         data[self.at_vv] = values
-        data[self.at_dd] -= fixed.C_VV.ravel()
+        data[self.at_dd] -= fixed.C_dd
         keep = np.flatnonzero((data != 0.0) | self.always)
         indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
         return (sp.csc_matrix((data[keep], self.cols[keep], indptr), shape=(self.V.size,) * 2),
@@ -762,19 +739,21 @@ class _Fixed:
     [M_F,dV, U_F], Y = M_FF^-1 W is solved _COLUMNS columns at a time, one
     solve per column, and held while C = W^T Y and the Gram matrix Y^T Y are
     formed (|F| x 81 doubles, 5.6 MB, at toy N = 48). Of the factor only
-    this is kept: C, symmetrized, as its dV block C_VV and the border that
-    each probe completes (_Window.schur), U = [k_V, 0] - C_VU and Q = [[0,
-    I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y and dd, the 2-norm of its dV
-    block; rounding = gamma_3w ||R_F||, with
+    this is kept: C, symmetrized, as its dV block on the window's joined
+    pairs C_dd (the rest must be exactly zero, else ValueError) and the
+    border that each probe completes (_Window.schur), U = [k_V, 0] - C_VU
+    and Q = [[0, I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y and dd, the
+    2-norm of its dV block; rounding = gamma_3w ||R_F||, with
     ||R_F||_2 <= max_i (|L| |U| 1)_i (R_F = |L||D||L^T| is symmetric); its
-    nonzeros; neg(D_F); and the pivot test (test). Then the factor is
-    freed, with the copies of L and U that scipy caches on it.
+    nonzeros; neg(D_F); and the pivot test, (smallest |pivot|, its bound).
+    Then the factor is freed, with the copies of L and U that scipy caches
+    on it.
 
-    gram bounds, to first order, what F's rounding and a split's dropped
-    blocks do to a probe (_Factor): eliminating F is exact for M_FF + E,
-    ||E|| <= rounding + eps, so a vector z of the bordered matrix's
-    coordinates dV and U moves by (Y z)^T E (Y z), at most (rounding +
-    eps) z^T gram z, the cancellation between Y's columns kept.
+    gram bounds, to first order, what F's rounding does to a probe
+    (_Factor): eliminating F is exact for M_FF + E, ||E|| <= rounding, so
+    a vector z of the bordered matrix's coordinates dV and U moves by (Y
+    z)^T E (Y z), at most rounding z^T gram z, the cancellation between
+    Y's columns kept.
     """
 
     def __init__(self, block: _Block, window: _Window, w0: np.ndarray, sigma: float):
@@ -812,17 +791,16 @@ class _Fixed:
         gram = Y.T @ Y
         del Y
         C = 0.5 * (C + C.T)
-        self.C_VV, self.gram = C[:nd, :nd], gram
+        C_VV = C[:nd, :nd].ravel()
+        if np.delete(C_VV, window.joined).any():
+            raise ValueError("C's dV block is not zero off the joined pairs")
+        self.C_dd, self.gram = C_VV[window.joined], gram
         if window.kernel is not None:
             # U_V less C_VU, and -C^-1 less C_UU, each at s = 0 on V's rows
             self.U = np.hstack([window.k_v, np.zeros_like(window.k_v)])
             self.U[window.dloc] -= C[:nd, nd:]
             self.Q = _border(window.kts_f) - C[nd:, nd:]
         self.dd = float(np.linalg.eigvalsh(gram[:nd, :nd])[-1]) if nd else 0.0
-
-    def test(self, eps: float) -> tuple:
-        """F's pivot test: (smallest |pivot|, its bound) at perturbation eps."""
-        return self.pivot[0], self.pivot[1] + eps
 
     def block(self, w: np.ndarray, sigma: float):
         """The window's Schur complement on V at w (_Window.schur)."""
@@ -846,31 +824,28 @@ def _capacitance(Q: np.ndarray, U: np.ndarray, XU: np.ndarray):
     return np.stack([Q11, Q[..., m:, m:] - Q[..., m:, :m] @ F], axis=-3), T, XU @ T
 
 
-def _pivot_test(ad: np.ndarray, r_max, unit: float, eps, fixed: Optional["_Fixed"]) -> tuple:
+def _pivot_test(ad: np.ndarray, r_max, unit: float, fixed: Optional["_Fixed"]) -> tuple:
     """(smallest |pivot|, its bound) of _Shift, over the last axis of ad:
-    gamma_w max_k R_kk (r_max, unit = w u) plus eps, and behind a fixed
-    part e ||gram_dV||, e = eps + its rounding bound."""
-    bound = unit / (1 - unit) * r_max + eps
+    gamma_w max_k R_kk (r_max, unit = w u), and behind a fixed part its
+    rounding bound times ||gram_dV||."""
+    bound = unit / (1 - unit) * r_max
     if fixed is not None:
-        bound += (eps + fixed.rounding) * fixed.dd
+        bound += fixed.rounding * fixed.dd
     return ad.min(axis=-1), bound
 
 
-def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float, eps,
+def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float,
                         fixed: Optional["_Fixed"]) -> tuple:
     """(eigenvalues of Q11 and Z, their two bounds) of _Shift, over any
-    leading axes of a stack, with unit = 3 w u, Yp = |Y| and RY = R |Y|;
-    eps is one number, or one per probe of the stack with a trailing axis.
+    leading axes of a stack, with unit = 3 w u, and Yp = |Y| and RY = R |Y|
+    in the factor's order.
 
     One batch of m x m symmetric eigenproblems: the capacitance, then per
     block j |Y_j|^T R |Y_j|, whose 2-norm is its largest eigenvalue, and,
-    where they widen the bounds, Y_j^T Y_j (2-norm ||Y_j||^2) and Z_j^T
-    gram Z_j, z = [-Y[dV]; T] in the bordered matrix's dV and U coordinates
-    (_Fixed)."""
+    behind a fixed part, Z_j^T gram Z_j, z = [-Y[dV]; T] in the bordered
+    matrix's dV and U coordinates (_Fixed)."""
     m = capacitance.shape[-1]
     mats = [np.swapaxes(Yp, -1, -2) @ RY]
-    if np.any(eps):
-        mats.append(np.swapaxes(Y, -1, -2) @ Y)
     if fixed is not None:
         Z = np.concatenate([-Y[..., fixed.window.dloc, :], T], axis=-2)
         mats.append(np.swapaxes(Z, -1, -2) @ fixed.gram @ Z)
@@ -880,10 +855,8 @@ def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float, eps,
     q, top = ev[..., :2, :], ev[..., 2:, -1]
     top = top.reshape(top.shape[:-1] + (-1, 2))
     bounds = unit / (1 - unit) * top[..., 0, :]
-    if np.any(eps):
-        bounds += eps * top[..., 1, :]
     if fixed is not None:
-        bounds += (eps + fixed.rounding) * top[..., -1, :]
+        bounds += fixed.rounding * top[..., -1, :]
     return q, bounds
 
 
@@ -891,12 +864,12 @@ class _Factor:
     """LDL^T of one block of _Shift, or of the Schur complement that a
     pattern's window leaves of it behind its fixed part (fixed, _Fixed),
     with its capacitance when the block holds the constant shifts; a
-    factorization that yields no inertia raises (_ldlt). eps,
-    _Pinned.perturbation, widens the rounding tests, and behind a fixed
-    part so does F's (_Shift). The tests come from _pivot_test,
-    _capacitance and _capacitance_bounds, which _BandFactor shares."""
+    factorization that yields no inertia raises (_ldlt). Behind a fixed
+    part F's rounding widens the tests (_Shift). The tests come from
+    _pivot_test, _capacitance and _capacitance_bounds, which _BandFactor
+    shares."""
 
-    def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float, eps: float,
+    def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float,
                  fixed: Optional[_Fixed] = None):
         M_pp, U, Q = (fixed or block).block(w, sigma)
         lu = _ldlt(M_pp)
@@ -913,15 +886,17 @@ class _Factor:
         np.abs(Lf.data, out=Lf.data)
         np.abs(Uf.data, out=Uf.data)
         if self.Y is not None:
-            Yp = np.abs(self.Y)
+            # |Y| in the factor's order: Pr M_pp Pc = L U, (Pr x)[perm_r] = x
+            Yp = np.empty_like(self.Y)
+            Yp[lu.perm_r] = np.abs(self.Y)
             RY = Lf @ (Uf @ Yp)                     # R |Y| = |L| (|U| |Y|)
         Lf.data **= 2
         unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        self.tests = [_pivot_test(ad, (Lf @ ad).max(), unit, eps, fixed)]
+        self.tests = [_pivot_test(ad, (Lf @ ad).max(), unit, fixed)]
         self.negative = int(np.sum(d < 0))
         if self.Y is not None:
             q, bounds = _capacitance_bounds(self.capacitance, self.T, self.Y, Yp, RY,
-                                            3 * unit, eps, fixed)
+                                            3 * unit, fixed)
             self.tests += zip(np.abs(q).min(axis=1), bounds)
             self.negative += int(np.sum(q < 0)) - self.T.shape[0] // 2
 
@@ -960,16 +935,12 @@ class _Shift:
     rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
     |L||D||L^T|, w the longest row of L); an eigenvalue of Q11 or Z
     gamma_3w || |Y_j|^T R |Y_j| ||, that error's first-order effect, solves
-    included. A split pencil's blocks drop the off-diagonal blocks of B^T
-    (sym(A) - sigma G) B, whose 2-norm is at most eps (_Pinned.perturbation):
-    they are exactly the blocks of a pencil within eps of this one, a
-    perturbation E of each block's M_pp, so a pivot's bound adds eps, and a
-    capacitance block's eps ||Y_j||^2, the first-order bound of Y_j^T E Y_j.
-    Behind a fixed part, F's pivots are tested with eps added (_Fixed.test),
-    and e = eps + _Fixed.rounding bounds the error of M_FF that the bordered
-    matrix inherits, through _Fixed.gram: a Schur pivot's bound adds e times
-    the 2-norm of gram's dV block, and a capacitance block's e ||Z_j^T gram
-    Z_j||, Z_j = [-Y_j[dV]; T_j], since that error reaches U and -C^-1 too.
+    included, with Y_j's rows in the factor's order. Behind a fixed part,
+    F's pivots are tested as well (_Fixed.pivot), and e = _Fixed.rounding
+    bounds the error of M_FF that the bordered matrix inherits, through
+    _Fixed.gram: a Schur pivot's bound adds e times the 2-norm of gram's dV
+    block, and a capacitance block's e ||Z_j^T gram Z_j||, Z_j = [-Y_j[dV];
+    T_j], since that error reaches U and -C^-1 too.
     Each factor's tests hold its (smallest magnitude, bound) pairs, in that
     order, after the fixed part's; the count is trusted when every test
     passes, and min_pivot and margin report the one that came closest.
@@ -980,7 +951,8 @@ class _Shift:
     counts, and has no solve. A chain's window probes are counted with the
     same tests by _BandFactor, every probe of the window at once; _Shift
     counts a lattice's, and a chain probe that the band leaves without
-    inertia.
+    inertia. A weight that a split pencil's mirror does not map to itself
+    raises ValueError (_Pinned.check).
 
     A sign probe costs the factorizations, one solve with 2m right-hand
     sides, O(nnz) work on each factor and a few m x m dense calls: with U =
@@ -1000,13 +972,13 @@ class _Shift:
         self.slices = pinned.slices
         parts = fixed or [None] * len(pinned.blocks)
         self.fixed = sum(part.dim for part in parts if part is not None)
+        pinned.check(w)
         try:
-            eps = pinned.perturbation(w, sigma)
             self.factors, tests, self.negative = [], [], 0
             for block, part in zip(pinned.blocks, parts):
-                factor = _Factor(block, w, sigma, eps, part)
+                factor = _Factor(block, w, sigma, part)
                 if part is not None:
-                    tests.append(part.test(eps))
+                    tests.append(part.pivot)
                     self.negative += part.negative
                 self.factors.append(factor)
                 tests += factor.tests
@@ -1042,57 +1014,21 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
-def _rcm(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Reverse Cuthill-McKee order of a symmetric pattern in CSR form: a
-    breadth-first search from a node of least degree in each connected
-    part, visiting each node's neighbors by increasing degree (ties by
-    index), reversed. On the 1D scan windows this is the order of
-    scipy.sparse.csgraph.reverse_cuthill_mckee; that package is not
-    imported, since importing it holds about 1 MB more resident memory."""
-    n = indptr.size - 1
-    degree = np.diff(indptr).tolist()
-    near = [sorted(indices[indptr[i]:indptr[i + 1]].tolist(), key=degree.__getitem__)
-            for i in range(n)]
-    seen, order = [False] * n, []
-    for start in sorted(range(n), key=degree.__getitem__):
-        if seen[start]:
-            continue
-        seen[start] = True
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for j in near[order[head]]:
-                if not seen[j]:
-                    seen[j] = True
-                    order.append(j)
-            head += 1
-    return np.array(order[::-1], dtype=np.intp)
-
-
 class _Band:
-    """The band order of one block of a chain's window (_Window), fixed
-    once: V in reverse Cuthill-McKee order of the window's pattern (V's
-    entries and the joined dV pairs), rank each coordinate's place in it,
-    and width the half-bandwidth, 3 for the 1D scan window K = 6..64 at N =
-    128..1024, whose V is two runs of sites that C_VV joins. at_vv and
-    at_dd place the pattern's entries in a band's rows, flattened (row i
-    holds S[i, i + o] at width + o), and sums gives s = sym(A) k on the
-    live rows as one sparse product (_BandFactor)."""
+    """The band of one block of a chain's window (_Window), fixed once: V
+    in its natural order, width the half-bandwidth of the window's pattern
+    (V's entries and the joined dV pairs), 3 for the 1D scan window K =
+    6..64 at N = 128..1024, whose V is two runs of sites that C_VV joins.
+    at_vv and at_dd place the pattern's entries in a band's rows, flattened
+    (row i holds S[i, i + o] at width + o), and sums gives s = sym(A) k on
+    the live rows as one sparse product (_BandFactor)."""
 
-    def __init__(self, window: "_Window", joined: np.ndarray):
+    def __init__(self, window: "_Window"):
         nv = window.V.size
-        self.joined = joined
-        used = np.union1d(window.at_vv, window.at_dd[joined])
-        rows = np.repeat(np.arange(nv), np.diff(window.indptr))[used]
-        cols = window.cols[used]
-        self.order = _rcm(np.searchsorted(rows, np.arange(nv + 1)), cols)
-        self.rank = np.empty(nv, dtype=np.intp)
-        self.rank[self.order] = np.arange(nv)
-        i, j = self.rank[rows], self.rank[cols]
-        self.width = b = int(np.abs(i - j).max(initial=0))
-        place = np.zeros(window.cols.size, dtype=np.intp)
-        place[used] = i * (2 * b + 1) + b + j - i
-        self.at_vv, self.at_dd = place[window.at_vv], place[window.at_dd[joined]]
+        rows, cols = np.repeat(np.arange(nv), np.diff(window.indptr)), window.cols
+        self.width = b = int(np.abs(rows - cols).max(initial=0))
+        place = rows * (2 * b + 1) + b + cols - rows
+        self.at_vv, self.at_dd = place[window.at_vv], place[window.at_dd]
         if window.kernel is not None:
             # one row per shift and live row
             m, n = window.k_at.shape
@@ -1104,19 +1040,15 @@ class _Band:
     def stage(self, window: _Window, fixed: _Fixed, x: np.ndarray, sigma: float):
         """(S, U, -C^-1) of _Window.schur for each row of x, one probe's
         _Window.refill: S the band of the Schur complements, (|V| + width,
-        2 width + 1, probes), U and -C^-1 probes first, in band order; U and
-        -C^-1 None without a kernel. C's dV block must be zero off the
-        joined pairs, else ValueError."""
+        2 width + 1, probes), U and -C^-1 probes first; U and -C^-1 None
+        without a kernel."""
         P, nv, b = x.shape[0], window.V.size, self.width
-        C = fixed.C_VV.ravel()
-        if np.delete(C, self.joined).any():
-            raise ValueError("C's dV block is not zero off the joined pairs")
         values = x[:, window.vv]
         values -= sigma * window.g
         S = np.zeros(((nv + b) * (2 * b + 1), P))
         S[self.at_vv] = values.T                    # as _Window.schur, then less C
         del values
-        S[self.at_dd] -= C[self.joined][:, None]
+        S[self.at_dd] -= fixed.C_dd[:, None]
         S = S.reshape(nv + b, 2 * b + 1, P)
         if window.kernel is None:
             return S, None, None
@@ -1124,8 +1056,8 @@ class _Band:
         # probe-first and contiguous, so that every product takes the same
         # path however many probes there are
         sk = np.ascontiguousarray((self.sums @ x.T).reshape(m, window.nlive, P).T)
-        U = np.repeat(fixed.U[self.order][None], P, axis=0)
-        U[:, :, m:] += sk[:, self.order]
+        U = np.repeat(fixed.U[None], P, axis=0)
+        U[:, :, m:] += sk[:, :nv]
         Q = np.repeat(fixed.Q[None], P, axis=0)
         Q[:, m:, m:] += window.k_live.T @ sk
         return S, U, Q
@@ -1133,10 +1065,10 @@ class _Band:
 
 class _BandFactor:
     """_Factor of a chain window's Schur complements (_Window.schur) at a
-    stack of weights, one per probe, given as their refills (_Window.refill,
-    an iterable, read into one array that is freed once staged), factored
-    together: one band LDL^T, unpivoted, so a congruence, in the block's
-    band order (_Band), each step vectorized across the probes.
+    stack of weights, one per probe, given as their refills x (_Window.refill,
+    one row per probe), factored together: one band LDL^T, unpivoted, so a
+    congruence, on the block's band (_Band), each step vectorized across
+    the probes.
 
     The complements fill one (|V| + width, 2 width + 1, probes) array, row
     i holding S[i, i + o] at width + o, the rows past |V| padding that the
@@ -1149,26 +1081,21 @@ class _BandFactor:
     the band's L, min(width, |V| - 1) + 1; R_kk = sum_i l_ki^2 |d_i| and R
     |Y| = |L| (|D| (|L^T| |Y|)) are summed along the band's diagonals; the
     capacitance and its bounds come from _capacitance and
-    _capacitance_bounds, once for the stack. eps holds each probe's
-    _Pinned.perturbation.
+    _capacitance_bounds, once for the stack.
 
     d (probes x |V|) and L (probes x |V| x width, |L[j + r, j]| at r - 1,
     magnitudes once the solve is done) are the factors, Y and T as
-    _Factor's (Y in V's order), negative and each test's two entries one
-    per probe, and ok whether the LDL^T yields inertia, every pivot finite
-    and nonzero: a probe without it is factored as the identity, so that
-    nothing after it turns non-finite.
+    _Factor's, negative and each test's two entries one per probe, and ok
+    whether the LDL^T yields inertia, every pivot finite and nonzero: a
+    probe without it is factored as the identity, so that nothing after it
+    turns non-finite.
     """
 
-    def __init__(self, band: _Band, window: _Window, fixed: _Fixed, refills, sigma: float,
-                 eps: np.ndarray):
-        P, nv, b = eps.size, window.V.size, band.width
+    def __init__(self, band: _Band, window: _Window, fixed: _Fixed, x: np.ndarray,
+                 sigma: float):
+        P, nv, b = x.shape[0], window.V.size, band.width
         w = 2 * b + 1
-        x = np.empty((P, window.row.size))
-        for i, row in enumerate(refills):
-            x[i] = row
         A, U, Q = band.stage(window, fixed, x, sigma)
-        del x
         # step j's trailing block, A[j + s, b + t - s] at (j, s - 1, t - 1)
         item = A.itemsize * P
         trail = np.lib.stride_tricks.as_strided(A[1:, b:], shape=(nv, b, b, P),
@@ -1206,7 +1133,7 @@ class _BandFactor:
             for r in range(1, b + 1):
                 R[:, r:] += aL[:, :nv - r, r - 1] ** 2 * ad[:, :nv - r]
             unit = (min(b, nv - 1) + 1) * 2.0 ** -53       # w u
-            self.tests = [_pivot_test(ad, R.max(axis=1), unit, eps, fixed)]
+            self.tests = [_pivot_test(ad, R.max(axis=1), unit, fixed)]
             self.negative = np.sum(self.d < 0, axis=1)
             if not kernel:
                 return
@@ -1216,10 +1143,7 @@ class _BandFactor:
                 self.ok[:] = False
                 return
             del X, U
-            Yp = np.abs(Y)
-            # in V's order, where the Gram term reads its dV rows
-            self.Y = Y[:, band.rank]
-            del Y
+            self.Y, Yp = Y, np.abs(Y)
             Z = Yp.copy()                           # |L^T| |Y|, then |D| times it
             for r in range(1, b + 1):
                 Z[:, :nv - r] += aL[:, :nv - r, r - 1, None] * Yp[:, r:]
@@ -1228,7 +1152,7 @@ class _BandFactor:
             for r in range(1, b + 1):
                 RY[:, r:] += aL[:, :nv - r, r - 1, None] * Z[:, :nv - r]
             q, bounds = _capacitance_bounds(self.capacitance, self.T, self.Y, Yp, RY,
-                                            3 * unit, eps[:, None], fixed)
+                                            3 * unit, fixed)
         self.tests += [(np.abs(q[:, k]).min(axis=-1), bounds[:, k]) for k in range(2)]
         self.negative += np.sum(q < 0, axis=(1, 2)) - m
 
@@ -1450,7 +1374,7 @@ def _translation_invariant(Asym: sp.csr_matrix, G: SparseOp) -> bool:
     shifts, d = _translations(G), Asym.diagonal()
     tol = 1e-13 * np.abs(Asym.data).max(initial=0.0)
     return (all(np.abs(d[perm] - d).max() <= tol for perm in shifts)
-            and all(_commutator(Asym, perm)[0] for perm in shifts))
+            and all(_commutator(Asym, perm, 1e-13) for perm in shifts))
 
 
 def _symbol(M: sp.spmatrix, G: SparseOp) -> np.ndarray:
@@ -1609,12 +1533,12 @@ class BlendPattern:
     at beta = 0 and beta = 1 on one CSR pattern: the entries some weight
     makes nonzero, stored at every weight (the 2D toy model's bqcf pattern
     holds 9,216 at N = 12, 8 per row). The pattern splits into the even and
-    odd blocks of G's mirror when A_0, A_1 - A_0 and every blend of the
-    window map to themselves under it (_Pinned measures it), and each block
-    forms B^T A_0 B and B^T (A_1 - A_0) B once. A probe refills each block
-    at op's weight (weight) as B^T A_0 B + diag(beta_B) B^T (A_1 - A_0) B,
-    exact for a beta that the mirror maps to itself, with no assembly or
-    product.
+    odd blocks of G's mirror when A_0 and A_1 - A_0 commute with it
+    exactly and every blend of the window maps to itself under it (_Pinned
+    measures it), and each block forms B^T A_0 B and B^T (A_1 - A_0) B
+    once. A probe refills each block at op's weight (weight) as B^T A_0 B +
+    diag(beta_B) B^T (A_1 - A_0) B, exact for a beta that the mirror maps
+    to itself, with no assembly or product.
 
     window is the operators, or one operator, a window of one. Their
     weights split each block into the coordinates they move, V, and the
@@ -1626,18 +1550,17 @@ class BlendPattern:
     is_coercive counts every probe it is given at once, one band LDL^T of
     all their complements (_Window.band, _BandFactor), building no sparse
     matrix;
-    on a lattice, whose complements have bandwidths of 44-78 in the same
-    order, each probe factors its own by SuperLU (_Shift), one sparse
-    matrix per block. A block falls back to its whole factor (F empty)
-    where the window moves every coordinate of it or none, or where F's
-    factorization yields no trusted inertia at the window's largest
-    weight; fixed(tau) is the number of coordinates behind fixed parts. A
-    SparseOp of A(beta) is built only when a probe falls back to a value
-    solve. op must share the kind, lattice and model (equal by value) of
-    the window's operators; its weight must equal the window's where the
-    window holds it fixed and it enters F (_Window.refill), and a blend
-    that does not map to itself under the mirror of a split pattern raises
-    ValueError (_Pinned.perturbation).
+    on a lattice, whose complements measured bandwidths of 44-78 even in
+    reverse Cuthill-McKee order, each probe factors its own by SuperLU
+    (_Shift), one sparse matrix per block. A block falls back to its whole
+    factor (F empty) where the window moves every coordinate of it or none,
+    or where F's factorization yields no trusted inertia; fixed(tau) is the
+    number of coordinates behind fixed parts. A SparseOp of A(beta) is
+    built only when a probe falls back to a value solve. op must share the
+    kind, lattice and model (equal by value) of the window's operators; its
+    weight must equal the window's where the window holds it fixed and it
+    enters F (_Window.refill), and a blend that does not map to itself
+    under the mirror of a split pattern raises ValueError (_Pinned.check).
     """
 
     def __init__(self, window, G: SparseOp):
@@ -1665,16 +1588,14 @@ class BlendPattern:
         self.rows = rows                            # each stored entry's row
         A0, S = (sp.csr_matrix((v, self.indices, self.indptr), shape=(n, n))
                  for v in (self.a0, self.slope))
-        # the window's first weight, where its weights differ, their
-        # largest magnitude, and whether each maps to itself under the mirror
+        # the window's first weight, where its weights differ, and whether
+        # each maps to itself under the mirror
         self.w0 = self.weight(op)
         moves = np.zeros(n, dtype=bool)
-        self.scale = np.abs(self.w0).max(initial=0.0)
         invariant = True
         for other in ops:
             w = self.weight(other)
             moves |= w != self.w0
-            self.scale = max(self.scale, np.abs(w).max(initial=0.0))
             invariant &= G.mirror is None or np.array_equal(w[G.mirror], w)
         self.pinned = _Pinned(A0, G, S, invariant)
         self.windows = []
@@ -1708,10 +1629,8 @@ class BlendPattern:
         """Each block's fixed part at tau (_Fixed), or None: factored on the
         first call at tau, and kept. None where the window moves every
         coordinate of the block or none, or where F's factorization yields
-        no inertia, or a pivot that fails its test at the window's largest
-        weight."""
+        no inertia, or a pivot that fails its test."""
         if tau not in self._fixed:
-            eps = self.pinned.bound(self.scale, tau)
             parts = []
             for block, window in zip(self.pinned.blocks, self.windows):
                 part = None
@@ -1721,7 +1640,7 @@ class BlendPattern:
                     except (RuntimeError, np.linalg.LinAlgError):     # no inertia
                         pass
                     else:
-                        pivot, bound = part.test(eps)
+                        pivot, bound = part.pivot
                         part = part if pivot > bound else None
                 parts.append(part)
             self._fixed[tau] = parts
@@ -1756,15 +1675,19 @@ class BlendPattern:
         parts = self.parts(tau)
         if any(part is None or part.window.band is None for part in parts):
             return [None] * len(ops)
-        eps = np.array([self.pinned.perturbation(self.weight(op), tau) for op in ops])
         negative, tests, ok = 0, [], np.ones(len(ops), dtype=bool)
         for window, part in zip(self.windows, parts):
-            factor = _BandFactor(window.band, window, part,
-                                 (window.refill(self.weight(op)) for op in ops), tau, eps)
+            x = np.empty((len(ops), window.row.size))
+            for i, op in enumerate(ops):
+                w = self.weight(op)
+                self.pinned.check(w)
+                x[i] = window.refill(w)
+            factor = _BandFactor(window.band, window, part, x, tau)
+            del x
             negative = negative + part.negative + factor.negative
-            tests += [part.test(eps)] + factor.tests
+            tests += [part.pivot] + factor.tests
             ok &= factor.ok
-        pivots, bounds = (np.array([np.broadcast_to(t[k], eps.shape) for t in tests])
+        pivots, bounds = (np.array([np.broadcast_to(t[k], ok.shape) for t in tests])
                           for k in (0, 1))
         closest = np.argmin(pivots / bounds, axis=0)
         trusted = (pivots > bounds).all(axis=0)

@@ -725,19 +725,21 @@ def _dense_tests(L, D, wu, capacitance, Y, Z=None, fixed=None):
 
 def _rounding_tests(factor, M_pp, fixed=None):
     # _dense_tests of a _Factor, from SuperLU's L and D of M_pp, w the
-    # longest row of its L, and the factor's own Y
+    # longest row of its L, and the factor's own Y, its rows moved into L's
+    # order (Pr M_pp Pc = L U, (Pr y)[perm_r] = y)
     lu = _ldlt(M_pp)
     L, D = lu.L.toarray(), np.diag(lu.U.toarray())
     wu = np.diff(lu.L.tocsr().indptr).max() * 2.0 ** -53
+    Y = np.empty_like(factor.Y)
+    Y[lu.perm_r] = factor.Y
     Z = None if fixed is None else np.vstack([-factor.Y[fixed.window.dloc], factor.T])
-    return _dense_tests(L, D, wu, factor.capacitance, factor.Y, Z, fixed)
+    return _dense_tests(L, D, wu, factor.capacitance, Y, Z, fixed)
 
 
 def _band_rounding_tests(band, factor, fixed):
     # _dense_tests of a _BandFactor of one probe, from its own d and |L|
     # (R reads magnitudes only), w the longest row of a lower band of its
-    # half-width, and its Y in band order; the Gram term reads Y's dV rows
-    # in V's order
+    # half-width, and its Y, in V's order as the band is
     (d,), (l,) = factor.d, factor.L
     nv, b = d.size, band.width
     L = np.eye(nv)
@@ -747,7 +749,7 @@ def _band_rounding_tests(band, factor, fixed):
     wu = ((offsets >= 0) & (offsets <= b)).sum(axis=1).max() * 2.0 ** -53
     (Y,), (T,), (capacitance,) = factor.Y, factor.T, factor.capacitance
     Z = np.vstack([-Y[fixed.window.dloc], T])
-    return _dense_tests(L, d, wu, capacitance, Y[band.order], Z, fixed)
+    return _dense_tests(L, d, wu, capacitance, Y, Z, fixed)
 
 
 def _small_pencils():
@@ -807,7 +809,7 @@ def test_rounding_tests_match_a_dense_evaluation():
                 composed += 1
                 pivot, negative_f, rounding, gram = _dense_fixed(block, part, w, tau)
                 assert part.negative == negative_f
-                assert np.allclose(part.test(0.0), pivot, rtol=1e-13, atol=0.0)
+                assert np.allclose(part.pivot, pivot, rtol=1e-13, atol=0.0)
                 assert part.rounding == pytest.approx(rounding, rel=1e-13, abs=0.0)
                 assert np.allclose(part.gram, gram, rtol=1e-9, atol=1e-12 * np.abs(gram).max())
                 shift = _Shift(pattern.pinned, w, tau, pattern.parts(tau))
@@ -824,7 +826,7 @@ def test_rounding_tests_match_a_dense_evaluation():
                 banded += 1
                 (window,) = pattern.windows
                 band = window.band
-                factor = _BandFactor(band, window, part, window.refill(w)[None], tau, np.zeros(1))
+                factor = _BandFactor(band, window, part, window.refill(w)[None], tau)
                 negative, tests = _band_rounding_tests(band, factor, part)
                 tests = [pivot] + tests
                 assert factor.ok[0] and factor.negative[0] == negative, (op.blend.K, tau)
@@ -838,6 +840,24 @@ def test_rounding_tests_match_a_dense_evaluation():
                 if count.trusted and shift.trusted:
                     assert count.negative == shift.negative, (op.blend.K, tau)
     assert composed >= 20 and banded >= 20
+    # and on a lattice's window, split by the inversion: the Schur probes of
+    # the block that holds the capacitance, each factored by SuperLU behind
+    # its fixed part (toy N = 12, Ra = 4, K = 3, 5, 7)
+    lat, toy = _toy_ops(12)
+    pattern = BlendPattern(toy, gram_D(lat))
+    lattice = 0
+    for op in toy[2::2]:
+        w = pattern.weight(op)
+        for tau in (1e-10, 0.01):
+            for block, part in zip(pattern.pinned.blocks, pattern.parts(tau), strict=True):
+                if block.kernel is None:
+                    continue
+                factor = spectral._Factor(block, w, tau, part)
+                negative, tests = _rounding_tests(factor, part.block(w, tau)[0], part)
+                assert factor.negative == negative, (op.blend.K, tau)
+                assert np.allclose(factor.tests, tests, rtol=1e-13, atol=0.0), (op.blend.K, tau)
+                lattice += 1
+    assert lattice == 6
 
 
 def _small_windows():
@@ -984,7 +1004,7 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     # zero off its pattern, and F's and the Schur complement's negative
     # pivots must add up to the assembled block's; the probes give the same
     # inertia verdicts. On a chain the block is the window's band (_Band),
-    # staged for every probe at once, in band order, and its negative pivots
+    # staged for every probe at once, and its negative pivots
     # are the band factor's; a 2D pattern splits into the even and odd
     # blocks of its inversion, each block the sparse one SuperLU factors
     tau = 1e-10
@@ -1005,8 +1025,8 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     assert all(part is not None for part in parts)
     assert all((window.band is not None) == (space == "1d") for window in pattern.windows)
     banded = [None if window.band is None else
-              (window.band, _dense_band(window.band.stage(window, part, x, tau)[0]),
-               _BandFactor(window.band, window, part, x, tau, np.zeros(len(ops))))
+              (_dense_band(window.band.stage(window, part, x, tau)[0]),
+               _BandFactor(window.band, window, part, x, tau))
               for window, part in zip(pattern.windows, parts)
               for x in [np.stack([window.refill(pattern.weight(op)) for op in ops])]]
     reports = pattern.is_coercive(ops, tau)
@@ -1027,8 +1047,7 @@ def test_refilled_block_matches_the_assembled_one(space, N):
                 lu_s = _ldlt(scipy.sparse.csc_matrix(got))
                 negative_s = np.sum(lu_s.U.diagonal() < 0)
             else:
-                band, dense, factor = staged
-                schur = schur[np.ix_(band.order, band.order)]
+                dense, factor = staged
                 got = dense[i]
                 assert factor.ok[i]
                 negative_s = np.sum(factor.d[i] < 0)
@@ -1135,41 +1154,24 @@ def test_a_gram_form_must_commute_with_its_mirror():
         SparseOp(A.matrix, mirror=G.mirror)
 
 
-def test_a_mirror_defect_widens_the_rounding_bounds(monkeypatch):
-    # values that commute with the mirror only to within the tolerance (two
-    # entries of one row off the diagonal moved by 1e-14 of the largest)
-    # leave off-diagonal blocks in B^T (sym A - sigma G) B, which the split
-    # drops: eps, their measured size, bounds their 2-norm (B from the
-    # projector sums, _explicit_bases), and widens each pivot's bound by
-    # eps and each capacitance block's by eps ||Y_j||^2. One moved entry
-    # attains the bound, where this float64 evaluation of the dropped part
-    # would read above it by its own rounding
-    lat = TriLattice2D(4)
+def test_a_pencil_that_commutes_only_to_rounding_is_one_block():
+    # the toy blend at N = 12, Ra = 4, K = 8 with the cosine profile reaches
+    # the torus edge (Rb = N): its commutator with the inversion is rounding
+    # (8.9e-16), not zero, so the pencil is not split, and its count at
+    # each shift is the dense inertia of the whole pinned pencil
+    lat = TriLattice2D(12)
     G = gram_D(lat)
-    M = assemble(Op2D(kind="atomistic", lattice=lat, model=MODEL2D)).matrix.copy()
-    for col in (2, 3):
-        M[0, col] += 1e-14 * np.abs(M.data).max()
-    pinned = _Pinned(M, G)
-    sigma = -0.25
-    eps = pinned.perturbation(None, sigma)
-    assert len(pinned.blocks) == 2
-    B = scipy.sparse.hstack([b for b, _ in _explicit_bases(G.mirror, G.kernel)]).toarray()
-    C = B.T @ ((M + M.T) * 0.5 - sigma * G.matrix).toarray() @ B
-    for span in pinned.spans:
-        C[span, span] = 0.0
-    assert eps >= np.linalg.norm(C, 2) > 0.0
-    widened = _Shift(pinned, None, sigma)
-    monkeypatch.setattr(pinned, "perturbation", lambda w, sigma: 0.0)
-    plain = _Shift(pinned, None, sigma)
-    for wide, bare in zip(widened.factors, plain.factors, strict=True):
-        m = 0 if bare.Y is None else bare.Y.shape[1] // 2
-        extra = [eps] if bare.Y is None else \
-            [eps] + [eps * np.linalg.norm(bare.Y[:, j], 2) ** 2
-                     for j in (slice(0, m), slice(m, None))]
-        assert len(wide.tests) == len(extra)
-        for (p, b), (q, c), e in zip(wide.tests, bare.tests, extra):
-            assert p == q and b == pytest.approx(c + e, rel=1e-12)
-    assert widened.negative == plain.negative and widened.trusted
+    A = assemble(Op2D(kind="bqcf", lattice=lat, model=unstable_toy_model(2.04, 1.0),
+                      blend=_blend_2d_sharp(lat, 4, 12, "cosine")))
+    perm = G.mirror
+    defect = np.abs(A.matrix[perm][:, perm] - A.matrix).max()
+    assert 0.0 < defect <= 1e-15 * np.abs(A.matrix).max()
+    assert len(_Pinned(A.matrix, G).blocks) == 1
+    ((Ad, Gd),) = _dense_pinned(A.sym_matrix, _unsplit(G))
+    for tau in (1e-10, 0.5):
+        rep = is_coercive(A, G, tau)
+        assert rep.method == "inertia"
+        assert rep.negative == np.sum(np.linalg.eigvalsh(Ad - tau * Gd) < 0), tau
 
 
 @pytest.mark.parametrize("space", ["1d", "ltilde"])
@@ -1188,7 +1190,7 @@ def test_the_trivial_group_block_is_the_pinned_pencil_bitwise(space):
         A = assemble_ltilde(lat, unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8))
     pinned = _Pinned(A.matrix, G)
     m = G.ncomp
-    assert len(pinned.blocks) == 1 and pinned.perturbation(None, 7.5) == 0.0
+    assert len(pinned.blocks) == 1 and pinned.perm is None
     for sigma in (0.0, 1e-10, -0.25, 7.5):
         got, _, _ = pinned.blocks[0].block(None, sigma)
         want = (A.sym_matrix - sigma * G.matrix)[m:, m:]
@@ -1302,28 +1304,28 @@ def test_a_start_inside_one_symmetry_class_reaches_gamma():
 
 
 def _morse_forms(lat):
-    # Morse atomistic, cauchy_born and radially blended bqcf, and the
-    # Poincare mask on both components, each commuting with the inversion
-    # that gram_D names
+    # Morse atomistic, cauchy_born and radially blended bqcf, the Poincare
+    # mask on both components and the toy model's blend, with the blocks
+    # each splits into by the inversion that gram_D names: Cauchy-Born and
+    # the Morse blend commute with it only to rounding, so stay whole
     ops = [Op2D(kind=kind, lattice=lat, model=MODEL2D) for kind in ("atomistic", "cauchy_born")]
     ops.append(Op2D(kind="bqcf", lattice=lat, model=MODEL2D,
                     blend=_blend_2d_sharp(lat, lat.N // 8, lat.N // 4)))
     forms = [assemble(op) for op in ops]
-    return forms + [_shifted_forms(lat)[2]]
+    return zip(forms + list(_shifted_forms(lat)[:0:-1]), (2, 1, 1, 2, 2))
 
 
 @pytest.mark.parametrize("N", [16, 32])
 def test_split_shifted_solve_is_exact(N, rng):
-    # the even and odd blocks' solves, lifted, solve (sym A - sigma G) x =
-    # G y on the zero-mean space, y = lift(z): S z' = G_pp z in block
-    # coordinates
+    # the blocks' solves, lifted, solve (sym A - sigma G) x = G y on the
+    # zero-mean space, y = lift(z): S z' = G_pp z in block coordinates
     lat = TriLattice2D(N)
     G = gram_D(lat)
     k = G.kernel
     sigma = -0.25
-    for sop in _morse_forms(lat):
+    for sop, blocks in _morse_forms(lat):
         pinned = spectral._Pinned(sop.matrix, G)
-        assert len(pinned.blocks) == 2
+        assert len(pinned.blocks) == blocks
         z = rng.standard_normal(sum(b.dim for b in pinned.blocks))
         shift = _Shift(pinned, None, sigma)
         x, y = pinned.lift(shift.solve(pinned.gram() @ z)), pinned.lift(z)
@@ -1336,33 +1338,37 @@ def test_split_shifted_solve_is_exact(N, rng):
 
 @pytest.mark.parametrize("N", [12, 16])
 def test_four_block_counts_match_the_whole_pencil(N):
-    # Morse bqcf with the radial blend splits into the even and odd blocks
-    # of the inversion: each refilled block is its explicit basis product,
-    # and the blocks' counts add up to the unsplit pencil's, probe by
-    # probe, at shifts with hundreds of eigenvalues below
+    # a pattern's blocks count as the unsplit pencil does, probe by probe,
+    # at shifts with hundreds of eigenvalues below, and each refilled block
+    # is its explicit basis product: the toy model's blend splits into the
+    # even and odd blocks of the inversion; Morse bqcf with the radial
+    # blend commutes with it only to rounding and stays one block
     lat = TriLattice2D(N)
     G = gram_D(lat)
-    ops = [Op2D(kind="bqcf", lattice=lat, model=MODEL2D, blend=_blend_2d_sharp(lat, 4, 4 + K))
-           for K in range(1, 9)]
-    pattern = BlendPattern(ops, G)
-    assert len(pattern.pinned.blocks) == 2
-    counts = set()
-    for op in ops:
-        A = assemble(op)
-        assert len(_Pinned(A.matrix, G).blocks) == 2
-        for tau in (7.0, 7.5, 8.0, 9.0):
-            split, whole = pattern.is_coercive(op, tau), is_coercive(A, _unsplit(G), tau)
-            assert not split.fallback and not whole.fallback
-            assert split.negative == whole.negative, (op.blend.K, tau)
-            counts.add(split.negative)
-    assert len(counts) > 4
-    A, tau = assemble(ops[3]), 7.5
-    refs = _summed_blocks(A.sym_matrix, G, tau, G.mirror)
-    ulp = np.spacing(abs(A.matrix).max())
-    for block, ref in zip(pattern.pinned.blocks, refs, strict=True):
-        got, _, _ = block.block(pattern.weight(ops[3]), tau)
-        assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
-        assert np.abs(got.data - ref.data).max() <= 8 * ulp
+    for model, blocks, taus in ((MODEL2D, 1, (7.0, 7.5, 8.0, 9.0)),
+                                (unstable_toy_model(2.04, 1.0), 2, (0.01, 0.5, 1.0, 2.0))):
+        ops = [Op2D(kind="bqcf", lattice=lat, model=model, blend=_blend_2d_sharp(lat, 4, 4 + K))
+               for K in range(1, 9)]
+        pattern = BlendPattern(ops, G)
+        assert len(pattern.pinned.blocks) == blocks
+        counts = set()
+        for op in ops:
+            A = assemble(op)
+            assert len(_Pinned(A.matrix, G).blocks) == blocks
+            for tau in taus:
+                split, whole = pattern.is_coercive(op, tau), is_coercive(A, _unsplit(G), tau)
+                assert not split.fallback and not whole.fallback
+                assert split.negative == whole.negative, (op.blend.K, tau)
+                counts.add(split.negative)
+        assert len(counts) > 4
+        A, tau = assemble(ops[3]), taus[1]
+        refs = _summed_blocks(A.sym_matrix, G, tau, pattern.pinned.perm)
+        ulp = np.spacing(abs(A.matrix).max())
+        for block, ref in zip(pattern.pinned.blocks, refs, strict=True):
+            got, _, _ = block.block(pattern.weight(ops[3]), tau)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.abs(got.data - ref.data).max() <= 8 * ulp
 
 
 @pytest.mark.parametrize("N", [16, 32])
@@ -1388,11 +1394,13 @@ def test_four_block_poincare_counts_match_the_whole_pencil(N):
 
 def test_each_traffic_operator_splits_into_its_measured_blocks():
     # the blocks _Pinned measures for the operators the sweeps and the
-    # constants solve: 1D one; the toy model and Morse two (the
-    # inversion), one when the blend is rolled off the origin; L-tilde
-    # one. The Poincare ratio solves no pencil: its annulus mask against
-    # the scalar form stays as the check of a split whose kernel block
-    # pins one shift (m = 1)
+    # constants solve: 1D one; the toy model two (the inversion), one when
+    # the blend is rolled off the origin; Morse two for the atomistic
+    # operator, and one for Cauchy-Born and the blend, whose commutators
+    # with the inversion are rounding (entries of 3.6e-15), not zero;
+    # L-tilde one. The Poincare ratio solves no pencil: its
+    # annulus mask against the scalar form stays as the check of a split
+    # whose kernel block pins one shift (m = 1)
     def count(A, G):
         return len(_Pinned(A.matrix, G).blocks)
 
@@ -1402,11 +1410,11 @@ def test_each_traffic_operator_splits_into_its_measured_blocks():
     assert count(assemble(op), G) == len(BlendPattern(op, G).pinned.blocks) == 1
     lat = TriLattice2D(14)
     G = gram_D(lat)
-    for model, blend, want, rolled in ((unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8),
-                                        2, 1),
-                                       (MODEL2D, build_blend_2d(lat, 0, 7), 2, 1)):
-        for kind in ("atomistic", "cauchy_born"):
-            assert count(assemble(Op2D(kind=kind, lattice=lat, model=model)), G) == want
+    for model, blend, unblended, want, rolled in (
+            (unstable_toy_model(2.04, 1.0), _blend_2d_sharp(lat, 4, 8), (2, 2), 2, 1),
+            (MODEL2D, build_blend_2d(lat, 0, 7), (2, 1), 1, 1)):
+        for kind, blocks in zip(("atomistic", "cauchy_born"), unblended):
+            assert count(assemble(Op2D(kind=kind, lattice=lat, model=model)), G) == blocks
         op = Op2D(kind="bqcf", lattice=lat, model=model, blend=blend)
         moved = replace(op, blend=Blend2D(lattice=lat, beta=np.roll(blend.beta, 1, axis=0),
                                           Ra=blend.Ra, Rb=blend.Rb))
@@ -1560,7 +1568,13 @@ def test_an_untrusted_fixed_part_falls_back_to_the_whole_block(monkeypatch):
     ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
                 blend=build_blend_1d(ch, K)) for K in range(6, 65)]
     want = [BlendPattern(ops, G).is_coercive(op, 1e-10) for op in ops]
-    monkeypatch.setattr(spectral._Fixed, "test", lambda self, eps: (0.0, 1.0))
+    init = spectral._Fixed.__init__
+
+    def failing(self, *args):
+        init(self, *args)
+        self.pivot = (0.0, 1.0)
+
+    monkeypatch.setattr(spectral._Fixed, "__init__", failing)
     pattern = BlendPattern(ops, G)
     assert pattern.fixed(1e-10) == 0
     made = []
@@ -1650,8 +1664,8 @@ def test_a_1d_window_probe_factors_128_coordinates(monkeypatch, N):
     made, batches = [], []
     monkeypatch.setattr(spectral, "_ldlt", lambda M, ldlt=_ldlt: made.append(M.shape) or ldlt(M))
     monkeypatch.setattr(spectral, "_BandFactor",
-                        lambda band, window, fixed, refills, sigma, eps, cls=_BandFactor:
-                        batches.append(eps.size) or cls(band, window, fixed, refills, sigma, eps))
+                        lambda band, window, fixed, x, sigma, cls=_BandFactor:
+                        batches.append(x.shape[0]) or cls(band, window, fixed, x, sigma))
     assert [rep.method for rep in pattern.is_coercive(ops, 1e-10)] == ["inertia"] * 59
     assert made == [(G.dim - 1 - 128,) * 2] and batches == [59]
     (window,) = pattern.windows
@@ -1680,7 +1694,7 @@ def test_a_zero_band_pivot_falls_back_alone(monkeypatch):
     monkeypatch.setattr(spectral._Band, "stage", zeroed)
     (window,), (part,) = pattern.windows, pattern.parts(1e-10)
     x = np.stack([window.refill(pattern.weight(op)) for op in ops])
-    factor = _BandFactor(window.band, window, part, x, 1e-10, np.zeros(len(ops)))
+    factor = _BandFactor(window.band, window, part, x, 1e-10)
     assert np.flatnonzero(~factor.ok).tolist() == [7]
     shifts = []
     monkeypatch.setattr(spectral, "_Shift", _counting(_Shift, shifts))
@@ -1712,7 +1726,9 @@ def test_the_benchmark_windows_take_their_paths(monkeypatch):
     # 6..64 at N = 128 and 1024) are chains, counted by one band factor of
     # half-width at most 3; threshold-2d's (toy model, Ra = 4, K =
     # 1..min(16, N - 4) at N = 12 and 16) are lattices, counted probe by
-    # probe on SuperLU's factors (_Shift), with no band built
+    # probe on SuperLU's factors (_Shift), with no band built. Each
+    # threshold-2d window, and each of its K*-1 and K* value-solve pencils,
+    # commutes with the inversion exactly, and so splits into two blocks
     batches, shifts = [], []
     monkeypatch.setattr(spectral, "_BandFactor", _counting(_BandFactor, batches))
     monkeypatch.setattr(spectral, "_Shift", _counting(_Shift, shifts))
@@ -1731,10 +1747,22 @@ def test_the_benchmark_windows_take_their_paths(monkeypatch):
         lat = TriLattice2D(N)
         ops = [Op2D(kind="bqcf", lattice=lat, model=model, blend=_blend_2d_sharp(lat, 4, 4 + K))
                for K in range(1, min(16, N - 4) + 1)]
-        pattern = BlendPattern(ops, gram_D(lat))
+        G = gram_D(lat)
+        pattern = BlendPattern(ops, G)
         assert all(window.band is None for window in pattern.windows)
-        pattern.is_coercive(ops, 1e-10)
+        reports = pattern.is_coercive(ops, 1e-10)
         assert batches == [] and len(shifts) >= len(ops)
+        shifts.clear()
+        A0, slope = (scipy.sparse.csr_matrix((v, pattern.indices, pattern.indptr),
+                                             shape=(G.dim,) * 2)
+                     for v in (pattern.a0, pattern.slope))
+        assert len(pattern.pinned.blocks) == 2
+        assert spectral._commutator(A0 + 1j * slope, G.mirror, 0.0)
+        kstar = next(i for i, rep in enumerate(reports) if rep.coercive)
+        for op in ops[kstar - 1:kstar + 1]:
+            A = assemble(op).matrix
+            assert len(_Pinned(A, G).blocks) == 2
+            assert spectral._commutator(A, G.mirror, 0.0), op.blend.K
 
 
 @pytest.mark.parametrize("kind, phiF, phi2F, K", [("atomistic", 1.0, -1.0, None),
