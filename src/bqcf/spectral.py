@@ -34,7 +34,11 @@ to theirs (Haynsworth, 1968). On a lattice each probe's complement is one
 more sparse factorization; on a chain the window's complements are a band
 of half-width 3 in the natural order, and all of them are factored
 together, one unpivoted band LDL^T vectorized across the probes
-(_BandFactor), with the same certificate. Every value solve takes
+(_BandFactor), with the same certificate. Each quantity a probe reads has
+one implementation, which every path calls: sym(A) at a weight
+(_refill), the shift sums s = sym(A) k (_shift_sums), a window's staged
+complements and border (_Window.stage), and a SuperLU factor's count,
+pivot test and rounding products (_certificate). Every value solve takes
 the sparse path unless the pencil is translation-invariant (below) or its
 caller asks for method "dense": a dense eigh of the same pinned pencil,
 the reference the other paths are checked against.
@@ -406,6 +410,35 @@ def _basis(perm: Optional[np.ndarray], kernel: np.ndarray) -> list:
     return blocks
 
 
+def _refill(a: list, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sym(A) at the weight w on a pattern's entries, from their (a, a^T,
+    slope, slope^T) (_Block) and their rows' and columns' indices into w:
+    ((w_col slope^T + a^T) + (w_row slope + a)) / 2, summed in this order
+    on every path, so that every path holds the same values."""
+    a, at, s, st = a
+    x = w[cols]                                     # the transpose's values
+    x *= st
+    x += at
+    y = w[rows]
+    y *= s
+    y += a
+    x += y
+    x *= 0.5
+    return x
+
+
+def _shift_sums(x: np.ndarray, rows: np.ndarray, k_at: np.ndarray, n: int) -> np.ndarray:
+    """s = sym(A) k on n rows, for each row of the stack x (probes x
+    entries, one refill each) and each constant shift k given at each entry
+    (k_at, m x entries): (probes, n, m), contiguous, so that every product
+    with it takes the same path however many probes there are. One
+    bincount sums every probe and shift, each sum in entry order."""
+    P, m = x.shape[0], k_at.shape[0]
+    bins = (np.arange(P * m)[:, None] * n + rows).ravel()
+    s = np.bincount(bins, weights=(x[:, None, :] * k_at).ravel(), minlength=P * m * n)
+    return np.ascontiguousarray(s.reshape(P, m, n).transpose(0, 2, 1))
+
+
 class _Block:
     """One diagonal block B^T (sym(A) - sigma G) B of the pencil, on one
     sparsity pattern P for every sigma and every blend weight, in pinned
@@ -417,21 +450,20 @@ class _Block:
     the mirror is one number per block coordinate, w at its representative
     (first), and the block of A_0 + diag(w) (A_1 - A_0) is a + diag(w)
     slope.
-    block(w, sigma) forms it and its transpose, sums sym(A) - sigma G on
-    the pattern, forms the rank-2m update from s = sym(A) k with one
-    bincount per constant shift, and keeps the block past its m pinned rows
-    and columns, less its exact zeros off G's pattern: the nonzero set of
-    sym(A) summed with G's pattern, so that SuperLU orders and fills it as
-    it would the summed matrices, whatever sigma. A block without a kernel
-    pins nothing. A probe is O(nnz) array work and one sparse matrix, the
+    block(w, sigma) refills sym(A) at w (_refill), sums sym(A) - sigma G
+    on the pattern, forms the rank-2m update from s = sym(A) k
+    (_shift_sums), and keeps the block past its m pinned rows and columns,
+    less its exact zeros off G's pattern: the nonzero set of sym(A) summed
+    with G's pattern, so that SuperLU orders and fills it as it would the
+    summed matrices, whatever sigma. A block without a kernel pins
+    nothing. A probe is O(nnz) array work and one sparse matrix, the
     block. Unsplit, the block is the whole pencil.
     """
 
     def __init__(self, P: sp.csr_matrix, values: list, kernel, first: np.ndarray):
         self.m = m = 0 if kernel is None else kernel.shape[1]
         nb = first.size
-        self.counts = np.diff(P.indptr)
-        row = np.repeat(np.arange(nb, dtype=np.int32), self.counts)
+        row = np.repeat(np.arange(nb, dtype=np.int32), np.diff(P.indptr))
         self.row, self.col = row, P.indices.astype(np.int32)
         g, *self.a = values
         self.kernel, self.first, self.dim = kernel, first, nb - m
@@ -453,21 +485,10 @@ class _Block:
         if w is None:
             x, = self.a
         else:
-            a, at, s, st = self.a
-            wb = w[self.first]
-            x = wb[self.col]                        # sym(A): the transpose's values
-            x *= st
-            x += at
-            y = np.repeat(wb, self.counts)             # w at each entry's row
-            y *= s
-            y += a
-            x += y
-            x *= 0.5
+            x = _refill(self.a, w[self.first], self.row, self.col)
         U = Q = None
         if self.kernel is not None:
-            nb = self.kernel.shape[0]
-            sk = np.stack([np.bincount(self.row, weights=x * k, minlength=nb)
-                           for k in self.k_at], axis=1)
+            sk, = _shift_sums(x[None], self.row, self.k_at, self.first.size)
             U, kts = _pinned_update(sk, self.kernel)
             Q = _border(kts)
         x = x[self.inner]
@@ -560,7 +581,8 @@ class _Pinned:
         not map to itself: its blocks read it at their representatives.
         None, a fixed operator's, passes."""
         if w is not None and self.perm is not None and not np.array_equal(w[self.perm], w):
-            raise ValueError("the operator's values do not commute with its blocks' group")
+            raise ValueError("the operator's values do not commute with the Gram form's "
+                             "mirror, the inversion")
 
     def gram(self) -> sp.csr_matrix:
         """G on the direct sum of the blocks, G_pp, in pinned coordinates."""
@@ -593,8 +615,8 @@ def _moving(block: _Block, moves: np.ndarray) -> np.ndarray:
 
 class _Window:
     """One block of a pattern split by its window: the coordinates the
-    window moves (V, _moving) and the rest (F), and the block's Schur
-    complement on V at a weight (schur).
+    window moves (V, _moving) and the rest (F), and the bordered matrix
+    that eliminating F leaves at a stack of weights (stage).
 
     sym(A) is affine in the weight entry by entry, so no entry with an
     endpoint in F, and no row of s = sym(A) k in F, moves across the
@@ -604,41 +626,47 @@ class _Window:
     nonzero in sym(A) at w0 or in G couples to F; M_F,V is zero off them
     at every sigma.
 
-    schur(w, sigma, fixed) refills sym(A) at w on the entries of V's rows
-    and of the pinned ones, O(|V|) work, and with fixed's C = [M_F,dV,
-    U_F]^T M_FF^-1 [M_F,dV, U_F] (_Fixed) forms the bordered matrix that
-    eliminating F leaves of [[M_pp, U], [U^T, -C^-1]]:
+    refill(w) refills sym(A) at w (_refill) on the entries of V's rows and
+    of the pinned ones, O(|V|) work; a weight that differs from w0 on held
+    raises ValueError. stage(fixed, x, sigma) takes a stack of refills and,
+    with fixed's C = [M_F,dV, U_F]^T M_FF^-1 [M_F,dV, U_F] (_Fixed), forms
+    for each the bordered matrix that eliminating F leaves of [[M_pp, U],
+    [U^T, -C^-1]]:
     - the Schur complement M_VV - M_V,F M_FF^-1 M_F,V, M_VV less C's dV
-      block, on one pattern, V's entries of the block and the joined dV
-      pairs, less the exact zeros of M_VV off G's pattern, as _Block keeps
-      them;
+      block, on one key pattern, V's entries of the block and the joined
+      dV pairs (cols and indptr, row by row);
     - U_V - M_V,F M_FF^-1 U_F;
     - -C^-1 - U_F^T M_FF^-1 U_F, its k^T s summed from F's rows at w0 and
-      from V's and the pinned rows at w.
+      from V's and the pinned rows at w (_shift_sums).
     These are (M_pp, U, -C^-1) of _Factor, so the inertia adds:
-    Haynsworth's formula over F, then over V and the capacitance. A weight
-    that differs from w0 on held raises ValueError (refill).
+    Haynsworth's formula over F, then over V and the capacitance. SuperLU
+    factors one probe's as a sparse matrix (_Fixed.block), less the exact
+    zeros of M_VV off G's pattern, as _Block keeps them (always holds the
+    keys kept at any value); a chain's band factor (_BandFactor) places a
+    stack's in its band.
 
     C's dV block is exactly zero between two dV coordinates that no
     connected part of F's entries joins (M_FF is block-diagonal over the
     parts), so the pattern keeps the joined pairs alone (joined, indices
-    into the flattened dV x dV; _Fixed checks the rest is zero). banded (a
-    chain's window) builds the window's band (band, _Band); without it
-    band is None.
+    into the flattened dV x dV; _Fixed checks the rest is zero). width is
+    the pattern's half-bandwidth in V's natural order, 3 for the 1D scan
+    window K = 6..64 at N = 128..1024, whose V is two runs of sites that
+    C_VV joins; banded (a chain's window) sets place, each key's place in
+    a band's rows, flattened (row i holds S[i, i + o] at width + o), else
+    place is None.
     """
 
     def __init__(self, block: _Block, in_v: np.ndarray, w0: np.ndarray, banded: bool):
         m, first, row, col = block.m, block.first, block.row, block.col
-        a, at, s, st = block.a
         nb = first.size
         in_f = ~in_v
         in_f[:m] = False
         self.V, self.F = np.flatnonzero(in_v), np.flatnonzero(in_f)
-        wb = w0[first]
-        x0 = 0.5 * ((wb[col] * st + at) + (wb[row] * s + a))      # sym(A) at w0
+        x0 = _refill(block.a, w0[first], row, col)
         inner = block.inner
         couples = in_v[row[inner]] & in_f[col[inner]] & ((x0[inner] != 0.0) | block.on_g)
         self.dV = np.unique(row[inner][couples])
+        s = block.a[2]
         self.held = np.unique(first[row[(in_f[row] | in_f[col]) & (s != 0.0)]])
         self.w_held = w0[self.held]
         # the entries of V's rows and of the pinned rows, in block order
@@ -655,8 +683,7 @@ class _Window:
             k = block.kernel
             self.k_at, self.k_v = block.k_at[:, live], k[self.V]
             self.k_live = k[np.concatenate([self.V, np.arange(m)])]
-            sk = np.stack([np.bincount(row, weights=x0 * kc, minlength=nb)
-                           for kc in block.k_at], axis=1)
+            sk, = _shift_sums(x0[None], row, block.k_at, nb)
             self.kts_f = k[self.F].T @ sk[self.F]
         # the connected parts of F's entries nonzero in sym(A) at w0 or in
         # G (a chain's pinned coordinate cuts its outer run of F in two),
@@ -678,48 +705,38 @@ class _Window:
         self.at_vv, self.at_dd = np.searchsorted(keys, kv), np.searchsorted(keys, kd)
         self.always = np.zeros(keys.size, dtype=bool)
         self.always[self.at_vv[self.g != 0.0]] = self.always[self.at_dd] = True
-        self.cols = (keys % nv).astype(np.int32)
-        self.indptr = np.searchsorted(keys // nv, np.arange(nv + 1))
-        self.band = _Band(self) if banded else None
+        rows, self.cols = keys // nv, (keys % nv).astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(nv + 1))
+        self.width = b = int(np.abs(rows - self.cols).max(initial=0))
+        self.place = rows * (2 * b + 1) + b + self.cols - rows if banded else None
 
     def refill(self, w: np.ndarray) -> np.ndarray:
         """sym(A) on the entries of V's rows and of the pinned ones at the
-        weight w, as _Block.block forms it."""
+        weight w (_refill)."""
         if not np.array_equal(w[self.held], self.w_held):
             raise ValueError("the operator's weight differs from its pattern's window "
                              "where the window holds it fixed")
-        a, at, s, st = self.a
-        x = w[self.w_col]                           # the transpose's values
-        x *= st
-        x += at
-        y = w[self.w_row]
-        y *= s
-        y += a
-        x += y
-        x *= 0.5
-        return x
+        return _refill(self.a, w, self.w_row, self.w_col)
 
-    def schur(self, w: np.ndarray, sigma: float, fixed: "_Fixed"):
-        """(S, U, -C^-1) at the weight w: the Schur complement on V, and the
-        border it keeps; U and -C^-1 are None without a kernel."""
-        x = self.refill(w)
-        U = Q = None
-        if self.kernel is not None:
-            m = self.k_at.shape[0]
-            sk = np.stack([np.bincount(self.row, weights=x * k, minlength=self.nlive)
-                           for k in self.k_at], axis=1)
-            U, Q = fixed.U.copy(), fixed.Q.copy()
-            U[:, m:] += sk[:self.V.size]
-            Q[m:, m:] += self.k_live.T @ sk
-        data = np.zeros(self.cols.size)
-        values = x[self.vv]
+    def stage(self, fixed: "_Fixed", x: np.ndarray, sigma: float):
+        """(S, U, -C^-1) for each row of the refill stack x, probes first:
+        S the Schur complements' values on the key pattern, (probes, keys),
+        and the border they keep; U and -C^-1 are None without a kernel."""
+        P = x.shape[0]
+        values = x[:, self.vv]
         values -= sigma * self.g
-        data[self.at_vv] = values
-        data[self.at_dd] -= fixed.C_dd
-        keep = np.flatnonzero((data != 0.0) | self.always)
-        indptr = np.searchsorted(keep, self.indptr).astype(np.int32)
-        return (sp.csc_matrix((data[keep], self.cols[keep], indptr), shape=(self.V.size,) * 2),
-                U, Q)
+        S = np.zeros((P, self.cols.size))
+        S[:, self.at_vv] = values
+        S[:, self.at_dd] -= fixed.C_dd
+        if self.kernel is None:
+            return S, None, None
+        m = self.k_at.shape[0]
+        sk = _shift_sums(x, self.row, self.k_at, self.nlive)
+        U = np.repeat(fixed.U[None], P, axis=0)
+        U[:, :, m:] += sk[:, :self.V.size]
+        Q = np.repeat(fixed.Q[None], P, axis=0)
+        Q[:, m:, m:] += self.k_live.T @ sk
+        return S, U, Q
 
 
 # the columns of [M_F,dV, U_F] that _Fixed solves for at once: on 2 cores
@@ -735,13 +752,14 @@ class _Fixed:
     sigma, factored once, before the window's first probe at sigma.
 
     M_FF = (sym A - sigma G)_FF, the block's at the window's first weight,
-    is factored by _ldlt and its pivots tested as _Factor's. With W =
+    is factored by _ldlt, and _certificate reads its count, its pivot test
+    and R_F 1 off the factor, as _Factor's. With W =
     [M_F,dV, U_F], Y = M_FF^-1 W is solved _COLUMNS columns at a time, one
     solve per column, and held while C = W^T Y and the Gram matrix Y^T Y are
     formed (|F| x 81 doubles, 5.6 MB, at toy N = 48). Of the factor only
     this is kept: C, symmetrized, as its dV block on the window's joined
     pairs C_dd (the rest must be exactly zero, else ValueError) and the
-    border that each probe completes (_Window.schur), U = [k_V, 0] - C_VU
+    border that each probe completes (_Window.stage), U = [k_V, 0] - C_VU
     and Q = [[0, I], [I, k_F^T s_F]] - C_UU; gram = Y^T Y and dd, the
     2-norm of its dV block; rounding = gamma_3w ||R_F||, with
     ||R_F||_2 <= max_i (|L| |U| 1)_i (R_F = |L||D||L^T| is symmetric); its
@@ -766,19 +784,9 @@ class _Fixed:
         lu = _ldlt(rows[:, F].T)
         del M_pp, rows, U
         self.nnz = int(lu.nnz)
-        Lf, Uf = lu.L, lu.U
-        d = Uf.diagonal()
-        ad = np.abs(d)
-        np.abs(Lf.data, out=Lf.data)
-        np.abs(Uf.data, out=Uf.data)
-        unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        norm = (Lf @ (Uf @ np.ones(F.size))).max()
-        Lf.data **= 2
-        self.pivot = (ad.min(), unit / (1 - unit) * (Lf @ ad).max())
-        self.negative = int(np.sum(d < 0))
-        del Lf, Uf
+        self.negative, self.pivot, R1, unit = _certificate(lu, np.ones(F.size))
         unit *= 3
-        self.rounding = unit / (1 - unit) * norm
+        self.rounding = unit / (1 - unit) * R1.max()
         nd = dV.size
         c = nd + UF.shape[1]
         Y = np.empty((F.size, c))
@@ -803,8 +811,16 @@ class _Fixed:
         self.dd = float(np.linalg.eigvalsh(gram[:nd, :nd])[-1]) if nd else 0.0
 
     def block(self, w: np.ndarray, sigma: float):
-        """The window's Schur complement on V at w (_Window.schur)."""
-        return self.window.schur(w, sigma, self)
+        """(M_pp, U, -C^-1) of _Factor at the weight w: the window's stage
+        of the one refill (_Window.stage), its Schur complement on V as a
+        sparse matrix; U and -C^-1 are None without a kernel."""
+        window = self.window
+        (S,), U, Q = window.stage(self, window.refill(w)[None], sigma)
+        keep = np.flatnonzero((S != 0.0) | window.always)
+        # int32 like the columns, so that scipy casts neither
+        indptr = np.searchsorted(keep, window.indptr).astype(np.int32)
+        S = sp.csc_matrix((S[keep], window.cols[keep], indptr), shape=(window.V.size,) * 2)
+        return (S, None, None) if U is None else (S, U[0], Q[0])
 
 
 def _capacitance(Q: np.ndarray, U: np.ndarray, XU: np.ndarray):
@@ -832,6 +848,26 @@ def _pivot_test(ad: np.ndarray, r_max, unit: float, fixed: Optional["_Fixed"]) -
     if fixed is not None:
         bound += fixed.rounding * fixed.dd
     return ad.min(axis=-1), bound
+
+
+def _certificate(lu, X: Optional[np.ndarray], fixed: Optional["_Fixed"] = None) -> tuple:
+    """(neg(D), pivot test, R X, w u) of an LDL^T by _ldlt, for X in the
+    factor's order (None for no product): the pivot test _pivot_test's,
+    behind fixed when given, R X = |L| (|U| X), R = |L||D||L^T|, and w the
+    longest row of L. With U = D L^T, D is U's diagonal and R_kk = sum_i
+    l_ki^2 |d_i|: compiled products with the copies of L and U that lu.U
+    makes and scipy caches on lu, overwritten in place, so that no
+    temporary is the factor's size; nothing reads them as L and U after
+    this."""
+    Lf, Uf = lu.L, lu.U
+    d = Uf.diagonal()
+    ad = np.abs(d)
+    np.abs(Lf.data, out=Lf.data)
+    np.abs(Uf.data, out=Uf.data)
+    RX = None if X is None else Lf @ (Uf @ X)
+    Lf.data **= 2
+    unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53
+    return int(np.sum(d < 0)), _pivot_test(ad, (Lf @ ad).max(), unit, fixed), RX, unit
 
 
 def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float,
@@ -862,12 +898,13 @@ def _capacitance_bounds(capacitance, T, Y, Yp, RY, unit: float,
 
 class _Factor:
     """LDL^T of one block of _Shift, or of the Schur complement that a
-    pattern's window leaves of it behind its fixed part (fixed, _Fixed),
-    with its capacitance when the block holds the constant shifts; a
-    factorization that yields no inertia raises (_ldlt). Behind a fixed
-    part F's rounding widens the tests (_Shift). The tests come from
-    _pivot_test, _capacitance and _capacitance_bounds, which _BandFactor
-    shares."""
+    pattern's window leaves of it behind its fixed part (fixed, _Fixed,
+    whose block gives it), with its capacitance when the block holds the
+    constant shifts; a factorization that yields no inertia raises
+    (_ldlt). Behind a fixed part F's rounding widens the tests (_Shift).
+    The count, the pivot test and R |Y| come from _certificate, |Y| in the
+    factor's order; the capacitance and its tests from _capacitance and
+    _capacitance_bounds, which _BandFactor shares."""
 
     def __init__(self, block: _Block, w: Optional[np.ndarray], sigma: float,
                  fixed: Optional[_Fixed] = None):
@@ -875,26 +912,15 @@ class _Factor:
         lu = _ldlt(M_pp)
         del M_pp                                    # before lu.U copies the factor
         self.nnz, self._solve, self.Y = int(lu.nnz), lu.solve, None
+        Yp = None
         if U is not None:
             self.capacitance, self.T, self.Y = _capacitance(Q, U, lu.solve(U))
-
-        # lu.U makes the copies of L and U together; the factor keeps them
-        # and nothing reads them after this, so they are overwritten in place
-        Lf, Uf = lu.L, lu.U
-        d = Uf.diagonal()
-        ad = np.abs(d)
-        np.abs(Lf.data, out=Lf.data)
-        np.abs(Uf.data, out=Uf.data)
-        if self.Y is not None:
             # |Y| in the factor's order: Pr M_pp Pc = L U, (Pr x)[perm_r] = x
             Yp = np.empty_like(self.Y)
             Yp[lu.perm_r] = np.abs(self.Y)
-            RY = Lf @ (Uf @ Yp)                     # R |Y| = |L| (|U| |Y|)
-        Lf.data **= 2
-        unit = int(np.diff(Uf.indptr).max()) * 2.0 ** -53     # w u
-        self.tests = [_pivot_test(ad, (Lf @ ad).max(), unit, fixed)]
-        self.negative = int(np.sum(d < 0))
-        if self.Y is not None:
+        self.negative, pivot, RY, unit = _certificate(lu, Yp, fixed)
+        self.tests = [pivot]
+        if Yp is not None:
             q, bounds = _capacitance_bounds(self.capacitance, self.T, self.Y, Yp, RY,
                                             3 * unit, fixed)
             self.tests += zip(np.abs(q).min(axis=1), bounds)
@@ -929,7 +955,7 @@ class _Shift:
     diag(Q11, Z), T = [[I, -Q11^-1 Q12], [0, I]], Y = X U T. A block
     without a kernel is its own LDL^T, with neg(D) negative eigenvalues.
     Behind a fixed part F, the factor is the Schur complement's on the
-    window's moving coordinates V (_Window.schur), and the block has
+    window's moving coordinates V (_Window.stage), and the block has
     neg(D_F) + neg(D_S) + neg(Q) - m (Haynsworth, 1968).
     The counts add over the blocks. A sign is trusted when it clears a
     rounding bound: a pivot gamma_w max_k R_kk (LDL^T backward error, R =
@@ -955,16 +981,15 @@ class _Shift:
     raises ValueError (_Pinned.check).
 
     A sign probe costs the factorizations, one solve with 2m right-hand
-    sides, O(nnz) work on each factor and a few m x m dense calls: with U =
-    D L^T, D is U's diagonal, R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L|
-    (|U| |Y|), three compiled products with the factor's own copies of L
-    and U, overwritten in place, so no temporary is the factor's size. Of
-    each factor the shift keeps only its solve and nnz, so nothing later
-    reads those copies as L and U. They are not freed with the rest: the
-    bound solve keeps the SuperLU object, on which scipy caches both
-    copies, so each block's copies stay allocated beside SuperLU's own
-    factor while the shift or its solves live. The Woodbury operator Cinv
-    is built on the first solve(), so a sign probe never builds it.
+    sides, O(nnz) work on each factor (_certificate reads the count, the
+    pivot test and R |Y| off it) and a few m x m dense calls. Of each
+    factor the shift keeps only its solve and nnz. The copies of L and U
+    that _certificate overwrites are not freed with the rest: the solve
+    keeps the SuperLU object, on which scipy caches both copies, so each
+    block's copies stay allocated beside SuperLU's own factor while the
+    shift or its solves live; _sign frees the shift before a value solve.
+    The Woodbury operator Cinv is built on the first solve(), so a sign
+    probe never builds it.
     """
 
     def __init__(self, pinned: _Pinned, w: Optional[np.ndarray], sigma: float,
@@ -1014,73 +1039,26 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = label[label]
 
 
-class _Band:
-    """The band of one block of a chain's window (_Window), fixed once: V
-    in its natural order, width the half-bandwidth of the window's pattern
-    (V's entries and the joined dV pairs), 3 for the 1D scan window K =
-    6..64 at N = 128..1024, whose V is two runs of sites that C_VV joins.
-    at_vv and at_dd place the pattern's entries in a band's rows, flattened
-    (row i holds S[i, i + o] at width + o), and sums gives s = sym(A) k on
-    the live rows as one sparse product (_BandFactor)."""
-
-    def __init__(self, window: "_Window"):
-        nv = window.V.size
-        rows, cols = np.repeat(np.arange(nv), np.diff(window.indptr)), window.cols
-        self.width = b = int(np.abs(rows - cols).max(initial=0))
-        place = rows * (2 * b + 1) + b + cols - rows
-        self.at_vv, self.at_dd = place[window.at_vv], place[window.at_dd]
-        if window.kernel is not None:
-            # one row per shift and live row
-            m, n = window.k_at.shape
-            self.sums = sp.csr_matrix(
-                (window.k_at.ravel(),
-                 ((np.arange(m)[:, None] * window.nlive + window.row).ravel(),
-                  np.tile(np.arange(n), m))), shape=(m * window.nlive, n))
-
-    def stage(self, window: _Window, fixed: _Fixed, x: np.ndarray, sigma: float):
-        """(S, U, -C^-1) of _Window.schur for each row of x, one probe's
-        _Window.refill: S the band of the Schur complements, (|V| + width,
-        2 width + 1, probes), U and -C^-1 probes first; U and -C^-1 None
-        without a kernel."""
-        P, nv, b = x.shape[0], window.V.size, self.width
-        values = x[:, window.vv]
-        values -= sigma * window.g
-        S = np.zeros(((nv + b) * (2 * b + 1), P))
-        S[self.at_vv] = values.T                    # as _Window.schur, then less C
-        del values
-        S[self.at_dd] -= fixed.C_dd[:, None]
-        S = S.reshape(nv + b, 2 * b + 1, P)
-        if window.kernel is None:
-            return S, None, None
-        m = window.k_at.shape[0]
-        # probe-first and contiguous, so that every product takes the same
-        # path however many probes there are
-        sk = np.ascontiguousarray((self.sums @ x.T).reshape(m, window.nlive, P).T)
-        U = np.repeat(fixed.U[None], P, axis=0)
-        U[:, :, m:] += sk[:, :nv]
-        Q = np.repeat(fixed.Q[None], P, axis=0)
-        Q[:, m:, m:] += window.k_live.T @ sk
-        return S, U, Q
-
-
 class _BandFactor:
-    """_Factor of a chain window's Schur complements (_Window.schur) at a
-    stack of weights, one per probe, given as their refills x (_Window.refill,
-    one row per probe), factored together: one band LDL^T, unpivoted, so a
-    congruence, on the block's band (_Band), each step vectorized across
-    the probes.
+    """_Factor of a chain window's Schur complements at a stack of weights,
+    one per probe, given as their refills x (_Window.refill, one row per
+    probe) behind the window's fixed part, factored together: one band
+    LDL^T, unpivoted, so a congruence, each step vectorized across the
+    probes.
 
-    The complements fill one (|V| + width, 2 width + 1, probes) array, row
-    i holding S[i, i + o] at width + o, the rows past |V| padding that the
-    updates may write. Step j divides row j's upper entries, L[j + r, j]
-    d_j, by d_j and updates the trailing width x width block in one strided
-    view; every later step reads only its row's diagonal and upper
-    entries, so this is the LDL^T of the upper triangle. The border solve X
-    = S^-1 U runs its forward substitution in the same steps and its back
-    substitution after. The tests are _Factor's: w is the longest row of
-    the band's L, min(width, |V| - 1) + 1; R_kk = sum_i l_ki^2 |d_i| and R
-    |Y| = |L| (|D| (|L^T| |Y|)) are summed along the band's diagonals; the
-    capacitance and its bounds come from _capacitance and
+    The window stages the complements and their border (_Window.stage), and
+    their values fill one (|V| + width, 2 width + 1, probes) array at their
+    places (_Window.place), row i holding S[i, i + o] at width + o, the
+    rows past |V| padding that the updates may write. Step j divides row
+    j's upper entries, L[j + r, j] d_j, by d_j and updates the trailing
+    width x width block in one strided view; every later step reads only
+    its row's diagonal and upper entries, so this is the LDL^T of the
+    upper triangle. The border solve X = S^-1 U runs its forward
+    substitution in the same steps and its back substitution after. The
+    tests are _Factor's: w is the longest row of the band's L, min(width,
+    |V| - 1) + 1; R_kk = sum_i l_ki^2 |d_i| and R |Y| = |L| (|D| (|L^T|
+    |Y|)) are summed along the band's diagonals; the pivot test comes from
+    _pivot_test, and the capacitance and its bounds from _capacitance and
     _capacitance_bounds, once for the stack.
 
     d (probes x |V|) and L (probes x |V| x width, |L[j + r, j]| at r - 1,
@@ -1091,11 +1069,15 @@ class _BandFactor:
     turns non-finite.
     """
 
-    def __init__(self, band: _Band, window: _Window, fixed: _Fixed, x: np.ndarray,
-                 sigma: float):
-        P, nv, b = x.shape[0], window.V.size, band.width
+    def __init__(self, fixed: _Fixed, x: np.ndarray, sigma: float):
+        window = fixed.window
+        P, nv, b = x.shape[0], window.V.size, window.width
         w = 2 * b + 1
-        A, U, Q = band.stage(window, fixed, x, sigma)
+        S, U, Q = window.stage(fixed, x, sigma)
+        A = np.zeros(((nv + b) * w, P))
+        A[window.place] = S.T
+        del S
+        A = A.reshape(nv + b, w, P)
         # step j's trailing block, A[j + s, b + t - s] at (j, s - 1, t - 1)
         item = A.itemsize * P
         trail = np.lib.stride_tricks.as_strided(A[1:, b:], shape=(nv, b, b, P),
@@ -1548,7 +1530,7 @@ class BlendPattern:
     coordinates for the window K = 6..64 at every N. Which factor does
     that reads the Gram form's geometry alone: on a chain (one grid axis)
     is_coercive counts every probe it is given at once, one band LDL^T of
-    all their complements (_Window.band, _BandFactor), building no sparse
+    all their complements (_BandFactor), building no sparse
     matrix;
     on a lattice, whose complements measured bandwidths of 44-78 even in
     reverse Cuthill-McKee order, each probe factors its own by SuperLU
@@ -1608,8 +1590,11 @@ class BlendPattern:
         self._fixed = {}                            # each tau's fixed parts
 
     def weight(self, op) -> np.ndarray:
-        """beta at each coordinate of op's blend."""
-        if (type(op), op.kind, op.blend.beta.shape) != self.source or op.model != self.model:
+        """beta at each coordinate of op's blend. An op of another kind,
+        lattice or model than the pattern's raises ValueError; the kind is
+        compared first, so that an op without a blend is refused too."""
+        if (type(op), op.kind) != self.source[:2] or op.blend.beta.shape != self.source[2] \
+                or op.model != self.model:
             raise ValueError("operator differs in kind, lattice or model from the pattern's")
         return np.repeat(op.blend.beta.ravel(), self.G.ncomp)
 
@@ -1663,17 +1648,22 @@ class BlendPattern:
         method and seed."""
         ops = [window] if hasattr(window, "blend") else list(window)
         counts = self._banded(ops, tau)
-        reports = [self._probe(op, tau, count, method, seed) for op, count in zip(ops, counts)]
+        # each probe's shift goes to _sign unnamed, so that _sign frees it
+        # before a value solve
+        reports = [_sign(self._probe(op, tau, count), tau,
+                         lambda op=op: coercivity(self.matrix(op), self.G, method=method,
+                                                  seed=seed))
+                   for op, count in zip(ops, counts)]
         return reports[0] if hasattr(window, "blend") else reports
 
     def _banded(self, ops: list, tau: float) -> list:
-        """Each op's _Count from the blocks' bands (_Window.band), summed over the
+        """Each op's _Count from the blocks' bands (_BandFactor), summed over the
         blocks with their fixed parts' counts and tests, or None where the
         LDL^T yields no inertia; all None off a chain, or where a block has
         no fixed part at tau. The weights are read one at a time, so that no
         stack of them is held."""
         parts = self.parts(tau)
-        if any(part is None or part.window.band is None for part in parts):
+        if any(part is None or part.window.place is None for part in parts):
             return [None] * len(ops)
         negative, tests, ok = 0, [], np.ones(len(ops), dtype=bool)
         for window, part in zip(self.windows, parts):
@@ -1682,7 +1672,7 @@ class BlendPattern:
                 w = self.weight(op)
                 self.pinned.check(w)
                 x[i] = window.refill(w)
-            factor = _BandFactor(window.band, window, part, x, tau)
+            factor = _BandFactor(part, x, tau)
             del x
             negative = negative + part.negative + factor.negative
             tests += [part.pivot] + factor.tests
@@ -1695,13 +1685,13 @@ class BlendPattern:
                        bool(trusted[i])) if ok[i] else None
                 for i, c in enumerate(closest)]
 
-    def _probe(self, op, tau: float, count: Optional[_Count], method: str,
-               seed: int) -> InertiaReport:
-        """op's report from its band count, or from _Shift where it has none."""
+    def _probe(self, op, tau: float, count: Optional[_Count]):
+        """op's count for _sign: its band count, or _Shift's where it has
+        none, and the whole blocks' where a count behind fixed parts is
+        untrusted."""
         if count is None:
             count = _Shift(self.pinned, self.weight(op), tau, self.parts(tau))
         if self.fixed(tau) and not count.trusted:
             del count                               # before the whole blocks' factors
             count = _Shift(self.pinned, self.weight(op), tau)
-        return _sign(count, tau,
-                     lambda: coercivity(self.matrix(op), self.G, method=method, seed=seed))
+        return count

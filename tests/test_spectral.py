@@ -736,12 +736,12 @@ def _rounding_tests(factor, M_pp, fixed=None):
     return _dense_tests(L, D, wu, factor.capacitance, Y, Z, fixed)
 
 
-def _band_rounding_tests(band, factor, fixed):
+def _band_rounding_tests(factor, fixed):
     # _dense_tests of a _BandFactor of one probe, from its own d and |L|
     # (R reads magnitudes only), w the longest row of a lower band of its
-    # half-width, and its Y, in V's order as the band is
+    # window's half-width, and its Y, in V's order as the band is
     (d,), (l,) = factor.d, factor.L
-    nv, b = d.size, band.width
+    nv, b = d.size, fixed.window.width
     L = np.eye(nv)
     for r in range(1, b + 1):
         L[np.arange(r, nv), np.arange(nv - r)] = l[:nv - r, r - 1]
@@ -821,13 +821,12 @@ def test_rounding_tests_match_a_dense_evaluation():
                 assert np.allclose(factor.tests, tests[1:], rtol=1e-13, atol=0.0), (op.blend.K, tau)
                 assert shift.min_pivot / shift.margin == pytest.approx(
                     min(p / b for p, b in tests), rel=1e-13, abs=0.0)
-                if pattern.windows[0].band is None:
+                if pattern.windows[0].place is None:
                     continue
                 banded += 1
                 (window,) = pattern.windows
-                band = window.band
-                factor = _BandFactor(band, window, part, window.refill(w)[None], tau)
-                negative, tests = _band_rounding_tests(band, factor, part)
+                factor = _BandFactor(part, window.refill(w)[None], tau)
+                negative, tests = _band_rounding_tests(factor, part)
                 tests = [pivot] + tests
                 assert factor.ok[0] and factor.negative[0] == negative, (op.blend.K, tau)
                 assert np.allclose([(p[0], b[0]) for p, b in factor.tests], tests[1:],
@@ -902,7 +901,7 @@ def test_a_sign_probe_builds_only_the_block_it_factors(monkeypatch):
     # a trusted probe constructs no sparse matrix in spectral but the block
     # it factors behind its window's fixed part: none on a chain, whose
     # window's Schur complements are staged in one dense band
-    # (_Band.stage), and on a lattice one csc_matrix per block, handed to
+    # (_BandFactor), and on a lattice one csc_matrix per block, handed to
     # splu. Neither builds the Woodbury operator a solve needs
     ch = Chain1D(128)
     G = gram_D(ch)
@@ -983,11 +982,14 @@ def _summed_blocks(Asym, G, tau, perm=None):
     return blocks
 
 
-def _dense_band(S):
-    # the probes' matrices of a staged band (_Band.stage), dense and probes
-    # first: row i of the band holds S[i, i + o] at width + o
-    b = (S.shape[1] - 1) // 2
-    n = S.shape[0] - b
+def _dense_band(window, values):
+    # the probes' matrices of a window's stage (_Window.stage), placed in a
+    # band as _BandFactor places them, then dense and probes first: row i
+    # of the band holds S[i, i + o] at width + o
+    b, n = window.width, window.V.size
+    S = np.zeros(((n + b) * (2 * b + 1), values.shape[0]))
+    S[window.place] = values.T
+    S = S.reshape(n + b, 2 * b + 1, values.shape[0])
     out = np.zeros((S.shape[2], n, n))
     for o in range(-b, b + 1):
         i = np.arange(max(0, -o), min(n, n - o))
@@ -1003,10 +1005,11 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     # (_summed_blocks), within 1e-13 of its largest entry (2e-15 measured),
     # zero off its pattern, and F's and the Schur complement's negative
     # pivots must add up to the assembled block's; the probes give the same
-    # inertia verdicts. On a chain the block is the window's band (_Band),
-    # staged for every probe at once, and its negative pivots
-    # are the band factor's; a 2D pattern splits into the even and odd
-    # blocks of its inversion, each block the sparse one SuperLU factors
+    # inertia verdicts. On a chain the block is the window's band, staged
+    # for every probe at once and placed as _BandFactor places it, and its
+    # negative pivots are the band factor's; a 2D pattern splits into the
+    # even and odd blocks of its inversion, each block the sparse one
+    # SuperLU factors
     tau = 1e-10
     if space == "1d":
         ch = Chain1D(N)
@@ -1023,10 +1026,10 @@ def test_refilled_block_matches_the_assembled_one(space, N):
     pattern = BlendPattern(ops, G)
     parts = pattern.parts(tau)
     assert all(part is not None for part in parts)
-    assert all((window.band is not None) == (space == "1d") for window in pattern.windows)
-    banded = [None if window.band is None else
-              (_dense_band(window.band.stage(window, part, x, tau)[0]),
-               _BandFactor(window.band, window, part, x, tau))
+    assert all((window.place is not None) == (space == "1d") for window in pattern.windows)
+    banded = [None if window.place is None else
+              (_dense_band(window, window.stage(part, x, tau)[0]),
+               _BandFactor(part, x, tau))
               for window, part in zip(pattern.windows, parts)
               for x in [np.stack([window.refill(pattern.weight(op)) for op in ops])]]
     reports = pattern.is_coercive(ops, tau)
@@ -1243,7 +1246,7 @@ def test_an_unsplit_block_is_its_identity_products_bitwise(space):
             pinned, ref = pattern.pinned, _identity_products(A0, G, S)
     (block,) = pinned.blocks
     assert pinned.B is None
-    for name in ("counts", "row", "col", "g", "inner", "cols", "indptr", "k_at", "ratio"):
+    for name in ("row", "col", "g", "inner", "cols", "indptr", "k_at", "ratio"):
         got, want = getattr(block, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert all(x.tobytes() == y.tobytes() for x, y in zip(block.a, ref.a))
@@ -1265,7 +1268,7 @@ def test_an_asymmetric_blend_declares_no_mirror():
     rep = coercivity(A, G)
     assert rep.gamma == pytest.approx(coercivity(A, G, method="dense").gamma, rel=1e-9)
     # a pattern split by its inversion refuses a blend that breaks it
-    with pytest.raises(ValueError, match="do not commute with its blocks' group"):
+    with pytest.raises(ValueError, match="do not commute with the Gram form's mirror"):
         BlendPattern(ops[4], G).is_coercive(op, 1e-10)
 
 
@@ -1477,9 +1480,12 @@ def test_blend_pattern_refuses_a_foreign_operator():
     window = [Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
               for K in (8, 9, 10)]
     pattern = BlendPattern(window, gram_D(ch))
+    # the last two have no blend to read: they are refused by their kind
     for op in (Op1D(kind="bqcf2", chain=ch, model=model, blend=build_blend_1d(ch, 8)),
                Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.2),
-                    blend=build_blend_1d(ch, 8))):
+                    blend=build_blend_1d(ch, 8)),
+               Op1D(kind="atomistic", chain=ch, model=model),
+               Op1D(kind="qcl", chain=ch, model=model)):
         with pytest.raises(ValueError, match="differs in kind, lattice or model"):
             pattern.is_coercive(op, 1e-10)
         with pytest.raises(ValueError, match="differs in kind, lattice or model"):
@@ -1635,7 +1641,8 @@ def test_a_stencil_whose_rows_do_not_sum_to_zero_splits_exactly(monkeypatch):
 def test_a_window_probe_at_gamma_falls_back_to_the_value_solve(monkeypatch):
     # at tau = gamma a pivot or capacitance eigenvalue of the Schur probe
     # is rounding: the count is untrusted, and the value solve, on the
-    # pattern's own matrix, finds gamma > tau false
+    # pattern's own matrix, finds gamma > tau false. No _Shift, nor the
+    # factor cached on it, is alive when the value solve builds its matrix
     ch = Chain1D(128)
     G = gram_D(ch)
     ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
@@ -1644,11 +1651,22 @@ def test_a_window_probe_at_gamma_falls_back_to_the_value_solve(monkeypatch):
     op = ops[14]
     tau = coercivity(pattern.matrix(op), G).gamma
     assert pattern.fixed(tau) > 0
-    built = []
-    monkeypatch.setattr(pattern, "matrix", lambda op, f=pattern.matrix: built.append(op) or f(op))
+    shifts, built = [], []
+
+    class Tracked(_Shift):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shifts.append(weakref.ref(self))
+
+    def matrix(op, f=pattern.matrix):
+        built.append((op, sum(ref() is not None for ref in shifts)))
+        return f(op)
+
+    monkeypatch.setattr(spectral, "_Shift", Tracked)
+    monkeypatch.setattr(pattern, "matrix", matrix)
     rep = pattern.is_coercive(op, tau)
     assert (rep.method, rep.coercive, rep.fallback) == ("iterative", False, True)
-    assert built == [op]
+    assert shifts and built == [(op, 0)]
 
 
 @pytest.mark.parametrize("N", [256, 4096])
@@ -1664,12 +1682,12 @@ def test_a_1d_window_probe_factors_128_coordinates(monkeypatch, N):
     made, batches = [], []
     monkeypatch.setattr(spectral, "_ldlt", lambda M, ldlt=_ldlt: made.append(M.shape) or ldlt(M))
     monkeypatch.setattr(spectral, "_BandFactor",
-                        lambda band, window, fixed, x, sigma, cls=_BandFactor:
-                        batches.append(x.shape[0]) or cls(band, window, fixed, x, sigma))
+                        lambda fixed, x, sigma, cls=_BandFactor:
+                        batches.append(x.shape[0]) or cls(fixed, x, sigma))
     assert [rep.method for rep in pattern.is_coercive(ops, 1e-10)] == ["inertia"] * 59
     assert made == [(G.dim - 1 - 128,) * 2] and batches == [59]
     (window,) = pattern.windows
-    assert window.V.size == 128 and window.band.width == 3
+    assert window.V.size == 128 and window.width == 3
     assert pattern.fixed(1e-10) == G.dim - 1 - 128
 
 
@@ -1684,17 +1702,19 @@ def test_a_zero_band_pivot_falls_back_alone(monkeypatch):
                 blend=build_blend_1d(ch, K)) for K in range(6, 65)]
     pattern = BlendPattern(ops, G)
     want = pattern.is_coercive(ops, 1e-10)
-    stage = spectral._Band.stage
+    stage = spectral._Window.stage
+    (window,), (part,) = pattern.windows, pattern.parts(1e-10)
+    assert window.cols[0] == 0 and window.indptr[1] > 0    # key 0 is S[0, 0]
 
-    def zeroed(self, *args):
-        S, U, Q = stage(self, *args)
-        S[0, self.width, 7] = 0.0                   # probe 7's first pivot
+    def zeroed(self, fixed, x, sigma):
+        S, U, Q = stage(self, fixed, x, sigma)
+        if x.shape[0] == len(ops):                  # the batch's stage alone
+            S[7, 0] = 0.0                           # probe 7's first pivot
         return S, U, Q
 
-    monkeypatch.setattr(spectral._Band, "stage", zeroed)
-    (window,), (part,) = pattern.windows, pattern.parts(1e-10)
+    monkeypatch.setattr(spectral._Window, "stage", zeroed)
     x = np.stack([window.refill(pattern.weight(op)) for op in ops])
-    factor = _BandFactor(window.band, window, part, x, 1e-10)
+    factor = _BandFactor(part, x, 1e-10)
     assert np.flatnonzero(~factor.ok).tolist() == [7]
     shifts = []
     monkeypatch.setattr(spectral, "_Shift", _counting(_Shift, shifts))
@@ -1705,6 +1725,34 @@ def test_a_zero_band_pivot_falls_back_alone(monkeypatch):
     assert got[7] == spectral.InertiaReport(coercive=sparse.negative == 0, negative=sparse.negative,
                                             min_pivot=sparse.min_pivot, margin=sparse.margin,
                                             method="inertia")
+
+
+def test_both_factor_paths_stage_each_probe_alike():
+    # SuperLU's probe (_Fixed.block, one refill) and the band's batch read
+    # one stage (_Window.stage): on the 1D window K = 6..64 at N = 128,
+    # each probe's sparse Schur complement, densified, equals the batch's
+    # placed in its band (_dense_band), and U and -C^-1 the batch's,
+    # bitwise; the two factors give the same count and trust
+    ch = Chain1D(128)
+    G = gram_D(ch)
+    ops = [Op1D(kind="bqcf", chain=ch, model=PairModel1D(1.0, -0.24),
+                blend=build_blend_1d(ch, K)) for K in range(6, 65)]
+    pattern = BlendPattern(ops, G)
+    tau = 1e-10
+    (window,), (part,) = pattern.windows, pattern.parts(tau)
+    weights = [pattern.weight(op) for op in ops]
+    S, U, Q = window.stage(part, np.stack([window.refill(w) for w in weights]), tau)
+    band = _dense_band(window, S)
+    counts = pattern._banded(ops, tau)
+    for i, (op, w) in enumerate(zip(ops, weights)):
+        M, Ui, Qi = part.block(w, tau)
+        # dense zeros are +0.0 off the sparse pattern: equal, not tobytes
+        assert np.array_equal(M.toarray(), band[i]), op.blend.K
+        assert Ui.tobytes() == U[i].tobytes() and Qi.tobytes() == Q[i].tobytes(), op.blend.K
+        shift = _Shift(pattern.pinned, w, tau, pattern.parts(tau))
+        assert (shift.negative, shift.trusted) == (counts[i].negative, counts[i].trusted), \
+            op.blend.K
+        assert shift.trusted, op.blend.K
 
 
 @pytest.mark.parametrize("N", [128, 1024])
@@ -1738,7 +1786,7 @@ def test_the_benchmark_windows_take_their_paths(monkeypatch):
         ops = [Op1D(kind="bqcf", chain=ch, model=model, blend=build_blend_1d(ch, K))
                for K in range(6, 65)]
         pattern = BlendPattern(ops, gram_D(ch))
-        assert all(window.band.width <= 3 for window in pattern.windows)
+        assert all(window.width <= 3 for window in pattern.windows)
         pattern.is_coercive(ops, 1e-10)
         assert (batches, shifts) == (["_BandFactor"], [])
         batches.clear()
@@ -1749,7 +1797,7 @@ def test_the_benchmark_windows_take_their_paths(monkeypatch):
                for K in range(1, min(16, N - 4) + 1)]
         G = gram_D(lat)
         pattern = BlendPattern(ops, G)
-        assert all(window.band is None for window in pattern.windows)
+        assert all(window.place is None for window in pattern.windows)
         reports = pattern.is_coercive(ops, 1e-10)
         assert batches == [] and len(shifts) >= len(ops)
         shifts.clear()
